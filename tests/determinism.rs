@@ -203,6 +203,232 @@ fn stream_join_is_byte_identical_across_the_parallelism_matrix() {
     }
 }
 
+/// The matrix every shape below is compared over, against `(1, 1)`.
+const MATRIX: [(usize, usize); 4] = [(2, 4), (4, 2), (8, 3), (3, 1)];
+
+/// Run `shape` (a plan over the `in` stream of [`feed_agg`] rows) to
+/// completion and return the sink rows in **delivery order**, the
+/// final state size, and the checkpoint the run wrote.
+fn run_shape(
+    shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
+    mode: OutputMode,
+    parallelism: usize,
+    partitions: usize,
+) -> (Vec<Row>, u64, Arc<MemoryBackend>) {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 3).unwrap();
+    let ctx = StreamingContext::new();
+    let source = ctx
+        .read_source(Arc::new(BusSource::new(bus.clone(), "in", agg_schema()).unwrap()))
+        .unwrap();
+    let backend = Arc::new(MemoryBackend::new());
+    let sink = MemorySink::new("out");
+    let mut query = shape(&ctx, source)
+        .write_stream()
+        .output_mode(mode)
+        .sink(sink.clone())
+        .checkpoint(backend.clone())
+        .parallelism(parallelism)
+        .shuffle_partitions(partitions)
+        .start_sync()
+        .unwrap();
+    let mut fed = 0u64;
+    while fed < 120 {
+        feed_agg(&bus, 15, fed);
+        fed += 15;
+        query.process_available().unwrap();
+    }
+    query.process_available().unwrap();
+    let state = query.state_rows();
+    query.stop().unwrap();
+    (sink.snapshot(), state, backend)
+}
+
+/// Compare `shape` byte-for-byte across [`MATRIX`] against `(1, 1)`.
+fn assert_shape_matrix(
+    what: &str,
+    shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
+    mode: OutputMode,
+) {
+    let (expected, expected_state, _) = run_shape(shape, mode, 1, 1);
+    assert!(!expected.is_empty(), "{what} {mode:?}: reference produced no rows");
+    for (p, s) in MATRIX {
+        let (got, state, _) = run_shape(shape, mode, p, s);
+        assert_eq!(
+            got, expected,
+            "{what} {mode:?}: sink bytes diverged at parallelism={p} partitions={s}"
+        );
+        assert_eq!(
+            state, expected_state,
+            "{what} {mode:?}: state size diverged at parallelism={p} partitions={s}"
+        );
+    }
+}
+
+/// The Yahoo benchmark shape: filter → project → stream–static join →
+/// tumbling-window count per campaign.
+#[test]
+fn yahoo_shape_is_byte_identical_across_the_parallelism_matrix() {
+    let shape = |ctx: &StreamingContext, events: DataFrame| {
+        let campaigns_schema = Schema::of(vec![
+            Field::new("c_key", DataType::Utf8),
+            Field::new("campaign", DataType::Utf8),
+        ]);
+        // k6 has no campaign: the inner join drops its rows.
+        let rows: Vec<Row> = (0..6)
+            .map(|i| row![format!("k{i}"), format!("camp{}", i % 2)])
+            .collect();
+        let campaigns = ctx
+            .read_table(
+                "campaigns",
+                vec![RecordBatch::from_rows(campaigns_schema, &rows).unwrap()],
+            )
+            .unwrap();
+        events
+            .filter(col("v").modulo(lit(4i64)).not_eq(lit(0i64)))
+            .select(vec![col("key"), col("time")])
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .join(
+                &campaigns,
+                JoinType::Inner,
+                vec![(col("key"), col("c_key"))],
+            )
+            .group_by(vec![
+                window(col("time"), "10 seconds").unwrap(),
+                col("campaign"),
+            ])
+            .agg(vec![count_star()])
+    };
+    for mode in [OutputMode::Append, OutputMode::Update] {
+        assert_shape_matrix("yahoo", &shape, mode);
+    }
+}
+
+/// A sliding window fans one row out to several group keys, which can
+/// hash to different reduce partitions.
+#[test]
+fn sliding_window_is_byte_identical_across_the_parallelism_matrix() {
+    let shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .group_by(vec![
+                window_sliding(col("time"), "10 seconds", "5 seconds").unwrap(),
+                col("key"),
+            ])
+            .agg(vec![count_star(), avg(col("v"))])
+    };
+    for mode in [OutputMode::Append, OutputMode::Update] {
+        assert_shape_matrix("sliding", &shape, mode);
+    }
+}
+
+/// Complete mode with `sort` + `limit` above the aggregate.
+#[test]
+fn complete_sort_limit_is_byte_identical_across_the_parallelism_matrix() {
+    let shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .group_by(vec![col("key")])
+            .agg(vec![count_star(), sum(col("v"))])
+            .sort(vec![SortKey::desc(col("sum(v)")), SortKey::asc(col("key"))])
+            .limit(4)
+    };
+    assert_shape_matrix("sort+limit", &shape, OutputMode::Complete);
+}
+
+/// A map-only stateless plan: chunk outputs concatenate in chunk order.
+#[test]
+fn map_only_plan_is_byte_identical_across_the_parallelism_matrix() {
+    let shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .filter(col("v").modulo(lit(3i64)).not_eq(lit(1i64)))
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .select(vec![
+                col("key"),
+                col("v").mul(lit(2i64)).alias("v2"),
+                col("time"),
+            ])
+    };
+    assert_shape_matrix("map-only", &shape, OutputMode::Append);
+}
+
+/// `Distinct` is not chunk-safe (first-wins races): at any requested
+/// parallelism it runs at one partition and writes the unsharded
+/// state layout.
+#[test]
+fn distinct_runs_at_one_partition_and_writes_the_unsharded_layout() {
+    let shape = |_: &StreamingContext, events: DataFrame| {
+        events.select(vec![col("key")]).distinct()
+    };
+    assert_shape_matrix("distinct", &shape, OutputMode::Append);
+    let (_, _, backend) = run_shape(&shape, OutputMode::Append, 4, 4);
+    let backend: Arc<dyn structured_streaming::ss_state::CheckpointBackend> = backend;
+    let manifest = structured_streaming::ss_wal::Manifest::load(&backend)
+        .unwrap()
+        .expect("the run checkpointed");
+    assert_eq!(manifest.state_partitions(), 1);
+    let mut store = structured_streaming::ss_state::StateStore::new(backend);
+    store.restore_best(None).unwrap().expect("a restorable checkpoint");
+    let ops = store.operator_ids();
+    assert!(ops.contains(&"dedup-0".to_string()), "operators: {ops:?}");
+    assert!(
+        ops.iter().all(|id| !id.contains("/p")),
+        "sharded namespaces in a one-partition plan: {ops:?}"
+    );
+}
+
+/// Structural guard for the one-partition path: at `parallelism = 1`
+/// the exchange is the identity — nothing is scheduled, the epoch
+/// profile has no `execute` child phases, and every operator reports
+/// under its own stat label.
+#[test]
+fn one_partition_runs_inline_with_per_operator_stats() {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 3).unwrap();
+    let ctx = StreamingContext::new();
+    let df = ctx
+        .read_source(Arc::new(BusSource::new(bus.clone(), "in", agg_schema()).unwrap()))
+        .unwrap()
+        .filter(col("v").modulo(lit(4i64)).not_eq(lit(0i64)))
+        .with_watermark("time", "5 seconds")
+        .unwrap()
+        .select(vec![col("key"), col("time"), col("v").mul(lit(2i64)).alias("v2")])
+        .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("key")])
+        .agg(vec![sum(col("v2"))]);
+    let mut query = df
+        .write_stream()
+        .output_mode(OutputMode::Update)
+        .sink(MemorySink::new("out"))
+        .parallelism(1)
+        .start_sync()
+        .unwrap();
+    feed_agg(&bus, 30, 0);
+    query.process_available().unwrap();
+    let progress = query.last_progress().expect("an epoch ran");
+    assert_eq!(progress.tasks_launched, 0);
+    assert_eq!(progress.max_task_duration_us, 0);
+    let labels: Vec<&str> = progress
+        .operator_durations
+        .iter()
+        .map(|o| o.op.as_str())
+        .collect();
+    assert_eq!(
+        labels,
+        vec!["scan:in", "filter#1", "watermark:time", "project#3", "agg-0"]
+    );
+    let profile = progress.profile.expect("microbatch epochs are profiled");
+    assert!(
+        profile.phases.iter().all(|p| p.parent.is_none()),
+        "child phases on the one-partition path: {:?}",
+        profile.phases
+    );
+    assert!(profile.tasks.is_none() && profile.shuffle.is_none());
+    assert!(!query.render_metrics().contains("ss_task_duration_us"));
+    query.stop().unwrap();
+}
+
 /// Restarting from a checkpoint with a different partition count must
 /// repartition the sharded state by shuffle hash: a query that lives
 /// through partition counts 4 → 2 → 1 must end byte-identical to one
