@@ -360,17 +360,18 @@ impl DataStreamWriter {
         self
     }
 
-    /// Worker threads for data-parallel epoch execution (default 1 =
-    /// serial; `SS_PARALLELISM` overrides the default). Epochs split
-    /// into per-partition tasks with a hash shuffle between stages;
-    /// output stays byte-identical to serial execution.
+    /// Worker threads for partitioned epoch execution (default 1 =
+    /// one partition, everything inline; `SS_PARALLELISM` overrides the
+    /// default). Above 1, epochs split into per-partition tasks with a
+    /// hash shuffle between stages; output is byte-identical at every
+    /// setting.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.config.parallelism = n.max(1);
         self
     }
 
-    /// Reduce partitions (= state shards) for parallel execution
-    /// (default: follow `parallelism`). Checkpoints record the count;
+    /// Partitions (= state shards) when `parallelism > 1` (default:
+    /// follow `parallelism`). Checkpoints record the count;
     /// restarting with a different one repartitions restored state.
     pub fn shuffle_partitions(mut self, n: usize) -> Self {
         self.config.shuffle_partitions = n.max(1);

@@ -30,7 +30,10 @@ use std::time::Instant;
 
 use rustc_hash::FxHashSet;
 
-use ss_common::{FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError};
+use ss_common::profile::PHASE_MERGE;
+use ss_common::{
+    shuffle_partition, FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError, Value,
+};
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::executor::Catalog;
 use ss_exec::join::hash_join_projected;
@@ -38,9 +41,10 @@ use ss_exec::ops;
 use ss_expr::Expr;
 use ss_plan::stateful::StatefulOpDef;
 use ss_plan::{JoinType, LogicalPlan, OutputMode, SortKey};
-use ss_state::{StateEntry, StateStore};
+use ss_state::{OpState, StateEntry, StateStore};
 
-use crate::sjoin::{JoinSide, StreamJoinExec};
+use crate::parallel::{self, shard_ns, Exchange, ExchangeStats};
+use crate::sjoin::{JoinSide, StreamJoinExec, TaggedRow};
 use crate::stateful::execute_map_groups;
 use crate::watermark::WatermarkTracker;
 
@@ -136,6 +140,144 @@ pub struct EpochContext<'a> {
     /// Fail-point registry: stateless eval arms fire
     /// `exec.record.eval` so the chaos suite can poison evaluation.
     pub faults: &'a FaultRegistry,
+    /// How stateful operators (and a stateless root) obtain their
+    /// input and run their kernel: inline at one partition, through
+    /// map → shuffle → reduce stages at N.
+    pub exchange: &'a Exchange,
+    /// Task, phase and shuffle facts the exchange records at N
+    /// partitions (stays empty at one).
+    pub run: ExchangeStats,
+}
+
+/// A stateless, row-wise operator. Applying it to the chunks of a
+/// batch and concatenating the outputs is byte-identical to one
+/// whole-batch application (for the shapes
+/// [`StatelessOp::is_chunk_safe`] admits), so the tree walk and the
+/// exchange's map tasks run the same [`StatelessOp::apply`].
+#[derive(Clone)]
+pub enum StatelessOp {
+    Filter(Expr),
+    Project(Vec<Expr>),
+    /// `Project(Filter(x))` fused: filtered-out columns the projection
+    /// drops are never built.
+    FilterProject {
+        predicate: Expr,
+        exprs: Vec<Expr>,
+    },
+    /// Observe the max event time for the watermark update at the
+    /// epoch boundary, and drop rows later than the in-force watermark
+    /// (§4.3.1).
+    Watermark {
+        column: String,
+    },
+    /// Stream–static join against the cached static side.
+    StaticJoin {
+        static_plan: Arc<LogicalPlan>,
+        /// The static side, computed once per query run by the batch
+        /// engine (§3: "compute a static table [...] and join it with
+        /// a stream") and shared by map tasks.
+        cache: Option<Arc<RecordBatch>>,
+        stream_is_left: bool,
+        join_type: JoinType,
+        on: Vec<(Expr, Expr)>,
+        /// Output columns to materialize (indices into the full join
+        /// output); filled in when a parent aggregation only reads a
+        /// subset, so join keys are never copied into the output.
+        output_projection: Option<Vec<usize>>,
+    },
+}
+
+impl StatelessOp {
+    /// Chunk-safe unless a stream–static join builds on the stream
+    /// side (output follows probe-row order only when the stream
+    /// probes) or pads unmatched static rows (right-outer pads once
+    /// per *batch*).
+    pub(crate) fn is_chunk_safe(&self) -> bool {
+        !matches!(
+            self,
+            StatelessOp::StaticJoin { stream_is_left, join_type, .. }
+                if !*stream_is_left || *join_type == JoinType::RightOuter
+        )
+    }
+
+    /// Fill the static-join cache (engine thread, before `apply`).
+    pub(crate) fn prime(&mut self, statics: &dyn Catalog) -> Result<()> {
+        if let StatelessOp::StaticJoin {
+            static_plan, cache, ..
+        } = self
+        {
+            if cache.is_none() {
+                *cache = Some(Arc::new(ss_exec::execute(static_plan, statics)?));
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply the operator to one batch (or chunk). Also returns the
+    /// max event time a watermark operator observed, with its column.
+    pub(crate) fn apply(
+        &self,
+        batch: RecordBatch,
+        watermark_us: i64,
+        faults: &FaultRegistry,
+    ) -> Result<(RecordBatch, Option<(&str, i64)>)> {
+        if !matches!(
+            self,
+            StatelessOp::Watermark { .. } | StatelessOp::StaticJoin { .. }
+        ) && batch.num_rows() > 0
+        {
+            faults.fire(ops::failpoints::RECORD_EVAL)?;
+        }
+        let out = match self {
+            StatelessOp::Filter(predicate) => ops::filter_batch(&batch, predicate)?,
+            StatelessOp::Project(exprs) => ops::project_batch(&batch, exprs)?,
+            StatelessOp::FilterProject { predicate, exprs } => {
+                ops::filter_project_batch(&batch, predicate, exprs)?
+            }
+            StatelessOp::Watermark { column } => {
+                let col = batch.column_by_name(column)?;
+                let tc = col.as_i64()?;
+                let mut max_seen = i64::MIN;
+                for i in 0..tc.len() {
+                    if let Some(&v) = tc.get(i) {
+                        max_seen = max_seen.max(v);
+                    }
+                }
+                // Rows already later than the in-force watermark go:
+                // downstream stateful operators have (or may have)
+                // finalized their groups.
+                let out = if watermark_us > i64::MIN {
+                    let mask: Vec<bool> = (0..tc.len())
+                        .map(|i| tc.get(i).is_none_or(|&v| v >= watermark_us))
+                        .collect();
+                    batch.filter(&mask)?
+                } else {
+                    batch
+                };
+                let seen = (max_seen > i64::MIN).then_some((column.as_str(), max_seen));
+                return Ok((out, seen));
+            }
+            StatelessOp::StaticJoin {
+                cache,
+                stream_is_left,
+                join_type,
+                on,
+                output_projection,
+                ..
+            } => {
+                let static_batch = cache
+                    .as_deref()
+                    .ok_or_else(|| SsError::Internal("static join cache not primed".into()))?;
+                let proj = output_projection.as_deref();
+                if *stream_is_left {
+                    hash_join_projected(&batch, static_batch, *join_type, on, proj)?
+                } else {
+                    hash_join_projected(static_batch, &batch, *join_type, on, proj)?
+                }
+            }
+        };
+        Ok((out, None))
+    }
 }
 
 /// A tree of incremental operators.
@@ -149,31 +291,9 @@ pub enum IncNode {
         /// cloned rather than moved out of the input map.
         shared: bool,
     },
-    Filter {
+    Stateless {
         input: Box<IncNode>,
-        predicate: Expr,
-    },
-    Project {
-        input: Box<IncNode>,
-        exprs: Vec<Expr>,
-        schema: SchemaRef,
-    },
-    Watermark {
-        input: Box<IncNode>,
-        column: String,
-        delay_us: i64,
-    },
-    StaticJoin {
-        stream: Box<IncNode>,
-        static_plan: Arc<LogicalPlan>,
-        cache: Option<RecordBatch>,
-        stream_is_left: bool,
-        join_type: JoinType,
-        on: Vec<(Expr, Expr)>,
-        /// Output columns to materialize (indices into the full join
-        /// output); filled in when a parent aggregation only reads a
-        /// subset, so join keys are never copied into the output.
-        output_projection: Option<Vec<usize>>,
+        op: StatelessOp,
         schema: SchemaRef,
     },
     StreamJoin {
@@ -184,7 +304,10 @@ pub enum IncNode {
     Aggregate {
         input: Box<IncNode>,
         op_id: String,
-        agg: HashAggregator,
+        /// One aggregator per partition, each holding only the keys
+        /// that hash there; never empty, and exactly one (over the
+        /// unsharded `{op_id}` namespace) at one partition.
+        shards: Vec<HashAggregator>,
     },
     MapGroups {
         input: Box<IncNode>,
@@ -216,14 +339,10 @@ impl IncNode {
                 Some(idx) => Arc::new(schema.project(idx).expect("validated projection")),
                 None => schema.clone(),
             },
-            IncNode::Filter { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::Sort { input, .. }
-            | IncNode::Limit { input, .. } => input.schema(),
-            IncNode::Project { schema, .. } => schema.clone(),
-            IncNode::StaticJoin { schema, .. } => schema.clone(),
+            IncNode::Sort { input, .. } | IncNode::Limit { input, .. } => input.schema(),
+            IncNode::Stateless { schema, .. } => schema.clone(),
             IncNode::StreamJoin { exec, .. } => exec.output_schema.clone(),
-            IncNode::Aggregate { agg, .. } => agg.output_schema().clone(),
+            IncNode::Aggregate { shards, .. } => shards[0].output_schema().clone(),
             IncNode::MapGroups { op, .. } => op.output_schema.clone(),
             IncNode::Distinct { schema, .. } => schema.clone(),
         }
@@ -236,10 +355,14 @@ impl IncNode {
     fn op_label(&self, seq: usize) -> String {
         match self {
             IncNode::StreamScan { name, .. } => format!("scan:{name}"),
-            IncNode::Filter { .. } => format!("filter#{seq}"),
-            IncNode::Project { .. } => format!("project#{seq}"),
-            IncNode::Watermark { column, .. } => format!("watermark:{column}"),
-            IncNode::StaticJoin { .. } => format!("static-join#{seq}"),
+            IncNode::Stateless { op, .. } => match op {
+                StatelessOp::Filter(_) => format!("filter#{seq}"),
+                StatelessOp::Project(_) | StatelessOp::FilterProject { .. } => {
+                    format!("project#{seq}")
+                }
+                StatelessOp::Watermark { column } => format!("watermark:{column}"),
+                StatelessOp::StaticJoin { .. } => format!("static-join#{seq}"),
+            },
             IncNode::StreamJoin { exec, .. } => exec.op_id.clone(),
             IncNode::Aggregate { op_id, .. }
             | IncNode::MapGroups { op_id, .. }
@@ -295,141 +418,48 @@ impl IncNode {
                     }
                 }
             }
-            IncNode::Filter { input, predicate } => {
+            // A stateless root at N partitions: its whole chain runs
+            // as one map stage.
+            IncNode::Stateless { .. } if ctx.exchange.partitions() > 1 => exchange_map(self, ctx),
+            IncNode::Stateless { input, op, .. } => {
                 let batch = input.execute_epoch(ctx)?;
-                if batch.num_rows() > 0 {
-                    ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_batch(&batch, predicate)
-            }
-            IncNode::Project { input, exprs, .. } => {
-                // Fuse Project(Filter(x)): never materialize filtered
-                // columns the projection drops.
-                if let IncNode::Filter {
-                    input: filter_input,
-                    predicate,
-                } = input.as_mut()
-                {
-                    let batch = filter_input.execute_epoch(ctx)?;
-                    if batch.num_rows() > 0 {
-                        ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                    }
-                    return ops::filter_project_batch(&batch, predicate, exprs);
-                }
-                let batch = input.execute_epoch(ctx)?;
-                if batch.num_rows() > 0 {
-                    ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::project_batch(&batch, exprs)
-            }
-            IncNode::Watermark {
-                input,
-                column,
-                delay_us: _,
-            } => {
-                let batch = input.execute_epoch(ctx)?;
-                let col = batch.column_by_name(column)?;
-                // Observe the max event time for the watermark update
-                // at the epoch boundary.
-                let mut max_seen = i64::MIN;
-                let tc = col.as_i64()?;
-                for i in 0..tc.len() {
-                    if let Some(&v) = tc.get(i) {
-                        max_seen = max_seen.max(v);
-                    }
-                }
-                if max_seen > i64::MIN {
+                op.prime(ctx.statics)?;
+                let (out, seen) = op.apply(batch, ctx.watermark_us, ctx.faults)?;
+                if let Some((column, max_seen)) = seen {
                     ctx.tracker.observe(column, max_seen);
                 }
-                // Drop rows already later than the in-force watermark:
-                // downstream stateful operators have (or may have)
-                // finalized their groups.
-                if ctx.watermark_us > i64::MIN {
-                    let wm = ctx.watermark_us;
-                    let mask: Vec<bool> = (0..tc.len())
-                        .map(|i| tc.get(i).is_none_or(|&v| v >= wm))
-                        .collect();
-                    batch.filter(&mask)
-                } else {
-                    Ok(batch)
-                }
-            }
-            IncNode::StaticJoin {
-                stream,
-                static_plan,
-                cache,
-                stream_is_left,
-                join_type,
-                on,
-                output_projection,
-                ..
-            } => {
-                let delta = stream.execute_epoch(ctx)?;
-                if cache.is_none() {
-                    // The static side is computed once per query run
-                    // using the batch engine (§3: "compute a static
-                    // table [...] and join it with a stream").
-                    *cache = Some(ss_exec::execute(static_plan, ctx.statics)?);
-                }
-                let static_batch = cache.as_ref().expect("just filled");
-                let proj = output_projection.as_deref();
-                if *stream_is_left {
-                    hash_join_projected(&delta, static_batch, *join_type, on, proj)
-                } else {
-                    hash_join_projected(static_batch, &delta, *join_type, on, proj)
-                }
+                Ok(out)
             }
             IncNode::StreamJoin { left, right, exec } => {
+                if ctx.exchange.partitions() > 1 {
+                    return exchange_join(left, right, exec, ctx);
+                }
                 let l = left.execute_epoch(ctx)?;
                 let r = right.execute_epoch(ctx)?;
                 exec.execute_epoch(&l, &r, ctx.store, ctx.watermark_us)
             }
-            IncNode::Aggregate { input, op_id, agg } => {
+            IncNode::Aggregate {
+                input,
+                op_id,
+                shards,
+            } => {
+                let parts = ctx.exchange.partitions();
+                if shards.len() != parts {
+                    // First epoch at N partitions, or a failed reduce
+                    // stage took the shards with it.
+                    reshard(shards, parts);
+                }
+                if parts > 1 {
+                    return exchange_aggregate(input, op_id, shards, ctx);
+                }
                 let delta = input.execute_epoch(ctx)?;
-                agg.update_batch(&delta)?;
-                let changed = agg.take_changed();
-                // Write-through: changed groups to the state store.
-                {
-                    let op = ctx.store.operator(op_id);
-                    for key in &changed {
-                        let states = agg
-                            .state_for_key(key)
-                            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
-                        op.put(key.clone(), StateEntry::new(states));
-                    }
-                }
-                match ctx.output_mode {
-                    OutputMode::Complete => agg.finish_all(),
-                    OutputMode::Update => {
-                        let out = agg.output_for_keys(&changed)?;
-                        if agg.is_windowed() && ctx.watermark_us > i64::MIN {
-                            let evicted = agg.evict_expired(ctx.watermark_us);
-                            let op = ctx.store.operator(op_id);
-                            for k in &evicted {
-                                op.evict(k);
-                            }
-                        }
-                        Ok(out)
-                    }
-                    OutputMode::Append => {
-                        let out = agg.drain_finalized(ctx.watermark_us)?;
-                        let op = ctx.store.operator(op_id);
-                        // drain_finalized removed groups from the
-                        // aggregator; mirror in the store by removing
-                        // every stored key no longer live.
-                        let live: FxHashSet<Row> =
-                            agg.state_entries().map(|(k, _)| k.clone()).collect();
-                        let dead: Vec<Row> = op
-                            .iter()
-                            .map(|(k, _)| k.clone())
-                            .filter(|k| !live.contains(k))
-                            .collect();
-                        for k in dead {
-                            op.evict(&k);
-                        }
-                        Ok(out)
-                    }
-                }
+                shards[0].update_batch(&delta)?;
+                aggregate_step(
+                    &mut shards[0],
+                    ctx.store.operator(op_id),
+                    ctx.output_mode,
+                    ctx.watermark_us,
+                )
             }
             IncNode::MapGroups { input, op_id, op } => {
                 let delta = input.execute_epoch(ctx)?;
@@ -475,35 +505,40 @@ impl IncNode {
     }
 
     /// Rebuild in-memory operator state from the (restored) state
-    /// store — §6.1 step 4.
-    pub fn restore_state(&mut self, store: &mut StateStore) -> Result<()> {
+    /// store — §6.1 step 4 — laid out for `partitions` partitions.
+    pub fn restore_state(&mut self, store: &mut StateStore, partitions: usize) -> Result<()> {
         match self {
-            IncNode::Aggregate { input, op_id, agg } => {
-                agg.clear();
-                let entries: Vec<(Row, Vec<Row>)> = store
-                    .operator(op_id)
-                    .iter()
-                    .map(|(k, e)| (k.clone(), e.values.clone()))
-                    .collect();
-                for (key, states) in entries {
-                    agg.restore_entry(key, &states)?;
+            IncNode::Aggregate {
+                input,
+                op_id,
+                shards,
+            } => {
+                reshard(shards, partitions);
+                for (r, shard) in shards.iter_mut().enumerate() {
+                    let entries: Vec<(Row, Vec<Row>)> = store
+                        .operator(&shard_ns(op_id, r, partitions, ""))
+                        .iter()
+                        .map(|(k, e)| (k.clone(), e.values.clone()))
+                        .collect();
+                    for (key, states) in entries {
+                        shard.restore_entry(key, &states)?;
+                    }
                 }
-                input.restore_state(store)
+                input.restore_state(store, partitions)
             }
-            IncNode::StaticJoin { stream, cache, .. } => {
-                *cache = None;
-                stream.restore_state(store)
+            IncNode::Stateless { input, op, .. } => {
+                if let StatelessOp::StaticJoin { cache, .. } = op {
+                    *cache = None;
+                }
+                input.restore_state(store, partitions)
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::MapGroups { input, .. }
+            IncNode::MapGroups { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
-            | IncNode::Limit { input, .. } => input.restore_state(store),
+            | IncNode::Limit { input, .. } => input.restore_state(store, partitions),
             IncNode::StreamJoin { left, right, .. } => {
-                left.restore_state(store)?;
-                right.restore_state(store)
+                left.restore_state(store, partitions)?;
+                right.restore_state(store, partitions)
             }
             IncNode::StreamScan { .. } => Ok(()),
         }
@@ -535,10 +570,7 @@ impl IncNode {
                 left.collect_scan_projections(out);
                 right.collect_scan_projections(out);
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::StaticJoin { stream: input, .. }
+            IncNode::Stateless { input, .. }
             | IncNode::Aggregate { input, .. }
             | IncNode::MapGroups { input, .. }
             | IncNode::Distinct { input, .. }
@@ -570,10 +602,7 @@ impl IncNode {
                 left.has_pending_timeouts(store, processing_time_us)
                     || right.has_pending_timeouts(store, processing_time_us)
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::StaticJoin { stream: input, .. }
+            IncNode::Stateless { input, .. }
             | IncNode::Aggregate { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
@@ -590,15 +619,12 @@ impl IncNode {
         // Find the aggregate (there is at most one, per §5.2).
         fn find_agg(node: &IncNode) -> Option<&HashAggregator> {
             match node {
-                IncNode::Aggregate { agg, .. } => Some(agg),
+                IncNode::Aggregate { shards, .. } => Some(&shards[0]),
                 IncNode::StreamScan { .. } => None,
                 IncNode::StreamJoin { left, right, .. } => {
                     find_agg(left).or_else(|| find_agg(right))
                 }
-                IncNode::Filter { input, .. }
-                | IncNode::Project { input, .. }
-                | IncNode::Watermark { input, .. }
-                | IncNode::StaticJoin { stream: input, .. }
+                IncNode::Stateless { input, .. }
                 | IncNode::MapGroups { input, .. }
                 | IncNode::Distinct { input, .. }
                 | IncNode::Sort { input, .. }
@@ -625,6 +651,192 @@ impl IncNode {
         }
         (0..final_schema.len()).collect()
     }
+}
+
+/// Reset `shards` to `partitions` empty aggregators.
+fn reshard(shards: &mut Vec<HashAggregator>, partitions: usize) {
+    shards.truncate(1);
+    shards[0].clear();
+    while shards.len() < partitions {
+        shards.push(shards[0].fresh_clone());
+    }
+}
+
+/// The aggregate step after ingest, over one aggregator and its state
+/// namespace: write this epoch's changed groups through to the store,
+/// emit per the output mode, and evict what the watermark has closed.
+fn aggregate_step(
+    agg: &mut HashAggregator,
+    op: &mut OpState,
+    mode: OutputMode,
+    watermark_us: i64,
+) -> Result<RecordBatch> {
+    let changed = agg.take_changed();
+    for key in &changed {
+        let states = agg
+            .state_for_key(key)
+            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
+        op.put(key.clone(), StateEntry::new(states));
+    }
+    match mode {
+        OutputMode::Complete => agg.finish_all(),
+        OutputMode::Update => {
+            let out = agg.output_for_keys(&changed)?;
+            if agg.is_windowed() && watermark_us > i64::MIN {
+                for k in agg.evict_expired(watermark_us) {
+                    op.evict(&k);
+                }
+            }
+            Ok(out)
+        }
+        OutputMode::Append => {
+            let out = agg.drain_finalized(watermark_us)?;
+            // drain_finalized removed groups from the aggregator;
+            // mirror in the store by removing every stored key no
+            // longer live.
+            let live: FxHashSet<Row> = agg.state_entries().map(|(k, _)| k.clone()).collect();
+            let dead: Vec<Row> = op
+                .iter()
+                .map(|(k, _)| k.clone())
+                .filter(|k| !live.contains(k))
+                .collect();
+            for k in dead {
+                op.evict(&k);
+            }
+            Ok(out)
+        }
+    }
+}
+
+/// A stateless chain at N partitions: one map stage, chunk outputs
+/// concatenated in chunk order.
+fn exchange_map(node: &mut IncNode, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
+    let mut sides = parallel::map_stage(ctx, &mut [node], |_, _, chunk| Ok(chunk))?;
+    let merge = Instant::now();
+    let out = RecordBatch::concat(&sides.remove(0))?;
+    ctx.run.phase(PHASE_MERGE, merge);
+    Ok(out)
+}
+
+/// An aggregate at N partitions: map tasks expand their chunk into
+/// `(group key, argument values)` pairs, the shuffle routes each key
+/// to the partition that owns it, and every partition runs
+/// [`aggregate_step`] over its own shard and `{op_id}/p{r}` namespace.
+fn exchange_aggregate(
+    input: &mut IncNode,
+    op_id: &str,
+    shards: &mut Vec<HashAggregator>,
+    ctx: &mut EpochContext<'_>,
+) -> Result<RecordBatch> {
+    let parts = ctx.exchange.partitions();
+    let template = Arc::new(shards[0].fresh_clone());
+    let expander = template.clone();
+    let pairs = parallel::shuffle(
+        ctx,
+        op_id,
+        &mut [input],
+        move |_, _, chunk| expander.expand(chunk),
+        |(key, _), parts| shuffle_partition(key, parts),
+        |(key, args)| key.approx_bytes() + args.approx_bytes(),
+    )?
+    .remove(0);
+    // The shards move into the reduce tasks. A failed stage leaves one
+    // empty aggregator behind; the restart path reloads from the
+    // checkpoint.
+    let work: Vec<(HashAggregator, OpState, Vec<(Row, Row)>)> =
+        std::mem::replace(shards, vec![template.fresh_clone()])
+            .into_iter()
+            .zip(pairs)
+            .enumerate()
+            .map(|(r, (shard, pairs))| {
+                let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
+                (shard, op, pairs)
+            })
+            .collect();
+    let (mode, watermark_us) = (ctx.output_mode, ctx.watermark_us);
+    let reduced = parallel::reduce(ctx, work, move |(mut shard, mut op, pairs)| {
+        shard.update_pairs(pairs)?;
+        let rows = aggregate_step(&mut shard, &mut op, mode, watermark_us)?.to_rows();
+        Ok((shard, op, rows))
+    })?;
+    let merge = Instant::now();
+    shards.clear();
+    let mut rows: Vec<Row> = Vec::new();
+    for (r, (shard, op, shard_rows)) in reduced.into_iter().enumerate() {
+        ctx.store.put_op(&shard_ns(op_id, r, parts, ""), op);
+        shards.push(shard);
+        rows.extend(shard_rows);
+    }
+    // Keys never span shards and every shard emits key-sorted rows
+    // (the window-end column is a function of window-start, so
+    // whole-row order == key order): a global sort reproduces the
+    // one-partition emission order.
+    rows.sort();
+    let out = RecordBatch::from_rows(template.output_schema().clone(), &rows)?;
+    ctx.run.phase(PHASE_MERGE, merge);
+    Ok(out)
+}
+
+/// A stream–stream join at N partitions: both sides' map tasks
+/// evaluate join keys, the shuffle routes each key to its owner, and
+/// every partition probes/buffers/evicts against its own
+/// `{op_id}/p{r}-left/-right` namespaces.
+fn exchange_join(
+    left: &mut IncNode,
+    right: &mut IncNode,
+    exec: &StreamJoinExec,
+    ctx: &mut EpochContext<'_>,
+) -> Result<RecordBatch> {
+    let parts = ctx.exchange.partitions();
+    let keyer = exec.clone();
+    let null_key = Row::new(vec![Value::Null]);
+    let mut sides = parallel::shuffle(
+        ctx,
+        &exec.op_id,
+        &mut [left, right],
+        // The chunk index in the high bits keeps delta-row indices in
+        // global arrival order without knowing earlier chunks' sizes.
+        move |side, chunk_idx, chunk| {
+            keyer.prepare_side(chunk, side == 0, (chunk_idx as u64) << 32)
+        },
+        // NULL-keyed rows shuffle on their buffer key (`[NULL]`), so
+        // exactly one partition owns their buffering and outer-row
+        // eviction.
+        move |(_, key, _), parts| shuffle_partition(key.as_ref().unwrap_or(&null_key), parts),
+        |(_, _, row)| row.approx_bytes(),
+    )?;
+    let right_rows = sides.remove(1);
+    let left_rows = sides.remove(0);
+    let ns = |r: usize, suffix: &str| shard_ns(&exec.op_id, r, parts, suffix);
+    let work: Vec<_> = left_rows
+        .into_iter()
+        .zip(right_rows)
+        .enumerate()
+        .map(|(r, (l, rr))| {
+            let left_op = ctx.store.take_op(&ns(r, "-left"));
+            let right_op = ctx.store.take_op(&ns(r, "-right"));
+            (left_op, right_op, l, rr)
+        })
+        .collect();
+    let kernel = exec.clone();
+    let watermark_us = ctx.watermark_us;
+    let reduced = parallel::reduce(ctx, work, move |(mut left_op, mut right_op, l, r)| {
+        let tagged = kernel.execute_on_states(&l, &r, &mut left_op, &mut right_op, watermark_us)?;
+        Ok((left_op, right_op, tagged))
+    })?;
+    let merge = Instant::now();
+    let mut tagged: Vec<TaggedRow> = Vec::new();
+    for (r, (left_op, right_op, t)) in reduced.into_iter().enumerate() {
+        ctx.store.put_op(&ns(r, "-left"), left_op);
+        ctx.store.put_op(&ns(r, "-right"), right_op);
+        tagged.extend(t);
+    }
+    // `(phase, idx, key, seq)` is the one-partition emission order.
+    tagged.sort();
+    let rows: Vec<Row> = tagged.into_iter().map(|t| t.row).collect();
+    let out = RecordBatch::from_rows(exec.output_schema.clone(), &rows)?;
+    ctx.run.phase(PHASE_MERGE, merge);
+    Ok(out)
 }
 
 /// Map an analyzed, optimized logical plan to an incremental operator
@@ -669,27 +881,44 @@ fn inc_node(
                 shared: scan_counts.get(name).copied().unwrap_or(0) > 1,
             }
         }
-        LogicalPlan::Filter { input, predicate } => IncNode::Filter {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { input, exprs } => {
-            let schema = plan.schema()?;
-            IncNode::Project {
-                input: Box::new(inc_node(input, counter, scan_counts)?),
-                exprs: exprs.clone(),
-                schema,
+        LogicalPlan::Filter { input, predicate } => {
+            let child = inc_node(input, counter, scan_counts)?;
+            IncNode::Stateless {
+                schema: child.schema(),
+                input: Box::new(child),
+                op: StatelessOp::Filter(predicate.clone()),
             }
         }
-        LogicalPlan::Watermark {
-            input,
-            column,
-            delay_us,
-        } => IncNode::Watermark {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
-            column: column.clone(),
-            delay_us: *delay_us,
-        },
+        LogicalPlan::Project { input, exprs } => {
+            let (input, op) = match inc_node(input, counter, scan_counts)? {
+                IncNode::Stateless {
+                    input,
+                    op: StatelessOp::Filter(predicate),
+                    ..
+                } => {
+                    let exprs = exprs.clone();
+                    (input, StatelessOp::FilterProject { predicate, exprs })
+                }
+                child => (Box::new(child), StatelessOp::Project(exprs.clone())),
+            };
+            IncNode::Stateless {
+                input,
+                op,
+                schema: plan.schema()?,
+            }
+        }
+        // The delay lives in the `WatermarkTracker`, built from the
+        // plan's watermark declarations.
+        LogicalPlan::Watermark { input, column, .. } => {
+            let child = inc_node(input, counter, scan_counts)?;
+            IncNode::Stateless {
+                schema: child.schema(),
+                input: Box::new(child),
+                op: StatelessOp::Watermark {
+                    column: column.clone(),
+                },
+            }
+        }
         LogicalPlan::Aggregate {
             input,
             group_exprs,
@@ -699,8 +928,11 @@ fn inc_node(
             // Fuse: when the aggregate sits directly on a stream–static
             // join, the join only materializes the columns the
             // aggregation reads (join keys are hashed, not output).
-            if let IncNode::StaticJoin {
-                output_projection,
+            if let IncNode::Stateless {
+                op:
+                    StatelessOp::StaticJoin {
+                        output_projection, ..
+                    },
                 schema,
                 ..
             } = &mut child
@@ -733,7 +965,7 @@ fn inc_node(
             IncNode::Aggregate {
                 input: Box::new(child),
                 op_id: next_id("agg", counter),
-                agg,
+                shards: vec![agg],
             }
         }
         LogicalPlan::Join {
@@ -777,30 +1009,29 @@ fn inc_node(
                         exec,
                     }
                 }
-                (true, false) => IncNode::StaticJoin {
-                    stream: Box::new(inc_node(left, counter, scan_counts)?),
-                    static_plan: right.clone(),
-                    cache: None,
-                    stream_is_left: true,
-                    join_type: *join_type,
-                    on: on.clone(),
-                    output_projection: None,
-                    schema: plan.schema()?,
-                },
-                (false, true) => IncNode::StaticJoin {
-                    stream: Box::new(inc_node(right, counter, scan_counts)?),
-                    static_plan: left.clone(),
-                    cache: None,
-                    stream_is_left: false,
-                    join_type: *join_type,
-                    on: on.clone(),
-                    output_projection: None,
-                    schema: plan.schema()?,
-                },
                 (false, false) => {
                     return Err(SsError::Internal(
                         "fully static join reached the incrementalizer".into(),
                     ))
+                }
+                (stream_is_left, _) => {
+                    let (stream, static_plan) = if stream_is_left {
+                        (left, right)
+                    } else {
+                        (right, left)
+                    };
+                    IncNode::Stateless {
+                        input: Box::new(inc_node(stream, counter, scan_counts)?),
+                        op: StatelessOp::StaticJoin {
+                            static_plan: static_plan.clone(),
+                            cache: None,
+                            stream_is_left,
+                            join_type: *join_type,
+                            on: on.clone(),
+                            output_projection: None,
+                        },
+                        schema: plan.schema()?,
+                    }
                 }
             }
         }
@@ -859,6 +1090,7 @@ mod tests {
         epoch: u64,
         last_ops: Vec<OpStat>,
         faults: FaultRegistry,
+        exchange: Exchange,
     }
 
     impl Harness {
@@ -873,6 +1105,7 @@ mod tests {
                 epoch: 0,
                 last_ops: Vec::new(),
                 faults: FaultRegistry::new(),
+                exchange: Exchange::identity(),
             }
         }
 
@@ -895,6 +1128,8 @@ mod tests {
                 tracker: &mut self.tracker,
                 ops: &mut ops,
                 faults: &self.faults,
+                exchange: &self.exchange,
+                run: ExchangeStats::default(),
             };
             let out = self.node.execute_epoch(&mut ctx).unwrap();
             self.last_ops = ops.take();
@@ -1043,7 +1278,7 @@ mod tests {
         h.run(&[row!["CA", Value::Timestamp(0)]]);
         // Roll back to the checkpoint and rebuild the operator.
         h.store.restore(1).unwrap();
-        h.node.restore_state(&mut h.store).unwrap();
+        h.node.restore_state(&mut h.store, 1).unwrap();
         let out = h.run(&[row!["CA", Value::Timestamp(0)]]);
         // 1 (restored) + 1 (new) = 2, not 3.
         assert_eq!(out.to_rows(), vec![row!["CA", 2i64]]);

@@ -71,11 +71,10 @@ pub struct QueryProgress {
     /// Records shed so far by bounded bus topics feeding this query
     /// (cumulative; 0 for non-bus sources or non-shedding policies).
     pub shed_records: u64,
-    /// Tasks the data-parallel scheduler launched this epoch (0 on the
-    /// serial path).
+    /// Tasks the exchange scheduled this epoch (0 at one partition).
     pub tasks_launched: u64,
-    /// Wall-clock duration of the slowest task this epoch (µs; 0 on
-    /// the serial path). The gap to `batch_duration_us` is scheduling
+    /// Wall-clock duration of the slowest task this epoch (µs; 0 at
+    /// one partition). The gap to `batch_duration_us` is scheduling
     /// plus merge overhead; a single dominant task signals skew.
     pub max_task_duration_us: u64,
     /// Poison records diverted to the dead-letter queue (or dropped,

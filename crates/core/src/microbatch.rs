@@ -64,7 +64,7 @@ use crate::ha::HaConfig;
 use crate::admission::{apportion, PidRateController, RateControllerConfig};
 use crate::incremental::{incrementalize, EpochContext, IncNode, OpStat, OpStatsCollector};
 use crate::metrics::{OpDuration, ProgressHistory, QueryProgress, StreamingQueryListener};
-use crate::parallel::{repartition_family, state_families, ParallelExec, ParallelRunStats};
+use crate::parallel::{repartition_family, state_families, Exchange, ExchangeStats};
 use crate::upgrade::{self, StateMigration};
 use crate::watermark::WatermarkTracker;
 
@@ -159,17 +159,20 @@ pub struct MicroBatchConfig {
     /// WAL so at least the last N epochs stay individually rollback-able
     /// (the actual horizon snaps down to a full-snapshot boundary).
     pub min_epochs_to_retain: Option<u64>,
-    /// Worker threads for data-parallel epoch execution. `1` (the
-    /// default) runs the serial engine unchanged. `> 1` compiles the
-    /// plan into partitioned map/shuffle/reduce stages on a worker
-    /// pool when the plan shape supports it (falling back to serial
-    /// when it does not). Output is byte-identical either way.
-    /// Defaults to `SS_PARALLELISM` when set.
+    /// Worker threads for partitioned epoch execution. `1` (the
+    /// default) runs every epoch at one partition: the exchange is the
+    /// identity and operators run inline on the engine thread. `> 1`
+    /// runs stateful operators (and stateless roots) as map / shuffle /
+    /// reduce stages over `shuffle_partitions` partitions on a worker
+    /// pool; plans that are not chunk-safe stay at one partition.
+    /// Output is byte-identical at every setting. Defaults to
+    /// `SS_PARALLELISM` when set.
     pub parallelism: usize,
-    /// Reduce partitions (= state shards) for parallel execution.
-    /// `0` (the default) follows `parallelism`. The checkpoint
-    /// manifest records this count; restarting with a different one
-    /// repartitions restored state by shuffle hash.
+    /// Partitions (= state shards per stateful operator) when
+    /// `parallelism > 1`. `0` (the default) follows `parallelism`.
+    /// The checkpoint manifest records the effective count;
+    /// restarting with a different one repartitions restored state by
+    /// shuffle hash.
     pub shuffle_partitions: usize,
     /// What to do with records that deterministically fail evaluation
     /// once isolation mode is active: fail the query (the default),
@@ -294,10 +297,9 @@ struct EpochExecution {
     out_rows: u64,
     ops: Vec<OpStat>,
     sink_commit_us: i64,
-    /// Tasks the parallel executor ran this epoch (0 on the serial
-    /// path).
+    /// Tasks the exchange scheduled this epoch (0 at one partition).
     tasks_launched: u64,
-    /// Slowest task's wall-clock duration (µs; 0 on the serial path).
+    /// Slowest task's wall-clock duration (µs; 0 at one partition).
     max_task_duration_us: u64,
     /// Poison records diverted (or dropped) by isolation mode.
     quarantined: u64,
@@ -356,11 +358,9 @@ pub struct MicroBatchExecution {
     /// delay of the next one (how late it starts vs. the trigger
     /// interval in the sequential trigger loop).
     last_epoch_duration_us: i64,
-    /// Data-parallel epoch executor: present when
-    /// `config.parallelism > 1` *and* the plan compiled into
-    /// partitioned stages; `None` runs the serial path (byte-identical
-    /// output either way).
-    parallel: Option<ParallelExec>,
+    /// The partition count the plan runs at and, above one, the worker
+    /// pool its stages are scheduled on.
+    exchange: Exchange,
     /// Bounded history of per-epoch phase-tree profiles, served by the
     /// introspection server's `/query/<name>/profile` endpoint.
     profiler: EpochProfiler,
@@ -589,28 +589,7 @@ impl MicroBatchExecution {
         }
         let progress = ProgressHistory::new(config.progress_history);
         let rate_controller = config.rate_controller.map(PidRateController::new);
-        let parallel = if config.parallelism > 1 {
-            let partitions = if config.shuffle_partitions == 0 {
-                config.parallelism
-            } else {
-                config.shuffle_partitions
-            };
-            ParallelExec::try_build(
-                &root,
-                config.parallelism,
-                partitions,
-                &registry,
-                &trace,
-                config.faults.clone(),
-                config.retry,
-                config.clock.clone(),
-                config.interrupt.clone(),
-                config.task_soft_deadline,
-                config.task_hard_deadline,
-            )
-        } else {
-            None
-        };
+        let exchange = Exchange::for_plan(&root, &config, &registry, &trace);
         // The watchdog is shared with the fault registry so injected
         // hangs release (as transient timeouts) when it expires. Both
         // run on the engine clock, so a simulated clock expires them
@@ -659,7 +638,7 @@ impl MicroBatchExecution {
             restarts: 0,
             rate_controller,
             last_epoch_duration_us: 0,
-            parallel,
+            exchange,
             profiler: EpochProfiler::default(),
             events,
             e2e_latency_us,
@@ -1272,13 +1251,13 @@ impl MicroBatchExecution {
         let mut ops = OpStatsCollector::new();
         let exec_started = trace.now_us();
         let t_exec = Instant::now();
-        let (out, task_stats) = {
+        let (out, run) = {
             let _span = trace.span("execute", &[]);
             // Panics inside operators (UDFs, injected faults) fail the
             // epoch restartably instead of killing the query thread;
             // the restart path clears any half-updated in-memory state.
             let outcome = catch_unwind(AssertUnwindSafe(
-                || -> Result<(RecordBatch, Option<ParallelRunStats>)> {
+                || -> Result<(RecordBatch, ExchangeStats)> {
                 let mut ctx = EpochContext {
                     epoch: offsets.epoch,
                     inputs: &mut inputs,
@@ -1290,14 +1269,11 @@ impl MicroBatchExecution {
                     tracker: &mut self.tracker,
                     ops: &mut ops,
                     faults: &faults,
+                    exchange: &self.exchange,
+                    run: ExchangeStats::default(),
                 };
-                match self.parallel.as_mut() {
-                    Some(p) => {
-                        let (batch, stats) = p.execute_epoch(&mut ctx)?;
-                        Ok((batch, Some(stats)))
-                    }
-                    None => Ok((self.root.execute_epoch(&mut ctx)?, None)),
-                }
+                let out = self.root.execute_epoch(&mut ctx)?;
+                Ok((out, ctx.run))
             },
             ));
             match outcome {
@@ -1334,13 +1310,11 @@ impl MicroBatchExecution {
         // The execute phase covers the plan run plus its bookkeeping
         // (health checks, operator metric export).
         profile.record(PHASE_EXECUTE, None, t_exec.elapsed().as_micros() as u64);
-        if let Some(run) = &task_stats {
-            for (name, us) in &run.phases {
-                profile.record(name, Some(PHASE_EXECUTE), *us);
-            }
-            profile.tasks = run.scatter.skew();
-            profile.shuffle = run.shuffle.clone();
+        for (name, us) in &run.phases {
+            profile.record(name, Some(PHASE_EXECUTE), *us);
         }
+        profile.tasks = run.scatter.skew();
+        profile.shuffle = run.shuffle;
         let out_rows = out.num_rows() as u64;
 
         let mut sink_commit_us = 0i64;
@@ -1493,10 +1467,8 @@ impl MicroBatchExecution {
             out_rows,
             ops,
             sink_commit_us,
-            tasks_launched: task_stats.as_ref().map_or(0, |s| s.scatter.tasks),
-            max_task_duration_us: task_stats
-                .as_ref()
-                .map_or(0, |s| s.scatter.max_task_duration_us),
+            tasks_launched: run.scatter.tasks,
+            max_task_duration_us: run.scatter.max_task_duration_us,
             quarantined: quarantined.values().map(|v| v.len() as u64).sum(),
         })
     }
@@ -1514,6 +1486,7 @@ impl MicroBatchExecution {
     ) -> Result<(QuarantinedOffsets, Vec<DeadLetterRecord>)> {
         let pt = self.config.clock.wall_us();
         let probe_faults = FaultRegistry::new();
+        let probe_exchange = Exchange::identity();
         let mut quarantined: QuarantinedOffsets = BTreeMap::new();
         let mut letters = Vec::new();
         for (source, range) in &offsets.sources {
@@ -1547,6 +1520,8 @@ impl MicroBatchExecution {
                         tracker: &mut tracker,
                         ops: &mut probe_ops,
                         faults: &probe_faults,
+                        exchange: &probe_exchange,
+                        run: ExchangeStats::default(),
                     };
                     probe.execute_epoch(&mut ctx)
                 }));
@@ -1602,9 +1577,7 @@ impl MicroBatchExecution {
             sealed,
             plan_fingerprint: self.plan_fingerprint.clone(),
             operators: self.signatures.clone(),
-            state_partitions: Some(
-                self.parallel.as_ref().map_or(1, |p| p.partitions() as u32),
-            ),
+            state_partitions: Some(self.exchange.partitions() as u32),
             fencing_epoch: self.held_fencing_epoch(),
         }
     }
@@ -1784,15 +1757,12 @@ impl MicroBatchExecution {
             // run's partition layout (layout-agnostic and idempotent:
             // a checkpoint already in the target layout is untouched,
             // whatever partition count the manifest declares).
-            let target = self.parallel.as_ref().map_or(1, |p| p.partitions());
+            let target = self.exchange.partitions();
             for (base, suffix) in state_families(&self.root) {
                 repartition_family(&mut self.store, &base, suffix, target)?;
             }
-            self.root.restore_state(&mut self.store)?;
+            self.root.restore_state(&mut self.store, target)?;
             self.tracker.load(&self.store)?;
-            if let Some(p) = &mut self.parallel {
-                p.restore_state(&mut self.store)?;
-            }
             replay_from = c + 1;
         }
 
@@ -2034,11 +2004,9 @@ impl MicroBatchExecution {
         };
         if !self.standby_restored {
             if let Some(c) = self.store.restore_best(Some(last_committed))? {
-                self.root.restore_state(&mut self.store)?;
+                self.root
+                    .restore_state(&mut self.store, self.exchange.partitions())?;
                 self.tracker.load(&self.store)?;
-                if let Some(p) = &mut self.parallel {
-                    p.restore_state(&mut self.store)?;
-                }
                 if let Some(offsets) = self.wal.read_offsets(c)? {
                     self.apply_positions(&offsets);
                 }
@@ -2232,10 +2200,9 @@ impl MicroBatchExecution {
         self.tracker = WatermarkTracker::new(&current_watermarks(&self.tracker));
         self.epoch = 0;
         self.positions.clear();
-        self.root.restore_state(&mut self.store)?; // clears operators
-        if let Some(p) = &mut self.parallel {
-            p.restore_state(&mut self.store)?; // clears shards
-        }
+        // Clears operators (the store is empty).
+        self.root
+            .restore_state(&mut self.store, self.exchange.partitions())?;
         self.recover()
     }
 }

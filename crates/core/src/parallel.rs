@@ -1,150 +1,155 @@
-//! Data-parallel epoch execution: partitioned stages with a shuffle
-//! exchange and sharded operator state.
+//! The exchange: how a stateful operator (or a stateless root) obtains
+//! its input and runs its kernel at a given partition count.
 //!
-//! This is the engine-side half of the task scheduler (`ss-sched`
-//! provides the worker pool). An epoch over a supported plan shape is
-//! compiled into two stages:
+//! There is one epoch executor — `IncNode::execute_epoch` — and
+//! partitioning is a property of the [`Exchange`] handed to it through
+//! `EpochContext`. At **one partition** the exchange is the identity:
+//! input comes from the ordinary recursive walk on the engine thread,
+//! kernels run inline against the unsharded `{op_id}` namespaces, no
+//! pool exists and nothing here is called. At **N partitions** the same
+//! operators run as two stages on a worker pool (`ss-sched`):
 //!
-//! 1. **Map stage** — the epoch's input batch is split into row chunks
-//!    and each chunk runs the stateless operator chain (scan
-//!    projection, filter, project, watermark, stream–static join) on a
-//!    worker. For stateful plans the map task also evaluates the
-//!    shuffle keys: aggregate chunks expand into `(group key, argument
-//!    values)` pairs, join chunks into keyed delta rows.
-//! 2. **Shuffle + reduce stage** — rows are hash-bucketed by key
-//!    ([`ss_common::shuffle_partition`]), so every key is **owned by
-//!    exactly one reduce partition**. Each reduce task runs the same
-//!    stateful kernel serial execution runs, against that partition's
-//!    sharded state-store namespace (`{op_id}/p{r}`, joins
-//!    `{op_id}/p{r}-left/-right`).
+//! 1. **Map stage** ([`map_stage`]) — the operator's input, a stateless
+//!    chain over one scan, is lifted out of the tree; the scan's batch
+//!    is split into row chunks and each chunk runs the chain's
+//!    `StatelessOp::apply`s on a worker. [`shuffle`] extends the map
+//!    task with key evaluation (aggregate chunks expand into `(group
+//!    key, argument values)` pairs, join chunks into keyed delta rows)
+//!    and hash-buckets the result by [`ss_common::shuffle_partition`],
+//!    so every key is **owned by exactly one reduce partition**.
+//! 2. **Reduce stage** ([`reduce`]) — each partition runs the operator's
+//!    one kernel against its own state namespace ([`shard_ns`]:
+//!    `{op_id}/p{r}`, joins `{op_id}/p{r}-left/-right`).
 //!
 //! ## Determinism
 //!
-//! The merged epoch output is **byte-identical to serial execution**,
-//! regardless of worker count or OS interleaving:
+//! The merged epoch output is **byte-identical at every partition
+//! count**, regardless of worker count or OS interleaving:
 //!
 //! * map outputs are concatenated in chunk order, so shuffled rows
 //!   reach their owning reduce partition in original arrival order —
-//!   each accumulator sees exactly the update sequence serial
-//!   execution would have fed it (bit-exact even for non-associative
-//!   float aggregation);
+//!   each accumulator sees exactly the update sequence one partition
+//!   would have fed it (bit-exact even for non-associative float
+//!   aggregation);
 //! * aggregate shards emit key-sorted rows and keys never span shards,
-//!   so concat-then-sort reproduces the serial (key-sorted) emission
-//!   order; join shards emit [`TaggedRow`]s whose `(phase, idx, key,
-//!   seq)` sort key reconstructs the serial emission sequence;
+//!   so concat-then-sort reproduces the one-partition (key-sorted)
+//!   emission order; join shards emit `TaggedRow`s whose `(phase, idx,
+//!   key, seq)` sort key reconstructs the one-partition sequence;
 //! * the worker pool itself returns results in task-index order and
 //!   resolves failures lowest-index-first.
 //!
-//! Plans the compiler cannot prove chunk-safe (shared scans, stateful
-//! UDFs, dedup, right-outer static joins, …) return `None` from
-//! [`ParallelExec::try_build`] and fall back to the serial path.
+//! Plans that are not provably chunk-safe (shared scans, stateful UDFs,
+//! dedup, right-outer static joins, …; see [`chunk_safe`]) run at one
+//! partition whatever parallelism was requested.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use rustc_hash::FxHashSet;
+use std::time::Instant;
 
 use ss_common::clock::ClockRef;
 use ss_common::profile::{
-    ShuffleProfile, PHASE_MAP, PHASE_MERGE, PHASE_REDUCE, PHASE_SHUFFLE_READ, PHASE_SHUFFLE_WRITE,
+    ShuffleProfile, PHASE_MAP, PHASE_REDUCE, PHASE_SHUFFLE_READ, PHASE_SHUFFLE_WRITE,
 };
 use ss_common::{
     shuffle_partition, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy, Row,
-    SchemaRef, SsError, TraceLog, Value,
+    SsError, TraceLog,
 };
-use ss_exec::aggregate::{HashAggregator, KeyExpander};
-use ss_exec::executor::Catalog;
-use ss_exec::join::hash_join_projected;
-use ss_exec::ops;
-use ss_expr::Expr;
-use ss_plan::{JoinType, LogicalPlan, OutputMode, SortKey};
 use ss_sched::{failpoints, ScatterStats, WorkerPool};
-use ss_state::{OpState, StateEntry, StateStore};
+use ss_state::{StateEntry, StateStore};
 
-use crate::incremental::{EpochContext, IncNode};
-use crate::microbatch::retried;
-use crate::sjoin::{KeyedDeltaRow, StreamJoinExec, TaggedRow};
+use crate::incremental::{EpochContext, IncNode, StatelessOp};
+use crate::microbatch::{retried, MicroBatchConfig};
 
-/// One stateless operator in a map task's chain, applied per chunk.
-/// Every variant is row-wise (chunking the input and concatenating the
-/// outputs is byte-identical to one whole-batch application).
-#[derive(Clone)]
-enum MapOp {
-    Filter(Expr),
-    Project(Vec<Expr>),
-    /// `Project(Filter(x))` fused, mirroring the serial engine's fusion
-    /// (filtered-out columns the projection drops are never built).
-    FilterProject { predicate: Expr, exprs: Vec<Expr> },
-    /// Observe per-chunk event-time maxima (merged by the engine) and
-    /// drop rows later than the in-force watermark.
-    Watermark { column: String },
-    /// Stream–static join. Only chunk-safe shapes compile: the stream
-    /// must be the probe (left) side and the static side must not emit
-    /// unmatched rows (no right-outer), since those pad once per batch.
-    StaticJoin {
-        static_plan: Arc<LogicalPlan>,
-        /// Computed once per run on the engine thread, shared by tasks.
-        cache: Option<Arc<RecordBatch>>,
-        join_type: JoinType,
-        on: Vec<(Expr, Expr)>,
-        output_projection: Option<Vec<usize>>,
-    },
+/// The partition count an epoch's plan runs at, plus — above one — the
+/// worker pool its stages are scheduled on.
+pub struct Exchange {
+    partitions: usize,
+    /// `None` at one partition: nothing is ever scheduled.
+    workers: Option<Workers>,
 }
 
-/// The epoch's input binding for one map stage.
-#[derive(Clone)]
-struct ScanSpec {
-    name: String,
-    schema: SchemaRef,
-    projection: Option<Vec<usize>>,
+struct Workers {
+    pool: WorkerPool,
+    env: TaskEnv,
 }
 
-/// A post-aggregate serial suffix (Complete-mode `Sort`/`Limit`),
-/// applied to the merged output on the engine thread.
-#[derive(Clone)]
-enum SuffixOp {
-    Sort(Vec<SortKey>),
-    Limit(usize),
+impl Exchange {
+    /// The one-partition exchange: everything runs inline.
+    pub fn identity() -> Exchange {
+        Exchange {
+            partitions: 1,
+            workers: None,
+        }
+    }
+
+    /// The exchange `root` runs through under `config`:
+    /// `shuffle_partitions` partitions (following `parallelism` when
+    /// unset) on a `parallelism`-worker pool, or the identity when
+    /// that is one partition, one worker, or the plan is not
+    /// [`chunk_safe`].
+    pub(crate) fn for_plan(
+        root: &IncNode,
+        config: &MicroBatchConfig,
+        registry: &MetricsRegistry,
+        trace: &TraceLog,
+    ) -> Exchange {
+        let partitions = match config.shuffle_partitions {
+            0 => config.parallelism,
+            n => n,
+        };
+        if config.parallelism <= 1 || partitions <= 1 || !chunk_safe(root) {
+            return Exchange::identity();
+        }
+        registry.describe(
+            "ss_shuffle_rows_total",
+            "Rows moved through the shuffle exchange between stages.",
+        );
+        registry.describe(
+            "ss_shuffle_bytes_total",
+            "Approximate bytes moved through the shuffle exchange.",
+        );
+        registry.describe(
+            "ss_shuffle_key_skew_x1000",
+            "Hottest reduce partition's rows over the mean, x1000 (last epoch).",
+        );
+        let pool = WorkerPool::new(
+            config.parallelism,
+            Some(registry.clone()),
+            Some(trace.clone()),
+        )
+        .with_deadlines(config.task_soft_deadline, config.task_hard_deadline)
+        .with_clock(config.clock.clone());
+        let env = TaskEnv {
+            faults: config.faults.clone(),
+            retry: config.retry,
+            clock: config.clock.clone(),
+            interrupt: config.interrupt.clone(),
+            registry: registry.clone(),
+        };
+        Exchange {
+            partitions,
+            workers: Some(Workers { pool, env }),
+        }
+    }
+
+    /// Number of partitions (= state shards per stateful operator);
+    /// recorded in the checkpoint manifest.
+    pub fn partitions(&self) -> usize {
+        self.partitions
+    }
+
+    fn workers(&self) -> Result<&Workers> {
+        self.workers
+            .as_ref()
+            .ok_or_else(|| SsError::Internal("exchange stage scheduled at one partition".into()))
+    }
 }
 
-/// A plan compiled for partitioned execution.
-enum ParallelPlan {
-    /// Stateless: map chunks, concatenate in chunk order.
-    Map {
-        scan: ScanSpec,
-        chain: Vec<MapOp>,
-    },
-    /// Map → shuffle by group key → per-partition stateful aggregation.
-    Aggregate {
-        scan: ScanSpec,
-        chain: Vec<MapOp>,
-        op_id: String,
-        expander: KeyExpander,
-        /// Empty blueprint for rebuilding shards on restore.
-        template: HashAggregator,
-        /// One aggregator per reduce partition, holding only the keys
-        /// that hash there.
-        shards: Vec<HashAggregator>,
-        suffix: Vec<SuffixOp>,
-    },
-    /// Two map sides → shuffle by join key → per-partition symmetric
-    /// join against sharded buffers.
-    Join {
-        left_scan: ScanSpec,
-        left_chain: Vec<MapOp>,
-        right_scan: ScanSpec,
-        right_chain: Vec<MapOp>,
-        exec: StreamJoinExec,
-    },
-}
-
-/// Profiling facts from one parallel epoch, alongside the output
-/// batch: task-level scatter stats, the `execute`-child phase
-/// durations, and the shuffle exchange's per-partition volume.
+/// Profiling facts the exchange records while an epoch runs at N
+/// partitions; empty at one.
 #[derive(Debug, Clone, Default)]
-pub struct ParallelRunStats {
+pub struct ExchangeStats {
     /// Aggregate task stats across the epoch's scatters.
     pub scatter: ScatterStats,
     /// `(phase, µs)` for the children of the `execute` phase:
@@ -158,485 +163,12 @@ pub struct ParallelRunStats {
     pub shuffle: Option<ShuffleProfile>,
 }
 
-/// The data-parallel epoch executor: a worker pool plus the compiled
-/// stage plan. Built once per query when `parallelism > 1` and the
-/// plan shape is supported.
-pub struct ParallelExec {
-    pool: WorkerPool,
-    partitions: usize,
-    plan: ParallelPlan,
-    registry: MetricsRegistry,
-    faults: FaultRegistry,
-    retry: RetryPolicy,
-    clock: ClockRef,
-    interrupt: Arc<AtomicBool>,
-}
-
-impl ParallelExec {
-    /// Compile `root` for partitioned execution, or `None` when the
-    /// plan contains a shape that cannot be chunked/sharded safely
-    /// (the engine then stays on the serial path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_build(
-        root: &IncNode,
-        parallelism: usize,
-        partitions: usize,
-        registry: &MetricsRegistry,
-        trace: &TraceLog,
-        faults: FaultRegistry,
-        retry: RetryPolicy,
-        clock: ClockRef,
-        interrupt: Arc<AtomicBool>,
-        soft_deadline: Option<Duration>,
-        hard_deadline: Option<Duration>,
-    ) -> Option<ParallelExec> {
-        let partitions = partitions.max(1);
-        let plan = compile(root)?;
-        registry.describe(
-            "ss_shuffle_rows_total",
-            "Rows moved through the shuffle exchange between stages.",
-        );
-        registry.describe(
-            "ss_shuffle_bytes_total",
-            "Approximate bytes moved through the shuffle exchange.",
-        );
-        registry.describe(
-            "ss_shuffle_key_skew_x1000",
-            "Hottest reduce partition's rows over the mean, x1000 (last epoch).",
-        );
-        Some(ParallelExec {
-            pool: WorkerPool::new(parallelism, Some(registry.clone()), Some(trace.clone()))
-                .with_deadlines(soft_deadline, hard_deadline)
-                .with_clock(clock.clone()),
-            partitions,
-            plan,
-            registry: registry.clone(),
-            faults,
-            retry,
-            clock,
-            interrupt,
-        })
+impl ExchangeStats {
+    /// Attribute the wall time since `started` to `phase`.
+    pub(crate) fn phase(&mut self, phase: &'static str, started: Instant) {
+        self.phases
+            .push((phase, started.elapsed().as_micros() as u64));
     }
-
-    /// Number of reduce partitions (= state shards) this executor runs
-    /// with; recorded in the checkpoint manifest.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// Execute one epoch. Byte-identical to
-    /// `IncNode::execute_epoch` on the same inputs and state.
-    pub fn execute_epoch(
-        &mut self,
-        ctx: &mut EpochContext<'_>,
-    ) -> Result<(RecordBatch, ParallelRunStats)> {
-        let mut run = ParallelRunStats::default();
-        let mut stats = ScatterStats::default();
-        let mut phases: Vec<(&'static str, u64)> = Vec::new();
-        let mut shuffle_prof: Option<ShuffleProfile> = None;
-        let started_rel = ctx.ops.now_rel_us();
-        let started = Instant::now();
-        // Disjoint borrows: the match below holds `&mut self.plan`, so
-        // everything else the arms need is lifted out first.
-        let pool = &self.pool;
-        let partitions = self.partitions;
-        let registry = self.registry.clone();
-        let env = TaskEnv {
-            faults: self.faults.clone(),
-            retry: self.retry,
-            clock: self.clock.clone(),
-            interrupt: self.interrupt.clone(),
-            registry: self.registry.clone(),
-        };
-        let (out, label) = match &mut self.plan {
-            ParallelPlan::Map { scan, chain } => {
-                prime_static_caches(chain, ctx.statics)?;
-                let input = take_scan(scan, ctx)?;
-                record_scan(ctx, scan, input.num_rows());
-                let chunks = split_chunks(input, partitions);
-                let t_map = Instant::now();
-                let results =
-                    scatter_map(pool, &env, chunks, chain, ctx.watermark_us, &mut stats)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                let t_merge = Instant::now();
-                let mut batches = Vec::with_capacity(results.len());
-                let mut maxima = Vec::new();
-                for (b, m) in results {
-                    batches.push(b);
-                    maxima.extend(m);
-                }
-                observe_maxima(ctx, maxima);
-                let out = RecordBatch::concat(&batches)?;
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
-                (out, "parallel-map".to_string())
-            }
-            ParallelPlan::Aggregate {
-                scan,
-                chain,
-                op_id,
-                expander,
-                template,
-                shards,
-                suffix,
-            } => {
-                prime_static_caches(chain, ctx.statics)?;
-                let input = take_scan(scan, ctx)?;
-                record_scan(ctx, scan, input.num_rows());
-                let chunks = split_chunks(input, partitions);
-                let parts = partitions;
-
-                // Map stage: chain + key expansion + local bucketing.
-                let mut tasks: Vec<MapTask<AggMapOut>> = Vec::with_capacity(chunks.len());
-                for chunk in chunks {
-                    let chain = chain.clone();
-                    let expander = expander.clone();
-                    let wm = ctx.watermark_us;
-                    let TaskEnv {
-                        faults,
-                        retry,
-                        clock,
-                        interrupt,
-                        registry,
-                    } = env.clone();
-                    tasks.push(Box::new(move || {
-                        retried(&retry, &clock, &interrupt, &registry, "sched_task_run", || {
-                            faults.fire(failpoints::TASK_RUN)
-                        })?;
-                        faults.fire(failpoints::TASK_HANG)?;
-                        let mut maxima = Vec::new();
-                        let out = run_chain(&chain, chunk, wm, &mut maxima, &faults)?;
-                        let pairs = expander.expand(&out)?;
-                        retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
-                            faults.fire(failpoints::SHUFFLE_WRITE)
-                        })?;
-                        let t_write = Instant::now();
-                        let mut buckets: Vec<Vec<(Row, Row)>> =
-                            (0..parts).map(|_| Vec::new()).collect();
-                        for (key, args) in pairs {
-                            buckets[shuffle_partition(&key, parts)].push((key, args));
-                        }
-                        let write_us = t_write.elapsed().as_micros() as u64;
-                        Ok((buckets, maxima, write_us))
-                    }));
-                }
-                let t_map = Instant::now();
-                let map_out = pool.scatter("map", tasks)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                stats.absorb(map_out.stats);
-
-                // Shuffle: concatenate per-chunk buckets in chunk order
-                // so each partition receives its keys' pairs in the
-                // original global arrival order.
-                let t_read = Instant::now();
-                let mut shuffled: Vec<Vec<(Row, Row)>> =
-                    (0..parts).map(|_| Vec::new()).collect();
-                let mut maxima = Vec::new();
-                let mut write_us_total = 0u64;
-                for (buckets, m, write_us) in map_out.results {
-                    for (r, b) in buckets.into_iter().enumerate() {
-                        shuffled[r].extend(b);
-                    }
-                    maxima.extend(m);
-                    write_us_total += write_us;
-                }
-                observe_maxima(ctx, maxima);
-                let part_rows: Vec<u64> = shuffled.iter().map(|p| p.len() as u64).collect();
-                let part_bytes: Vec<u64> = shuffled
-                    .iter()
-                    .map(|p| {
-                        p.iter()
-                            .map(|(k, a)| (k.approx_bytes() + a.approx_bytes()) as u64)
-                            .sum()
-                    })
-                    .collect();
-                phases.push((PHASE_SHUFFLE_WRITE, write_us_total));
-                phases.push((PHASE_SHUFFLE_READ, t_read.elapsed().as_micros() as u64));
-                let prof = ShuffleProfile::new(part_rows, part_bytes);
-                record_shuffle(&registry, op_id.as_str(), &prof);
-                shuffle_prof = Some(prof);
-
-                // Reduce stage: every partition runs the serial
-                // aggregate kernel over its own shard + state shard.
-                if shards.len() != parts {
-                    // First epoch (or post-failure): build fresh shards.
-                    *shards = (0..parts).map(|_| template.fresh_clone()).collect();
-                }
-                let shard_aggs = std::mem::take(shards);
-                let mut tasks: Vec<MapTask<AggReduceOut>> = Vec::with_capacity(parts);
-                for (r, (shard, pairs)) in
-                    shard_aggs.into_iter().zip(shuffled).enumerate()
-                {
-                    let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
-                    let mode = ctx.output_mode;
-                    let wm = ctx.watermark_us;
-                    let TaskEnv {
-                        faults,
-                        retry,
-                        clock,
-                        interrupt,
-                        registry,
-                    } = env.clone();
-                    tasks.push(Box::new(move || {
-                        retried(&retry, &clock, &interrupt, &registry, "sched_task_run", || {
-                            faults.fire(failpoints::TASK_RUN)
-                        })?;
-                        faults.fire(failpoints::TASK_HANG)?;
-                        reduce_aggregate(shard, op, pairs, mode, wm)
-                    }));
-                }
-                let t_reduce = Instant::now();
-                let red = pool.scatter("reduce", tasks)?;
-                phases.push((PHASE_REDUCE, t_reduce.elapsed().as_micros() as u64));
-                stats.absorb(red.stats);
-
-                let t_merge = Instant::now();
-                let mut rows: Vec<Row> = Vec::new();
-                for (r, (shard, op, shard_rows)) in red.results.into_iter().enumerate() {
-                    ctx.store.put_op(&shard_ns(op_id, r, parts, ""), op);
-                    shards.push(shard);
-                    rows.extend(shard_rows);
-                }
-                // Keys never span shards and every shard emits
-                // key-sorted rows (the window-end column is a function
-                // of window-start, so whole-row order == key order):
-                // a global sort reproduces the serial emission order.
-                rows.sort();
-                let mut batch =
-                    RecordBatch::from_rows(template.output_schema().clone(), &rows)?;
-                for s in suffix.iter() {
-                    batch = match s {
-                        SuffixOp::Sort(keys) => ops::sort_batch(&batch, keys)?,
-                        SuffixOp::Limit(n) => ops::limit_batch(&batch, *n)?,
-                    };
-                }
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
-                (batch, op_id.clone())
-            }
-            ParallelPlan::Join {
-                left_scan,
-                left_chain,
-                right_scan,
-                right_chain,
-                exec,
-            } => {
-                prime_static_caches(left_chain, ctx.statics)?;
-                prime_static_caches(right_chain, ctx.statics)?;
-                let left_in = take_scan(left_scan, ctx)?;
-                let right_in = take_scan(right_scan, ctx)?;
-                record_scan(ctx, left_scan, left_in.num_rows());
-                record_scan(ctx, right_scan, right_in.num_rows());
-                let parts = partitions;
-                let left_chunks = split_chunks(left_in, parts);
-                let n_left = left_chunks.len();
-                let right_chunks = split_chunks(right_in, parts);
-
-                // Map stage, both sides in one scatter: chain + join-key
-                // evaluation per chunk (indices local to the chunk).
-                let mut tasks: Vec<MapTask<JoinMapOut>> =
-                    Vec::with_capacity(n_left + right_chunks.len());
-                for (is_left, chunk) in left_chunks
-                    .into_iter()
-                    .map(|c| (true, c))
-                    .chain(right_chunks.into_iter().map(|c| (false, c)))
-                {
-                    let chain = if is_left { left_chain.clone() } else { right_chain.clone() };
-                    let exec = exec.clone();
-                    let wm = ctx.watermark_us;
-                    let TaskEnv {
-                        faults,
-                        retry,
-                        clock,
-                        interrupt,
-                        registry,
-                    } = env.clone();
-                    tasks.push(Box::new(move || {
-                        retried(&retry, &clock, &interrupt, &registry, "sched_task_run", || {
-                            faults.fire(failpoints::TASK_RUN)
-                        })?;
-                        faults.fire(failpoints::TASK_HANG)?;
-                        let mut maxima = Vec::new();
-                        let out = run_chain(&chain, chunk, wm, &mut maxima, &faults)?;
-                        let keyed = exec.prepare_side(&out, is_left, 0)?;
-                        retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
-                            faults.fire(failpoints::SHUFFLE_WRITE)
-                        })?;
-                        Ok((keyed, maxima))
-                    }));
-                }
-                let t_map = Instant::now();
-                let map_out = pool.scatter("map", tasks)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                stats.absorb(map_out.stats);
-
-                // Shuffle: restore global arrival indices (chunk order)
-                // then bucket by join key. NULL-keyed rows shuffle on
-                // their buffer key (`[NULL]`), so exactly one partition
-                // owns their buffering and outer-row eviction. The
-                // bucketing runs on the engine thread here (keys were
-                // evaluated in the map tasks), so it's all shuffle-write.
-                let t_write = Instant::now();
-                let null_key = Row::new(vec![Value::Null]);
-                let mut lbuckets: Vec<Vec<KeyedDeltaRow>> =
-                    (0..parts).map(|_| Vec::new()).collect();
-                let mut rbuckets: Vec<Vec<KeyedDeltaRow>> =
-                    (0..parts).map(|_| Vec::new()).collect();
-                let mut maxima = Vec::new();
-                let (mut loff, mut roff) = (0u64, 0u64);
-                for (i, (keyed, m)) in map_out.results.into_iter().enumerate() {
-                    maxima.extend(m);
-                    let is_left = i < n_left;
-                    let offset = if is_left { &mut loff } else { &mut roff };
-                    let buckets = if is_left { &mut lbuckets } else { &mut rbuckets };
-                    let n = keyed.len() as u64;
-                    for (j, (_, key, row)) in keyed.into_iter().enumerate() {
-                        let r = shuffle_partition(key.as_ref().unwrap_or(&null_key), parts);
-                        buckets[r].push((*offset + j as u64, key, row));
-                    }
-                    *offset += n;
-                }
-                observe_maxima(ctx, maxima);
-                let part_rows: Vec<u64> = lbuckets
-                    .iter()
-                    .zip(&rbuckets)
-                    .map(|(l, r)| (l.len() + r.len()) as u64)
-                    .collect();
-                let part_bytes: Vec<u64> = lbuckets
-                    .iter()
-                    .zip(&rbuckets)
-                    .map(|(l, r)| {
-                        l.iter()
-                            .chain(r.iter())
-                            .map(|(_, _, row)| row.approx_bytes() as u64)
-                            .sum()
-                    })
-                    .collect();
-                phases.push((PHASE_SHUFFLE_WRITE, t_write.elapsed().as_micros() as u64));
-                let prof = ShuffleProfile::new(part_rows, part_bytes);
-                record_shuffle(&registry, exec.op_id.as_str(), &prof);
-                shuffle_prof = Some(prof);
-
-                // Reduce stage: each partition probes/buffers/evicts
-                // against its own `-left`/`-right` state shards.
-                let mut tasks: Vec<MapTask<JoinReduceOut>> = Vec::with_capacity(parts);
-                for (r, (lrows, rrows)) in
-                    lbuckets.into_iter().zip(rbuckets).enumerate()
-                {
-                    let left_op = ctx.store.take_op(&shard_ns(&exec.op_id, r, parts, "-left"));
-                    let right_op =
-                        ctx.store.take_op(&shard_ns(&exec.op_id, r, parts, "-right"));
-                    let exec = exec.clone();
-                    let wm = ctx.watermark_us;
-                    let TaskEnv {
-                        faults,
-                        retry,
-                        clock,
-                        interrupt,
-                        registry,
-                    } = env.clone();
-                    tasks.push(Box::new(move || {
-                        retried(&retry, &clock, &interrupt, &registry, "sched_task_run", || {
-                            faults.fire(failpoints::TASK_RUN)
-                        })?;
-                        faults.fire(failpoints::TASK_HANG)?;
-                        let mut left_op = left_op;
-                        let mut right_op = right_op;
-                        let tagged = exec.execute_on_states(
-                            &lrows,
-                            &rrows,
-                            &mut left_op,
-                            &mut right_op,
-                            wm,
-                        )?;
-                        Ok((left_op, right_op, tagged))
-                    }));
-                }
-                let t_reduce = Instant::now();
-                let red = pool.scatter("reduce", tasks)?;
-                phases.push((PHASE_REDUCE, t_reduce.elapsed().as_micros() as u64));
-                stats.absorb(red.stats);
-
-                let t_merge = Instant::now();
-                let mut tagged: Vec<TaggedRow> = Vec::new();
-                for (r, (left_op, right_op, t)) in red.results.into_iter().enumerate() {
-                    ctx.store
-                        .put_op(&shard_ns(&exec.op_id, r, parts, "-left"), left_op);
-                    ctx.store
-                        .put_op(&shard_ns(&exec.op_id, r, parts, "-right"), right_op);
-                    tagged.extend(t);
-                }
-                // `(phase, idx, key, seq)` is the serial emission order.
-                tagged.sort();
-                let rows: Vec<Row> = tagged.into_iter().map(|t| t.row).collect();
-                let batch = RecordBatch::from_rows(exec.output_schema.clone(), &rows)?;
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
-                (batch, exec.op_id.clone())
-            }
-        };
-        ctx.ops.record(
-            label,
-            out.num_rows() as u64,
-            started_rel,
-            started.elapsed().as_micros() as u64,
-        );
-        run.scatter = stats;
-        run.phases = phases;
-        run.shuffle = shuffle_prof;
-        Ok((out, run))
-    }
-
-    /// Rebuild shard state from the (restored, already repartitioned)
-    /// state store — the parallel counterpart of
-    /// `IncNode::restore_state`.
-    pub fn restore_state(&mut self, store: &mut StateStore) -> Result<()> {
-        let parts = self.partitions;
-        match &mut self.plan {
-            ParallelPlan::Map { chain, .. } => reset_static_caches(chain),
-            ParallelPlan::Join {
-                left_chain,
-                right_chain,
-                ..
-            } => {
-                reset_static_caches(left_chain);
-                reset_static_caches(right_chain);
-            }
-            ParallelPlan::Aggregate {
-                chain,
-                op_id,
-                template,
-                shards,
-                ..
-            } => {
-                reset_static_caches(chain);
-                *shards = (0..parts).map(|_| template.fresh_clone()).collect();
-                for (r, shard) in shards.iter_mut().enumerate() {
-                    let ns = shard_ns(op_id, r, parts, "");
-                    let entries: Vec<(Row, Vec<Row>)> = store
-                        .operator(&ns)
-                        .iter()
-                        .map(|(k, e)| (k.clone(), e.values.clone()))
-                        .collect();
-                    for (key, states) in entries {
-                        shard.restore_entry(key, &states)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-}
-
-/// Record one epoch's shuffle volume and skew into the registry.
-fn record_shuffle(registry: &MetricsRegistry, op: &str, prof: &ShuffleProfile) {
-    registry
-        .counter("ss_shuffle_rows_total", &[("op", op)])
-        .add(prof.total_rows());
-    registry
-        .counter("ss_shuffle_bytes_total", &[("op", op)])
-        .add(prof.total_bytes());
-    registry
-        .gauge("ss_shuffle_key_skew_x1000", &[("op", op)])
-        .set((prof.key_skew * 1000.0) as i64);
 }
 
 /// Cloneable environment every task closure captures: fail points,
@@ -652,56 +184,221 @@ struct TaskEnv {
     registry: MetricsRegistry,
 }
 
-/// Scatter a stateless map stage (used by the `Map` plan).
-fn scatter_map(
-    pool: &WorkerPool,
-    env: &TaskEnv,
-    chunks: Vec<RecordBatch>,
-    chain: &[MapOp],
-    watermark_us: i64,
-    stats: &mut ScatterStats,
-) -> Result<Vec<ChainOut>> {
-    let mut tasks: Vec<MapTask<ChainOut>> = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
-        let chain = chain.to_vec();
-        let TaskEnv {
-            faults,
-            retry,
-            clock,
-            interrupt,
-            registry,
-        } = env.clone();
-        tasks.push(Box::new(move || {
-            retried(&retry, &clock, &interrupt, &registry, "sched_task_run", || {
-                faults.fire(failpoints::TASK_RUN)
-            })?;
-            faults.fire(failpoints::TASK_HANG)?;
-            let mut maxima = Vec::new();
-            let out = run_chain(&chain, chunk, watermark_us, &mut maxima, &faults)?;
-            Ok((out, maxima))
-        }));
+impl TaskEnv {
+    fn retried(&self, op: &str, f: impl FnMut() -> Result<()>) -> Result<()> {
+        retried(
+            &self.retry,
+            &self.clock,
+            &self.interrupt,
+            &self.registry,
+            op,
+            f,
+        )
     }
-    let out = pool.scatter("map", tasks)?;
-    stats.absorb(out.stats);
+
+    /// The preamble of every task body: the (retried) task-run fail
+    /// point, then the hang fail point.
+    fn enter(&self) -> Result<()> {
+        self.retried("sched_task_run", || self.faults.fire(failpoints::TASK_RUN))?;
+        self.faults.fire(failpoints::TASK_HANG)
+    }
+}
+
+type Task<R> = Box<dyn FnOnce() -> Result<R> + Send>;
+
+/// Run one stage's task bodies on the pool, each behind the task
+/// preamble; the stage's wall time and task stats go to `ctx.run`.
+fn scatter<R: Send + 'static>(
+    ctx: &mut EpochContext<'_>,
+    stage: &'static str,
+    bodies: Vec<Task<R>>,
+) -> Result<Vec<R>> {
+    let workers = ctx.exchange.workers()?;
+    let tasks: Vec<Task<R>> = bodies
+        .into_iter()
+        .map(|body| {
+            let env = workers.env.clone();
+            Box::new(move || {
+                env.enter()?;
+                body()
+            }) as Task<R>
+        })
+        .collect();
+    let started = Instant::now();
+    let out = workers.pool.scatter(stage, tasks)?;
+    ctx.run.phase(stage, started);
+    ctx.run.scatter.absorb(out.stats);
     Ok(out.results)
 }
 
-type MapTask<R> = Box<dyn FnOnce() -> Result<R> + Send>;
-/// A stateless map task's output: the chunk after the chain, plus
-/// per-column event-time maxima observed by watermark ops.
-type ChainOut = (RecordBatch, Vec<(String, i64)>);
-/// An aggregate map task's output: per-partition key/args buckets,
-/// watermark maxima, and the in-task shuffle-write bucketing time (µs).
-type AggMapOut = (Vec<Vec<(Row, Row)>>, Vec<(String, i64)>, u64);
-type AggReduceOut = (HashAggregator, OpState, Vec<Row>);
-type JoinMapOut = (Vec<KeyedDeltaRow>, Vec<(String, i64)>);
-type JoinReduceOut = (OpState, OpState, Vec<TaggedRow>);
+/// Take the epoch input at the bottom of a stateless chain and collect
+/// the chain's operators (primed, in execution order) for map tasks.
+fn lift_chain(
+    node: &mut IncNode,
+    ctx: &mut EpochContext<'_>,
+    chain: &mut Vec<StatelessOp>,
+) -> Result<RecordBatch> {
+    match node {
+        IncNode::Stateless { input, op, .. } => {
+            let batch = lift_chain(input, ctx, chain)?;
+            op.prime(ctx.statics)?;
+            chain.push(op.clone());
+            Ok(batch)
+        }
+        scan @ IncNode::StreamScan { .. } => scan.execute_epoch(ctx),
+        _ => Err(SsError::Internal(
+            "exchange input is not a stateless chain over a scan".into(),
+        )),
+    }
+}
 
-/// The sharded state-store namespace for one reduce partition.
-/// `partitions == 1` uses the serial unsharded layout, so a
-/// single-partition parallel run reads and writes exactly the
-/// namespaces serial execution does.
-fn shard_ns(base: &str, r: usize, partitions: usize, suffix: &str) -> String {
+/// Map stage over one or more chunk-safe inputs ("sides"): split each
+/// side's scan into at most `partitions` row chunks and, per chunk on
+/// the pool, run the side's stateless chain and then `then(side, chunk
+/// index, chunk)`. Returns the `then` outputs as `[side][chunk]`;
+/// event-time maxima the chains observed are folded into the tracker.
+pub(crate) fn map_stage<R: Send + 'static>(
+    ctx: &mut EpochContext<'_>,
+    inputs: &mut [&mut IncNode],
+    then: impl Fn(usize, usize, RecordBatch) -> Result<R> + Send + Sync + 'static,
+) -> Result<Vec<Vec<R>>> {
+    let partitions = ctx.exchange.partitions();
+    let faults = ctx.exchange.workers()?.env.faults.clone();
+    let watermark_us = ctx.watermark_us;
+    let then = Arc::new(then);
+    let mut bodies: Vec<Task<(R, Vec<(String, i64)>)>> = Vec::new();
+    let mut chunks_per_side = Vec::with_capacity(inputs.len());
+    for (side, input) in inputs.iter_mut().enumerate() {
+        let mut chain = Vec::new();
+        let batch = lift_chain(input, ctx, &mut chain)?;
+        let chain: Arc<[StatelessOp]> = chain.into();
+        // An empty batch still produces one (empty) chunk so stateful
+        // reduce stages run (watermark-driven eviction happens on
+        // empty epochs too).
+        let chunks = match batch.num_rows() {
+            0 => vec![batch],
+            rows => batch.chunks(rows.div_ceil(partitions)),
+        };
+        chunks_per_side.push(chunks.len());
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let (chain, then, faults) = (chain.clone(), then.clone(), faults.clone());
+            bodies.push(Box::new(move || {
+                let mut batch = chunk;
+                let mut maxima = Vec::new();
+                for op in chain.iter() {
+                    let (out, seen) = op.apply(batch, watermark_us, &faults)?;
+                    maxima.extend(seen.map(|(column, v)| (column.to_string(), v)));
+                    batch = out;
+                }
+                Ok((then(side, i, batch)?, maxima))
+            }));
+        }
+    }
+    let mut results = scatter(ctx, PHASE_MAP, bodies)?.into_iter();
+    let mut sides = Vec::with_capacity(chunks_per_side.len());
+    for n in chunks_per_side {
+        let mut outs = Vec::with_capacity(n);
+        for (out, maxima) in results.by_ref().take(n) {
+            for (column, v) in maxima {
+                ctx.tracker.observe(&column, v);
+            }
+            outs.push(out);
+        }
+        sides.push(outs);
+    }
+    Ok(sides)
+}
+
+/// Map → shuffle: a [`map_stage`] whose tasks turn their chunk into
+/// keyed items (`keyed(side, chunk index, chunk)`) and bucket them by
+/// `partition(item, partitions)`. Returns the items as
+/// `[side][partition]`, each list in original arrival order, and
+/// records the exchange's volume and skew under `op_id`.
+pub(crate) fn shuffle<T: Send + 'static>(
+    ctx: &mut EpochContext<'_>,
+    op_id: &str,
+    inputs: &mut [&mut IncNode],
+    keyed: impl Fn(usize, usize, &RecordBatch) -> Result<Vec<T>> + Send + Sync + 'static,
+    partition: impl Fn(&T, usize) -> usize + Send + Sync + 'static,
+    approx_bytes: fn(&T) -> usize,
+) -> Result<Vec<Vec<Vec<T>>>> {
+    let parts = ctx.exchange.partitions();
+    let env = ctx.exchange.workers()?.env.clone();
+    let registry = env.registry.clone();
+    let mapped = map_stage(ctx, inputs, move |side, i, chunk| {
+        let items = keyed(side, i, &chunk)?;
+        env.retried("sched_shuffle_write", || {
+            env.faults.fire(failpoints::SHUFFLE_WRITE)
+        })?;
+        let write = Instant::now();
+        let mut buckets: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
+        for item in items {
+            buckets[partition(&item, parts)].push(item);
+        }
+        Ok((buckets, write.elapsed().as_micros() as u64))
+    })?;
+    // Shuffle read: concatenate per-chunk buckets in chunk order so
+    // each partition receives its keys' items in the original global
+    // arrival order.
+    let read = Instant::now();
+    let mut write_us = 0u64;
+    let mut part_rows = vec![0u64; parts];
+    let mut part_bytes = vec![0u64; parts];
+    let shuffled: Vec<Vec<Vec<T>>> = mapped
+        .into_iter()
+        .map(|chunks| {
+            let mut side: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
+            for (buckets, us) in chunks {
+                write_us += us;
+                for (r, bucket) in buckets.into_iter().enumerate() {
+                    side[r].extend(bucket);
+                }
+            }
+            for (r, items) in side.iter().enumerate() {
+                part_rows[r] += items.len() as u64;
+                part_bytes[r] += items.iter().map(|t| approx_bytes(t) as u64).sum::<u64>();
+            }
+            side
+        })
+        .collect();
+    ctx.run.phases.push((PHASE_SHUFFLE_WRITE, write_us));
+    ctx.run.phase(PHASE_SHUFFLE_READ, read);
+    let prof = ShuffleProfile::new(part_rows, part_bytes);
+    registry
+        .counter("ss_shuffle_rows_total", &[("op", op_id)])
+        .add(prof.total_rows());
+    registry
+        .counter("ss_shuffle_bytes_total", &[("op", op_id)])
+        .add(prof.total_bytes());
+    registry
+        .gauge("ss_shuffle_key_skew_x1000", &[("op", op_id)])
+        .set((prof.key_skew * 1000.0) as i64);
+    ctx.run.shuffle = Some(prof);
+    Ok(shuffled)
+}
+
+/// Reduce stage: run `kernel` once per partition's work item on the
+/// pool; results come back in partition order.
+pub(crate) fn reduce<S: Send + 'static, R: Send + 'static>(
+    ctx: &mut EpochContext<'_>,
+    work: Vec<S>,
+    kernel: impl Fn(S) -> Result<R> + Send + Sync + 'static,
+) -> Result<Vec<R>> {
+    let kernel = Arc::new(kernel);
+    let bodies = work
+        .into_iter()
+        .map(|item| {
+            let kernel = kernel.clone();
+            Box::new(move || kernel(item)) as Task<R>
+        })
+        .collect();
+    scatter(ctx, PHASE_REDUCE, bodies)
+}
+
+/// The state-store namespace of partition `r` of a stateful operator
+/// family: `{base}{suffix}` at one partition, `{base}/p{r}{suffix}`
+/// at N.
+pub(crate) fn shard_ns(base: &str, r: usize, partitions: usize, suffix: &str) -> String {
     if partitions <= 1 {
         format!("{base}{suffix}")
     } else {
@@ -709,345 +406,38 @@ fn shard_ns(base: &str, r: usize, partitions: usize, suffix: &str) -> String {
     }
 }
 
-/// The serial aggregate kernel, verbatim, over one partition's shard.
-fn reduce_aggregate(
-    mut shard: HashAggregator,
-    mut op: OpState,
-    pairs: Vec<(Row, Row)>,
-    mode: OutputMode,
-    watermark_us: i64,
-) -> Result<AggReduceOut> {
-    shard.update_pairs(pairs)?;
-    let changed = shard.take_changed();
-    for key in &changed {
-        let states = shard
-            .state_for_key(key)
-            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
-        op.put(key.clone(), StateEntry::new(states));
-    }
-    let out = match mode {
-        OutputMode::Complete => shard.finish_all()?,
-        OutputMode::Update => {
-            let out = shard.output_for_keys(&changed)?;
-            if shard.is_windowed() && watermark_us > i64::MIN {
-                for k in shard.evict_expired(watermark_us) {
-                    op.evict(&k);
-                }
-            }
-            out
-        }
-        OutputMode::Append => {
-            let out = shard.drain_finalized(watermark_us)?;
-            let live: FxHashSet<Row> =
-                shard.state_entries().map(|(k, _)| k.clone()).collect();
-            let dead: Vec<Row> = op
-                .iter()
-                .map(|(k, _)| k.clone())
-                .filter(|k| !live.contains(k))
-                .collect();
-            for k in dead {
-                op.evict(&k);
-            }
-            out
-        }
-    };
-    let rows = out.to_rows();
-    Ok((shard, op, rows))
-}
-
-/// Apply a map chain to one chunk. Mirrors the serial
-/// `IncNode::execute_op` arms for the same operators, row for row.
-fn run_chain(
-    chain: &[MapOp],
-    mut batch: RecordBatch,
-    watermark_us: i64,
-    maxima: &mut Vec<(String, i64)>,
-    faults: &FaultRegistry,
-) -> Result<RecordBatch> {
-    for op in chain {
-        batch = match op {
-            MapOp::Filter(predicate) => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_batch(&batch, predicate)?
-            }
-            MapOp::Project(exprs) => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::project_batch(&batch, exprs)?
-            }
-            MapOp::FilterProject { predicate, exprs } => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_project_batch(&batch, predicate, exprs)?
-            }
-            MapOp::Watermark { column } => {
-                let col = batch.column_by_name(column)?;
-                let tc = col.as_i64()?;
-                let mut max_seen = i64::MIN;
-                for i in 0..tc.len() {
-                    if let Some(&v) = tc.get(i) {
-                        max_seen = max_seen.max(v);
-                    }
-                }
-                if max_seen > i64::MIN {
-                    maxima.push((column.clone(), max_seen));
-                }
-                if watermark_us > i64::MIN {
-                    let mask: Vec<bool> = (0..tc.len())
-                        .map(|i| tc.get(i).is_none_or(|&v| v >= watermark_us))
-                        .collect();
-                    batch.filter(&mask)?
-                } else {
-                    batch
-                }
-            }
-            MapOp::StaticJoin {
-                cache,
-                join_type,
-                on,
-                output_projection,
-                ..
-            } => {
-                let static_batch = cache.as_ref().ok_or_else(|| {
-                    SsError::Internal("static join cache not primed".into())
-                })?;
-                hash_join_projected(
-                    &batch,
-                    static_batch,
-                    *join_type,
-                    on,
-                    output_projection.as_deref(),
-                )?
-            }
-        };
-    }
-    Ok(batch)
-}
-
-/// Fill every static-join cache in `chain` (once per run, engine
-/// thread — the batch engine result is then shared by all map tasks).
-fn prime_static_caches(chain: &mut [MapOp], statics: &dyn Catalog) -> Result<()> {
-    for op in chain.iter_mut() {
-        if let MapOp::StaticJoin {
-            static_plan, cache, ..
-        } = op
-        {
-            if cache.is_none() {
-                *cache = Some(Arc::new(ss_exec::execute(static_plan, statics)?));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn reset_static_caches(chain: &mut [MapOp]) {
-    for op in chain.iter_mut() {
-        if let MapOp::StaticJoin { cache, .. } = op {
-            *cache = None;
-        }
-    }
-}
-
-/// Take one scan's epoch input, mirroring the serial `StreamScan` arm
-/// (pre-projected batches pass through; others get the projection).
-fn take_scan(scan: &ScanSpec, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
-    let projected_schema = match &scan.projection {
-        Some(idx) => Arc::new(scan.schema.project(idx)?),
-        None => scan.schema.clone(),
-    };
-    let batch = match ctx.inputs.remove(&scan.name) {
-        Some(b) => b,
-        None => return Ok(RecordBatch::empty(projected_schema)),
-    };
-    if batch.schema().fields() == projected_schema.fields() {
-        Ok(batch)
-    } else {
-        match &scan.projection {
-            Some(idx) => batch.project(idx),
-            None => Ok(batch),
-        }
-    }
-}
-
-fn record_scan(ctx: &mut EpochContext<'_>, scan: &ScanSpec, rows: usize) {
-    let rel = ctx.ops.now_rel_us();
-    ctx.ops
-        .record(format!("scan:{}", scan.name), rows as u64, rel, 0);
-}
-
-/// Merge per-chunk watermark observations (max per column) and fold
-/// them into the tracker, exactly once per column as serial execution
-/// would.
-fn observe_maxima(ctx: &mut EpochContext<'_>, maxima: Vec<(String, i64)>) {
-    let mut merged: BTreeMap<String, i64> = BTreeMap::new();
-    for (column, v) in maxima {
-        let e = merged.entry(column).or_insert(i64::MIN);
-        *e = (*e).max(v);
-    }
-    for (column, v) in merged {
-        if v > i64::MIN {
-            ctx.tracker.observe(&column, v);
-        }
-    }
-}
-
-/// Split an epoch input into at most `parts` row chunks. An empty
-/// batch still produces one (empty) chunk so stateful reduce stages run
-/// (watermark-driven eviction happens on empty epochs too).
-fn split_chunks(batch: RecordBatch, parts: usize) -> Vec<RecordBatch> {
-    let rows = batch.num_rows();
-    if rows == 0 {
-        return vec![batch];
-    }
-    let chunk_rows = rows.div_ceil(parts.max(1)).max(1);
-    batch.chunks(chunk_rows)
-}
-
-/// Compile an incremental operator tree into a stage plan, or `None`
-/// when any node is not provably chunk-safe.
-fn compile(root: &IncNode) -> Option<ParallelPlan> {
-    // Peel a Complete-mode Sort/Limit suffix (valid only above an
-    // aggregate; the analyzer enforces the mode).
-    let mut suffix: Vec<SuffixOp> = Vec::new();
+/// Can the whole plan run partitioned? True for a stateless chain, an
+/// aggregate over one, or a stream–stream join of two — optionally
+/// under the Complete-mode `Sort`/`Limit` suffix of an aggregate
+/// (which runs on the merged output).
+fn chunk_safe(root: &IncNode) -> bool {
     let mut node = root;
-    loop {
-        match node {
-            IncNode::Sort { input, keys } => {
-                suffix.insert(0, SuffixOp::Sort(keys.clone()));
-                node = input;
-            }
-            IncNode::Limit { input, n } => {
-                suffix.insert(0, SuffixOp::Limit(*n));
-                node = input;
-            }
-            _ => break,
-        }
+    let mut suffix = false;
+    while let IncNode::Sort { input, .. } | IncNode::Limit { input, .. } = node {
+        node = input;
+        suffix = true;
     }
     match node {
-        IncNode::Aggregate { input, op_id, agg } => {
-            let mut chain = Vec::new();
-            let scan = build_chain(input, &mut chain)?;
-            Some(ParallelPlan::Aggregate {
-                scan,
-                chain,
-                op_id: op_id.clone(),
-                expander: agg.key_expander(),
-                template: agg.fresh_clone(),
-                shards: Vec::new(),
-                suffix,
-            })
+        IncNode::Aggregate { input, .. } => chunk_safe_chain(input),
+        IncNode::StreamJoin { left, right, .. } => {
+            !suffix && chunk_safe_chain(left) && chunk_safe_chain(right)
         }
-        IncNode::StreamJoin { left, right, exec } => {
-            if !suffix.is_empty() {
-                return None;
-            }
-            let mut left_chain = Vec::new();
-            let left_scan = build_chain(left, &mut left_chain)?;
-            let mut right_chain = Vec::new();
-            let right_scan = build_chain(right, &mut right_chain)?;
-            Some(ParallelPlan::Join {
-                left_scan,
-                left_chain,
-                right_scan,
-                right_chain,
-                exec: exec.clone(),
-            })
-        }
-        _ => {
-            if !suffix.is_empty() {
-                return None;
-            }
-            let mut chain = Vec::new();
-            let scan = build_chain(node, &mut chain)?;
-            Some(ParallelPlan::Map { scan, chain })
-        }
+        _ => !suffix && chunk_safe_chain(node),
     }
 }
 
-/// Walk a stateless operator chain down to its scan, collecting map
-/// ops in execution order. `None` for unsupported shapes.
-fn build_chain(node: &IncNode, chain: &mut Vec<MapOp>) -> Option<ScanSpec> {
+/// A chain of chunk-safe stateless operators over an unshared scan.
+fn chunk_safe_chain(node: &IncNode) -> bool {
     match node {
-        IncNode::StreamScan {
-            name,
-            schema,
-            projection,
-            shared,
-        } => {
-            if *shared {
-                // A shared scan's input is consumed by several plan
-                // branches; chunk ownership would be ambiguous.
-                return None;
-            }
-            Some(ScanSpec {
-                name: name.clone(),
-                schema: schema.clone(),
-                projection: projection.clone(),
-            })
-        }
-        IncNode::Filter { input, predicate } => {
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Filter(predicate.clone()));
-            Some(scan)
-        }
-        IncNode::Project { input, exprs, .. } => {
-            if let IncNode::Filter {
-                input: filter_input,
-                predicate,
-            } = input.as_ref()
-            {
-                let scan = build_chain(filter_input, chain)?;
-                chain.push(MapOp::FilterProject {
-                    predicate: predicate.clone(),
-                    exprs: exprs.clone(),
-                });
-                return Some(scan);
-            }
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Project(exprs.clone()));
-            Some(scan)
-        }
-        IncNode::Watermark { input, column, .. } => {
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Watermark {
-                column: column.clone(),
-            });
-            Some(scan)
-        }
-        IncNode::StaticJoin {
-            stream,
-            static_plan,
-            stream_is_left,
-            join_type,
-            on,
-            output_projection,
-            ..
-        } => {
-            // Chunk-safe only when the stream probes (output follows
-            // probe-row order) and the static side never pads
-            // unmatched rows (right-outer pads once per *batch*).
-            if !*stream_is_left || *join_type == JoinType::RightOuter {
-                return None;
-            }
-            let scan = build_chain(stream, chain)?;
-            chain.push(MapOp::StaticJoin {
-                static_plan: static_plan.clone(),
-                cache: None,
-                join_type: *join_type,
-                on: on.clone(),
-                output_projection: output_projection.clone(),
-            });
-            Some(scan)
-        }
-        // Stateful / order-sensitive nodes inside a map chain (or at
-        // the root): MapGroups (UDF sees arrival order per group across
+        // A shared scan's input is consumed by several plan branches;
+        // chunk ownership would be ambiguous.
+        IncNode::StreamScan { shared, .. } => !shared,
+        IncNode::Stateless { input, op, .. } => op.is_chunk_safe() && chunk_safe_chain(input),
+        // Stateful / order-sensitive nodes below the partitioned
+        // operator: MapGroups (UDF sees arrival order per group across
         // the whole epoch), Distinct (first-wins races), nested
         // aggregates/joins, Sort/Limit below a stateful op.
-        _ => None,
+        _ => false,
     }
 }
 
@@ -1073,10 +463,7 @@ fn collect_families(node: &IncNode, out: &mut Vec<(String, &'static str)>) {
             collect_families(right, out);
         }
         IncNode::StreamScan { .. } => {}
-        IncNode::Filter { input, .. }
-        | IncNode::Project { input, .. }
-        | IncNode::Watermark { input, .. }
-        | IncNode::StaticJoin { stream: input, .. }
+        IncNode::Stateless { input, .. }
         | IncNode::MapGroups { input, .. }
         | IncNode::Distinct { input, .. }
         | IncNode::Sort { input, .. }
@@ -1105,7 +492,7 @@ pub fn repartition_family(
     to: usize,
 ) -> Result<()> {
     let to = to.max(1);
-    let flat = format!("{base}{suffix}");
+    let flat = shard_ns(base, 0, 1, suffix);
     let shard_prefix = format!("{base}/p");
     let sources: BTreeSet<String> = store
         .operator_ids()
@@ -1116,16 +503,10 @@ pub fn repartition_family(
             }
             id.strip_prefix(&shard_prefix)
                 .and_then(|rest| rest.strip_suffix(suffix))
-                .is_some_and(|num| {
-                    !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit())
-                })
+                .is_some_and(|num| !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit()))
         })
         .collect();
-    let targets: BTreeSet<String> = if to == 1 {
-        std::iter::once(flat.clone()).collect()
-    } else {
-        (0..to).map(|r| format!("{base}/p{r}{suffix}")).collect()
-    };
+    let targets: BTreeSet<String> = (0..to).map(|r| shard_ns(base, r, to, suffix)).collect();
     if sources == targets {
         return Ok(()); // already in the requested layout
     }
@@ -1140,11 +521,7 @@ pub fn repartition_family(
         }
     }
     for (key, entry) in moved {
-        let ns = if to == 1 {
-            flat.clone()
-        } else {
-            format!("{base}/p{}{suffix}", shuffle_partition(&key, to))
-        };
+        let ns = shard_ns(base, shuffle_partition(&key, to), to, suffix);
         store.operator(&ns).put(key, entry);
     }
     Ok(())

@@ -155,101 +155,25 @@ impl HashAggregator {
 
     /// Ingest one batch of input rows.
     pub fn update_batch(&mut self, batch: &RecordBatch) -> Result<()> {
-        if batch.num_rows() == 0 {
-            return Ok(());
-        }
-        // Evaluate grouping columns (the window slot gets the raw
-        // timestamp; expansion happens per row below).
-        let mut key_cols: Vec<Column> = Vec::with_capacity(self.group_exprs.len());
-        for (i, g) in self.group_exprs.iter().enumerate() {
-            let col = match &self.window {
-                Some(w) if w.slot == i => evaluate(&w.time, batch)?,
-                _ => evaluate(g, batch)?,
-            };
-            key_cols.push(col);
-        }
-        // Evaluate aggregate argument columns once, vectorized.
-        let arg_cols: Vec<Option<Column>> = self
-            .aggregates
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
-            .collect::<Result<_>>()?;
-
-        // Typed access to the window timestamp column (avoids a Value
-        // allocation per row on the hot path).
-        let window_info = match &self.window {
-            Some(w) => {
-                let tc = key_cols[w.slot].as_i64()?.clone();
-                Some((w.slot, w.size_us, w.slide_us, tc))
-            }
-            None => None,
+        let HashAggregator {
+            group_exprs,
+            window,
+            aggregates,
+            groups,
+            ..
+        } = self;
+        let visit = |key, row, arg_cols: &[Option<Column>]| {
+            upsert(groups, aggregates, key, |accs| {
+                for (acc, arg) in accs.iter_mut().zip(arg_cols) {
+                    match arg {
+                        Some(col) => acc.update_value(&col.value(row))?,
+                        None => acc.update_value(&COUNT_STAR_ARG)?,
+                    }
+                }
+                Ok(())
+            })
         };
-        let n_keys = self.group_exprs.len();
-        let mut key_buf: Vec<Value> = Vec::with_capacity(n_keys);
-        // Sliding windows need the expansion list; tumbling windows
-        // (the common case) take the inline single-window path.
-        let mut starts_buf: Vec<i64> = Vec::new();
-        for row in 0..batch.num_rows() {
-            starts_buf.clear();
-            match &window_info {
-                Some((_, size, slide, tc)) => match tc.get(row) {
-                    // Rows with NULL event time are dropped.
-                    None => continue,
-                    Some(&ts) if slide == size => {
-                        starts_buf.push(ss_common::time::window_start(ts, *size, 0));
-                    }
-                    Some(&ts) => {
-                        starts_buf.extend(
-                            ss_common::time::windows_for(ts, *size, *slide)
-                                .into_iter()
-                                .map(|(s, _)| s),
-                        );
-                    }
-                },
-                None => starts_buf.push(0),
-            }
-            for &start in &starts_buf {
-                key_buf.clear();
-                for (i, kc) in key_cols.iter().enumerate() {
-                    match &window_info {
-                        Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
-                        _ => key_buf.push(kc.value(row)),
-                    }
-                }
-                // Look up without cloning the key; the buffer is
-                // recycled when the group already exists.
-                let key = Row::new(std::mem::take(&mut key_buf));
-                match self.groups.get_mut(&key) {
-                    Some(entry) => {
-                        for (acc, arg) in entry.accs.iter_mut().zip(&arg_cols) {
-                            match arg {
-                                Some(col) => acc.update_value(&col.value(row))?,
-                                // count(*): any non-NULL value counts.
-                                None => acc.update_value(&Value::Int64(1))?,
-                            }
-                        }
-                        entry.dirty = true;
-                        key_buf = key.0;
-                    }
-                    None => {
-                        let mut accs: Vec<Accumulator> = self
-                            .aggregates
-                            .iter()
-                            .map(|a| a.create_accumulator())
-                            .collect();
-                        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-                            match arg {
-                                Some(col) => acc.update_value(&col.value(row))?,
-                                None => acc.update_value(&Value::Int64(1))?,
-                            }
-                        }
-                        self.groups.insert(key, GroupEntry { accs, dirty: true });
-                        key_buf = Vec::with_capacity(n_keys);
-                    }
-                }
-            }
-        }
-        Ok(())
+        for_each_key(group_exprs, window, aggregates, batch, visit)
     }
 
     /// Keys whose aggregates changed since the last call (dirty flags
@@ -410,7 +334,7 @@ impl HashAggregator {
         self.groups.clear();
     }
 
-    // ---- data-parallel execution (partial/merge split) ----
+    // ---- partitioned execution (map-side expand, reduce-side ingest) ----
 
     /// An empty aggregator with the same configuration — the shard
     /// constructor for partitioned execution (each reduce partition
@@ -426,25 +350,39 @@ impl HashAggregator {
         }
     }
 
-    /// The map-side half of this aggregator: evaluates grouping keys
-    /// (with window expansion) and aggregate arguments, without
-    /// touching any group state. Map tasks run this per input
-    /// partition; the resulting pairs are shuffled by key.
-    pub fn key_expander(&self) -> KeyExpander {
-        KeyExpander {
-            group_exprs: self.group_exprs.clone(),
-            window: self.window.clone(),
-            aggregates: self.aggregates.clone(),
-        }
+    /// The map-side half of [`HashAggregator::update_batch`] for
+    /// partitioned execution: expand a batch into `(group key,
+    /// aggregate-argument values)` pairs in arrival order, without
+    /// touching any group state. Map tasks run this per input chunk;
+    /// the pairs are shuffled by key and ingested by the owning shard's
+    /// [`HashAggregator::update_pairs`].
+    pub fn expand(&self, batch: &RecordBatch) -> Result<Vec<(Row, Row)>> {
+        let mut pairs = Vec::new();
+        for_each_key(
+            &self.group_exprs,
+            &self.window,
+            &self.aggregates,
+            batch,
+            |key: Row, row, arg_cols| {
+                let args = arg_cols
+                    .iter()
+                    .map(|arg| arg.as_ref().map_or(COUNT_STAR_ARG, |col| col.value(row)))
+                    .collect();
+                let next = Vec::with_capacity(key.len());
+                pairs.push((key, Row::new(args)));
+                Ok(next)
+            },
+        )?;
+        Ok(pairs)
     }
 
-    /// Reduce-side ingest of shuffled `(key, argument-values)` pairs
-    /// produced by [`KeyExpander::expand`].
+    /// Reduce-side ingest of shuffled pairs produced by
+    /// [`HashAggregator::expand`].
     ///
     /// Pairs must arrive in the original arrival order of their source
     /// rows; each accumulator then sees exactly the same update
     /// sequence as [`HashAggregator::update_batch`] would have fed it,
-    /// so results are bit-identical to serial execution even for
+    /// so results are bit-identical at any partition count even for
     /// non-associative float accumulation.
     pub fn update_pairs(&mut self, pairs: Vec<(Row, Row)>) -> Result<()> {
         for (key, args) in pairs {
@@ -455,139 +393,124 @@ impl HashAggregator {
                     self.aggregates.len()
                 )));
             }
-            match self.groups.get_mut(&key) {
-                Some(entry) => {
-                    for (acc, v) in entry.accs.iter_mut().zip(args.values()) {
-                        acc.update_value(v)?;
-                    }
-                    entry.dirty = true;
+            upsert(&mut self.groups, &self.aggregates, key, |accs| {
+                for (acc, v) in accs.iter_mut().zip(args.values()) {
+                    acc.update_value(v)?;
                 }
-                None => {
-                    let mut accs: Vec<Accumulator> = self
-                        .aggregates
-                        .iter()
-                        .map(|a| a.create_accumulator())
-                        .collect();
-                    for (acc, v) in accs.iter_mut().zip(args.values()) {
-                        acc.update_value(v)?;
-                    }
-                    self.groups.insert(key, GroupEntry { accs, dirty: true });
-                }
-            }
+                Ok(())
+            })?;
         }
         Ok(())
     }
+}
 
-    /// Drain every group as `(key, per-aggregate partial state)`,
-    /// sorted by key. The partial half of the partial/merge kernel
-    /// split: used to move state between shards when the partition
-    /// count changes, and by opt-in map-side combining.
-    pub fn take_partials(&mut self) -> Vec<(Row, Vec<Row>)> {
-        let mut out: Vec<(Row, Vec<Row>)> = self
-            .groups
-            .drain()
-            .map(|(k, e)| (k, e.accs.iter().map(|a| a.state()).collect()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
+/// What `count(*)`, which has no argument column, is fed per row: any
+/// non-NULL value counts.
+const COUNT_STAR_ARG: Value = Value::Int64(1);
 
-    /// Merge one partial state produced by [`HashAggregator::take_partials`]
-    /// into this aggregator, marking the group changed this epoch.
-    /// Unlike [`HashAggregator::restore_entry`] (checkpoint restore,
-    /// which leaves groups clean), merged partials represent new data
-    /// and must show up in `take_changed`.
-    pub fn merge_partial(&mut self, key: Row, states: &[Row]) -> Result<()> {
-        self.restore_entry(key.clone(), states)?;
-        if let Some(entry) = self.groups.get_mut(&key) {
+/// Feed one update into `key`'s group, creating the group on first
+/// sight, and mark it changed this epoch. Returns the buffer to build
+/// the next key in: `key`'s own when the group already existed (it was
+/// only needed for the lookup), else a fresh one — sized exactly, as
+/// it may become a group's key and a grown `Vec` would double its
+/// footprint.
+fn upsert(
+    groups: &mut FxHashMap<Row, GroupEntry>,
+    aggregates: &[AggregateExpr],
+    key: Row,
+    update: impl FnOnce(&mut [Accumulator]) -> Result<()>,
+) -> Result<Vec<Value>> {
+    match groups.get_mut(&key) {
+        Some(entry) => {
+            update(&mut entry.accs)?;
             entry.dirty = true;
+            Ok(key.0)
         }
-        Ok(())
+        None => {
+            let mut accs: Vec<Accumulator> =
+                aggregates.iter().map(|a| a.create_accumulator()).collect();
+            update(&mut accs)?;
+            let next = Vec::with_capacity(key.len());
+            groups.insert(key, GroupEntry { accs, dirty: true });
+            Ok(next)
+        }
     }
 }
 
-/// The map-side half of a [`HashAggregator`]: key evaluation, window
-/// expansion and aggregate-argument evaluation, with no group state.
-///
-/// [`KeyExpander::expand`] preserves arrival order — pair `i` comes
-/// from an earlier (row, window) visit than pair `i+1` — which is what
-/// lets the reduce side replay serial accumulation order per key.
-#[derive(Debug, Clone)]
-pub struct KeyExpander {
-    group_exprs: Vec<Expr>,
-    window: Option<WindowSpec>,
-    aggregates: Vec<AggregateExpr>,
-}
-
-impl KeyExpander {
-    /// Expand a batch into `(group key, aggregate-argument values)`
-    /// pairs, in arrival order. Rows with NULL event time are dropped
-    /// and sliding windows fan one row out to `size/slide` pairs,
-    /// exactly as [`HashAggregator::update_batch`] does.
-    pub fn expand(&self, batch: &RecordBatch) -> Result<Vec<(Row, Row)>> {
-        let mut pairs = Vec::new();
-        if batch.num_rows() == 0 {
-            return Ok(pairs);
-        }
-        let mut key_cols: Vec<Column> = Vec::with_capacity(self.group_exprs.len());
-        for (i, g) in self.group_exprs.iter().enumerate() {
-            let col = match &self.window {
-                Some(w) if w.slot == i => evaluate(&w.time, batch)?,
-                _ => evaluate(g, batch)?,
-            };
-            key_cols.push(col);
-        }
-        let arg_cols: Vec<Option<Column>> = self
-            .aggregates
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
-            .collect::<Result<_>>()?;
-        let window_info = match &self.window {
-            Some(w) => {
-                let tc = key_cols[w.slot].as_i64()?.clone();
-                Some((w.slot, w.size_us, w.slide_us, tc))
-            }
-            None => None,
+/// The group-key visit loop: evaluate the grouping and aggregate
+/// argument columns once (vectorized), then call `visit(key, row,
+/// argument columns)` for every `(row, group key)` in arrival order.
+/// Rows with a NULL event time are dropped and a sliding window fans
+/// one row out to `size/slide` keys. `visit` returns the buffer the
+/// next key is built in, so a visitor that only looked the key up
+/// hands its allocation back.
+fn for_each_key(
+    group_exprs: &[Expr],
+    window: &Option<WindowSpec>,
+    aggregates: &[AggregateExpr],
+    batch: &RecordBatch,
+    mut visit: impl FnMut(Row, usize, &[Option<Column>]) -> Result<Vec<Value>>,
+) -> Result<()> {
+    if batch.num_rows() == 0 {
+        return Ok(());
+    }
+    // The window slot gets the raw timestamp; expansion happens per
+    // row below.
+    let mut key_cols: Vec<Column> = Vec::with_capacity(group_exprs.len());
+    for (i, g) in group_exprs.iter().enumerate() {
+        let col = match window {
+            Some(w) if w.slot == i => evaluate(&w.time, batch)?,
+            _ => evaluate(g, batch)?,
         };
-        let mut starts_buf: Vec<i64> = Vec::new();
-        for row in 0..batch.num_rows() {
-            starts_buf.clear();
-            match &window_info {
-                Some((_, size, slide, tc)) => match tc.get(row) {
-                    None => continue,
-                    Some(&ts) if slide == size => {
-                        starts_buf.push(ss_common::time::window_start(ts, *size, 0));
-                    }
-                    Some(&ts) => {
-                        starts_buf.extend(
-                            ss_common::time::windows_for(ts, *size, *slide)
-                                .into_iter()
-                                .map(|(s, _)| s),
-                        );
-                    }
-                },
-                None => starts_buf.push(0),
-            }
-            for &start in &starts_buf {
-                let mut key = Vec::with_capacity(self.group_exprs.len());
-                for (i, kc) in key_cols.iter().enumerate() {
-                    match &window_info {
-                        Some((slot, ..)) if *slot == i => key.push(Value::Timestamp(start)),
-                        _ => key.push(kc.value(row)),
-                    }
-                }
-                let args: Vec<Value> = arg_cols
-                    .iter()
-                    .map(|arg| match arg {
-                        Some(col) => col.value(row),
-                        None => Value::Int64(1),
-                    })
-                    .collect();
-                pairs.push((Row::new(key), Row::new(args)));
-            }
-        }
-        Ok(pairs)
+        key_cols.push(col);
     }
+    let arg_cols: Vec<Option<Column>> = aggregates
+        .iter()
+        .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
+        .collect::<Result<_>>()?;
+    // Typed access to the window timestamp column (avoids a Value
+    // allocation per row on the hot path).
+    let window_info = match window {
+        Some(w) => {
+            let tc = key_cols[w.slot].as_i64()?.clone();
+            Some((w.slot, w.size_us, w.slide_us, tc))
+        }
+        None => None,
+    };
+    let mut key_buf: Vec<Value> = Vec::with_capacity(group_exprs.len());
+    // Sliding windows need the expansion list; tumbling windows (the
+    // common case) take the inline single-window path.
+    let mut starts_buf: Vec<i64> = Vec::new();
+    for row in 0..batch.num_rows() {
+        starts_buf.clear();
+        match &window_info {
+            Some((_, size, slide, tc)) => match tc.get(row) {
+                None => continue,
+                Some(&ts) if slide == size => {
+                    starts_buf.push(ss_common::time::window_start(ts, *size, 0));
+                }
+                Some(&ts) => {
+                    starts_buf.extend(
+                        ss_common::time::windows_for(ts, *size, *slide)
+                            .into_iter()
+                            .map(|(s, _)| s),
+                    );
+                }
+            },
+            None => starts_buf.push(0),
+        }
+        for &start in &starts_buf {
+            key_buf.clear();
+            for (i, kc) in key_cols.iter().enumerate() {
+                match &window_info {
+                    Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
+                    _ => key_buf.push(kc.value(row)),
+                }
+            }
+            key_buf = visit(Row::new(std::mem::take(&mut key_buf)), row, &arg_cols)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -836,7 +759,7 @@ mod tests {
         serial.update_batch(&input).unwrap();
         let mut sharded = make();
         sharded
-            .update_pairs(sharded.key_expander().expand(&input).unwrap())
+            .update_pairs(sharded.expand(&input).unwrap())
             .unwrap();
         assert_eq!(
             sharded.finish_all().unwrap(),
@@ -846,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn expander_drops_null_event_times_and_fans_out_sliding_windows() {
+    fn expand_drops_null_event_times_and_fans_out_sliding_windows() {
         let agg = HashAggregator::new(
             schema(),
             vec![window_sliding(col("time"), "10 seconds", "5 seconds").unwrap()],
@@ -854,7 +777,6 @@ mod tests {
         )
         .unwrap();
         let pairs = agg
-            .key_expander()
             .expand(&batch(&[
                 row!["a", Value::Null, 0i64],
                 row!["a", Value::Timestamp(secs(7)), 0i64],
@@ -877,35 +799,6 @@ mod tests {
         assert!(agg
             .update_pairs(vec![(row!["a"], row![1i64, 2i64])])
             .is_err());
-    }
-
-    #[test]
-    fn take_partials_then_merge_partial_rebuilds_state_as_changed() {
-        let mut agg = HashAggregator::new(
-            schema(),
-            vec![col("campaign")],
-            vec![sum(col("v")), count_star()],
-        )
-        .unwrap();
-        agg.update_batch(&batch(&[
-            row!["a", Value::Timestamp(0), 5i64],
-            row!["b", Value::Timestamp(0), 2i64],
-        ]))
-        .unwrap();
-        agg.take_changed();
-        let expected = agg.finish_all().unwrap();
-        let partials = agg.take_partials();
-        assert_eq!(agg.num_groups(), 0);
-        assert_eq!(partials.len(), 2);
-        assert!(partials[0].0 < partials[1].0, "partials sorted by key");
-        let mut rebuilt = agg.fresh_clone();
-        for (k, s) in partials {
-            rebuilt.merge_partial(k, &s).unwrap();
-        }
-        assert_eq!(rebuilt.finish_all().unwrap(), expected);
-        // Merged partials count as changed this epoch (restore_entry
-        // would not).
-        assert_eq!(rebuilt.take_changed(), vec![row!["a"], row!["b"]]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod join;
 pub mod metrics;
 pub mod ops;
 
-pub use aggregate::{HashAggregator, KeyExpander};
+pub use aggregate::HashAggregator;
 pub use executor::{execute, execute_with_metrics, Catalog, MemoryCatalog};
 pub use join::hash_join;
 pub use metrics::ExecMetrics;
