@@ -221,11 +221,11 @@ impl StatelessOp {
         watermark_us: i64,
         faults: &FaultRegistry,
     ) -> Result<(RecordBatch, Option<(&str, i64)>)> {
-        if !matches!(
+        let evaluates = matches!(
             self,
-            StatelessOp::Watermark { .. } | StatelessOp::StaticJoin { .. }
-        ) && batch.num_rows() > 0
-        {
+            StatelessOp::Filter(_) | StatelessOp::Project(_) | StatelessOp::FilterProject { .. }
+        );
+        if evaluates && batch.num_rows() > 0 {
             faults.fire(ops::failpoints::RECORD_EVAL)?;
         }
         let out = match self {
@@ -743,16 +743,15 @@ fn exchange_aggregate(
     // The shards move into the reduce tasks. A failed stage leaves one
     // empty aggregator behind; the restart path reloads from the
     // checkpoint.
-    let work: Vec<(HashAggregator, OpState, Vec<(Row, Row)>)> =
-        std::mem::replace(shards, vec![template.fresh_clone()])
-            .into_iter()
-            .zip(pairs)
-            .enumerate()
-            .map(|(r, (shard, pairs))| {
-                let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
-                (shard, op, pairs)
-            })
-            .collect();
+    let work: Vec<_> = std::mem::replace(shards, vec![template.fresh_clone()])
+        .into_iter()
+        .zip(pairs)
+        .enumerate()
+        .map(|(r, (shard, pairs))| {
+            let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
+            (shard, op, pairs)
+        })
+        .collect();
     let (mode, watermark_us) = (ctx.output_mode, ctx.watermark_us);
     let reduced = parallel::reduce(ctx, work, move |(mut shard, mut op, pairs)| {
         shard.update_pairs(pairs)?;

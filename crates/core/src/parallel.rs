@@ -205,6 +205,9 @@ impl TaskEnv {
 }
 
 type Task<R> = Box<dyn FnOnce() -> Result<R> + Send>;
+/// A map task's output: what its `then` returned, plus the per-column
+/// event-time maxima its chain's watermark operators observed.
+type MapOut<R> = (R, Vec<(String, i64)>);
 
 /// Run one stage's task bodies on the pool, each behind the task
 /// preamble; the stage's wall time and task stats go to `ctx.run`.
@@ -266,7 +269,7 @@ pub(crate) fn map_stage<R: Send + 'static>(
     let faults = ctx.exchange.workers()?.env.faults.clone();
     let watermark_us = ctx.watermark_us;
     let then = Arc::new(then);
-    let mut bodies: Vec<Task<(R, Vec<(String, i64)>)>> = Vec::new();
+    let mut bodies: Vec<Task<MapOut<R>>> = Vec::new();
     let mut chunks_per_side = Vec::with_capacity(inputs.len());
     for (side, input) in inputs.iter_mut().enumerate() {
         let mut chain = Vec::new();

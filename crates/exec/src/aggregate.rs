@@ -485,6 +485,7 @@ fn for_each_key(
         starts_buf.clear();
         match &window_info {
             Some((_, size, slide, tc)) => match tc.get(row) {
+                // Rows with NULL event time are dropped.
                 None => continue,
                 Some(&ts) if slide == size => {
                     starts_buf.push(ss_common::time::window_start(ts, *size, 0));

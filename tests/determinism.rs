@@ -41,43 +41,21 @@ fn feed_agg(bus: &MessageBus, n: u64, start: u64) {
     }
 }
 
-/// Run the windowed aggregation to completion at the given parallelism
-/// and return the sink rows in **delivery order** plus the final state
-/// size.
-fn run_windowed(
-    mode: OutputMode,
-    parallelism: usize,
-    partitions: usize,
-) -> (Vec<Row>, u64) {
-    let bus = Arc::new(MessageBus::new());
-    bus.create_topic("in", 3).unwrap();
-    let ctx = StreamingContext::new();
-    let df = ctx
-        .read_source(Arc::new(BusSource::new(bus.clone(), "in", agg_schema()).unwrap()))
-        .unwrap()
+/// The tumbling-window aggregation most tests here run.
+fn windowed(_: &StreamingContext, events: DataFrame) -> DataFrame {
+    events
         .with_watermark("time", "5 seconds")
         .unwrap()
         .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("key")])
-        .agg(vec![count_star(), sum(col("v"))]);
-    let sink = MemorySink::new("out");
-    let mut query = df
-        .write_stream()
-        .output_mode(mode)
-        .sink(sink.clone())
-        .parallelism(parallelism)
-        .shuffle_partitions(partitions)
-        .start_sync()
-        .unwrap();
-    let mut fed = 0u64;
-    while fed < 120 {
-        feed_agg(&bus, 15, fed);
-        fed += 15;
-        query.process_available().unwrap();
-    }
-    query.process_available().unwrap();
-    let state = query.state_rows();
-    query.stop().unwrap();
-    (sink.snapshot(), state)
+        .agg(vec![count_star(), sum(col("v"))])
+}
+
+/// Run the windowed aggregation to completion at the given parallelism
+/// and return the sink rows in **delivery order** plus the final state
+/// size.
+fn run_windowed(mode: OutputMode, parallelism: usize, partitions: usize) -> (Vec<Row>, u64) {
+    let (rows, state, _) = run_shape(&windowed, mode, parallelism, partitions);
+    (rows, state)
 }
 
 #[test]
@@ -444,15 +422,12 @@ fn restart_across_partition_counts_repartitions_state() {
         let mut fed = 0u64;
         for (seg, &(p, s)) in counts.iter().enumerate() {
             let ctx = StreamingContext::new();
-            let df = ctx
+            let source = ctx
                 .read_source(Arc::new(
                     BusSource::new(bus.clone(), "in", agg_schema()).unwrap(),
                 ))
-                .unwrap()
-                .with_watermark("time", "5 seconds")
-                .unwrap()
-                .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("key")])
-                .agg(vec![count_star(), sum(col("v"))]);
+                .unwrap();
+            let df = windowed(&ctx, source);
             let mut query = df
                 .write_stream()
                 .output_mode(OutputMode::Append)
