@@ -9,7 +9,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use ss_baselines::workload::YahooWorkload;
-use ss_bus::MessageBus;
+use ss_bench::records_per_partition;
+use ss_bus::{BusSource, MessageBus, Source};
 use ss_common::{RecordBatch, Row, Value};
 use ss_exec::ops::{filter_batch, project_batch};
 use ss_exec::{hash_join, HashAggregator};
@@ -157,13 +158,36 @@ fn bench_wal(c: &mut Criterion) {
 
 fn bench_bus(c: &mut Criterion) {
     let w = YahooWorkload::default();
-    let bus = MessageBus::new();
+    let bus = Arc::new(MessageBus::new());
     bus.create_topic("t", 1).unwrap();
     let rows: Vec<Row> = (0..1_000).map(|o| w.event(0, o)).collect();
     let mut g = c.benchmark_group("bus");
     g.throughput(Throughput::Elements(1_000));
     g.bench_function("append_1k", |b| {
         b.iter(|| bus.append_at("t", 0, 0, rows.iter().cloned()).unwrap())
+    });
+
+    // Reads of (up to) 64k records from inside a preloaded partition
+    // (`SS_BENCH_RECORDS`, default 262 144 = 16 chunks), starting
+    // mid-chunk: the projected and the full batch decode of
+    // `BusSource`, and the per-record `read()` view.
+    let records = records_per_partition(262_144);
+    bus.create_topic("log", 1).unwrap();
+    bus.append_at("log", 0, 0, (0..records).map(|o| w.event(0, o))).unwrap();
+    let source = BusSource::new(bus.clone(), "log", w.event_schema()).unwrap();
+    let len = records.min(65_536);
+    let start = (records - len).min(1_000);
+    // ad_id, event_type, event_time: what the Yahoo query keeps.
+    let projection = [2, 4, 5];
+    g.throughput(Throughput::Elements(len));
+    g.bench_function("read_projected_64k", |b| {
+        b.iter(|| source.read_partition_projected(0, start, start + len, Some(&projection)).unwrap())
+    });
+    g.bench_function("read_full_64k", |b| {
+        b.iter(|| source.read_partition(0, start, start + len).unwrap())
+    });
+    g.bench_function("read_rows_64k", |b| {
+        b.iter(|| bus.read("log", 0, start, len as usize).unwrap())
     });
     g.finish();
 }

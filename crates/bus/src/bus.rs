@@ -1,6 +1,13 @@
 //! The in-process message bus (Kafka/Kinesis stand-in).
 //!
-//! Topics hold ordered, offset-addressed partitions of [`Record`]s.
+//! Topics hold ordered, offset-addressed partitions. A partition is a
+//! *column log*: a sequence of chunks of typed column vectors (`Chunk`).
+//! Appends consume their rows into the last chunk's columns; a batch
+//! read ([`crate::BusSource`]) copies, per chunk and projected column,
+//! one typed slice; [`MessageBus::read`] rebuilds [`Record`]s for
+//! per-record consumers. Retention drops whole chunks and keeps a head
+//! offset into the oldest one left.
+//!
 //! Records are retained after consumption (consumers track their own
 //! offsets, as with Kafka), which is what makes sources *replayable* —
 //! requirement (1) the paper places on input sources (§3). Retention
@@ -21,16 +28,17 @@
 //! (counted in [`MessageBus::shed_records`]), and
 //! [`OverflowPolicy::Reject`] refuses the append outright.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
 use ss_common::clock::{system_clock, ClockRef};
 use ss_common::time::now_us;
-use ss_common::{PartitionOffsets, Result, Row, SsError};
+use ss_common::{ColumnBuilder, PartitionOffsets, Result, Row, SsError, Value};
 
 /// How often a [`OverflowPolicy::Block`] producer re-checks capacity
 /// when the bus runs on a virtual clock (a condvar wait is invisible to
@@ -78,7 +86,8 @@ impl Default for TopicConfig {
     }
 }
 
-/// One message in a partition.
+/// One message in a partition, as [`MessageBus::read`] materialises it
+/// (the log itself holds columns, not `Record`s).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Position within the partition (dense, starting at 0).
@@ -90,16 +99,151 @@ pub struct Record {
     pub row: Row,
 }
 
+/// Most records a chunk holds before it is sealed. Retention frees a
+/// chunk at a time (on the caller's thread) and keeps up to one chunk
+/// of expired records per partition, which is what keeps this small; a
+/// read pays one slice copy per chunk and column, which is what keeps
+/// it from being smaller.
+const CHUNK_ROWS: usize = 16_384;
+
+/// A run of consecutive records stored column-wise: the unit of the
+/// log. The bus has no schema, so a chunk's shape comes from its rows:
+/// every record has the same arity, and each position holds one type,
+/// fixed by its first non-NULL value (`None` until then: only NULLs so
+/// far). A row that does not fit — other arity, other type at some
+/// position, or the chunk is full — starts the next chunk, so rows of
+/// different shapes never share one and reads return exactly the
+/// values appended.
+#[derive(Debug)]
+pub(crate) struct Chunk {
+    /// One per value position; `None`: NULL in every record so far.
+    pub(crate) columns: Vec<Option<ColumnBuilder>>,
+    /// Ingest stamps, run-length: `(end, stamp)` stamps the records from
+    /// the previous run's `end` up to this one's (an append is one run).
+    stamps: Vec<(usize, i64)>,
+    /// Records the chunk was expected to reach when it was opened: what
+    /// its columns are allocated for.
+    capacity: usize,
+}
+
+impl Chunk {
+    fn len(&self) -> usize {
+        self.stamps.last().map_or(0, |&(end, _)| end)
+    }
+
+    /// The ingest stamps of records `range`, as `(records, stamp)` runs.
+    pub(crate) fn stamp_runs(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (Range<usize>, i64)> + '_ {
+        let first = self.stamps.partition_point(|&(end, _)| end <= range.start);
+        let mut start = range.start;
+        self.stamps[first..].iter().map_while(move |&(end, stamp)| {
+            let run = start..end.min(range.end);
+            start = run.end;
+            (!run.is_empty()).then_some((run, stamp))
+        })
+    }
+
+    fn accepts(&self, row: &Row) -> bool {
+        self.len() < CHUNK_ROWS
+            && row.len() == self.columns.len()
+            && self.columns.iter().zip(row.iter()).all(|(c, v)| match (c, v.data_type()) {
+                (Some(c), Some(ty)) => c.data_type() == ty,
+                _ => true,
+            })
+    }
+
+    /// The column a position gets at its first non-NULL value, after
+    /// `len` NULLs.
+    #[cold]
+    fn first_value(len: usize, capacity: usize, v: Value) -> ColumnBuilder {
+        let mut c = ColumnBuilder::with_capacity(v.data_type().expect("not NULL"), capacity);
+        c.push_nulls(len);
+        c.push(&v).expect("a column of the value's own type");
+        c
+    }
+
+    /// Append a row that [`Chunk::accepts`].
+    fn push(&mut self, row: Row, stamp: i64) {
+        let len = self.len();
+        for (slot, v) in self.columns.iter_mut().zip(row) {
+            match (slot, v) {
+                (Some(c), v) => c.push_owned(v).expect("accepted rows match the column types"),
+                (None, Value::Null) => {}
+                (slot @ None, v) => *slot = Some(Self::first_value(len, self.capacity, v)),
+            }
+        }
+        match self.stamps.last_mut() {
+            Some((end, last)) if *last == stamp => *end += 1,
+            _ => self.stamps.push((len + 1, stamp)),
+        }
+    }
+}
+
+/// What [`MessageBus::scan`] calls per chunk: the offset of the first
+/// record visited in it, the chunk, and which of its records.
+pub(crate) type ChunkVisitor<'a> = dyn FnMut(u64, &Chunk, Range<usize>) -> Result<()> + 'a;
+
 #[derive(Debug, Default)]
 struct Partition {
     /// Offset of the first retained record (earlier records truncated).
     base_offset: u64,
-    records: Vec<Record>,
+    /// Retained records.
+    len: usize,
+    /// Records of `chunks[0]` already dropped by retention.
+    head: usize,
+    /// Every chunk but the last is sealed; appends extend the last.
+    chunks: VecDeque<Chunk>,
 }
 
 impl Partition {
     fn next_offset(&self) -> u64 {
-        self.base_offset + self.records.len() as u64
+        self.base_offset + self.len as u64
+    }
+
+    /// Append `rows` to the tail chunk, opening a new one (sized so
+    /// that its columns are, as a rule, allocated once) whenever a row
+    /// does not fit. Returns the first row's offset.
+    fn extend(&mut self, rows: impl IntoIterator<Item = Row>, stamp: i64) -> u64 {
+        let first = self.next_offset();
+        let mut rows = rows.into_iter();
+        while let Some(row) = rows.next() {
+            if !self.chunks.back().is_some_and(|c| c.accepts(&row)) {
+                // As many as the chunk before it held, if that is more:
+                // a stream of small appends fills chunk after chunk, and
+                // growing each by doubling would copy it twice over.
+                let expected = (rows.size_hint().0 + 1).max(self.chunks.back().map_or(0, Chunk::len));
+                self.chunks.push_back(Chunk {
+                    columns: row.iter().map(|_| None).collect(),
+                    stamps: Vec::new(),
+                    capacity: expected.min(CHUNK_ROWS),
+                });
+            }
+            self.chunks.back_mut().expect("a tail chunk exists").push(row, stamp);
+            self.len += 1;
+        }
+        first
+    }
+
+    /// Drop the `n` oldest retained records: whole chunks, then a head
+    /// offset into the first one left. Returns the chunks for the
+    /// caller to free once the partition lock is released.
+    fn drop_oldest(&mut self, mut n: usize) -> Vec<Chunk> {
+        self.base_offset += n as u64;
+        self.len -= n;
+        let mut freed = Vec::new();
+        while let Some(c) = self.chunks.front() {
+            let live = c.len() - self.head;
+            if n < live {
+                break;
+            }
+            n -= live;
+            self.head = 0;
+            freed.extend(self.chunks.pop_front());
+        }
+        self.head += n;
+        freed
     }
 }
 
@@ -204,9 +348,17 @@ impl MessageBus {
         Ok(self.topic(topic)?.partitions.len() as u32)
     }
 
+    fn slot<'a>(t: &'a Topic, topic: &str, partition: u32) -> Result<&'a PartitionSlot> {
+        t.partitions
+            .get(partition as usize)
+            .ok_or_else(|| SsError::Plan(format!("topic `{topic}` has no partition {partition}")))
+    }
+
     /// Append rows to a partition with an explicit ingestion timestamp
     /// (deterministic tests / simulated time). Returns the offset of
-    /// the first appended record.
+    /// the first appended record. On an unbounded or `DropOldest` topic
+    /// `rows` is consumed straight into the log's columns with the
+    /// partition locked, so it must not itself call into this partition.
     pub fn append_at(
         &self,
         topic: &str,
@@ -215,101 +367,86 @@ impl MessageBus {
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<u64> {
         let t = self.topic(topic)?;
-        let slot = t
-            .partitions
-            .get(partition as usize)
-            .ok_or_else(|| SsError::Plan(format!("topic `{topic}` has no partition {partition}")))?;
-        // Materialize so the batch size is known before the capacity
-        // check (`Reject` refuses atomically, nothing half-appended).
-        let rows: Vec<Row> = rows.into_iter().collect();
-        let mut p = slot.state.lock();
-        let first = p.next_offset();
+        let slot = Self::slot(&t, topic, partition)?;
         match (t.capacity, t.overflow) {
-            (Some(cap), OverflowPolicy::Reject) if p.records.len() + rows.len() > cap => {
-                return Err(SsError::ResourceExhausted(format!(
-                    "topic `{topic}`/{partition} is full ({} of {cap} records retained; \
-                     batch of {} rejected)",
-                    p.records.len(),
-                    rows.len()
-                )));
+            (Some(cap), OverflowPolicy::Reject) => {
+                // Materialize so the batch size is known before the
+                // capacity check (refused atomically, nothing half-appended).
+                let rows: Vec<Row> = rows.into_iter().collect();
+                let mut p = slot.state.lock();
+                if p.len + rows.len() > cap {
+                    return Err(SsError::ResourceExhausted(format!(
+                        "topic `{topic}`/{partition} is full ({} of {cap} records retained; \
+                         batch of {} rejected)",
+                        p.len,
+                        rows.len()
+                    )));
+                }
+                Ok(p.extend(rows, ingest_time_us))
             }
             (Some(cap), OverflowPolicy::Block { timeout_us }) => {
-                let clock = self.clock.read().clone();
-                let timed_out = || {
+                // Built before locking: the lock is released while waiting.
+                let rows: Vec<Row> = rows.into_iter().collect();
+                self.append_blocking(slot, cap, timeout_us, ingest_time_us, rows).ok_or_else(|| {
                     SsError::ResourceExhausted(format!(
                         "append to `{topic}`/{partition} blocked for {timeout_us}µs \
                          waiting for capacity {cap} to free (consumer stalled?)"
                     ))
-                };
-                // Offsets are recomputed per push (and the first one
-                // re-captured): another producer may append while this
-                // one waits with the lock released.
-                let mut first_appended = None;
+                })
+            }
+            (cap, _) => {
+                let mut p = slot.state.lock();
+                let first = p.extend(rows, ingest_time_us);
+                let shed = p.len.saturating_sub(cap.unwrap_or(usize::MAX));
+                let freed = p.drop_oldest(shed);
+                drop(p);
+                t.shed.fetch_add(shed as u64, Ordering::Relaxed);
+                drop(freed);
+                Ok(first)
+            }
+        }
+    }
+
+    /// Admit `rows` one record at a time as space frees below `cap`;
+    /// `None` when `timeout_us` runs out first.
+    fn append_blocking(
+        &self,
+        slot: &PartitionSlot,
+        cap: usize,
+        timeout_us: u64,
+        stamp: i64,
+        rows: Vec<Row>,
+    ) -> Option<u64> {
+        let clock = self.clock.read().clone();
+        let deadline = clock.deadline_us(Duration::from_micros(timeout_us));
+        let mut p = slot.state.lock();
+        // The first offset is captured at the first push: another
+        // producer may append while this one waits with the lock released.
+        let mut first = None;
+        for row in rows {
+            while p.len >= cap {
+                let remaining = deadline.saturating_sub(clock.monotonic_us());
+                if remaining == 0 {
+                    return None;
+                }
                 if clock.is_virtual() {
                     // Virtual time cannot observe a condvar wait, so
                     // poll: release the lock, sleep on the clock (which
                     // is what lets simulated time advance), re-check.
-                    let deadline = clock.deadline_us(Duration::from_micros(timeout_us));
-                    for row in rows {
-                        while p.records.len() >= cap {
-                            if clock.monotonic_us() >= deadline {
-                                return Err(timed_out());
-                            }
-                            drop(p);
-                            clock.sleep(BLOCK_POLL);
-                            p = slot.state.lock();
-                        }
-                        let offset = p.next_offset();
-                        first_appended.get_or_insert(offset);
-                        p.records.push(Record {
-                            offset,
-                            ingest_time_us,
-                            row,
-                        });
-                    }
-                    return Ok(first_appended.unwrap_or(first));
+                    drop(p);
+                    clock.sleep(BLOCK_POLL);
+                    p = slot.state.lock();
+                } else {
+                    p = slot
+                        .space_freed
+                        .wait_timeout(p, Duration::from_micros(remaining))
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0;
                 }
-                let deadline = Instant::now() + Duration::from_micros(timeout_us);
-                for row in rows {
-                    while p.records.len() >= cap {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            return Err(timed_out());
-                        }
-                        let (guard, _) = slot
-                            .space_freed
-                            .wait_timeout(p, remaining)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        p = guard;
-                    }
-                    let offset = p.next_offset();
-                    first_appended.get_or_insert(offset);
-                    p.records.push(Record {
-                        offset,
-                        ingest_time_us,
-                        row,
-                    });
-                }
-                return Ok(first_appended.unwrap_or(first));
             }
-            _ => {}
+            first.get_or_insert(p.extend([row], stamp));
         }
-        for (offset, row) in (first..).zip(rows) {
-            p.records.push(Record {
-                offset,
-                ingest_time_us,
-                row,
-            });
-        }
-        if let (Some(cap), OverflowPolicy::DropOldest) = (t.capacity, t.overflow) {
-            if p.records.len() > cap {
-                let shed = p.records.len() - cap;
-                p.records.drain(..shed);
-                p.base_offset += shed as u64;
-                t.shed.fetch_add(shed as u64, Ordering::Relaxed);
-            }
-        }
-        Ok(first)
+        Some(first.unwrap_or(p.next_offset()))
     }
 
     /// Records shed by [`OverflowPolicy::DropOldest`] appends since the
@@ -330,7 +467,8 @@ impl MessageBus {
 
     /// Read up to `max` records from `[from_offset, ...)`. Errors if
     /// `from_offset` has been truncated away (retention expired);
-    /// reading at/past the end returns an empty vector.
+    /// reading at/past the end returns an empty vector. The records
+    /// are built from the log's columns, one `Row` per record.
     pub fn read(
         &self,
         topic: &str,
@@ -338,44 +476,41 @@ impl MessageBus {
         from_offset: u64,
         max: usize,
     ) -> Result<Vec<Record>> {
-        let t = self.topic(topic)?;
-        let slot = t
-            .partitions
-            .get(partition as usize)
-            .ok_or_else(|| SsError::Plan(format!("topic `{topic}` has no partition {partition}")))?;
-        let p = slot.state.lock();
-        if from_offset < p.base_offset {
-            return Err(SsError::Execution(format!(
-                "offset {from_offset} of {topic}/{partition} is below the retention \
-                 horizon {} (data expired)",
-                p.base_offset
-            )));
-        }
-        let idx = (from_offset - p.base_offset) as usize;
-        if idx >= p.records.len() {
-            return Ok(Vec::new());
-        }
-        let end = (idx + max).min(p.records.len());
-        Ok(p.records[idx..end].to_vec())
+        let mut out = Vec::new();
+        self.scan(topic, partition, from_offset, max, &mut |mut offset, chunk, range| {
+            out.reserve(range.len());
+            for (run, ingest_time_us) in chunk.stamp_runs(range) {
+                for i in run {
+                    let value = |c: &Option<ColumnBuilder>| {
+                        c.as_ref().map_or(Value::Null, |c| c.column().value(i))
+                    };
+                    out.push(Record {
+                        offset,
+                        ingest_time_us,
+                        row: chunk.columns.iter().map(value).collect(),
+                    });
+                    offset += 1;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// Visit records `[from_offset, from_offset + max)` in place,
-    /// without cloning them out of the log — the zero-copy path the
-    /// vectorized source uses to build columns directly.
-    pub fn read_with(
+    /// Visit records `[from_offset, from_offset + max)` in place with
+    /// the partition locked, chunk by chunk. Returns how many records
+    /// that was. Errors as [`MessageBus::read`] does, or with the first
+    /// error `f` returns.
+    pub(crate) fn scan(
         &self,
         topic: &str,
         partition: u32,
         from_offset: u64,
         max: usize,
-        f: &mut dyn FnMut(&Record),
+        f: &mut ChunkVisitor<'_>,
     ) -> Result<usize> {
         let t = self.topic(topic)?;
-        let slot = t
-            .partitions
-            .get(partition as usize)
-            .ok_or_else(|| SsError::Plan(format!("topic `{topic}` has no partition {partition}")))?;
-        let p = slot.state.lock();
+        let p = Self::slot(&t, topic, partition)?.state.lock();
         if from_offset < p.base_offset {
             return Err(SsError::Execution(format!(
                 "offset {from_offset} of {topic}/{partition} is below the retention \
@@ -383,15 +518,25 @@ impl MessageBus {
                 p.base_offset
             )));
         }
-        let idx = (from_offset - p.base_offset) as usize;
-        if idx >= p.records.len() {
-            return Ok(0);
+        let idx = usize::try_from(from_offset - p.base_offset).unwrap_or(usize::MAX);
+        let total = max.min(p.len.saturating_sub(idx));
+        let (mut skip, mut left, mut first_offset) = (p.head.saturating_add(idx), total, from_offset);
+        for c in &p.chunks {
+            if left == 0 {
+                break;
+            }
+            let len = c.len();
+            if skip >= len {
+                skip -= len;
+                continue;
+            }
+            let range = skip..len.min(skip + left);
+            f(first_offset, c, range.clone())?;
+            first_offset += range.len() as u64;
+            left -= range.len();
+            skip = 0;
         }
-        let end = (idx + max).min(p.records.len());
-        for rec in &p.records[idx..end] {
-            f(rec);
-        }
-        Ok(end - idx)
+        Ok(total)
     }
 
     /// Read a half-open offset range `[start, end)` from one partition.
@@ -436,7 +581,7 @@ impl MessageBus {
         let t = self.topic(topic)?;
         Ok(t.partitions
             .iter()
-            .map(|p| p.state.lock().records.len() as u64)
+            .map(|p| p.state.lock().len as u64)
             .sum())
     }
 
@@ -444,19 +589,17 @@ impl MessageBus {
     /// Frees capacity in bounded topics, waking blocked producers.
     pub fn truncate_before(&self, topic: &str, partition: u32, offset: u64) -> Result<()> {
         let t = self.topic(topic)?;
-        let slot = t
-            .partitions
-            .get(partition as usize)
-            .ok_or_else(|| SsError::Plan(format!("topic `{topic}` has no partition {partition}")))?;
+        let slot = Self::slot(&t, topic, partition)?;
         let mut p = slot.state.lock();
         if offset <= p.base_offset {
             return Ok(());
         }
-        let cut = ((offset - p.base_offset) as usize).min(p.records.len());
-        p.records.drain(..cut);
+        let cut = usize::try_from(offset - p.base_offset).map_or(p.len, |n| n.min(p.len));
+        let freed = p.drop_oldest(cut);
         p.base_offset = offset;
         drop(p);
         slot.space_freed.notify_all();
+        drop(freed);
         Ok(())
     }
 }
@@ -465,6 +608,7 @@ impl MessageBus {
 mod tests {
     use super::*;
     use ss_common::row;
+    use std::time::Instant;
 
     fn bus() -> MessageBus {
         let b = MessageBus::new();
@@ -539,6 +683,71 @@ mod tests {
         // Truncating backwards is a no-op.
         b.truncate_before("events", 0, 1).unwrap();
         assert_eq!(b.earliest_offsets("events").unwrap()[&0], 4);
+    }
+
+    fn chunk_lens(b: &MessageBus, topic: &str) -> Vec<usize> {
+        let t = b.topic(topic).unwrap();
+        let p = t.partitions[0].state.lock();
+        p.chunks.iter().map(Chunk::len).collect()
+    }
+
+    #[test]
+    fn small_appends_share_a_chunk_and_a_change_of_shape_seals_it() {
+        let b = bus();
+        for i in 0..100i64 {
+            b.append_at("events", 0, i, vec![row![i, "a"]]).unwrap();
+        }
+        b.append_at("events", 0, 0, vec![row![Value::Null, "b"], row![7i64, Value::Null]]).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [102]);
+        // Another type in a position, then another arity: a new chunk each.
+        b.append_at("events", 0, 0, vec![row!["x", "c"], row!["y", "d"]]).unwrap();
+        b.append_at("events", 0, 0, vec![row![1i64, "e", true]]).unwrap();
+        b.append_at("events", 0, 0, vec![row![2i64, "f", false]]).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [102, 2, 2]);
+        // Reads give back exactly what went in, shape by shape.
+        let r = b.read("events", 0, 100, 10).unwrap();
+        let rows: Vec<Row> = r.into_iter().map(|r| r.row).collect();
+        assert_eq!(
+            rows,
+            [
+                row![Value::Null, "b"],
+                row![7i64, Value::Null],
+                row!["x", "c"],
+                row!["y", "d"],
+                row![1i64, "e", true],
+                row![2i64, "f", false]
+            ]
+        );
+    }
+
+    #[test]
+    fn leading_nulls_are_back_filled_when_a_column_gets_its_type() {
+        let b = bus();
+        b.append_at("events", 0, 0, vec![row![Value::Null, 1i64], row![Value::Null, 2i64]]).unwrap();
+        b.append_at("events", 0, 0, vec![row![2.5, 3i64]]).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [3]);
+        let r = b.read("events", 0, 0, 10).unwrap();
+        assert_eq!(r[1].row, row![Value::Null, 2i64]);
+        assert_eq!(r[2].row, row![2.5, 3i64]);
+    }
+
+    #[test]
+    fn chunks_are_bounded_and_retention_drops_them_whole() {
+        let b = bus();
+        let n = CHUNK_ROWS as i64;
+        b.append_at("events", 0, 0, (0..2 * n + 10).map(|i| row![i])).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [CHUNK_ROWS, CHUNK_ROWS, 10]);
+        // A cut inside the first chunk keeps it (with a head offset) ...
+        b.truncate_before("events", 0, 5).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [CHUNK_ROWS, CHUNK_ROWS, 10]);
+        assert_eq!(b.read("events", 0, 5, 1).unwrap()[0].row, row![5i64]);
+        // ... one past its end drops it, one at the log's end drops all.
+        b.truncate_before("events", 0, n as u64 + 1).unwrap();
+        assert_eq!(chunk_lens(&b, "events"), [CHUNK_ROWS, 10]);
+        assert_eq!(b.read("events", 0, n as u64 + 1, 1).unwrap()[0].row, row![n + 1]);
+        b.truncate_before("events", 0, 2 * n as u64 + 10).unwrap();
+        assert!(chunk_lens(&b, "events").is_empty());
+        assert_eq!(b.append_at("events", 0, 0, vec![row![0i64]]).unwrap(), 2 * n as u64 + 10);
     }
 
     fn bounded(capacity: usize, overflow: OverflowPolicy) -> MessageBus {

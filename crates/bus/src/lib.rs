@@ -4,7 +4,8 @@
 //!
 //! * [`bus`] — an in-process, partitioned, offset-addressed message bus:
 //!   the Kafka/Kinesis stand-in. Topics are divided into partitions,
-//!   each an ordered log addressable by offset, so any range of recent
+//!   each an ordered log addressable by offset and stored as typed
+//!   column chunks (a batch read is a slice copy), so any range of recent
 //!   input can be re-read after a failure — the *replayability*
 //!   requirement the paper places on sources (§3, §6.1). Retention can
 //!   be truncated to simulate expired data.

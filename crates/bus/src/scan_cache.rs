@@ -3,9 +3,10 @@
 //! When N queries subscribe to the same topic, each one's epoch reads
 //! the same `(topic, offset-range)` slice of the bus. A [`ScanCache`]
 //! turns those N reads into one: the first subscriber to ask for a
-//! range pays the bus read and parks the materialized batch; the
-//! remaining subscribers get a clone of the cached columns (with their
-//! own projection applied at fan-out). Entries are reference-counted
+//! range pays the bus read and parks the materialized batch (anyone
+//! asking for the same range meanwhile waits for it rather than reading
+//! the bus too); the remaining subscribers copy their own projection
+//! out of the shared batch at fan-out. Entries are reference-counted
 //! by subscriber: an entry is dropped as soon as every registered
 //! subscriber of the source has read it, so steady-state residency is
 //! one in-flight epoch per topic, not a history.
@@ -16,9 +17,9 @@
 //! FIFO capacity evicts ranges that a lagging subscriber never came
 //! back for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 
 use parking_lot::Mutex;
 
@@ -45,7 +46,7 @@ pub struct ScanCacheStats {
 }
 
 struct Entry {
-    batch: RecordBatch,
+    batch: Arc<RecordBatch>,
     /// Registered subscribers (other than the one that populated the
     /// entry) still expected to read this range.
     remaining: usize,
@@ -58,6 +59,8 @@ struct CacheInner {
     entries: HashMap<String, Entry>,
     /// Insertion order, for the capacity bound.
     order: VecDeque<String>,
+    /// Keys some reader is fetching from the underlying source right now.
+    loading: HashSet<String>,
     /// Live subscriber count per source name.
     subscribers: HashMap<String, usize>,
 }
@@ -66,6 +69,9 @@ struct CacheInner {
 /// shared by every [`SharedScanSource`] of a multi-query engine.
 pub struct ScanCache {
     inner: Mutex<CacheInner>,
+    /// Signalled whenever a key leaves `loading`. (The vendored
+    /// `parking_lot` shim's `MutexGuard` is `std`'s.)
+    loaded: Condvar,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -81,6 +87,7 @@ impl ScanCache {
     pub fn new(capacity: usize) -> Arc<ScanCache> {
         Arc::new(ScanCache {
             inner: Mutex::new(CacheInner::default()),
+            loaded: Condvar::new(),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -141,7 +148,8 @@ impl ScanCache {
     /// Serve a full-range read for `source`, consulting the cache.
     /// The cached batch is always unprojected; `projection` is applied
     /// at fan-out so subscribers with different column sets still
-    /// share one bus read.
+    /// share one bus read. Misses are single-flight per key: a reader
+    /// that finds the range being fetched waits for that fetch.
     pub fn read_through(
         &self,
         source: &dyn Source,
@@ -149,29 +157,36 @@ impl ScanCache {
         projection: Option<&[usize]>,
     ) -> Result<RecordBatch> {
         let key = Self::key(source.name(), range);
-        {
-            let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock();
+        loop {
             if let Some(entry) = inner.entries.get_mut(&key) {
                 let batch = entry.batch.clone();
                 entry.remaining = entry.remaining.saturating_sub(1);
-                let spent = entry.remaining == 0;
-                if spent {
+                if entry.remaining == 0 {
                     inner.entries.remove(&key);
                     inner.order.retain(|k| k != &key);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
+                drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.fanned_rows
                     .fetch_add(batch.num_rows() as u64, Ordering::Relaxed);
-                return match projection {
-                    Some(idx) => batch.project(idx),
-                    None => Ok(batch),
-                };
+                return fan_out(batch, projection);
             }
+            if !inner.loading.contains(&key) {
+                break;
+            }
+            inner = self
+                .loaded
+                .wait(inner)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+        inner.loading.insert(key.clone());
+        drop(inner);
         // Miss: one read of the *full* row (unprojected), outside the
         // lock — a long bus read must not serialize other sources.
-        let batch = source.read_all_projected(range, None)?;
+        let in_flight = InFlight { cache: self, key };
+        let batch = Arc::new(source.read_all_projected(range, None)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.underlying_rows
             .fetch_add(batch.num_rows() as u64, Ordering::Relaxed);
@@ -183,15 +198,15 @@ impl ScanCache {
                 .copied()
                 .unwrap_or(1)
                 .saturating_sub(1);
-            if others > 0 && self.capacity > 0 && !inner.entries.contains_key(&key) {
+            if others > 0 && self.capacity > 0 && !inner.entries.contains_key(&in_flight.key) {
                 inner.entries.insert(
-                    key.clone(),
+                    in_flight.key.clone(),
                     Entry {
                         batch: batch.clone(),
                         remaining: others,
                     },
                 );
-                inner.order.push_back(key);
+                inner.order.push_back(in_flight.key.clone());
                 while inner.order.len() > self.capacity {
                     if let Some(old) = inner.order.pop_front() {
                         inner.entries.remove(&old);
@@ -200,10 +215,32 @@ impl ScanCache {
                 }
             }
         }
-        match projection {
-            Some(idx) => batch.project(idx),
-            None => Ok(batch),
-        }
+        drop(in_flight); // wakes the waiters, who now hit the entry
+        fan_out(batch, projection)
+    }
+}
+
+/// A subscriber's copy of a shared batch: its projected columns, or the
+/// batch itself (cloned only if the cache still holds it).
+fn fan_out(batch: Arc<RecordBatch>, projection: Option<&[usize]>) -> Result<RecordBatch> {
+    match projection {
+        Some(idx) => batch.project(idx),
+        None => Ok(Arc::unwrap_or_clone(batch)),
+    }
+}
+
+/// The marker of one underlying read in progress. Dropping it — also
+/// when the read fails or panics — clears the marker and wakes the
+/// readers waiting on the key; finding no entry, one of them reads.
+struct InFlight<'a> {
+    cache: &'a ScanCache,
+    key: String,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache.inner.lock().loading.remove(&self.key);
+        self.cache.loaded.notify_all();
     }
 }
 
@@ -330,6 +367,85 @@ mod tests {
         // and with both subscribers already served nothing should be).
         let _ = a.read_all_projected(&range, None).unwrap();
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// Delegates to a [`BusSource`]; the first whole-range read of a
+    /// round announces itself, then waits (bounded) for a second one to
+    /// reach the source — which only a cache that lets two readers miss
+    /// the same range together ever produces.
+    struct GatedSource {
+        inner: BusSource,
+        calls: AtomicU64,
+        first_in: std::sync::mpsc::Sender<()>,
+        second_in: (std::sync::Mutex<bool>, Condvar),
+    }
+
+    impl Source for GatedSource {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> SchemaRef {
+            self.inner.schema()
+        }
+        fn num_partitions(&self) -> u32 {
+            self.inner.num_partitions()
+        }
+        fn latest_offsets(&self) -> Result<PartitionOffsets> {
+            self.inner.latest_offsets()
+        }
+        fn read_partition(&self, partition: u32, start: u64, end: u64) -> Result<RecordBatch> {
+            self.inner.read_partition(partition, start, end)
+        }
+        fn read_all_projected(
+            &self,
+            range: &OffsetRange,
+            projection: Option<&[usize]>,
+        ) -> Result<RecordBatch> {
+            let (second, arrived) = &self.second_in;
+            if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                self.first_in.send(()).unwrap();
+                let wait = std::time::Duration::from_millis(100);
+                drop(arrived.wait_timeout_while(second.lock().unwrap(), wait, |s| !*s).unwrap());
+            } else {
+                *second.lock().unwrap() = true;
+                arrived.notify_all();
+            }
+            self.inner.read_all_projected(range, projection)
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_range_read_the_bus_once() {
+        let bus = mk_bus(10);
+        let (first_in, first_seen) = std::sync::mpsc::channel();
+        let gated = Arc::new(GatedSource {
+            inner: BusSource::new(bus, "t", schema()).unwrap(),
+            calls: AtomicU64::new(0),
+            first_in,
+            second_in: (std::sync::Mutex::new(false), Condvar::new()),
+        });
+        let cache = ScanCache::new(16);
+        let a = SharedScanSource::new(gated.clone(), cache.clone());
+        let b = SharedScanSource::new(gated.clone(), cache.clone());
+        let whole = full_range(gated.as_ref());
+        let mut half = whole.clone();
+        half.end = half.end.iter().map(|(&p, &o)| (p, o / 2)).collect();
+        for (round, range) in [(1, &half), (2, &whole)] {
+            gated.calls.store(0, Ordering::SeqCst);
+            *gated.second_in.0.lock().unwrap() = false;
+            std::thread::scope(|s| {
+                let first = s.spawn(|| a.read_all_projected(range, Some(&[1])).unwrap());
+                // `a` is inside the underlying read when `b` asks.
+                first_seen.recv().unwrap();
+                let second = s.spawn(|| b.read_all_projected(range, Some(&[1])).unwrap());
+                assert_eq!(first.join().unwrap(), second.join().unwrap());
+            });
+            assert_eq!(gated.calls.load(Ordering::SeqCst), 1, "one bus read per range");
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.hits), (round, round));
+        }
+        // Every record of either range came off the bus exactly once.
+        assert_eq!(cache.stats().underlying_rows, half.num_records() + whole.num_records());
     }
 
     #[test]

@@ -160,7 +160,10 @@ impl BusSource {
     }
 
     /// Append `[start, end)` of one partition into shared column
-    /// builders, visiting log records in place (no per-record clone).
+    /// builders: per chunk of the log and per projected column, one
+    /// typed slice copy ([`ss_common::ColumnBuilder::extend_from_column`],
+    /// which also carries `push`'s coercions and type errors for a
+    /// chunk whose types differ from the schema's).
     fn append_partition(
         &self,
         partition: u32,
@@ -176,34 +179,23 @@ impl BusSource {
         }
         self.faults.fire(failpoints::BUS_READ)?;
         let n = (end - start) as usize;
-        let mut err: Option<SsError> = None;
-        let mut seen = 0usize;
-        self.bus
-            .read_with(&self.topic, partition, start, n, &mut |rec| {
-                if err.is_some() {
-                    return;
+        let seen = self.bus.scan(&self.topic, partition, start, n, &mut |offset, chunk, range| {
+            if chunk.columns.len() != self.schema.len() {
+                return Err(SsError::Schema(format!(
+                    "record at {}/{partition}:{offset} has {} values, schema has {}",
+                    self.topic,
+                    chunk.columns.len(),
+                    self.schema.len()
+                )));
+            }
+            for (b, &i) in builders.iter_mut().zip(indices) {
+                match &chunk.columns[i] {
+                    Some(c) => b.extend_from_column(c.column(), range.start, range.end)?,
+                    None => b.push_nulls(range.len()),
                 }
-                if rec.row.len() != self.schema.len() {
-                    err = Some(SsError::Schema(format!(
-                        "record at {}/{partition}:{} has {} values, schema has {}",
-                        self.topic,
-                        rec.offset,
-                        rec.row.len(),
-                        self.schema.len()
-                    )));
-                    return;
-                }
-                for (b, &i) in builders.iter_mut().zip(indices) {
-                    if let Err(e) = b.push(rec.row.get(i)) {
-                        err = Some(e);
-                        return;
-                    }
-                }
-                seen += 1;
-            })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
+            }
+            Ok(())
+        })?;
         if seen != n {
             return Err(SsError::Execution(format!(
                 "short read on {}/{partition}: wanted {n} records from {start}, got {seen}",
@@ -260,8 +252,8 @@ impl Source for BusSource {
         self.read_partition_projected(partition, start, end, None)
     }
 
-    /// Build only the projected columns, visiting log records in place
-    /// (no per-record clone): the vectorized read path.
+    /// Build only the projected columns, copied out of the log's
+    /// column chunks: the vectorized read path.
     fn read_partition_projected(
         &self,
         partition: u32,
@@ -296,7 +288,7 @@ impl Source for BusSource {
     }
 
     /// Every bus record carries the wall-clock time `append` stamped on
-    /// it; scan the range (in place, no clone) for the min/max.
+    /// it; min/max over the stamp runs (one per append) of the range.
     fn ingest_bounds(&self, range: &OffsetRange) -> Result<Option<(i64, i64)>> {
         let mut min = i64::MAX;
         let mut max = i64::MIN;
@@ -305,16 +297,13 @@ impl Source for BusSource {
             if end <= start {
                 continue;
             }
-            self.bus.read_with(
-                &self.topic,
-                p,
-                start,
-                (end - start) as usize,
-                &mut |rec| {
-                    min = min.min(rec.ingest_time_us);
-                    max = max.max(rec.ingest_time_us);
-                },
-            )?;
+            self.bus.scan(&self.topic, p, start, (end - start) as usize, &mut |_, chunk, range| {
+                for (_, t) in chunk.stamp_runs(range) {
+                    min = min.min(t);
+                    max = max.max(t);
+                }
+                Ok(())
+            })?;
         }
         if min > max {
             return Ok(None); // empty range
@@ -579,6 +568,51 @@ mod tests {
         assert_eq!(src.ingest_bounds(&empty).unwrap(), None);
         let gen = GeneratorSource::new("g", schema(), 1, Arc::new(|_, o| row![o as i64, "x"]));
         assert_eq!(gen.ingest_bounds(&full).unwrap(), None);
+    }
+
+    #[test]
+    fn bus_source_coerces_int_into_float_and_timestamp_columns() {
+        let schema = Schema::of(vec![
+            Field::new("f", DataType::Float64),
+            Field::new("t", DataType::Timestamp),
+        ]);
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("t", 1).unwrap();
+        // A chunk of the schema's own types, then one of BIGINTs.
+        bus.append_at("t", 0, 0, vec![row![0.5, Value::Timestamp(7)]]).unwrap();
+        bus.append_at("t", 0, 0, vec![row![2i64, 9i64], row![Value::Null, 11i64]]).unwrap();
+        let src = BusSource::new(bus, "t", schema).unwrap();
+        let batch = src.read_partition(0, 0, 3).unwrap();
+        assert_eq!(
+            batch.to_rows(),
+            vec![
+                row![0.5, Value::Timestamp(7)],
+                row![2.0, Value::Timestamp(9)],
+                row![Value::Null, Value::Timestamp(11)]
+            ]
+        );
+    }
+
+    #[test]
+    fn bus_source_names_the_record_or_value_that_does_not_fit_the_schema() {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("t", 1).unwrap();
+        bus.append_at("t", 0, 0, vec![row![1i64, "a"], row![2i64, "b"]]).unwrap();
+        bus.append_at("t", 0, 0, vec![row![3i64, "c", true]]).unwrap();
+        bus.append_at("t", 0, 0, vec![row![Value::Null, "d"], row!["five", "e"]]).unwrap();
+        let src = BusSource::new(bus, "t", schema()).unwrap();
+        assert_eq!(src.read_partition(0, 0, 2).unwrap().num_rows(), 2);
+        // Wrong arity: topic, partition and offset of the record.
+        let err = src.read_partition(0, 1, 5).unwrap_err();
+        assert!(matches!(err, SsError::Schema(_)), "{err:?}");
+        assert!(err.to_string().contains("record at t/0:2 has 3 values, schema has 2"), "{err}");
+        // Wrong type: the value and the column it cannot go into —
+        // unless the projection leaves that column out.
+        let err = src.read_partition(0, 3, 5).unwrap_err();
+        assert!(matches!(err, SsError::Type(_)), "{err:?}");
+        assert!(err.to_string().contains("cannot append five to BIGINT column"), "{err}");
+        let names = src.read_partition_projected(0, 3, 5, Some(&[1])).unwrap();
+        assert_eq!(names.to_rows(), vec![row!["d"], row!["e"]]);
     }
 
     #[test]

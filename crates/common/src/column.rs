@@ -96,6 +96,7 @@ impl<T: Clone> TypedColumn<T> {
     /// Append a value or null. The placeholder (filling null slots) is
     /// only constructed when actually needed, keeping the hot non-null
     /// path allocation-free.
+    #[inline]
     pub fn push(&mut self, v: Option<T>, placeholder: impl FnOnce() -> T) {
         match v {
             Some(v) => {
@@ -110,6 +111,21 @@ impl<T: Clone> TypedColumn<T> {
                 self.values.push(placeholder());
             }
         }
+    }
+
+    /// Append `src[start..end]`: one slice copy of the values, and of
+    /// the validity bits only if the range holds a NULL (so a bitmap
+    /// appears exactly when value-by-value `push` would create one).
+    pub fn extend_from_slice(&mut self, src: &TypedColumn<T>, start: usize, end: usize) {
+        let len = self.values.len();
+        match &src.nulls {
+            Some(s) if (start..end).any(|i| !s.get(i)) => {
+                let nulls = self.nulls.get_or_insert_with(|| Bitmap::filled(len, true));
+                (start..end).for_each(|i| nulls.push(s.get(i)));
+            }
+            _ => self.nulls.iter_mut().for_each(|n| (start..end).for_each(|_| n.push(true))),
+        }
+        self.values.extend_from_slice(&src.values[start..end]);
     }
 
     /// Keep rows where `mask` is true.
@@ -236,9 +252,7 @@ impl Column {
     /// A column of `len` NULLs of the given type.
     pub fn nulls(ty: DataType, len: usize) -> Column {
         let mut b = Column::builder(ty);
-        for _ in 0..len {
-            b.push_null();
-        }
+        b.push_nulls(len);
         b.finish()
     }
 
@@ -264,6 +278,7 @@ impl Column {
         ColumnBuilder::new(ty)
     }
 
+    #[inline]
     pub fn data_type(&self) -> DataType {
         match self {
             Column::Boolean(_) => DataType::Boolean,
@@ -293,6 +308,7 @@ impl Column {
     }
 
     /// Scalar value at `i`.
+    #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
             Column::Boolean(c) => c.get(i).map_or(Value::Null, |v| Value::Boolean(*v)),
@@ -436,6 +452,7 @@ impl ColumnBuilder {
         ColumnBuilder { column }
     }
 
+    #[inline]
     pub fn data_type(&self) -> DataType {
         self.column.data_type()
     }
@@ -446,6 +463,11 @@ impl ColumnBuilder {
 
     pub fn is_empty(&self) -> bool {
         self.column.is_empty()
+    }
+
+    /// The column built so far.
+    pub fn column(&self) -> &Column {
+        &self.column
     }
 
     /// Append a scalar, coercing NULLs and exact-type matches only.
@@ -469,6 +491,22 @@ impl ColumnBuilder {
         Ok(())
     }
 
+    /// [`ColumnBuilder::push`] of a value the caller gives up: a string
+    /// moves in without touching its reference count (everything else
+    /// goes through `push`). Inlined into its callers: the bus's append
+    /// runs it once per value, where a call (value and `Result` through
+    /// memory) costs more than the push.
+    #[inline(always)]
+    pub fn push_owned(&mut self, v: Value) -> Result<()> {
+        match (&mut self.column, v) {
+            (Column::Utf8(c), Value::Utf8(s)) => c.push(Some(s), || Arc::from("")),
+            (Column::Int64(c), Value::Int64(x)) => c.push(Some(x), || 0),
+            (Column::Timestamp(c), Value::Timestamp(x)) => c.push(Some(x), || 0),
+            (_, v) => return self.push(&v),
+        }
+        Ok(())
+    }
+
     /// Append a NULL.
     pub fn push_null(&mut self) {
         match &mut self.column {
@@ -478,6 +516,33 @@ impl ColumnBuilder {
             Column::Utf8(c) => c.push(None, || Arc::from("")),
             Column::Timestamp(c) => c.push(None, || 0),
         }
+    }
+
+    /// Append `n` NULLs.
+    pub fn push_nulls(&mut self, n: usize) {
+        (0..n).for_each(|_| self.push_null());
+    }
+
+    /// Append `src[start..end]`. A column of the builder's own type
+    /// (or BIGINT into TIMESTAMP, which share a representation) is a
+    /// typed slice copy; anything else goes value by value through
+    /// [`ColumnBuilder::push`], whose coercions and type errors apply.
+    pub fn extend_from_column(&mut self, src: &Column, start: usize, end: usize) -> Result<()> {
+        match (&mut self.column, src) {
+            (Column::Boolean(d), Column::Boolean(s)) => d.extend_from_slice(s, start, end),
+            (Column::Int64(d), Column::Int64(s))
+            | (Column::Timestamp(d), Column::Timestamp(s) | Column::Int64(s)) => {
+                d.extend_from_slice(s, start, end)
+            }
+            (Column::Float64(d), Column::Float64(s)) => d.extend_from_slice(s, start, end),
+            (Column::Utf8(d), Column::Utf8(s)) => d.extend_from_slice(s, start, end),
+            _ => {
+                for i in start..end {
+                    self.push(&src.value(i))?;
+                }
+            }
+        }
+        Ok(())
     }
 
     pub fn finish(self) -> Column {
@@ -569,6 +634,50 @@ mod tests {
         let mut b = Column::builder(DataType::Timestamp);
         b.push(&Value::Int64(5)).unwrap();
         assert_eq!(b.finish().value(0), Value::Timestamp(5));
+    }
+
+    #[test]
+    fn extend_from_column_copies_slices_and_keeps_validity_canonical() {
+        let src = int_col(vec![Some(1), None, Some(3), Some(4), Some(5)]);
+        let mut b = Column::builder(DataType::Int64);
+        // A range without NULLs creates no bitmap, like `push` would not.
+        b.extend_from_column(&src, 2, 5).unwrap();
+        assert!(b.column().as_i64().unwrap().validity().is_none());
+        // One with a NULL back-fills validity for what came before.
+        b.extend_from_column(&src, 0, 3).unwrap();
+        b.extend_from_column(&int_col(vec![Some(9)]), 0, 1).unwrap();
+        b.push_nulls(2);
+        let want = [Some(3), Some(4), Some(5), Some(1), None, Some(3), Some(9), None, None];
+        assert_eq!(b.finish(), int_col(want.to_vec()));
+    }
+
+    #[test]
+    fn extend_from_column_coerces_like_push() {
+        let ints = int_col(vec![Some(2), None]);
+        let mut f = Column::builder(DataType::Float64);
+        f.extend_from_column(&ints, 0, 2).unwrap();
+        assert_eq!(f.finish().to_values(), vec![Value::Float64(2.0), Value::Null]);
+        let mut t = Column::builder(DataType::Timestamp);
+        t.extend_from_column(&ints, 0, 1).unwrap();
+        assert_eq!(t.finish().to_values(), vec![Value::Timestamp(2)]);
+        // The other way round stays an error, as does any other mix —
+        // but only for values actually present.
+        let stamps = Column::from_values(DataType::Timestamp, &[Value::Null, Value::Timestamp(5)]).unwrap();
+        let mut i = Column::builder(DataType::Int64);
+        i.extend_from_column(&stamps, 0, 1).unwrap();
+        let err = i.extend_from_column(&stamps, 1, 2).unwrap_err();
+        assert!(err.to_string().contains("cannot append"), "{err}");
+        assert_eq!(i.finish().to_values(), vec![Value::Null]);
+    }
+
+    #[test]
+    fn push_owned_moves_the_value_in() {
+        let s: Arc<str> = Arc::from("x");
+        let mut b = Column::builder(DataType::Utf8);
+        b.push_owned(Value::Utf8(s.clone())).unwrap();
+        b.push(&Value::Utf8(s.clone())).unwrap();
+        assert_eq!(Arc::strong_count(&s), 3);
+        assert!(b.push_owned(Value::Int64(1)).is_err());
     }
 
     #[test]

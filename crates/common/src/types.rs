@@ -92,6 +92,7 @@ impl Value {
     }
 
     /// The value's type, or `None` for NULL (which is typeless).
+    #[inline]
     pub fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,

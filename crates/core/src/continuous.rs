@@ -553,20 +553,30 @@ impl ContinuousQuery {
         self.shared.error.lock().clone()
     }
 
-    /// Stop workers and the coordinator; returns collected latencies
-    /// (µs), sorted ascending.
-    pub fn stop(self) -> Result<Vec<i64>> {
+    /// Signal every thread to stop and join it; `Err` if one panicked.
+    /// Joined handles are taken, so a second call has nothing to do.
+    fn join_all(&mut self) -> Result<()> {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for w in self.workers {
-            w.thread().unpark();
-            w.join()
-                .map_err(|_| SsError::Execution("continuous worker panicked".into()))?;
+        let threads = self
+            .workers
+            .drain(..)
+            .map(|w| (w, "worker"))
+            .chain(self.coordinator.take().map(|c| (c, "coordinator")));
+        let mut result = Ok(());
+        for (thread, role) in threads {
+            thread.thread().unpark();
+            if thread.join().is_err() {
+                result = Err(SsError::Execution(format!("continuous {role} panicked")));
+            }
         }
-        if let Some(c) = self.coordinator {
-            c.thread().unpark();
-            c.join()
-                .map_err(|_| SsError::Execution("continuous coordinator panicked".into()))?;
-        }
+        result
+    }
+
+    /// Stop workers and the coordinator; returns collected latencies
+    /// (µs), sorted ascending. (Dropping an un-stopped query stops and
+    /// joins them too, discarding the latencies and any worker error.)
+    pub fn stop(mut self) -> Result<Vec<i64>> {
+        self.join_all()?;
         if let Some(e) = self.shared.error.lock().take() {
             self.shared
                 .events
@@ -579,6 +589,13 @@ impl ContinuousQuery {
         let mut lat = std::mem::take(&mut *self.shared.latencies_us.lock());
         lat.sort_unstable();
         Ok(lat)
+    }
+}
+
+impl Drop for ContinuousQuery {
+    fn drop(&mut self) {
+        // A leaked query's workers would poll the bus forever.
+        let _ = self.join_all();
     }
 }
 
@@ -737,6 +754,58 @@ mod tests {
         // full reprocessing window, not the whole history.
         q2.stop().unwrap();
         assert!(processed.load(Ordering::SeqCst) <= 20 + 1 + 20);
+    }
+
+    #[test]
+    fn dropping_an_unstopped_query_stops_and_joins_its_threads() {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 2).unwrap();
+        let backend: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
+        let processed = Arc::new(AtomicU64::new(0));
+        let p2 = processed.clone();
+        // Held by `start` while it spawns, then only by the workers.
+        let sink: RecordSink = Arc::new(move |_p, _row| {
+            p2.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        let sink_held = Arc::downgrade(&sink);
+        let q = ContinuousQuery::start(
+            &map_plan(),
+            bus.clone(),
+            "in",
+            sink,
+            Some(backend.clone()),
+            ContinuousConfig {
+                epoch_interval_us: 1_000,
+                idle_sleep: Duration::from_micros(50),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for i in 0..10i64 {
+            bus.append("in", (i % 2) as u32, vec![row!["view", i]]).unwrap();
+        }
+        let wal = WriteAheadLog::new(backend);
+        let committed = || {
+            let epoch = wal.latest_commit().unwrap()?;
+            Some(wal.read_offsets(epoch).unwrap()?.sources["in"].end.clone())
+        };
+        let all: ss_common::PartitionOffsets = [(0, 5), (1, 5)].into();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while committed() != Some(all.clone()) {
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(sink_held.upgrade().is_some(), "the workers hold the sink");
+
+        drop(q); // no stop(): the drop has to end the threads
+        // Every thread was joined, so whatever it owned is gone ...
+        assert!(sink_held.upgrade().is_none(), "a worker outlived the drop");
+        // ... and nothing reads the topic or cuts epochs any more.
+        bus.append("in", 0, vec![row!["view", 10i64]]).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(processed.load(Ordering::SeqCst), 10);
+        assert_eq!(committed(), Some(all));
     }
 
     #[test]
