@@ -35,6 +35,8 @@
 //!   jitter for transient failures.
 //! * [`frame`] — CRC32 integrity frames around WAL records and
 //!   checkpoint blobs.
+//! * [`codec`] — the binary [`Value`]/[`Row`] encoding state checkpoints
+//!   are written in, with a bounds-checked reader.
 //! * [`shuffle`] — the stable FNV-1a row hash that assigns keys to
 //!   shuffle partitions in data-parallel execution.
 //! * [`SsError`] — the error type shared across the workspace.
@@ -42,6 +44,7 @@
 pub mod batch;
 pub mod bitmap;
 pub mod clock;
+pub mod codec;
 pub mod column;
 pub mod error;
 pub mod eventlog;

@@ -10,14 +10,38 @@
 //! * [`StateStore`] — keyed state for any number of stateful operators
 //!   (aggregations, stream–stream join buffers, `mapGroupsWithState`
 //!   keys), tagged with the epoch of each checkpoint;
-//! * delta + periodic full checkpoints in human-readable JSON, written
-//!   atomically through a pluggable [`CheckpointBackend`] (local
-//!   filesystem standing in for HDFS/S3, plus an in-memory backend for
-//!   tests);
+//! * delta + periodic full checkpoints in one compact binary encoding
+//!   (below), written atomically through a pluggable
+//!   [`CheckpointBackend`] (local filesystem standing in for HDFS/S3,
+//!   plus an in-memory backend for tests);
 //! * point-in-time [`StateStore::restore`] to any retained epoch, which
 //!   is what both failure recovery and manual rollback (§7.2) build on;
 //! * [`StateStore::truncate_after`] to discard checkpoints past a
-//!   rollback point.
+//!   rollback point;
+//! * [`StateStore::dump_json`] to read any retained checkpoint as JSON.
+//!
+//! ## Checkpoint format
+//!
+//! A blob is `state/chk-<epoch>-{full,delta}.bin`: an `ss_common::frame`
+//! CRC frame around a body encoded by reference from the operator maps
+//! (rows and values as in [`ss_common::codec`]; varints are LEB128):
+//!
+//! ```text
+//! body  = "SSCK", version u8, kind u8 (0 delta | 1 full), epoch u64 LE,
+//!         varint #ops, op*
+//! op    = name (varint length, UTF-8), varint #entries, entry*,
+//!         varint #removed, row*          -- removed keys: deltas only
+//! entry = key row, timeout value (NULL | Int64), varint #values, row*
+//! ```
+//!
+//! A spill blob (`state/spill/<op>.bin`) is a full body holding one
+//! operator. Every count is checked against the bytes that remain, so a
+//! malformed body is `Corruption` (which `restore_best` skips); a
+//! version newer than this build is `Unsupported`, which propagates —
+//! skipping it would roll state back and prune the newer chain. Blobs
+//! written by older builds (`….json`, the serde form of the same
+//! document) are still read; nothing writes them. The WAL, the manifest
+//! and the HA lease remain JSON.
 
 pub mod backend;
 pub mod metrics;

@@ -36,6 +36,8 @@ pub struct StateMetrics {
     pub spill_reloads: Counter,
     /// `ss_state_checkpoint_us` — time to write one checkpoint.
     pub checkpoint_us: Histogram,
+    /// `ss_state_checkpoint_bytes` — framed size of each checkpoint blob.
+    pub checkpoint_bytes: Histogram,
     /// `ss_state_restore_us` — time to restore from checkpoints.
     pub restore_us: Histogram,
 }
@@ -64,6 +66,7 @@ impl StateMetrics {
             "Spilled operators transparently reloaded on access.",
         );
         registry.describe("ss_state_checkpoint_us", "State checkpoint write latency.");
+        registry.describe("ss_state_checkpoint_bytes", "Bytes written per state checkpoint.");
         registry.describe("ss_state_restore_us", "State restore latency.");
         Arc::new(StateMetrics {
             gets: registry.counter("ss_state_gets_total", &[]),
@@ -76,6 +79,7 @@ impl StateMetrics {
             spilled_bytes: registry.gauge("ss_state_spilled_bytes", &[]),
             spill_reloads: registry.counter("ss_state_spill_reloads_total", &[]),
             checkpoint_us: registry.histogram("ss_state_checkpoint_us", &[]),
+            checkpoint_bytes: registry.histogram("ss_state_checkpoint_bytes", &[]),
             restore_us: registry.histogram("ss_state_restore_us", &[]),
         })
     }

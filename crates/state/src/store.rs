@@ -11,8 +11,10 @@
 //! of the recovery protocol (§6.1), and also the substrate for manual
 //! rollback (§7.2).
 //!
-//! Checkpoints are JSON (like the paper's WAL) so an operator can
-//! inspect state with a text editor.
+//! Checkpoints are one compact binary encoding (the format is laid out
+//! in the crate docs), written by reference straight from the operator
+//! maps; [`StateStore::dump_json`] renders any retained checkpoint as
+//! JSON for a person to read.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,8 +23,9 @@ use std::time::Instant;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
+use ss_common::codec::{put_row, put_str, put_value, put_varint, Reader};
 use ss_common::fault::FaultRegistry;
-use ss_common::{frame, MetricsRegistry, Result, Row, SsError};
+use ss_common::{frame, MetricsRegistry, Result, Row, SsError, Value};
 
 use crate::backend::CheckpointBackend;
 use crate::metrics::StateMetrics;
@@ -89,7 +92,9 @@ impl OpState {
 
     pub fn put(&mut self, key: Row, entry: StateEntry) {
         self.removed.remove(&key);
-        self.dirty.insert(key.clone());
+        if !self.dirty.contains(&key) {
+            self.dirty.insert(key.clone());
+        }
         let key_bytes = key.approx_bytes();
         let new_payload = Self::payload_bytes(&entry);
         let prev = self.map.insert(key, entry);
@@ -207,11 +212,110 @@ struct OpCheckpoint {
     removed: Vec<Row>,
 }
 
+/// A decoded checkpoint. Binary blobs decode into it, legacy (v1) JSON
+/// blobs *are* its serde form, and [`StateStore::dump_json`] renders
+/// it; nothing on the write path builds one.
 #[derive(Debug, Serialize, Deserialize)]
 struct CheckpointFile {
     epoch: u64,
     kind: String, // "full" | "delta"
     ops: Vec<OpCheckpoint>,
+}
+
+/// First bytes of a binary checkpoint body; legacy bodies start with `{`.
+const BODY_MAGIC: &[u8; 4] = b"SSCK";
+/// Body format this build writes, and the newest it reads.
+const BODY_VERSION: u8 = 1;
+
+fn put_entry(out: &mut Vec<u8>, key: &Row, entry: &StateEntry) {
+    put_row(out, key);
+    put_value(out, &entry.timeout_at.map_or(Value::Null, Value::Int64));
+    put_varint(out, entry.values.len() as u64);
+    for row in &entry.values {
+        put_row(out, row);
+    }
+}
+
+/// Encode a checkpoint body by reference from the operator maps: every
+/// entry of each operator when `full`, else its dirty entries and
+/// removed keys (see the crate docs for the layout).
+fn encode_body<'a>(
+    epoch: u64,
+    full: bool,
+    ops: impl ExactSizeIterator<Item = (&'a str, &'a OpState)>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 * 1024);
+    out.extend_from_slice(BODY_MAGIC);
+    out.extend_from_slice(&[BODY_VERSION, u8::from(full)]);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    put_varint(&mut out, ops.len() as u64);
+    for (id, st) in ops {
+        put_str(&mut out, id);
+        if full {
+            put_varint(&mut out, st.map.len() as u64);
+            st.map.iter().for_each(|(k, e)| put_entry(&mut out, k, e));
+            put_varint(&mut out, 0);
+        } else {
+            // Every dirty key is in the map: `put` adds it to both and
+            // `remove` takes it from both, so the count is exact.
+            put_varint(&mut out, st.dirty.len() as u64);
+            st.dirty.iter().for_each(|k| put_entry(&mut out, k, &st.map[k]));
+            put_varint(&mut out, st.removed.len() as u64);
+            st.removed.iter().for_each(|k| put_row(&mut out, k));
+        }
+    }
+    out
+}
+
+/// Parse a binary body. Counts are checked against the bytes that
+/// remain before anything is reserved (the argument of `count` is the
+/// smallest encoding of one element), so a malformed body is
+/// `Corruption`, never a panic or an outsized allocation.
+fn decode_body(body: &[u8]) -> Result<CheckpointFile> {
+    let bad = |what: &str| SsError::Corruption(what.to_string());
+    let mut rd = Reader(body);
+    if rd.bytes(4)? != BODY_MAGIC {
+        return Err(bad("not a checkpoint body"));
+    }
+    match rd.u8()? {
+        0 => return Err(bad("state format v0 does not exist")),
+        1..=BODY_VERSION => {}
+        // Not corruption: `restore_best` must stop here, not skip the
+        // blob and prune the chain a newer build wrote.
+        v => {
+            return Err(SsError::Unsupported(format!(
+                "state format v{v} is newer than this build reads (v{BODY_VERSION})"
+            )))
+        }
+    }
+    let kind = match rd.u8()? {
+        0 => "delta",
+        1 => "full",
+        _ => return Err(bad("unknown checkpoint kind")),
+    };
+    let epoch = rd.u64()?;
+    let mut ops = Vec::new();
+    for _ in 0..rd.count(3)? {
+        let op = rd.str()?.to_string();
+        let n_entries = rd.count(3)?;
+        let mut entries = Vec::with_capacity(n_entries);
+        for _ in 0..n_entries {
+            let key = rd.row()?;
+            let timeout_at = match rd.value()? {
+                Value::Null => None,
+                Value::Int64(t) => Some(t),
+                _ => return Err(bad("timeout is neither NULL nor an Int64")),
+            };
+            let values = (0..rd.count(1)?).map(|_| rd.row()).collect::<Result<_>>()?;
+            entries.push(SerializedEntry { key, entry: StateEntry { values, timeout_at } });
+        }
+        let removed = (0..rd.count(1)?).map(|_| rd.row()).collect::<Result<_>>()?;
+        ops.push(OpCheckpoint { op, entries, removed });
+    }
+    if !rd.0.is_empty() {
+        return Err(bad("trailing bytes after the last operator"));
+    }
+    Ok(CheckpointFile { epoch, kind: kind.into(), ops })
 }
 
 /// Soft and hard bounds on the store's approximate in-memory bytes.
@@ -258,6 +362,9 @@ pub struct StateStore {
     /// [`StateStore::operator`]; surfaced by
     /// [`StateStore::check_health`] before results become durable.
     reload_errors: Vec<SsError>,
+    /// Legacy-named (`.json`) checkpoint blobs found in the backend,
+    /// listed at the first checkpoint (`None` until then).
+    legacy_blobs: Option<Vec<String>>,
 }
 
 impl StateStore {
@@ -273,6 +380,7 @@ impl StateStore {
             spilled: BTreeMap::new(),
             access_clock: 0,
             reload_errors: Vec::new(),
+            legacy_blobs: None,
         }
     }
 
@@ -410,42 +518,56 @@ impl StateStore {
         self.spilled.keys().cloned().collect()
     }
 
-    fn key_for(epoch: u64, kind: &str) -> String {
+    fn key_for(epoch: u64, full: bool) -> String {
         // Zero-padded so lexicographic listing equals numeric order.
-        format!("state/chk-{epoch:020}-{kind}.json")
+        let kind = if full { "full" } else { "delta" };
+        format!("state/chk-{epoch:020}-{kind}.bin")
     }
 
     fn spill_key(op: &str) -> String {
         // Distinct prefix from `state/chk-` so checkpoint listings and
         // epoch parsing never see spill blobs.
-        format!("state/spill/{op}.json")
+        format!("state/spill/{op}.bin")
     }
 
+    /// `(epoch, is_full)` of a checkpoint key; `.json` is the suffix of
+    /// the legacy (v1) blobs, which are still read but never written.
     fn parse_key(key: &str) -> Option<(u64, bool)> {
         let name = key.strip_prefix("state/chk-")?;
         let (epoch_str, kind) = name.split_once('-')?;
         let epoch = epoch_str.parse().ok()?;
         match kind {
-            "full.json" => Some((epoch, true)),
-            "delta.json" => Some((epoch, false)),
+            "full.bin" | "full.json" => Some((epoch, true)),
+            "delta.bin" | "delta.json" => Some((epoch, false)),
             _ => None,
         }
     }
 
-    /// Decode a checkpoint blob: unwrap the CRC frame (blobs written
-    /// before framing existed are read as-is) and parse the JSON.
-    /// Integrity failures map to [`SsError::Corruption`] naming the blob.
+    /// Decode a state blob: unwrap the CRC frame, then parse the binary
+    /// body — or, for a blob an older build wrote, the v1 JSON document
+    /// (this is the one legacy reader; the oldest were not framed).
+    /// Integrity failures are [`SsError::Corruption`] naming the blob; a
+    /// body newer than this build is [`SsError::Unsupported`].
     fn decode_checkpoint(data: &[u8], key: &str) -> Result<CheckpointFile> {
+        let named = |e: SsError| match e {
+            SsError::Corruption(m) => SsError::Corruption(format!("checkpoint {key}: {m}")),
+            SsError::Unsupported(m) => SsError::Unsupported(format!("checkpoint {key}: {m}")),
+            other => other,
+        };
         let payload;
         let bytes: &[u8] = if frame::is_framed(data) {
-            payload = frame::decode(data)
-                .map_err(|e| SsError::Corruption(format!("checkpoint {key}: {e}")))?;
+            payload = frame::decode(data).map_err(named)?;
             &payload
         } else {
             data
         };
-        serde_json::from_slice(bytes)
-            .map_err(|e| SsError::Corruption(format!("checkpoint {key}: bad JSON: {e}")))
+        let parsed = if bytes.starts_with(BODY_MAGIC) {
+            decode_body(bytes)
+        } else {
+            serde_json::from_slice(bytes)
+                .map_err(|e| SsError::Corruption(format!("bad JSON: {e}")))
+        };
+        parsed.map_err(named)
     }
 
     /// Write one operator's full contents to its spill blob and drop it
@@ -454,18 +576,9 @@ impl StateStore {
     fn spill_op(&mut self, id: &str) -> Result<u64> {
         let op = self.ops.get_mut(id).expect("spill candidate exists");
         debug_assert!(op.is_clean(), "only clean operators may spill");
-        let entries: Vec<SerializedEntry> = op
-            .map
-            .iter()
-            .map(|(k, e)| SerializedEntry {
-                key: k.clone(),
-                entry: e.clone(),
-            })
-            .collect();
-        let data = serde_json::to_vec(&entries)
-            .map_err(|e| SsError::Serde(format!("spill encode for `{id}`: {e}")))?;
+        let body = encode_body(0, true, std::iter::once((id, &*op)));
         self.backend
-            .write_atomic(&Self::spill_key(id), &frame::encode(&data))?;
+            .write_atomic(&Self::spill_key(id), &frame::encode(&body))?;
         let freed = op.bytes as u64;
         let keys_freed = op.map.len() as i64;
         op.map = FxHashMap::default();
@@ -486,12 +599,11 @@ impl StateStore {
         let data = self.backend.read(&key)?.ok_or_else(|| {
             SsError::Execution(format!("spill blob {key} disappeared before reload"))
         })?;
-        let payload = frame::decode(&data)
-            .map_err(|e| SsError::Corruption(format!("spill {key}: {e}")))?;
-        let entries: Vec<SerializedEntry> = serde_json::from_slice(&payload)
-            .map_err(|e| SsError::Corruption(format!("spill {key}: bad JSON: {e}")))?;
+        let spilled = Self::decode_checkpoint(&data, &key)?.ops.pop().ok_or_else(|| {
+            SsError::Corruption(format!("spill {key} holds no operator"))
+        })?;
         let op = self.ops.entry(id.to_string()).or_default();
-        op.load(entries.into_iter().map(|e| (e.key, e.entry)).collect());
+        op.load(spilled.entries.into_iter().map(|e| (e.key, e.entry)).collect());
         let keys_loaded = op.map.len() as i64;
         let bytes_loaded = op.bytes as i64;
         self.backend.delete(&key)?;
@@ -603,58 +715,54 @@ impl StateStore {
                 self.reload_spilled(&id)?;
             }
         }
-        let mut ops = Vec::with_capacity(self.ops.len());
-        for (id, st) in &self.ops {
-            let entries: Vec<SerializedEntry> = if full {
-                st.map
-                    .iter()
-                    .map(|(k, e)| SerializedEntry {
-                        key: k.clone(),
-                        entry: e.clone(),
-                    })
-                    .collect()
-            } else {
-                st.dirty
-                    .iter()
-                    .filter_map(|k| {
-                        st.map.get(k).map(|e| SerializedEntry {
-                            key: k.clone(),
-                            entry: e.clone(),
-                        })
-                    })
-                    .collect()
-            };
-            let removed = if full {
-                vec![]
-            } else {
-                st.removed.iter().cloned().collect()
-            };
-            ops.push(OpCheckpoint {
-                op: id.clone(),
-                entries,
-                removed,
-            });
-        }
-        let file = CheckpointFile {
-            epoch,
-            kind: if full { "full" } else { "delta" }.into(),
-            ops,
-        };
         self.faults.fire(failpoints::CHECKPOINT_WRITE)?;
-        let data = serde_json::to_vec_pretty(&file)
-            .map_err(|e| SsError::Serde(format!("checkpoint encode: {e}")))?;
-        self.backend.write_atomic(
-            &Self::key_for(epoch, if full { "full" } else { "delta" }),
-            &frame::encode(&data),
-        )?;
+        let ops = self.ops.iter().map(|(id, st)| (id.as_str(), st));
+        let blob = frame::encode(&encode_body(epoch, full, ops));
+        self.replace_legacy_blobs(epoch)?;
+        self.backend.write_atomic(&Self::key_for(epoch, full), &blob)?;
         for st in self.ops.values_mut() {
             st.clear_tracking();
         }
         self.checkpoints_taken += 1;
         if let Some(m) = &self.metrics {
             m.checkpoint_us.observe(started.elapsed().as_micros() as u64);
+            m.checkpoint_bytes.observe(blob.len() as u64);
         }
         Ok(())
+    }
+
+    /// One blob per epoch: delete the legacy-named (`.json`) blob an
+    /// older build left for `epoch`, so a restore chain never holds an
+    /// epoch under both suffixes. Only a directory resumed from such a
+    /// build has any; it is listed once, at the first checkpoint.
+    fn replace_legacy_blobs(&mut self, epoch: u64) -> Result<()> {
+        if self.legacy_blobs.is_none() {
+            let mut keys = self.backend.list("state/chk-")?;
+            keys.retain(|k| k.ends_with(".json"));
+            self.legacy_blobs = Some(keys);
+        }
+        let legacy = self.legacy_blobs.as_mut().expect("listed above");
+        let of_epoch = |k: &String| Self::parse_key(k).is_some_and(|(e, _)| e == epoch);
+        while let Some(i) = legacy.iter().position(of_epoch) {
+            self.backend.delete(&legacy[i])?;
+            legacy.swap_remove(i);
+        }
+        Ok(())
+    }
+
+    /// Render the retained checkpoint of `epoch` (either format) as
+    /// pretty JSON — the human-readable view of what is on disk.
+    pub fn dump_json(&self, epoch: u64) -> Result<String> {
+        let keys = self.backend.list("state/chk-")?;
+        let key = keys
+            .iter()
+            .find(|k| Self::parse_key(k).is_some_and(|(e, _)| e == epoch))
+            .ok_or_else(|| SsError::Execution(format!("no state checkpoint for epoch {epoch}")))?;
+        let data = self.backend.read(key)?.ok_or_else(|| {
+            SsError::Execution(format!("checkpoint {key} disappeared during dump"))
+        })?;
+        serde_json::to_string_pretty(&Self::decode_checkpoint(&data, key)?)
+            .map_err(|e| SsError::Serde(format!("checkpoint dump: {e}")))
     }
 
     /// Epochs with a retained checkpoint, ascending.
@@ -1072,6 +1180,10 @@ mod tests {
             Some(MetricValue::Histogram { count, .. }) => assert_eq!(count, 1),
             other => panic!("missing checkpoint histogram: {other:?}"),
         }
+        match registry.value("ss_state_checkpoint_bytes", &[]) {
+            Some(MetricValue::Histogram { count, sum }) => assert!(count == 1 && sum > 0),
+            other => panic!("missing checkpoint-bytes histogram: {other:?}"),
+        }
         match registry.value("ss_state_restore_us", &[]) {
             Some(MetricValue::Histogram { count, .. }) => assert_eq!(count, 1),
             other => panic!("missing restore histogram: {other:?}"),
@@ -1080,17 +1192,253 @@ mod tests {
         assert_eq!(registry.value("ss_state_keys", &[]), Some(MetricValue::Gauge(0)));
     }
 
+    /// What the v1 writer produced: the serde form of the checkpoint,
+    /// pretty-printed, CRC-framed, under a `.json` key.
+    fn write_legacy(backend: &MemoryBackend, epoch: u64, full: bool, ops: Vec<OpCheckpoint>) {
+        let kind = if full { "full" } else { "delta" };
+        let file = CheckpointFile { epoch, kind: kind.into(), ops };
+        let key = format!("state/chk-{epoch:020}-{kind}.json");
+        let data = serde_json::to_vec_pretty(&file).unwrap();
+        backend.write_atomic(&key, &frame::encode(&data)).unwrap();
+    }
+
+    fn legacy_op(op: &str, entries: Vec<(Row, StateEntry)>, removed: Vec<Row>) -> OpCheckpoint {
+        let entries = entries
+            .into_iter()
+            .map(|(key, entry)| SerializedEntry { key, entry })
+            .collect();
+        OpCheckpoint { op: op.into(), entries, removed }
+    }
+
+    type Model = BTreeMap<String, BTreeMap<Row, StateEntry>>;
+
+    /// The store's non-empty operators, ordered for comparison.
+    fn contents(s: &StateStore) -> Model {
+        let mut model = Model::new();
+        for id in s.operator_ids() {
+            let op = s.operator_ref(&id).unwrap();
+            if !op.is_empty() {
+                model.insert(id, op.iter().map(|(k, e)| (k.clone(), e.clone())).collect());
+            }
+        }
+        model
+    }
+
+    /// Heterogeneous state rows: NULLs, strings, floats, timeouts.
+    fn mixed_entry(rng: &mut ss_common::XorShift64) -> StateEntry {
+        use ss_common::Value;
+        let n = rng.gen_range(0, 4);
+        let values = (0..n)
+            .map(|i| match i % 3 {
+                0 => row![rng.gen_range(0, 1000) as i64, Value::Null, "ünï"],
+                1 => row![rng.next_f64(), true],
+                _ => Row::empty(),
+            })
+            .collect();
+        let timeout_at = (rng.gen_range(0, 2) == 0).then(|| rng.gen_range(0, 1 << 40) as i64);
+        StateEntry { values, timeout_at }
+    }
+
     #[test]
-    fn checkpoints_are_human_readable_json() {
+    fn bodies_round_trip() {
+        let mut rng = ss_common::XorShift64::new(11);
+        let mut full_op = OpState::default();
+        for k in 0..20i64 {
+            full_op.put(row![k, "k"], mixed_entry(&mut rng));
+        }
+        full_op.put(Row::empty(), StateEntry::new(vec![])); // empty key, empty payload
+        let empty_op = OpState::default();
+        let mut removed_only = OpState::default();
+        removed_only.put(row!["gone"], entry(1));
+        removed_only.clear_tracking();
+        removed_only.remove(&row!["gone"]);
+        let ops = [("a", &full_op), ("empty", &empty_op), ("removed-only", &removed_only)];
+
+        for full in [true, false] {
+            let file = decode_body(&encode_body(42, full, ops.into_iter())).unwrap();
+            assert_eq!((file.epoch, file.kind.as_str()), (42, if full { "full" } else { "delta" }));
+            assert_eq!(file.ops.len(), 3);
+            let decoded: BTreeMap<Row, StateEntry> =
+                file.ops[0].entries.iter().map(|e| (e.key.clone(), e.entry.clone())).collect();
+            assert_eq!(decoded, full_op.iter().map(|(k, e)| (k.clone(), e.clone())).collect());
+            assert!(file.ops[1].entries.is_empty() && file.ops[1].removed.is_empty());
+            assert!(file.ops[2].entries.is_empty());
+            let expect_removed = if full { vec![] } else { vec![row!["gone"]] };
+            assert_eq!(file.ops[2].removed, expect_removed);
+        }
+    }
+
+    #[test]
+    fn mixed_legacy_and_binary_chain_restores_at_every_epoch() {
         let backend = Arc::new(MemoryBackend::new());
+        let mut rng = ss_common::XorShift64::new(0x5EED);
+        let mut models: BTreeMap<u64, Model> = BTreeMap::new();
+
+        // Epochs 1 (full) and 2 (delta) as an older build left them.
+        let (e1, e2, e3) = (mixed_entry(&mut rng), mixed_entry(&mut rng), mixed_entry(&mut rng));
+        write_legacy(
+            &backend,
+            1,
+            true,
+            vec![
+                legacy_op("agg", vec![(row![1i64], e1.clone()), (row![2i64], e2.clone())], vec![]),
+                legacy_op("sess", vec![(row!["u"], e3.clone())], vec![]),
+            ],
+        );
+        write_legacy(
+            &backend,
+            2,
+            false,
+            vec![legacy_op("agg", vec![(row![2i64], e3.clone())], vec![row![1i64]])],
+        );
+        let mut model = Model::new();
+        model.insert("agg".into(), BTreeMap::from([(row![1i64], e1), (row![2i64], e2)]));
+        model.insert("sess".into(), BTreeMap::from([(row!["u"], e3.clone())]));
+        models.insert(1, model.clone());
+        model.get_mut("agg").unwrap().remove(&row![1i64]);
+        model.get_mut("agg").unwrap().insert(row![2i64], e3);
+        models.insert(2, model.clone());
+
+        // This build resumes at 2 and writes binary: deltas at 3 and 4,
+        // a full at 5, deltas, a full at 8, a delta at 9.
+        let mut s = StateStore::new(backend.clone()).with_snapshot_interval(3);
+        s.restore(2).unwrap();
+        assert_eq!(contents(&s), models[&2]);
+        s.checkpoints_taken = 1;
+        for epoch in 3..=9u64 {
+            for _ in 0..12 {
+                let op = if rng.gen_range(0, 2) == 0 { "agg" } else { "sess" };
+                let key = row![rng.gen_range(0, 8) as i64];
+                if rng.gen_range(0, 3) == 0 {
+                    s.operator(op).remove(&key);
+                    model.entry(op.into()).or_default().remove(&key);
+                } else {
+                    let e = mixed_entry(&mut rng);
+                    s.operator(op).put(key.clone(), e.clone());
+                    model.entry(op.into()).or_default().insert(key, e);
+                }
+            }
+            s.checkpoint(epoch).unwrap();
+            model.retain(|_, m| !m.is_empty());
+            models.insert(epoch, model.clone());
+        }
+        let kinds: Vec<(u64, bool)> = backend
+            .list("state/chk-")
+            .unwrap()
+            .iter()
+            .filter(|k| k.ends_with(".bin"))
+            .map(|k| StateStore::parse_key(k).unwrap())
+            .collect();
+        let expect = [(3, false), (4, false), (5, true), (6, false), (7, false), (8, true), (9, false)];
+        assert_eq!(kinds, expect);
+
+        let mut fresh = StateStore::new(backend.clone());
+        for (epoch, expected) in &models {
+            fresh.restore(*epoch).unwrap();
+            assert_eq!(&contents(&fresh), expected, "epoch {epoch}");
+        }
+        assert_eq!(fresh.retained_epochs().unwrap(), (1..=9).collect::<Vec<_>>());
+        assert_eq!(fresh.latest_checkpoint(Some(2)).unwrap(), Some(2));
+        assert_eq!(fresh.latest_checkpoint(Some(4)).unwrap(), Some(4));
+        assert_eq!(fresh.earliest_full_epoch().unwrap(), Some(1));
+
+        // A corrupt binary delta at 7: the best restorable epoch ≤ 7 is
+        // 6, and everything newer goes, whatever its suffix.
+        let key = StateStore::key_for(7, false);
+        let mut raw = backend.read(&key).unwrap().unwrap();
+        let last = raw.len() - 1;
+        raw[last] ^= 0x40;
+        backend.write_atomic(&key, &raw).unwrap();
+        assert_eq!(fresh.restore_best(Some(7)).unwrap(), Some(6));
+        assert_eq!(contents(&fresh), models[&6]);
+        assert_eq!(fresh.retained_epochs().unwrap(), (1..=6).collect::<Vec<_>>());
+
+        // Rollback below the format switch, then GC across it.
+        fresh.truncate_after(4).unwrap();
+        assert_eq!(fresh.retained_epochs().unwrap(), vec![1, 2, 3, 4]);
+        fresh.restore(4).unwrap();
+        assert_eq!(contents(&fresh), models[&4]);
+        fresh.checkpoints_taken = 0;
+        fresh.checkpoint(5).unwrap(); // full
+        assert_eq!(fresh.purge_before(5).unwrap(), 4);
+        assert_eq!(fresh.retained_epochs().unwrap(), vec![5]);
+        assert_eq!(fresh.earliest_full_epoch().unwrap(), Some(5));
+    }
+
+    #[test]
+    fn recheckpointing_a_legacy_epoch_replaces_its_blob() {
+        let backend = Arc::new(MemoryBackend::new());
+        write_legacy(&backend, 1, true, vec![legacy_op("agg", vec![(row!["old"], entry(1))], vec![])]);
+        write_legacy(&backend, 2, false, vec![]);
+        let mut s = StateStore::new(backend.clone());
+        s.operator("agg").put(row!["new"], entry(2));
+        s.checkpoint(1).unwrap();
+        // Epoch 1 exists once, under the new suffix; epoch 2 is untouched.
+        assert_eq!(
+            backend.list("state/chk-").unwrap(),
+            vec![StateStore::key_for(1, true), "state/chk-00000000000000000002-delta.json".to_string()]
+        );
+        s.restore(1).unwrap();
+        assert_eq!(s.operator("agg").get(&row!["old"]), None);
+        assert_eq!(s.operator("agg").get(&row!["new"]), Some(&entry(2)));
+    }
+
+    #[test]
+    fn dump_json_renders_either_format() {
+        let backend = Arc::new(MemoryBackend::new());
+        write_legacy(&backend, 6, true, vec![legacy_op("agg", vec![(row!["ny"], entry(41))], vec![])]);
         let mut s = StateStore::new(backend.clone());
         s.operator("agg").put(row!["ca"], entry(42));
         s.checkpoint(7).unwrap();
-        let keys = backend.list("state/").unwrap();
-        assert_eq!(keys.len(), 1);
-        let text = String::from_utf8(backend.read(&keys[0]).unwrap().unwrap()).unwrap();
-        assert!(text.contains("\"epoch\": 7"));
-        assert!(text.contains("ca"));
+        // On disk: a CRC frame around the binary body, not text.
+        let raw = backend.read(&StateStore::key_for(7, true)).unwrap().unwrap();
+        assert!(frame::decode(&raw).unwrap().starts_with(BODY_MAGIC));
+        for (epoch, key, value) in [(6, "ny", "41"), (7, "ca", "42")] {
+            let text = s.dump_json(epoch).unwrap();
+            assert!(text.contains(&format!("\"epoch\": {epoch}")), "{text}");
+            assert!(text.contains("\"kind\": \"full\"") && text.contains(key), "{text}");
+            assert!(text.contains(&format!("\"Int64\": {value}")), "{text}");
+        }
+        assert!(s.dump_json(8).is_err());
+    }
+
+    #[test]
+    fn a_newer_format_version_is_unsupported_and_nothing_is_deleted() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone()).with_snapshot_interval(1);
+        for e in 1..=3u64 {
+            s.operator("agg").put(row![e as i64], entry(e as i64));
+            s.checkpoint(e).unwrap();
+        }
+        // Epoch 3 as a future build would write it: intact CRC, version+1.
+        let key = StateStore::key_for(3, true);
+        let mut body = frame::decode(&backend.read(&key).unwrap().unwrap()).unwrap();
+        body[BODY_MAGIC.len()] = BODY_VERSION + 1;
+        backend.write_atomic(&key, &frame::encode(&body)).unwrap();
+
+        let err = s.restore_best(None).unwrap_err();
+        assert_eq!(err.category(), "unsupported");
+        assert!(err.to_string().contains(&key), "{err}");
+        // Skipping it as corrupt would have restored 2 and pruned 3.
+        assert_eq!(s.retained_epochs().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn spilled_state_round_trips_through_the_binary_blob() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone());
+        let mut rng = ss_common::XorShift64::new(3);
+        for k in 0..50i64 {
+            s.operator("sess").put(row![k, "user"], mixed_entry(&mut rng));
+        }
+        let before = contents(&s);
+        s.checkpoint(1).unwrap();
+        assert!(s.spill_op("sess").unwrap() > 0);
+        assert_eq!(backend.list("state/spill/").unwrap(), vec!["state/spill/sess.bin"]);
+        assert_eq!(s.total_keys(), 0);
+        s.operator("sess");
+        s.check_health().unwrap();
+        assert_eq!(contents(&s), before);
     }
 
     #[test]
@@ -1099,7 +1447,7 @@ mod tests {
         let mut s = StateStore::new(backend.clone());
         s.operator("agg").put(row!["a"], entry(1));
         s.checkpoint(1).unwrap();
-        let key = StateStore::key_for(1, "full");
+        let key = StateStore::key_for(1, true);
         let mut raw = backend.read(&key).unwrap().unwrap();
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
@@ -1118,7 +1466,7 @@ mod tests {
             s.checkpoint(e).unwrap(); // interval 1: all full snapshots
         }
         // Corrupt the newest snapshot (torn tail after a crash).
-        let key = StateStore::key_for(3, "full");
+        let key = StateStore::key_for(3, true);
         let mut raw = backend.read(&key).unwrap().unwrap();
         raw.truncate(raw.len() / 2);
         backend.write_atomic(&key, &raw).unwrap();
@@ -1143,7 +1491,7 @@ mod tests {
         s.operator("agg").put(row!["a"], entry(1));
         s.checkpoint(1).unwrap();
         backend
-            .write_atomic(&StateStore::key_for(1, "full"), b"garbage")
+            .write_atomic(&StateStore::key_for(1, true), b"garbage")
             .unwrap();
         assert_eq!(s.restore_best(None).unwrap(), None);
     }

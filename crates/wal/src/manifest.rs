@@ -40,8 +40,11 @@ pub const MANIFEST_KEY: &str = "MANIFEST.json";
 
 /// Newest manifest format this build can read and the version it
 /// writes. Checkpoints without a manifest are format 0 (the layout of
-/// builds that predate manifests).
-pub const MANIFEST_VERSION: u32 = 1;
+/// builds that predate manifests). v2 marks a directory whose state
+/// checkpoints are binary `.bin` blobs: a v1 build would not see them
+/// and restore a stale JSON one, so it must refuse the directory. v1
+/// manifests (JSON state blobs, which this build still reads) load.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The manifest document. See the module docs for field semantics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -214,7 +217,8 @@ mod tests {
         m.write(&b).unwrap();
         let err = Manifest::load(&b).unwrap_err();
         assert_eq!(err.category(), "incompatible_upgrade");
-        assert!(err.to_string().contains("format v2"), "{err}");
+        let newer = format!("format v{}", MANIFEST_VERSION + 1);
+        assert!(err.to_string().contains(&newer), "{err}");
     }
 
     #[test]
