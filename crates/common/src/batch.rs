@@ -153,21 +153,27 @@ impl RecordBatch {
         RecordBatch::try_new(self.schema.clone(), columns)
     }
 
-    /// Filter only the given columns (by index) in one pass: the fused
-    /// filter+project fast path — columns the projection drops are
-    /// never materialized.
-    pub fn filter_columns(&self, mask: &[bool], indices: &[usize]) -> Result<RecordBatch> {
-        if mask.len() != self.num_rows {
+    /// Filter only the given columns (by index) of the rows from
+    /// `start` that `mask` covers, in one pass: the fused filter+project
+    /// fast path — columns the projection drops and rows outside the
+    /// range are never materialized.
+    pub fn filter_columns(
+        &self,
+        start: usize,
+        mask: &[bool],
+        indices: &[usize],
+    ) -> Result<RecordBatch> {
+        if start + mask.len() > self.num_rows {
             return Err(SsError::Execution(format!(
-                "filter mask has {} entries for {} rows",
-                mask.len(),
+                "filter mask covers rows [{start}, {}) of {}",
+                start + mask.len(),
                 self.num_rows
             )));
         }
         let schema = Arc::new(self.schema.project(indices)?);
         let columns = indices
             .iter()
-            .map(|&i| self.columns[i].filter(mask))
+            .map(|&i| self.columns[i].filter_rows(start, mask))
             .collect();
         RecordBatch::try_new(schema, columns)
     }
@@ -214,23 +220,6 @@ impl RecordBatch {
             columns.push(Column::concat(&cols)?);
         }
         RecordBatch::try_new(first.schema.clone(), columns)
-    }
-
-    /// Split into chunks of at most `chunk_rows` rows (task granularity
-    /// in the microbatch engine).
-    pub fn chunks(&self, chunk_rows: usize) -> Vec<RecordBatch> {
-        assert!(chunk_rows > 0);
-        if self.num_rows == 0 {
-            return vec![self.clone()];
-        }
-        let mut out = Vec::with_capacity(self.num_rows.div_ceil(chunk_rows));
-        let mut offset = 0;
-        while offset < self.num_rows {
-            let len = chunk_rows.min(self.num_rows - offset);
-            out.push(self.slice(offset, len).expect("in-range slice"));
-            offset += len;
-        }
-        out
     }
 
     /// Pretty-print as an ASCII table (for examples and debugging).
@@ -358,15 +347,22 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_chunks() {
+    fn concat_of_slices_round_trips() {
         let b = test_batch();
         let c = RecordBatch::concat(&[b.clone(), b.clone()]).unwrap();
         assert_eq!(c.num_rows(), 6);
-        let chunks = c.chunks(4);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].num_rows(), 4);
-        assert_eq!(chunks[1].num_rows(), 2);
+        let chunks = [c.slice(0, 4).unwrap(), c.slice(4, 2).unwrap()];
         assert_eq!(RecordBatch::concat(&chunks).unwrap(), c);
+    }
+
+    #[test]
+    fn filter_columns_reads_a_row_range_in_place() {
+        let b = test_batch();
+        let f = b.filter_columns(1, &[true, true], &[1]).unwrap();
+        assert_eq!(f.to_rows(), vec![row!["b"], row!["c"]]);
+        let f = b.filter_columns(0, &[false, true], &[1, 0]).unwrap();
+        assert_eq!(f.to_rows(), vec![row!["b", 2i64]]);
+        assert!(b.filter_columns(2, &[true, true], &[0]).is_err());
     }
 
     #[test]
@@ -374,7 +370,6 @@ mod tests {
         let e = RecordBatch::empty(test_schema());
         assert_eq!(e.num_rows(), 0);
         assert_eq!(e.num_columns(), 2);
-        assert_eq!(e.chunks(10).len(), 1);
     }
 
     #[test]

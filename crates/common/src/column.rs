@@ -131,14 +131,20 @@ impl<T: Clone> TypedColumn<T> {
     /// Keep rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> TypedColumn<T> {
         assert_eq!(mask.len(), self.len(), "filter mask length mismatch");
+        self.filter_rows(0, mask)
+    }
+
+    /// Keep the rows of `[start, start + mask.len())` where `mask` is
+    /// true.
+    pub fn filter_rows(&self, start: usize, mask: &[bool]) -> TypedColumn<T> {
         let kept = mask.iter().filter(|&&b| b).count();
         let mut values = Vec::with_capacity(kept);
         let mut nulls = self.nulls.as_ref().map(|_| Bitmap::new());
         for (i, &keep) in mask.iter().enumerate() {
             if keep {
-                values.push(self.values[i].clone());
+                values.push(self.values[start + i].clone());
                 if let Some(n) = &mut nulls {
-                    n.push(self.is_valid(i));
+                    n.push(self.is_valid(start + i));
                 }
             }
         }
@@ -326,6 +332,10 @@ impl Column {
 
     pub fn filter(&self, mask: &[bool]) -> Column {
         map_typed!(self, c => c.filter(mask))
+    }
+
+    pub fn filter_rows(&self, start: usize, mask: &[bool]) -> Column {
+        map_typed!(self, c => c.filter_rows(start, mask))
     }
 
     pub fn take(&self, indices: &[usize]) -> Column {

@@ -25,6 +25,7 @@
 //! intra-DAG modes.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -221,18 +222,15 @@ impl StatelessOp {
         watermark_us: i64,
         faults: &FaultRegistry,
     ) -> Result<(RecordBatch, Option<(&str, i64)>)> {
-        let evaluates = matches!(
-            self,
-            StatelessOp::Filter(_) | StatelessOp::Project(_) | StatelessOp::FilterProject { .. }
-        );
-        if evaluates && batch.num_rows() > 0 {
-            faults.fire(ops::failpoints::RECORD_EVAL)?;
-        }
         let out = match self {
-            StatelessOp::Filter(predicate) => ops::filter_batch(&batch, predicate)?,
-            StatelessOp::Project(exprs) => ops::project_batch(&batch, exprs)?,
-            StatelessOp::FilterProject { predicate, exprs } => {
-                ops::filter_project_batch(&batch, predicate, exprs)?
+            StatelessOp::Filter(_) | StatelessOp::FilterProject { .. } => {
+                return self.apply_rows(&batch, 0..batch.num_rows(), watermark_us, faults)
+            }
+            StatelessOp::Project(exprs) => {
+                if batch.num_rows() > 0 {
+                    faults.fire(ops::failpoints::RECORD_EVAL)?;
+                }
+                ops::project_batch(&batch, exprs)?
             }
             StatelessOp::Watermark { column } => {
                 let col = batch.column_by_name(column)?;
@@ -276,6 +274,27 @@ impl StatelessOp {
                 }
             }
         };
+        Ok((out, None))
+    }
+
+    /// [`StatelessOp::apply`] to rows `rows` of `batch`, which the
+    /// filtering operators read in place (no copy of a map task's chunk).
+    pub(crate) fn apply_rows(
+        &self,
+        batch: &RecordBatch,
+        rows: Range<usize>,
+        watermark_us: i64,
+        faults: &FaultRegistry,
+    ) -> Result<(RecordBatch, Option<(&str, i64)>)> {
+        let (predicate, exprs) = match self {
+            StatelessOp::Filter(predicate) => (predicate, None),
+            StatelessOp::FilterProject { predicate, exprs } => (predicate, Some(&exprs[..])),
+            _ => return self.apply(batch.slice(rows.start, rows.len())?, watermark_us, faults),
+        };
+        if !rows.is_empty() {
+            faults.fire(ops::failpoints::RECORD_EVAL)?;
+        }
+        let out = ops::filter_project_rows(batch, rows, predicate, exprs)?;
         Ok((out, None))
     }
 }
@@ -718,10 +737,11 @@ fn exchange_map(node: &mut IncNode, ctx: &mut EpochContext<'_>) -> Result<Record
     Ok(out)
 }
 
-/// An aggregate at N partitions: map tasks expand their chunk into
-/// `(group key, argument values)` pairs, the shuffle routes each key
-/// to the partition that owns it, and every partition runs
-/// [`aggregate_step`] over its own shard and `{op_id}/p{r}` namespace.
+/// An aggregate at N partitions: map tasks aggregate their chunk into
+/// a task-local combiner and ship its groups as partials, the shuffle
+/// routes each key's partials to the partition that owns it, and every
+/// partition merges them into its own shard and runs
+/// [`aggregate_step`] over it and its `{op_id}/p{r}` namespace.
 fn exchange_aggregate(
     input: &mut IncNode,
     op_id: &str,
@@ -730,14 +750,18 @@ fn exchange_aggregate(
 ) -> Result<RecordBatch> {
     let parts = ctx.exchange.partitions();
     let template = Arc::new(shards[0].fresh_clone());
-    let expander = template.clone();
-    let pairs = parallel::shuffle(
+    let combiner = template.clone();
+    let partials = parallel::shuffle(
         ctx,
         op_id,
         &mut [input],
-        move |_, _, chunk| expander.expand(chunk),
+        move |_, _, chunk| {
+            let mut local = combiner.fresh_clone();
+            local.update_batch(chunk)?;
+            Ok(local.into_partials())
+        },
         |(key, _), parts| shuffle_partition(key, parts),
-        |(key, args)| key.approx_bytes() + args.approx_bytes(),
+        |(key, accs)| key.approx_bytes() + std::mem::size_of_val(accs.as_slice()),
     )?
     .remove(0);
     // The shards move into the reduce tasks. A failed stage leaves one
@@ -745,16 +769,16 @@ fn exchange_aggregate(
     // checkpoint.
     let work: Vec<_> = std::mem::replace(shards, vec![template.fresh_clone()])
         .into_iter()
-        .zip(pairs)
+        .zip(partials)
         .enumerate()
-        .map(|(r, (shard, pairs))| {
+        .map(|(r, (shard, partials))| {
             let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
-            (shard, op, pairs)
+            (shard, op, partials)
         })
         .collect();
     let (mode, watermark_us) = (ctx.output_mode, ctx.watermark_us);
-    let reduced = parallel::reduce(ctx, work, move |(mut shard, mut op, pairs)| {
-        shard.update_pairs(pairs)?;
+    let reduced = parallel::reduce(ctx, work, move |(mut shard, mut op, partials)| {
+        shard.merge_partials(partials)?;
         let rows = aggregate_step(&mut shard, &mut op, mode, watermark_us)?.to_rows();
         Ok((shard, op, rows))
     })?;

@@ -10,13 +10,13 @@
 //! operators run as two stages on a worker pool (`ss-sched`):
 //!
 //! 1. **Map stage** ([`map_stage`]) — the operator's input, a stateless
-//!    chain over one scan, is lifted out of the tree; the scan's batch
-//!    is split into row chunks and each chunk runs the chain's
-//!    `StatelessOp::apply`s on a worker. [`shuffle`] extends the map
-//!    task with key evaluation (aggregate chunks expand into `(group
-//!    key, argument values)` pairs, join chunks into keyed delta rows)
-//!    and hash-buckets the result by [`ss_common::shuffle_partition`],
-//!    so every key is **owned by exactly one reduce partition**.
+//!    chain over one scan, is lifted out of the tree; tasks share the
+//!    scan's batch and each runs the chain's `StatelessOp`s over its own
+//!    row range on a worker. [`shuffle`] extends the map task with
+//!    keying (an aggregate chunk is pre-aggregated into one *partial*
+//!    per group, a join chunk becomes keyed delta rows) and hash-buckets
+//!    the result by [`ss_common::shuffle_partition`], so every key is
+//!    **owned by exactly one reduce partition**.
 //! 2. **Reduce stage** ([`reduce`]) — each partition runs the operator's
 //!    one kernel against its own state namespace ([`shard_ns`]:
 //!    `{op_id}/p{r}`, joins `{op_id}/p{r}-left/-right`).
@@ -26,11 +26,14 @@
 //! The merged epoch output is **byte-identical at every partition
 //! count**, regardless of worker count or OS interleaving:
 //!
-//! * map outputs are concatenated in chunk order, so shuffled rows
-//!   reach their owning reduce partition in original arrival order —
-//!   each accumulator sees exactly the update sequence one partition
-//!   would have fed it (bit-exact even for non-associative float
-//!   aggregation);
+//! * an aggregate runs partitioned only when it is *combinable*
+//!   (`COUNT`, `MIN`, `MAX`, `SUM` over `Int64`): merging partials is
+//!   then order-free, so a shard ends with the bytes one `update_batch`
+//!   over the whole input would leave, and the same groups marked
+//!   changed. Anything else (`AVG`, `SUM` over `Float64`) runs at one
+//!   partition;
+//! * join map outputs are concatenated in chunk order, so shuffled rows
+//!   reach their owning partition in original arrival order;
 //! * aggregate shards emit key-sorted rows and keys never span shards,
 //!   so concat-then-sort reproduces the one-partition (key-sorted)
 //!   emission order; join shards emit `TaggedRow`s whose `(phase, idx,
@@ -38,9 +41,10 @@
 //! * the worker pool itself returns results in task-index order and
 //!   resolves failures lowest-index-first.
 //!
-//! Plans that are not provably chunk-safe (shared scans, stateful UDFs,
-//! dedup, right-outer static joins, …; see [`chunk_safe`]) run at one
-//! partition whatever parallelism was requested.
+//! Plans that are not provably chunk-safe (non-combinable aggregates,
+//! shared scans, stateful UDFs, dedup, right-outer static joins, …; see
+//! [`chunk_safe`]) run at one partition whatever parallelism was
+//! requested.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
@@ -102,16 +106,20 @@ impl Exchange {
             return Exchange::identity();
         }
         registry.describe(
+            "ss_exchange_input_rows_total",
+            "Rows entering the exchange's map side; over ss_shuffle_rows_total, the combine ratio.",
+        );
+        registry.describe(
             "ss_shuffle_rows_total",
-            "Rows moved through the shuffle exchange between stages.",
+            "Items moved through the shuffle exchange: aggregate partials or join rows.",
         );
         registry.describe(
             "ss_shuffle_bytes_total",
-            "Approximate bytes moved through the shuffle exchange.",
+            "Approximate bytes of the items moved through the shuffle exchange.",
         );
         registry.describe(
             "ss_shuffle_key_skew_x1000",
-            "Hottest reduce partition's rows over the mean, x1000 (last epoch).",
+            "Hottest reduce partition's items over the mean, x1000 (last epoch).",
         );
         let pool = WorkerPool::new(
             config.parallelism,
@@ -278,20 +286,29 @@ pub(crate) fn map_stage<R: Send + 'static>(
         // An empty batch still produces one (empty) chunk so stateful
         // reduce stages run (watermark-driven eviction happens on
         // empty epochs too).
-        let chunks = match batch.num_rows() {
-            0 => vec![batch],
-            rows => batch.chunks(rows.div_ceil(partitions)),
-        };
-        chunks_per_side.push(chunks.len());
-        for (i, chunk) in chunks.into_iter().enumerate() {
+        let rows = batch.num_rows();
+        let chunk_rows = rows.div_ceil(partitions).max(1);
+        let chunks = rows.div_ceil(chunk_rows).max(1);
+        chunks_per_side.push(chunks);
+        // Tasks share the scan and read their own rows of it in place:
+        // the engine thread does no per-row work before they start.
+        let batch = Arc::new(batch);
+        for i in 0..chunks {
             let (chain, then, faults) = (chain.clone(), then.clone(), faults.clone());
+            let scan = batch.clone();
             bodies.push(Box::new(move || {
-                let mut batch = chunk;
+                let range = i * chunk_rows..rows.min((i + 1) * chunk_rows);
+                let mut ops = chain.iter();
+                let (mut batch, mut seen) = match ops.next() {
+                    Some(op) => op.apply_rows(&scan, range, watermark_us, &faults)?,
+                    None => (scan.slice(range.start, range.len())?, None),
+                };
+                drop(scan);
                 let mut maxima = Vec::new();
-                for op in chain.iter() {
-                    let (out, seen) = op.apply(batch, watermark_us, &faults)?;
+                loop {
                     maxima.extend(seen.map(|(column, v)| (column.to_string(), v)));
-                    batch = out;
+                    let Some(op) = ops.next() else { break };
+                    (batch, seen) = op.apply(batch, watermark_us, &faults)?;
                 }
                 Ok((then(side, i, batch)?, maxima))
             }));
@@ -329,6 +346,7 @@ pub(crate) fn shuffle<T: Send + 'static>(
     let env = ctx.exchange.workers()?.env.clone();
     let registry = env.registry.clone();
     let mapped = map_stage(ctx, inputs, move |side, i, chunk| {
+        let rows_in = chunk.num_rows() as u64;
         let items = keyed(side, i, &chunk)?;
         env.retried("sched_shuffle_write", || {
             env.faults.fire(failpoints::SHUFFLE_WRITE)
@@ -338,21 +356,23 @@ pub(crate) fn shuffle<T: Send + 'static>(
         for item in items {
             buckets[partition(&item, parts)].push(item);
         }
-        Ok((buckets, write.elapsed().as_micros() as u64))
+        Ok((buckets, write.elapsed().as_micros() as u64, rows_in))
     })?;
     // Shuffle read: concatenate per-chunk buckets in chunk order so
     // each partition receives its keys' items in the original global
     // arrival order.
     let read = Instant::now();
     let mut write_us = 0u64;
+    let mut input_rows = 0u64;
     let mut part_rows = vec![0u64; parts];
     let mut part_bytes = vec![0u64; parts];
     let shuffled: Vec<Vec<Vec<T>>> = mapped
         .into_iter()
         .map(|chunks| {
             let mut side: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
-            for (buckets, us) in chunks {
+            for (buckets, us, rows_in) in chunks {
                 write_us += us;
+                input_rows += rows_in;
                 for (r, bucket) in buckets.into_iter().enumerate() {
                     side[r].extend(bucket);
                 }
@@ -367,6 +387,9 @@ pub(crate) fn shuffle<T: Send + 'static>(
     ctx.run.phases.push((PHASE_SHUFFLE_WRITE, write_us));
     ctx.run.phase(PHASE_SHUFFLE_READ, read);
     let prof = ShuffleProfile::new(part_rows, part_bytes);
+    registry
+        .counter("ss_exchange_input_rows_total", &[("op", op_id)])
+        .add(input_rows);
     registry
         .counter("ss_shuffle_rows_total", &[("op", op_id)])
         .add(prof.total_rows());
@@ -409,10 +432,10 @@ pub(crate) fn shard_ns(base: &str, r: usize, partitions: usize, suffix: &str) ->
     }
 }
 
-/// Can the whole plan run partitioned? True for a stateless chain, an
-/// aggregate over one, or a stream–stream join of two — optionally
-/// under the Complete-mode `Sort`/`Limit` suffix of an aggregate
-/// (which runs on the merged output).
+/// Can the whole plan run partitioned? True for a stateless chain, a
+/// combinable aggregate over one, or a stream–stream join of two —
+/// optionally under the Complete-mode `Sort`/`Limit` suffix of an
+/// aggregate (which runs on the merged output).
 fn chunk_safe(root: &IncNode) -> bool {
     let mut node = root;
     let mut suffix = false;
@@ -421,7 +444,11 @@ fn chunk_safe(root: &IncNode) -> bool {
         suffix = true;
     }
     match node {
-        IncNode::Aggregate { input, .. } => chunk_safe_chain(input),
+        // Shards merge map-side partials in no fixed order: byte-exact
+        // only when every aggregate is combinable.
+        IncNode::Aggregate { input, shards, .. } => {
+            shards[0].is_combinable() && chunk_safe_chain(input)
+        }
         IncNode::StreamJoin { left, right, .. } => {
             !suffix && chunk_safe_chain(left) && chunk_safe_chain(right)
         }

@@ -153,27 +153,83 @@ impl HashAggregator {
         self.output_schema.len() - self.aggregates.len()
     }
 
-    /// Ingest one batch of input rows.
+    /// Ingest one batch of input rows: evaluate the grouping and
+    /// aggregate argument columns once (vectorized), then update the
+    /// group of every `(row, group key)` in arrival order. Rows with a
+    /// NULL event time are dropped and a sliding window fans one row
+    /// out to `size/slide` keys.
     pub fn update_batch(&mut self, batch: &RecordBatch) -> Result<()> {
-        let HashAggregator {
-            group_exprs,
-            window,
-            aggregates,
-            groups,
-            ..
-        } = self;
-        let visit = |key, row, arg_cols: &[Option<Column>]| {
-            upsert(groups, aggregates, key, |accs| {
-                for (acc, arg) in accs.iter_mut().zip(arg_cols) {
-                    match arg {
-                        Some(col) => acc.update_value(&col.value(row))?,
-                        None => acc.update_value(&COUNT_STAR_ARG)?,
+        if batch.num_rows() == 0 {
+            return Ok(());
+        }
+        // The window slot gets the raw timestamp; expansion happens per
+        // row below.
+        let mut key_cols: Vec<Column> = Vec::with_capacity(self.group_exprs.len());
+        for (i, g) in self.group_exprs.iter().enumerate() {
+            let col = match &self.window {
+                Some(w) if w.slot == i => evaluate(&w.time, batch)?,
+                _ => evaluate(g, batch)?,
+            };
+            key_cols.push(col);
+        }
+        let arg_cols: Vec<Option<Column>> = self
+            .aggregates
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
+            .collect::<Result<_>>()?;
+        // Typed access to the window timestamp column (avoids a Value
+        // allocation per row on the hot path).
+        let window_info = match &self.window {
+            Some(w) => {
+                let tc = key_cols[w.slot].as_i64()?.clone();
+                Some((w.slot, w.size_us, w.slide_us, tc))
+            }
+            None => None,
+        };
+        let mut key_buf: Vec<Value> = Vec::with_capacity(self.group_exprs.len());
+        // Sliding windows need the expansion list; tumbling windows (the
+        // common case) take the inline single-window path.
+        let mut starts_buf: Vec<i64> = Vec::new();
+        for row in 0..batch.num_rows() {
+            starts_buf.clear();
+            match &window_info {
+                Some((_, size, slide, tc)) => match tc.get(row) {
+                    // Rows with NULL event time are dropped.
+                    None => continue,
+                    Some(&ts) if slide == size => {
+                        starts_buf.push(ss_common::time::window_start(ts, *size, 0));
+                    }
+                    Some(&ts) => {
+                        starts_buf.extend(
+                            ss_common::time::windows_for(ts, *size, *slide)
+                                .into_iter()
+                                .map(|(s, _)| s),
+                        );
+                    }
+                },
+                None => starts_buf.push(0),
+            }
+            for &start in &starts_buf {
+                key_buf.clear();
+                for (i, kc) in key_cols.iter().enumerate() {
+                    match &window_info {
+                        Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
+                        _ => key_buf.push(kc.value(row)),
                     }
                 }
-                Ok(())
-            })
-        };
-        for_each_key(group_exprs, window, aggregates, batch, visit)
+                let key = Row::new(std::mem::take(&mut key_buf));
+                key_buf = upsert(&mut self.groups, &self.aggregates, key, |accs| {
+                    for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
+                        match arg {
+                            Some(col) => acc.update_value(&col.value(row))?,
+                            None => acc.update_value(&COUNT_STAR_ARG)?,
+                        }
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Keys whose aggregates changed since the last call (dirty flags
@@ -334,11 +390,16 @@ impl HashAggregator {
         self.groups.clear();
     }
 
-    // ---- partitioned execution (map-side expand, reduce-side ingest) ----
+    // ---- partitioned execution (map-side combine, reduce-side merge) ----
+    //
+    // A map task aggregates its chunk in a `fresh_clone` with the
+    // ordinary `update_batch` and ships the groups (`into_partials`);
+    // the shard owning a key folds them in (`merge_partials`). The
+    // result is byte-identical to one `update_batch` over the whole
+    // input, whatever order partials arrive in, when `is_combinable`.
 
-    /// An empty aggregator with the same configuration — the shard
-    /// constructor for partitioned execution (each reduce partition
-    /// owns one clone holding only its keys' state).
+    /// An empty aggregator with the same configuration: a reduce
+    /// partition's shard, or a map task's local combiner.
     pub fn fresh_clone(&self) -> HashAggregator {
         HashAggregator {
             input_schema: self.input_schema.clone(),
@@ -350,52 +411,36 @@ impl HashAggregator {
         }
     }
 
-    /// The map-side half of [`HashAggregator::update_batch`] for
-    /// partitioned execution: expand a batch into `(group key,
-    /// aggregate-argument values)` pairs in arrival order, without
-    /// touching any group state. Map tasks run this per input chunk;
-    /// the pairs are shuffled by key and ingested by the owning shard's
-    /// [`HashAggregator::update_pairs`].
-    pub fn expand(&self, batch: &RecordBatch) -> Result<Vec<(Row, Row)>> {
-        let mut pairs = Vec::new();
-        for_each_key(
-            &self.group_exprs,
-            &self.window,
-            &self.aggregates,
-            batch,
-            |key: Row, row, arg_cols| {
-                let args = arg_cols
-                    .iter()
-                    .map(|arg| arg.as_ref().map_or(COUNT_STAR_ARG, |col| col.value(row)))
-                    .collect();
-                let next = Vec::with_capacity(key.len());
-                pairs.push((key, Row::new(args)));
-                Ok(next)
-            },
-        )?;
-        Ok(pairs)
+    /// True when every aggregate's partials merge order-free, by
+    /// function and resolved result type.
+    pub fn is_combinable(&self) -> bool {
+        let results = &self.output_schema.fields()[self.num_key_columns()..];
+        self.aggregates
+            .iter()
+            .zip(results)
+            .all(|(a, f)| a.func.is_combinable(f.data_type))
     }
 
-    /// Reduce-side ingest of shuffled pairs produced by
-    /// [`HashAggregator::expand`].
-    ///
-    /// Pairs must arrive in the original arrival order of their source
-    /// rows; each accumulator then sees exactly the same update
-    /// sequence as [`HashAggregator::update_batch`] would have fed it,
-    /// so results are bit-identical at any partition count even for
-    /// non-associative float accumulation.
-    pub fn update_pairs(&mut self, pairs: Vec<(Row, Row)>) -> Result<()> {
-        for (key, args) in pairs {
-            if args.len() != self.aggregates.len() {
+    /// The group table as partials: one per key `update_batch` touched.
+    pub fn into_partials(self) -> Vec<Partial> {
+        self.groups.into_iter().map(|(k, e)| (k, e.accs)).collect()
+    }
+
+    /// Fold partials in: new keys become groups and every key is
+    /// marked changed — the groups and dirty set `update_batch` over
+    /// the partials' source rows would leave.
+    pub fn merge_partials(&mut self, partials: Vec<Partial>) -> Result<()> {
+        for (key, partial) in partials {
+            if partial.len() != self.aggregates.len() {
                 return Err(SsError::Internal(format!(
-                    "shuffled pair has {} argument values, expected {}",
-                    args.len(),
+                    "partial has {} accumulators, expected {}",
+                    partial.len(),
                     self.aggregates.len()
                 )));
             }
             upsert(&mut self.groups, &self.aggregates, key, |accs| {
-                for (acc, v) in accs.iter_mut().zip(args.values()) {
-                    acc.update_value(v)?;
+                for (acc, p) in accs.iter_mut().zip(partial) {
+                    acc.combine(p)?;
                 }
                 Ok(())
             })?;
@@ -403,6 +448,9 @@ impl HashAggregator {
         Ok(())
     }
 }
+
+/// One group of a map task's local aggregation: key and accumulators.
+pub type Partial = (Row, Vec<Accumulator>);
 
 /// What `count(*)`, which has no argument column, is fed per row: any
 /// non-NULL value counts.
@@ -437,89 +485,13 @@ fn upsert(
     }
 }
 
-/// The group-key visit loop: evaluate the grouping and aggregate
-/// argument columns once (vectorized), then call `visit(key, row,
-/// argument columns)` for every `(row, group key)` in arrival order.
-/// Rows with a NULL event time are dropped and a sliding window fans
-/// one row out to `size/slide` keys. `visit` returns the buffer the
-/// next key is built in, so a visitor that only looked the key up
-/// hands its allocation back.
-fn for_each_key(
-    group_exprs: &[Expr],
-    window: &Option<WindowSpec>,
-    aggregates: &[AggregateExpr],
-    batch: &RecordBatch,
-    mut visit: impl FnMut(Row, usize, &[Option<Column>]) -> Result<Vec<Value>>,
-) -> Result<()> {
-    if batch.num_rows() == 0 {
-        return Ok(());
-    }
-    // The window slot gets the raw timestamp; expansion happens per
-    // row below.
-    let mut key_cols: Vec<Column> = Vec::with_capacity(group_exprs.len());
-    for (i, g) in group_exprs.iter().enumerate() {
-        let col = match window {
-            Some(w) if w.slot == i => evaluate(&w.time, batch)?,
-            _ => evaluate(g, batch)?,
-        };
-        key_cols.push(col);
-    }
-    let arg_cols: Vec<Option<Column>> = aggregates
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
-        .collect::<Result<_>>()?;
-    // Typed access to the window timestamp column (avoids a Value
-    // allocation per row on the hot path).
-    let window_info = match window {
-        Some(w) => {
-            let tc = key_cols[w.slot].as_i64()?.clone();
-            Some((w.slot, w.size_us, w.slide_us, tc))
-        }
-        None => None,
-    };
-    let mut key_buf: Vec<Value> = Vec::with_capacity(group_exprs.len());
-    // Sliding windows need the expansion list; tumbling windows (the
-    // common case) take the inline single-window path.
-    let mut starts_buf: Vec<i64> = Vec::new();
-    for row in 0..batch.num_rows() {
-        starts_buf.clear();
-        match &window_info {
-            Some((_, size, slide, tc)) => match tc.get(row) {
-                // Rows with NULL event time are dropped.
-                None => continue,
-                Some(&ts) if slide == size => {
-                    starts_buf.push(ss_common::time::window_start(ts, *size, 0));
-                }
-                Some(&ts) => {
-                    starts_buf.extend(
-                        ss_common::time::windows_for(ts, *size, *slide)
-                            .into_iter()
-                            .map(|(s, _)| s),
-                    );
-                }
-            },
-            None => starts_buf.push(0),
-        }
-        for &start in &starts_buf {
-            key_buf.clear();
-            for (i, kc) in key_cols.iter().enumerate() {
-                match &window_info {
-                    Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
-                    _ => key_buf.push(kc.value(row)),
-                }
-            }
-            key_buf = visit(Row::new(std::mem::take(&mut key_buf)), row, &arg_cols)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_common::rng::XorShift64;
     use ss_common::row;
     use ss_common::time::secs;
-    use ss_expr::{avg, col, count_star, sum, window, window_sliding};
+    use ss_expr::{avg, col, count, count_star, max, min, sum, window, window_sliding};
 
     fn schema() -> SchemaRef {
         Schema::of(vec![
@@ -738,68 +710,195 @@ mod tests {
         );
     }
 
-    #[test]
-    fn expand_plus_update_pairs_matches_update_batch() {
-        // Includes avg (float accumulation) so order sensitivity would
-        // show up as bit differences.
-        let make = || {
-            HashAggregator::new(
-                schema(),
-                vec![window(col("time"), "10 seconds").unwrap(), col("campaign")],
-                vec![count_star(), sum(col("v")), avg(col("v"))],
-            )
-            .unwrap()
-        };
-        let input = batch(&[
-            row!["a", Value::Timestamp(secs(5)), 1i64],
-            row!["b", Value::Timestamp(secs(9)), 2i64],
-            row!["a", Value::Timestamp(secs(15)), 3i64],
-            row!["a", Value::Timestamp(secs(6)), 4i64],
-        ]);
-        let mut serial = make();
-        serial.update_batch(&input).unwrap();
-        let mut sharded = make();
-        sharded
-            .update_pairs(sharded.expand(&input).unwrap())
-            .unwrap();
-        assert_eq!(
-            sharded.finish_all().unwrap(),
-            serial.finish_all().unwrap()
-        );
-        assert_eq!(sharded.take_changed(), serial.take_changed());
+    // ---- map-side combine: partials merged in any order ----
+
+    fn wide_schema() -> SchemaRef {
+        Schema::of(vec![
+            Field::new("k", DataType::Utf8),
+            Field::new("time", DataType::Timestamp),
+            Field::new("v", DataType::Int64),
+            Field::new("f", DataType::Float64),
+        ])
+    }
+
+    fn combinable_aggregates() -> Vec<AggregateExpr> {
+        vec![
+            count_star(),
+            count(col("v")),
+            sum(col("v")),
+            min(col("v")),
+            max(col("v")),
+            min(col("f")),
+            max(col("f")),
+        ]
+    }
+
+    /// Everything the engine reads off an aggregator after ingest:
+    /// the result table, the changed keys and the checkpointable
+    /// state. Rows compare by `Value::total_cmp`, i.e. bit-exactly on
+    /// floats (`-0.0 != 0.0`, `NaN == NaN` only for equal payloads).
+    fn observe(agg: &mut HashAggregator) -> (Vec<Row>, Vec<Row>, Vec<(Row, Vec<Row>)>) {
+        let mut state: Vec<(Row, Vec<Row>)> =
+            agg.state_entries().map(|(k, s)| (k.clone(), s)).collect();
+        state.sort();
+        let table = agg.finish_all().unwrap().to_rows();
+        (table, agg.take_changed(), state)
+    }
+
+    /// Cut `rows` at `cuts`, aggregate each chunk in a fresh clone,
+    /// merge all the partials in an order drawn from `rng`, and require
+    /// the result to be indistinguishable from one `update_batch`.
+    fn assert_combine_matches_serial(
+        template: &HashAggregator,
+        rows: &[Row],
+        cuts: &[usize],
+        rng: &mut XorShift64,
+    ) {
+        let to_batch = |rows: &[Row]| RecordBatch::from_rows(wide_schema(), rows).unwrap();
+        let mut serial = template.fresh_clone();
+        serial.update_batch(&to_batch(rows)).unwrap();
+        let mut partials = Vec::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&rows.len()]) {
+            let mut local = template.fresh_clone();
+            local.update_batch(&to_batch(&rows[from..to])).unwrap();
+            partials.extend(local.into_partials());
+            from = to;
+        }
+        for i in (1..partials.len()).rev() {
+            partials.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
+        }
+        let mut merged = template.fresh_clone();
+        merged.merge_partials(partials).unwrap();
+        assert_eq!(observe(&mut merged), observe(&mut serial), "cuts {cuts:?}");
     }
 
     #[test]
-    fn expand_drops_null_event_times_and_fans_out_sliding_windows() {
-        let agg = HashAggregator::new(
-            schema(),
-            vec![window_sliding(col("time"), "10 seconds", "5 seconds").unwrap()],
-            vec![count_star()],
-        )
-        .unwrap();
-        let pairs = agg
-            .expand(&batch(&[
-                row!["a", Value::Null, 0i64],
-                row!["a", Value::Timestamp(secs(7)), 0i64],
-            ]))
+    fn merged_partials_match_update_batch_on_random_splits() {
+        let windows: [Option<Expr>; 3] = [
+            None,
+            Some(window(col("time"), "10 seconds").unwrap()),
+            Some(window_sliding(col("time"), "10 seconds", "5 seconds").unwrap()),
+        ];
+        let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, -2.25, f64::INFINITY];
+        let ints = [i64::MAX, i64::MIN, i64::MAX - 1, 1, -1, 0, 42];
+        for seed in 1..=60u64 {
+            let mut rng = XorShift64::new(seed);
+            let pick = |rng: &mut XorShift64, n: usize| rng.gen_range(0, n as u64) as usize;
+            let n = pick(&mut rng, 120);
+            let rows: Vec<Row> = (0..n)
+                .map(|_| {
+                    // One hot key, a few cold ones, a key whose
+                    // arguments are always NULL, and NULL keys.
+                    let k = match pick(&mut rng, 10) {
+                        0..=5 => Value::str("hot"),
+                        6 => Value::str("nulls"),
+                        7 => Value::Null,
+                        _ => Value::str(format!("k{}", pick(&mut rng, 4))),
+                    };
+                    let all_null = k == Value::str("nulls");
+                    let time = match pick(&mut rng, 8) {
+                        0 => Value::Null,
+                        _ => Value::Timestamp(secs(pick(&mut rng, 40) as i64)),
+                    };
+                    let v = match pick(&mut rng, 4) {
+                        0 => Value::Null,
+                        _ if all_null => Value::Null,
+                        _ => Value::Int64(ints[pick(&mut rng, ints.len())]),
+                    };
+                    let f = match pick(&mut rng, 4) {
+                        0 => Value::Null,
+                        _ if all_null => Value::Null,
+                        _ => Value::Float64(floats[pick(&mut rng, floats.len())]),
+                    };
+                    Row::new(vec![k, time, v, f])
+                })
+                .collect();
+            let mut cuts: Vec<usize> = (0..pick(&mut rng, 6))
+                .map(|_| pick(&mut rng, n + 1))
+                .collect();
+            cuts.sort_unstable();
+            for w in &windows {
+                let mut group_exprs: Vec<Expr> = w.iter().cloned().collect();
+                group_exprs.push(col("k"));
+                let template =
+                    HashAggregator::new(wide_schema(), group_exprs, combinable_aggregates())
+                        .unwrap();
+                assert!(template.is_combinable());
+                assert_combine_matches_serial(&template, &rows, &cuts, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn single_row_partials_merge_order_free_at_the_edges() {
+        // SUM wraps past i64::MAX, MIN/MAX see both zeros and both NaN
+        // signs, one group's arguments are all NULL (SUM stays NULL,
+        // COUNT(v) is 0, the group is still emitted).
+        let rows = [
+            row!["a", Value::Timestamp(0), i64::MAX, 0.0],
+            row!["a", Value::Timestamp(0), 1i64, -0.0],
+            row!["a", Value::Timestamp(0), i64::MAX, f64::NAN],
+            row!["a", Value::Timestamp(0), Value::Null, -f64::NAN],
+            row!["n", Value::Timestamp(0), Value::Null, Value::Null],
+            row!["n", Value::Timestamp(0), Value::Null, Value::Null],
+        ];
+        let template =
+            HashAggregator::new(wide_schema(), vec![col("k")], combinable_aggregates()).unwrap();
+        let cuts: Vec<usize> = (1..rows.len()).collect();
+        for seed in 1..=50 {
+            assert_combine_matches_serial(&template, &rows, &cuts, &mut XorShift64::new(seed));
+        }
+        let mut serial = template.fresh_clone();
+        serial
+            .update_batch(&RecordBatch::from_rows(wide_schema(), &rows).unwrap())
             .unwrap();
-        // NULL row dropped; t=7s expands to windows [0,10) and [5,15).
+        let out = serial.finish_all().unwrap().to_rows();
         assert_eq!(
-            pairs,
-            vec![
-                (row![Value::Timestamp(0)], row![1i64]),
-                (row![Value::Timestamp(secs(5))], row![1i64]),
+            out[0],
+            row![
+                "a",
+                4i64,
+                3i64,
+                i64::MAX.wrapping_add(1).wrapping_add(i64::MAX),
+                1i64,
+                i64::MAX,
+                -f64::NAN,
+                f64::NAN
             ]
         );
+        let mut all_null = vec![Value::str("n"), Value::Int64(2), Value::Int64(0)];
+        all_null.resize(8, Value::Null);
+        assert_eq!(out[1], Row::new(all_null));
     }
 
     #[test]
-    fn update_pairs_rejects_wrong_arity() {
+    fn combinable_is_decided_from_function_and_resolved_type() {
+        let is = |aggregates: Vec<AggregateExpr>| {
+            HashAggregator::new(wide_schema(), vec![col("k")], aggregates)
+                .unwrap()
+                .is_combinable()
+        };
+        assert!(is(combinable_aggregates()));
+        assert!(is(vec![]));
+        for not in [sum(col("f")), avg(col("v")), avg(col("f"))] {
+            assert!(!is(vec![not.clone()]), "{not}");
+            assert!(!is(vec![count_star(), not.clone(), min(col("v"))]), "{not}");
+        }
+    }
+
+    #[test]
+    fn merge_partials_rejects_wrong_arity_and_type() {
         let mut agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        assert!(agg
-            .update_pairs(vec![(row!["a"], row![1i64, 2i64])])
-            .is_err());
+        for bad in [
+            vec![],
+            vec![Accumulator::Count { n: 1 }, Accumulator::Count { n: 1 }],
+            vec![Accumulator::Avg { sum: 1.0, count: 1 }],
+        ] {
+            let err = agg.merge_partials(vec![(row!["a"], bad)]).unwrap_err();
+            assert!(matches!(err, SsError::Internal(_)), "{err:?}");
+        }
     }
 
     #[test]

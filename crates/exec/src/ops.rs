@@ -1,6 +1,7 @@
 //! Stateless per-batch operators: filter, project, sort, limit,
 //! distinct.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rustc_hash::FxHashSet;
@@ -22,8 +23,7 @@ pub mod failpoints {
 /// counts as false, per SQL). Evaluation is guarded: a panic inside
 /// the predicate fails the batch, not the thread.
 pub fn filter_batch(batch: &RecordBatch, predicate: &Expr) -> Result<RecordBatch> {
-    let mask = evaluate_guarded(predicate, batch)?.to_mask()?;
-    batch.filter(&mask)
+    filter_project_rows(batch, 0..batch.num_rows(), predicate, None)
 }
 
 /// `SELECT exprs`: evaluate each expression into an output column.
@@ -32,7 +32,7 @@ pub fn project_batch(batch: &RecordBatch, exprs: &[Expr]) -> Result<RecordBatch>
     let mut fields = Vec::with_capacity(exprs.len());
     let mut columns = Vec::with_capacity(exprs.len());
     for e in exprs {
-        let col = evaluate_guarded(e, batch)?;
+        let col = evaluate_guarded(e, batch, 0..batch.num_rows())?;
         fields.push(ss_common::Field {
             name: e.output_name(),
             data_type: col.data_type(),
@@ -43,18 +43,21 @@ pub fn project_batch(batch: &RecordBatch, exprs: &[Expr]) -> Result<RecordBatch>
     RecordBatch::try_new(Arc::new(Schema::new(fields)?), columns)
 }
 
-/// Fused `SELECT exprs WHERE predicate`: evaluates the mask on the
-/// full batch, then filters **only** the columns the projection
-/// references before evaluating it — columns the projection drops are
-/// never copied (§5.3-style pipelining of selection into projection).
-pub fn filter_project_batch(
+/// Fused `SELECT exprs WHERE predicate` (every column when `exprs` is
+/// `None`) over the row range `rows` of `batch`: evaluates the mask on
+/// the range in place, then filters **only** the columns the
+/// projection references before evaluating it — columns the projection
+/// drops and rows outside the range are never copied (§5.3-style
+/// pipelining of selection into projection).
+pub fn filter_project_rows(
     batch: &RecordBatch,
+    rows: Range<usize>,
     predicate: &Expr,
-    exprs: &[Expr],
+    exprs: Option<&[Expr]>,
 ) -> Result<RecordBatch> {
-    let mask = evaluate_guarded(predicate, batch)?.to_mask()?;
+    let mask = evaluate_guarded(predicate, batch, rows.clone())?.to_mask()?;
     let mut needed: Vec<usize> = Vec::new();
-    for e in exprs {
+    for e in exprs.unwrap_or_default() {
         for name in e.referenced_columns() {
             let i = batch.schema().index_of(&name)?;
             if !needed.contains(&i) {
@@ -64,12 +67,15 @@ pub fn filter_project_batch(
     }
     needed.sort_unstable();
     if needed.is_empty() {
-        // Pure-literal projection: row count must still come from the
-        // filtered batch.
-        return project_batch(&batch.filter(&mask)?, exprs);
+        // No projection, or a pure-literal one whose row count must
+        // still come from the filtered batch.
+        needed.extend(0..batch.num_columns());
     }
-    let narrowed = batch.filter_columns(&mask, &needed)?;
-    project_batch(&narrowed, exprs)
+    let narrowed = batch.filter_columns(rows.start, &mask, &needed)?;
+    match exprs {
+        Some(exprs) => project_batch(&narrowed, exprs),
+        None => Ok(narrowed),
+    }
 }
 
 /// `ORDER BY keys`: total sort of the concatenated input.

@@ -40,6 +40,19 @@ impl AggregateFunction {
             AggregateFunction::Avg => "avg",
         }
     }
+
+    /// Do this function's partial states, at the resolved
+    /// `result_type`, merge to the same bytes in any order? `COUNT`
+    /// does; `MIN`/`MAX` do ([`Value::total_cmp`] ties only identical
+    /// values); `SUM` does over `Int64` (wrapping add). `AVG` and
+    /// `SUM` over `Float64` round differently per order.
+    pub fn is_combinable(self, result_type: DataType) -> bool {
+        match self {
+            AggregateFunction::Count | AggregateFunction::Min | AggregateFunction::Max => true,
+            AggregateFunction::Sum => result_type == DataType::Int64,
+            AggregateFunction::Avg => false,
+        }
+    }
 }
 
 /// An aggregate call site: function + optional argument + optional alias.
@@ -115,13 +128,6 @@ impl AggregateExpr {
             AggregateFunction::Max => Accumulator::Max { max: Value::Null },
             AggregateFunction::Avg => Accumulator::Avg { sum: 0.0, count: 0 },
         }
-    }
-
-    /// Rehydrate an accumulator from a checkpointed state row.
-    pub fn accumulator_from_state(&self, state: &Row) -> Result<Accumulator> {
-        let mut acc = self.create_accumulator();
-        acc.merge(state)?;
-        Ok(acc)
     }
 }
 
@@ -304,42 +310,49 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Merge a checkpointed/partial state into this accumulator.
+    /// Merge a checkpointed [`Accumulator::state`] row into this one.
     pub fn merge(&mut self, state: &Row) -> Result<()> {
         let wrong = || SsError::Serde(format!("bad aggregate state {state}"));
-        match self {
-            Accumulator::Count { n } => {
-                let m = state.values().first().ok_or_else(wrong)?;
-                *n += m.as_i64()?.ok_or_else(wrong)?;
+        let first = || state.values().first().ok_or_else(wrong);
+        let other = match self {
+            // One value of the input's type, or NULL: a scalar update.
+            Accumulator::Sum { .. } | Accumulator::Min { .. } | Accumulator::Max { .. } => {
+                return self.update_value(first()?)
             }
-            Accumulator::Sum { sum } => {
-                let other = state.values().first().ok_or_else(wrong)?;
-                if !other.is_null() {
-                    let mut tmp = Accumulator::Sum { sum: sum.clone() };
-                    tmp.update_value(other)?;
-                    if let Accumulator::Sum { sum: s } = tmp {
-                        *sum = s;
-                    }
-                }
-            }
-            Accumulator::Min { min } => {
-                let other = state.values().first().ok_or_else(wrong)?;
-                if !other.is_null() && (min.is_null() || *other < *min) {
-                    *min = other.clone();
-                }
-            }
-            Accumulator::Max { max } => {
-                let other = state.values().first().ok_or_else(wrong)?;
-                if !other.is_null() && (max.is_null() || *other > *max) {
-                    *max = other.clone();
-                }
-            }
-            Accumulator::Avg { sum, count } => {
+            Accumulator::Count { .. } => Accumulator::Count {
+                n: first()?.as_i64()?.ok_or_else(wrong)?,
+            },
+            Accumulator::Avg { .. } => {
                 if state.len() != 2 {
                     return Err(wrong());
                 }
-                *sum += state.get(0).as_f64()?.ok_or_else(wrong)?;
-                *count += state.get(1).as_i64()?.ok_or_else(wrong)?;
+                Accumulator::Avg {
+                    sum: state.get(0).as_f64()?.ok_or_else(wrong)?,
+                    count: state.get(1).as_i64()?.ok_or_else(wrong)?,
+                }
+            }
+        };
+        self.combine(other)
+    }
+
+    /// Merge another accumulator of the same function into this one:
+    /// how a reduce shard folds in a map task's per-key partial.
+    pub fn combine(&mut self, other: Accumulator) -> Result<()> {
+        match (&mut *self, other) {
+            (Accumulator::Count { n }, Accumulator::Count { n: m }) => *n += m,
+            (Accumulator::Avg { sum, count }, Accumulator::Avg { sum: s, count: c }) => {
+                *sum += s;
+                *count += c;
+            }
+            (Accumulator::Sum { .. }, Accumulator::Sum { sum: v })
+            | (Accumulator::Min { .. }, Accumulator::Min { min: v })
+            | (Accumulator::Max { .. }, Accumulator::Max { max: v }) => {
+                return self.update_value(&v)
+            }
+            (acc, other) => {
+                return Err(SsError::Internal(format!(
+                    "cannot combine {other:?} into {acc:?}"
+                )))
             }
         }
         Ok(())
@@ -449,7 +462,8 @@ mod tests {
         for agg in [sum(col("x")), avg(col("x")), count_star()] {
             let mut acc = agg.create_accumulator();
             acc.update_column(Some(&c), 2).unwrap();
-            let restored = agg.accumulator_from_state(&acc.state()).unwrap();
+            let mut restored = agg.create_accumulator();
+            restored.merge(&acc.state()).unwrap();
             assert_eq!(restored.evaluate(), acc.evaluate(), "{}", agg.output_name());
         }
     }

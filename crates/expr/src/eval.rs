@@ -12,6 +12,7 @@
 //! Both implement the same SQL semantics (Kleene logic, NULL
 //! propagation); a property test in this module asserts they agree.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ss_common::column::TypedColumn;
@@ -24,11 +25,17 @@ use crate::kernels;
 /// Evaluate `expr` against every row of `batch`, producing a column of
 /// `batch.num_rows()` values.
 pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
+    eval_rows(expr, batch, &(0..batch.num_rows()))
+}
+
+/// [`evaluate`] over the row range `rows` of `batch` only, producing
+/// `rows.len()` values without copying the range out first.
+fn eval_rows(expr: &Expr, batch: &RecordBatch, rows: &Range<usize>) -> Result<Column> {
     match expr {
-        Expr::Column(name) => Ok(batch.column_by_name(name)?.clone()),
+        Expr::Column(name) => Ok(batch.column_by_name(name)?.slice(rows.start, rows.len())),
         Expr::Literal(v) => {
             let ty = v.data_type().unwrap_or(DataType::Utf8);
-            Column::repeat(v, ty, batch.num_rows())
+            Column::repeat(v, ty, rows.len())
         }
         Expr::BinaryOp { left, op, right } => {
             // Fast path for `expr <cmp> literal`: compare against the
@@ -36,32 +43,32 @@ pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
             // literal column (the shape codegen would emit, §5.3).
             if op.is_comparison() {
                 if let Expr::Literal(v) = right.as_ref() {
-                    if let Some(out) = scalar_compare(*op, left, v, batch)? {
+                    if let Some(out) = scalar_compare(*op, left, v, batch, rows)? {
                         return Ok(out);
                     }
                 }
                 if let Expr::Literal(v) = left.as_ref() {
-                    if let Some(out) = scalar_compare(op.flip(), right, v, batch)? {
+                    if let Some(out) = scalar_compare(op.flip(), right, v, batch, rows)? {
                         return Ok(out);
                     }
                 }
             }
-            let l = evaluate(left, batch)?;
-            let r = evaluate(right, batch)?;
+            let l = eval_rows(left, batch, rows)?;
+            let r = eval_rows(right, batch, rows)?;
             evaluate_binary(*op, &l, &r)
         }
         Expr::Not(e) => {
-            let c = evaluate(e, batch)?;
+            let c = eval_rows(e, batch, rows)?;
             Ok(kernels::not_kernel(c.as_bool()?))
         }
-        Expr::IsNull(e) => Ok(kernels::is_null_kernel(&evaluate(e, batch)?, false)),
-        Expr::IsNotNull(e) => Ok(kernels::is_null_kernel(&evaluate(e, batch)?, true)),
-        Expr::Cast { expr, to } => kernels::cast_column(&evaluate(expr, batch)?, *to),
-        Expr::Alias { expr, .. } => evaluate(expr, batch),
+        Expr::IsNull(e) => Ok(kernels::is_null_kernel(&eval_rows(e, batch, rows)?, false)),
+        Expr::IsNotNull(e) => Ok(kernels::is_null_kernel(&eval_rows(e, batch, rows)?, true)),
+        Expr::Cast { expr, to } => kernels::cast_column(&eval_rows(expr, batch, rows)?, *to),
+        Expr::Alias { expr, .. } => eval_rows(expr, batch, rows),
         Expr::Case {
             branches,
             else_expr,
-        } => evaluate_case(branches, else_expr.as_deref(), batch),
+        } => evaluate_case(branches, else_expr.as_deref(), batch, rows),
         Expr::Window {
             time,
             size_us,
@@ -74,7 +81,7 @@ pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
                         .into(),
                 ));
             }
-            let t = evaluate(time, batch)?;
+            let t = eval_rows(time, batch, rows)?;
             let tc = t.as_i64()?;
             let starts: Vec<i64> = tc
                 .values()
@@ -97,22 +104,22 @@ pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
         Expr::Function { name, args } => {
             let cols: Vec<Column> = args
                 .iter()
-                .map(|a| evaluate(a, batch))
+                .map(|a| eval_rows(a, batch, rows))
                 .collect::<Result<_>>()?;
             evaluate_builtin(name, &cols)
         }
         Expr::Udf { udf, args } => {
             let cols: Vec<Column> = args
                 .iter()
-                .map(|a| evaluate(a, batch))
+                .map(|a| eval_rows(a, batch, rows))
                 .collect::<Result<_>>()?;
             let out = (udf.func)(&cols)?;
-            if out.len() != batch.num_rows() {
+            if out.len() != rows.len() {
                 return Err(SsError::Execution(format!(
                     "UDF `{}` returned {} rows for a {}-row batch",
                     udf.name,
                     out.len(),
-                    batch.num_rows()
+                    rows.len()
                 )));
             }
             Ok(out)
@@ -132,30 +139,33 @@ fn scalar_compare(
     expr: &Expr,
     lit: &Value,
     batch: &RecordBatch,
+    rows: &Range<usize>,
 ) -> Result<Option<Column>> {
     if lit.is_null() {
         // NULL comparisons are all-NULL; let the generic path handle it.
         return Ok(None);
     }
     // Bare column references borrow the batch's column directly — no
-    // copy of the column data just to compare it.
+    // copy of the column data (or of the row range) just to compare it.
     let owned;
-    let col: &Column = match expr {
-        Expr::Column(name) => batch.column_by_name(name)?,
+    let (col, rows): (&Column, _) = match expr {
+        Expr::Column(name) => (batch.column_by_name(name)?, rows.clone()),
         _ => {
-            owned = evaluate(expr, batch)?;
-            &owned
+            owned = eval_rows(expr, batch, rows)?;
+            (&owned, 0..rows.len())
         }
     };
     Ok(match (col, lit) {
         (Column::Int64(c) | Column::Timestamp(c), Value::Int64(s) | Value::Timestamp(s)) => {
-            Some(kernels::cmp_i64_scalar(op, c, *s)?)
+            Some(kernels::cmp_scalar(op, c, rows, |x| x.cmp(s))?)
         }
-        (Column::Float64(c), Value::Float64(s)) => Some(kernels::cmp_f64_scalar(op, c, *s)?),
+        (Column::Float64(c), Value::Float64(s)) => {
+            Some(kernels::cmp_scalar(op, c, rows, |x| x.total_cmp(s))?)
+        }
         (Column::Float64(c), Value::Int64(s)) => {
-            Some(kernels::cmp_f64_scalar(op, c, *s as f64)?)
+            Some(kernels::cmp_scalar(op, c, rows, |x| x.total_cmp(&(*s as f64)))?)
         }
-        (Column::Utf8(c), Value::Utf8(s)) => Some(kernels::cmp_utf8_scalar(op, c, s)?),
+        (Column::Utf8(c), Value::Utf8(s)) => Some(kernels::cmp_utf8_scalar(op, c, rows, s)?),
         _ => None,
     })
 }
@@ -198,16 +208,17 @@ fn evaluate_case(
     branches: &[(Expr, Expr)],
     else_expr: Option<&Expr>,
     batch: &RecordBatch,
+    rows: &Range<usize>,
 ) -> Result<Column> {
     let masks: Vec<Vec<bool>> = branches
         .iter()
-        .map(|(c, _)| evaluate_to_mask(c, batch))
+        .map(|(c, _)| eval_rows(c, batch, rows)?.to_mask())
         .collect::<Result<_>>()?;
     let values: Vec<Column> = branches
         .iter()
-        .map(|(_, v)| evaluate(v, batch))
+        .map(|(_, v)| eval_rows(v, batch, rows))
         .collect::<Result<_>>()?;
-    let else_col = else_expr.map(|e| evaluate(e, batch)).transpose()?;
+    let else_col = else_expr.map(|e| eval_rows(e, batch, rows)).transpose()?;
     // Output type: common type across branch values (and ELSE).
     let mut ty = values
         .first()
@@ -221,7 +232,7 @@ fn evaluate_case(
         ty = ty.common_type(e.data_type())?;
     }
     let mut b = Column::builder(ty);
-    'rows: for i in 0..batch.num_rows() {
+    'rows: for i in 0..rows.len() {
         for (bi, mask) in masks.iter().enumerate() {
             if mask[i] {
                 b.push(&values[bi].value(i).cast_to(ty)?)?;
@@ -358,20 +369,23 @@ fn parse_strict_int(s: &str) -> Result<i64> {
     })
 }
 
-/// [`evaluate`], with panics converted into [`SsError::Execution`].
+/// [`evaluate`] over the row range `rows` of `batch`, with panics
+/// converted into [`SsError::Execution`].
 ///
 /// Expression evaluation is the engine's main per-record attack surface
 /// for poison data (UDF panics, kernel bugs on pathological values); a
 /// panic here should fail the *epoch*, restartably, not kill the worker
 /// thread. The stateless operators route through this wrapper.
-pub fn evaluate_guarded(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(expr, batch)))
-        .unwrap_or_else(|p| {
-            Err(SsError::Execution(format!(
-                "panic during expression eval: {}",
-                ss_common::panic_message(p.as_ref())
-            )))
-        })
+pub fn evaluate_guarded(expr: &Expr, batch: &RecordBatch, rows: Range<usize>) -> Result<Column> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        eval_rows(expr, batch, &rows)
+    }))
+    .unwrap_or_else(|p| {
+        Err(SsError::Execution(format!(
+            "panic during expression eval: {}",
+            ss_common::panic_message(p.as_ref())
+        )))
+    })
 }
 
 /// SQL `LIKE` matching: `%` matches any run (including empty), `_`
@@ -662,7 +676,7 @@ mod tests {
         use crate::expr::ScalarUdf;
         let b = batch();
         // A well-behaved expression passes through untouched.
-        let ok = evaluate_guarded(&col("a"), &b).unwrap();
+        let ok = evaluate_guarded(&col("a"), &b, 0..b.num_rows()).unwrap();
         assert_eq!(ok.value(0), Value::Int64(1));
         // A panicking UDF becomes a restartable Execution error.
         let udf = ScalarUdf {
@@ -674,7 +688,7 @@ mod tests {
             udf,
             args: vec![col("a")],
         };
-        let err = evaluate_guarded(&e, &b).unwrap_err();
+        let err = evaluate_guarded(&e, &b, 0..b.num_rows()).unwrap_err();
         assert!(matches!(err, SsError::Execution(_)), "{err:?}");
         assert!(err.to_string().contains("poison key"), "{err}");
     }

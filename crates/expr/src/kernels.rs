@@ -6,6 +6,7 @@
 //! bytecode (§5.3): the evaluator dispatches *once per batch*, not once
 //! per record.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ss_common::bitmap::Bitmap;
@@ -199,42 +200,28 @@ pub fn cmp_utf8(
     Ok(Column::Boolean(TypedColumn::from_options(out, false)))
 }
 
-/// Column-vs-scalar integer/timestamp comparison — the fast path for
-/// `col <op> literal` predicates, avoiding materializing the literal
-/// as a column.
-pub fn cmp_i64_scalar(op: BinaryOp, a: &TypedColumn<i64>, s: i64) -> Result<Column> {
+/// Column-vs-scalar comparison of rows `rows` of `a`, where `cmp`
+/// orders a value against the scalar — the fast path for `col <op>
+/// literal` predicates, avoiding materializing the literal as a column
+/// (or the row range as a copy).
+pub fn cmp_scalar<T: Clone>(
+    op: BinaryOp,
+    a: &TypedColumn<T>,
+    rows: Range<usize>,
+    cmp: impl Fn(&T) -> std::cmp::Ordering,
+) -> Result<Column> {
     let check = cmp_fn!(op);
-    let av = a.values();
+    let av = &a.values()[rows.clone()];
     match a.validity() {
         None => {
-            let out: Vec<bool> = av.iter().map(|&x| check(x.cmp(&s))).collect();
+            let out: Vec<bool> = av.iter().map(|x| check(cmp(x))).collect();
             Ok(Column::Boolean(TypedColumn::from_values(out)))
         }
         Some(valid) => {
             let out: Vec<Option<bool>> = av
                 .iter()
                 .enumerate()
-                .map(|(i, &x)| valid.get(i).then(|| check(x.cmp(&s))))
-                .collect();
-            Ok(Column::Boolean(TypedColumn::from_options(out, false)))
-        }
-    }
-}
-
-/// Column-vs-scalar float comparison (total order).
-pub fn cmp_f64_scalar(op: BinaryOp, a: &TypedColumn<f64>, s: f64) -> Result<Column> {
-    let check = cmp_fn!(op);
-    let av = a.values();
-    match a.validity() {
-        None => {
-            let out: Vec<bool> = av.iter().map(|&x| check(x.total_cmp(&s))).collect();
-            Ok(Column::Boolean(TypedColumn::from_values(out)))
-        }
-        Some(valid) => {
-            let out: Vec<Option<bool>> = av
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| valid.get(i).then(|| check(x.total_cmp(&s))))
+                .map(|(i, x)| valid.get(rows.start + i).then(|| check(cmp(x))))
                 .collect();
             Ok(Column::Boolean(TypedColumn::from_options(out, false)))
         }
@@ -244,8 +231,13 @@ pub fn cmp_f64_scalar(op: BinaryOp, a: &TypedColumn<f64>, s: f64) -> Result<Colu
 /// Column-vs-scalar string comparison. For equality the inner loop is
 /// a length check plus a memcmp — the shape a code generator would
 /// emit for this predicate.
-pub fn cmp_utf8_scalar(op: BinaryOp, a: &TypedColumn<Arc<str>>, s: &str) -> Result<Column> {
-    let av = a.values();
+pub fn cmp_utf8_scalar(
+    op: BinaryOp,
+    a: &TypedColumn<Arc<str>>,
+    rows: Range<usize>,
+    s: &str,
+) -> Result<Column> {
+    let av = &a.values()[rows.clone()];
     let all_valid = a.validity().is_none();
     // Specialize the dominant cases.
     let run = |f: &mut dyn FnMut(&str) -> bool| -> Column {
@@ -257,7 +249,7 @@ pub fn cmp_utf8_scalar(op: BinaryOp, a: &TypedColumn<Arc<str>>, s: &str) -> Resu
             let out: Vec<Option<bool>> = av
                 .iter()
                 .enumerate()
-                .map(|(i, x)| valid.get(i).then(|| f(x.as_ref())))
+                .map(|(i, x)| valid.get(rows.start + i).then(|| f(x.as_ref())))
                 .collect();
             Column::Boolean(TypedColumn::from_options(out, false))
         }

@@ -465,3 +465,215 @@ fn restart_across_partition_counts_repartitions_state() {
         "1 → 4 → 2 restart chain diverged from the serial run"
     );
 }
+
+/// The combinable twin of the sliding-window shape: its `avg` runs at
+/// one partition, this one goes through the exchange, so one row's
+/// fan-out keys reach different reduce partitions as separate
+/// partials.
+#[test]
+fn combinable_sliding_window_is_byte_identical_across_the_parallelism_matrix() {
+    let shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .group_by(vec![
+                window_sliding(col("time"), "10 seconds", "5 seconds").unwrap(),
+                col("key"),
+            ])
+            .agg(vec![count_star(), sum(col("v")), min(col("v")), max(col("v"))])
+    };
+    for mode in [OutputMode::Append, OutputMode::Update] {
+        assert_shape_matrix("combinable sliding", &shape, mode);
+    }
+}
+
+/// One key carries 90 % of the rows. Output stays byte-identical, and
+/// because a map task ships one partial per key however many rows the
+/// key has, the exchange stays balanced: skew is measured on partials.
+#[test]
+fn hot_key_is_byte_identical_and_balanced_on_partials() {
+    let run = |parallelism: usize, partitions: usize| -> (Vec<Row>, Vec<f64>) {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 3).unwrap();
+        let ctx = StreamingContext::new();
+        let source = ctx
+            .read_source(Arc::new(BusSource::new(bus.clone(), "in", agg_schema()).unwrap()))
+            .unwrap();
+        let sink = MemorySink::new("out");
+        let mut query = source
+            .group_by(vec![col("key")])
+            .agg(vec![count_star(), sum(col("v")), max(col("v"))])
+            .write_stream()
+            .output_mode(OutputMode::Update)
+            .sink(sink.clone())
+            .parallelism(parallelism)
+            .shuffle_partitions(partitions)
+            .start_sync()
+            .unwrap();
+        for wave in 0..4u64 {
+            for i in wave * 1_000..(wave + 1) * 1_000 {
+                let key = match i % 10 {
+                    0 => format!("cold{}", (i / 10) % 64),
+                    _ => "hot".to_string(),
+                };
+                bus.append("in", (i % 3) as u32, vec![row![key, i as i64, ts(i as i64)]])
+                    .unwrap();
+            }
+            query.process_available().unwrap();
+        }
+        let skews = query
+            .profiles()
+            .iter()
+            .filter_map(|p| p.shuffle.as_ref().map(|s| s.key_skew))
+            .collect();
+        query.stop().unwrap();
+        (sink.snapshot(), skews)
+    };
+    let (expected, no_shuffle) = run(1, 1);
+    assert!(!expected.is_empty() && no_shuffle.is_empty());
+    for (p, s) in MATRIX {
+        let (got, skews) = run(p, s);
+        assert_eq!(got, expected, "hot key diverged at parallelism={p} partitions={s}");
+        if s > 1 {
+            // By rows the hot key's partition would carry ≥ 90 % of an
+            // epoch: a skew of at least 0.9 × s.
+            assert_eq!(skews.len(), 4, "one shuffle profile per epoch");
+            for skew in skews {
+                assert!(
+                    skew < 1.25,
+                    "partials skewed {skew:.2} at parallelism={p} partitions={s}"
+                );
+            }
+        }
+    }
+}
+
+/// The state-store layout a finished run left in `backend`: the
+/// manifest's partition count and the operator namespaces that hold
+/// entries (a repartition leaves its source namespaces behind, empty).
+fn checkpointed_layout(backend: &Arc<MemoryBackend>) -> (u32, Vec<String>) {
+    let backend: Arc<dyn structured_streaming::ss_state::CheckpointBackend> = backend.clone();
+    let manifest = structured_streaming::ss_wal::Manifest::load(&backend)
+        .unwrap()
+        .expect("the run checkpointed");
+    let mut store = structured_streaming::ss_state::StateStore::new(backend);
+    store.restore_best(None).unwrap().expect("a restorable checkpoint");
+    let mut ops = store.operator_ids();
+    ops.retain(|id| store.operator_ref(id).is_some_and(|op| !op.is_empty()));
+    (manifest.state_partitions(), ops)
+}
+
+/// Float `SUM` and `AVG` partials do not merge order-free, so such
+/// plans are not chunk-safe: like `Distinct`, they run at one
+/// partition at any requested parallelism and write the unsharded
+/// state layout.
+#[test]
+fn float_sum_and_avg_run_at_one_partition_and_write_the_unsharded_layout() {
+    let avg_shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .group_by(vec![col("key")])
+            .agg(vec![count_star(), avg(col("v"))])
+    };
+    let float_sum_shape = |_: &StreamingContext, events: DataFrame| {
+        events
+            .group_by(vec![col("key")])
+            .agg(vec![sum(col("v").mul(lit(0.1f64))), max(col("v"))])
+    };
+    let check = |what: &str, shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame| {
+        assert_shape_matrix(what, shape, OutputMode::Update);
+        let (_, _, backend) = run_shape(shape, OutputMode::Update, 4, 4);
+        let (partitions, ops) = checkpointed_layout(&backend);
+        assert_eq!(partitions, 1, "{what}");
+        assert!(ops.contains(&"agg-0".to_string()), "{what} operators: {ops:?}");
+        assert!(
+            ops.iter().all(|id| !id.contains("/p")),
+            "{what}: sharded namespaces in a one-partition plan: {ops:?}"
+        );
+    };
+    check("avg", &avg_shape);
+    check("float sum", &float_sum_shape);
+}
+
+/// An `avg` plan checkpointed in the sharded layout — what a build
+/// from before `AVG` stopped being partitioned left behind — restarts
+/// at the same `(4, 4)` request, now the identity exchange: restore
+/// collapses the shards and the chain ends byte-identical to the
+/// uninterrupted serial run.
+#[test]
+fn sharded_avg_checkpoint_restarts_at_one_partition() {
+    use structured_streaming::ss_core::parallel::repartition_family;
+    use structured_streaming::ss_state::{CheckpointBackend, StateStore};
+    use structured_streaming::ss_wal::Manifest;
+
+    let segment = |bus: &Arc<MessageBus>,
+                   backend: &Arc<MemoryBackend>,
+                   sink: &Arc<MemorySink>,
+                   (p, s): (usize, usize),
+                   waves: std::ops::Range<u64>| {
+        let ctx = StreamingContext::new();
+        let source = ctx
+            .read_source(Arc::new(BusSource::new(bus.clone(), "in", agg_schema()).unwrap()))
+            .unwrap();
+        let mut query = source
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("key")])
+            .agg(vec![count_star(), avg(col("v"))])
+            .write_stream()
+            .output_mode(OutputMode::Append)
+            .sink(sink.clone())
+            .checkpoint(backend.clone())
+            .parallelism(p)
+            .shuffle_partitions(s)
+            .start_sync()
+            .unwrap();
+        for wave in waves {
+            feed_agg(bus, 15, wave * 15);
+            query.process_available().unwrap();
+        }
+        query.process_available().unwrap();
+        query.stop().unwrap();
+    };
+    let fresh = || {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 3).unwrap();
+        (bus, Arc::new(MemoryBackend::new()), MemorySink::new("out"))
+    };
+
+    let (bus, backend, sink) = fresh();
+    segment(&bus, &backend, &sink, (1, 1), 0..9);
+    let uninterrupted = sink.snapshot();
+    assert!(!uninterrupted.is_empty());
+
+    let (bus, backend, sink) = fresh();
+    segment(&bus, &backend, &sink, (1, 1), 0..3);
+    // Rewrite the serial checkpoint as a 4-shard one.
+    let dyn_backend: Arc<dyn CheckpointBackend> = backend.clone();
+    let mut store = StateStore::new(dyn_backend.clone());
+    let epoch = store.restore_best(None).unwrap().expect("a restorable checkpoint");
+    repartition_family(&mut store, "agg-0", "", 4).unwrap();
+    for key in dyn_backend.list("state/chk-").unwrap() {
+        dyn_backend.delete(&key).unwrap();
+    }
+    store.checkpoint(epoch).unwrap();
+    let mut manifest = Manifest::load(&dyn_backend).unwrap().expect("a manifest");
+    manifest.state_partitions = Some(4);
+    manifest.write(&dyn_backend).unwrap();
+    let (partitions, ops) = checkpointed_layout(&backend);
+    assert_eq!(partitions, 4);
+    assert!(ops.iter().any(|id| id.starts_with("agg-0/p")), "operators: {ops:?}");
+
+    segment(&bus, &backend, &sink, (4, 4), 3..6);
+    let (partitions, ops) = checkpointed_layout(&backend);
+    assert_eq!(partitions, 1);
+    assert!(
+        ops.contains(&"agg-0".to_string()) && ops.iter().all(|id| !id.contains("/p")),
+        "operators: {ops:?}"
+    );
+    segment(&bus, &backend, &sink, (1, 1), 6..9);
+    assert_eq!(
+        sink.snapshot(),
+        uninterrupted,
+        "sharded avg checkpoint → (4, 4) → (1, 1) diverged from the serial run"
+    );
+}
