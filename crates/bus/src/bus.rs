@@ -103,8 +103,9 @@ pub struct Record {
 /// chunk at a time (on the caller's thread) and keeps up to one chunk
 /// of expired records per partition, which is what keeps this small; a
 /// read pays one slice copy per chunk and column, which is what keeps
-/// it from being smaller.
-const CHUNK_ROWS: usize = 16_384;
+/// it from being smaller — and the engine's vector size, so a chunk is
+/// a vector.
+const CHUNK_ROWS: usize = ss_common::VECTOR_ROWS;
 
 /// A run of consecutive records stored column-wise: the unit of the
 /// log. The bus has no schema, so a chunk's shape comes from its rows:

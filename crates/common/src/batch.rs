@@ -16,6 +16,12 @@ use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::types::Value;
 
+/// Rows in a *vector*: the unit the engine moves through a fused chain
+/// of operators, sized so one vector's intermediates stay in cache and
+/// in the allocator's recycled small blocks. The bus seals its log
+/// chunks at the same bound, so vectors of a scan line up with chunks.
+pub const VECTOR_ROWS: usize = 16_384;
+
 /// A horizontal slice of a table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordBatch {

@@ -63,7 +63,7 @@ pub mod time;
 pub mod trace;
 pub mod types;
 
-pub use batch::RecordBatch;
+pub use batch::{RecordBatch, VECTOR_ROWS};
 pub use bitmap::Bitmap;
 pub use clock::{
     system_clock, Clock, ClockRef, Participation, SimClock, StepClock, SystemClock,

@@ -12,8 +12,8 @@
 //! | static `Scan`/subtree | execute once via the batch engine, cache |
 //! | `Filter`/`Project` | stateless per-epoch (`ss-exec` kernels) |
 //! | `Watermark` | observe max event time; drop late rows (§4.3.1) |
-//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] whose groups live in the state store; emission follows the query's output mode |
-//! | stream×static `Join` | per-epoch hash join against the cached static side |
+//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] whose groups live in the state store; emission follows the query's output mode. A stateless input chain over a scan is fused into the ingest loop: it runs a vector at a time ([`ChainRun`]), each vector folded in before the next starts |
+//! | stream×static `Join` | hash join against the static side, computed — and its keys hashed — once per query run |
 //! | stream×stream `Join` | symmetric stateful join ([`StreamJoinExec`]) |
 //! | `MapGroupsWithState` | stateful UDF operator ([`crate::stateful`]) |
 //! | `Distinct` | stateful dedup (seen-set in the state store) |
@@ -27,17 +27,18 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashSet;
 
 use ss_common::profile::PHASE_MERGE;
 use ss_common::{
     shuffle_partition, FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError, Value,
+    VECTOR_ROWS,
 };
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::executor::Catalog;
-use ss_exec::join::hash_join_projected;
+use ss_exec::join::{hash_join_projected, probe_join, KeyTable};
 use ss_exec::ops;
 use ss_expr::Expr;
 use ss_plan::stateful::StatefulOpDef;
@@ -153,8 +154,9 @@ pub struct EpochContext<'a> {
 /// A stateless, row-wise operator. Applying it to the chunks of a
 /// batch and concatenating the outputs is byte-identical to one
 /// whole-batch application (for the shapes
-/// [`StatelessOp::is_chunk_safe`] admits), so the tree walk and the
-/// exchange's map tasks run the same [`StatelessOp::apply`].
+/// [`StatelessOp::is_chunk_safe`] admits), so the tree walk, the fused
+/// aggregate input and the exchange's map tasks run the same
+/// [`StatelessOp::apply`].
 #[derive(Clone)]
 pub enum StatelessOp {
     Filter(Expr),
@@ -164,6 +166,8 @@ pub enum StatelessOp {
     FilterProject {
         predicate: Expr,
         exprs: Vec<Expr>,
+        /// Input columns `exprs` read ([`ops::needed_columns`]).
+        needed: Vec<usize>,
     },
     /// Observe the max event time for the watermark update at the
     /// epoch boundary, and drop rows later than the in-force watermark
@@ -176,8 +180,9 @@ pub enum StatelessOp {
         static_plan: Arc<LogicalPlan>,
         /// The static side, computed once per query run by the batch
         /// engine (§3: "compute a static table [...] and join it with
-        /// a stream") and shared by map tasks.
-        cache: Option<Arc<RecordBatch>>,
+        /// a stream") and shared by map tasks — with its key table
+        /// when it is the join's build side (the stream probes).
+        cache: Option<Arc<(RecordBatch, Option<KeyTable>)>>,
         stream_is_left: bool,
         join_type: JoinType,
         on: Vec<(Expr, Expr)>,
@@ -201,20 +206,37 @@ impl StatelessOp {
         )
     }
 
+    /// The operator's metric label; `seq` (its post-order record
+    /// number) disambiguates operators without a name of their own.
+    fn label(&self, seq: usize) -> String {
+        match self {
+            StatelessOp::Filter(_) => format!("filter#{seq}"),
+            StatelessOp::Project(_) | StatelessOp::FilterProject { .. } => format!("project#{seq}"),
+            StatelessOp::Watermark { column } => format!("watermark:{column}"),
+            StatelessOp::StaticJoin { .. } => format!("static-join#{seq}"),
+        }
+    }
+
     /// Fill the static-join cache (engine thread, before `apply`).
     pub(crate) fn prime(&mut self, statics: &dyn Catalog) -> Result<()> {
         if let StatelessOp::StaticJoin {
-            static_plan, cache, ..
+            static_plan,
+            cache,
+            stream_is_left,
+            on,
+            ..
         } = self
         {
             if cache.is_none() {
-                *cache = Some(Arc::new(ss_exec::execute(static_plan, statics)?));
+                let batch = ss_exec::execute(static_plan, statics)?;
+                let table = stream_is_left.then(|| KeyTable::build(&batch, on, true));
+                *cache = Some(Arc::new((batch, table.transpose()?)));
             }
         }
         Ok(())
     }
 
-    /// Apply the operator to one batch (or chunk). Also returns the
+    /// Apply the operator to one batch (or vector). Also returns the
     /// max event time a watermark operator observed, with its column.
     pub(crate) fn apply(
         &self,
@@ -257,20 +279,20 @@ impl StatelessOp {
             }
             StatelessOp::StaticJoin {
                 cache,
-                stream_is_left,
                 join_type,
                 on,
                 output_projection,
                 ..
             } => {
-                let static_batch = cache
-                    .as_deref()
-                    .ok_or_else(|| SsError::Internal("static join cache not primed".into()))?;
                 let proj = output_projection.as_deref();
-                if *stream_is_left {
-                    hash_join_projected(&batch, static_batch, *join_type, on, proj)?
-                } else {
-                    hash_join_projected(static_batch, &batch, *join_type, on, proj)?
+                match cache.as_deref() {
+                    Some((statics, Some(table))) => {
+                        probe_join(&batch, statics, table, *join_type, on, proj)?
+                    }
+                    Some((statics, None)) => {
+                        hash_join_projected(statics, &batch, *join_type, on, proj)?
+                    }
+                    None => return Err(SsError::Internal("static join cache not primed".into())),
                 }
             }
         };
@@ -278,7 +300,8 @@ impl StatelessOp {
     }
 
     /// [`StatelessOp::apply`] to rows `rows` of `batch`, which the
-    /// filtering operators read in place (no copy of a map task's chunk).
+    /// filtering operators read in place (no copy of a vector of the
+    /// scan).
     pub(crate) fn apply_rows(
         &self,
         batch: &RecordBatch,
@@ -286,16 +309,190 @@ impl StatelessOp {
         watermark_us: i64,
         faults: &FaultRegistry,
     ) -> Result<(RecordBatch, Option<(&str, i64)>)> {
-        let (predicate, exprs) = match self {
-            StatelessOp::Filter(predicate) => (predicate, None),
-            StatelessOp::FilterProject { predicate, exprs } => (predicate, Some(&exprs[..])),
+        let all: Vec<usize>;
+        let (predicate, exprs, needed) = match self {
+            StatelessOp::Filter(predicate) => {
+                all = (0..batch.num_columns()).collect();
+                (predicate, None, &all[..])
+            }
+            StatelessOp::FilterProject {
+                predicate,
+                exprs,
+                needed,
+            } => (predicate, Some(&exprs[..]), &needed[..]),
             _ => return self.apply(batch.slice(rows.start, rows.len())?, watermark_us, faults),
         };
         if !rows.is_empty() {
             faults.fire(ops::failpoints::RECORD_EVAL)?;
         }
-        let out = ops::filter_project_rows(batch, rows, predicate, exprs)?;
+        let out = ops::filter_project_rows(batch, rows, predicate, exprs, needed)?;
         Ok((out, None))
+    }
+}
+
+/// What one operator of a chain did over one [`ChainRun`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpRun {
+    rows_out: u64,
+    time: Duration,
+    /// A watermark operator's max observed event time.
+    max_seen: Option<i64>,
+}
+
+/// A stateless chain over a scan ([`chain_kind`]), lifted out of the
+/// tree for one epoch: its consumer — an aggregate's ingest, a map
+/// task — drives it through a [`ChainRun`], so no operator has to
+/// materialise an epoch-sized batch.
+pub(crate) struct Chain {
+    /// The epoch's scan, read in place by every run over a row range.
+    pub(crate) scan: RecordBatch,
+    /// The operators, primed, in execution order.
+    ops: Vec<StatelessOp>,
+    /// Where the operators' records start in `ctx.ops`.
+    first_stat: usize,
+}
+
+impl Chain {
+    /// Take the epoch input at the bottom of `node`'s chain and
+    /// collect its operators. The scan records itself as in the tree
+    /// walk; each operator's record is opened here — the walk's
+    /// post-order and labels, starting with (and containing) the
+    /// record below it — and filled by [`Chain::record`].
+    pub(crate) fn lift(node: &mut IncNode, ctx: &mut EpochContext<'_>) -> Result<Chain> {
+        match node {
+            IncNode::Stateless { input, op, .. } => {
+                let mut chain = Chain::lift(input, ctx)?;
+                op.prime(ctx.statics)?;
+                let below = ctx.ops.stats.last().expect("the scan below recorded itself");
+                let (started, below_us) = (below.started_rel_us, below.duration_us);
+                ctx.ops.record(op.label(ctx.ops.stats.len()), 0, started, below_us);
+                chain.ops.push(op.clone());
+                Ok(chain)
+            }
+            scan @ IncNode::StreamScan { .. } => Ok(Chain {
+                scan: scan.execute_epoch(ctx)?,
+                ops: Vec::new(),
+                first_stat: ctx.ops.stats.len(),
+            }),
+            _ => Err(SsError::Internal(
+                "lifted input is not a stateless chain over a scan".into(),
+            )),
+        }
+    }
+
+    /// The chain poised over rows `rows` of the scan.
+    pub(crate) fn run<'a>(
+        &'a self,
+        rows: Range<usize>,
+        watermark_us: i64,
+        faults: &'a FaultRegistry,
+    ) -> ChainRun<'a> {
+        ChainRun {
+            chain: self,
+            rows,
+            watermark_us,
+            faults,
+            stats: vec![OpRun::default(); self.ops.len()],
+            rows_out: 0,
+        }
+    }
+
+    /// Fold one run's stats into the operators' records — summed over
+    /// runs (task CPU time at N partitions), time inclusive of the
+    /// operators below — and its event-time maxima into the tracker.
+    pub(crate) fn record(&self, ctx: &mut EpochContext<'_>, stats: &[OpRun]) {
+        let mut inclusive = Duration::ZERO;
+        for (i, (op, run)) in self.ops.iter().zip(stats).enumerate() {
+            inclusive += run.time;
+            let stat = &mut ctx.ops.stats[self.first_stat + i];
+            stat.rows_out += run.rows_out;
+            stat.duration_us += inclusive.as_micros() as u64;
+            if let (StatelessOp::Watermark { column }, Some(max)) = (op, run.max_seen) {
+                ctx.tracker.observe(column, max);
+            }
+        }
+    }
+}
+
+/// One pass of a [`Chain`] over a row range of its scan.
+pub(crate) struct ChainRun<'a> {
+    chain: &'a Chain,
+    rows: Range<usize>,
+    watermark_us: i64,
+    faults: &'a FaultRegistry,
+    /// Per operator, summed over the vectors run.
+    pub(crate) stats: Vec<OpRun>,
+    /// Rows handed to the consumer.
+    pub(crate) rows_out: u64,
+}
+
+impl ChainRun<'_> {
+    /// Run the chain `vector_rows` rows of the scan at a time
+    /// ([`VECTOR_ROWS`]; the whole range for a chain that is not
+    /// chunk-safe), handing each vector's output to `sink` in row
+    /// order, so no operator's output outlives its vector. An empty
+    /// range still runs one (empty) vector. A failure in vector `k`
+    /// leaves vectors `0..k` in whatever `sink` folded them into: the
+    /// epoch fails and its in-memory state is reloaded from the last
+    /// checkpoint.
+    pub(crate) fn for_each(
+        &mut self,
+        vector_rows: usize,
+        mut sink: impl FnMut(RecordBatch) -> Result<()>,
+    ) -> Result<()> {
+        let scan = &self.chain.scan;
+        loop {
+            let end = self.rows.end.min(self.rows.start.saturating_add(vector_rows));
+            let rows = std::mem::replace(&mut self.rows.start, end)..end;
+            // `None`: the vector is still the scan's rows, read in place.
+            let mut batch = None;
+            for (op, stat) in self.chain.ops.iter().zip(&mut self.stats) {
+                let started = Instant::now();
+                let (out, seen) = match batch {
+                    None => op.apply_rows(scan, rows.clone(), self.watermark_us, self.faults)?,
+                    Some(b) => op.apply(b, self.watermark_us, self.faults)?,
+                };
+                stat.max_seen = stat.max_seen.max(seen.map(|(_, max)| max));
+                stat.rows_out += out.num_rows() as u64;
+                stat.time += started.elapsed();
+                batch = Some(out);
+            }
+            let batch = match batch {
+                Some(b) => b,
+                None => scan.slice(rows.start, rows.len())?,
+            };
+            self.rows_out += batch.num_rows() as u64;
+            sink(batch)?;
+            if self.rows.is_empty() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The whole range as one vector, for consumers that want a batch.
+    pub(crate) fn whole(&mut self) -> Result<RecordBatch> {
+        let mut out = None;
+        self.for_each(usize::MAX, |batch| {
+            out = Some(batch);
+            Ok(())
+        })?;
+        out.ok_or_else(|| SsError::Internal("a chain run yields at least one vector".into()))
+    }
+}
+
+/// Is `node` a stateless chain over a scan ([`Chain::lift`] takes it),
+/// and if so, is it chunk-safe: [`StatelessOp::is_chunk_safe`]
+/// operators over an unshared scan (a shared scan's input is consumed
+/// by several plan branches; chunk ownership would be ambiguous)?
+/// Stateful or order-sensitive nodes (`MapGroups`, `Distinct`, nested
+/// aggregates/joins, `Sort`/`Limit`) end a chain.
+pub(crate) fn chain_kind(node: &IncNode) -> Option<bool> {
+    match node {
+        IncNode::StreamScan { shared, .. } => Some(!shared),
+        IncNode::Stateless { input, op, .. } => {
+            chain_kind(input).map(|safe| safe && op.is_chunk_safe())
+        }
+        _ => None,
     }
 }
 
@@ -374,14 +571,7 @@ impl IncNode {
     fn op_label(&self, seq: usize) -> String {
         match self {
             IncNode::StreamScan { name, .. } => format!("scan:{name}"),
-            IncNode::Stateless { op, .. } => match op {
-                StatelessOp::Filter(_) => format!("filter#{seq}"),
-                StatelessOp::Project(_) | StatelessOp::FilterProject { .. } => {
-                    format!("project#{seq}")
-                }
-                StatelessOp::Watermark { column } => format!("watermark:{column}"),
-                StatelessOp::StaticJoin { .. } => format!("static-join#{seq}"),
-            },
+            IncNode::Stateless { op, .. } => op.label(seq),
             IncNode::StreamJoin { exec, .. } => exec.op_id.clone(),
             IncNode::Aggregate { op_id, .. }
             | IncNode::MapGroups { op_id, .. }
@@ -395,6 +585,11 @@ impl IncNode {
     /// for Complete-mode aggregates and their parents, the full
     /// table). Records this operator's rows/duration into `ctx.ops`.
     pub fn execute_epoch(&mut self, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
+        // A stateless root at N partitions: its whole chain runs as one
+        // map stage, which records every operator of it.
+        if matches!(self, IncNode::Stateless { .. }) && ctx.exchange.partitions() > 1 {
+            return exchange_map(self, ctx);
+        }
         let started_rel = ctx.ops.now_rel_us();
         let started = Instant::now();
         let out = self.execute_op(ctx)?;
@@ -437,9 +632,6 @@ impl IncNode {
                     }
                 }
             }
-            // A stateless root at N partitions: its whole chain runs
-            // as one map stage.
-            IncNode::Stateless { .. } if ctx.exchange.partitions() > 1 => exchange_map(self, ctx),
             IncNode::Stateless { input, op, .. } => {
                 let batch = input.execute_epoch(ctx)?;
                 op.prime(ctx.statics)?;
@@ -471,8 +663,21 @@ impl IncNode {
                 if parts > 1 {
                     return exchange_aggregate(input, op_id, shards, ctx);
                 }
-                let delta = input.execute_epoch(ctx)?;
-                shards[0].update_batch(&delta)?;
+                match chain_kind(input) {
+                    // A chain over a scan is fused into the ingest:
+                    // folding its vectors in as they arrive is, for
+                    // every aggregate, byte-identical to one
+                    // `update_batch` over their concatenation.
+                    Some(chunk_safe) => {
+                        let chain = Chain::lift(input, ctx)?;
+                        let rows = 0..chain.scan.num_rows();
+                        let mut run = chain.run(rows, ctx.watermark_us, ctx.faults);
+                        let vector_rows = if chunk_safe { VECTOR_ROWS } else { usize::MAX };
+                        run.for_each(vector_rows, |v| shards[0].update_batch(&v))?;
+                        chain.record(ctx, &run.stats);
+                    }
+                    None => shards[0].update_batch(&input.execute_epoch(ctx)?)?,
+                }
                 aggregate_step(
                     &mut shards[0],
                     ctx.store.operator(op_id),
@@ -730,15 +935,16 @@ fn aggregate_step(
 /// A stateless chain at N partitions: one map stage, chunk outputs
 /// concatenated in chunk order.
 fn exchange_map(node: &mut IncNode, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
-    let mut sides = parallel::map_stage(ctx, &mut [node], |_, _, chunk| Ok(chunk))?;
+    let mut sides = parallel::map_stage(ctx, &mut [node], |_, _, run| run.whole())?;
     let merge = Instant::now();
     let out = RecordBatch::concat(&sides.remove(0))?;
     ctx.run.phase(PHASE_MERGE, merge);
     Ok(out)
 }
 
-/// An aggregate at N partitions: map tasks aggregate their chunk into
-/// a task-local combiner and ship its groups as partials, the shuffle
+/// An aggregate at N partitions: map tasks aggregate their chunk, a
+/// vector at a time, into a task-local combiner and ship its groups as
+/// partials, the shuffle
 /// routes each key's partials to the partition that owns it, and every
 /// partition merges them into its own shard and runs
 /// [`aggregate_step`] over it and its `{op_id}/p{r}` namespace.
@@ -755,9 +961,9 @@ fn exchange_aggregate(
         ctx,
         op_id,
         &mut [input],
-        move |_, _, chunk| {
+        move |_, _, run| {
             let mut local = combiner.fresh_clone();
-            local.update_batch(chunk)?;
+            run.for_each(VECTOR_ROWS, |v| local.update_batch(&v))?;
             Ok(local.into_partials())
         },
         |(key, _), parts| shuffle_partition(key, parts),
@@ -819,8 +1025,8 @@ fn exchange_join(
         &mut [left, right],
         // The chunk index in the high bits keeps delta-row indices in
         // global arrival order without knowing earlier chunks' sizes.
-        move |side, chunk_idx, chunk| {
-            keyer.prepare_side(chunk, side == 0, (chunk_idx as u64) << 32)
+        move |side, chunk_idx, run| {
+            keyer.prepare_side(&run.whole()?, side == 0, (chunk_idx as u64) << 32)
         },
         // NULL-keyed rows shuffle on their buffer key (`[NULL]`), so
         // exactly one partition owns their buffering and outer-row
@@ -919,8 +1125,12 @@ fn inc_node(
                     op: StatelessOp::Filter(predicate),
                     ..
                 } => {
-                    let exprs = exprs.clone();
-                    (input, StatelessOp::FilterProject { predicate, exprs })
+                    let op = StatelessOp::FilterProject {
+                        predicate,
+                        exprs: exprs.clone(),
+                        needed: ops::needed_columns(&input.schema(), exprs)?,
+                    };
+                    (input, op)
                 }
                 child => (Box::new(child), StatelessOp::Project(exprs.clone())),
             };
@@ -1104,11 +1314,26 @@ mod tests {
         LogicalPlanBuilder::scan("events", events_schema(), true)
     }
 
+    /// Counts table lookups: a static side computed once per query
+    /// run looks its table up once.
+    #[derive(Default)]
+    struct CountingCatalog {
+        tables: MemoryCatalog,
+        lookups: std::cell::Cell<usize>,
+    }
+
+    impl Catalog for CountingCatalog {
+        fn table(&self, name: &str) -> Result<Vec<RecordBatch>> {
+            self.lookups.set(self.lookups.get() + 1);
+            self.tables.table(name)
+        }
+    }
+
     struct Harness {
         node: IncNode,
         store: StateStore,
         tracker: WatermarkTracker,
-        statics: MemoryCatalog,
+        statics: CountingCatalog,
         output_mode: OutputMode,
         epoch: u64,
         last_ops: Vec<OpStat>,
@@ -1123,7 +1348,7 @@ mod tests {
                 node: incrementalize(plan, &mut counter).unwrap(),
                 store: StateStore::new(Arc::new(MemoryBackend::new())),
                 tracker: WatermarkTracker::new(&plan.watermarks()),
-                statics: MemoryCatalog::new(),
+                statics: CountingCatalog::default(),
                 output_mode,
                 epoch: 0,
                 last_ops: Vec::new(),
@@ -1256,7 +1481,7 @@ mod tests {
             )
             .build();
         let mut h = Harness::new(&plan, OutputMode::Append);
-        h.statics.register(
+        h.statics.tables.register(
             "campaigns",
             vec![RecordBatch::from_rows(
                 campaigns_schema,
@@ -1345,6 +1570,101 @@ mod tests {
         h.run(&[row!["CA", Value::Timestamp(1)]]);
         let labels2: Vec<&str> = h.last_ops.iter().map(|s| s.op.as_str()).collect();
         assert_eq!(labels2, vec!["scan:events", "filter#1", "agg-0"]);
+    }
+
+    /// Rows `range` of a stream with a quarter of its rows filtered
+    /// out and event times that never run backwards (nothing is late
+    /// however the rows are cut into epochs).
+    fn vector_rows(range: Range<usize>) -> Vec<Row> {
+        range
+            .map(|i| row![["CA", "US", "XX", "MX"][i % 4], Value::Timestamp(i as i64 * 1_000)])
+            .collect()
+    }
+
+    #[test]
+    fn one_epoch_of_three_vectors_equals_many_small_epochs() {
+        let plan = events()
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .filter(col("country").not_eq(lit("XX")))
+            .project(vec![col("country"), col("time")])
+            .aggregate(
+                vec![window(col("time"), "10 seconds").unwrap(), col("country")],
+                vec![count_star(), ss_expr::max(col("time"))],
+            )
+            .build();
+        let rows = vector_rows(0..40_001);
+        // Feed `rows` in epochs of `step`; return the aggregate's state
+        // and each stateless operator's summed `rows_out`.
+        let run = |step: usize| {
+            let mut h = Harness::new(&plan, OutputMode::Complete);
+            let mut rows_out = std::collections::BTreeMap::new();
+            for epoch in rows.chunks(step) {
+                h.run(epoch);
+                for s in h.last_ops.iter().filter(|s| s.op != "agg-0") {
+                    *rows_out.entry(s.op.clone()).or_insert(0) += s.rows_out;
+                }
+            }
+            let mut state: Vec<(Row, Vec<Row>)> = h
+                .store
+                .operator("agg-0")
+                .iter()
+                .map(|(k, e)| (k.clone(), e.values.clone()))
+                .collect();
+            state.sort();
+            (state, rows_out)
+        };
+        let (state, rows_out) = run(rows.len());
+        assert_eq!(
+            rows_out.iter().map(|(op, n)| (op.as_str(), *n)).collect::<Vec<_>>(),
+            vec![("project#2", 30_001), ("scan:events", 40_001), ("watermark:time", 40_001)]
+        );
+        assert_eq!(state.len(), 4 * 3 + 1);
+        assert_eq!(run(1_000), (state, rows_out));
+    }
+
+    #[test]
+    fn static_side_key_table_is_built_once_per_run() {
+        let campaigns_schema = Schema::of(vec![
+            Field::new("c_country", DataType::Utf8),
+            Field::new("campaign", DataType::Utf8),
+        ]);
+        let plan = events()
+            .join(
+                LogicalPlanBuilder::scan("campaigns", campaigns_schema.clone(), false),
+                JoinType::Inner,
+                vec![(col("country"), col("c_country"))],
+            )
+            .aggregate(vec![col("campaign")], vec![count_star()])
+            .build();
+        let mut h = Harness::new(&plan, OutputMode::Update);
+        let campaigns = [row!["CA", "camp1"], row!["US", "camp1"], row!["MX", "camp2"]];
+        h.statics.tables.register(
+            "campaigns",
+            vec![RecordBatch::from_rows(campaigns_schema, &campaigns).unwrap()],
+        );
+        // Three epochs of three vectors each.
+        let per_epoch = 2 * VECTOR_ROWS + 1;
+        for epoch in 0..3 {
+            h.run(&vector_rows(epoch * per_epoch..(epoch + 1) * per_epoch));
+            assert_eq!(h.last_ops[1].op, "static-join#1");
+            assert!(h.last_ops[1].rows_out > per_epoch as u64 / 2);
+        }
+        assert_eq!(h.statics.lookups.get(), 1, "static side computed once per run");
+        let IncNode::Aggregate { input, .. } = &h.node else {
+            panic!("plan root is the aggregate")
+        };
+        let IncNode::Stateless {
+            op: StatelessOp::StaticJoin { cache: Some(cache), .. },
+            ..
+        } = &**input
+        else {
+            panic!("aggregate input is the primed static join")
+        };
+        assert!(cache.1.is_some(), "the static side is the build side: hashed at prime");
+        let out = h.run(&[]);
+        assert_eq!(out.num_rows(), 0);
+        assert_eq!(h.statics.lookups.get(), 1);
     }
 
     #[test]

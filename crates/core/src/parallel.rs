@@ -4,19 +4,21 @@
 //! There is one epoch executor — `IncNode::execute_epoch` — and
 //! partitioning is a property of the [`Exchange`] handed to it through
 //! `EpochContext`. At **one partition** the exchange is the identity:
-//! input comes from the ordinary recursive walk on the engine thread,
-//! kernels run inline against the unsharded `{op_id}` namespaces, no
-//! pool exists and nothing here is called. At **N partitions** the same
-//! operators run as two stages on a worker pool (`ss-sched`):
+//! input comes from the engine thread (the recursive walk, or the
+//! chain runner fused into an aggregate's ingest), kernels run inline
+//! against the unsharded `{op_id}` namespaces, no pool exists and
+//! nothing here is called. At **N partitions** the same operators run
+//! as two stages on a worker pool (`ss-sched`):
 //!
 //! 1. **Map stage** ([`map_stage`]) — the operator's input, a stateless
-//!    chain over one scan, is lifted out of the tree; tasks share the
-//!    scan's batch and each runs the chain's `StatelessOp`s over its own
-//!    row range on a worker. [`shuffle`] extends the map task with
-//!    keying (an aggregate chunk is pre-aggregated into one *partial*
-//!    per group, a join chunk becomes keyed delta rows) and hash-buckets
-//!    the result by [`ss_common::shuffle_partition`], so every key is
-//!    **owned by exactly one reduce partition**.
+//!    chain over one scan, is lifted out of the tree
+//!    ([`Chain::lift`]); tasks share it and run the chain runner
+//!    ([`ChainRun`]) over their own row range of the scan, a vector at
+//!    a time or whole as their consumer wants. [`shuffle`] extends the
+//!    map task with keying (an aggregate folds its vectors into one
+//!    *partial* per group, a join chunk becomes keyed delta rows) and
+//!    hash-buckets the result by [`ss_common::shuffle_partition`], so
+//!    every key is **owned by exactly one reduce partition**.
 //! 2. **Reduce stage** ([`reduce`]) — each partition runs the operator's
 //!    one kernel against its own state namespace ([`shard_ns`]:
 //!    `{op_id}/p{r}`, joins `{op_id}/p{r}-left/-right`).
@@ -56,13 +58,12 @@ use ss_common::profile::{
     ShuffleProfile, PHASE_MAP, PHASE_REDUCE, PHASE_SHUFFLE_READ, PHASE_SHUFFLE_WRITE,
 };
 use ss_common::{
-    shuffle_partition, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy, Row,
-    SsError, TraceLog,
+    shuffle_partition, FaultRegistry, MetricsRegistry, Result, RetryPolicy, Row, SsError, TraceLog,
 };
 use ss_sched::{failpoints, ScatterStats, WorkerPool};
 use ss_state::{StateEntry, StateStore};
 
-use crate::incremental::{EpochContext, IncNode, StatelessOp};
+use crate::incremental::{chain_kind, Chain, ChainRun, EpochContext, IncNode, OpRun};
 use crate::microbatch::{retried, MicroBatchConfig};
 
 /// The partition count an epoch's plan runs at, plus — above one — the
@@ -213,9 +214,6 @@ impl TaskEnv {
 }
 
 type Task<R> = Box<dyn FnOnce() -> Result<R> + Send>;
-/// A map task's output: what its `then` returned, plus the per-column
-/// event-time maxima its chain's watermark operators observed.
-type MapOut<R> = (R, Vec<(String, i64)>);
 
 /// Run one stage's task bodies on the pool, each behind the task
 /// preamble; the stage's wall time and task stats go to `ctx.run`.
@@ -242,95 +240,62 @@ fn scatter<R: Send + 'static>(
     Ok(out.results)
 }
 
-/// Take the epoch input at the bottom of a stateless chain and collect
-/// the chain's operators (primed, in execution order) for map tasks.
-fn lift_chain(
-    node: &mut IncNode,
-    ctx: &mut EpochContext<'_>,
-    chain: &mut Vec<StatelessOp>,
-) -> Result<RecordBatch> {
-    match node {
-        IncNode::Stateless { input, op, .. } => {
-            let batch = lift_chain(input, ctx, chain)?;
-            op.prime(ctx.statics)?;
-            chain.push(op.clone());
-            Ok(batch)
-        }
-        scan @ IncNode::StreamScan { .. } => scan.execute_epoch(ctx),
-        _ => Err(SsError::Internal(
-            "exchange input is not a stateless chain over a scan".into(),
-        )),
-    }
-}
-
 /// Map stage over one or more chunk-safe inputs ("sides"): split each
 /// side's scan into at most `partitions` row chunks and, per chunk on
-/// the pool, run the side's stateless chain and then `then(side, chunk
-/// index, chunk)`. Returns the `then` outputs as `[side][chunk]`;
-/// event-time maxima the chains observed are folded into the tracker.
+/// the pool, hand `then(side, chunk index, run)` the side's stateless
+/// chain poised over the chunk's rows — to run a vector at a time or
+/// whole, as its consumer wants. Returns the `then` outputs as
+/// `[side][chunk]`; the runs' per-operator stats and event-time maxima
+/// are recorded on the engine thread.
 pub(crate) fn map_stage<R: Send + 'static>(
     ctx: &mut EpochContext<'_>,
     inputs: &mut [&mut IncNode],
-    then: impl Fn(usize, usize, RecordBatch) -> Result<R> + Send + Sync + 'static,
+    then: impl Fn(usize, usize, &mut ChainRun<'_>) -> Result<R> + Send + Sync + 'static,
 ) -> Result<Vec<Vec<R>>> {
     let partitions = ctx.exchange.partitions();
     let faults = ctx.exchange.workers()?.env.faults.clone();
     let watermark_us = ctx.watermark_us;
     let then = Arc::new(then);
-    let mut bodies: Vec<Task<MapOut<R>>> = Vec::new();
-    let mut chunks_per_side = Vec::with_capacity(inputs.len());
+    let mut bodies: Vec<Task<(R, Vec<OpRun>)>> = Vec::new();
+    let mut sides = Vec::with_capacity(inputs.len());
     for (side, input) in inputs.iter_mut().enumerate() {
-        let mut chain = Vec::new();
-        let batch = lift_chain(input, ctx, &mut chain)?;
-        let chain: Arc<[StatelessOp]> = chain.into();
+        // Tasks share the chain and read their own rows of its scan in
+        // place: the engine thread does no per-row work before they
+        // start.
+        let chain = Arc::new(Chain::lift(input, ctx)?);
         // An empty batch still produces one (empty) chunk so stateful
         // reduce stages run (watermark-driven eviction happens on
         // empty epochs too).
-        let rows = batch.num_rows();
+        let rows = chain.scan.num_rows();
         let chunk_rows = rows.div_ceil(partitions).max(1);
         let chunks = rows.div_ceil(chunk_rows).max(1);
-        chunks_per_side.push(chunks);
-        // Tasks share the scan and read their own rows of it in place:
-        // the engine thread does no per-row work before they start.
-        let batch = Arc::new(batch);
         for i in 0..chunks {
             let (chain, then, faults) = (chain.clone(), then.clone(), faults.clone());
-            let scan = batch.clone();
             bodies.push(Box::new(move || {
                 let range = i * chunk_rows..rows.min((i + 1) * chunk_rows);
-                let mut ops = chain.iter();
-                let (mut batch, mut seen) = match ops.next() {
-                    Some(op) => op.apply_rows(&scan, range, watermark_us, &faults)?,
-                    None => (scan.slice(range.start, range.len())?, None),
-                };
-                drop(scan);
-                let mut maxima = Vec::new();
-                loop {
-                    maxima.extend(seen.map(|(column, v)| (column.to_string(), v)));
-                    let Some(op) = ops.next() else { break };
-                    (batch, seen) = op.apply(batch, watermark_us, &faults)?;
-                }
-                Ok((then(side, i, batch)?, maxima))
+                let mut run = chain.run(range, watermark_us, &faults);
+                let out = then(side, i, &mut run)?;
+                Ok((out, run.stats))
             }));
         }
+        sides.push((chain, chunks));
     }
     let mut results = scatter(ctx, PHASE_MAP, bodies)?.into_iter();
-    let mut sides = Vec::with_capacity(chunks_per_side.len());
-    for n in chunks_per_side {
-        let mut outs = Vec::with_capacity(n);
-        for (out, maxima) in results.by_ref().take(n) {
-            for (column, v) in maxima {
-                ctx.tracker.observe(&column, v);
-            }
-            outs.push(out);
-        }
-        sides.push(outs);
-    }
-    Ok(sides)
+    Ok(sides
+        .into_iter()
+        .map(|(chain, chunks)| {
+            let outs = results.by_ref().take(chunks);
+            outs.map(|(out, stats)| {
+                chain.record(ctx, &stats);
+                out
+            })
+            .collect()
+        })
+        .collect())
 }
 
 /// Map → shuffle: a [`map_stage`] whose tasks turn their chunk into
-/// keyed items (`keyed(side, chunk index, chunk)`) and bucket them by
+/// keyed items (`keyed(side, chunk index, run)`) and bucket them by
 /// `partition(item, partitions)`. Returns the items as
 /// `[side][partition]`, each list in original arrival order, and
 /// records the exchange's volume and skew under `op_id`.
@@ -338,16 +303,15 @@ pub(crate) fn shuffle<T: Send + 'static>(
     ctx: &mut EpochContext<'_>,
     op_id: &str,
     inputs: &mut [&mut IncNode],
-    keyed: impl Fn(usize, usize, &RecordBatch) -> Result<Vec<T>> + Send + Sync + 'static,
+    keyed: impl Fn(usize, usize, &mut ChainRun<'_>) -> Result<Vec<T>> + Send + Sync + 'static,
     partition: impl Fn(&T, usize) -> usize + Send + Sync + 'static,
     approx_bytes: fn(&T) -> usize,
 ) -> Result<Vec<Vec<Vec<T>>>> {
     let parts = ctx.exchange.partitions();
     let env = ctx.exchange.workers()?.env.clone();
     let registry = env.registry.clone();
-    let mapped = map_stage(ctx, inputs, move |side, i, chunk| {
-        let rows_in = chunk.num_rows() as u64;
-        let items = keyed(side, i, &chunk)?;
+    let mapped = map_stage(ctx, inputs, move |side, i, run| {
+        let items = keyed(side, i, run)?;
         env.retried("sched_shuffle_write", || {
             env.faults.fire(failpoints::SHUFFLE_WRITE)
         })?;
@@ -356,7 +320,7 @@ pub(crate) fn shuffle<T: Send + 'static>(
         for item in items {
             buckets[partition(&item, parts)].push(item);
         }
-        Ok((buckets, write.elapsed().as_micros() as u64, rows_in))
+        Ok((buckets, write.elapsed().as_micros() as u64, run.rows_out))
     })?;
     // Shuffle read: concatenate per-chunk buckets in chunk order so
     // each partition receives its keys' items in the original global
@@ -458,17 +422,7 @@ fn chunk_safe(root: &IncNode) -> bool {
 
 /// A chain of chunk-safe stateless operators over an unshared scan.
 fn chunk_safe_chain(node: &IncNode) -> bool {
-    match node {
-        // A shared scan's input is consumed by several plan branches;
-        // chunk ownership would be ambiguous.
-        IncNode::StreamScan { shared, .. } => !shared,
-        IncNode::Stateless { input, op, .. } => op.is_chunk_safe() && chunk_safe_chain(input),
-        // Stateful / order-sensitive nodes below the partitioned
-        // operator: MapGroups (UDF sees arrival order per group across
-        // the whole epoch), Distinct (first-wins races), nested
-        // aggregates/joins, Sort/Limit below a stateful op.
-        _ => false,
-    }
+    chain_kind(node) == Some(true)
 }
 
 /// The stateful operator families of a plan: `(namespace base,

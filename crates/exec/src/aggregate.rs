@@ -180,10 +180,7 @@ impl HashAggregator {
         // Typed access to the window timestamp column (avoids a Value
         // allocation per row on the hot path).
         let window_info = match &self.window {
-            Some(w) => {
-                let tc = key_cols[w.slot].as_i64()?.clone();
-                Some((w.slot, w.size_us, w.slide_us, tc))
-            }
+            Some(w) => Some((w.slot, w.size_us, w.slide_us, key_cols[w.slot].as_i64()?)),
             None => None,
         };
         let mut key_buf: Vec<Value> = Vec::with_capacity(self.group_exprs.len());

@@ -13,7 +13,6 @@ use rustc_hash::FxHashMap;
 use ss_common::{Column, Field, RecordBatch, Result, Row, Schema, SchemaRef};
 use ss_expr::eval::evaluate;
 use ss_expr::Expr;
-// (evaluate is used by both the generic and fast join paths)
 use ss_plan::JoinType;
 
 /// The output schema of a join between two inputs.
@@ -50,19 +49,21 @@ pub fn join_output_schema(
 /// Evaluate the join-key expressions for one side into per-row key
 /// rows; a key containing any NULL is `None` (never matches).
 pub fn evaluate_keys(batch: &RecordBatch, exprs: &[Expr]) -> Result<Vec<Option<Row>>> {
-    let cols: Vec<Column> = exprs
-        .iter()
-        .map(|e| evaluate(e, batch))
-        .collect::<Result<_>>()?;
-    let mut out = Vec::with_capacity(batch.num_rows());
-    for i in 0..batch.num_rows() {
-        if cols.iter().any(|c| !c.is_valid(i)) {
-            out.push(None);
-        } else {
-            out.push(Some(Row::new(cols.iter().map(|c| c.value(i)).collect())));
-        }
-    }
-    Ok(out)
+    let cols = key_columns(batch, exprs.iter())?;
+    Ok((0..batch.num_rows()).map(|i| key_row(&cols, i)).collect())
+}
+
+fn key_columns<'a>(
+    batch: &RecordBatch,
+    exprs: impl Iterator<Item = &'a Expr>,
+) -> Result<Vec<Column>> {
+    exprs.map(|e| evaluate(e, batch)).collect()
+}
+
+fn key_row(cols: &[Column], i: usize) -> Option<Row> {
+    cols.iter()
+        .all(|c| c.is_valid(i))
+        .then(|| Row::new(cols.iter().map(|c| c.value(i)).collect()))
 }
 
 /// Hash join of two batches on `left_keys[i] = right_keys[i]`.
@@ -78,7 +79,8 @@ pub fn hash_join(
 /// Hash join that materializes only the projected output columns
 /// (indices into the concatenated left+right output schema) — callers
 /// that immediately drop the join keys (e.g. an aggregation above the
-/// join) skip building them entirely.
+/// join) skip building them entirely. Builds the right side's
+/// [`KeyTable`], then probes it.
 pub fn hash_join_projected(
     left: &RecordBatch,
     right: &RecordBatch,
@@ -86,29 +88,35 @@ pub fn hash_join_projected(
     on: &[(Expr, Expr)],
     output_projection: Option<&[usize]>,
 ) -> Result<RecordBatch> {
-    let left_exprs: Vec<Expr> = on.iter().map(|(l, _)| l.clone()).collect();
-    let right_exprs: Vec<Expr> = on.iter().map(|(_, r)| r.clone()).collect();
+    let table = KeyTable::build(right, on, true)?;
+    probe_join(left, right, &table, join_type, on, output_projection)
+}
 
-    // Fast path: a single integer-typed key hashes raw i64s instead of
-    // boxed rows (the Yahoo benchmark's join shape).
-    let (left_idx, right_idx) = if on.len() == 1 {
-        let lcol = evaluate(&left_exprs[0], left)?;
-        let rcol = evaluate(&right_exprs[0], right)?;
-        match (&lcol, &rcol) {
-            (
-                Column::Int64(lc) | Column::Timestamp(lc),
-                Column::Int64(rc) | Column::Timestamp(rc),
-            ) => probe_i64(lc, rc, join_type),
-            _ => {
-                let left_keys = evaluate_keys(left, &left_exprs)?;
-                let right_keys = evaluate_keys(right, &right_exprs)?;
-                probe_rows(&left_keys, &right_keys, join_type)
-            }
+/// [`hash_join_projected`] against a `table` already built over
+/// `right` with the same `on`: a build side that outlives one call
+/// (the static side of a stream–static join) is hashed once.
+pub fn probe_join(
+    left: &RecordBatch,
+    right: &RecordBatch,
+    table: &KeyTable,
+    join_type: JoinType,
+    on: &[(Expr, Expr)],
+    output_projection: Option<&[usize]>,
+) -> Result<RecordBatch> {
+    let cols = key_columns(left, on.iter().map(|(l, _)| l))?;
+    let (left_idx, right_idx) = match (&table.heads, &cols[..]) {
+        (Heads::I64(heads), [Column::Int64(c) | Column::Timestamp(c)]) => {
+            table.probe(left.num_rows(), join_type, |i| c.get(i).and_then(|k| heads.get(k).copied()))
         }
-    } else {
-        let left_keys = evaluate_keys(left, &left_exprs)?;
-        let right_keys = evaluate_keys(right, &right_exprs)?;
-        probe_rows(&left_keys, &right_keys, join_type)
+        (Heads::Rows(heads), _) => table.probe(left.num_rows(), join_type, |i| {
+            key_row(&cols, i).and_then(|k| heads.get(&k).copied())
+        }),
+        // Raw integers only ever meet raw integers: a probe key of
+        // another type (a DOUBLE equal to a BIGINT) compares as rows.
+        (Heads::I64(_), _) => {
+            let as_rows = KeyTable::build(right, on, false)?;
+            return probe_join(left, right, &as_rows, join_type, on, output_projection);
+        }
     };
 
     let full_schema = join_output_schema(left.schema(), right.schema(), join_type);
@@ -135,89 +143,85 @@ pub fn hash_join_projected(
 
 type JoinIndices = (Vec<Option<usize>>, Vec<Option<usize>>);
 
-fn probe_rows(
-    left_keys: &[Option<Row>],
-    right_keys: &[Option<Row>],
-    join_type: JoinType,
-) -> JoinIndices {
-    let mut table: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
-    for (i, k) in right_keys.iter().enumerate() {
-        if let Some(k) = k {
-            table.entry(k).or_default().push(i);
-        }
-    }
-    let mut left_idx: Vec<Option<usize>> = Vec::with_capacity(left_keys.len());
-    let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left_keys.len());
-    let mut right_matched = vec![false; right_keys.len()];
-    for (li, k) in left_keys.iter().enumerate() {
-        match k.as_ref().and_then(|k| table.get(k)) {
-            Some(ris) => {
-                for &ri in ris {
-                    left_idx.push(Some(li));
-                    right_idx.push(Some(ri));
-                    right_matched[ri] = true;
-                }
-            }
-            None => {
-                if join_type == JoinType::LeftOuter {
-                    left_idx.push(Some(li));
-                    right_idx.push(None);
-                }
-            }
-        }
-    }
-    pad_right_outer(join_type, &right_matched, &mut left_idx, &mut right_idx);
-    (left_idx, right_idx)
+/// A build side's join keys, hashed once: key → the rows holding it,
+/// in arrival order (`heads` has a key's first row, `next` chains the
+/// rest; no per-key allocation).
+pub struct KeyTable {
+    heads: Heads,
+    next: Vec<usize>,
 }
 
-fn probe_i64(
-    left: &ss_common::column::TypedColumn<i64>,
-    right: &ss_common::column::TypedColumn<i64>,
-    join_type: JoinType,
-) -> JoinIndices {
-    let mut table: FxHashMap<i64, Vec<usize>> = FxHashMap::default();
-    for i in 0..right.len() {
-        if let Some(&k) = right.get(i) {
-            table.entry(k).or_default().push(i);
-        }
-    }
-    let mut left_idx: Vec<Option<usize>> = Vec::with_capacity(left.len());
-    let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.len());
-    let mut right_matched = vec![false; right.len()];
-    for li in 0..left.len() {
-        match left.get(li).and_then(|k| table.get(k)) {
-            Some(ris) => {
-                for &ri in ris {
-                    left_idx.push(Some(li));
-                    right_idx.push(Some(ri));
-                    right_matched[ri] = true;
-                }
-            }
-            None => {
-                if join_type == JoinType::LeftOuter {
-                    left_idx.push(Some(li));
-                    right_idx.push(None);
-                }
-            }
-        }
-    }
-    pad_right_outer(join_type, &right_matched, &mut left_idx, &mut right_idx);
-    (left_idx, right_idx)
+/// A single integer-typed key hashes raw `i64`s instead of boxed rows
+/// (the Yahoo benchmark's join shape).
+enum Heads {
+    I64(FxHashMap<i64, usize>),
+    Rows(FxHashMap<Row, usize>),
 }
 
-fn pad_right_outer(
-    join_type: JoinType,
-    right_matched: &[bool],
-    left_idx: &mut Vec<Option<usize>>,
-    right_idx: &mut Vec<Option<usize>>,
-) {
-    if join_type == JoinType::RightOuter {
-        for (ri, matched) in right_matched.iter().enumerate() {
-            if !matched {
-                left_idx.push(None);
+/// Chain terminator in [`KeyTable::next`].
+const END: usize = usize::MAX;
+
+impl KeyTable {
+    /// Hash the right-hand keys of `on` over `right`; `typed` allows
+    /// the raw-integer layout when the key is a single integer column.
+    pub fn build(right: &RecordBatch, on: &[(Expr, Expr)], typed: bool) -> Result<KeyTable> {
+        fn chain<K: std::hash::Hash + Eq>(
+            next: &mut [usize],
+            key: impl Fn(usize) -> Option<K>,
+        ) -> FxHashMap<K, usize> {
+            let mut heads = FxHashMap::default();
+            // Back to front, so a chain lists its rows front to back.
+            for i in (0..next.len()).rev() {
+                if let Some(k) = key(i) {
+                    next[i] = heads.insert(k, i).unwrap_or(END);
+                }
+            }
+            heads
+        }
+        let cols = key_columns(right, on.iter().map(|(_, r)| r))?;
+        let mut next = vec![END; right.num_rows()];
+        let heads = match &cols[..] {
+            [Column::Int64(c) | Column::Timestamp(c)] if typed => {
+                Heads::I64(chain(&mut next, |i| c.get(i).copied()))
+            }
+            _ => Heads::Rows(chain(&mut next, |i| key_row(&cols, i))),
+        };
+        Ok(KeyTable { heads, next })
+    }
+
+    /// The join's `(left, right)` row pairs, `head(i)` being the first
+    /// build row matching probe row `i`.
+    fn probe(
+        &self,
+        probe_rows: usize,
+        join_type: JoinType,
+        head: impl Fn(usize) -> Option<usize>,
+    ) -> JoinIndices {
+        let mut left_idx: Vec<Option<usize>> = Vec::with_capacity(probe_rows);
+        let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(probe_rows);
+        let mut right_matched = vec![false; self.next.len()];
+        for li in 0..probe_rows {
+            let mut ri = head(li).unwrap_or(END);
+            if ri == END && join_type == JoinType::LeftOuter {
+                left_idx.push(Some(li));
+                right_idx.push(None);
+            }
+            while ri != END {
+                left_idx.push(Some(li));
                 right_idx.push(Some(ri));
+                right_matched[ri] = true;
+                ri = self.next[ri];
             }
         }
+        if join_type == JoinType::RightOuter {
+            for (ri, matched) in right_matched.iter().enumerate() {
+                if !matched {
+                    left_idx.push(None);
+                    right_idx.push(Some(ri));
+                }
+            }
+        }
+        (left_idx, right_idx)
     }
 }
 
@@ -318,6 +322,38 @@ mod tests {
         .unwrap();
         let out = hash_join(&ads(), &right, JoinType::Inner, &on()).unwrap();
         assert_eq!(out.num_rows(), 2);
+    }
+
+    #[test]
+    fn prebuilt_table_probes_like_hash_join_for_every_join_type() {
+        // Duplicate build keys: matches come back in build-row order.
+        let right = RecordBatch::from_rows(
+            campaigns().schema().clone(),
+            &[row![1i64, "c1"], row![2i64, "c2"], row![1i64, "c1b"], row![Value::Null, "cn"]],
+        )
+        .unwrap();
+        let table = KeyTable::build(&right, &on(), true).unwrap();
+        for join_type in [JoinType::Inner, JoinType::LeftOuter, JoinType::RightOuter] {
+            // One table serves any number of probe batches.
+            for left in [ads(), ads().slice(1, 2).unwrap(), ads().slice(0, 0).unwrap()] {
+                let probed = probe_join(&left, &right, &table, join_type, &on(), None).unwrap();
+                assert_eq!(probed, hash_join(&left, &right, join_type, &on()).unwrap());
+            }
+        }
+        let out = probe_join(&ads(), &right, &table, JoinType::Inner, &on(), Some(&[3])).unwrap();
+        assert_eq!(out.to_rows(), vec![row!["c1"], row!["c1b"], row!["c2"]]);
+    }
+
+    #[test]
+    fn integer_table_still_matches_a_double_probe_key() {
+        let left = RecordBatch::from_rows(
+            Schema::of(vec![Field::new("ad_id", DataType::Float64)]),
+            &[row![2.0f64], row![2.5f64]],
+        )
+        .unwrap();
+        let table = KeyTable::build(&campaigns(), &on(), true).unwrap();
+        let out = probe_join(&left, &campaigns(), &table, JoinType::Inner, &on(), None).unwrap();
+        assert_eq!(out.to_rows(), vec![row![2.0f64, 2i64, "c2"]]);
     }
 
     #[test]

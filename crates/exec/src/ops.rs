@@ -15,7 +15,12 @@ use ss_plan::SortKey;
 pub mod failpoints {
     /// Fires inside the engines around each stateless filter/project
     /// application — the injection point for simulated per-record
-    /// evaluation failures (the poison-record chaos suite).
+    /// evaluation failures (the poison-record chaos suite). An
+    /// application is one *vector* (16 384 rows) where the operator runs
+    /// fused into an aggregate's ingest or in a map task, so a bigger
+    /// epoch hits the point once per vector, not once per epoch or
+    /// task; every suite but `tests/quarantine.rs`'s big-epoch cases
+    /// feeds fewer rows per epoch, so their hit counts are unchanged.
     pub const RECORD_EVAL: &str = "exec.record.eval";
 }
 
@@ -23,7 +28,8 @@ pub mod failpoints {
 /// counts as false, per SQL). Evaluation is guarded: a panic inside
 /// the predicate fails the batch, not the thread.
 pub fn filter_batch(batch: &RecordBatch, predicate: &Expr) -> Result<RecordBatch> {
-    filter_project_rows(batch, 0..batch.num_rows(), predicate, None)
+    let all = needed_columns(batch.schema(), &[])?;
+    filter_project_rows(batch, 0..batch.num_rows(), predicate, None, &all)
 }
 
 /// `SELECT exprs`: evaluate each expression into an output column.
@@ -43,35 +49,40 @@ pub fn project_batch(batch: &RecordBatch, exprs: &[Expr]) -> Result<RecordBatch>
     RecordBatch::try_new(Arc::new(Schema::new(fields)?), columns)
 }
 
+/// The columns of `schema` (ascending ordinals) a filter must keep
+/// for `exprs` to evaluate over its output: those they reference, or
+/// every column when they reference none — no projection, or a
+/// pure-literal one whose row count must still come from the filtered
+/// batch.
+pub fn needed_columns(schema: &Schema, exprs: &[Expr]) -> Result<Vec<usize>> {
+    let mut needed: Vec<usize> = Vec::new();
+    for name in exprs.iter().flat_map(|e| e.referenced_columns()) {
+        needed.push(schema.index_of(&name)?);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    if needed.is_empty() {
+        needed.extend(0..schema.len());
+    }
+    Ok(needed)
+}
+
 /// Fused `SELECT exprs WHERE predicate` (every column when `exprs` is
 /// `None`) over the row range `rows` of `batch`: evaluates the mask on
-/// the range in place, then filters **only** the columns the
-/// projection references before evaluating it — columns the projection
-/// drops and rows outside the range are never copied (§5.3-style
-/// pipelining of selection into projection).
+/// the range in place, then filters **only** the `needed` columns
+/// ([`needed_columns`] of `exprs`, resolved once per operator) before
+/// evaluating the projection — columns it drops and rows outside the
+/// range are never copied (§5.3-style pipelining of selection into
+/// projection).
 pub fn filter_project_rows(
     batch: &RecordBatch,
     rows: Range<usize>,
     predicate: &Expr,
     exprs: Option<&[Expr]>,
+    needed: &[usize],
 ) -> Result<RecordBatch> {
     let mask = evaluate_guarded(predicate, batch, rows.clone())?.to_mask()?;
-    let mut needed: Vec<usize> = Vec::new();
-    for e in exprs.unwrap_or_default() {
-        for name in e.referenced_columns() {
-            let i = batch.schema().index_of(&name)?;
-            if !needed.contains(&i) {
-                needed.push(i);
-            }
-        }
-    }
-    needed.sort_unstable();
-    if needed.is_empty() {
-        // No projection, or a pure-literal one whose row count must
-        // still come from the filtered batch.
-        needed.extend(0..batch.num_columns());
-    }
-    let narrowed = batch.filter_columns(rows.start, &mask, &needed)?;
+    let narrowed = batch.filter_columns(rows.start, &mask, needed)?;
     match exprs {
         Some(exprs) => project_batch(&narrowed, exprs),
         None => Ok(narrowed),

@@ -193,6 +193,36 @@ fn run_shape(
     parallelism: usize,
     partitions: usize,
 ) -> (Vec<Row>, u64, Arc<MemoryBackend>) {
+    let (rows, state, backend, _) = run_shape_fed(shape, mode, parallelism, partitions, &feed_waves);
+    (rows, state, backend)
+}
+
+/// Appends a run's input to the `in` topic and triggers its epochs.
+type Feed = dyn Fn(&MessageBus, &mut StreamingQuery);
+
+/// Eight waves of 15 [`feed_agg`] rows, an epoch each.
+fn feed_waves(bus: &MessageBus, query: &mut StreamingQuery) {
+    let mut fed = 0u64;
+    while fed < 120 {
+        feed_agg(bus, 15, fed);
+        fed += 15;
+        query.process_available().unwrap();
+    }
+    query.process_available().unwrap();
+}
+
+/// Every epoch's per-operator `(label, rows out)`, in record order.
+type OpRows = Vec<Vec<(String, u64)>>;
+
+/// [`run_shape`] over the input `feed` supplies; also returns what
+/// every operator reported.
+fn run_shape_fed(
+    shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
+    mode: OutputMode,
+    parallelism: usize,
+    partitions: usize,
+    feed: &Feed,
+) -> (Vec<Row>, u64, Arc<MemoryBackend>, OpRows) {
     let bus = Arc::new(MessageBus::new());
     bus.create_topic("in", 3).unwrap();
     let ctx = StreamingContext::new();
@@ -210,16 +240,15 @@ fn run_shape(
         .shuffle_partitions(partitions)
         .start_sync()
         .unwrap();
-    let mut fed = 0u64;
-    while fed < 120 {
-        feed_agg(&bus, 15, fed);
-        fed += 15;
-        query.process_available().unwrap();
-    }
-    query.process_available().unwrap();
+    feed(&bus, &mut query);
     let state = query.state_rows();
+    let ops = query
+        .recent_progress()
+        .iter()
+        .map(|p| p.operator_durations.iter().map(|o| (o.op.clone(), o.rows_out)).collect())
+        .collect();
     query.stop().unwrap();
-    (sink.snapshot(), state, backend)
+    (sink.snapshot(), state, backend, ops)
 }
 
 /// Compare `shape` byte-for-byte across [`MATRIX`] against `(1, 1)`.
@@ -228,10 +257,23 @@ fn assert_shape_matrix(
     shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
     mode: OutputMode,
 ) {
-    let (expected, expected_state, _) = run_shape(shape, mode, 1, 1);
+    assert_fed_matrix(what, shape, mode, &feed_waves);
+}
+
+/// [`assert_shape_matrix`] over the input `feed` supplies: sink bytes,
+/// state size and every epoch's per-operator labels and row counts
+/// must not depend on the layout. Returns the `(1, 1)` run's rows and
+/// operator reports.
+fn assert_fed_matrix(
+    what: &str,
+    shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
+    mode: OutputMode,
+    feed: &Feed,
+) -> (Vec<Row>, OpRows) {
+    let (expected, expected_state, _, expected_ops) = run_shape_fed(shape, mode, 1, 1, feed);
     assert!(!expected.is_empty(), "{what} {mode:?}: reference produced no rows");
     for (p, s) in MATRIX {
-        let (got, state, _) = run_shape(shape, mode, p, s);
+        let (got, state, _, ops) = run_shape_fed(shape, mode, p, s, feed);
         assert_eq!(
             got, expected,
             "{what} {mode:?}: sink bytes diverged at parallelism={p} partitions={s}"
@@ -240,7 +282,12 @@ fn assert_shape_matrix(
             state, expected_state,
             "{what} {mode:?}: state size diverged at parallelism={p} partitions={s}"
         );
+        assert_eq!(
+            ops, expected_ops,
+            "{what} {mode:?}: operator reports diverged at parallelism={p} partitions={s}"
+        );
     }
+    (expected, expected_ops)
 }
 
 /// The Yahoo benchmark shape: filter → project → stream–static join →
@@ -676,4 +723,182 @@ fn sharded_avg_checkpoint_restarts_at_one_partition() {
         uninterrupted,
         "sharded avg checkpoint → (4, 4) → (1, 1) diverged from the serial run"
     );
+}
+
+// ---- vector boundaries: one epoch of two full vectors and a ragged one ----
+
+/// Rows in the big epoch: `VECTOR_ROWS` is 16 384.
+const BIG_ROWS: u64 = 40_001;
+/// Event time (s) of the row that puts a watermark in force before the
+/// big epoch, of its on-time rows' earliest, and of the two rows that
+/// afterwards push the watermark past everything (Append emits).
+const BIG_T0: i64 = 1_000;
+const BIG_FAR: i64 = 10_000;
+
+/// Late rows hug both vector boundaries and are sprinkled elsewhere.
+fn big_is_late(i: u64) -> bool {
+    i % 9 == 4 || (16_382..16_387).contains(&i) || (32_766..32_771).contains(&i)
+}
+
+fn big_row(i: u64) -> Row {
+    let t = match big_is_late(i) {
+        true => 10 + (i % 50) as i64,
+        false => BIG_T0 + ((i / 40) % 200) as i64 + [3i64, 0, 5, 1][(i % 4) as usize],
+    };
+    row![format!("k{}", i % 7), i as i64, ts(t)]
+}
+
+fn marker_row(t: i64) -> Row {
+    row!["k1", 1i64, ts(t)]
+}
+
+/// A marker epoch, the big epoch (one partition, so scan order is feed
+/// order and the late rows sit where [`big_is_late`] says), then two
+/// marker epochs far in the future.
+fn feed_big(bus: &MessageBus, query: &mut StreamingQuery) {
+    bus.append("in", 0, vec![marker_row(BIG_T0)]).unwrap();
+    query.process_available().unwrap();
+    bus.append("in", 0, (0..BIG_ROWS).map(big_row)).unwrap();
+    query.process_available().unwrap();
+    for t in [BIG_FAR, BIG_FAR + 1] {
+        bus.append("in", 0, vec![marker_row(t)]).unwrap();
+        query.process_available().unwrap();
+    }
+}
+
+/// §4.2 for the big feed: `shape` run by the batch engine over the
+/// prefix the stream kept — every row but the late ones — restricted,
+/// like `streamed`, to the windows the final watermark has closed.
+fn assert_big_matches_batch(
+    what: &str,
+    shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame,
+    streamed: &[Row],
+) {
+    let mut prefix = vec![marker_row(BIG_T0)];
+    prefix.extend((0..BIG_ROWS).filter(|&i| !big_is_late(i)).map(big_row));
+    prefix.extend([marker_row(BIG_FAR), marker_row(BIG_FAR + 1)]);
+    let ctx = StreamingContext::new();
+    let table = RecordBatch::from_rows(agg_schema(), &prefix).unwrap();
+    let df = ctx.read_table("in", vec![table]).unwrap();
+    let closed = |rows: Vec<Row>| -> Vec<Row> {
+        let mut rows: Vec<Row> = rows
+            .into_iter()
+            .filter(|r| *r.get(0) < ts(BIG_FAR - 100))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let batch = closed(shape(&ctx, df).collect().unwrap().to_rows());
+    assert!(batch.len() >= 20, "{what}: batch oracle is trivial");
+    assert_eq!(closed(streamed.to_vec()), batch, "{what}: streamed result != batch over the prefix");
+}
+
+/// Run `shape` over the big feed through the matrix in Update and
+/// Append, against the batch engine, and check the big epoch really
+/// was one epoch whose operators report rows summed over its vectors.
+fn assert_big_epoch(what: &str, shape: &dyn Fn(&StreamingContext, DataFrame) -> DataFrame) {
+    for mode in [OutputMode::Update, OutputMode::Append] {
+        let (rows, ops) = assert_fed_matrix(what, shape, mode, &feed_big);
+        assert_big_matches_batch(&format!("{what} {mode:?}"), shape, &rows);
+        assert_eq!(ops.len(), 4, "{what}: one epoch per feed step");
+        assert_eq!(ops[1][0], ("scan:in".to_string(), BIG_ROWS));
+        if let Some((_, kept)) = ops[1].iter().find(|(op, _)| op.starts_with("watermark:")) {
+            assert!(*kept > 0 && *kept < BIG_ROWS, "{what}: watermark kept {kept} rows");
+        }
+    }
+}
+
+fn campaigns_table(ctx: &StreamingContext) -> DataFrame {
+    let schema = Schema::of(vec![
+        Field::new("c_key", DataType::Utf8),
+        Field::new("campaign", DataType::Utf8),
+    ]);
+    // k6 has no campaign; campaign `none` has no key in the stream.
+    let mut rows: Vec<Row> = (0..6)
+        .map(|i| row![format!("k{i}"), format!("camp{}", i % 2)])
+        .collect();
+    rows.push(row!["k-absent", "none"]);
+    ctx.read_table("campaigns", vec![RecordBatch::from_rows(schema, &rows).unwrap()])
+        .unwrap()
+}
+
+#[test]
+fn big_epoch_yahoo_shape_is_vector_boundary_safe() {
+    assert_big_epoch("big yahoo", &|ctx, events| {
+        events
+            .filter(col("v").modulo(lit(4i64)).not_eq(lit(0i64)))
+            .select(vec![col("key"), col("time")])
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .join(&campaigns_table(ctx), JoinType::Inner, vec![(col("key"), col("c_key"))])
+            .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("campaign")])
+            .agg(vec![count_star()])
+    });
+}
+
+/// `avg` and a float `sum` are not combinable: at `parallelism(4)` too
+/// this runs the one-partition vector loop, where folding vectors in
+/// one after another must equal one `update_batch` bit for bit.
+#[test]
+fn big_epoch_non_combinable_sliding_window_is_vector_boundary_safe() {
+    assert_big_epoch("big sliding", &|_, events| {
+        events
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .filter(col("v").modulo(lit(5i64)).not_eq(lit(0i64)))
+            .select(vec![col("key"), col("time"), col("v").mul(lit(0.1f64)).alias("w")])
+            .group_by(vec![
+                window_sliding(col("time"), "10 seconds", "5 seconds").unwrap(),
+                col("key"),
+            ])
+            .agg(vec![avg(col("w")), sum(col("w"))])
+    });
+}
+
+#[test]
+fn big_epoch_left_outer_static_join_is_vector_boundary_safe() {
+    assert_big_epoch("big left outer", &|ctx, events| {
+        events
+            .with_watermark("time", "5 seconds")
+            .unwrap()
+            .join(&campaigns_table(ctx), JoinType::LeftOuter, vec![(col("key"), col("c_key"))])
+            .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("campaign")])
+            .agg(vec![count_star(), sum(col("v"))])
+    });
+}
+
+/// A right-outer stream–static join pads unmatched static rows once
+/// per batch, so it is not chunk-safe: the fused aggregate input must
+/// run it as a single vector and pad once per *epoch*.
+#[test]
+fn big_epoch_right_outer_static_join_pads_once_per_epoch() {
+    let join = |ctx: &StreamingContext, events: DataFrame| {
+        events.with_watermark("time", "5 seconds").unwrap().join(
+            &campaigns_table(ctx),
+            JoinType::RightOuter,
+            vec![(col("key"), col("c_key"))],
+        )
+    };
+    // Windowed (the padded rows' NULL event time drops them): the
+    // result is the batch engine's.
+    assert_big_epoch("big right outer", &|ctx, events| {
+        join(ctx, events)
+            .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("campaign")])
+            .agg(vec![count_star(), sum(col("v"))])
+    });
+    // Unwindowed, the pads are counted: campaign `none` matches
+    // nothing, so `count(*)` is its pads — one per epoch, however many
+    // vectors an epoch's scan would make.
+    let (rows, ops) = assert_fed_matrix(
+        "big right outer pads",
+        &|ctx, events| {
+            join(ctx, events)
+                .group_by(vec![col("campaign")])
+                .agg(vec![count_star(), count(col("v"))])
+        },
+        OutputMode::Update,
+        &feed_big,
+    );
+    let none = rows.iter().find(|r| *r.get(0) == Value::str("none")).expect("pads");
+    assert_eq!(none, &row!["none", ops.len() as i64, 0i64]);
 }

@@ -87,6 +87,17 @@ fn build_engine(
     backend: Arc<MemoryBackend>,
     config: MicroBatchConfig,
 ) -> Result<MicroBatchExecution, SsError> {
+    build_engine_filtering(bus, sink, backend, config, validate_expr())
+}
+
+/// The engine over `filter(predicate)` → count and sum per key.
+fn build_engine_filtering(
+    bus: Arc<MessageBus>,
+    sink: Arc<MemorySink>,
+    backend: Arc<MemoryBackend>,
+    config: MicroBatchConfig,
+    predicate: Expr,
+) -> Result<MicroBatchExecution, SsError> {
     let ctx = StreamingContext::new();
     ctx.read_source(Arc::new(
         BusSource::new(bus, "in", schema())?.with_faults(config.faults.clone()),
@@ -94,7 +105,7 @@ fn build_engine(
     let plan = ctx
         .table("in")
         .unwrap()
-        .filter(validate_expr())
+        .filter(predicate)
         .group_by(vec![col("key")])
         .agg(vec![count_star(), sum(col("v"))])
         .plan();
@@ -490,4 +501,127 @@ fn epoch_watchdog_fails_a_wedged_epoch() {
     eng.restart().unwrap();
     eng.process_available().unwrap();
     assert!(!sink.snapshot().is_empty());
+}
+
+// ---- failures in a late vector of a big epoch ----
+//
+// The stateless chain runs fused into the aggregate a vector (16 384
+// rows) at a time, so when vector k of an epoch fails, vectors 0..k
+// are already folded into the aggregator. The epoch must still fail
+// or quarantine as a whole, and its re-run must not count them twice.
+
+const BIG_ROWS: u64 = 40_001;
+const BIG_POISON: u64 = 35_000;
+
+/// `to_int(key) >= 0`: a type error on the one row whose key is `x`.
+fn parse_key_expr() -> Expr {
+    ss_expr::func("to_int", vec![col("key")]).gt_eq(lit(0i64))
+}
+
+/// Rows `rows` into partition 0 (scan order is feed order): keys
+/// `0..5`, and — when `poisoned` — `x` at row [`BIG_POISON`].
+fn feed_numeric(bus: &MessageBus, rows: std::ops::Range<u64>, poisoned: bool) {
+    let rows = rows.map(|i| {
+        let key = match poisoned && i == BIG_POISON {
+            true => "x".to_string(),
+            false => (i % 5).to_string(),
+        };
+        row![key, i as i64, Value::Timestamp(i as i64 * 1_000)]
+    });
+    bus.append("in", 0, rows).unwrap();
+}
+
+fn big_config(parallelism: usize) -> MicroBatchConfig {
+    MicroBatchConfig {
+        max_records_per_trigger: None,
+        checkpoint_interval: 1,
+        parallelism,
+        shuffle_partitions: parallelism,
+        ..base_config(FaultRegistry::new())
+    }
+}
+
+/// `(key, count, sum(v))` over the big epoch without row [`BIG_POISON`].
+fn big_oracle() -> Vec<Row> {
+    (0..5u64)
+        .map(|k| {
+            let vs = (0..BIG_ROWS).filter(|&i| i % 5 == k && i != BIG_POISON);
+            row![k.to_string(), vs.clone().count() as i64, vs.sum::<u64>() as i64]
+        })
+        .collect()
+}
+
+#[test]
+fn poison_in_a_late_vector_is_quarantined_exactly_once() {
+    for parallelism in [1, 4] {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 2).unwrap();
+        let sink = MemorySink::new("out");
+        let dlq = ss_bus::DeadLetterQueue::new();
+        let config = MicroBatchConfig {
+            error_policy: ErrorPolicy::Quarantine { max_per_epoch: 4 },
+            dlq: Some(dlq.clone()),
+            ..big_config(parallelism)
+        };
+        let backend = Arc::new(MemoryBackend::new());
+        let mut eng =
+            build_engine_filtering(bus.clone(), sink.clone(), backend, config, parse_key_expr())
+                .unwrap();
+        feed_numeric(&bus, 0..BIG_ROWS, true);
+        assert_eq!(eng.process_available().unwrap(), 1, "one epoch holds every row");
+        assert!(eng.isolation_active(), "parallelism {parallelism}");
+        let progress = eng.progress().last().cloned().expect("the epoch ran");
+        assert_eq!(progress.num_input_rows, BIG_ROWS);
+        assert_eq!(progress.quarantined_records, 1);
+        // The fault-free oracle minus the one record: nothing the
+        // failed attempt folded in before the poison is counted twice.
+        assert_eq!(sink.snapshot(), big_oracle(), "parallelism {parallelism}");
+        let letters = dlq.snapshot();
+        assert_eq!(letters.len(), 1, "parallelism {parallelism}: {letters:?}");
+        assert_eq!((letters[0].partition, letters[0].offset), (0, BIG_POISON));
+        assert!(letters[0].error.contains("to_int()"), "got: {}", letters[0].error);
+    }
+}
+
+/// `exec.record.eval` now fires once per vector of a filtering
+/// operator: armed for its third hit it fails the big epoch with two
+/// vectors already ingested, and the restarted epoch's sink bytes are
+/// the unfailed run's.
+#[test]
+fn failure_in_the_third_vector_fails_the_epoch_and_the_retry_is_exact() {
+    let run = |fail: bool| -> Vec<Row> {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 2).unwrap();
+        let sink = MemorySink::new("out");
+        let config = big_config(1);
+        let faults = config.faults.clone();
+        let backend = Arc::new(MemoryBackend::new());
+        let mut eng =
+            build_engine_filtering(bus.clone(), sink.clone(), backend, config, parse_key_expr())
+                .unwrap();
+        // A committed epoch first, so the retry has state to reload.
+        feed_numeric(&bus, 0..WAVE, false);
+        eng.process_available().unwrap();
+        if fail {
+            faults.configure(
+                ss_exec::ops::failpoints::RECORD_EVAL,
+                FaultTrigger::Once { skip: 2 },
+                FaultMode::Error,
+            );
+        }
+        feed_numeric(&bus, WAVE..WAVE + BIG_ROWS, false);
+        match eng.process_available() {
+            Ok(_) => assert!(!fail, "the armed fail point never fired"),
+            Err(err) => {
+                assert!(fail && err.to_string().contains("exec.record.eval"), "got: {err}");
+                eng.restart().unwrap();
+                eng.process_available().unwrap();
+            }
+        }
+        assert_eq!(eng.current_epoch(), 2);
+        sink.snapshot()
+    };
+    let unfailed = run(false);
+    assert_eq!(unfailed.len(), 5);
+    assert_eq!(run(true), unfailed);
 }
