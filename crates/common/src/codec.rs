@@ -58,8 +58,13 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 }
 
 pub fn put_row(out: &mut Vec<u8>, row: &Row) {
-    put_varint(out, row.len() as u64);
-    for v in row.iter() {
+    put_values(out, row.values());
+}
+
+/// [`put_row`] of the row holding `values`, without building it.
+pub fn put_values(out: &mut Vec<u8>, values: &[Value]) {
+    put_varint(out, values.len() as u64);
+    for v in values {
         put_value(out, v);
     }
 }

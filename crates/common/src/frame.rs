@@ -61,13 +61,33 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xffff_ffff
 }
 
+fn header(payload: &[u8]) -> String {
+    format!("{MAGIC} crc32={:08x} len={}\n", crc32(payload), payload.len())
+}
+
 /// Wrap `payload` in a checksummed frame.
 pub fn encode(payload: &[u8]) -> Vec<u8> {
-    let header = format!("{MAGIC} crc32={:08x} len={}\n", crc32(payload), payload.len());
+    let header = header(payload);
     let mut out = Vec::with_capacity(header.len() + payload.len());
     out.extend_from_slice(header.as_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Bytes [`encode_in_place`] needs in front of a payload: the longest
+/// header (a 20-digit `len`).
+pub const HEADER_ROOM: usize = 52;
+
+/// Frame the payload `buf[HEADER_ROOM..]` where it lies: the header is
+/// written right-aligned into the room the caller left in front of it,
+/// and the frame — byte for byte what [`encode`] returns for that
+/// payload — is the returned tail of `buf`. For payloads large enough
+/// that [`encode`]'s copy shows.
+pub fn encode_in_place(buf: &mut [u8]) -> &[u8] {
+    let header = header(&buf[HEADER_ROOM..]);
+    let start = HEADER_ROOM - header.len();
+    buf[start..HEADER_ROOM].copy_from_slice(header.as_bytes());
+    &buf[start..]
 }
 
 /// Unwrap and verify a frame, returning the payload.
@@ -165,6 +185,15 @@ mod tests {
         let framed = encode(payload);
         assert!(is_framed(&framed));
         assert_eq!(decode(&framed).unwrap(), payload);
+    }
+
+    #[test]
+    fn in_place_framing_equals_encode() {
+        for payload in [&b""[..], b"x", &[7u8; 100_000]] {
+            let mut buf = vec![0u8; HEADER_ROOM];
+            buf.extend_from_slice(payload);
+            assert_eq!(encode_in_place(&mut buf), encode(payload));
+        }
     }
 
     #[test]

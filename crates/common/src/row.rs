@@ -67,7 +67,20 @@ impl Row {
     /// [`Value::approx_bytes`]. An estimate for budget enforcement, not
     /// an exact allocator measurement.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Row>() + self.0.iter().map(Value::approx_bytes).sum::<usize>()
+        Row::approx_bytes_of(&self.0)
+    }
+
+    /// [`Row::approx_bytes`] of the row holding `values`.
+    pub fn approx_bytes_of(values: &[Value]) -> usize {
+        std::mem::size_of::<Row>() + values.iter().map(Value::approx_bytes).sum::<usize>()
+    }
+}
+
+/// A row borrows as its values (equal, ordered and hashed alike), so a
+/// map keyed by rows can be probed with a slice.
+impl std::borrow::Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.0
     }
 }
 

@@ -12,7 +12,7 @@
 //! | static `Scan`/subtree | execute once via the batch engine, cache |
 //! | `Filter`/`Project` | stateless per-epoch (`ss-exec` kernels) |
 //! | `Watermark` | observe max event time; drop late rows (§4.3.1) |
-//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] whose groups live in the state store; emission follows the query's output mode. A stateless input chain over a scan is fused into the ingest loop: it runs a vector at a time ([`ChainRun`]), each vector folded in before the next starts |
+//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] kernel over a [`GroupTable`] that *is* the operator's state-store entry — the store owns the one copy and lends it for the epoch, a restored namespace is adopted on the first borrow; emission follows the query's output mode. A stateless input chain over a scan is fused into the ingest loop: it runs a vector at a time ([`ChainRun`]), each vector folded in before the next starts |
 //! | stream×static `Join` | hash join against the static side, computed — and its keys hashed — once per query run |
 //! | stream×stream `Join` | symmetric stateful join ([`StreamJoinExec`]) |
 //! | `MapGroupsWithState` | stateful UDF operator ([`crate::stateful`]) |
@@ -29,21 +29,19 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rustc_hash::FxHashSet;
-
 use ss_common::profile::PHASE_MERGE;
 use ss_common::{
     shuffle_partition, FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError, Value,
     VECTOR_ROWS,
 };
-use ss_exec::aggregate::HashAggregator;
+use ss_exec::aggregate::{GroupTable, HashAggregator};
 use ss_exec::executor::Catalog;
 use ss_exec::join::{hash_join_projected, probe_join, KeyTable};
 use ss_exec::ops;
 use ss_expr::Expr;
 use ss_plan::stateful::StatefulOpDef;
 use ss_plan::{JoinType, LogicalPlan, OutputMode, SortKey};
-use ss_state::{OpState, StateEntry, StateStore};
+use ss_state::{StateEntry, StateStore};
 
 use crate::parallel::{self, shard_ns, Exchange, ExchangeStats};
 use crate::sjoin::{JoinSide, StreamJoinExec, TaggedRow};
@@ -520,10 +518,10 @@ pub enum IncNode {
     Aggregate {
         input: Box<IncNode>,
         op_id: String,
-        /// One aggregator per partition, each holding only the keys
-        /// that hash there; never empty, and exactly one (over the
-        /// unsharded `{op_id}` namespace) at one partition.
-        shards: Vec<HashAggregator>,
+        /// Configuration and kernel only: the groups are the tables of
+        /// the operator's state namespaces (`{op_id}`, or one
+        /// `{op_id}/p{r}` per partition), which the store owns.
+        agg: Arc<HashAggregator>,
     },
     MapGroups {
         input: Box<IncNode>,
@@ -558,7 +556,7 @@ impl IncNode {
             IncNode::Sort { input, .. } | IncNode::Limit { input, .. } => input.schema(),
             IncNode::Stateless { schema, .. } => schema.clone(),
             IncNode::StreamJoin { exec, .. } => exec.output_schema.clone(),
-            IncNode::Aggregate { shards, .. } => shards[0].output_schema().clone(),
+            IncNode::Aggregate { agg, .. } => agg.output_schema().clone(),
             IncNode::MapGroups { op, .. } => op.output_schema.clone(),
             IncNode::Distinct { schema, .. } => schema.clone(),
         }
@@ -649,41 +647,36 @@ impl IncNode {
                 let r = right.execute_epoch(ctx)?;
                 exec.execute_epoch(&l, &r, ctx.store, ctx.watermark_us)
             }
-            IncNode::Aggregate {
-                input,
-                op_id,
-                shards,
-            } => {
-                let parts = ctx.exchange.partitions();
-                if shards.len() != parts {
-                    // First epoch at N partitions, or a failed reduce
-                    // stage took the shards with it.
-                    reshard(shards, parts);
+            IncNode::Aggregate { input, op_id, agg } => {
+                if ctx.exchange.partitions() > 1 {
+                    return exchange_aggregate(input, op_id, agg, ctx);
                 }
-                if parts > 1 {
-                    return exchange_aggregate(input, op_id, shards, ctx);
-                }
+                // The table is updated where it lives, in the store: a
+                // failure from here on leaves it half-updated and
+                // dirty, and the epoch's failure reloads the store.
                 match chain_kind(input) {
                     // A chain over a scan is fused into the ingest:
                     // folding its vectors in as they arrive is, for
-                    // every aggregate, byte-identical to one
-                    // `update_batch` over their concatenation.
+                    // every aggregate, byte-identical to one `ingest`
+                    // of their concatenation.
                     Some(chunk_safe) => {
                         let chain = Chain::lift(input, ctx)?;
                         let rows = 0..chain.scan.num_rows();
                         let mut run = chain.run(rows, ctx.watermark_us, ctx.faults);
                         let vector_rows = if chunk_safe { VECTOR_ROWS } else { usize::MAX };
-                        run.for_each(vector_rows, |v| shards[0].update_batch(&v))?;
+                        let table = agg.table(ctx.store.operator_typed(op_id))?;
+                        run.for_each(vector_rows, |v| agg.ingest(table, &v))?;
                         chain.record(ctx, &run.stats);
                     }
-                    None => shards[0].update_batch(&input.execute_epoch(ctx)?)?,
+                    None => {
+                        let batch = input.execute_epoch(ctx)?;
+                        agg.ingest(agg.table(ctx.store.operator_typed(op_id))?, &batch)?;
+                    }
                 }
-                aggregate_step(
-                    &mut shards[0],
-                    ctx.store.operator(op_id),
-                    ctx.output_mode,
-                    ctx.watermark_us,
-                )
+                let op = ctx.store.operator_typed(op_id);
+                let out = aggregate_step(agg, agg.table(op)?, ctx.output_mode, ctx.watermark_us);
+                op.sync_table_metrics();
+                out
             }
             IncNode::MapGroups { input, op_id, op } => {
                 let delta = input.execute_epoch(ctx)?;
@@ -732,27 +725,18 @@ impl IncNode {
     /// store — §6.1 step 4 — laid out for `partitions` partitions.
     pub fn restore_state(&mut self, store: &mut StateStore, partitions: usize) -> Result<()> {
         match self {
-            IncNode::Aggregate {
-                input,
-                op_id,
-                shards,
-            } => {
-                reshard(shards, partitions);
-                for (r, shard) in shards.iter_mut().enumerate() {
-                    let entries: Vec<(Row, Vec<Row>)> = store
-                        .operator(&shard_ns(op_id, r, partitions, ""))
-                        .iter()
-                        .map(|(k, e)| (k.clone(), e.values.clone()))
-                        .collect();
-                    for (key, states) in entries {
-                        shard.restore_entry(key, &states)?;
-                    }
-                }
-                input.restore_state(store, partitions)
-            }
             IncNode::Stateless { input, op, .. } => {
                 if let StatelessOp::StaticJoin { cache, .. } = op {
                     *cache = None;
+                }
+                input.restore_state(store, partitions)
+            }
+            // An aggregate holds no state of its own. Adopting what the
+            // store restored here, not at the first borrow, keeps the
+            // cost in the restart rather than in an epoch's latency.
+            IncNode::Aggregate { input, op_id, agg } => {
+                for r in 0..partitions {
+                    agg.table(store.operator_typed(&shard_ns(op_id, r, partitions, "")))?;
                 }
                 input.restore_state(store, partitions)
             }
@@ -843,7 +827,7 @@ impl IncNode {
         // Find the aggregate (there is at most one, per §5.2).
         fn find_agg(node: &IncNode) -> Option<&HashAggregator> {
             match node {
-                IncNode::Aggregate { shards, .. } => Some(&shards[0]),
+                IncNode::Aggregate { agg, .. } => Some(agg),
                 IncNode::StreamScan { .. } => None,
                 IncNode::StreamJoin { left, right, .. } => {
                     find_agg(left).or_else(|| find_agg(right))
@@ -877,56 +861,30 @@ impl IncNode {
     }
 }
 
-/// Reset `shards` to `partitions` empty aggregators.
-fn reshard(shards: &mut Vec<HashAggregator>, partitions: usize) {
-    shards.truncate(1);
-    shards[0].clear();
-    while shards.len() < partitions {
-        shards.push(shards[0].fresh_clone());
-    }
-}
-
-/// The aggregate step after ingest, over one aggregator and its state
-/// namespace: write this epoch's changed groups through to the store,
-/// emit per the output mode, and evict what the watermark has closed.
+/// The aggregate step after ingest, over one table: close the epoch's
+/// change list, emit per the output mode, and evict what the watermark
+/// has closed.
 fn aggregate_step(
-    agg: &mut HashAggregator,
-    op: &mut OpState,
+    agg: &HashAggregator,
+    table: &mut GroupTable,
     mode: OutputMode,
     watermark_us: i64,
 ) -> Result<RecordBatch> {
-    let changed = agg.take_changed();
-    for key in &changed {
-        let states = agg
-            .state_for_key(key)
-            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
-        op.put(key.clone(), StateEntry::new(states));
-    }
+    let mut changed = Vec::new();
+    table.drain_changed(|key, accs| {
+        if mode == OutputMode::Update {
+            changed.push(agg.output_row(key, accs));
+        }
+    });
     match mode {
-        OutputMode::Complete => agg.finish_all(),
+        OutputMode::Complete => agg.finish(table),
         OutputMode::Update => {
-            let out = agg.output_for_keys(&changed)?;
-            if agg.is_windowed() && watermark_us > i64::MIN {
-                for k in agg.evict_expired(watermark_us) {
-                    op.evict(&k);
-                }
-            }
-            Ok(out)
+            table.evict_closed(watermark_us);
+            RecordBatch::from_rows(agg.output_schema().clone(), &changed)
         }
         OutputMode::Append => {
-            let out = agg.drain_finalized(watermark_us)?;
-            // drain_finalized removed groups from the aggregator;
-            // mirror in the store by removing every stored key no
-            // longer live.
-            let live: FxHashSet<Row> = agg.state_entries().map(|(k, _)| k.clone()).collect();
-            let dead: Vec<Row> = op
-                .iter()
-                .map(|(k, _)| k.clone())
-                .filter(|k| !live.contains(k))
-                .collect();
-            for k in dead {
-                op.evict(&k);
-            }
+            let out = agg.finalized(table, watermark_us)?;
+            table.evict_closed(watermark_us);
             Ok(out)
         }
     }
@@ -946,17 +904,16 @@ fn exchange_map(node: &mut IncNode, ctx: &mut EpochContext<'_>) -> Result<Record
 /// vector at a time, into a task-local combiner and ship its groups as
 /// partials, the shuffle
 /// routes each key's partials to the partition that owns it, and every
-/// partition merges them into its own shard and runs
-/// [`aggregate_step`] over it and its `{op_id}/p{r}` namespace.
+/// partition merges them into the table of its `{op_id}/p{r}`
+/// namespace and runs [`aggregate_step`] over it.
 fn exchange_aggregate(
     input: &mut IncNode,
     op_id: &str,
-    shards: &mut Vec<HashAggregator>,
+    agg: &Arc<HashAggregator>,
     ctx: &mut EpochContext<'_>,
 ) -> Result<RecordBatch> {
     let parts = ctx.exchange.partitions();
-    let template = Arc::new(shards[0].fresh_clone());
-    let combiner = template.clone();
+    let combiner = agg.clone();
     let partials = parallel::shuffle(
         ctx,
         op_id,
@@ -970,30 +927,27 @@ fn exchange_aggregate(
         |(key, accs)| key.approx_bytes() + std::mem::size_of_val(accs.as_slice()),
     )?
     .remove(0);
-    // The shards move into the reduce tasks. A failed stage leaves one
-    // empty aggregator behind; the restart path reloads from the
-    // checkpoint.
-    let work: Vec<_> = std::mem::replace(shards, vec![template.fresh_clone()])
+    // Each namespace moves into its reduce task, table and all. A
+    // failed stage loses them; the epoch's failure reloads the store
+    // from the checkpoint.
+    let work: Vec<_> = partials
         .into_iter()
-        .zip(partials)
         .enumerate()
-        .map(|(r, (shard, partials))| {
-            let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
-            (shard, op, partials)
-        })
+        .map(|(r, partials)| (ctx.store.take_op(&shard_ns(op_id, r, parts, "")), partials))
         .collect();
     let (mode, watermark_us) = (ctx.output_mode, ctx.watermark_us);
-    let reduced = parallel::reduce(ctx, work, move |(mut shard, mut op, partials)| {
-        shard.merge_partials(partials)?;
-        let rows = aggregate_step(&mut shard, &mut op, mode, watermark_us)?.to_rows();
-        Ok((shard, op, rows))
+    let kernel = agg.clone();
+    let reduced = parallel::reduce(ctx, work, move |(mut op, partials)| {
+        let table = kernel.table(&mut op)?;
+        kernel.merge_partials(table, partials)?;
+        let rows = aggregate_step(&kernel, table, mode, watermark_us)?.to_rows();
+        op.sync_table_metrics();
+        Ok((op, rows))
     })?;
     let merge = Instant::now();
-    shards.clear();
     let mut rows: Vec<Row> = Vec::new();
-    for (r, (shard, op, shard_rows)) in reduced.into_iter().enumerate() {
+    for (r, (op, shard_rows)) in reduced.into_iter().enumerate() {
         ctx.store.put_op(&shard_ns(op_id, r, parts, ""), op);
-        shards.push(shard);
         rows.extend(shard_rows);
     }
     // Keys never span shards and every shard emits key-sorted rows
@@ -1001,7 +955,7 @@ fn exchange_aggregate(
     // whole-row order == key order): a global sort reproduces the
     // one-partition emission order.
     rows.sort();
-    let out = RecordBatch::from_rows(template.output_schema().clone(), &rows)?;
+    let out = RecordBatch::from_rows(agg.output_schema().clone(), &rows)?;
     ctx.run.phase(PHASE_MERGE, merge);
     Ok(out)
 }
@@ -1198,7 +1152,7 @@ fn inc_node(
             IncNode::Aggregate {
                 input: Box::new(child),
                 op_id: next_id("agg", counter),
-                shards: vec![agg],
+                agg: Arc::new(agg),
             }
         }
         LogicalPlan::Join {

@@ -326,6 +326,10 @@ pub struct MicroBatchExecution {
     signatures: Vec<OperatorSignature>,
     /// Canonical whole-plan fingerprint (informational).
     plan_fingerprint: String,
+    /// `(fencing epoch, sealed)` of the manifest this run last wrote —
+    /// the layout-bearing fields that can change within a run. `None`
+    /// until its first checkpoint.
+    manifest_written: Option<(Option<u64>, bool)>,
     /// State migrations owed to the checkpoint this engine resumed
     /// from, applied after every state restore. Empty when the plan is
     /// unchanged.
@@ -621,6 +625,7 @@ impl MicroBatchExecution {
             backend,
             signatures,
             plan_fingerprint: plan_fp,
+            manifest_written: None,
             migrations,
             purged_total,
             tracker,
@@ -1456,10 +1461,7 @@ impl MicroBatchExecution {
             // only ever describe a state layout that exists on disk, so
             // it is never written ahead of the first checkpoint of the
             // current plan.
-            retried(&retry_policy, &clock, &interrupt, &registry, "manifest_write", || {
-                faults.fire(failpoints::MANIFEST_WRITE)?;
-                self.write_manifest(false)
-            })?;
+            self.write_manifest(false)?;
             self.maybe_gc(offsets.epoch)?;
             profile.record(PHASE_STATE_COMMIT, None, t_state.elapsed().as_micros() as u64);
         }
@@ -1582,13 +1584,27 @@ impl MicroBatchExecution {
         }
     }
 
-    /// Atomically (re)write the manifest. Deliberately **not** called at
-    /// startup: until the first checkpoint of the current plan lands,
-    /// the manifest must keep describing the previous plan's layout, or
-    /// a crash-before-checkpoint would leave un-migrated state behind a
+    /// Atomically (re)write the manifest, unless this run already wrote
+    /// one with the same layout-bearing fields: recovery takes epoch,
+    /// offsets and watermark from the WAL, so those three are only "as
+    /// of the last manifest write" and do not force one per epoch.
+    /// Deliberately **not** called at startup: until the first
+    /// checkpoint of the current plan lands, the manifest must keep
+    /// describing the previous plan's layout, or a
+    /// crash-before-checkpoint would leave un-migrated state behind a
     /// manifest that claims the new layout.
-    fn write_manifest(&self, sealed: bool) -> Result<()> {
-        self.manifest(sealed).write(&self.backend)
+    fn write_manifest(&mut self, sealed: bool) -> Result<()> {
+        let layout = (self.held_fencing_epoch(), sealed);
+        if self.manifest_written == Some(layout) {
+            return Ok(());
+        }
+        let (manifest, config) = (self.manifest(sealed), &self.config);
+        retried(&config.retry, &config.clock, &config.interrupt, &self.registry, "manifest_write", || {
+            config.faults.fire(failpoints::MANIFEST_WRITE)?;
+            manifest.write(&self.backend)
+        })?;
+        self.manifest_written = Some(layout);
+        Ok(())
     }
 
     /// Seal the manifest after a graceful drain: every defined epoch is
@@ -1601,12 +1617,7 @@ impl MicroBatchExecution {
             // onto a directory that holds no state).
             return Ok(());
         }
-        let registry = self.registry.clone();
-        let faults = self.config.faults.clone();
-        retried(&self.config.retry, &self.config.clock, &self.config.interrupt, &registry, "manifest_write", || {
-            faults.fire(failpoints::MANIFEST_WRITE)?;
-            self.write_manifest(true)
-        })
+        self.write_manifest(true)
     }
 
     /// Canonical signatures of this plan's stateful operators.

@@ -410,9 +410,7 @@ fn chunk_safe(root: &IncNode) -> bool {
     match node {
         // Shards merge map-side partials in no fixed order: byte-exact
         // only when every aggregate is combinable.
-        IncNode::Aggregate { input, shards, .. } => {
-            shards[0].is_combinable() && chunk_safe_chain(input)
-        }
+        IncNode::Aggregate { input, agg, .. } => agg.is_combinable() && chunk_safe_chain(input),
         IncNode::StreamJoin { left, right, .. } => {
             !suffix && chunk_safe_chain(left) && chunk_safe_chain(right)
         }

@@ -1,0 +1,356 @@
+//! Model test of the aggregate's store-resident group table: random
+//! sequences of epochs (Update / Append / Complete), watermark
+//! advances, delta and full checkpoints, checkpoint writes that fail
+//! before or after the blob lands, skipped checkpoints, late rows that
+//! re-create evicted keys, spill + reload, demotion through the
+//! untyped API, restores into a fresh store and a 1 → 4 → 1
+//! repartition — against a plain `BTreeMap`. After every step the
+//! emitted rows, `total_keys`, `memory_bytes` and every checkpoint the
+//! step made restorable equal the model's.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use ss_common::time::secs;
+use ss_common::{
+    DataType, FaultRegistry, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
+};
+use ss_core::incremental::{incrementalize, EpochContext, IncNode, OpStatsCollector};
+use ss_core::parallel::{repartition_family, Exchange, ExchangeStats};
+use ss_core::watermark::WatermarkTracker;
+use ss_exec::MemoryCatalog;
+use ss_expr::{col, count_star, min, sum, window};
+use ss_plan::{LogicalPlanBuilder, OutputMode};
+use ss_state::{CheckpointBackend, MemoryBackend, MemoryBudget, StateEntry, StateStore};
+
+const WINDOW_US: i64 = 10_000_000;
+const OP: &str = "agg-0";
+
+fn schema() -> SchemaRef {
+    Schema::of(vec![
+        Field::new("key", DataType::Utf8),
+        Field::new("time", DataType::Timestamp),
+        Field::new("v", DataType::Int64),
+        Field::new("tag", DataType::Utf8),
+    ])
+}
+
+/// A backend whose next state-checkpoint write fails: before anything
+/// is stored (`BEFORE`), or after the blob landed — the process "died"
+/// between `write_atomic` and `clear_tracking` (`AFTER`).
+#[derive(Default)]
+struct FlakyBackend {
+    inner: MemoryBackend,
+    fail: AtomicU8,
+}
+
+const BEFORE: u8 = 1;
+const AFTER: u8 = 2;
+
+impl CheckpointBackend for FlakyBackend {
+    fn write_atomic(&self, key: &str, data: &[u8]) -> Result<()> {
+        let fail = if key.starts_with("state/chk-") { self.fail.swap(0, Ordering::SeqCst) } else { 0 };
+        if fail == BEFORE {
+            return Err(SsError::Execution("injected: write refused".into()));
+        }
+        self.inner.write_atomic(key, data)?;
+        if fail == AFTER {
+            return Err(SsError::Execution("injected: ack lost".into()));
+        }
+        Ok(())
+    }
+    fn read(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        self.inner.read(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, key: &str) -> Result<()> {
+        self.inner.delete(key)
+    }
+}
+
+/// One input row: key index, event time (s), value, tag length.
+type Event = (u8, u8, i8, u8);
+
+#[derive(Debug, Clone)]
+enum Op {
+    Epoch(Vec<Event>),
+    Advance(u8),
+    Checkpoint,
+    FailedCheckpoint(u8),
+    CheckpointAndSpill,
+    Demote,
+    RestoreFresh,
+    Repartition,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let event = (0u8..5, 0u8..60, -3i8..4, 0u8..12);
+    prop_oneof![
+        prop::collection::vec(event.clone(), 0..12).prop_map(Op::Epoch),
+        prop::collection::vec(event, 0..12).prop_map(Op::Epoch),
+        (0u8..15).prop_map(Op::Advance),
+        Just(Op::Checkpoint),
+        Just(Op::Checkpoint),
+        (BEFORE..=AFTER).prop_map(Op::FailedCheckpoint),
+        Just(Op::CheckpointAndSpill),
+        Just(Op::Demote),
+        Just(Op::RestoreFresh),
+        Just(Op::Repartition),
+    ]
+}
+
+/// The reference: group key → one state row per aggregate
+/// (`count(*)`, `sum(v)`, `min(tag)`).
+type Model = BTreeMap<Row, Vec<Row>>;
+
+fn model_ingest(model: &mut Model, events: &[Event]) -> Vec<Row> {
+    let mut changed = Vec::new();
+    for &(k, t, v, tag_len) in events {
+        let start = secs(t as i64) - secs(t as i64).rem_euclid(WINDOW_US);
+        let key = Row::new(vec![Value::Timestamp(start), Value::str(format!("k{k}"))]);
+        let tag = Value::str("t".repeat(tag_len as usize));
+        let fresh = || vec![Row::new(vec![Value::Int64(0)]), Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
+        let state = model.entry(key.clone()).or_insert_with(fresh);
+        let as_i64 = |v: &Value| v.as_i64().unwrap().unwrap_or(0);
+        state[0] = Row::new(vec![Value::Int64(as_i64(state[0].get(0)) + 1)]);
+        state[1] = Row::new(vec![Value::Int64(as_i64(state[1].get(0)).wrapping_add(v as i64))]);
+        if state[2].get(0).is_null() || tag < *state[2].get(0) {
+            state[2] = Row::new(vec![tag]);
+        }
+        changed.push(key);
+    }
+    changed.sort();
+    changed.dedup();
+    changed
+}
+
+fn output_row(key: &Row, state: &[Row]) -> Row {
+    let start = key.get(0).as_i64().unwrap().unwrap();
+    let mut out = vec![Value::Timestamp(start), Value::Timestamp(start + WINDOW_US), key.get(1).clone()];
+    out.extend(state.iter().map(|s| s.get(0).clone()));
+    Row::new(out)
+}
+
+/// The model's epoch step: what the mode emits, then what it evicts.
+fn model_step(model: &mut Model, changed: &[Row], mode: OutputMode, watermark_us: i64) -> Vec<Row> {
+    let closed = |key: &Row| key.get(0).as_i64().unwrap().unwrap() + WINDOW_US <= watermark_us;
+    let out = match mode {
+        OutputMode::Complete => model.iter().map(|(k, s)| output_row(k, s)).collect(),
+        OutputMode::Update => changed.iter().map(|k| output_row(k, &model[k])).collect(),
+        OutputMode::Append => {
+            model.iter().filter(|(k, _)| closed(k)).map(|(k, s)| output_row(k, s)).collect()
+        }
+    };
+    if mode != OutputMode::Complete {
+        model.retain(|k, _| !closed(k));
+    }
+    out
+}
+
+fn model_bytes(model: &Model) -> usize {
+    let entry = |(k, s): (&Row, &Vec<Row>)| {
+        k.approx_bytes()
+            + std::mem::size_of::<StateEntry>()
+            + s.iter().map(Row::approx_bytes).sum::<usize>()
+    };
+    model.iter().map(entry).sum()
+}
+
+struct Harness {
+    node: IncNode,
+    backend: Arc<FlakyBackend>,
+    store: StateStore,
+    mode: OutputMode,
+    watermark_us: i64,
+    tracker: WatermarkTracker,
+}
+
+impl Harness {
+    fn new(mode: OutputMode) -> Harness {
+        let plan = LogicalPlanBuilder::scan("events", schema(), true)
+            .aggregate(
+                vec![window(col("time"), "10 seconds").unwrap(), col("key")],
+                vec![count_star(), sum(col("v")), min(col("tag"))],
+            )
+            .build();
+        let backend = Arc::new(FlakyBackend::default());
+        Harness {
+            node: incrementalize(&plan, &mut 0).unwrap(),
+            store: StateStore::new(backend.clone()).with_snapshot_interval(3),
+            backend,
+            mode,
+            watermark_us: i64::MIN,
+            tracker: WatermarkTracker::new(&[]),
+        }
+    }
+
+    fn epoch(&mut self, events: &[Event]) -> Vec<Row> {
+        let rows: Vec<Row> = events
+            .iter()
+            .map(|&(k, t, v, tag_len)| {
+                Row::new(vec![
+                    Value::str(format!("k{k}")),
+                    Value::Timestamp(secs(t as i64)),
+                    Value::Int64(v as i64),
+                    Value::str("t".repeat(tag_len as usize)),
+                ])
+            })
+            .collect();
+        let mut inputs = HashMap::new();
+        inputs.insert("events".to_string(), RecordBatch::from_rows(schema(), &rows).unwrap());
+        let (statics, faults, exchange) =
+            (MemoryCatalog::default(), FaultRegistry::new(), Exchange::identity());
+        let mut ops = OpStatsCollector::new();
+        let mut ctx = EpochContext {
+            epoch: 1,
+            inputs: &mut inputs,
+            statics: &statics,
+            store: &mut self.store,
+            watermark_us: self.watermark_us,
+            processing_time_us: 0,
+            output_mode: self.mode,
+            tracker: &mut self.tracker,
+            ops: &mut ops,
+            faults: &faults,
+            exchange: &exchange,
+            run: ExchangeStats::default(),
+        };
+        let out = self.node.execute_epoch(&mut ctx).unwrap().to_rows();
+        self.store.check_health().unwrap();
+        out
+    }
+
+    /// The namespace through the untyped API (a demotion).
+    fn contents(store: &mut StateStore) -> Model {
+        let entries = store.operator(OP).iter();
+        entries.map(|(k, e)| (k.clone(), e.values.clone())).collect()
+    }
+
+    /// What restoring `epoch` into a fresh store yields — `None` while
+    /// a namespace is spilled: a restore purges the backend's spill
+    /// blobs, which here are still the live store's. (Every epoch is
+    /// checked again when the run ends.)
+    fn restored(&self, epoch: u64) -> Option<Model> {
+        if !self.store.spilled_ops().is_empty() {
+            return None;
+        }
+        let mut fresh = StateStore::new(self.backend.clone());
+        fresh.restore(epoch).unwrap();
+        Some(Harness::contents(&mut fresh))
+    }
+}
+
+/// Run `ops` against engine and model; a failure reports the sequence
+/// so it can be pinned as a fixture below.
+fn run(mode: OutputMode, ops: Vec<Op>) -> std::result::Result<(), String> {
+    check(mode, &ops).map_err(|e| format!("{e}\nops: {ops:?}"))
+}
+
+fn check(mode: OutputMode, ops: &[Op]) -> std::result::Result<(), String> {
+    let mut h = Harness::new(mode);
+    let mut model = Model::new();
+    // Epoch → the model when that epoch's blob landed.
+    let mut durable: BTreeMap<u64, Model> = BTreeMap::new();
+    let mut next_epoch = 1u64;
+    for (step, op) in ops.iter().cloned().enumerate() {
+        let what = format!("step {step} {op:?}");
+        match op {
+            Op::Epoch(events) => {
+                let changed = model_ingest(&mut model, &events);
+                let expect = model_step(&mut model, &changed, mode, h.watermark_us);
+                prop_assert_eq!(h.epoch(&events), expect, "{}", what);
+            }
+            Op::Advance(by) => h.watermark_us = h.watermark_us.max(0) + secs(by as i64),
+            Op::Checkpoint | Op::CheckpointAndSpill => {
+                h.store.checkpoint(next_epoch).unwrap();
+                durable.insert(next_epoch, model.clone());
+                prop_assert!(h.restored(next_epoch).is_none_or(|m| m == model), "{}", what);
+                next_epoch += 1;
+                if matches!(op, Op::CheckpointAndSpill) {
+                    let resident = h.store.spilled_ops().is_empty() && !model.is_empty();
+                    h.store.set_budget(MemoryBudget { soft_limit_bytes: Some(1), hard_limit_bytes: None });
+                    let report = h.store.enforce_budget().unwrap();
+                    h.store.set_budget(MemoryBudget::default());
+                    prop_assert_eq!(report.ops_spilled, usize::from(resident), "{}", what);
+                    prop_assert_eq!(h.store.total_keys(), 0, "{}", what);
+                    continue; // reloaded by whatever touches it next
+                }
+            }
+            Op::FailedCheckpoint(how) => {
+                h.backend.fail.store(how, Ordering::SeqCst);
+                prop_assert!(h.store.checkpoint(next_epoch).is_err(), "{}", what);
+                if how == AFTER {
+                    durable.insert(next_epoch, model.clone());
+                    prop_assert!(h.restored(next_epoch).is_none_or(|m| m == model), "{}", what);
+                }
+                next_epoch += 1;
+            }
+            Op::Demote => prop_assert_eq!(Harness::contents(&mut h.store), model.clone(), "{}", what),
+            Op::RestoreFresh => {
+                let Some((&epoch, snapshot)) = durable.iter().next_back() else { continue };
+                model = snapshot.clone();
+                h.store = StateStore::new(h.backend.clone()).with_snapshot_interval(3);
+                h.store.restore(epoch).unwrap();
+                h.node.restore_state(&mut h.store, 1).unwrap();
+            }
+            Op::Repartition => {
+                repartition_family(&mut h.store, OP, "", 4).unwrap();
+                prop_assert_eq!(h.store.total_keys(), model.len(), "{}", what);
+                repartition_family(&mut h.store, OP, "", 1).unwrap();
+            }
+        }
+        // A spilled namespace counts nothing until it is touched.
+        if h.store.spilled_ops().is_empty() {
+            prop_assert_eq!(h.store.total_keys(), model.len(), "{}", what);
+            prop_assert_eq!(h.store.memory_bytes(), model_bytes(&model), "{}", what);
+        }
+    }
+    // The whole chain, not just each blob as it landed.
+    h.store.clear_memory();
+    for (epoch, snapshot) in &durable {
+        prop_assert_eq!(h.restored(*epoch), Some(snapshot.clone()), "final restore of {}", epoch);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn update_mode_matches_the_model(ops in prop::collection::vec(op(), 1..60)) {
+        run(OutputMode::Update, ops)?;
+    }
+
+    #[test]
+    fn append_mode_matches_the_model(ops in prop::collection::vec(op(), 1..60)) {
+        run(OutputMode::Append, ops)?;
+    }
+
+    #[test]
+    fn complete_mode_matches_the_model(ops in prop::collection::vec(op(), 1..40)) {
+        run(OutputMode::Complete, ops)?;
+    }
+}
+
+/// One group exists in exactly one in-memory map: after an epoch the
+/// store's key count is the number of live groups, and the aggregator
+/// the plan holds has none of its own.
+#[test]
+fn a_group_lives_once_and_in_the_store() {
+    let mut h = Harness::new(OutputMode::Update);
+    let out = h.epoch(&[(0, 1, 1, 1), (1, 1, 1, 1), (0, 12, 1, 1)]);
+    assert_eq!(out.len(), 3);
+    assert_eq!(h.store.total_keys(), 3);
+    let IncNode::Aggregate { agg, .. } = &h.node else { panic!("plan root is the aggregate") };
+    assert_eq!(agg.num_groups(), 0);
+    // Through the untyped API the same three entries, still once.
+    assert_eq!(Harness::contents(&mut h.store).len(), 3);
+    assert_eq!(h.store.total_keys(), 3);
+}
+
+

@@ -1,29 +1,41 @@
 //! Hash aggregation: the operator a streaming `Aggregate` maps onto.
 //!
-//! [`HashAggregator`] is used two ways:
+//! A [`HashAggregator`] is the aggregation's configuration and kernel;
+//! the groups live in a [`GroupTable`]. It is used two ways:
 //!
-//! * **Batch**: feed every input batch with [`HashAggregator::update_batch`],
-//!   then read the full result with [`HashAggregator::finish_all`].
-//! * **Streaming** (`StatefulAggregate`, §5.2): the aggregator *is* the
-//!   operator state. Each epoch feeds its new data, then:
-//!   - Update mode emits [`HashAggregator::take_changed`] keys,
-//!   - Complete mode emits `finish_all`,
-//!   - Append mode emits [`HashAggregator::drain_finalized`] once the
-//!     event-time watermark passes a window's end (§4.3.1), which also
-//!     evicts that window's state.
-//!
-//!   The `state_entries` / `restore_entry` pair serializes the group map
-//!   to the state store for checkpointing (§6.1).
+//! * **Batch** (the executor, the exchange's map-side combiners): the
+//!   aggregator owns a private table — feed it with
+//!   [`HashAggregator::update_batch`], read [`HashAggregator::finish_all`]
+//!   or ship [`HashAggregator::into_partials`].
+//! * **Streaming** (`StatefulAggregate`, §5.2): the table *is* the
+//!   operator's entry in the state store, which owns the only copy and
+//!   lends it for the epoch ([`HashAggregator::table`]; a restored,
+//!   untyped namespace is adopted on the first borrow). An epoch
+//!   [`HashAggregator::ingest`]s its new data (or
+//!   [`HashAggregator::merge_partials`] at N partitions), then
+//!   [`GroupTable::drain_changed`] closes it: Update mode emits the
+//!   groups it visits, Complete mode [`HashAggregator::finish`], Append
+//!   mode [`HashAggregator::finalized`] once the event-time watermark
+//!   passes a window's end (§4.3.1); [`GroupTable::evict_closed`] then
+//!   drops what the watermark closed. The store checkpoints, counts and
+//!   spills the table through `ss_state::TypedTable` (§6.1), encoded by
+//!   reference from the accumulators in the untyped entry format (one
+//!   state row per aggregate). Nothing is copied between kernel and
+//!   store and nothing scans the table: it lists the groups changed
+//!   this epoch and those not yet in a successful checkpoint, keeps the
+//!   keys removed since, and buckets its groups by window.
 //!
 //! Event-time windows: one `window()` grouping key is supported; each
 //! row expands into `size/slide` windows (one for tumbling windows), the
 //! same assignment Spark's window expression produces. Rows whose
 //! timestamp is NULL are dropped from windowed aggregation, as in Spark.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
+use ss_common::codec::{put_row, put_value, put_values, put_varint};
 use ss_common::{
     Column, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
 };
@@ -31,6 +43,7 @@ use ss_expr::agg::Accumulator;
 use ss_expr::eval::evaluate;
 use ss_expr::{AggregateExpr, Expr};
 use ss_plan::plan::strip_alias;
+use ss_state::{OpState, StateEntry, TypedTable, Untyped};
 
 /// The window grouping key, if any.
 #[derive(Debug, Clone)]
@@ -42,13 +55,238 @@ struct WindowSpec {
     slide_us: i64,
 }
 
-/// One group's live state: its accumulators plus a dirty flag for
-/// per-epoch changed-key tracking (a flag write per row is much
-/// cheaper than maintaining a separate changed-key set on the hot
-/// path).
-struct GroupEntry {
+/// One group: its accumulators, and where it stands in its table's
+/// change tracking. A stamp equal to the table's current generation
+/// means "on that list"; one behind means not.
+#[derive(Debug)]
+struct Group {
     accs: Vec<Accumulator>,
-    dirty: bool,
+    /// Epoch generation it went on the changed list in. A stamp compare
+    /// per row is all the hot path pays for tracking.
+    changed: u32,
+    /// Save generation it went on the unsaved list in.
+    unsaved: u32,
+    /// Save generation it was created in: a group evicted in that same
+    /// generation is in no checkpoint and leaves no removed key.
+    born: u32,
+    /// Bytes of its untyped entry as last added to the table's total.
+    bytes: u32,
+}
+
+/// A list of keys of one arity, end to end in one buffer: listing a
+/// group allocates nothing.
+#[derive(Debug, Default)]
+struct KeyList {
+    values: Vec<Value>,
+    arity: usize,
+}
+
+impl KeyList {
+    fn push(&mut self, key: &[Value]) {
+        match key {
+            [] => self.values.push(Value::Null), // the one key of arity 0 still counts
+            _ => self.values.extend_from_slice(key),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len() / self.arity.max(1)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        self.values.chunks(self.arity.max(1)).map(|key| &key[..self.arity])
+    }
+
+    fn retain(&mut self, keep: impl Fn(&[Value]) -> bool) {
+        let mut kept = KeyList { values: Vec::new(), arity: self.arity };
+        self.iter().filter(|key| keep(key)).for_each(|key| kept.push(key));
+        *self = kept;
+    }
+}
+
+/// Everything of a [`GroupTable`] but the groups, so the kernel can
+/// hold one window's bucket and this side by side.
+#[derive(Debug, Default)]
+struct Tracking {
+    len: usize,
+    bytes: usize,
+    /// Bumped by `drain_changed`; `changed` lists the groups stamped
+    /// with it, once each.
+    epoch_gen: u32,
+    changed: KeyList,
+    /// Bumped by `clear_tracking` (a *successful* checkpoint);
+    /// `unsaved` lists the live groups stamped with it, once each, and
+    /// `removed` the checkpointed keys evicted since.
+    save_gen: u32,
+    unsaved: KeyList,
+    removed: FxHashSet<Row>,
+    /// For the state metrics: groups drained, groups evicted.
+    puts: u64,
+    evictions: u64,
+}
+
+/// The groups of one aggregation, with the change tracking that lets
+/// the state store checkpoint them without a copy or a scan (see the
+/// module docs). Keys hold one value per group expression, the window
+/// slot holding the window *start*.
+#[derive(Debug, Default)]
+pub struct GroupTable {
+    /// `(key slot, size µs)` of the window key.
+    window: Option<(usize, i64)>,
+    /// Groups bucketed by window start (one bucket, 0, without a
+    /// window): the watermark closes whole buckets.
+    buckets: BTreeMap<i64, FxHashMap<Row, Group>>,
+    t: Tracking,
+}
+
+impl GroupTable {
+    /// The bucket `key` belongs in.
+    fn start_of(&self, key: &[Value]) -> i64 {
+        match self.window.map(|(slot, _)| &key[slot]) {
+            Some(Value::Timestamp(start)) => *start,
+            _ => 0,
+        }
+    }
+
+    fn groups(&self) -> impl Iterator<Item = (&Row, &Group)> {
+        self.buckets.values().flatten()
+    }
+
+    /// Close the epoch's ingest: visit, in key order, every group that
+    /// changed since the last call (Update mode emits them), count its
+    /// bytes and move it to the unsaved list.
+    pub fn drain_changed(&mut self, mut visit: impl FnMut(&[Value], &[Accumulator])) {
+        let mut changed = std::mem::take(&mut self.t.changed);
+        let mut keys: Vec<&[Value]> = changed.iter().collect();
+        keys.sort_unstable();
+        self.t.puts += keys.len() as u64;
+        for key in keys {
+            let start = self.start_of(key);
+            let group = self.buckets.get_mut(&start).and_then(|b| b.get_mut(key));
+            let group = group.expect("a changed key is a live group");
+            visit(key, &group.accs);
+            let bytes = entry_bytes(key, &group.accs);
+            self.t.bytes = self.t.bytes + bytes as usize - group.bytes as usize;
+            group.bytes = bytes;
+            if group.unsaved != self.t.save_gen {
+                group.unsaved = self.t.save_gen;
+                self.t.unsaved.push(key);
+            }
+        }
+        // The list keeps its buffer: the next epoch's pushes fault no
+        // fresh pages in.
+        changed.values.clear();
+        self.t.changed = changed;
+        self.t.epoch_gen = self.t.epoch_gen.wrapping_add(1);
+        if self.t.epoch_gen == 0 {
+            // Wrapped: a stamp from 2^32 epochs ago must not read as
+            // current. No group is on the (just drained) list.
+            self.buckets.values_mut().flatten().for_each(|(_, g)| g.changed = u32::MAX);
+        }
+    }
+
+    /// Drop every group whose window closed at `watermark_us`
+    /// (`start + size <= watermark_us`), whole buckets at a time.
+    pub fn evict_closed(&mut self, watermark_us: i64) {
+        let Some((slot, size)) = self.window else { return };
+        let t = &mut self.t;
+        let mut listed = false;
+        while let Some(bucket) = self.buckets.first_entry() {
+            if bucket.key().saturating_add(size) > watermark_us {
+                break;
+            }
+            for (key, group) in bucket.remove() {
+                t.len -= 1;
+                t.bytes -= group.bytes as usize;
+                t.evictions += 1;
+                listed |= group.unsaved == t.save_gen || group.changed == t.epoch_gen;
+                if group.born != t.save_gen {
+                    t.removed.insert(key);
+                }
+            }
+        }
+        if listed {
+            // Only when a checkpoint was skipped or failed since the
+            // groups changed: the lists hold live groups only.
+            let open = |key: &[Value]| match key[slot] {
+                Value::Timestamp(start) => start.saturating_add(size) > watermark_us,
+                _ => true,
+            };
+            t.unsaved.retain(open);
+            t.changed.retain(open);
+        }
+    }
+}
+
+/// Bytes of a group's untyped entry — what `OpState` would count for
+/// it — saturating at what [`Group::bytes`] holds.
+fn entry_bytes(key: &[Value], accs: &[Accumulator]) -> u32 {
+    let values = accs.iter().map(Accumulator::state_bytes).sum();
+    let bytes = OpState::entry_bytes_of(Row::approx_bytes_of(key), values);
+    u32::try_from(bytes).unwrap_or(u32::MAX)
+}
+
+fn put_group(out: &mut Vec<u8>, key: &[Value], group: &Group) {
+    put_values(out, key);
+    put_value(out, &Value::Null); // no timeout
+    put_varint(out, group.accs.len() as u64);
+    group.accs.iter().for_each(|a| a.put_state(out));
+}
+
+impl TypedTable for GroupTable {
+    fn num_keys(&self) -> usize {
+        self.t.len
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.t.bytes
+    }
+
+    fn is_clean(&self) -> bool {
+        self.t.changed.len() + self.t.unsaved.len() + self.t.removed.len() == 0
+    }
+
+    fn encode(&self, full: bool, out: &mut Vec<u8>) {
+        if full {
+            put_varint(out, self.t.len as u64);
+            self.groups().for_each(|(k, g)| put_group(out, k.values(), g));
+            put_varint(out, 0);
+        } else {
+            put_varint(out, self.t.unsaved.len() as u64);
+            for key in self.t.unsaved.iter() {
+                put_group(out, key, &self.buckets[&self.start_of(key)][key]);
+            }
+            put_varint(out, self.t.removed.len() as u64);
+            self.t.removed.iter().for_each(|k| put_row(out, k));
+        }
+    }
+
+    fn clear_tracking(&mut self) {
+        self.t.unsaved.values.clear();
+        self.t.removed.clear();
+        self.t.save_gen = self.t.save_gen.wrapping_add(1);
+        if self.t.save_gen == 0 {
+            // Wrapped (as in `drain_changed`): every group is saved.
+            let stale = |(_, g): (_, &mut Group)| (g.unsaved, g.born) = (u32::MAX, u32::MAX);
+            self.buckets.values_mut().flatten().for_each(stale);
+        }
+    }
+
+    fn take_counts(&mut self) -> (u64, u64) {
+        (std::mem::take(&mut self.t.puts), std::mem::take(&mut self.t.evictions))
+    }
+
+    fn demote(self: Box<Self>) -> Untyped {
+        let t = self.t;
+        let entry = |(key, g): (Row, Group)| {
+            let unsaved = g.unsaved == t.save_gen || g.changed == t.epoch_gen;
+            (key, StateEntry::new(g.accs.iter().map(Accumulator::state).collect()), unsaved)
+        };
+        Untyped {
+            entries: self.buckets.into_values().flatten().map(entry).collect(),
+            removed: t.removed.into_iter().collect(),
+        }
+    }
 }
 
 /// Hash aggregation with mergeable, serializable group state.
@@ -58,9 +296,9 @@ pub struct HashAggregator {
     window: Option<WindowSpec>,
     aggregates: Vec<AggregateExpr>,
     output_schema: SchemaRef,
-    /// Key layout: one value per group expression, with the window slot
-    /// holding the window *start* timestamp.
-    groups: FxHashMap<Row, GroupEntry>,
+    /// The private table of batch use; empty (and unused) when the
+    /// table is the state store's.
+    table: GroupTable,
 }
 
 impl HashAggregator {
@@ -91,14 +329,26 @@ impl HashAggregator {
             }
         }
         let output_schema = Self::compute_output_schema(&input_schema, &group_exprs, &aggregates)?;
-        Ok(HashAggregator {
+        let mut agg = HashAggregator {
             input_schema,
             group_exprs,
             window,
             aggregates,
             output_schema,
-            groups: FxHashMap::default(),
-        })
+            table: GroupTable::default(),
+        };
+        agg.table = agg.new_table();
+        Ok(agg)
+    }
+
+    /// An empty table for this aggregation's keys.
+    fn new_table(&self) -> GroupTable {
+        let list = || KeyList { values: Vec::new(), arity: self.group_exprs.len() };
+        GroupTable {
+            window: self.window.as_ref().map(|w| (w.slot, w.size_us)),
+            buckets: BTreeMap::new(),
+            t: Tracking { changed: list(), unsaved: list(), ..Tracking::default() },
+        }
     }
 
     fn compute_output_schema(
@@ -139,12 +389,7 @@ impl HashAggregator {
     /// Number of live groups (= state size, the metric §2.3 says
     /// operators monitor).
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True if the grouping includes an event-time window.
-    pub fn is_windowed(&self) -> bool {
-        self.window.is_some()
+        self.table.t.len
     }
 
     /// Number of leading output columns that form the group key
@@ -153,12 +398,20 @@ impl HashAggregator {
         self.output_schema.len() - self.aggregates.len()
     }
 
+    /// [`HashAggregator::ingest`] into the private table.
+    pub fn update_batch(&mut self, batch: &RecordBatch) -> Result<()> {
+        let mut table = std::mem::take(&mut self.table);
+        let result = self.ingest(&mut table, batch);
+        self.table = table;
+        result
+    }
+
     /// Ingest one batch of input rows: evaluate the grouping and
     /// aggregate argument columns once (vectorized), then update the
     /// group of every `(row, group key)` in arrival order. Rows with a
     /// NULL event time are dropped and a sliding window fans one row
     /// out to `size/slide` keys.
-    pub fn update_batch(&mut self, batch: &RecordBatch) -> Result<()> {
+    pub fn ingest(&self, table: &mut GroupTable, batch: &RecordBatch) -> Result<()> {
         if batch.num_rows() == 0 {
             return Ok(());
         }
@@ -187,6 +440,10 @@ impl HashAggregator {
         // Sliding windows need the expansion list; tumbling windows (the
         // common case) take the inline single-window path.
         let mut starts_buf: Vec<i64> = Vec::new();
+        // The bucket of the window last written to: consecutive rows
+        // mostly share it, and then a row costs one hash probe.
+        let GroupTable { buckets, t, .. } = table;
+        let mut bucket: Option<(i64, &mut FxHashMap<Row, Group>)> = None;
         for row in 0..batch.num_rows() {
             starts_buf.clear();
             match &window_info {
@@ -214,8 +471,12 @@ impl HashAggregator {
                         _ => key_buf.push(kc.value(row)),
                     }
                 }
+                if bucket.as_ref().is_none_or(|(s, _)| *s != start) {
+                    bucket = Some((start, buckets.entry(start).or_default()));
+                }
+                let groups = &mut *bucket.as_mut().expect("set above").1;
                 let key = Row::new(std::mem::take(&mut key_buf));
-                key_buf = upsert(&mut self.groups, &self.aggregates, key, |accs| {
+                key_buf = upsert(groups, t, &self.aggregates, key, |accs| {
                     for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
                         match arg {
                             Some(col) => acc.update_value(&col.value(row))?,
@@ -229,102 +490,43 @@ impl HashAggregator {
         Ok(())
     }
 
-    /// Keys whose aggregates changed since the last call (dirty flags
-    /// are reset). This is what Update output mode emits per epoch.
-    pub fn take_changed(&mut self) -> Vec<Row> {
-        let mut keys: Vec<Row> = Vec::new();
-        for (k, entry) in self.groups.iter_mut() {
-            if entry.dirty {
-                entry.dirty = false;
-                keys.push(k.clone());
-            }
-        }
-        keys.sort();
-        keys
-    }
-
-    /// Build output rows for specific keys (must exist).
-    pub fn output_for_keys(&self, keys: &[Row]) -> Result<RecordBatch> {
-        let rows: Vec<Row> = keys
-            .iter()
-            .map(|k| {
-                let entry = self.groups.get(k).ok_or_else(|| {
-                    SsError::Internal(format!("output_for_keys: unknown group {k}"))
-                })?;
-                Ok(self.output_row(k, &entry.accs))
-            })
-            .collect::<Result<_>>()?;
+    fn batch_of<'a>(&self, groups: impl Iterator<Item = (&'a Row, &'a Group)>) -> Result<RecordBatch> {
+        let mut groups: Vec<(&Row, &Group)> = groups.collect();
+        groups.sort_unstable_by_key(|(key, _)| *key);
+        let rows: Vec<Row> =
+            groups.iter().map(|(k, g)| self.output_row(k.values(), &g.accs)).collect();
         RecordBatch::from_rows(self.output_schema.clone(), &rows)
     }
 
     /// The whole result table, sorted by key for determinism (Complete
-    /// mode / batch execution).
-    pub fn finish_all(&self) -> Result<RecordBatch> {
-        let mut keys: Vec<&Row> = self.groups.keys().collect();
-        keys.sort();
-        let rows: Vec<Row> = keys
-            .iter()
-            .map(|k| self.output_row(k, &self.groups[*k].accs))
-            .collect();
-        RecordBatch::from_rows(self.output_schema.clone(), &rows)
+    /// mode).
+    pub fn finish(&self, table: &GroupTable) -> Result<RecordBatch> {
+        self.batch_of(table.groups())
     }
 
-    /// Append-mode finalization: emit and evict every windowed group
-    /// whose `window_end <= watermark_us`. Returns the finalized rows
-    /// sorted by key. Errors if the grouping has no window (such
-    /// queries cannot use Append mode; the analyzer enforces this).
-    pub fn drain_finalized(&mut self, watermark_us: i64) -> Result<RecordBatch> {
+    /// [`HashAggregator::finish`] of the private table (batch
+    /// execution).
+    pub fn finish_all(&self) -> Result<RecordBatch> {
+        self.finish(&self.table)
+    }
+
+    /// Append-mode finalization: the rows, sorted by key, of every
+    /// windowed group whose `window_end <= watermark_us` — the groups
+    /// [`GroupTable::evict_closed`] then drops. Errors if the grouping
+    /// has no window (such queries cannot use Append mode; the analyzer
+    /// enforces this).
+    pub fn finalized(&self, table: &GroupTable, watermark_us: i64) -> Result<RecordBatch> {
         let w = self.window.as_ref().ok_or_else(|| {
             SsError::Plan("append finalization requires a window() grouping key".into())
         })?;
-        let size = w.size_us;
-        let slot = w.slot;
-        let mut done: Vec<Row> = self
-            .groups
-            .keys()
-            .filter(|k| match k.get(slot) {
-                Value::Timestamp(start) => start + size <= watermark_us,
-                _ => false,
-            })
-            .cloned()
-            .collect();
-        done.sort();
-        let rows: Vec<Row> = done
-            .iter()
-            .map(|k| {
-                let entry = self.groups.remove(k).expect("key just listed");
-                self.output_row(k, &entry.accs)
-            })
-            .collect();
-        RecordBatch::from_rows(self.output_schema.clone(), &rows)
+        let closed = table.buckets.range(..=watermark_us.saturating_sub(w.size_us));
+        self.batch_of(closed.flat_map(|(_, bucket)| bucket))
     }
 
-    /// Drop windowed state older than the watermark *without* emitting
-    /// (used in Update mode to bound state per §4.3.1). Returns the
-    /// evicted keys so callers can mirror the removal in the state
-    /// store.
-    pub fn evict_expired(&mut self, watermark_us: i64) -> Vec<Row> {
-        let Some(w) = &self.window else { return Vec::new() };
-        let size = w.size_us;
-        let slot = w.slot;
-        let mut evicted = Vec::new();
-        self.groups.retain(|k, _| match k.get(slot) {
-            Value::Timestamp(start) => {
-                let keep = start + size > watermark_us;
-                if !keep {
-                    evicted.push(k.clone());
-                }
-                keep
-            }
-            _ => true,
-        });
-        evicted.sort();
-        evicted
-    }
-
-    fn output_row(&self, key: &Row, accs: &[Accumulator]) -> Row {
+    /// The output row of one group.
+    pub fn output_row(&self, key: &[Value], accs: &[Accumulator]) -> Row {
         let mut out = Vec::with_capacity(self.output_schema.len());
-        for (i, v) in key.values().iter().enumerate() {
+        for (i, v) in key.iter().enumerate() {
             match &self.window {
                 Some(w) if w.slot == i => {
                     let start = match v {
@@ -345,22 +547,30 @@ impl HashAggregator {
 
     // ---- state-store integration (§6.1) ----
 
-    /// The partial states of one group, if present.
-    pub fn state_for_key(&self, key: &Row) -> Option<Vec<Row>> {
-        self.groups
-            .get(key)
-            .map(|e| e.accs.iter().map(|a| a.state()).collect())
+    /// The aggregate's table in its state namespace `op`, which owns
+    /// it. Whatever untyped entries the namespace holds — a restored
+    /// checkpoint, a repartitioned or spill-reloaded shard — are
+    /// adopted first: moved into a fresh table, delta tracking
+    /// included.
+    pub fn table<'a>(&self, op: &'a mut OpState) -> Result<&'a mut GroupTable> {
+        op.table(|untyped| {
+            let mut table = self.new_table();
+            for (key, entry, unsaved) in untyped.entries {
+                self.restore_entry(&mut table, key, &entry.values, unsaved)?;
+            }
+            table.t.removed = untyped.removed.into_iter().collect();
+            Ok(table)
+        })
     }
 
-    /// Iterate `(key, per-aggregate partial states)` for checkpointing.
-    pub fn state_entries(&self) -> impl Iterator<Item = (&Row, Vec<Row>)> + '_ {
-        self.groups
-            .iter()
-            .map(|(k, e)| (k, e.accs.iter().map(|a| a.state()).collect()))
-    }
-
-    /// Restore (or merge) one checkpointed entry.
-    pub fn restore_entry(&mut self, key: Row, states: &[Row]) -> Result<()> {
+    /// Adopt one checkpointed entry, as a group an earlier epoch left.
+    fn restore_entry(
+        &self,
+        table: &mut GroupTable,
+        key: Row,
+        states: &[Row],
+        unsaved: bool,
+    ) -> Result<()> {
         if states.len() != self.aggregates.len() {
             return Err(SsError::Serde(format!(
                 "state entry has {} aggregates, expected {}",
@@ -368,35 +578,42 @@ impl HashAggregator {
                 self.aggregates.len()
             )));
         }
-        let entry = self.groups.entry(key).or_insert_with(|| GroupEntry {
-            accs: self
-                .aggregates
-                .iter()
-                .map(|a| a.create_accumulator())
-                .collect(),
-            dirty: false,
-        });
-        for (acc, st) in entry.accs.iter_mut().zip(states) {
+        let mut accs: Vec<Accumulator> =
+            self.aggregates.iter().map(|a| a.create_accumulator()).collect();
+        for (acc, st) in accs.iter_mut().zip(states) {
             acc.merge(st)?;
         }
+        let bytes = entry_bytes(key.values(), &accs);
+        let t = &mut table.t;
+        let behind = t.save_gen.wrapping_sub(1);
+        if unsaved {
+            t.unsaved.push(key.values());
+        }
+        let group = Group {
+            accs,
+            changed: t.epoch_gen.wrapping_sub(1),
+            unsaved: if unsaved { t.save_gen } else { behind },
+            born: behind,
+            bytes,
+        };
+        t.len += 1;
+        t.bytes += bytes as usize;
+        let start = table.start_of(key.values());
+        table.buckets.entry(start).or_default().insert(key, group);
         Ok(())
-    }
-
-    /// Clear all state (used when rebuilding from a checkpoint).
-    pub fn clear(&mut self) {
-        self.groups.clear();
     }
 
     // ---- partitioned execution (map-side combine, reduce-side merge) ----
     //
     // A map task aggregates its chunk in a `fresh_clone` with the
     // ordinary `update_batch` and ships the groups (`into_partials`);
-    // the shard owning a key folds them in (`merge_partials`). The
-    // result is byte-identical to one `update_batch` over the whole
-    // input, whatever order partials arrive in, when `is_combinable`.
+    // the partition owning a key folds them into its table
+    // (`merge_partials`). The result is byte-identical to one `ingest`
+    // of the whole input, whatever order partials arrive in, when
+    // `is_combinable`.
 
-    /// An empty aggregator with the same configuration: a reduce
-    /// partition's shard, or a map task's local combiner.
+    /// An empty aggregator with the same configuration: a map task's
+    /// local combiner.
     pub fn fresh_clone(&self) -> HashAggregator {
         HashAggregator {
             input_schema: self.input_schema.clone(),
@@ -404,7 +621,7 @@ impl HashAggregator {
             window: self.window.clone(),
             aggregates: self.aggregates.clone(),
             output_schema: self.output_schema.clone(),
-            groups: FxHashMap::default(),
+            table: self.new_table(),
         }
     }
 
@@ -418,15 +635,17 @@ impl HashAggregator {
             .all(|(a, f)| a.func.is_combinable(f.data_type))
     }
 
-    /// The group table as partials: one per key `update_batch` touched.
+    /// The private table as partials: one per key `update_batch`
+    /// touched.
     pub fn into_partials(self) -> Vec<Partial> {
-        self.groups.into_iter().map(|(k, e)| (k, e.accs)).collect()
+        let groups = self.table.buckets.into_values().flatten();
+        groups.map(|(k, g)| (k, g.accs)).collect()
     }
 
     /// Fold partials in: new keys become groups and every key is
-    /// marked changed — the groups and dirty set `update_batch` over
-    /// the partials' source rows would leave.
-    pub fn merge_partials(&mut self, partials: Vec<Partial>) -> Result<()> {
+    /// marked changed — the groups and changed list `ingest` of the
+    /// partials' source rows would leave.
+    pub fn merge_partials(&self, table: &mut GroupTable, partials: Vec<Partial>) -> Result<()> {
         for (key, partial) in partials {
             if partial.len() != self.aggregates.len() {
                 return Err(SsError::Internal(format!(
@@ -435,7 +654,8 @@ impl HashAggregator {
                     self.aggregates.len()
                 )));
             }
-            upsert(&mut self.groups, &self.aggregates, key, |accs| {
+            let groups = table.buckets.entry(table.start_of(key.values())).or_default();
+            upsert(groups, &mut table.t, &self.aggregates, key, |accs| {
                 for (acc, p) in accs.iter_mut().zip(partial) {
                     acc.combine(p)?;
                 }
@@ -453,30 +673,48 @@ pub type Partial = (Row, Vec<Accumulator>);
 /// non-NULL value counts.
 const COUNT_STAR_ARG: Value = Value::Int64(1);
 
-/// Feed one update into `key`'s group, creating the group on first
-/// sight, and mark it changed this epoch. Returns the buffer to build
-/// the next key in: `key`'s own when the group already existed (it was
-/// only needed for the lookup), else a fresh one — sized exactly, as
-/// it may become a group's key and a grown `Vec` would double its
-/// footprint.
+/// Feed one update into `key`'s group in its window's bucket, creating
+/// the group on first sight, and put it on the changed list the first
+/// time this epoch. Returns the buffer to build the next key in:
+/// `key`'s own when it was only needed for the lookup, else a fresh one
+/// — sized exactly, as it may become a group's key and a grown `Vec`
+/// would double its footprint.
 fn upsert(
-    groups: &mut FxHashMap<Row, GroupEntry>,
+    groups: &mut FxHashMap<Row, Group>,
+    t: &mut Tracking,
     aggregates: &[AggregateExpr],
     key: Row,
     update: impl FnOnce(&mut [Accumulator]) -> Result<()>,
 ) -> Result<Vec<Value>> {
     match groups.get_mut(&key) {
-        Some(entry) => {
-            update(&mut entry.accs)?;
-            entry.dirty = true;
+        Some(group) => {
+            update(&mut group.accs)?;
+            if group.changed != t.epoch_gen {
+                group.changed = t.epoch_gen;
+                t.changed.push(key.values());
+            }
             Ok(key.0)
         }
         None => {
             let mut accs: Vec<Accumulator> =
                 aggregates.iter().map(|a| a.create_accumulator()).collect();
             update(&mut accs)?;
+            // A key evicted since the last checkpoint and now back is
+            // in that checkpoint (whatever `born` would say) and no
+            // longer removed.
+            let saved = !t.removed.is_empty() && t.removed.remove(&key);
+            let behind = t.save_gen.wrapping_sub(1);
+            let group = Group {
+                accs,
+                changed: t.epoch_gen,
+                unsaved: behind,
+                born: if saved { behind } else { t.save_gen },
+                bytes: 0,
+            };
+            t.len += 1;
+            t.changed.push(key.values());
             let next = Vec::with_capacity(key.len());
-            groups.insert(key, GroupEntry { accs, dirty: true });
+            groups.insert(key, group);
             Ok(next)
         }
     }
@@ -500,6 +738,34 @@ mod tests {
 
     fn batch(rows: &[Row]) -> RecordBatch {
         RecordBatch::from_rows(schema(), rows).unwrap()
+    }
+
+    /// Close the epoch on the private table: the changed rows.
+    fn drain(agg: &mut HashAggregator) -> Vec<Row> {
+        let mut table = std::mem::take(&mut agg.table);
+        let mut rows = Vec::new();
+        table.drain_changed(|key, accs| rows.push(agg.output_row(key, accs)));
+        agg.table = table;
+        rows
+    }
+
+    /// The table's checkpoint entries, decoded and sorted.
+    fn saved(table: &GroupTable, full: bool) -> (Vec<(Row, Vec<Row>)>, Vec<Row>) {
+        let mut out = Vec::new();
+        table.encode(full, &mut out);
+        let mut rd = ss_common::codec::Reader(&out);
+        let mut entries: Vec<(Row, Vec<Row>)> = (0..rd.varint().unwrap())
+            .map(|_| {
+                let key = rd.row().unwrap();
+                assert_eq!(rd.value().unwrap(), Value::Null);
+                (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
+            })
+            .collect();
+        let mut removed: Vec<Row> = (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect();
+        assert!(rd.0.is_empty());
+        entries.sort();
+        removed.sort();
+        (entries, removed)
     }
 
     #[test]
@@ -607,21 +873,22 @@ mod tests {
     fn changed_keys_track_epochs() {
         let mut agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        agg.update_batch(&batch(&[row!["a", Value::Timestamp(0), 0i64]]))
-            .unwrap();
-        assert_eq!(agg.take_changed(), vec![row!["a"]]);
+        agg.update_batch(&batch(&[
+            row!["b", Value::Timestamp(0), 0i64],
+            row!["a", Value::Timestamp(0), 0i64],
+            row!["b", Value::Timestamp(0), 0i64],
+        ]))
+        .unwrap();
+        assert_eq!(drain(&mut agg), vec![row!["a", 1i64], row!["b", 2i64]]);
         // Nothing changed since the drain.
-        assert!(agg.take_changed().is_empty());
+        assert!(drain(&mut agg).is_empty());
         agg.update_batch(&batch(&[row!["b", Value::Timestamp(0), 0i64]]))
             .unwrap();
-        let changed = agg.take_changed();
-        assert_eq!(changed, vec![row!["b"]]);
-        let out = agg.output_for_keys(&changed).unwrap();
-        assert_eq!(out.to_rows(), vec![row!["b", 1i64]]);
+        assert_eq!(drain(&mut agg), vec![row!["b", 3i64]]);
     }
 
     #[test]
-    fn drain_finalized_emits_and_evicts_closed_windows() {
+    fn finalized_emits_and_evict_drops_closed_windows() {
         let mut agg = HashAggregator::new(
             schema(),
             vec![window(col("time"), "10 seconds").unwrap()],
@@ -634,25 +901,26 @@ mod tests {
         ]))
         .unwrap();
         // Watermark at 12s closes [0,10) only.
-        let out = agg.drain_finalized(secs(12)).unwrap();
+        let out = agg.finalized(&agg.table, secs(12)).unwrap();
         assert_eq!(
             out.to_rows(),
             vec![row![Value::Timestamp(0), Value::Timestamp(secs(10)), 1i64]]
         );
+        agg.table.evict_closed(secs(12));
         assert_eq!(agg.num_groups(), 1);
-        // Draining again at the same watermark emits nothing.
-        assert_eq!(agg.drain_finalized(secs(12)).unwrap().num_rows(), 0);
+        // Finalizing again at the same watermark emits nothing.
+        assert_eq!(agg.finalized(&agg.table, secs(12)).unwrap().num_rows(), 0);
     }
 
     #[test]
-    fn drain_finalized_requires_window() {
-        let mut agg =
+    fn finalized_requires_window() {
+        let agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        assert!(agg.drain_finalized(0).is_err());
+        assert!(agg.finalized(&agg.table, 0).is_err());
     }
 
     #[test]
-    fn evict_expired_drops_state_silently() {
+    fn evict_closed_drops_state_silently() {
         let mut agg = HashAggregator::new(
             schema(),
             vec![window(col("time"), "10 seconds").unwrap()],
@@ -664,10 +932,50 @@ mod tests {
             row!["a", Value::Timestamp(secs(25)), 0i64],
         ]))
         .unwrap();
-        let evicted = agg.evict_expired(secs(20));
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].get(0), &Value::Timestamp(0));
+        drain(&mut agg);
+        agg.table.clear_tracking(); // both groups are in a checkpoint
+        agg.table.evict_closed(secs(20));
         assert_eq!(agg.num_groups(), 1);
+        assert_eq!(saved(&agg.table, false), (vec![], vec![row![Value::Timestamp(0)]]));
+        assert_eq!(agg.table.take_counts(), (2, 1));
+    }
+
+    #[test]
+    fn delta_lists_follow_evictions_recreations_and_failed_checkpoints() {
+        let mut agg = HashAggregator::new(
+            schema(),
+            vec![window(col("time"), "10 seconds").unwrap()],
+            vec![count_star()],
+        )
+        .unwrap();
+        let early = batch(&[row!["a", Value::Timestamp(secs(5)), 0i64]]);
+        let key = row![Value::Timestamp(0)];
+        let one = (key.clone(), vec![row![1i64]]);
+        // Created and evicted between two checkpoints: in neither list.
+        agg.update_batch(&early).unwrap();
+        drain(&mut agg);
+        assert_eq!(saved(&agg.table, false), (vec![one.clone()], vec![]));
+        agg.table.evict_closed(secs(20));
+        assert_eq!(saved(&agg.table, false), (vec![], vec![]));
+        assert!(agg.table.is_clean() && agg.table.approx_bytes() == 0);
+        // Checkpointed, then evicted: removed. A checkpoint that fails
+        // (no `clear_tracking`) encodes the same delta again.
+        agg.update_batch(&early).unwrap();
+        drain(&mut agg);
+        agg.table.clear_tracking();
+        agg.table.evict_closed(secs(20));
+        assert_eq!(saved(&agg.table, false), (vec![], vec![key.clone()]));
+        assert_eq!(saved(&agg.table, false), (vec![], vec![key.clone()]));
+        // Re-created before the next checkpoint: unsaved, not removed…
+        agg.update_batch(&early).unwrap();
+        drain(&mut agg);
+        assert_eq!(saved(&agg.table, false), (vec![one.clone()], vec![]));
+        // …and evicted again: removed once more, as it is still on disk.
+        agg.table.evict_closed(secs(20));
+        assert_eq!(saved(&agg.table, false), (vec![], vec![key]));
+        agg.table.clear_tracking();
+        assert!(agg.table.is_clean());
+        assert_eq!(saved(&agg.table, true), (vec![], vec![]));
     }
 
     #[test]
@@ -692,14 +1000,14 @@ mod tests {
         // Another is checkpointed after epoch 1 and restored fresh.
         let mut first = make();
         first.update_batch(&batch(&rows1)).unwrap();
-        let checkpoint: Vec<(Row, Vec<Row>)> = first
-            .state_entries()
-            .map(|(k, s)| (k.clone(), s))
-            .collect();
+        drain(&mut first);
         let mut restored = make();
-        for (k, s) in checkpoint {
-            restored.restore_entry(k, &s).unwrap();
+        for (k, s) in saved(&first.table, true).0 {
+            let mut table = std::mem::take(&mut restored.table);
+            restored.restore_entry(&mut table, k, &s, false).unwrap();
+            restored.table = table;
         }
+        assert_eq!(restored.table.approx_bytes(), first.table.approx_bytes());
         restored.update_batch(&batch(&rows2)).unwrap();
         assert_eq!(
             restored.finish_all().unwrap(),
@@ -735,11 +1043,9 @@ mod tests {
     /// state. Rows compare by `Value::total_cmp`, i.e. bit-exactly on
     /// floats (`-0.0 != 0.0`, `NaN == NaN` only for equal payloads).
     fn observe(agg: &mut HashAggregator) -> (Vec<Row>, Vec<Row>, Vec<(Row, Vec<Row>)>) {
-        let mut state: Vec<(Row, Vec<Row>)> =
-            agg.state_entries().map(|(k, s)| (k.clone(), s)).collect();
-        state.sort();
         let table = agg.finish_all().unwrap().to_rows();
-        (table, agg.take_changed(), state)
+        let changed = drain(agg);
+        (table, changed, saved(&agg.table, false).0)
     }
 
     /// Cut `rows` at `cuts`, aggregate each chunk in a fresh clone,
@@ -766,7 +1072,9 @@ mod tests {
             partials.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
         }
         let mut merged = template.fresh_clone();
-        merged.merge_partials(partials).unwrap();
+        let mut table = std::mem::take(&mut merged.table);
+        merged.merge_partials(&mut table, partials).unwrap();
+        merged.table = table;
         assert_eq!(observe(&mut merged), observe(&mut serial), "cuts {cuts:?}");
     }
 
@@ -886,24 +1194,24 @@ mod tests {
 
     #[test]
     fn merge_partials_rejects_wrong_arity_and_type() {
-        let mut agg =
+        let agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
+        let mut table = agg.new_table();
         for bad in [
             vec![],
             vec![Accumulator::Count { n: 1 }, Accumulator::Count { n: 1 }],
             vec![Accumulator::Avg { sum: 1.0, count: 1 }],
         ] {
-            let err = agg.merge_partials(vec![(row!["a"], bad)]).unwrap_err();
+            let err = agg.merge_partials(&mut table, vec![(row!["a"], bad)]).unwrap_err();
             assert!(matches!(err, SsError::Internal(_)), "{err:?}");
         }
     }
 
     #[test]
     fn restore_entry_validates_arity() {
-        let mut agg =
+        let agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        assert!(agg
-            .restore_entry(row!["a"], &[row![1i64], row![2i64]])
-            .is_err());
+        let states = [row![1i64], row![2i64]];
+        assert!(agg.restore_entry(&mut agg.new_table(), row!["a"], &states, false).is_err());
     }
 }

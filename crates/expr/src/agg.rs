@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+use ss_common::codec::put_values;
 use ss_common::{Column, DataType, Result, Row, Schema, SsError, Value};
 
 use crate::expr::Expr;
@@ -371,6 +372,31 @@ impl Accumulator {
         }
     }
 
+    /// Append [`Accumulator::state`] in the state codec's row encoding,
+    /// without building the row.
+    pub fn put_state(&self, out: &mut Vec<u8>) {
+        match self {
+            Accumulator::Count { n } => put_values(out, &[Value::Int64(*n)]),
+            Accumulator::Sum { sum: v } | Accumulator::Min { min: v } | Accumulator::Max { max: v } => {
+                put_values(out, std::slice::from_ref(v))
+            }
+            Accumulator::Avg { sum, count } => {
+                put_values(out, &[Value::Float64(*sum), Value::Int64(*count)])
+            }
+        }
+    }
+
+    /// [`Row::approx_bytes`] of [`Accumulator::state`].
+    pub fn state_bytes(&self) -> usize {
+        match self {
+            Accumulator::Count { .. } => Row::approx_bytes_of(&[Value::Null]),
+            Accumulator::Avg { .. } => Row::approx_bytes_of(&[Value::Null, Value::Null]),
+            Accumulator::Sum { sum: v } | Accumulator::Min { min: v } | Accumulator::Max { max: v } => {
+                Row::approx_bytes_of(std::slice::from_ref(v))
+            }
+        }
+    }
+
     /// The final aggregate value.
     pub fn evaluate(&self) -> Value {
         match self {
@@ -453,6 +479,25 @@ mod tests {
             b.update_column(Some(&right), 3).unwrap();
             a.merge(&b.state()).unwrap();
             assert_eq!(a.evaluate(), single.evaluate(), "{}", agg.output_name());
+        }
+    }
+
+    #[test]
+    fn put_state_and_state_bytes_agree_with_the_state_row() {
+        let accs = [
+            Accumulator::Count { n: 7 },
+            Accumulator::Sum { sum: Value::Null },
+            Accumulator::Sum { sum: Value::Float64(-0.0) },
+            Accumulator::Min { min: Value::str("a-string-payload") },
+            Accumulator::Max { max: Value::Timestamp(i64::MIN) },
+            Accumulator::Avg { sum: f64::NAN, count: 3 },
+        ];
+        for acc in accs {
+            let (mut by_ref, mut by_row) = (Vec::new(), Vec::new());
+            acc.put_state(&mut by_ref);
+            ss_common::codec::put_row(&mut by_row, &acc.state());
+            assert_eq!(by_ref, by_row, "{acc:?}");
+            assert_eq!(acc.state_bytes(), acc.state().approx_bytes(), "{acc:?}");
         }
     }
 

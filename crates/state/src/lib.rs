@@ -18,13 +18,17 @@
 //!   is what both failure recovery and manual rollback (§7.2) build on;
 //! * [`StateStore::truncate_after`] to discard checkpoints past a
 //!   rollback point;
-//! * [`StateStore::dump_json`] to read any retained checkpoint as JSON.
+//! * [`StateStore::dump_json`] to read any retained checkpoint as JSON;
+//! * **typed residency** ([`TypedTable`]): an operator may keep its
+//!   namespace in the store in its own representation — the aggregate's
+//!   group table — so the state exists once; the rules (lend, adopt,
+//!   demote, spill) are in [`store`]'s docs.
 //!
 //! ## Checkpoint format
 //!
 //! A blob is `state/chk-<epoch>-{full,delta}.bin`: an `ss_common::frame`
 //! CRC frame around a body encoded by reference from the operator maps
-//! (rows and values as in [`ss_common::codec`]; varints are LEB128):
+//! and typed tables (rows and values as in [`ss_common::codec`]; varints are LEB128):
 //!
 //! ```text
 //! body  = "SSCK", version u8, kind u8 (0 delta | 1 full), epoch u64 LE,
@@ -51,4 +55,6 @@ pub mod store;
 pub use backend::{CheckpointBackend, FsBackend, MemoryBackend};
 pub use metrics::StateMetrics;
 pub use replicate::{ReplicatedBackend, ReplicationMode, ScrubReport};
-pub use store::{BudgetReport, MemoryBudget, OpState, StateEntry, StateStore};
+pub use store::{
+    BudgetReport, MemoryBudget, OpState, StateEntry, StateStore, TypedTable, Untyped,
+};

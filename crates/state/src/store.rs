@@ -15,8 +15,26 @@
 //! in the crate docs), written by reference straight from the operator
 //! maps; [`StateStore::dump_json`] renders any retained checkpoint as
 //! JSON for a person to read.
+//!
+//! **Typed residency.** An operator whose state has a better shape than
+//! `Row → StateEntry` keeps it in the store *in that shape*: a
+//! [`TypedTable`] the namespace's [`OpState`] owns in place of its map,
+//! so the state exists once. The operator **borrows** it for the epoch
+//! ([`StateStore::operator_typed`] + [`OpState::table`]); the store
+//! checkpoints, counts, budgets and spills it through the trait, in the
+//! same entry encoding, so nothing on disk — nor `restore`, which knows
+//! no operators and rebuilds every namespace untyped — can tell. The
+//! first borrow after a restore **adopts** the untyped entries (they
+//! move, tracking included); any untyped `&mut` access to a typed
+//! namespace ([`StateStore::operator`], [`OpState::put`]/`remove`)
+//! first **demotes** it back, losing nothing from the next delta — the
+//! slow path repartitioning, migrations and tests take. A **spill** is
+//! the table's full encoding plus a drop; the reload is untyped and
+//! the next borrow re-adopts.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,6 +76,38 @@ impl StateEntry {
     }
 }
 
+/// A namespace's contents in untyped form, as they move between an
+/// [`OpState`]'s map and a [`TypedTable`] (adoption and demotion).
+#[derive(Debug, Default)]
+pub struct Untyped {
+    /// `(key, entry, unsaved)`: `unsaved` entries changed since the
+    /// last successful checkpoint and belong in the next delta.
+    pub entries: Vec<(Row, StateEntry, bool)>,
+    /// Keys removed since the last successful checkpoint.
+    pub removed: Vec<Row>,
+}
+
+/// One namespace's state in its operator's own representation, owned by
+/// the store (see the module docs). What it reports must be what its
+/// [`TypedTable::demote`]d form would: `num_keys` its entries,
+/// `approx_bytes` the sum of their [`OpState::entry_bytes_of`].
+pub trait TypedTable: Any + Send + fmt::Debug {
+    fn num_keys(&self) -> usize;
+    fn approx_bytes(&self) -> usize;
+    /// Nothing changed or removed since the last `clear_tracking`.
+    fn is_clean(&self) -> bool;
+    /// Append `varint #entries, entry*, varint #removed, row*` (the
+    /// crate docs' `op` after its name): every entry when `full`, else
+    /// the unsaved ones and the removed keys. Repeatable — a failed
+    /// checkpoint write is retried.
+    fn encode(&self, full: bool, out: &mut Vec<u8>);
+    /// The last `encode` is durable: forget unsaved and removed.
+    fn clear_tracking(&mut self);
+    /// `(puts, evictions)` since the last call, for the state metrics.
+    fn take_counts(&mut self) -> (u64, u64);
+    fn demote(self: Box<Self>) -> Untyped;
+}
+
 /// Keyed state for one operator, with dirty-key tracking for delta
 /// checkpoints and approximate byte accounting for the memory budget.
 #[derive(Debug, Default)]
@@ -65,6 +115,11 @@ pub struct OpState {
     map: FxHashMap<Row, StateEntry>,
     dirty: FxHashSet<Row>,
     removed: FxHashSet<Row>,
+    /// The namespace in its operator's typed form; while present,
+    /// `map`, `dirty` and `removed` are empty.
+    table: Option<Box<dyn TypedTable>>,
+    /// `(keys, bytes)` of `table` as last added to the metric gauges.
+    synced: (usize, usize),
     metrics: Option<Arc<StateMetrics>>,
     /// Approximate bytes held by `map` ([`Row::approx_bytes`]-based).
     bytes: usize,
@@ -83,6 +138,73 @@ impl OpState {
         key.approx_bytes() + Self::payload_bytes(entry)
     }
 
+    /// What [`OpState::approx_bytes`] counts for one entry, from its
+    /// key's and its value rows' [`Row::approx_bytes`] — the formula a
+    /// [`TypedTable`] accounts by.
+    pub fn entry_bytes_of(key_bytes: usize, values_bytes: usize) -> usize {
+        key_bytes + std::mem::size_of::<StateEntry>() + values_bytes
+    }
+
+    /// Lend the operator this namespace as its typed table. The first
+    /// borrow (and the first after a restore, spill reload or demotion)
+    /// moves the untyped contents, tracking included, through `adopt`;
+    /// if `adopt` fails they are gone from memory and the epoch must
+    /// fail with it (recovery reloads the checkpoint).
+    pub fn table<T: TypedTable>(
+        &mut self,
+        adopt: impl FnOnce(Untyped) -> Result<T>,
+    ) -> Result<&mut T> {
+        if !self.table.as_deref().is_some_and(|t| (t as &dyn Any).is::<T>()) {
+            self.demote();
+            self.synced = (self.map.len(), self.bytes);
+            self.bytes = 0;
+            let dirty = std::mem::take(&mut self.dirty);
+            let tagged = |(key, entry): (Row, StateEntry)| {
+                let unsaved = dirty.contains(&key);
+                (key, entry, unsaved)
+            };
+            let untyped = Untyped {
+                entries: std::mem::take(&mut self.map).into_iter().map(tagged).collect(),
+                removed: std::mem::take(&mut self.removed).into_iter().collect(),
+            };
+            self.table = Some(Box::new(adopt(untyped)?));
+        }
+        let table = self.table.as_deref_mut().expect("adopted above");
+        Ok((table as &mut dyn Any).downcast_mut().expect("type checked above"))
+    }
+
+    /// Feed the state metrics from the typed table at an epoch
+    /// boundary: its puts and evictions since the last call, and the
+    /// change in its keys and bytes.
+    pub fn sync_table_metrics(&mut self) {
+        let Some(table) = &mut self.table else { return };
+        let (puts, evictions) = table.take_counts();
+        let now = (table.num_keys(), table.approx_bytes());
+        if let Some(m) = &self.metrics {
+            m.puts.add(puts);
+            m.removes.add(evictions);
+            m.evictions.add(evictions);
+            m.keys.add(now.0 as i64 - self.synced.0 as i64);
+            m.bytes.add(now.1 as i64 - self.synced.1 as i64);
+        }
+        self.synced = now;
+    }
+
+    /// Back to the untyped form (module docs): entries into `map`,
+    /// unsaved and removed keys into the delta tracking.
+    fn demote(&mut self) {
+        let Some(table) = self.table.take() else { return };
+        let untyped = table.demote();
+        self.removed.extend(untyped.removed);
+        for (key, entry, unsaved) in untyped.entries {
+            if unsaved {
+                self.dirty.insert(key.clone());
+            }
+            self.bytes += Self::entry_bytes(&key, &entry);
+            self.map.insert(key, entry);
+        }
+    }
+
     pub fn get(&self, key: &Row) -> Option<&StateEntry> {
         if let Some(m) = &self.metrics {
             m.gets.inc();
@@ -91,6 +213,7 @@ impl OpState {
     }
 
     pub fn put(&mut self, key: Row, entry: StateEntry) {
+        self.demote();
         self.removed.remove(&key);
         if !self.dirty.contains(&key) {
             self.dirty.insert(key.clone());
@@ -115,6 +238,7 @@ impl OpState {
     }
 
     pub fn remove(&mut self, key: &Row) -> Option<StateEntry> {
+        self.demote();
         let old = self.map.remove(key);
         if let Some(old_entry) = &old {
             self.dirty.remove(key);
@@ -132,14 +256,16 @@ impl OpState {
 
     /// Approximate in-memory bytes held by this operator's state.
     pub fn approx_bytes(&self) -> usize {
-        self.bytes
+        self.table.as_ref().map_or(self.bytes, |t| t.approx_bytes())
     }
 
     /// True when all in-memory content has been captured by the last
     /// checkpoint (nothing dirty, nothing removed) — the precondition
     /// for spilling this operator without losing delta information.
     fn is_clean(&self) -> bool {
-        self.dirty.is_empty() && self.removed.is_empty()
+        self.dirty.is_empty()
+            && self.removed.is_empty()
+            && self.table.as_ref().is_none_or(|t| t.is_clean())
     }
 
     /// Remove a key because the watermark or a timeout made it
@@ -156,13 +282,15 @@ impl OpState {
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.table.as_ref().map_or(self.map.len(), |t| t.num_keys())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
+    /// The untyped entries. (`&self` cannot demote: a typed namespace
+    /// is read through [`StateStore::operator`], which does.)
     pub fn iter(&self) -> impl Iterator<Item = (&Row, &StateEntry)> {
         self.map.iter()
     }
@@ -181,6 +309,7 @@ impl OpState {
 
     /// Replace the whole map (snapshot restore).
     fn load(&mut self, entries: FxHashMap<Row, StateEntry>) {
+        self.table = None;
         self.map = entries;
         self.bytes = self
             .map
@@ -194,6 +323,9 @@ impl OpState {
     fn clear_tracking(&mut self) {
         self.dirty.clear();
         self.removed.clear();
+        if let Some(t) = &mut self.table {
+            t.clear_tracking();
+        }
     }
 }
 
@@ -236,35 +368,37 @@ fn put_entry(out: &mut Vec<u8>, key: &Row, entry: &StateEntry) {
     }
 }
 
-/// Encode a checkpoint body by reference from the operator maps: every
-/// entry of each operator when `full`, else its dirty entries and
-/// removed keys (see the crate docs for the layout).
+/// Append a checkpoint body, encoded by reference from the operator
+/// maps and typed tables: every entry of each operator when `full`,
+/// else its dirty entries and removed keys (see the crate docs for the
+/// layout).
 fn encode_body<'a>(
+    out: &mut Vec<u8>,
     epoch: u64,
     full: bool,
     ops: impl ExactSizeIterator<Item = (&'a str, &'a OpState)>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 * 1024);
+) {
     out.extend_from_slice(BODY_MAGIC);
     out.extend_from_slice(&[BODY_VERSION, u8::from(full)]);
     out.extend_from_slice(&epoch.to_le_bytes());
-    put_varint(&mut out, ops.len() as u64);
+    put_varint(out, ops.len() as u64);
     for (id, st) in ops {
-        put_str(&mut out, id);
-        if full {
-            put_varint(&mut out, st.map.len() as u64);
-            st.map.iter().for_each(|(k, e)| put_entry(&mut out, k, e));
-            put_varint(&mut out, 0);
+        put_str(out, id);
+        if let Some(table) = &st.table {
+            table.encode(full, out);
+        } else if full {
+            put_varint(out, st.map.len() as u64);
+            st.map.iter().for_each(|(k, e)| put_entry(out, k, e));
+            put_varint(out, 0);
         } else {
             // Every dirty key is in the map: `put` adds it to both and
             // `remove` takes it from both, so the count is exact.
-            put_varint(&mut out, st.dirty.len() as u64);
-            st.dirty.iter().for_each(|k| put_entry(&mut out, k, &st.map[k]));
-            put_varint(&mut out, st.removed.len() as u64);
-            st.removed.iter().for_each(|k| put_row(&mut out, k));
+            put_varint(out, st.dirty.len() as u64);
+            st.dirty.iter().for_each(|k| put_entry(out, k, &st.map[k]));
+            put_varint(out, st.removed.len() as u64);
+            st.removed.iter().for_each(|k| put_row(out, k));
         }
     }
-    out
 }
 
 /// Parse a binary body. Counts are checked against the bytes that
@@ -365,6 +499,9 @@ pub struct StateStore {
     /// Legacy-named (`.json`) checkpoint blobs found in the backend,
     /// listed at the first checkpoint (`None` until then).
     legacy_blobs: Option<Vec<String>>,
+    /// Length of the last delta and the last full blob written, which
+    /// size the next one's buffer.
+    blob_len: [usize; 2],
 }
 
 impl StateStore {
@@ -381,6 +518,7 @@ impl StateStore {
             access_clock: 0,
             reload_errors: Vec::new(),
             legacy_blobs: None,
+            blob_len: [0; 2],
         }
     }
 
@@ -430,8 +568,17 @@ impl StateStore {
     /// reloaded; a reload failure is stashed (this accessor is on the
     /// hot path and infallible) and must be surfaced via
     /// [`StateStore::check_health`] before the epoch's output is made
-    /// durable.
+    /// durable. A typed namespace is demoted to the untyped form first.
     pub fn operator(&mut self, id: &str) -> &mut OpState {
+        let op = self.operator_typed(id);
+        op.demote();
+        op
+    }
+
+    /// [`StateStore::operator`] for the operator that keeps this
+    /// namespace as a [`TypedTable`] ([`OpState::table`]): a resident
+    /// table stays as it is.
+    pub fn operator_typed(&mut self, id: &str) -> &mut OpState {
         self.access_clock += 1;
         let tick = self.access_clock;
         if self.spilled.contains_key(id) {
@@ -505,7 +652,7 @@ impl StateStore {
 
     /// Approximate in-memory bytes across all operators.
     pub fn memory_bytes(&self) -> usize {
-        self.ops.values().map(|o| o.bytes).sum()
+        self.ops.values().map(|o| o.approx_bytes()).sum()
     }
 
     /// Approximate bytes currently resident in spill blobs.
@@ -576,11 +723,13 @@ impl StateStore {
     fn spill_op(&mut self, id: &str) -> Result<u64> {
         let op = self.ops.get_mut(id).expect("spill candidate exists");
         debug_assert!(op.is_clean(), "only clean operators may spill");
-        let body = encode_body(0, true, std::iter::once((id, &*op)));
+        let freed = op.approx_bytes() as u64;
+        let keys_freed = op.len() as i64;
+        let mut body = Vec::new();
+        encode_body(&mut body, 0, true, std::iter::once((id, &*op)));
         self.backend
             .write_atomic(&Self::spill_key(id), &frame::encode(&body))?;
-        let freed = op.bytes as u64;
-        let keys_freed = op.map.len() as i64;
+        op.table = None;
         op.map = FxHashMap::default();
         op.bytes = 0;
         self.spilled.insert(id.to_string(), freed);
@@ -645,7 +794,7 @@ impl StateStore {
                     .ops
                     .iter()
                     .filter(|(id, op)| {
-                        !op.map.is_empty() && op.is_clean() && !self.spilled.contains_key(*id)
+                        !op.is_empty() && op.is_clean() && !self.spilled.contains_key(*id)
                     })
                     .map(|(id, op)| (op.last_access, id.clone()))
                     .collect();
@@ -717,9 +866,16 @@ impl StateStore {
         }
         self.faults.fire(failpoints::CHECKPOINT_WRITE)?;
         let ops = self.ops.iter().map(|(id, st)| (id.as_str(), st));
-        let blob = frame::encode(&encode_body(epoch, full, ops));
+        // Sized from the last blob of this kind, with room in front of
+        // the body for the frame header: no regrow, no second copy.
+        let expected_len = self.blob_len[usize::from(full)];
+        let mut buf = Vec::with_capacity((expected_len + expected_len / 8).max(64 * 1024));
+        buf.resize(frame::HEADER_ROOM, 0);
+        encode_body(&mut buf, epoch, full, ops);
+        let blob = frame::encode_in_place(&mut buf);
         self.replace_legacy_blobs(epoch)?;
-        self.backend.write_atomic(&Self::key_for(epoch, full), &blob)?;
+        self.backend.write_atomic(&Self::key_for(epoch, full), blob)?;
+        self.blob_len[usize::from(full)] = blob.len();
         for st in self.ops.values_mut() {
             st.clear_tracking();
         }
@@ -1255,7 +1411,9 @@ mod tests {
         let ops = [("a", &full_op), ("empty", &empty_op), ("removed-only", &removed_only)];
 
         for full in [true, false] {
-            let file = decode_body(&encode_body(42, full, ops.into_iter())).unwrap();
+            let mut body = Vec::new();
+            encode_body(&mut body, 42, full, ops.into_iter());
+            let file = decode_body(&body).unwrap();
             assert_eq!((file.epoch, file.kind.as_str()), (42, if full { "full" } else { "delta" }));
             assert_eq!(file.ops.len(), 3);
             let decoded: BTreeMap<Row, StateEntry> =

@@ -10,8 +10,9 @@
 //!   manifest reads as legacy v0 and skips compatibility checking);
 //! * the **engine** that wrote it (microbatch vs continuous state
 //!   layouts are not interchangeable);
-//! * the query's progress at the last write: epoch, per-source offsets
-//!   and the event-time watermark;
+//! * the query's progress **as of the last manifest write** (not the
+//!   last epoch): epoch, per-source offsets and the event-time
+//!   watermark — informational; recovery takes all three from the WAL;
 //! * whether the checkpoint was **sealed** by a graceful drain (a
 //!   sealed checkpoint has no in-flight epoch to re-run);
 //! * the canonical **plan fingerprint** plus, per stateful operator, a
@@ -20,7 +21,9 @@
 //!
 //! The manifest is advisory metadata *about* the WAL and state files
 //! next to it; recovery correctness never depends on it being current.
-//! It is rewritten at every checkpoint and sealed on graceful stop.
+//! A run writes it with its first checkpoint, again whenever a
+//! layout-bearing field (everything but the three progress fields)
+//! changes, and sealed on graceful stop.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,7 +58,8 @@ pub struct Manifest {
     pub query_name: String,
     /// `microbatch` or `continuous`.
     pub engine: String,
-    /// Newest epoch reflected in this manifest.
+    /// The newest epoch when this manifest was written (later epochs
+    /// do not rewrite it; see the module docs).
     pub last_epoch: u64,
     /// Source name → end offsets consumed through `last_epoch`.
     pub sources: BTreeMap<String, PartitionOffsets>,

@@ -89,6 +89,45 @@ fn feed(bus: &MessageBus, n: u64, start: u64) {
 
 const SOFT_LIMIT: usize = 2 * 1024;
 
+/// The soak query — 10 s windows × key under a watermark `delay`
+/// behind, Update mode — on an in-memory checkpoint.
+fn start(
+    bus: &Arc<MessageBus>,
+    sink: Arc<dyn Sink>,
+    delay: &str,
+    config: MicroBatchConfig,
+) -> MicroBatchExecution {
+    let ctx = StreamingContext::new();
+    ctx.read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
+        .unwrap();
+    let plan = ctx
+        .table("in")
+        .unwrap()
+        .with_watermark("time", delay)
+        .unwrap()
+        .group_by(vec![
+            window(col("time"), "10 seconds").unwrap(),
+            col("key"),
+        ])
+        .agg(vec![count_star(), sum(col("v"))])
+        .plan();
+    let mut sources: HashMap<String, Arc<dyn Source>> = HashMap::new();
+    for (name, s) in ctx.sources_snapshot() {
+        sources.insert(name, s);
+    }
+    MicroBatchExecution::new(
+        "soak",
+        &plan,
+        sources,
+        Arc::new(MemoryCatalog::new()),
+        sink,
+        OutputMode::Update,
+        Arc::new(MemoryBackend::new()),
+        config,
+    )
+    .unwrap()
+}
+
 fn median(mut xs: Vec<i64>) -> i64 {
     xs.sort_unstable();
     if xs.is_empty() {
@@ -129,24 +168,6 @@ fn run_soak(clock: ClockRef, run: SoakRun) {
         clock: clock.clone(),
     });
 
-    let ctx = StreamingContext::new();
-    ctx.read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
-        .unwrap();
-    let plan = ctx
-        .table("in")
-        .unwrap()
-        .with_watermark("time", "30 seconds")
-        .unwrap()
-        .group_by(vec![
-            window(col("time"), "10 seconds").unwrap(),
-            col("key"),
-        ])
-        .agg(vec![count_star(), sum(col("v"))])
-        .plan();
-    let mut sources: HashMap<String, Arc<dyn Source>> = HashMap::new();
-    for (name, s) in ctx.sources_snapshot() {
-        sources.insert(name, s);
-    }
     let config = MicroBatchConfig {
         max_records_per_trigger: Some(64),
         adaptive_batching: false,
@@ -163,17 +184,7 @@ fn run_soak(clock: ClockRef, run: SoakRun) {
         clock: clock.clone(),
         ..Default::default()
     };
-    let mut eng = MicroBatchExecution::new(
-        "soak",
-        &plan,
-        sources,
-        Arc::new(MemoryCatalog::new()),
-        sink,
-        OutputMode::Update,
-        Arc::new(MemoryBackend::new()),
-        config,
-    )
-    .unwrap();
+    let mut eng = start(&bus, sink, "30 seconds", config);
 
     let deadline = match &run {
         SoakRun::Wall(d) => Some(Instant::now() + *d),
@@ -262,6 +273,56 @@ fn soak_overload_stays_bounded_virtual_time() {
         "virtual soak: seed {seed}, {virtual_us}us virtual in {wall_us}us wall ({}x)",
         virtual_us / wall_us
     );
+}
+
+/// State plateaus under a steady watermark (ROADMAP item 10, the
+/// benchmark's "state shrank" invariant made exact): one epoch per
+/// 10 s window over the same seven keys, and after every epoch —
+/// hence after every eviction — `state_rows` *and* `state_bytes` are
+/// back at the steady-state baseline, for 200 windows. The checkpoint
+/// blobs plateau with them (one delta size, one full size), so neither
+/// the removed-key list nor the unsaved list is growing either.
+#[test]
+fn state_returns_to_baseline_after_every_window_virtual_time() {
+    const WINDOWS: u64 = 200;
+    const WARM_UP: usize = 4;
+    const PER_WINDOW: u64 = 28;
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 1).unwrap();
+    let config = MicroBatchConfig {
+        clock: SimClock::new(0x50AC).handle(),
+        ..Default::default()
+    };
+    let mut eng = start(&bus, MemorySink::new("out"), "10 seconds", config);
+    let checkpoint_bytes = |eng: &MicroBatchExecution| {
+        match eng.metrics().value("ss_state_checkpoint_bytes", &[]) {
+            Some(MetricValue::Histogram { sum, .. }) => sum,
+            other => panic!("missing checkpoint-bytes histogram: {other:?}"),
+        }
+    };
+    let mut samples = Vec::new();
+    let mut blob_sizes = std::collections::BTreeSet::new();
+    for w in 0..WINDOWS {
+        // 28 rows 250 ms apart: exactly window `w`.
+        feed(&bus, PER_WINDOW, w * 40);
+        let before = checkpoint_bytes(&eng);
+        let EpochRun::Ran(p) = eng.run_epoch().unwrap() else { panic!("window {w} ran no epoch") };
+        samples.push((p.state_rows, p.state_bytes));
+        if samples.len() > WARM_UP {
+            blob_sizes.insert(checkpoint_bytes(&eng) - before);
+        }
+    }
+    let baseline = samples[WARM_UP];
+    assert!(baseline.0 >= 7 && baseline.1 > 0, "{baseline:?}");
+    for (w, sample) in samples.iter().enumerate().skip(WARM_UP) {
+        assert_eq!(*sample, baseline, "state did not return to its baseline after window {w}");
+    }
+    assert!(blob_sizes.len() <= 2, "checkpoint blobs keep changing size: {blob_sizes:?}");
+    let live_windows = baseline.0 / 7;
+    match eng.metrics().value("ss_state_evictions_total", &[]) {
+        Some(MetricValue::Counter(n)) => assert_eq!(n, 7 * (WINDOWS - live_windows)),
+        other => panic!("missing evictions counter: {other:?}"),
+    }
 }
 
 /// The original wall-clock soak, opt-in: unset or zero `SS_SOAK_SECS`
