@@ -11,12 +11,16 @@
 //!
 //! [`PidRateController`] produces a rate in rows/second from the last
 //! epoch's observations; the trigger loop converts it to a row budget
-//! for the next epoch and [`apportion`]s it across sources
-//! proportionally to their backlog. A configured minimum rate keeps a
-//! pathologically slow epoch from driving the budget to zero and
-//! starving the query ([`RateControllerConfig::min_rate`]).
+//! for the next epoch and `admit` cuts each source's offset range out
+//! of its backlog: [`apportion`]ed across sources proportionally to
+//! backlog, then spread over a source's partitions. A configured
+//! minimum rate keeps a pathologically slow epoch from driving the
+//! budget to zero and starving the query
+//! ([`RateControllerConfig::min_rate`]).
 
 use std::collections::BTreeMap;
+
+use ss_common::{OffsetRange, PartitionOffsets};
 
 /// Gains and bounds for the [`PidRateController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,6 +181,67 @@ pub fn apportion(budget: u64, backlogs: &BTreeMap<String, u64>) -> BTreeMap<Stri
     shares
 }
 
+/// Where a source's next epoch starts: the previous epoch's end
+/// (`position`; offset 0 of every partition for a source never read),
+/// moved up to the source's `earliest` retained offsets. A bounded
+/// topic with a drop-oldest policy may have shed records the query
+/// never read; the data is gone by declared policy, and the clamped
+/// start is what gets logged to the WAL, so recovery replays a range
+/// that still exists.
+pub(crate) fn resume_from(
+    position: Option<&PartitionOffsets>,
+    earliest: &PartitionOffsets,
+    latest: &PartitionOffsets,
+) -> PartitionOffsets {
+    let mut start = position
+        .cloned()
+        .unwrap_or_else(|| latest.keys().map(|&p| (p, 0)).collect());
+    for (&p, &e) in earliest {
+        let slot = start.entry(p).or_insert(0);
+        *slot = (*slot).max(e);
+    }
+    start
+}
+
+/// Cut an epoch's offset range out of each source's `available` range
+/// (resume point to latest offsets) under a total row `budget`: the
+/// budget is [`apportion`]ed across sources by backlog, and a source
+/// that cannot take everything spreads its share over its partitions,
+/// each of the remaining partitions getting a proportional cut.
+pub(crate) fn admit(
+    budget: u64,
+    available: &BTreeMap<String, OffsetRange>,
+) -> BTreeMap<String, OffsetRange> {
+    let backlogs = available
+        .iter()
+        .map(|(name, r)| (name.clone(), r.num_records()))
+        .collect();
+    let shares = apportion(budget, &backlogs);
+    let mut ranges = BTreeMap::new();
+    for (name, OffsetRange { start, end: latest }) in available {
+        let take = shares.get(name).copied().unwrap_or(0);
+        let end = if take >= backlogs[name] {
+            latest.clone()
+        } else {
+            let mut end = PartitionOffsets::new();
+            let mut remaining = take;
+            let n_parts = latest.len() as u64;
+            for (i, (&p, &lat)) in latest.iter().enumerate() {
+                let s = *start.get(&p).unwrap_or(&0);
+                let avail = lat.saturating_sub(s);
+                let share = remaining.div_ceil(n_parts - i as u64);
+                let n = avail.min(share).min(remaining);
+                end.insert(p, s + n);
+                remaining -= n;
+            }
+            end
+        };
+        let start = start.clone();
+        ranges.insert(name.clone(), OffsetRange { start, end });
+    }
+    ranges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +344,83 @@ mod tests {
         let shares = apportion(500, &b);
         assert!(shares["a"] <= 1);
         assert_eq!(shares.values().sum::<u64>(), 500);
+    }
+
+    fn offsets(pairs: &[(u32, u64)]) -> PartitionOffsets {
+        pairs.iter().copied().collect()
+    }
+
+    fn available(sources: &[(&str, &[(u32, u64)], &[(u32, u64)])]) -> BTreeMap<String, OffsetRange> {
+        sources
+            .iter()
+            .map(|(name, start, latest)| {
+                let range = OffsetRange { start: offsets(start), end: offsets(latest) };
+                (name.to_string(), range)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn admit_uncapped_takes_every_source_to_its_latest() {
+        let avail = available(&[
+            ("a", &[(0, 5), (1, 0)], &[(0, 9), (1, 3)]),
+            ("b", &[(0, 2)], &[(0, 2)]),
+        ]);
+        let ranges = admit(u64::MAX, &avail);
+        assert_eq!(ranges, avail);
+        // A budget of exactly the backlog is still "everything".
+        assert_eq!(admit(7, &avail), avail);
+    }
+
+    #[test]
+    fn admit_capped_spreads_a_share_over_partitions() {
+        // 300 + 100 rows of backlog under a budget of 100: 75 and 25
+        // across sources; `a`'s 75 go 25 / 25 / 25 over its partitions,
+        // except that partition 1 only holds 10, so the rest moves on.
+        let avail = available(&[
+            ("a", &[(0, 100), (1, 0), (2, 50)], &[(0, 240), (1, 10), (2, 200)]),
+            ("b", &[(0, 0)], &[(0, 100)]),
+        ]);
+        let ranges = admit(100, &avail);
+        assert_eq!(ranges["a"].start, avail["a"].start);
+        assert_eq!(ranges["a"].end, offsets(&[(0, 125), (1, 10), (2, 90)]));
+        assert_eq!(ranges["b"].end, offsets(&[(0, 25)]));
+        assert_eq!(ranges.values().map(OffsetRange::num_records).sum::<u64>(), 100);
+        // Never past what a partition holds.
+        for (name, r) in &ranges {
+            for (p, e) in &r.end {
+                assert!(e <= &avail[name].end[p]);
+            }
+        }
+    }
+
+    #[test]
+    fn admit_with_zero_backlog_or_zero_budget_admits_nothing() {
+        let caught_up = available(&[("a", &[(0, 4), (1, 4)], &[(0, 4), (1, 4)])]);
+        let ranges = admit(10, &caught_up);
+        assert!(ranges["a"].is_empty());
+        assert_eq!(ranges["a"].end, ranges["a"].start);
+        let backlogged = available(&[("a", &[(0, 0)], &[(0, 9)])]);
+        assert!(admit(0, &backlogged)["a"].is_empty());
+        assert!(admit(5, &BTreeMap::new()).is_empty());
+    }
+
+    #[test]
+    fn resume_from_clamps_to_the_retention_horizon() {
+        let latest = offsets(&[(0, 50), (1, 50)]);
+        // Never read: every partition starts at 0 ...
+        assert_eq!(resume_from(None, &offsets(&[]), &latest), offsets(&[(0, 0), (1, 0)]));
+        // ... or at the horizon, if the topic already shed its head.
+        assert_eq!(
+            resume_from(None, &offsets(&[(0, 7)]), &latest),
+            offsets(&[(0, 7), (1, 0)])
+        );
+        // A position behind the horizon skips forward; one ahead stays.
+        let position = offsets(&[(0, 10), (1, 30)]);
+        let start = resume_from(Some(&position), &offsets(&[(0, 20), (1, 20)]), &latest);
+        assert_eq!(start, offsets(&[(0, 20), (1, 30)]));
+        // The backlog is counted from the clamped start.
+        let range = OffsetRange { start, end: latest };
+        assert_eq!(range.num_records(), 30 + 20);
     }
 }

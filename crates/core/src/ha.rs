@@ -23,7 +23,16 @@
 //!   committed epochs as they appear and promotes itself when the
 //!   lease lapses, producing output byte-identical to a never-failed
 //!   run (the sink's per-epoch idempotence absorbs the dead leader's
-//!   partial writes).
+//!   partial writes). The standby is read-only *by construction*, not
+//!   by configuration: a tick is the take-over's catch-up step without
+//!   ownership — state comes in through
+//!   [`StateStore::load_best`](ss_state::StateStore::load_best), which
+//!   reads the checkpoint chain and touches nothing (the owner's
+//!   `restore_best` also purges spill blobs and prunes newer
+//!   checkpoints — files a live leader still needs), and committed
+//!   epochs run through the replay driver, which has no durable step.
+//!   Promotion is the same take-over every restart runs, entered from
+//!   wherever catch-up got to.
 //!
 //! The leader composes its backend as
 //! `FencedBackend(ReplicatedBackend(primary, replica), lease)`; the
@@ -65,6 +74,57 @@ impl HaConfig {
     pub fn with_replication(mut self, replication: Arc<ReplicatedBackend>) -> HaConfig {
         self.replication = Some(replication);
         self
+    }
+}
+
+impl MicroBatchExecution {
+    /// One-line JSON snapshot of the HA machinery for the
+    /// introspection server's `/query/<name>/ha` endpoint.
+    pub fn ha_status_json(&self) -> String {
+        use ss_common::trace::escape_json;
+        let Some(ha) = self.ha() else {
+            return "{\"configured\":false}".to_string();
+        };
+        let lease = &ha.lease;
+        let role = self
+            .ha_role()
+            .map_or("unknown", |r| r.as_str())
+            .to_string();
+        let fencing = lease
+            .fencing_epoch()
+            .map_or("null".to_string(), |e| e.to_string());
+        let replication = match &ha.replication {
+            None => "null".to_string(),
+            Some(r) => {
+                let mode = match r.mode() {
+                    ss_state::ReplicationMode::Sync => "sync".to_string(),
+                    ss_state::ReplicationMode::Async { max_lag } => {
+                        format!("async(max_lag={max_lag})")
+                    }
+                };
+                format!(
+                    "{{\"mode\":\"{}\",\"mirrored_ops\":{},\"replica_errors\":{},\
+                     \"replication_lag_us\":{}}}",
+                    mode,
+                    r.mirrored_ops(),
+                    r.replica_errors(),
+                    r.last_lag_us()
+                )
+            }
+        };
+        format!(
+            "{{\"configured\":true,\"role\":\"{}\",\"holder\":\"{}\",\
+             \"fencing_epoch\":{},\"fencing_rejections\":{},\"failovers\":{},\
+             \"standby\":{},\"epoch\":{},\"replication\":{}}}",
+            escape_json(&role),
+            escape_json(lease.holder()),
+            fencing,
+            lease.fencing_rejections(),
+            lease.failovers(),
+            self.is_standby(),
+            self.current_epoch(),
+            replication
+        )
     }
 }
 

@@ -64,7 +64,7 @@ use ss_sched::{failpoints, ScatterStats, WorkerPool};
 use ss_state::{StateEntry, StateStore};
 
 use crate::incremental::{chain_kind, Chain, ChainRun, EpochContext, IncNode, OpRun};
-use crate::microbatch::{retried, MicroBatchConfig};
+use crate::microbatch::MicroBatchConfig;
 
 /// The partition count an epoch's plan runs at, plus — above one — the
 /// worker pool its stages are scheduled on.
@@ -96,9 +96,10 @@ impl Exchange {
     pub(crate) fn for_plan(
         root: &IncNode,
         config: &MicroBatchConfig,
-        registry: &MetricsRegistry,
+        env: &TaskEnv,
         trace: &TraceLog,
     ) -> Exchange {
+        let registry = &env.registry;
         let partitions = match config.shuffle_partitions {
             0 => config.parallelism,
             n => n,
@@ -129,13 +130,7 @@ impl Exchange {
         )
         .with_deadlines(config.task_soft_deadline, config.task_hard_deadline)
         .with_clock(config.clock.clone());
-        let env = TaskEnv {
-            faults: config.faults.clone(),
-            retry: config.retry,
-            clock: config.clock.clone(),
-            interrupt: config.interrupt.clone(),
-            registry: registry.clone(),
-        };
+        let env = env.clone();
         Exchange {
             partitions,
             workers: Some(Workers { pool, env }),
@@ -180,29 +175,52 @@ impl ExchangeStats {
     }
 }
 
-/// Cloneable environment every task closure captures: fail points,
-/// retry policy (with the clock its backoffs sleep on and the
-/// interrupt flag that cuts them short) and the metric registry the
-/// retries report into.
+/// The durability environment: fail points, retry policy (with the
+/// clock its backoffs sleep on and the interrupt flag that cuts them
+/// short) and the metric registry the retries report into. The engine
+/// holds one for its own durability paths and every task closure
+/// captures a clone.
 #[derive(Clone)]
-struct TaskEnv {
-    faults: FaultRegistry,
+pub(crate) struct TaskEnv {
+    pub(crate) faults: FaultRegistry,
     retry: RetryPolicy,
     clock: ClockRef,
     interrupt: Arc<AtomicBool>,
-    registry: MetricsRegistry,
+    pub(crate) registry: MetricsRegistry,
 }
 
 impl TaskEnv {
-    fn retried(&self, op: &str, f: impl FnMut() -> Result<()>) -> Result<()> {
-        retried(
-            &self.retry,
-            &self.clock,
-            &self.interrupt,
-            &self.registry,
-            op,
-            f,
-        )
+    pub(crate) fn new(config: &MicroBatchConfig, registry: &MetricsRegistry) -> TaskEnv {
+        TaskEnv {
+            faults: config.faults.clone(),
+            retry: config.retry,
+            clock: config.clock.clone(),
+            interrupt: config.interrupt.clone(),
+            registry: registry.clone(),
+        }
+    }
+
+    /// Run `f` under the retry policy, recording retry activity in the
+    /// registry (`ss_retry_attempts_total` counts re-attempts,
+    /// `ss_retries_exhausted_total` counts calls that failed
+    /// transiently after using up the policy,
+    /// `ss_retry_interrupted_total` counts backoffs cut short by the
+    /// interrupt flag). Backoff sleeps run on the clock and abort
+    /// within one poll interval once the interrupt is raised (`stop()`
+    /// on a background query raises it).
+    pub(crate) fn retried<T>(&self, op: &str, f: impl FnMut() -> Result<T>) -> Result<T> {
+        let interrupted = || self.interrupt.load(std::sync::atomic::Ordering::SeqCst);
+        let out = ss_common::retry::retry_with(&self.retry, self.clock.as_ref(), &interrupted, f);
+        for (metric, n) in [
+            ("ss_retry_attempts_total", u64::from(out.retries)),
+            ("ss_retries_exhausted_total", u64::from(out.exhausted)),
+            ("ss_retry_interrupted_total", u64::from(out.interrupted)),
+        ] {
+            if n > 0 {
+                self.registry.counter(metric, &[("op", op)]).add(n);
+            }
+        }
+        out.result
     }
 
     /// The preamble of every task body: the (retried) task-run fail

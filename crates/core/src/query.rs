@@ -358,7 +358,7 @@ impl StreamingQuery {
     /// A later restart therefore never recomputes a committed epoch's
     /// sink output. Idempotent.
     pub fn stop(mut self) -> Result<()> {
-        self.stop_in_place()
+        self.halt(false)
     }
 
     /// Graceful drain stop: stop at the next commit boundary like
@@ -367,7 +367,7 @@ impl StreamingQuery {
     /// in-flight work — so the checkpoint is a clean handoff point for
     /// [`StreamingQuery::restart_from_checkpoint`] or a new deployment.
     pub fn stop_graceful(mut self) -> Result<()> {
-        self.drain_and_seal()
+        self.halt(true)
     }
 
     /// Upgrade the query in place (§7.2 "updating a query's code"):
@@ -382,7 +382,7 @@ impl StreamingQuery {
     /// The returned query is in synchronous mode; re-wrap it with a
     /// trigger to resume background execution.
     pub fn restart_from_checkpoint(mut self, new_df: &crate::DataFrame) -> Result<StreamingQuery> {
-        self.drain_and_seal()?;
+        self.halt(true)?;
         let plan = new_df.plan();
         let engine = match &self.inner {
             QueryInner::Sync(e) => e.rebuild_from_checkpoint(&plan)?,
@@ -391,15 +391,29 @@ impl StreamingQuery {
         Ok(StreamingQuery::new_sync(engine))
     }
 
-    /// Shared drain for the graceful paths: join the trigger thread at
-    /// the commit boundary, surface any failure, then seal the
-    /// manifest.
-    fn drain_and_seal(&mut self) -> Result<()> {
-        match &mut self.inner {
-            QueryInner::Sync(e) => {
-                e.seal_manifest()?;
-                e.notify_terminated(None);
+    /// Stop at the commit boundary: join the trigger thread and surface
+    /// any failure. With `seal`, a query that drained cleanly also
+    /// seals its manifest; a failed one did not drain, so its manifest
+    /// stays unsealed and the next take-over re-runs the in-flight
+    /// work.
+    fn halt(&mut self, seal: bool) -> Result<()> {
+        let finish = |eng: &mut MicroBatchExecution, err: Option<String>| match err {
+            Some(e) => {
+                // Idempotent: a no-op if the trigger thread already
+                // fired it on failure.
+                eng.notify_terminated(Some(&e));
+                Err(SsError::Execution(e))
             }
+            None => {
+                if seal {
+                    eng.seal_manifest()?;
+                }
+                eng.notify_terminated(None);
+                Ok(())
+            }
+        };
+        match &mut self.inner {
+            QueryInner::Sync(e) => finish(e, None),
             QueryInner::Background {
                 engine,
                 stop,
@@ -416,55 +430,16 @@ impl StreamingQuery {
                 // an engine rebuilt over the same config (upgrades,
                 // restart_from_checkpoint) starts uninterrupted.
                 stop.store(false, Ordering::SeqCst);
-                if let Some(e) = error.lock().clone() {
-                    // A failed query did not drain; leave the manifest
-                    // unsealed so the next recovery re-runs the
-                    // in-flight work.
-                    engine.lock().notify_terminated(Some(&e));
-                    return Err(SsError::Execution(e));
-                }
-                let mut eng = engine.lock();
-                eng.seal_manifest()?;
-                eng.notify_terminated(None);
-            }
-        }
-        Ok(())
-    }
-
-    fn stop_in_place(&mut self) -> Result<()> {
-        match &mut self.inner {
-            QueryInner::Sync(e) => {
-                e.notify_terminated(None);
-            }
-            QueryInner::Background {
-                engine,
-                stop,
-                handle,
-                error,
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                if let Some(h) = handle.take() {
-                    h.thread().unpark();
-                    h.join()
-                        .map_err(|_| SsError::Execution("query thread panicked".into()))?;
-                }
-                stop.store(false, Ordering::SeqCst);
                 let err = error.lock().clone();
-                // Idempotent: a no-op if the trigger thread already
-                // fired it on failure.
-                engine.lock().notify_terminated(err.as_deref());
-                if let Some(e) = err {
-                    return Err(SsError::Execution(e));
-                }
+                finish(&mut engine.lock(), err)
             }
         }
-        Ok(())
     }
 }
 
 impl Drop for StreamingQuery {
     fn drop(&mut self) {
-        let _ = self.stop_in_place();
+        let _ = self.halt(false);
     }
 }
 
@@ -548,7 +523,7 @@ fn supervise(
         };
         let Some(mut failure) = failure else {
             // Clean exit: `Once` drained, or `stop()` was requested.
-            // Termination is notified by `stop_in_place`.
+            // Termination is notified by `halt`.
             return;
         };
         healthy_epochs = 0;

@@ -942,10 +942,10 @@ impl StateStore {
             .into_iter().rfind(|&e| at.is_none_or(|a| e <= a)))
     }
 
-    /// Restore all operator state as of checkpoint `epoch` (which must
-    /// exist). In-memory state is replaced.
-    pub fn restore(&mut self, epoch: u64) -> Result<()> {
-        let started = Instant::now();
+    /// Read the checkpoint chain ending at `epoch` (which must exist):
+    /// the last full snapshot at or before it, then every delta up to
+    /// it. Reads the backend only.
+    fn read_chain(&self, epoch: u64) -> Result<BTreeMap<String, FxHashMap<Row, StateEntry>>> {
         let keys = self.backend.list("state/chk-")?;
         let mut chain: Vec<(u64, bool, String)> = keys
             .iter()
@@ -987,9 +987,11 @@ impl StateStore {
                 }
             }
         }
-        // In-memory state is being wholesale replaced: spill blobs
-        // describe the old state and must not survive.
-        self.purge_spill_blobs()?;
+        Ok(state)
+    }
+
+    /// Replace in-memory state with `state`, read since `started`.
+    fn install(&mut self, state: BTreeMap<String, FxHashMap<Row, StateEntry>>, started: Instant) {
         self.ops.clear();
         for (id, map) in state {
             let op = self.ops.entry(id).or_default();
@@ -1001,41 +1003,76 @@ impl StateStore {
             m.bytes.set(self.memory_bytes() as i64);
             m.restore_us.observe(started.elapsed().as_micros() as u64);
         }
+    }
+
+    /// Load checkpoint `epoch` (which must exist) into memory **without
+    /// writing to the backend**: the read half of
+    /// [`restore`](Self::restore), for a reader that does not own the
+    /// checkpoint (a warm standby tailing a live leader's directory).
+    pub fn load(&mut self, epoch: u64) -> Result<()> {
+        let started = Instant::now();
+        let state = self.read_chain(epoch)?;
+        self.install(state, started);
         Ok(())
     }
 
-    /// Restore to the newest *restorable* checkpoint at or below `at`.
-    ///
-    /// Candidates are tried newest-first; one whose chain contains a
-    /// corrupt blob is skipped (an older full snapshot may still be
-    /// intact — the WAL replays the missing epochs). Once a restore
-    /// succeeds, all checkpoints newer than the restored epoch are
-    /// deleted so a later delta written against discarded state can
-    /// never corrupt a future restore chain. Returns the restored epoch,
-    /// or `None` if no checkpoint could be restored (recovery starts
-    /// from empty state and recomputes via the WAL).
-    ///
+    /// Restore all operator state as of checkpoint `epoch` (which must
+    /// exist). In-memory state is replaced.
+    pub fn restore(&mut self, epoch: u64) -> Result<()> {
+        let started = Instant::now();
+        let state = self.read_chain(epoch)?;
+        // In-memory state is being wholesale replaced: spill blobs
+        // describe the old state and must not survive.
+        self.purge_spill_blobs()?;
+        self.install(state, started);
+        Ok(())
+    }
+
+    /// The newest checkpoint at or below `at` that `read` can bring
+    /// into memory. Candidates are tried newest-first; one whose chain
+    /// contains a corrupt blob is skipped (an older full snapshot may
+    /// still be intact — the WAL replays the missing epochs).
     /// Non-corruption errors (backend I/O) propagate — they indicate an
     /// environment failure, not bad data to skip over.
-    pub fn restore_best(&mut self, at: Option<u64>) -> Result<Option<u64>> {
-        let mut candidates: Vec<u64> = self
-            .retained_epochs()?
-            .into_iter()
-            .filter(|&e| at.is_none_or(|a| e <= a))
-            .collect();
-        candidates.reverse();
-        for epoch in candidates {
-            match self.restore(epoch) {
-                Ok(()) => {
-                    self.truncate_after(epoch)?;
-                    return Ok(Some(epoch));
-                }
+    fn best(
+        &mut self,
+        at: Option<u64>,
+        read: fn(&mut StateStore, u64) -> Result<()>,
+    ) -> Result<Option<u64>> {
+        let candidates = self.retained_epochs()?;
+        for epoch in candidates.into_iter().rev().filter(|&e| at.is_none_or(|a| e <= a)) {
+            match read(self, epoch) {
+                Ok(()) => return Ok(Some(epoch)),
                 Err(SsError::Corruption(_)) => continue,
                 Err(other) => return Err(other),
             }
         }
-        self.clear_memory();
         Ok(None)
+    }
+
+    /// [`load`](Self::load) the newest loadable checkpoint at or below
+    /// `at` — [`restore_best`](Self::restore_best) without its two
+    /// ownership actions (no spill purge, no pruning of newer
+    /// checkpoints), so it never writes. Returns the loaded epoch, or
+    /// `None` (memory untouched) if nothing could be loaded.
+    pub fn load_best(&mut self, at: Option<u64>) -> Result<Option<u64>> {
+        self.best(at, Self::load)
+    }
+
+    /// Restore to the newest *restorable* checkpoint at or below `at`
+    /// (candidates tried newest-first, corrupt chains skipped). Once a
+    /// restore succeeds, all checkpoints newer than the restored epoch
+    /// are deleted so a later delta written against discarded state can
+    /// never corrupt a future restore chain. Returns the restored epoch,
+    /// or `None` if no checkpoint could be restored (recovery starts
+    /// from empty state and recomputes via the WAL).
+    pub fn restore_best(&mut self, at: Option<u64>) -> Result<Option<u64>> {
+        let restored = self.best(at, Self::restore)?;
+        match restored {
+            Some(epoch) => self.truncate_after(epoch)?,
+            None => self.clear_memory(),
+        }
+        Ok(restored)
     }
 
     /// Delete all checkpoints after `epoch` (manual rollback, §7.2).
@@ -1778,6 +1815,52 @@ mod tests {
         assert!(backend.list("state/spill/").unwrap().is_empty());
         assert_eq!(s.spilled_ops(), Vec::<String>::new());
         assert_eq!(s.operator("agg").get(&row!["a"]), Some(&entry(1)));
+    }
+
+    #[test]
+    fn load_and_load_best_leave_the_backend_untouched() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut owner = StateStore::new(backend.clone()).with_budget(MemoryBudget {
+            soft_limit_bytes: Some(1),
+            hard_limit_bytes: None,
+        });
+        owner.operator("agg").put(row!["a"], entry(1));
+        owner.checkpoint(1).unwrap();
+        owner.operator("agg").put(row!["b"], entry(2));
+        owner.checkpoint(2).unwrap();
+        owner.enforce_budget().unwrap();
+        let before = backend.list("").unwrap();
+        assert!(before.iter().any(|k| k.starts_with("state/spill/")));
+
+        // A second store over the same backend reads epoch 1 while the
+        // owner's spill blob and newer checkpoint stay where they are.
+        let mut reader = StateStore::new(backend.clone());
+        assert_eq!(reader.load_best(Some(1)).unwrap(), Some(1));
+        assert_eq!(reader.operator("agg").get(&row!["a"]), Some(&entry(1)));
+        assert_eq!(reader.operator("agg").get(&row!["b"]), None);
+        reader.load(2).unwrap();
+        assert_eq!(reader.operator("agg").get(&row!["b"]), Some(&entry(2)));
+        assert_eq!(backend.list("").unwrap(), before);
+        assert_eq!(reader.load_best(Some(0)).unwrap(), None, "nothing that old");
+        assert_eq!(backend.list("").unwrap(), before);
+        // The owner reloads its spilled operator as if nobody had looked.
+        assert_eq!(owner.operator("agg").get(&row!["b"]), Some(&entry(2)));
+        owner.check_health().unwrap();
+    }
+
+    #[test]
+    fn restore_best_at_zero_is_the_nothing_committed_case() {
+        // Take-over with nothing committed: stale checkpoints are
+        // truncated, then `restore_best(Some(0))` finds no candidate,
+        // restores nothing and leaves memory empty.
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone());
+        s.operator("agg").put(row!["a"], entry(1));
+        s.checkpoint(1).unwrap();
+        s.truncate_after(0).unwrap();
+        assert_eq!(s.restore_best(Some(0)).unwrap(), None);
+        assert_eq!(s.total_keys(), 0);
+        assert!(backend.list("state/").unwrap().is_empty());
     }
 
     #[test]

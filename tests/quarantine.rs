@@ -263,6 +263,76 @@ fn quarantine_is_deterministic_across_crash_restart() {
     let _ = std::panic::take_hook();
 }
 
+/// The epoch that first meets the poison fails, flips isolation on and
+/// is re-run by the take-over — and that re-run is the trigger's epoch:
+/// timed, profiled and published like any other, so neither the
+/// progress feed nor `/query/<name>/profile` has a hole at exactly the
+/// epoch an operator will want to look at.
+#[test]
+fn the_isolation_retried_epoch_reports_itself() {
+    use ss_core::microbatch::EpochRun;
+
+    std::panic::set_hook(Box::new(|_| {}));
+    const STEP_US: i64 = 1_000;
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let sink = MemorySink::new("out");
+    let config = MicroBatchConfig {
+        error_policy: ErrorPolicy::Quarantine { max_per_epoch: 4 },
+        // Every reading advances the clock, so an epoch that ran has a
+        // duration of several steps; there is no previous epoch whose
+        // duration could be reported in its place.
+        clock: ss_common::StepClock::new(0, STEP_US).handle(),
+        ..base_config(FaultRegistry::new())
+    };
+    let mut eng = build_engine(
+        bus.clone(),
+        sink.clone(),
+        Arc::new(MemoryBackend::new()),
+        config,
+    )
+    .unwrap();
+    feed(&bus, 7, 10, false); // rows 10..17: one epoch, poison v=13 inside
+    let run = eng.run_epoch();
+    let _ = std::panic::take_hook();
+    let progress = match run.unwrap() {
+        EpochRun::Ran(p) => p,
+        EpochRun::Idle => panic!("the retried epoch must report as run"),
+    };
+    assert!(eng.isolation_active());
+    assert_eq!(progress.epoch, 1);
+    assert_eq!(progress.num_input_rows, 7);
+    assert_eq!(progress.quarantined_records, 1);
+    assert!(
+        progress.batch_duration_us >= 2 * STEP_US,
+        "duration {} µs is not the re-run's own",
+        progress.batch_duration_us
+    );
+    assert!(progress.input_rows_per_second < 7.0 * 1e6 / STEP_US as f64);
+    let profile = progress.profile.as_ref().expect("the re-run is profiled");
+    assert_eq!(profile.epoch, 1);
+    for phase in ["source-read", "execute", "sink-commit", "wal"] {
+        assert!(
+            profile.phases.iter().any(|p| p.name == phase),
+            "no `{phase}` phase in {:?}",
+            profile.phases
+        );
+    }
+    let profiled: Vec<u64> = eng.profiler().profiles().iter().map(|p| p.epoch).collect();
+    assert_eq!(profiled, vec![1], "the profiler history has a hole");
+    assert_eq!(eng.progress().last().map(|p| p.epoch), Some(1));
+    let events = eng.events().events();
+    let published = events
+        .iter()
+        .find(|e| e.kind == "progress")
+        .expect("the retried epoch publishes a progress event");
+    let duration = published.fields.iter().find(|(k, _)| k == "duration_us");
+    assert_eq!(
+        duration.map(|(_, v)| v.clone()),
+        Some(progress.batch_duration_us.to_string())
+    );
+}
+
 /// `ErrorPolicy::Drop` discards poison silently: clean output, empty
 /// DLQ, but the quarantine counters still tell the operator.
 #[test]

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Non-test Rust line totals per crate (ROADMAP item 6: the number that
-# should go down). Counts every `src/**/*.rs` line up to the file's
-# trailing `#[cfg(test)]` module; `tests/`, `benches/` and `examples/`
-# are not counted. Plain find + sed + wc, run from anywhere.
+# should go down), then the five largest files (the roadmap's "no file
+# over ~1k lines", made visible). Counts every `src/**/*.rs` line up to
+# the file's trailing `#[cfg(test)]` module; `tests/`, `benches/` and
+# `examples/` are not counted. Plain find + sed + wc, run from anywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,3 +22,10 @@ for dir in crates/*/ .; do
     printf '%-14s %7d\n' "$name" "$n"
 done
 printf '%-14s %7d\n' total "$total"
+
+printf '\n%-44s %7s\n' 'largest files' lines
+find crates/*/src src -name '*.rs' | while read -r f; do
+    printf '%s %s\n' "$(sed '/^#\[cfg(test)\]/,$d' "$f" | wc -l)" "$f"
+done | sort -rn | head -5 | while read -r n f; do
+    printf '%-44s %7d\n' "$f" "$n"
+done
