@@ -12,12 +12,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use std::collections::BTreeMap;
-
 use ss_baselines::workload::{BenchCounts, YahooWorkload};
 use ss_baselines::{flink_like, kstreams_like};
 use ss_bus::{BusSource, MemorySink, MessageBus};
-use ss_common::profile::PhaseDuration;
 use ss_common::{Result, Row, Value};
 use ss_core::prelude::*;
 use ss_core::StreamingContext;
@@ -38,58 +35,12 @@ pub struct ThroughputRun {
     pub records: u64,
     pub seconds: f64,
     pub counts: BenchCounts,
-    /// Per-phase wall time summed across the run's epochs (from the
-    /// engine's epoch profiler); empty for engines without a profiler.
-    pub phases: Vec<PhaseDuration>,
 }
 
 impl ThroughputRun {
     pub fn records_per_second(&self) -> f64 {
         self.records as f64 / self.seconds
     }
-
-    /// Fraction of attributed top-level time spent in the shuffle
-    /// exchange (`execute`'s shuffle-write + shuffle-read children
-    /// over the sum of all top-level phases). `None` without profiles.
-    pub fn shuffle_share(&self) -> Option<f64> {
-        let top: u64 = self
-            .phases
-            .iter()
-            .filter(|d| d.parent.is_none())
-            .map(|d| d.duration_us)
-            .sum();
-        if top == 0 {
-            return None;
-        }
-        let shuffle: u64 = self
-            .phases
-            .iter()
-            .filter(|d| d.name == "shuffle-write" || d.name == "shuffle-read")
-            .map(|d| d.duration_us)
-            .sum();
-        Some(shuffle as f64 / top as f64)
-    }
-}
-
-/// Sum the query's retained per-epoch phase durations into one
-/// per-(phase, parent) total.
-fn phase_totals(query: &ss_core::StreamingQuery) -> Vec<PhaseDuration> {
-    let mut totals: BTreeMap<(String, Option<String>), u64> = BTreeMap::new();
-    for profile in query.profiles() {
-        for d in &profile.phases {
-            *totals
-                .entry((d.name.clone(), d.parent.clone()))
-                .or_insert(0) += d.duration_us;
-        }
-    }
-    totals
-        .into_iter()
-        .map(|((name, parent), duration_us)| PhaseDuration {
-            name,
-            parent,
-            duration_us,
-        })
-        .collect()
 }
 
 /// Create a bus with the benchmark topic preloaded:
@@ -124,17 +75,6 @@ pub fn build_ss_yahoo_query(
     workload: &YahooWorkload,
     bus: Arc<MessageBus>,
 ) -> Result<(ss_core::StreamingQuery, Arc<MemorySink>)> {
-    build_ss_yahoo_query_at(workload, bus, 1)
-}
-
-/// [`build_ss_yahoo_query`] with data-parallel execution: epochs run
-/// as partitioned map/shuffle/reduce stages on `parallelism` workers
-/// (1 = the serial engine).
-pub fn build_ss_yahoo_query_at(
-    workload: &YahooWorkload,
-    bus: Arc<MessageBus>,
-    parallelism: usize,
-) -> Result<(ss_core::StreamingQuery, Arc<MemorySink>)> {
     let ctx = StreamingContext::new();
     let events = ctx.read_source(Arc::new(BusSource::new(
         bus,
@@ -164,7 +104,6 @@ pub fn build_ss_yahoo_query_at(
         .query_name("yahoo")
         .output_mode(OutputMode::Update)
         .sink(sink.clone())
-        .parallelism(parallelism)
         .start_sync()?;
     Ok((query, sink))
 }
@@ -191,31 +130,15 @@ pub fn run_structured_streaming(
     bus: Arc<MessageBus>,
     total_records: u64,
 ) -> Result<ThroughputRun> {
-    run_structured_streaming_at(workload, bus, total_records, 1)
-}
-
-/// Timed Structured Streaming run at a given worker count.
-pub fn run_structured_streaming_at(
-    workload: &YahooWorkload,
-    bus: Arc<MessageBus>,
-    total_records: u64,
-    parallelism: usize,
-) -> Result<ThroughputRun> {
-    let (mut query, sink) = build_ss_yahoo_query_at(workload, bus, parallelism)?;
+    let (mut query, sink) = build_ss_yahoo_query(workload, bus)?;
     let start = Instant::now();
     query.process_available()?;
     let seconds = start.elapsed().as_secs_f64();
-    let phases = phase_totals(&query);
     Ok(ThroughputRun {
-        system: if parallelism > 1 {
-            format!("Structured Streaming ({parallelism} workers)")
-        } else {
-            "Structured Streaming".into()
-        },
+        system: "Structured Streaming".into(),
         records: total_records,
         seconds,
         counts: sink_to_counts(&sink),
-        phases,
     })
 }
 
@@ -233,7 +156,6 @@ pub fn run_flink_like(
         records: total_records,
         seconds,
         counts: job.counts(),
-        phases: Vec::new(),
     })
 }
 
@@ -251,7 +173,6 @@ pub fn run_kstreams_like(
         records: total_records,
         seconds,
         counts: job.counts(),
-        phases: Vec::new(),
     })
 }
 
@@ -304,7 +225,6 @@ pub fn run_row_at_a_time(
         records: consumed,
         seconds,
         counts: counts.into_iter().collect(),
-        phases: Vec::new(),
     })
 }
 

@@ -1,5 +1,5 @@
 //! The multi-query engine: fingerprint-keyed sharing groups over one
-//! scan cache and one fair scheduling pool.
+//! scan cache and one worker pool.
 //!
 //! [`MultiQueryEngine::submit`] splits each query at its sharing
 //! boundary ([`ss_plan::sharing_split`]): the **stateful prefix** keys
@@ -14,11 +14,11 @@
 //!   [`ss_bus::SharedScanSource`] over one engine-wide
 //!   [`ss_bus::ScanCache`], so even *different* groups over the same
 //!   topic cost one bus read per (source, offset-range) per epoch.
-//! * **Pooled scheduling**: epochs are dispatched through one
-//!   [`ss_sched::FairPool`] with deficit-round-robin fairness across
-//!   tenants and per-tenant [`ss_sched::AdmissionBudget`]s; a group's
-//!   admitted rows are charged to its subscribing tenants in equal
-//!   shares (sharing splits the bill).
+//! * **Pooled scheduling**: a tick runs every admissible group's epoch
+//!   as one [`ss_sched::WorkerPool::scatter`]; per-tenant
+//!   `AdmissionBudget`s decide which groups are admissible, and a
+//!   group's admitted rows are charged to its subscribing tenants in
+//!   equal shares (sharing splits the bill).
 //! * **Copy-on-detach**: stopping a member of a still-populated group
 //!   snapshots the group's checkpoint namespace into a private backend
 //!   returned to the caller, so the departing query can restart
@@ -42,7 +42,7 @@ use ss_common::{Result, SsError};
 use ss_core::{MicroBatchExecution, StreamingContext};
 use ss_core::prelude::MicroBatchConfig;
 use ss_plan::{sharing_split, LogicalPlan, OutputMode};
-use ss_sched::{AdmissionBudget, FairPool};
+use ss_sched::WorkerPool;
 use ss_state::{CheckpointBackend, MemoryBackend};
 
 use crate::fanout::FanoutSink;
@@ -54,7 +54,9 @@ pub struct MultiQueryConfig {
     pub scan_cache_capacity: usize,
     /// Worker threads in the shared scheduling pool.
     pub workers: usize,
-    /// DRR quantum, in rows, credited per tenant per round.
+    /// Unread: a tick runs every admissible group once, so there is no
+    /// per-round credit to size. Kept only because the repo benchmark
+    /// builds this config as a struct literal (ROADMAP 1(vi)).
     pub quantum: u64,
     /// Template for each sharing group's engine (parallelism,
     /// checkpoint cadence, clock, ...).
@@ -94,7 +96,6 @@ struct Group {
     key: String,
     /// Short display name (engine/query name inside the group).
     label: String,
-    tenant: String,
     engine: Mutex<MicroBatchExecution>,
     fanout: Arc<FanoutSink>,
     backend: Arc<MemoryBackend>,
@@ -144,7 +145,7 @@ pub struct MultiQueryEngine {
     ctx: StreamingContext,
     config: MultiQueryConfig,
     cache: Arc<ScanCache>,
-    pool: FairPool,
+    pool: WorkerPool,
     budgets: Arc<Mutex<BTreeMap<String, AdmissionBudget>>>,
     groups: Mutex<BTreeMap<String, Arc<Group>>>,
     attached: AtomicU64,
@@ -155,7 +156,7 @@ impl MultiQueryEngine {
     pub fn new(ctx: StreamingContext, config: MultiQueryConfig) -> MultiQueryEngine {
         MultiQueryEngine {
             cache: ScanCache::new(config.scan_cache_capacity),
-            pool: FairPool::new(config.workers, config.quantum.max(1)),
+            pool: WorkerPool::new(config.workers, None, None),
             budgets: Arc::new(Mutex::new(BTreeMap::new())),
             groups: Mutex::new(BTreeMap::new()),
             attached: AtomicU64::new(0),
@@ -178,11 +179,6 @@ impl MultiQueryEngine {
             tenant.to_string(),
             AdmissionBudget::new(rows_per_tick.max(1), burst),
         );
-    }
-
-    /// Give `tenant` a DRR weight (default 1).
-    pub fn set_tenant_weight(&self, tenant: &str, weight: u64) {
-        self.pool.register_tenant(tenant, weight);
     }
 
     /// Submit a query: join the sharing group for its stateful prefix,
@@ -225,7 +221,6 @@ impl MultiQueryEngine {
                 tenant: spec.tenant.clone(),
                 shares_suffix: !split.suffix.is_empty(),
             });
-            self.pool.register_tenant(&spec.tenant, 1);
             self.attached.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
@@ -263,13 +258,11 @@ impl MultiQueryEngine {
             backend.clone(),
             self.config.engine.clone(),
         )?;
-        self.pool.register_tenant(&spec.tenant, 1);
         groups.insert(
             group_key.clone(),
             Arc::new(Group {
                 key: group_key,
                 label,
-                tenant: spec.tenant.clone(),
                 engine: Mutex::new(engine),
                 fanout,
                 backend,
@@ -326,27 +319,21 @@ impl MultiQueryEngine {
         })
     }
 
-    /// One scheduling tick: refill every tenant budget, then run at
-    /// most one epoch per sharing group through the fair pool. Groups
-    /// are enqueued in deterministic key order under their creating
-    /// tenant; a group every subscribing tenant of which is over budget
-    /// skips the tick (its backlog waits for the refill to clear the
-    /// debt). Admitted rows are charged to subscribing tenants in equal
-    /// shares.
+    /// One scheduling tick: refill every tenant budget, then run one
+    /// epoch of every admissible sharing group as one scatter on the
+    /// pool, in group-key order. A group every subscribing tenant of
+    /// which is over budget skips the tick (its backlog waits for the
+    /// refill to clear the debt). Admitted rows are charged to
+    /// subscribing tenants in equal shares.
     pub fn tick(&self) -> Result<TickReport> {
-        {
-            let mut budgets = self.budgets.lock();
-            for b in budgets.values_mut() {
-                b.tick();
-            }
+        for b in self.budgets.lock().values_mut() {
+            b.tick();
         }
         let groups: Vec<Arc<Group>> = self.groups.lock().values().cloned().collect();
         let mut skipped = 0u64;
-        for group in &groups {
-            let tenants: Vec<String> = {
-                let members = group.members.lock();
-                members.iter().map(|m| m.tenant.clone()).collect()
-            };
+        let mut tasks: Vec<Box<dyn FnOnce() -> Result<u64> + Send>> = Vec::new();
+        for group in groups {
+            let tenants = group.tenants();
             if tenants.is_empty() {
                 continue;
             }
@@ -360,54 +347,15 @@ impl MultiQueryEngine {
                 skipped += 1;
                 continue;
             }
-            let cost = {
-                let engine = group.engine.lock();
-                backlog_rows(&engine).max(1)
-            };
-            let g = group.clone();
             let budgets = self.budgets.clone();
-            self.pool.enqueue(
-                &group.tenant,
-                cost,
-                Box::new(move || {
-                    let mut engine = g.engine.lock();
-                    let rows = match engine.run_epoch()? {
-                        ss_core::microbatch::EpochRun::Idle => 0,
-                        ss_core::microbatch::EpochRun::Ran(p) => p.num_input_rows,
-                    };
-                    if rows > 0 {
-                        // Sharing splits the bill: each subscribing
-                        // tenant pays an equal share of the one read.
-                        let tenants: Vec<String> = {
-                            let members = g.members.lock();
-                            members.iter().map(|m| m.tenant.clone()).collect()
-                        };
-                        let share = rows.div_ceil(tenants.len().max(1) as u64);
-                        let mut budgets = budgets.lock();
-                        for t in &tenants {
-                            if let Some(b) = budgets.get_mut(t) {
-                                b.charge(share);
-                            }
-                        }
-                    }
-                    Ok(rows)
-                }),
-            );
+            tasks.push(Box::new(move || group.run_epoch(&budgets)));
         }
-        let mut report = TickReport {
+        let rows = self.pool.scatter("multi-tick", tasks)?.results;
+        Ok(TickReport {
+            epochs: rows.iter().filter(|&&r| r > 0).count() as u64,
+            rows: rows.iter().sum(),
             skipped,
-            ..TickReport::default()
-        };
-        while self.pool.queued() > 0 {
-            let round = self.pool.run_round()?;
-            for (_, rows) in &round.ran {
-                if *rows > 0 {
-                    report.epochs += 1;
-                    report.rows += rows;
-                }
-            }
-        }
-        Ok(report)
+        })
     }
 
     /// Tick until every group is idle and nothing is admission-blocked
@@ -525,12 +473,108 @@ impl MultiQueryEngine {
     }
 }
 
-/// Backlog estimate: rows available beyond the engine's position,
-/// summed over its sources.
-fn backlog_rows(engine: &MicroBatchExecution) -> u64 {
-    engine
-        .progress()
-        .last()
-        .map(|p| p.backlog_rows + p.num_input_rows)
-        .unwrap_or(1)
+impl Group {
+    fn tenants(&self) -> Vec<String> {
+        self.members
+            .lock()
+            .iter()
+            .map(|m| m.tenant.clone())
+            .collect()
+    }
+
+    /// Run one epoch and bill its admitted rows to the subscribing
+    /// tenants; returns the rows.
+    fn run_epoch(&self, budgets: &Mutex<BTreeMap<String, AdmissionBudget>>) -> Result<u64> {
+        let mut engine = self.engine.lock();
+        let rows = match engine.run_epoch()? {
+            ss_core::microbatch::EpochRun::Idle => 0,
+            ss_core::microbatch::EpochRun::Ran(p) => p.num_input_rows,
+        };
+        if rows > 0 {
+            // Sharing splits the bill: each subscribing tenant pays an
+            // equal share of the one read.
+            let tenants = self.tenants();
+            let share = rows.div_ceil(tenants.len().max(1) as u64);
+            let mut budgets = budgets.lock();
+            for t in &tenants {
+                if let Some(b) = budgets.get_mut(t) {
+                    b.charge(share);
+                }
+            }
+        }
+        Ok(rows)
+    }
+}
+
+/// A per-tenant admission budget: a token bucket in row units. The
+/// driver calls [`AdmissionBudget::tick`] once per scheduling tick,
+/// checks [`AdmissionBudget::admissible`] before running a tenant's
+/// epoch, and [`AdmissionBudget::charge`]s the rows the epoch actually
+/// admitted afterwards — overdraft is allowed (an epoch's size is only
+/// known after it runs) and carries as debt into future ticks.
+#[derive(Debug, Clone)]
+pub(crate) struct AdmissionBudget {
+    /// Rows credited per tick.
+    refill: u64,
+    /// Ceiling on banked credit (burst bound).
+    capacity: u64,
+    /// Current balance; negative = debt from an overdrafted epoch.
+    tokens: i64,
+}
+
+impl AdmissionBudget {
+    pub(crate) fn new(rows_per_tick: u64, burst_capacity: u64) -> AdmissionBudget {
+        let capacity = burst_capacity.max(rows_per_tick).max(1);
+        AdmissionBudget {
+            refill: rows_per_tick,
+            capacity,
+            tokens: capacity as i64,
+        }
+    }
+
+    /// Credit one tick's refill, capped at the burst capacity.
+    pub(crate) fn tick(&mut self) {
+        self.tokens = (self.tokens + self.refill as i64).min(self.capacity as i64);
+    }
+
+    /// May this tenant run an epoch now? (Positive balance; debt from
+    /// a previous overdraft must drain first.)
+    pub(crate) fn admissible(&self) -> bool {
+        self.tokens > 0
+    }
+
+    /// Charge rows actually admitted (post-hoc; may overdraw).
+    pub(crate) fn charge(&mut self, rows: u64) {
+        self.tokens -= rows as i64;
+    }
+
+    /// Current balance (negative = debt).
+    #[cfg(test)]
+    fn balance(&self) -> i64 {
+        self.tokens
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_budget_tick_charge_and_debt() {
+        let mut b = AdmissionBudget::new(100, 200);
+        assert!(b.admissible());
+        b.charge(350); // epoch turned out larger than the balance
+        assert!(!b.admissible());
+        assert_eq!(b.balance(), -150);
+        b.tick();
+        assert!(!b.admissible()); // still in debt
+        b.tick();
+        assert!(b.admissible()); // refills cleared the debt
+        assert_eq!(b.balance(), 50);
+        // Banked credit is capped at the burst capacity.
+        for _ in 0..10 {
+            b.tick();
+        }
+        assert_eq!(b.balance(), 200);
+    }
 }

@@ -14,10 +14,10 @@
 //!    taps ([`FanoutSink`]) that apply each query's stateless
 //!    `Project`/`Filter` suffix. Detaching a query snapshots the
 //!    group's checkpoint for it (copy-on-detach).
-//! 3. **Pooled scheduling** — groups' epochs run on one
-//!    [`ss_sched::FairPool`] (deficit round-robin across tenants) with
-//!    per-tenant admission budgets; a shared epoch's rows are billed
-//!    to its tenants in equal shares.
+//! 3. **Pooled scheduling** — a tick runs every admissible group's
+//!    epoch as one scatter on one [`ss_sched::WorkerPool`]; per-tenant
+//!    admission budgets decide which groups are admissible, and a
+//!    shared epoch's rows are billed to its tenants in equal shares.
 //!
 //! [`SqlService`] is the front end: a long-lived session layer that
 //! turns `POST /sql` into a running, sharing query.

@@ -39,10 +39,6 @@ use ss_common::profile::TaskSkew;
 use ss_common::trace::TraceLog;
 use ss_common::{Result, SsError};
 
-pub mod fair;
-
-pub use fair::{AdmissionBudget, FairPool, RoundReport};
-
 /// Fail points inside worker tasks, used by the chaos suite to crash
 /// parallel schedules mid-flight (see `ss_common::fault`).
 pub mod failpoints {

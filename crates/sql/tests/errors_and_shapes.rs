@@ -110,8 +110,9 @@ fn unsupported_clauses_are_parse_errors_not_panics() {
     }
 }
 
-/// Every query shape `benches/multi_query.rs` and the CI smoke test
-/// submit, with the output mode each runs in. Parsing must produce a
+/// The Yahoo shape the repo benchmark's `fleet_shared` fleet is built
+/// on and every shape the CI smoke test submits, with the output mode
+/// each runs in. Parsing must produce a
 /// plan that analyzes, optimizes, and validates for streaming in that
 /// mode — the full path the SQL service takes before an engine ever
 /// starts.

@@ -60,7 +60,7 @@
 //! | [`ss_cluster`] | discrete-event cluster simulator (§6.2, Figure 6b) |
 //! | [`ss_baselines`] | Flink-like / Kafka-Streams-like comparison systems (§9.1) |
 //! | [`ss_sql`] | SQL front end |
-//! | [`ss_multi`] | multi-query engine: shared scans, fingerprint-keyed state sharing, pooled scheduling, SQL service |
+//! | [`ss_multi`] | multi-query engine: shared scans, fingerprint-keyed state sharing, one-scatter ticks under per-tenant admission budgets, SQL service |
 
 pub use ss_baselines;
 pub use ss_bus;

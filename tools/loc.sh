@@ -1,5 +1,5 @@
 #!/bin/sh
-# Non-test Rust line totals per crate (ROADMAP item 6: the number that
+# Non-test Rust line totals per crate (ROADMAP item 1: the number that
 # should go down), then the five largest files (the roadmap's "no file
 # over ~1k lines", made visible). Counts every `src/**/*.rs` line up to
 # the file's trailing `#[cfg(test)]` module; `tests/`, `benches/` and
