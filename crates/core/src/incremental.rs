@@ -870,17 +870,12 @@ fn aggregate_step(
     mode: OutputMode,
     watermark_us: i64,
 ) -> Result<RecordBatch> {
-    let mut changed = Vec::new();
-    table.drain_changed(|key, accs| {
-        if mode == OutputMode::Update {
-            changed.push(agg.output_row(key, accs));
-        }
-    });
+    let changed = agg.drain_changed(table, mode == OutputMode::Update)?;
     match mode {
         OutputMode::Complete => agg.finish(table),
         OutputMode::Update => {
             table.evict_closed(watermark_us);
-            RecordBatch::from_rows(agg.output_schema().clone(), &changed)
+            Ok(changed)
         }
         OutputMode::Append => {
             let out = agg.finalized(table, watermark_us)?;

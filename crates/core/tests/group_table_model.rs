@@ -6,7 +6,9 @@
 //! untyped API, restores into a fresh store and a 1 → 4 → 1
 //! repartition — against a plain `BTreeMap`. After every step the
 //! emitted rows, `total_keys`, `memory_bytes` and every checkpoint the
-//! step made restorable equal the model's.
+//! step made restorable equal the model's. The key column next to the
+//! window is an input: a string, or a BIGINT with NULLs and negative
+//! values (the table's integer key form).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -29,9 +31,9 @@ use ss_state::{CheckpointBackend, MemoryBackend, MemoryBudget, StateEntry, State
 const WINDOW_US: i64 = 10_000_000;
 const OP: &str = "agg-0";
 
-fn schema() -> SchemaRef {
+fn schema(key: DataType) -> SchemaRef {
     Schema::of(vec![
-        Field::new("key", DataType::Utf8),
+        Field::new("key", key),
         Field::new("time", DataType::Timestamp),
         Field::new("v", DataType::Int64),
         Field::new("tag", DataType::Utf8),
@@ -76,6 +78,19 @@ impl CheckpointBackend for FlakyBackend {
 /// One input row: key index, event time (s), value, tag length.
 type Event = (u8, u8, i8, u8);
 
+/// The key column's value for key index `k`.
+fn key_value(key: DataType, k: u8) -> Value {
+    match (key, k) {
+        (DataType::Utf8, k) => Value::str(format!("k{k}")),
+        (_, 0) => Value::Null,
+        (_, k) => Value::Int64(k as i64 - 3),
+    }
+}
+
+fn key_type() -> impl Strategy<Value = DataType> {
+    prop_oneof![Just(DataType::Utf8), Just(DataType::Int64)]
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Epoch(Vec<Event>),
@@ -108,11 +123,11 @@ fn op() -> impl Strategy<Value = Op> {
 /// (`count(*)`, `sum(v)`, `min(tag)`).
 type Model = BTreeMap<Row, Vec<Row>>;
 
-fn model_ingest(model: &mut Model, events: &[Event]) -> Vec<Row> {
+fn model_ingest(model: &mut Model, key_ty: DataType, events: &[Event]) -> Vec<Row> {
     let mut changed = Vec::new();
     for &(k, t, v, tag_len) in events {
         let start = secs(t as i64) - secs(t as i64).rem_euclid(WINDOW_US);
-        let key = Row::new(vec![Value::Timestamp(start), Value::str(format!("k{k}"))]);
+        let key = Row::new(vec![Value::Timestamp(start), key_value(key_ty, k)]);
         let tag = Value::str("t".repeat(tag_len as usize));
         let fresh = || vec![Row::new(vec![Value::Int64(0)]), Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
         let state = model.entry(key.clone()).or_insert_with(fresh);
@@ -162,6 +177,7 @@ fn model_bytes(model: &Model) -> usize {
 }
 
 struct Harness {
+    key: DataType,
     node: IncNode,
     backend: Arc<FlakyBackend>,
     store: StateStore,
@@ -171,8 +187,8 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(mode: OutputMode) -> Harness {
-        let plan = LogicalPlanBuilder::scan("events", schema(), true)
+    fn new(mode: OutputMode, key: DataType) -> Harness {
+        let plan = LogicalPlanBuilder::scan("events", schema(key), true)
             .aggregate(
                 vec![window(col("time"), "10 seconds").unwrap(), col("key")],
                 vec![count_star(), sum(col("v")), min(col("tag"))],
@@ -180,6 +196,7 @@ impl Harness {
             .build();
         let backend = Arc::new(FlakyBackend::default());
         Harness {
+            key,
             node: incrementalize(&plan, &mut 0).unwrap(),
             store: StateStore::new(backend.clone()).with_snapshot_interval(3),
             backend,
@@ -194,7 +211,7 @@ impl Harness {
             .iter()
             .map(|&(k, t, v, tag_len)| {
                 Row::new(vec![
-                    Value::str(format!("k{k}")),
+                    key_value(self.key, k),
                     Value::Timestamp(secs(t as i64)),
                     Value::Int64(v as i64),
                     Value::str("t".repeat(tag_len as usize)),
@@ -202,7 +219,8 @@ impl Harness {
             })
             .collect();
         let mut inputs = HashMap::new();
-        inputs.insert("events".to_string(), RecordBatch::from_rows(schema(), &rows).unwrap());
+        let batch = RecordBatch::from_rows(schema(self.key), &rows).unwrap();
+        inputs.insert("events".to_string(), batch);
         let (statics, faults, exchange) =
             (MemoryCatalog::default(), FaultRegistry::new(), Exchange::identity());
         let mut ops = OpStatsCollector::new();
@@ -247,12 +265,12 @@ impl Harness {
 
 /// Run `ops` against engine and model; a failure reports the sequence
 /// so it can be pinned as a fixture below.
-fn run(mode: OutputMode, ops: Vec<Op>) -> std::result::Result<(), String> {
-    check(mode, &ops).map_err(|e| format!("{e}\nops: {ops:?}"))
+fn run(mode: OutputMode, key: DataType, ops: Vec<Op>) -> std::result::Result<(), String> {
+    check(mode, key, &ops).map_err(|e| format!("{e}\nkey: {key:?}, ops: {ops:?}"))
 }
 
-fn check(mode: OutputMode, ops: &[Op]) -> std::result::Result<(), String> {
-    let mut h = Harness::new(mode);
+fn check(mode: OutputMode, key: DataType, ops: &[Op]) -> std::result::Result<(), String> {
+    let mut h = Harness::new(mode, key);
     let mut model = Model::new();
     // Epoch → the model when that epoch's blob landed.
     let mut durable: BTreeMap<u64, Model> = BTreeMap::new();
@@ -261,7 +279,7 @@ fn check(mode: OutputMode, ops: &[Op]) -> std::result::Result<(), String> {
         let what = format!("step {step} {op:?}");
         match op {
             Op::Epoch(events) => {
-                let changed = model_ingest(&mut model, &events);
+                let changed = model_ingest(&mut model, key, &events);
                 let expect = model_step(&mut model, &changed, mode, h.watermark_us);
                 prop_assert_eq!(h.epoch(&events), expect, "{}", what);
             }
@@ -322,18 +340,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn update_mode_matches_the_model(ops in prop::collection::vec(op(), 1..60)) {
-        run(OutputMode::Update, ops)?;
+    fn update_mode_matches_the_model(key in key_type(), ops in prop::collection::vec(op(), 1..60)) {
+        run(OutputMode::Update, key, ops)?;
     }
 
     #[test]
-    fn append_mode_matches_the_model(ops in prop::collection::vec(op(), 1..60)) {
-        run(OutputMode::Append, ops)?;
+    fn append_mode_matches_the_model(key in key_type(), ops in prop::collection::vec(op(), 1..60)) {
+        run(OutputMode::Append, key, ops)?;
     }
 
     #[test]
-    fn complete_mode_matches_the_model(ops in prop::collection::vec(op(), 1..40)) {
-        run(OutputMode::Complete, ops)?;
+    fn complete_mode_matches_the_model(key in key_type(), ops in prop::collection::vec(op(), 1..40)) {
+        run(OutputMode::Complete, key, ops)?;
     }
 }
 
@@ -342,7 +360,7 @@ proptest! {
 /// the plan holds has none of its own.
 #[test]
 fn a_group_lives_once_and_in_the_store() {
-    let mut h = Harness::new(OutputMode::Update);
+    let mut h = Harness::new(OutputMode::Update, DataType::Utf8);
     let out = h.epoch(&[(0, 1, 1, 1), (1, 1, 1, 1), (0, 12, 1, 1)]);
     assert_eq!(out.len(), 3);
     assert_eq!(h.store.total_keys(), 3);

@@ -13,7 +13,7 @@
 //!   untyped namespace is adopted on the first borrow). An epoch
 //!   [`HashAggregator::ingest`]s its new data (or
 //!   [`HashAggregator::merge_partials`] at N partitions), then
-//!   [`GroupTable::drain_changed`] closes it: Update mode emits the
+//!   [`HashAggregator::drain_changed`] closes it: Update mode emits the
 //!   groups it visits, Complete mode [`HashAggregator::finish`], Append
 //!   mode [`HashAggregator::finalized`] once the event-time watermark
 //!   passes a window's end (§4.3.1); [`GroupTable::evict_closed`] then
@@ -25,19 +25,33 @@
 //!   this epoch and those not yet in a successful checkpoint, keeps the
 //!   keys removed since, and buckets its groups by window.
 //!
+//! Keys: the table buckets groups by window start, and within a bucket
+//! a key takes one of two forms, chosen from the input schema when the
+//! table is made. When the one key column besides a window in slot 0
+//! (or the only key column) is BIGINT or TIMESTAMP, the key is that
+//! integer ([`Key::Int`], NULL as `None`) — `(window, user)` and
+//! `(window, campaign)` are — so a row costs one integer hash. Every
+//! other shape keeps the key's values as a [`Row`]. `Value`s are only
+//! rebuilt where they leave the table: partials, checkpoints and
+//! demotion. Every output mode pushes its groups, in key order, straight
+//! into the output schema's column builders.
+//!
 //! Event-time windows: one `window()` grouping key is supported; each
 //! row expands into `size/slide` windows (one for tumbling windows), the
 //! same assignment Spark's window expression produces. Rows whose
 //! timestamp is NULL are dropped from windowed aggregation, as in Spark.
 
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use ss_common::codec::{put_row, put_value, put_values, put_varint};
+use ss_common::codec::{put_value, put_values, put_varint};
+use ss_common::time::windows_for;
 use ss_common::{
-    Column, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
+    Column, ColumnBuilder, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError,
+    Value,
 };
 use ss_expr::agg::Accumulator;
 use ss_expr::eval::evaluate;
@@ -53,6 +67,112 @@ struct WindowSpec {
     time: Expr,
     size_us: i64,
     slide_us: i64,
+}
+
+/// A group's key within its window's bucket (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Key {
+    /// The integer key column's value; the bucket holds the window.
+    Int(Option<i64>),
+    /// One value per group expression, the window slot holding the
+    /// window start.
+    Row(Row),
+}
+
+/// A group as the tracking lists name it: window start and key.
+type Listed = (i64, Key);
+
+/// A group as a scan of the table yields it.
+type Grouped<'a> = (i64, &'a Key, &'a Group);
+
+/// What orders groups as their key values do. An [`Key::Int`] key's
+/// values are `[Timestamp(start), v]` (or `[v]`), and `None` sorts
+/// first like NULL, so `(start, v)` order is `Value` order; a
+/// [`Key::Row`] holds its start among its values.
+fn emit_order(start: i64, key: &Key) -> (i64, &Key) {
+    match key {
+        Key::Int(_) => (start, key),
+        Key::Row(_) => (0, key),
+    }
+}
+
+/// How a table's keys are held, fixed when it is made: the window key's
+/// `(slot, size µs)`, and the integer column's type when keys take the
+/// [`Key::Int`] form.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyShape {
+    window: Option<(usize, i64)>,
+    int: Option<DataType>,
+}
+
+impl KeyShape {
+    /// Run `f` over the key's values, as the untyped entry format holds
+    /// them.
+    fn with_values<R>(&self, start: i64, key: &Key, f: impl FnOnce(&[Value]) -> R) -> R {
+        match key {
+            Key::Row(row) => f(row.values()),
+            Key::Int(v) => {
+                let v = match (v, self.int) {
+                    (None, _) => Value::Null,
+                    (Some(v), Some(DataType::Timestamp)) => Value::Timestamp(*v),
+                    (Some(v), _) => Value::Int64(*v),
+                };
+                match self.window {
+                    Some(_) => f(&[Value::Timestamp(start), v]),
+                    None => f(&[v]),
+                }
+            }
+        }
+    }
+
+    fn row_of(&self, start: i64, key: Key) -> Row {
+        match key {
+            Key::Row(row) => row,
+            key => self.with_values(start, &key, |values| Row::new(values.to_vec())),
+        }
+    }
+
+    /// A key from its values (a checkpoint, a partial). In the integer
+    /// form anything but `[Timestamp, NULL or the column's type]` (or
+    /// the value alone) is `Corruption`.
+    fn key_of(&self, row: Row) -> Result<Listed> {
+        let Some(ty) = self.int else {
+            let start = match self.window.map(|(slot, _)| row.values().get(slot)) {
+                Some(Some(Value::Timestamp(start))) => *start,
+                _ => 0,
+            };
+            return Ok((start, Key::Row(row)));
+        };
+        let int = |v: &Value| match (v, ty) {
+            (Value::Null, _) => Some(None),
+            (Value::Int64(v), DataType::Int64) | (Value::Timestamp(v), DataType::Timestamp) => {
+                Some(Some(*v))
+            }
+            _ => None,
+        };
+        let fits = match (self.window, row.values()) {
+            (Some(_), [Value::Timestamp(start), v]) => int(v).map(|v| (*start, v)),
+            (None, [v]) => int(v).map(|v| (0, v)),
+            _ => None,
+        };
+        let bad = || SsError::Corruption(format!("group key {row} does not fit a {ty} key"));
+        fits.map(|(start, v)| (start, Key::Int(v))).ok_or_else(bad)
+    }
+
+    /// Bytes of a group's untyped entry — what `OpState` would count for
+    /// it — saturating at what [`Group::bytes`] holds.
+    fn entry_bytes(&self, start: i64, key: &Key, accs: &[Accumulator]) -> u32 {
+        let key = self.with_values(start, key, Row::approx_bytes_of);
+        let values = accs.iter().map(Accumulator::state_bytes).sum();
+        u32::try_from(OpState::entry_bytes_of(key, values)).unwrap_or(u32::MAX)
+    }
+
+    fn put_group(&self, out: &mut Vec<u8>, start: i64, key: &Key, group: &Group) {
+        self.with_values(start, key, |values| put_values(out, values));
+        put_value(out, &Value::Null); // no timeout
+        put_varint(out, group.accs.len() as u64);
+        group.accs.iter().for_each(|a| a.put_state(out));
+    }
 }
 
 /// One group: its accumulators, and where it stands in its table's
@@ -73,53 +193,22 @@ struct Group {
     bytes: u32,
 }
 
-/// A list of keys of one arity, end to end in one buffer: listing a
-/// group allocates nothing.
-#[derive(Debug, Default)]
-struct KeyList {
-    values: Vec<Value>,
-    arity: usize,
-}
-
-impl KeyList {
-    fn push(&mut self, key: &[Value]) {
-        match key {
-            [] => self.values.push(Value::Null), // the one key of arity 0 still counts
-            _ => self.values.extend_from_slice(key),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.values.len() / self.arity.max(1)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        self.values.chunks(self.arity.max(1)).map(|key| &key[..self.arity])
-    }
-
-    fn retain(&mut self, keep: impl Fn(&[Value]) -> bool) {
-        let mut kept = KeyList { values: Vec::new(), arity: self.arity };
-        self.iter().filter(|key| keep(key)).for_each(|key| kept.push(key));
-        *self = kept;
-    }
-}
-
 /// Everything of a [`GroupTable`] but the groups, so the kernel can
 /// hold one window's bucket and this side by side.
 #[derive(Debug, Default)]
 struct Tracking {
     len: usize,
     bytes: usize,
-    /// Bumped by `drain_changed`; `changed` lists the groups stamped
+    /// Bumped by `drain`; `changed` lists the groups stamped
     /// with it, once each.
     epoch_gen: u32,
-    changed: KeyList,
+    changed: Vec<Listed>,
     /// Bumped by `clear_tracking` (a *successful* checkpoint);
     /// `unsaved` lists the live groups stamped with it, once each, and
     /// `removed` the checkpointed keys evicted since.
     save_gen: u32,
-    unsaved: KeyList,
-    removed: FxHashSet<Row>,
+    unsaved: Vec<Listed>,
+    removed: FxHashSet<Listed>,
     /// For the state metrics: groups drained, groups evicted.
     puts: u64,
     evictions: u64,
@@ -127,55 +216,43 @@ struct Tracking {
 
 /// The groups of one aggregation, with the change tracking that lets
 /// the state store checkpoint them without a copy or a scan (see the
-/// module docs). Keys hold one value per group expression, the window
-/// slot holding the window *start*.
+/// module docs).
 #[derive(Debug, Default)]
 pub struct GroupTable {
-    /// `(key slot, size µs)` of the window key.
-    window: Option<(usize, i64)>,
+    shape: KeyShape,
     /// Groups bucketed by window start (one bucket, 0, without a
     /// window): the watermark closes whole buckets.
-    buckets: BTreeMap<i64, FxHashMap<Row, Group>>,
+    buckets: BTreeMap<i64, FxHashMap<Key, Group>>,
     t: Tracking,
 }
 
 impl GroupTable {
-    /// The bucket `key` belongs in.
-    fn start_of(&self, key: &[Value]) -> i64 {
-        match self.window.map(|(slot, _)| &key[slot]) {
-            Some(Value::Timestamp(start)) => *start,
-            _ => 0,
-        }
-    }
-
-    fn groups(&self) -> impl Iterator<Item = (&Row, &Group)> {
-        self.buckets.values().flatten()
+    fn groups_in(&self, starts: impl RangeBounds<i64>) -> impl Iterator<Item = Grouped<'_>> {
+        let buckets = self.buckets.range(starts);
+        buckets.flat_map(|(&start, groups)| groups.iter().map(move |(key, g)| (start, key, g)))
     }
 
     /// Close the epoch's ingest: visit, in key order, every group that
-    /// changed since the last call (Update mode emits them), count its
-    /// bytes and move it to the unsaved list.
-    pub fn drain_changed(&mut self, mut visit: impl FnMut(&[Value], &[Accumulator])) {
+    /// changed since the last call, count its bytes and move it to the
+    /// unsaved list.
+    fn drain(&mut self, mut visit: impl FnMut(i64, &Key, &[Accumulator])) {
         let mut changed = std::mem::take(&mut self.t.changed);
-        let mut keys: Vec<&[Value]> = changed.iter().collect();
-        keys.sort_unstable();
-        self.t.puts += keys.len() as u64;
-        for key in keys {
-            let start = self.start_of(key);
-            let group = self.buckets.get_mut(&start).and_then(|b| b.get_mut(key));
+        changed.sort_unstable_by(|(a, x), (b, y)| emit_order(*a, x).cmp(&emit_order(*b, y)));
+        self.t.puts += changed.len() as u64;
+        // `drain` keeps the list's buffer: the next epoch's pushes fault
+        // no fresh pages in.
+        for (start, key) in changed.drain(..) {
+            let group = self.buckets.get_mut(&start).and_then(|b| b.get_mut(&key));
             let group = group.expect("a changed key is a live group");
-            visit(key, &group.accs);
-            let bytes = entry_bytes(key, &group.accs);
+            visit(start, &key, &group.accs);
+            let bytes = self.shape.entry_bytes(start, &key, &group.accs);
             self.t.bytes = self.t.bytes + bytes as usize - group.bytes as usize;
             group.bytes = bytes;
             if group.unsaved != self.t.save_gen {
                 group.unsaved = self.t.save_gen;
-                self.t.unsaved.push(key);
+                self.t.unsaved.push((start, key));
             }
         }
-        // The list keeps its buffer: the next epoch's pushes fault no
-        // fresh pages in.
-        changed.values.clear();
         self.t.changed = changed;
         self.t.epoch_gen = self.t.epoch_gen.wrapping_add(1);
         if self.t.epoch_gen == 0 {
@@ -188,11 +265,13 @@ impl GroupTable {
     /// Drop every group whose window closed at `watermark_us`
     /// (`start + size <= watermark_us`), whole buckets at a time.
     pub fn evict_closed(&mut self, watermark_us: i64) {
-        let Some((slot, size)) = self.window else { return };
+        let Some((_, size)) = self.shape.window else { return };
+        let open = |start: i64| start.saturating_add(size) > watermark_us;
         let t = &mut self.t;
         let mut listed = false;
         while let Some(bucket) = self.buckets.first_entry() {
-            if bucket.key().saturating_add(size) > watermark_us {
+            let start = *bucket.key();
+            if open(start) {
                 break;
             }
             for (key, group) in bucket.remove() {
@@ -201,36 +280,17 @@ impl GroupTable {
                 t.evictions += 1;
                 listed |= group.unsaved == t.save_gen || group.changed == t.epoch_gen;
                 if group.born != t.save_gen {
-                    t.removed.insert(key);
+                    t.removed.insert((start, key));
                 }
             }
         }
         if listed {
             // Only when a checkpoint was skipped or failed since the
             // groups changed: the lists hold live groups only.
-            let open = |key: &[Value]| match key[slot] {
-                Value::Timestamp(start) => start.saturating_add(size) > watermark_us,
-                _ => true,
-            };
-            t.unsaved.retain(open);
-            t.changed.retain(open);
+            t.unsaved.retain(|(start, _)| open(*start));
+            t.changed.retain(|(start, _)| open(*start));
         }
     }
-}
-
-/// Bytes of a group's untyped entry — what `OpState` would count for
-/// it — saturating at what [`Group::bytes`] holds.
-fn entry_bytes(key: &[Value], accs: &[Accumulator]) -> u32 {
-    let values = accs.iter().map(Accumulator::state_bytes).sum();
-    let bytes = OpState::entry_bytes_of(Row::approx_bytes_of(key), values);
-    u32::try_from(bytes).unwrap_or(u32::MAX)
-}
-
-fn put_group(out: &mut Vec<u8>, key: &[Value], group: &Group) {
-    put_values(out, key);
-    put_value(out, &Value::Null); // no timeout
-    put_varint(out, group.accs.len() as u64);
-    group.accs.iter().for_each(|a| a.put_state(out));
 }
 
 impl TypedTable for GroupTable {
@@ -243,30 +303,33 @@ impl TypedTable for GroupTable {
     }
 
     fn is_clean(&self) -> bool {
-        self.t.changed.len() + self.t.unsaved.len() + self.t.removed.len() == 0
+        self.t.changed.is_empty() && self.t.unsaved.is_empty() && self.t.removed.is_empty()
     }
 
     fn encode(&self, full: bool, out: &mut Vec<u8>) {
+        let shape = &self.shape;
         if full {
             put_varint(out, self.t.len as u64);
-            self.groups().for_each(|(k, g)| put_group(out, k.values(), g));
+            self.groups_in(..).for_each(|(start, key, g)| shape.put_group(out, start, key, g));
             put_varint(out, 0);
         } else {
             put_varint(out, self.t.unsaved.len() as u64);
-            for key in self.t.unsaved.iter() {
-                put_group(out, key, &self.buckets[&self.start_of(key)][key]);
+            for (start, key) in &self.t.unsaved {
+                shape.put_group(out, *start, key, &self.buckets[start][key]);
             }
             put_varint(out, self.t.removed.len() as u64);
-            self.t.removed.iter().for_each(|k| put_row(out, k));
+            for (start, key) in &self.t.removed {
+                shape.with_values(*start, key, |values| put_values(out, values));
+            }
         }
     }
 
     fn clear_tracking(&mut self) {
-        self.t.unsaved.values.clear();
+        self.t.unsaved.clear();
         self.t.removed.clear();
         self.t.save_gen = self.t.save_gen.wrapping_add(1);
         if self.t.save_gen == 0 {
-            // Wrapped (as in `drain_changed`): every group is saved.
+            // Wrapped (as in `drain`): every group is saved.
             let stale = |(_, g): (_, &mut Group)| (g.unsaved, g.born) = (u32::MAX, u32::MAX);
             self.buckets.values_mut().flatten().for_each(stale);
         }
@@ -277,14 +340,19 @@ impl TypedTable for GroupTable {
     }
 
     fn demote(self: Box<Self>) -> Untyped {
-        let t = self.t;
-        let entry = |(key, g): (Row, Group)| {
-            let unsaved = g.unsaved == t.save_gen || g.changed == t.epoch_gen;
-            (key, StateEntry::new(g.accs.iter().map(Accumulator::state).collect()), unsaved)
+        let GroupTable { shape, buckets, t } = *self;
+        let (save_gen, epoch_gen) = (t.save_gen, t.epoch_gen);
+        let entry = move |start: i64, key: Key, g: Group| {
+            let unsaved = g.unsaved == save_gen || g.changed == epoch_gen;
+            let entry = StateEntry::new(g.accs.iter().map(Accumulator::state).collect());
+            (shape.row_of(start, key), entry, unsaved)
+        };
+        let bucket = |(start, groups): (i64, FxHashMap<Key, Group>)| {
+            groups.into_iter().map(move |(key, g)| entry(start, key, g))
         };
         Untyped {
-            entries: self.buckets.into_values().flatten().map(entry).collect(),
-            removed: t.removed.into_iter().collect(),
+            entries: buckets.into_iter().flat_map(bucket).collect(),
+            removed: t.removed.into_iter().map(|(start, key)| shape.row_of(start, key)).collect(),
         }
     }
 }
@@ -294,6 +362,7 @@ pub struct HashAggregator {
     input_schema: SchemaRef,
     group_exprs: Vec<Expr>,
     window: Option<WindowSpec>,
+    shape: KeyShape,
     aggregates: Vec<AggregateExpr>,
     output_schema: SchemaRef,
     /// The private table of batch use; empty (and unused) when the
@@ -309,46 +378,39 @@ impl HashAggregator {
     ) -> Result<HashAggregator> {
         let mut window = None;
         for (i, g) in group_exprs.iter().enumerate() {
-            if let Expr::Window {
-                time,
-                size_us,
-                slide_us,
-            } = strip_alias(g)
-            {
+            if let Expr::Window { time, size_us, slide_us } = strip_alias(g) {
                 if window.is_some() {
                     return Err(SsError::Plan(
                         "at most one window() grouping key is supported".into(),
                     ));
                 }
-                window = Some(WindowSpec {
-                    slot: i,
-                    time: (**time).clone(),
-                    size_us: *size_us,
-                    slide_us: *slide_us,
-                });
+                let (time, size_us, slide_us) = ((**time).clone(), *size_us, *slide_us);
+                window = Some(WindowSpec { slot: i, time, size_us, slide_us });
             }
         }
         let output_schema = Self::compute_output_schema(&input_schema, &group_exprs, &aggregates)?;
-        let mut agg = HashAggregator {
+        // The integer form: one key column, after a window in slot 0 if
+        // there is one — the last key column of the output.
+        let one_column = group_exprs.len() == 1 + usize::from(window.is_some())
+            && window.as_ref().is_none_or(|w| w.slot == 0);
+        let last_key = || output_schema.field(output_schema.len() - aggregates.len() - 1).data_type;
+        let int = one_column.then(last_key);
+        let int = int.filter(|ty| matches!(ty, DataType::Int64 | DataType::Timestamp));
+        let shape = KeyShape { window: window.as_ref().map(|w| (w.slot, w.size_us)), int };
+        Ok(HashAggregator {
             input_schema,
             group_exprs,
             window,
+            shape,
             aggregates,
             output_schema,
-            table: GroupTable::default(),
-        };
-        agg.table = agg.new_table();
-        Ok(agg)
+            table: GroupTable { shape, ..GroupTable::default() },
+        })
     }
 
     /// An empty table for this aggregation's keys.
     fn new_table(&self) -> GroupTable {
-        let list = || KeyList { values: Vec::new(), arity: self.group_exprs.len() };
-        GroupTable {
-            window: self.window.as_ref().map(|w| (w.slot, w.size_us)),
-            buckets: BTreeMap::new(),
-            t: Tracking { changed: list(), unsaved: list(), ..Tracking::default() },
-        }
+        GroupTable { shape: self.shape, ..GroupTable::default() }
     }
 
     fn compute_output_schema(
@@ -436,6 +498,8 @@ impl HashAggregator {
             Some(w) => Some((w.slot, w.size_us, w.slide_us, key_cols[w.slot].as_i64()?)),
             None => None,
         };
+        // In the integer form the key is read straight off its column.
+        let ints = self.shape.int.map(|_| key_cols[key_cols.len() - 1].as_i64()).transpose()?;
         let mut key_buf: Vec<Value> = Vec::with_capacity(self.group_exprs.len());
         // Sliding windows need the expansion list; tumbling windows (the
         // common case) take the inline single-window path.
@@ -443,7 +507,7 @@ impl HashAggregator {
         // The bucket of the window last written to: consecutive rows
         // mostly share it, and then a row costs one hash probe.
         let GroupTable { buckets, t, .. } = table;
-        let mut bucket: Option<(i64, &mut FxHashMap<Row, Group>)> = None;
+        let mut bucket: Option<(i64, &mut FxHashMap<Key, Group>)> = None;
         for row in 0..batch.num_rows() {
             starts_buf.clear();
             match &window_info {
@@ -454,29 +518,31 @@ impl HashAggregator {
                         starts_buf.push(ss_common::time::window_start(ts, *size, 0));
                     }
                     Some(&ts) => {
-                        starts_buf.extend(
-                            ss_common::time::windows_for(ts, *size, *slide)
-                                .into_iter()
-                                .map(|(s, _)| s),
-                        );
+                        let windows = windows_for(ts, *size, *slide);
+                        starts_buf.extend(windows.into_iter().map(|(s, _)| s))
                     }
                 },
                 None => starts_buf.push(0),
             }
             for &start in &starts_buf {
-                key_buf.clear();
-                for (i, kc) in key_cols.iter().enumerate() {
-                    match &window_info {
-                        Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
-                        _ => key_buf.push(kc.value(row)),
+                let key = match ints {
+                    Some(ints) => Key::Int(ints.get(row).copied()),
+                    None => {
+                        key_buf.clear();
+                        for (i, kc) in key_cols.iter().enumerate() {
+                            key_buf.push(match &window_info {
+                                Some((slot, ..)) if *slot == i => Value::Timestamp(start),
+                                _ => kc.value(row),
+                            });
+                        }
+                        Key::Row(Row::new(std::mem::take(&mut key_buf)))
                     }
-                }
+                };
                 if bucket.as_ref().is_none_or(|(s, _)| *s != start) {
                     bucket = Some((start, buckets.entry(start).or_default()));
                 }
                 let groups = &mut *bucket.as_mut().expect("set above").1;
-                let key = Row::new(std::mem::take(&mut key_buf));
-                key_buf = upsert(groups, t, &self.aggregates, key, |accs| {
+                let spare = upsert(groups, t, &self.aggregates, start, key, |accs| {
                     for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
                         match arg {
                             Some(col) => acc.update_value(&col.value(row))?,
@@ -485,23 +551,85 @@ impl HashAggregator {
                     }
                     Ok(())
                 })?;
+                if ints.is_none() {
+                    // The key's own buffer when it was only needed for
+                    // the lookup, else a fresh one — sized exactly, as
+                    // it may become a group's key and a grown `Vec`
+                    // would double its footprint.
+                    key_buf = match spare {
+                        Some(Key::Row(row)) => row.0,
+                        _ => Vec::with_capacity(self.group_exprs.len()),
+                    };
+                }
             }
         }
         Ok(())
     }
 
-    fn batch_of<'a>(&self, groups: impl Iterator<Item = (&'a Row, &'a Group)>) -> Result<RecordBatch> {
-        let mut groups: Vec<(&Row, &Group)> = groups.collect();
-        groups.sort_unstable_by_key(|(key, _)| *key);
-        let rows: Vec<Row> =
-            groups.iter().map(|(k, g)| self.output_row(k.values(), &g.accs)).collect();
-        RecordBatch::from_rows(self.output_schema.clone(), &rows)
+    /// Column builders for the output schema, `rows` reserved.
+    fn builders(&self, rows: usize) -> Vec<ColumnBuilder> {
+        let builder = |f: &Field| ColumnBuilder::with_capacity(f.data_type, rows);
+        self.output_schema.fields().iter().map(builder).collect()
+    }
+
+    /// Append one group's output row: its key values (a window as its
+    /// start and end), then each aggregate's result.
+    fn emit(&self, out: &mut [ColumnBuilder], start: i64, key: &Key, accs: &[Accumulator])
+        -> Result<()> {
+        let mut cols = out.iter_mut();
+        let mut push = |v: Value| cols.next().expect("a builder per output column").push_owned(v);
+        self.shape.with_values(start, key, |values| -> Result<()> {
+            for (i, v) in values.iter().enumerate() {
+                match self.shape.window {
+                    Some((slot, size)) if slot == i => {
+                        push(Value::Timestamp(start))?;
+                        push(Value::Timestamp(start + size))?;
+                    }
+                    _ => push(v.clone())?,
+                }
+            }
+            Ok(())
+        })?;
+        accs.iter().try_for_each(|a| push(a.evaluate()))
+    }
+
+    fn batch(&self, out: Vec<ColumnBuilder>) -> Result<RecordBatch> {
+        let columns = out.into_iter().map(ColumnBuilder::finish).collect();
+        RecordBatch::try_new(self.output_schema.clone(), columns)
+    }
+
+    fn batch_of<'a>(&self, groups: impl Iterator<Item = Grouped<'a>>) -> Result<RecordBatch> {
+        let mut groups: Vec<Grouped> = groups.collect();
+        groups.sort_unstable_by(|(a, x, _), (b, y, _)| emit_order(*a, x).cmp(&emit_order(*b, y)));
+        let mut out = self.builders(groups.len());
+        for (start, key, group) in groups {
+            self.emit(&mut out, start, key, &group.accs)?;
+        }
+        self.batch(out)
+    }
+
+    /// Close the epoch's ingest (see the module docs): every group that
+    /// changed since the last call is counted and listed for the next
+    /// checkpoint. Returns them, sorted by key, when `emit` (Update
+    /// mode); else an empty batch.
+    pub fn drain_changed(&self, table: &mut GroupTable, emit: bool) -> Result<RecordBatch> {
+        let mut out = self.builders(if emit { table.t.changed.len() } else { 0 });
+        // The drain runs to the end whatever happens: it is what keeps
+        // the tracking lists whole.
+        let mut emitted = Ok(());
+        table.drain(|start, key, accs| {
+            if emit && emitted.is_ok() {
+                emitted = self.emit(&mut out, start, key, accs);
+            }
+        });
+        emitted?;
+        self.batch(out)
     }
 
     /// The whole result table, sorted by key for determinism (Complete
     /// mode).
     pub fn finish(&self, table: &GroupTable) -> Result<RecordBatch> {
-        self.batch_of(table.groups())
+        self.batch_of(table.groups_in(..))
     }
 
     /// [`HashAggregator::finish`] of the private table (batch
@@ -519,30 +647,7 @@ impl HashAggregator {
         let w = self.window.as_ref().ok_or_else(|| {
             SsError::Plan("append finalization requires a window() grouping key".into())
         })?;
-        let closed = table.buckets.range(..=watermark_us.saturating_sub(w.size_us));
-        self.batch_of(closed.flat_map(|(_, bucket)| bucket))
-    }
-
-    /// The output row of one group.
-    pub fn output_row(&self, key: &[Value], accs: &[Accumulator]) -> Row {
-        let mut out = Vec::with_capacity(self.output_schema.len());
-        for (i, v) in key.iter().enumerate() {
-            match &self.window {
-                Some(w) if w.slot == i => {
-                    let start = match v {
-                        Value::Timestamp(s) => *s,
-                        _ => unreachable!("window slot always holds a timestamp"),
-                    };
-                    out.push(Value::Timestamp(start));
-                    out.push(Value::Timestamp(start + w.size_us));
-                }
-                _ => out.push(v.clone()),
-            }
-        }
-        for a in accs {
-            out.push(a.evaluate());
-        }
-        Row::new(out)
+        self.batch_of(table.groups_in(..=watermark_us.saturating_sub(w.size_us)))
     }
 
     // ---- state-store integration (§6.1) ----
@@ -558,7 +663,8 @@ impl HashAggregator {
             for (key, entry, unsaved) in untyped.entries {
                 self.restore_entry(&mut table, key, &entry.values, unsaved)?;
             }
-            table.t.removed = untyped.removed.into_iter().collect();
+            let removed = untyped.removed.into_iter().map(|key| self.shape.key_of(key));
+            table.t.removed = removed.collect::<Result<_>>()?;
             Ok(table)
         })
     }
@@ -583,11 +689,12 @@ impl HashAggregator {
         for (acc, st) in accs.iter_mut().zip(states) {
             acc.merge(st)?;
         }
-        let bytes = entry_bytes(key.values(), &accs);
+        let (start, key) = table.shape.key_of(key)?;
+        let bytes = table.shape.entry_bytes(start, &key, &accs);
         let t = &mut table.t;
         let behind = t.save_gen.wrapping_sub(1);
         if unsaved {
-            t.unsaved.push(key.values());
+            t.unsaved.push((start, key.clone()));
         }
         let group = Group {
             accs,
@@ -598,7 +705,6 @@ impl HashAggregator {
         };
         t.len += 1;
         t.bytes += bytes as usize;
-        let start = table.start_of(key.values());
         table.buckets.entry(start).or_default().insert(key, group);
         Ok(())
     }
@@ -619,6 +725,7 @@ impl HashAggregator {
             input_schema: self.input_schema.clone(),
             group_exprs: self.group_exprs.clone(),
             window: self.window.clone(),
+            shape: self.shape,
             aggregates: self.aggregates.clone(),
             output_schema: self.output_schema.clone(),
             table: self.new_table(),
@@ -638,8 +745,11 @@ impl HashAggregator {
     /// The private table as partials: one per key `update_batch`
     /// touched.
     pub fn into_partials(self) -> Vec<Partial> {
-        let groups = self.table.buckets.into_values().flatten();
-        groups.map(|(k, g)| (k, g.accs)).collect()
+        let shape = self.shape;
+        let bucket = |(start, groups): (i64, FxHashMap<Key, Group>)| {
+            groups.into_iter().map(move |(key, g)| (shape.row_of(start, key), g.accs))
+        };
+        self.table.buckets.into_iter().flat_map(bucket).collect()
     }
 
     /// Fold partials in: new keys become groups and every key is
@@ -654,8 +764,9 @@ impl HashAggregator {
                     self.aggregates.len()
                 )));
             }
-            let groups = table.buckets.entry(table.start_of(key.values())).or_default();
-            upsert(groups, &mut table.t, &self.aggregates, key, |accs| {
+            let (start, key) = table.shape.key_of(key)?;
+            let groups = table.buckets.entry(start).or_default();
+            upsert(groups, &mut table.t, &self.aggregates, start, key, |accs| {
                 for (acc, p) in accs.iter_mut().zip(partial) {
                     acc.combine(p)?;
                 }
@@ -673,27 +784,27 @@ pub type Partial = (Row, Vec<Accumulator>);
 /// non-NULL value counts.
 const COUNT_STAR_ARG: Value = Value::Int64(1);
 
-/// Feed one update into `key`'s group in its window's bucket, creating
-/// the group on first sight, and put it on the changed list the first
-/// time this epoch. Returns the buffer to build the next key in:
-/// `key`'s own when it was only needed for the lookup, else a fresh one
-/// — sized exactly, as it may become a group's key and a grown `Vec`
-/// would double its footprint.
+/// Feed one update into `key`'s group in the bucket of window `start`,
+/// creating the group on first sight, and put it on the changed list
+/// the first time this epoch. Returns `key` when the table kept no use
+/// for it.
 fn upsert(
-    groups: &mut FxHashMap<Row, Group>,
+    groups: &mut FxHashMap<Key, Group>,
     t: &mut Tracking,
     aggregates: &[AggregateExpr],
-    key: Row,
+    start: i64,
+    key: Key,
     update: impl FnOnce(&mut [Accumulator]) -> Result<()>,
-) -> Result<Vec<Value>> {
+) -> Result<Option<Key>> {
     match groups.get_mut(&key) {
         Some(group) => {
             update(&mut group.accs)?;
-            if group.changed != t.epoch_gen {
-                group.changed = t.epoch_gen;
-                t.changed.push(key.values());
+            if group.changed == t.epoch_gen {
+                return Ok(Some(key));
             }
-            Ok(key.0)
+            group.changed = t.epoch_gen;
+            t.changed.push((start, key));
+            Ok(None)
         }
         None => {
             let mut accs: Vec<Accumulator> =
@@ -702,7 +813,8 @@ fn upsert(
             // A key evicted since the last checkpoint and now back is
             // in that checkpoint (whatever `born` would say) and no
             // longer removed.
-            let saved = !t.removed.is_empty() && t.removed.remove(&key);
+            let listed = (start, key);
+            let saved = !t.removed.is_empty() && t.removed.remove(&listed);
             let behind = t.save_gen.wrapping_sub(1);
             let group = Group {
                 accs,
@@ -712,10 +824,9 @@ fn upsert(
                 bytes: 0,
             };
             t.len += 1;
-            t.changed.push(key.values());
-            let next = Vec::with_capacity(key.len());
-            groups.insert(key, group);
-            Ok(next)
+            groups.insert(listed.1.clone(), group);
+            t.changed.push(listed);
+            Ok(None)
         }
     }
 }
@@ -743,8 +854,7 @@ mod tests {
     /// Close the epoch on the private table: the changed rows.
     fn drain(agg: &mut HashAggregator) -> Vec<Row> {
         let mut table = std::mem::take(&mut agg.table);
-        let mut rows = Vec::new();
-        table.drain_changed(|key, accs| rows.push(agg.output_row(key, accs)));
+        let rows = agg.drain_changed(&mut table, true).unwrap().to_rows();
         agg.table = table;
         rows
     }
@@ -1213,5 +1323,100 @@ mod tests {
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
         let states = [row![1i64], row![2i64]];
         assert!(agg.restore_entry(&mut agg.new_table(), row!["a"], &states, false).is_err());
+    }
+
+    // ---- the integer key form ----
+
+    fn int_schema() -> SchemaRef {
+        Schema::of(vec![
+            Field::new("user", DataType::Int64),
+            Field::new("time", DataType::Timestamp),
+        ])
+    }
+
+    #[test]
+    fn int_keys_emit_in_value_order() {
+        let users = [i64::MIN, -7, -1, 0, 1, 42, i64::MAX];
+        let mut rng = XorShift64::new(7);
+        let rows: Vec<Row> = (0..500)
+            .map(|_| {
+                let user = match rng.gen_range(0, 8) as usize {
+                    7 => Value::Null,
+                    i => Value::Int64(users[i]),
+                };
+                let time = secs(rng.gen_range(0, 60) as i64 - 30);
+                Row::new(vec![user, Value::Timestamp(time)])
+            })
+            .collect();
+        let keys = [
+            vec![window(col("time"), "10 seconds").unwrap(), col("user")],
+            vec![col("user")],
+        ];
+        for keys in keys {
+            let windowed = keys.len() == 2;
+            let mut agg =
+                HashAggregator::new(int_schema(), keys, vec![count_star(), min(col("time"))])
+                    .unwrap();
+            assert_eq!(agg.shape.int, Some(DataType::Int64));
+            agg.update_batch(&RecordBatch::from_rows(int_schema(), &rows).unwrap()).unwrap();
+            // The oracle: output rows ordered by their key values.
+            let mut oracle: BTreeMap<Vec<Value>, (i64, Value)> = BTreeMap::new();
+            for row in &rows {
+                let time = row.get(1).as_i64().unwrap().unwrap();
+                let start = time - time.rem_euclid(secs(10));
+                let mut key = vec![];
+                if windowed {
+                    key = vec![Value::Timestamp(start), Value::Timestamp(start + secs(10))];
+                }
+                key.push(row.get(0).clone());
+                let (n, min) = oracle.entry(key).or_insert((0, row.get(1).clone()));
+                *n += 1;
+                *min = min.clone().min(row.get(1).clone());
+            }
+            let want: Vec<Row> = oracle
+                .into_iter()
+                .map(|(mut key, (n, min))| {
+                    key.extend([Value::Int64(n), min]);
+                    Row::new(key)
+                })
+                .collect();
+            assert_eq!(agg.finish_all().unwrap().to_rows(), want);
+            assert_eq!(drain(&mut agg), want);
+            if windowed {
+                let closed = agg.finalized(&agg.table, secs(0)).unwrap().to_rows();
+                let below_zero = |r: &&Row| r.get(1).as_i64().unwrap().unwrap() <= 0;
+                assert_eq!(closed, want.iter().filter(below_zero).cloned().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn restoring_a_key_that_does_not_fit_the_int_form_is_corruption() {
+        let agg = HashAggregator::new(
+            int_schema(),
+            vec![window(col("time"), "10 seconds").unwrap(), col("user")],
+            vec![count_star()],
+        )
+        .unwrap();
+        let states = [row![1i64]];
+        for fits in [row![Value::Timestamp(0), Value::Null], row![Value::Timestamp(0), -3i64]] {
+            assert!(agg.restore_entry(&mut agg.new_table(), fits, &states, false).is_ok());
+        }
+        let bad_keys = [
+            row![Value::Timestamp(0), "u1"],
+            row![Value::Timestamp(0), 1.5],
+            row![Value::Timestamp(0), Value::Timestamp(3)],
+            row![0i64, 3i64],
+            row![Value::Null, 3i64],
+            row![Value::Timestamp(0)],
+            row![Value::Timestamp(0), 3i64, 3i64],
+        ];
+        for bad in bad_keys {
+            let err = agg.restore_entry(&mut agg.new_table(), bad.clone(), &states, false);
+            assert!(matches!(err, Err(SsError::Corruption(_))), "{bad}: {err:?}");
+            let partial = vec![(bad.clone(), vec![Accumulator::Count { n: 1 }])];
+            let err = agg.merge_partials(&mut agg.new_table(), partial);
+            assert!(matches!(err, Err(SsError::Corruption(_))), "{bad}: {err:?}");
+        }
     }
 }

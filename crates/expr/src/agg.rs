@@ -16,7 +16,7 @@
 use std::fmt;
 
 use ss_common::codec::put_values;
-use ss_common::{Column, DataType, Result, Row, Schema, SsError, Value};
+use ss_common::{DataType, Result, Row, Schema, SsError, Value};
 
 use crate::expr::Expr;
 
@@ -160,115 +160,6 @@ pub enum Accumulator {
 }
 
 impl Accumulator {
-    /// Vectorized update from a column (or, for `count(*)`, a bare row
-    /// count with `col = None`).
-    pub fn update_column(&mut self, col: Option<&Column>, num_rows: usize) -> Result<()> {
-        match (self, col) {
-            (Accumulator::Count { n }, None) => {
-                *n += num_rows as i64;
-            }
-            (Accumulator::Count { n }, Some(c)) => {
-                *n += (0..c.len()).filter(|&i| c.is_valid(i)).count() as i64;
-            }
-            (acc, Some(c)) => {
-                // Typed fast paths for the numeric kernels.
-                match (acc, c) {
-                    (Accumulator::Sum { sum }, Column::Int64(tc)) => {
-                        let mut s = 0i64;
-                        let mut any = false;
-                        for i in 0..tc.len() {
-                            if let Some(v) = tc.get(i) {
-                                s = s.wrapping_add(*v);
-                                any = true;
-                            }
-                        }
-                        if any {
-                            *sum = match sum {
-                                Value::Null => Value::Int64(s),
-                                Value::Int64(old) => Value::Int64(old.wrapping_add(s)),
-                                other => {
-                                    return Err(SsError::Internal(format!(
-                                        "sum state {other} for Int64 column"
-                                    )))
-                                }
-                            };
-                        }
-                    }
-                    (Accumulator::Sum { sum }, Column::Float64(tc)) => {
-                        let mut s = 0f64;
-                        let mut any = false;
-                        for i in 0..tc.len() {
-                            if let Some(v) = tc.get(i) {
-                                s += *v;
-                                any = true;
-                            }
-                        }
-                        if any {
-                            *sum = match sum {
-                                Value::Null => Value::Float64(s),
-                                Value::Float64(old) => Value::Float64(*old + s),
-                                other => {
-                                    return Err(SsError::Internal(format!(
-                                        "sum state {other} for Float64 column"
-                                    )))
-                                }
-                            };
-                        }
-                    }
-                    (Accumulator::Sum { .. }, other) => {
-                        return Err(SsError::Type(format!(
-                            "sum() requires numeric, got {}",
-                            other.data_type()
-                        )))
-                    }
-                    (Accumulator::Avg { sum, count }, c) => {
-                        let tc = match c {
-                            Column::Float64(_) => c.as_f64().map(|t| {
-                                t.iter().map(|v| v.copied()).collect::<Vec<Option<f64>>>()
-                            })?,
-                            Column::Int64(t) => {
-                                t.iter().map(|v| v.map(|&x| x as f64)).collect()
-                            }
-                            other => {
-                                return Err(SsError::Type(format!(
-                                    "avg() requires numeric, got {}",
-                                    other.data_type()
-                                )))
-                            }
-                        };
-                        for v in tc.into_iter().flatten() {
-                            *sum += v;
-                            *count += 1;
-                        }
-                    }
-                    (Accumulator::Min { min }, c) => {
-                        for i in 0..c.len() {
-                            let v = c.value(i);
-                            if !v.is_null() && (min.is_null() || v < *min) {
-                                *min = v;
-                            }
-                        }
-                    }
-                    (Accumulator::Max { max }, c) => {
-                        for i in 0..c.len() {
-                            let v = c.value(i);
-                            if !v.is_null() && (max.is_null() || v > *max) {
-                                *max = v;
-                            }
-                        }
-                    }
-                    (Accumulator::Count { .. }, _) => unreachable!("handled above"),
-                }
-            }
-            (acc, None) => {
-                return Err(SsError::Internal(format!(
-                    "{acc:?} requires an argument column"
-                )))
-            }
-        }
-        Ok(())
-    }
-
     /// Scalar update (continuous mode / stateful operators).
     pub fn update_value(&mut self, v: &Value) -> Result<()> {
         match self {
@@ -421,37 +312,32 @@ mod tests {
     use crate::dsl::{avg, col, count, count_star, max, min, sum};
     use ss_common::{row, Field, Schema};
 
-    fn int_column(vals: &[Option<i64>]) -> Column {
-        let values: Vec<Value> = vals.iter().map(|v| Value::from(*v)).collect();
-        Column::from_values(DataType::Int64, &values).unwrap()
+    fn ints(vals: &[Option<i64>]) -> Vec<Value> {
+        vals.iter().map(|v| Value::from(*v)).collect()
+    }
+
+    /// A fresh accumulator of `agg` fed `values` one at a time.
+    fn fed(agg: &AggregateExpr, values: &[Value]) -> Accumulator {
+        let mut acc = agg.create_accumulator();
+        values.iter().for_each(|v| acc.update_value(v).unwrap());
+        acc
     }
 
     #[test]
     fn count_star_counts_rows_count_col_skips_nulls() {
-        let c = int_column(&[Some(1), None, Some(3)]);
-        let mut star = count_star().create_accumulator();
-        star.update_column(None, 3).unwrap();
-        assert_eq!(star.evaluate(), Value::Int64(3));
-        let mut cnt = count(col("x")).create_accumulator();
-        cnt.update_column(Some(&c), 3).unwrap();
-        assert_eq!(cnt.evaluate(), Value::Int64(2));
+        let c = ints(&[Some(1), None, Some(3)]);
+        // `count(*)` is fed a non-NULL value per row.
+        assert_eq!(fed(&count_star(), &ints(&[Some(1); 3])).evaluate(), Value::Int64(3));
+        assert_eq!(fed(&count(col("x")), &c).evaluate(), Value::Int64(2));
     }
 
     #[test]
     fn sum_min_max_avg() {
-        let c = int_column(&[Some(5), None, Some(-2), Some(10)]);
-        let mut s = sum(col("x")).create_accumulator();
-        s.update_column(Some(&c), 4).unwrap();
-        assert_eq!(s.evaluate(), Value::Int64(13));
-        let mut mn = min(col("x")).create_accumulator();
-        mn.update_column(Some(&c), 4).unwrap();
-        assert_eq!(mn.evaluate(), Value::Int64(-2));
-        let mut mx = max(col("x")).create_accumulator();
-        mx.update_column(Some(&c), 4).unwrap();
-        assert_eq!(mx.evaluate(), Value::Int64(10));
-        let mut av = avg(col("x")).create_accumulator();
-        av.update_column(Some(&c), 4).unwrap();
-        assert_eq!(av.evaluate(), Value::Float64(13.0 / 3.0));
+        let c = ints(&[Some(5), None, Some(-2), Some(10)]);
+        assert_eq!(fed(&sum(col("x")), &c).evaluate(), Value::Int64(13));
+        assert_eq!(fed(&min(col("x")), &c).evaluate(), Value::Int64(-2));
+        assert_eq!(fed(&max(col("x")), &c).evaluate(), Value::Int64(10));
+        assert_eq!(fed(&avg(col("x")), &c).evaluate(), Value::Float64(13.0 / 3.0));
     }
 
     #[test]
@@ -467,17 +353,11 @@ mod tests {
         // Split input across two accumulators, merge, compare with a
         // single-pass accumulator — the property the incremental engine
         // relies on.
-        let all = int_column(&[Some(1), Some(2), None, Some(4), Some(5)]);
-        let left = int_column(&[Some(1), Some(2)]);
-        let right = int_column(&[None, Some(4), Some(5)]);
+        let all = ints(&[Some(1), Some(2), None, Some(4), Some(5)]);
         for agg in [sum(col("x")), min(col("x")), max(col("x")), avg(col("x")), count(col("x"))] {
-            let mut single = agg.create_accumulator();
-            single.update_column(Some(&all), 5).unwrap();
-            let mut a = agg.create_accumulator();
-            a.update_column(Some(&left), 2).unwrap();
-            let mut b = agg.create_accumulator();
-            b.update_column(Some(&right), 3).unwrap();
-            a.merge(&b.state()).unwrap();
+            let single = fed(&agg, &all);
+            let mut a = fed(&agg, &all[..2]);
+            a.merge(&fed(&agg, &all[2..]).state()).unwrap();
             assert_eq!(a.evaluate(), single.evaluate(), "{}", agg.output_name());
         }
     }
@@ -503,28 +383,12 @@ mod tests {
 
     #[test]
     fn state_round_trip() {
-        let c = int_column(&[Some(3), Some(9)]);
+        let c = ints(&[Some(3), Some(9)]);
         for agg in [sum(col("x")), avg(col("x")), count_star()] {
-            let mut acc = agg.create_accumulator();
-            acc.update_column(Some(&c), 2).unwrap();
+            let acc = fed(&agg, &c);
             let mut restored = agg.create_accumulator();
             restored.merge(&acc.state()).unwrap();
             assert_eq!(restored.evaluate(), acc.evaluate(), "{}", agg.output_name());
-        }
-    }
-
-    #[test]
-    fn scalar_and_vector_updates_agree() {
-        let vals = [Some(2i64), None, Some(7), Some(-1)];
-        let c = int_column(&vals);
-        for agg in [sum(col("x")), min(col("x")), max(col("x")), avg(col("x")), count(col("x"))] {
-            let mut vectored = agg.create_accumulator();
-            vectored.update_column(Some(&c), 4).unwrap();
-            let mut scalar = agg.create_accumulator();
-            for v in &vals {
-                scalar.update_value(&Value::from(*v)).unwrap();
-            }
-            assert_eq!(scalar.evaluate(), vectored.evaluate(), "{}", agg.output_name());
         }
     }
 
@@ -545,22 +409,10 @@ mod tests {
 
     #[test]
     fn min_max_work_on_strings_and_floats() {
-        let c = Column::from_values(
-            DataType::Utf8,
-            &[Value::str("pear"), Value::str("apple"), Value::Null],
-        )
-        .unwrap();
-        let mut mn = min(col("s")).create_accumulator();
-        mn.update_column(Some(&c), 3).unwrap();
-        assert_eq!(mn.evaluate(), Value::str("apple"));
-        let f = Column::from_values(
-            DataType::Float64,
-            &[Value::Float64(1.5), Value::Float64(-0.5)],
-        )
-        .unwrap();
-        let mut mx = max(col("f")).create_accumulator();
-        mx.update_column(Some(&f), 2).unwrap();
-        assert_eq!(mx.evaluate(), Value::Float64(1.5));
+        let strings = [Value::str("pear"), Value::str("apple"), Value::Null];
+        assert_eq!(fed(&min(col("s")), &strings).evaluate(), Value::str("apple"));
+        let floats = [Value::Float64(1.5), Value::Float64(-0.5)];
+        assert_eq!(fed(&max(col("f")), &floats).evaluate(), Value::Float64(1.5));
     }
 
     #[test]

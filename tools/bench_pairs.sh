@@ -44,7 +44,7 @@ function median(w, m, side,    a, c, i, j, t) {
     for (i = 2; i <= c; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
     return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2
 }
-FILENAME == spec { if (/"bound"/) { m = field("name"); metrics[++nm] = m; better[m] = field("better"); bound[m] = field("bound") }; next }
+FILENAME == spec { if (/"bound"/) { m = field("name"); metrics[++nm] = m; better[m] = field("better"); bound[m] = field("bound") + 0 }; next }
 FNR == 1 { run = FILENAME; sub(/.*\//, "", run); split(run, r, "."); summary[run] = 0 }
 $1 == "METRIC" && ($3 in bound) { if (!($2 in seen)) { seen[$2]; workloads[++nw] = $2 }; v[$2, $3, r[2], r[1]] = $4 }
 /^\{"correct"/ { summary[run] = field("correct") == "true" && field("failed") == "0" }
