@@ -12,7 +12,7 @@
 //! | static `Scan`/subtree | execute once via the batch engine, cache |
 //! | `Filter`/`Project` | stateless per-epoch (`ss-exec` kernels) |
 //! | `Watermark` | observe max event time; drop late rows (§4.3.1) |
-//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] kernel over a [`GroupTable`] that *is* the operator's state-store entry — the store owns the one copy and lends it for the epoch, a restored namespace is adopted on the first borrow; emission follows the query's output mode. A stateless input chain over a scan is fused into the ingest loop: it runs a vector at a time ([`ChainRun`]), each vector folded in before the next starts |
+//! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] kernel over a [`GroupTable`] that *is* the operator's state-store entry — the store owns the one copy and lends it for the epoch; the plan declares it before a restore, which refills it entry by entry; emission follows the query's output mode. A stateless input chain over a scan is fused into the ingest loop: it runs a vector at a time ([`ChainRun`]), each vector folded in before the next starts |
 //! | stream×static `Join` | hash join against the static side, computed — and its keys hashed — once per query run |
 //! | stream×stream `Join` | symmetric stateful join ([`StreamJoinExec`]) |
 //! | `MapGroupsWithState` | stateful UDF operator ([`crate::stateful`]) |
@@ -664,17 +664,17 @@ impl IncNode {
                         let rows = 0..chain.scan.num_rows();
                         let mut run = chain.run(rows, ctx.watermark_us, ctx.faults);
                         let vector_rows = if chunk_safe { VECTOR_ROWS } else { usize::MAX };
-                        let table = agg.table(ctx.store.operator_typed(op_id))?;
+                        let table = agg.table(ctx.store.operator(op_id));
                         run.for_each(vector_rows, |v| agg.ingest(table, &v))?;
                         chain.record(ctx, &run.stats);
                     }
                     None => {
                         let batch = input.execute_epoch(ctx)?;
-                        agg.ingest(agg.table(ctx.store.operator_typed(op_id))?, &batch)?;
+                        agg.ingest(agg.table(ctx.store.operator(op_id)), &batch)?;
                     }
                 }
-                let op = ctx.store.operator_typed(op_id);
-                let out = aggregate_step(agg, agg.table(op)?, ctx.output_mode, ctx.watermark_us);
+                let op = ctx.store.operator(op_id);
+                let out = aggregate_step(agg, agg.table(op), ctx.output_mode, ctx.watermark_us);
                 op.sync_table_metrics();
                 out
             }
@@ -721,34 +721,41 @@ impl IncNode {
         }
     }
 
-    /// Rebuild in-memory operator state from the (restored) state
-    /// store — §6.1 step 4 — laid out for `partitions` partitions.
-    pub fn restore_state(&mut self, store: &mut StateStore, partitions: usize) -> Result<()> {
+    /// Ready the operators for a restore (§6.1 step 4) at `partitions`
+    /// partitions: drop the static-join caches and declare each
+    /// aggregate's tables, which the restore then fills. Lists the
+    /// plan's sharded state families, `(namespace base, suffix)`, in
+    /// `families`.
+    pub fn declare_state(
+        &mut self,
+        store: &mut StateStore,
+        partitions: usize,
+        families: &mut Vec<(String, &'static str)>,
+    ) {
         match self {
             IncNode::Stateless { input, op, .. } => {
                 if let StatelessOp::StaticJoin { cache, .. } = op {
                     *cache = None;
                 }
-                input.restore_state(store, partitions)
+                input.declare_state(store, partitions, families)
             }
-            // An aggregate holds no state of its own. Adopting what the
-            // store restored here, not at the first borrow, keeps the
-            // cost in the restart rather than in an epoch's latency.
             IncNode::Aggregate { input, op_id, agg } => {
                 for r in 0..partitions {
-                    agg.table(store.operator_typed(&shard_ns(op_id, r, partitions, "")))?;
+                    agg.table(store.operator(&shard_ns(op_id, r, partitions, "")));
                 }
-                input.restore_state(store, partitions)
+                families.push((op_id.clone(), ""));
+                input.declare_state(store, partitions, families)
             }
             IncNode::MapGroups { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
-            | IncNode::Limit { input, .. } => input.restore_state(store, partitions),
-            IncNode::StreamJoin { left, right, .. } => {
-                left.restore_state(store, partitions)?;
-                right.restore_state(store, partitions)
+            | IncNode::Limit { input, .. } => input.declare_state(store, partitions, families),
+            IncNode::StreamJoin { left, right, exec } => {
+                families.extend([(exec.op_id.clone(), "-left"), (exec.op_id.clone(), "-right")]);
+                left.declare_state(store, partitions, families);
+                right.declare_state(store, partitions, families)
             }
-            IncNode::StreamScan { .. } => Ok(()),
+            IncNode::StreamScan { .. } => {}
         }
     }
 
@@ -933,7 +940,7 @@ fn exchange_aggregate(
     let (mode, watermark_us) = (ctx.output_mode, ctx.watermark_us);
     let kernel = agg.clone();
     let reduced = parallel::reduce(ctx, work, move |(mut op, partials)| {
-        let table = kernel.table(&mut op)?;
+        let table = kernel.table(&mut op);
         kernel.merge_partials(table, partials)?;
         let rows = aggregate_step(&kernel, table, mode, watermark_us)?.to_rows();
         op.sync_table_metrics();
@@ -1473,9 +1480,8 @@ mod tests {
         h.run(&[row!["CA", Value::Timestamp(0)]]);
         h.store.checkpoint(1).unwrap();
         h.run(&[row!["CA", Value::Timestamp(0)]]);
-        // Roll back to the checkpoint and rebuild the operator.
+        // Roll back to the checkpoint: the store refills the table.
         h.store.restore(1).unwrap();
-        h.node.restore_state(&mut h.store, 1).unwrap();
         let out = h.run(&[row!["CA", Value::Timestamp(0)]]);
         // 1 (restored) + 1 (new) = 2, not 3.
         assert_eq!(out.to_rows(), vec![row!["CA", 2i64]]);
@@ -1554,11 +1560,17 @@ mod tests {
                     *rows_out.entry(s.op.clone()).or_insert(0) += s.rows_out;
                 }
             }
-            let mut state: Vec<(Row, Vec<Row>)> = h
-                .store
-                .operator("agg-0")
-                .iter()
-                .map(|(k, e)| (k.clone(), e.values.clone()))
+            // The table as a full checkpoint writes it.
+            let IncNode::Aggregate { agg, .. } = &h.node else { panic!("root is the aggregate") };
+            let mut body = Vec::new();
+            ss_state::TypedTable::encode(agg.table(h.store.operator("agg-0")), true, &mut body);
+            let mut rd = ss_common::codec::Reader(&body);
+            let mut state: Vec<(Row, Vec<Row>)> = (0..rd.varint().unwrap())
+                .map(|_| {
+                    let key = rd.row().unwrap();
+                    assert_eq!(rd.value().unwrap(), Value::Null, "no timeout");
+                    (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
+                })
                 .collect();
             state.sort();
             (state, rows_out)

@@ -13,8 +13,7 @@ use ss_wal::{EpochOffsets, HaRole};
 use super::epoch::Epoch;
 use super::MicroBatchExecution;
 use crate::ha::HaConfig;
-use crate::parallel::{repartition_family, state_families};
-use crate::upgrade;
+use crate::parallel::relayout;
 use crate::watermark::WatermarkTracker;
 
 impl MicroBatchExecution {
@@ -87,7 +86,7 @@ impl MicroBatchExecution {
     ///
     /// The `owner` restores with the store's ownership actions (stale
     /// spill blobs purged, newer checkpoints pruned), migrates and
-    /// repartitions the state to this plan's layout, and treats a
+    /// re-lays the state out for this plan on the way in, and treats a
     /// committed epoch without an offset record as corruption. A
     /// read-only standby only loads — the checkpoint belongs to a live
     /// leader — and stops quietly at a missing record: the leader is
@@ -120,43 +119,26 @@ impl MicroBatchExecution {
     }
 
     /// Restore the newest restorable checkpoint at or below `at` into
-    /// the operator tree and stand the engine at its epoch.
+    /// the operator tree and stand the engine at its epoch. The plan
+    /// declares its tables first; the restore fills them.
     fn restore_state(&mut self, at: u64, owner: bool) -> Result<()> {
+        let target = self.exchange.partitions();
+        let mut families = Vec::new();
+        self.root.declare_state(&mut self.store, target, &mut families);
         let restored = if owner {
-            self.store.restore_best(Some(at))?
+            // Migrated and re-laid out for this run in the restore's pass.
+            let route = relayout(families, &self.migrations, target);
+            self.store.restore_best_routed(Some(at), route)?
         } else {
             self.store.load_best(Some(at))?
         };
         let Some(epoch) = restored else {
             return Ok(());
         };
-        let target = self.exchange.partitions();
-        if owner {
-            if !self.migrations.is_empty() {
-                // The checkpoint predates the current plan: rewrite each
-                // migratable operator's rows to the new layout *before*
-                // operators load them. Idempotent — rows already in the
-                // new arity are left alone. Migrations address operators
-                // by their serial (unsharded) namespace, so collapse any
-                // sharded layout first; the repartition below re-shards.
-                for (base, suffix) in state_families(&self.root) {
-                    repartition_family(&mut self.store, &base, suffix, 1)?;
-                }
-                upgrade::apply_migrations(&mut self.store, &self.migrations);
-                self.trace.instant(
-                    "state-migration",
-                    &[("operators", &self.migrations.len().to_string())],
-                );
-            }
-            // Re-shard restored stateful-operator families to this
-            // run's partition layout (layout-agnostic and idempotent:
-            // a checkpoint already in the target layout is untouched,
-            // whatever partition count the manifest declares).
-            for (base, suffix) in state_families(&self.root) {
-                repartition_family(&mut self.store, &base, suffix, target)?;
-            }
+        if owner && !self.migrations.is_empty() {
+            let operators = self.migrations.len().to_string();
+            self.trace.instant("state-migration", &[("operators", &operators)]);
         }
-        self.root.restore_state(&mut self.store, target)?;
         self.tracker.load(&self.store)?;
         // The positions come from the offsets the checkpoint's epoch
         // logged.
@@ -183,9 +165,6 @@ impl MicroBatchExecution {
         self.epoch = 0;
         self.positions.clear();
         self.restored = false;
-        // Clears operators (the store is empty).
-        self.root
-            .restore_state(&mut self.store, self.exchange.partitions())?;
         self.take_over()
     }
 
@@ -305,7 +284,7 @@ impl MicroBatchExecution {
     ///
     /// The standby must be configured with the same plan and partition
     /// layout as the leader: catch-up performs no state migrations and
-    /// no repartitioning (those belong to the owner).
+    /// no re-layout (those belong to the owner).
     pub fn standby_catch_up(&mut self) -> Result<u64> {
         match self.wal.recovery_point()?.last_committed {
             Some(last_committed) => self.catch_up(last_committed, false),

@@ -48,7 +48,6 @@
 //! [`chunk_safe`]) run at one partition whatever parallelism was
 //! requested.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,10 +60,11 @@ use ss_common::{
     shuffle_partition, FaultRegistry, MetricsRegistry, Result, RetryPolicy, Row, SsError, TraceLog,
 };
 use ss_sched::{failpoints, ScatterStats, WorkerPool};
-use ss_state::{StateEntry, StateStore};
+use ss_state::StateEntry;
 
 use crate::incremental::{chain_kind, Chain, ChainRun, EpochContext, IncNode, OpRun};
 use crate::microbatch::MicroBatchConfig;
+use crate::upgrade::StateMigration;
 
 /// The partition count an epoch's plan runs at, plus — above one — the
 /// worker pool its stages are scheduled on.
@@ -441,88 +441,45 @@ fn chunk_safe_chain(node: &IncNode) -> bool {
     chain_kind(node) == Some(true)
 }
 
-/// The stateful operator families of a plan: `(namespace base,
-/// namespace suffix)` per sharded state family. Used to repartition
-/// checkpointed state when the partition count changes across restarts.
-pub fn state_families(root: &IncNode) -> Vec<(String, &'static str)> {
-    let mut out = Vec::new();
-    collect_families(root, &mut out);
-    out
-}
-
-fn collect_families(node: &IncNode, out: &mut Vec<(String, &'static str)>) {
-    match node {
-        IncNode::Aggregate { input, op_id, .. } => {
-            out.push((op_id.clone(), ""));
-            collect_families(input, out);
-        }
-        IncNode::StreamJoin { left, right, exec } => {
-            out.push((exec.op_id.clone(), "-left"));
-            out.push((exec.op_id.clone(), "-right"));
-            collect_families(left, out);
-            collect_families(right, out);
-        }
-        IncNode::StreamScan { .. } => {}
-        IncNode::Stateless { input, .. }
-        | IncNode::MapGroups { input, .. }
-        | IncNode::Distinct { input, .. }
-        | IncNode::Sort { input, .. }
-        | IncNode::Limit { input, .. } => collect_families(input, out),
-    }
-}
-
-/// Re-shard one state family to `to` partitions, whatever layout the
-/// restored checkpoint is in.
-///
-/// Layout-agnostic on the source side: entries are gathered from the
-/// unsharded namespace (`{base}{suffix}`) *and* every sharded one
-/// (`{base}/p{r}{suffix}`) present in the store, then rehashed into
-/// the target layout. This makes the operation idempotent and safe
-/// against a crash between a checkpoint write (new layout on disk) and
-/// its manifest write (still declaring the old partition count): if
-/// the store already matches the target layout exactly, nothing moves.
-///
-/// Moves go through `OpState::remove`/`put`, so the store's dirty and
-/// removed tracking stays correct and the next delta checkpoint
-/// captures the migration.
-pub fn repartition_family(
-    store: &mut StateStore,
-    base: &str,
-    suffix: &str,
+/// The owner's route for the restore
+/// ([`restore_best_routed`](ss_state::StateStore::restore_best_routed)):
+/// an entry of one of the plan's state `families` (`(namespace base,
+/// suffix)`, as [`IncNode::declare_state`] lists them), in whatever
+/// layout it was checkpointed (`{base}{suffix}` or any
+/// `{base}/p{r}{suffix}`), is rewritten by the family's migration if it
+/// has the old arity, then goes to its shard under `to` partitions,
+/// [`shuffle_partition`]`(key, to)`. A checkpoint in that layout and
+/// version moves nothing; other namespaces stay.
+pub fn relayout<'a>(
+    families: Vec<(String, &'static str)>,
+    migrations: &'a [StateMigration],
     to: usize,
-) -> Result<()> {
+) -> impl FnMut(&str, &Row, &mut StateEntry) -> Option<String> + 'a {
     let to = to.max(1);
-    let flat = shard_ns(base, 0, 1, suffix);
-    let shard_prefix = format!("{base}/p");
-    let sources: BTreeSet<String> = store
-        .operator_ids()
+    let families: Vec<_> = families
         .into_iter()
-        .filter(|id| {
-            if *id == flat {
-                return true;
-            }
-            id.strip_prefix(&shard_prefix)
-                .and_then(|rest| rest.strip_suffix(suffix))
-                .is_some_and(|num| !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit()))
+        .map(|(base, suffix)| {
+            let flat = shard_ns(&base, 0, 1, suffix);
+            let migration = migrations.iter().find(|m| m.op_id == flat);
+            let targets: Vec<String> = (0..to).map(|r| shard_ns(&base, r, to, suffix)).collect();
+            (base, suffix, migration, targets)
         })
         .collect();
-    let targets: BTreeSet<String> = (0..to).map(|r| shard_ns(base, r, to, suffix)).collect();
-    if sources == targets {
-        return Ok(()); // already in the requested layout
-    }
-    let mut moved: Vec<(Row, StateEntry)> = Vec::new();
-    for id in &sources {
-        let op = store.operator(id);
-        let keys: Vec<Row> = op.iter().map(|(k, _)| k.clone()).collect();
-        for k in keys {
-            if let Some(e) = op.remove(&k) {
-                moved.push((k, e));
-            }
+    let in_family = |ns: &str, (base, suffix): (&str, &str)| {
+        let shard = ns.strip_prefix(base).and_then(|rest| rest.strip_suffix(suffix));
+        let digits = |n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit());
+        shard.is_some_and(|s| s.is_empty() || s.strip_prefix("/p").is_some_and(digits))
+    };
+    // Entries arrive namespace by namespace: look each one's family up once.
+    let mut last: (String, Option<usize>) = (String::new(), None);
+    move |ns, key, entry| {
+        if last.0 != ns {
+            let family = families.iter().position(|(b, s, ..)| in_family(ns, (b, s)));
+            last = (ns.to_string(), family);
         }
+        let (_, _, migration, targets) = &families[last.1?];
+        let rewritten = migration.is_some_and(|m| m.apply(entry));
+        let target = &targets[if to == 1 { 0 } else { shuffle_partition(key, to) }];
+        (rewritten || target != ns).then(|| target.clone())
     }
-    for (key, entry) in moved {
-        let ns = shard_ns(base, shuffle_partition(&key, to), to, suffix);
-        store.operator(&ns).put(key, entry);
-    }
-    Ok(())
 }

@@ -7,13 +7,15 @@
 //!
 //! * **Compatible** — identical semantics (upstream filter/projection
 //!   edits don't show up in an operator's signature at all); the state
-//!   is adopted as-is.
+//!   is restored as-is.
 //! * **Migratable** — an aggregate gained a column or widened a type;
-//!   the restored state rows are rewritten ([`StateMigration`]) before
-//!   the operator sees them: surviving aggregates carry their partial
-//!   state over (matched by function + canonical argument, not by
-//!   position), widened sums convert `BIGINT` partials to `DOUBLE`, and
-//!   added aggregates start from their empty accumulator state.
+//!   each restored entry is rewritten ([`StateMigration::apply`]) on its
+//!   way into the operator's table, in the restore's one pass (the
+//!   route that also re-lays it out, `parallel::relayout`): surviving
+//!   aggregates carry their partial state over (matched by function +
+//!   canonical argument, not by position), widened sums convert
+//!   `BIGINT` partials to `DOUBLE`, and added aggregates start from
+//!   their empty accumulator state.
 //! * **Incompatible** — changed grouping keys, window geometry, join
 //!   type/keys, or `mapGroupsWithState` semantics. Old state is
 //!   meaningless (or silently wrong) under the new semantics, so the
@@ -26,7 +28,7 @@
 
 use ss_common::{Result, Row, SsError, Value};
 use ss_plan::{AggregateSig, OperatorSignature};
-use ss_state::{StateEntry, StateStore};
+use ss_state::StateEntry;
 
 /// How one restored state cell of a migrated aggregate is produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,9 +43,8 @@ pub enum MigrationAction {
 }
 
 /// The per-operator state rewrite computed by [`check_compatibility`].
-/// Applied once after restore, before the operator adopts the state;
-/// idempotent, so re-applying after a later restore of a pre-migration
-/// checkpoint is safe.
+/// Applied to each entry as it is restored, before the operator's table
+/// holds it; idempotent, so every restore of the run may apply it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateMigration {
     /// The operator whose keyspace is rewritten.
@@ -249,49 +250,29 @@ fn check_map_groups(old_op: &OperatorSignature, new_op: &OperatorSignature) -> R
     Ok(())
 }
 
-/// Widen a partial-state row: `BIGINT` cells become `DOUBLE`. Identity
-/// on already-widened rows, which makes re-application idempotent.
-fn widen_row(row: &Row) -> Row {
-    Row::new(
-        row.values()
-            .iter()
-            .map(|v| match v {
+impl StateMigration {
+    /// Rewrite one restored entry of the operator to the new layout.
+    /// An entry whose arity isn't `old_arity` was written by the new
+    /// layout already (a later checkpoint) and is left alone: `false`.
+    pub fn apply(&self, entry: &mut StateEntry) -> bool {
+        if entry.values.len() != self.old_arity {
+            return false;
+        }
+        // Widening is identity on `DOUBLE` cells, so it re-applies too.
+        let widen = |row: &Row| {
+            let cell = |v: &Value| match v {
                 Value::Int64(n) => Value::Float64(*n as f64),
                 other => other.clone(),
-            })
-            .collect(),
-    )
-}
-
-/// Rewrite the restored state rows of every migrated operator. Entries
-/// whose arity doesn't match the migration's `old_arity` are skipped —
-/// they were written by the new layout already (a later checkpoint).
-pub fn apply_migrations(store: &mut StateStore, migrations: &[StateMigration]) {
-    for m in migrations {
-        let op = store.operator(&m.op_id);
-        let entries: Vec<(Row, StateEntry)> = op
-            .iter()
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect();
-        for (key, entry) in entries {
-            if entry.values.len() != m.old_arity {
-                continue;
-            }
-            let values: Vec<Row> = m
-                .actions
-                .iter()
-                .map(|a| match a {
-                    MigrationAction::Copy(i) => entry.values[*i].clone(),
-                    MigrationAction::Widen(i) => widen_row(&entry.values[*i]),
-                    MigrationAction::Default(r) => r.clone(),
-                })
-                .collect();
-            let migrated = StateEntry {
-                values,
-                timeout_at: entry.timeout_at,
             };
-            op.put(key, migrated);
-        }
+            Row::new(row.values().iter().map(cell).collect())
+        };
+        let values = self.actions.iter().map(|a| match a {
+            MigrationAction::Copy(i) => entry.values[*i].clone(),
+            MigrationAction::Widen(i) => widen(&entry.values[*i]),
+            MigrationAction::Default(r) => r.clone(),
+        });
+        entry.values = values.collect();
+        true
     }
 }
 
@@ -413,16 +394,8 @@ mod tests {
 
     #[test]
     fn migration_rewrites_rows_and_is_idempotent() {
-        use ss_state::{MemoryBackend, StateStore};
-
-        let mut store = StateStore::new(Arc::new(MemoryBackend::new()));
         // Old layout: [count] per key.
-        store
-            .operator("agg-0")
-            .put(row!["CA"], StateEntry::new(vec![row![5i64]]));
-        store
-            .operator("agg-0")
-            .put(row!["US"], StateEntry::new(vec![row![2i64]]));
+        let mut entry = StateEntry::new(vec![row![5i64]]);
 
         // New layout: [count, sum] — sum seeded from its empty state.
         let m = StateMigration {
@@ -433,37 +406,29 @@ mod tests {
                 MigrationAction::Default(row![ss_common::Value::Null]),
             ],
         };
-        apply_migrations(&mut store, std::slice::from_ref(&m));
-        let entry = store.operator("agg-0").get(&row!["CA"]).unwrap().clone();
+        assert!(m.apply(&mut entry));
         assert_eq!(entry.values, vec![row![5i64], row![ss_common::Value::Null]]);
 
         // Re-applying (post-restore of a *new-layout* checkpoint) is a
         // no-op: arity no longer matches old_arity.
-        apply_migrations(&mut store, &[m]);
-        let again = store.operator("agg-0").get(&row!["CA"]).unwrap().clone();
-        assert_eq!(again, entry);
+        let migrated = entry.clone();
+        assert!(!m.apply(&mut entry));
+        assert_eq!(entry, migrated);
     }
 
     #[test]
     fn widen_converts_int_partials_to_double() {
-        use ss_state::{MemoryBackend, StateStore};
-
-        let mut store = StateStore::new(Arc::new(MemoryBackend::new()));
-        store
-            .operator("agg-0")
-            .put(row!["CA"], StateEntry::new(vec![row![10i64]]));
+        let mut entry = StateEntry::new(vec![row![10i64]]);
         let m = StateMigration {
             op_id: "agg-0".into(),
             old_arity: 1,
             actions: vec![MigrationAction::Widen(0)],
         };
-        apply_migrations(&mut store, std::slice::from_ref(&m));
-        let entry = store.operator("agg-0").get(&row!["CA"]).unwrap().clone();
+        m.apply(&mut entry);
         assert_eq!(entry.values, vec![row![10.0f64]]);
         // Pure-widen migrations keep the arity, so idempotency rides on
         // widen_row being identity for DOUBLE cells.
-        apply_migrations(&mut store, &[m]);
-        let again = store.operator("agg-0").get(&row!["CA"]).unwrap().clone();
-        assert_eq!(again.values, vec![row![10.0f64]]);
+        m.apply(&mut entry);
+        assert_eq!(entry.values, vec![row![10.0f64]]);
     }
 }

@@ -2,11 +2,12 @@
 //! sequences of epochs (Update / Append / Complete), watermark
 //! advances, delta and full checkpoints, checkpoint writes that fail
 //! before or after the blob lands, skipped checkpoints, late rows that
-//! re-create evicted keys, spill + reload, demotion through the
-//! untyped API, restores into a fresh store and a 1 → 4 → 1
-//! repartition — against a plain `BTreeMap`. After every step the
-//! emitted rows, `total_keys`, `memory_bytes` and every checkpoint the
-//! step made restorable equal the model's. The key column next to the
+//! re-create evicted keys, spill + reload, restores into a fresh store
+//! and a restart re-laid out to four partitions and back to one —
+//! against a plain `BTreeMap`. After every step the emitted rows, the
+//! table's entries as a full checkpoint writes them, `total_keys`,
+//! `memory_bytes` and every checkpoint the step made restorable equal
+//! the model's. The key column next to the
 //! window is an input: a string, or a BIGINT with NULLs and negative
 //! values (the table's integer key form).
 
@@ -16,17 +17,20 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use ss_common::codec::Reader;
 use ss_common::time::secs;
 use ss_common::{
     DataType, FaultRegistry, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
 };
 use ss_core::incremental::{incrementalize, EpochContext, IncNode, OpStatsCollector};
-use ss_core::parallel::{repartition_family, Exchange, ExchangeStats};
+use ss_core::parallel::{relayout, Exchange, ExchangeStats};
 use ss_core::watermark::WatermarkTracker;
 use ss_exec::MemoryCatalog;
 use ss_expr::{col, count_star, min, sum, window};
 use ss_plan::{LogicalPlanBuilder, OutputMode};
-use ss_state::{CheckpointBackend, MemoryBackend, MemoryBudget, StateEntry, StateStore};
+use ss_state::{
+    CheckpointBackend, MemoryBackend, MemoryBudget, StateEntry, StateStore, TypedTable,
+};
 
 const WINDOW_US: i64 = 10_000_000;
 const OP: &str = "agg-0";
@@ -98,7 +102,8 @@ enum Op {
     Checkpoint,
     FailedCheckpoint(u8),
     CheckpointAndSpill,
-    Demote,
+    /// Read the live table through a full encode.
+    Contents,
     RestoreFresh,
     Repartition,
 }
@@ -113,7 +118,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Checkpoint),
         (BEFORE..=AFTER).prop_map(Op::FailedCheckpoint),
         Just(Op::CheckpointAndSpill),
-        Just(Op::Demote),
+        Just(Op::Contents),
         Just(Op::RestoreFresh),
         Just(Op::Repartition),
     ]
@@ -243,23 +248,53 @@ impl Harness {
         out
     }
 
-    /// The namespace through the untyped API (a demotion).
-    fn contents(store: &mut StateStore) -> Model {
-        let entries = store.operator(OP).iter();
-        entries.map(|(k, e)| (k.clone(), e.values.clone())).collect()
+    /// The live table's entries, as a full checkpoint writes them.
+    fn contents(&mut self) -> Model {
+        let IncNode::Aggregate { agg, .. } = &self.node else { panic!("root is the aggregate") };
+        let mut body = Vec::new();
+        agg.table(self.store.operator(OP)).encode(true, &mut body);
+        let mut rd = Reader(&body);
+        let model = (0..rd.varint().unwrap())
+            .map(|_| {
+                let key = rd.row().unwrap();
+                assert_eq!(rd.value().unwrap(), Value::Null, "no timeout");
+                (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
+            })
+            .collect();
+        assert_eq!(rd.varint().unwrap(), 0, "a full encode removes nothing");
+        model
     }
 
-    /// What restoring `epoch` into a fresh store yields — `None` while
-    /// a namespace is spilled: a restore purges the backend's spill
-    /// blobs, which here are still the live store's. (Every epoch is
-    /// checked again when the run ends.)
+    /// What restoring `epoch` into a fresh store yields, all shards of
+    /// the namespace together — `None` while a namespace is spilled: a
+    /// restore purges the backend's spill blobs, which here are still
+    /// the live store's. (Every epoch is checked again when the run
+    /// ends.)
     fn restored(&self, epoch: u64) -> Option<Model> {
         if !self.store.spilled_ops().is_empty() {
             return None;
         }
         let mut fresh = StateStore::new(self.backend.clone());
         fresh.restore(epoch).unwrap();
-        Some(Harness::contents(&mut fresh))
+        let mut model = Model::new();
+        for id in fresh.operator_ids() {
+            assert!(id.starts_with(OP), "{id}");
+            let entries = fresh.operator(&id).iter();
+            model.extend(entries.map(|(k, e)| (k.clone(), e.values.clone())));
+        }
+        Some(model)
+    }
+
+    /// A restart over the newest checkpoint at `partitions` partitions:
+    /// a fresh store, the plan's tables declared, the checkpoint restored
+    /// through the engine's route.
+    fn restart(&mut self, epoch: u64, partitions: usize) -> StateStore {
+        let mut store = StateStore::new(self.backend.clone()).with_snapshot_interval(3);
+        let mut families = Vec::new();
+        self.node.declare_state(&mut store, partitions, &mut families);
+        let route = relayout(families, &[], partitions);
+        assert_eq!(store.restore_best_routed(Some(epoch), route).unwrap(), Some(epoch));
+        store
     }
 }
 
@@ -308,18 +343,25 @@ fn check(mode: OutputMode, key: DataType, ops: &[Op]) -> std::result::Result<(),
                 }
                 next_epoch += 1;
             }
-            Op::Demote => prop_assert_eq!(Harness::contents(&mut h.store), model.clone(), "{}", what),
+            Op::Contents => prop_assert_eq!(h.contents(), model.clone(), "{}", what),
             Op::RestoreFresh => {
                 let Some((&epoch, snapshot)) = durable.iter().next_back() else { continue };
                 model = snapshot.clone();
-                h.store = StateStore::new(h.backend.clone()).with_snapshot_interval(3);
-                h.store.restore(epoch).unwrap();
-                h.node.restore_state(&mut h.store, 1).unwrap();
+                h.store = h.restart(epoch, 1);
             }
             Op::Repartition => {
-                repartition_family(&mut h.store, OP, "", 4).unwrap();
-                prop_assert_eq!(h.store.total_keys(), model.len(), "{}", what);
-                repartition_family(&mut h.store, OP, "", 1).unwrap();
+                let Some((&epoch, snapshot)) = durable.iter().next_back() else { continue };
+                model = snapshot.clone();
+                let mut four = h.restart(epoch, 4);
+                prop_assert_eq!(four.total_keys(), model.len(), "{}", what);
+                prop_assert_eq!(four.memory_bytes(), model_bytes(&model), "{}", what);
+                let ids = four.operator_ids();
+                prop_assert!(ids.iter().all(|id| id.starts_with("agg-0/p")), "{}: {:?}", what, ids);
+                four.checkpoint(next_epoch).unwrap();
+                durable.insert(next_epoch, model.clone());
+                h.store = h.restart(next_epoch, 1);
+                prop_assert_eq!(h.store.operator_ids(), vec![OP.to_string()], "{}", what);
+                next_epoch += 1;
             }
         }
         // A spilled namespace counts nothing until it is touched.
@@ -366,8 +408,8 @@ fn a_group_lives_once_and_in_the_store() {
     assert_eq!(h.store.total_keys(), 3);
     let IncNode::Aggregate { agg, .. } = &h.node else { panic!("plan root is the aggregate") };
     assert_eq!(agg.num_groups(), 0);
-    // Through the untyped API the same three entries, still once.
-    assert_eq!(Harness::contents(&mut h.store).len(), 3);
+    // Through a full encode the same three entries, still once.
+    assert_eq!(h.contents().len(), 3);
     assert_eq!(h.store.total_keys(), 3);
 }
 

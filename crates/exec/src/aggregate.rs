@@ -8,9 +8,10 @@
 //!   [`HashAggregator::update_batch`], read [`HashAggregator::finish_all`]
 //!   or ship [`HashAggregator::into_partials`].
 //! * **Streaming** (`StatefulAggregate`, §5.2): the table *is* the
-//!   operator's entry in the state store, which owns the only copy and
-//!   lends it for the epoch ([`HashAggregator::table`]; a restored,
-//!   untyped namespace is adopted on the first borrow). An epoch
+//!   operator's entry in the state store, which owns the only copy:
+//!   declared by the plan before any restore, refilled by restore and
+//!   spill reload (it holds its aggregates), lent for the epoch
+//!   ([`HashAggregator::table`]). An epoch
 //!   [`HashAggregator::ingest`]s its new data (or
 //!   [`HashAggregator::merge_partials`] at N partitions), then
 //!   [`HashAggregator::drain_changed`] closes it: Update mode emits the
@@ -32,8 +33,8 @@
 //! integer ([`Key::Int`], NULL as `None`) — `(window, user)` and
 //! `(window, campaign)` are — so a row costs one integer hash. Every
 //! other shape keeps the key's values as a [`Row`]. `Value`s are only
-//! rebuilt where they leave the table: partials, checkpoints and
-//! demotion. Every output mode pushes its groups, in key order, straight
+//! rebuilt where they leave the table: partials and checkpoints. Every
+//! output mode pushes its groups, in key order, straight
 //! into the output schema's column builders.
 //!
 //! Event-time windows: one `window()` grouping key is supported; each
@@ -57,7 +58,7 @@ use ss_expr::agg::Accumulator;
 use ss_expr::eval::evaluate;
 use ss_expr::{AggregateExpr, Expr};
 use ss_plan::plan::strip_alias;
-use ss_state::{OpState, StateEntry, TypedTable, Untyped};
+use ss_state::{OpState, StateEntry, TypedTable};
 
 /// The window grouping key, if any.
 #[derive(Debug, Clone)]
@@ -220,6 +221,7 @@ struct Tracking {
 #[derive(Debug, Default)]
 pub struct GroupTable {
     shape: KeyShape,
+    aggregates: Arc<[AggregateExpr]>,
     /// Groups bucketed by window start (one bucket, 0, without a
     /// window): the watermark closes whole buckets.
     buckets: BTreeMap<i64, FxHashMap<Key, Group>>,
@@ -339,21 +341,37 @@ impl TypedTable for GroupTable {
         (std::mem::take(&mut self.t.puts), std::mem::take(&mut self.t.evictions))
     }
 
-    fn demote(self: Box<Self>) -> Untyped {
-        let GroupTable { shape, buckets, t } = *self;
-        let (save_gen, epoch_gen) = (t.save_gen, t.epoch_gen);
-        let entry = move |start: i64, key: Key, g: Group| {
-            let unsaved = g.unsaved == save_gen || g.changed == epoch_gen;
-            let entry = StateEntry::new(g.accs.iter().map(Accumulator::state).collect());
-            (shape.row_of(start, key), entry, unsaved)
-        };
-        let bucket = |(start, groups): (i64, FxHashMap<Key, Group>)| {
-            groups.into_iter().map(move |(key, g)| entry(start, key, g))
-        };
-        Untyped {
-            entries: buckets.into_iter().flat_map(bucket).collect(),
-            removed: t.removed.into_iter().map(|(start, key)| shape.row_of(start, key)).collect(),
+    fn restore_entry(&mut self, key: Row, entry: StateEntry) -> Result<()> {
+        if entry.values.len() != self.aggregates.len() {
+            return Err(SsError::Serde(format!(
+                "state entry has {} aggregates, expected {}",
+                entry.values.len(),
+                self.aggregates.len()
+            )));
         }
+        let mut accs: Vec<Accumulator> =
+            self.aggregates.iter().map(|a| a.create_accumulator()).collect();
+        for (acc, st) in accs.iter_mut().zip(&entry.values) {
+            acc.merge(st)?;
+        }
+        let (start, key) = self.shape.key_of(key)?;
+        let bytes = self.shape.entry_bytes(start, &key, &accs);
+        let t = &mut self.t;
+        let behind = t.save_gen.wrapping_sub(1);
+        let changed = t.epoch_gen.wrapping_sub(1);
+        let group = Group { accs, changed, unsaved: behind, born: behind, bytes };
+        t.len += 1;
+        t.bytes += bytes as usize;
+        if let Some(old) = self.buckets.entry(start).or_default().insert(key, group) {
+            t.len -= 1;
+            t.bytes -= old.bytes as usize;
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.t = Tracking::default();
     }
 }
 
@@ -363,7 +381,7 @@ pub struct HashAggregator {
     group_exprs: Vec<Expr>,
     window: Option<WindowSpec>,
     shape: KeyShape,
-    aggregates: Vec<AggregateExpr>,
+    aggregates: Arc<[AggregateExpr]>,
     output_schema: SchemaRef,
     /// The private table of batch use; empty (and unused) when the
     /// table is the state store's.
@@ -397,20 +415,21 @@ impl HashAggregator {
         let int = one_column.then(last_key);
         let int = int.filter(|ty| matches!(ty, DataType::Int64 | DataType::Timestamp));
         let shape = KeyShape { window: window.as_ref().map(|w| (w.slot, w.size_us)), int };
+        let aggregates: Arc<[AggregateExpr]> = aggregates.into();
         Ok(HashAggregator {
+            table: GroupTable { shape, aggregates: aggregates.clone(), ..GroupTable::default() },
             input_schema,
             group_exprs,
             window,
             shape,
             aggregates,
             output_schema,
-            table: GroupTable { shape, ..GroupTable::default() },
         })
     }
 
-    /// An empty table for this aggregation's keys.
+    /// An empty table for this aggregation.
     fn new_table(&self) -> GroupTable {
-        GroupTable { shape: self.shape, ..GroupTable::default() }
+        GroupTable { shape: self.shape, aggregates: self.aggregates.clone(), ..Default::default() }
     }
 
     fn compute_output_schema(
@@ -653,60 +672,9 @@ impl HashAggregator {
     // ---- state-store integration (§6.1) ----
 
     /// The aggregate's table in its state namespace `op`, which owns
-    /// it. Whatever untyped entries the namespace holds — a restored
-    /// checkpoint, a repartitioned or spill-reloaded shard — are
-    /// adopted first: moved into a fresh table, delta tracking
-    /// included.
-    pub fn table<'a>(&self, op: &'a mut OpState) -> Result<&'a mut GroupTable> {
-        op.table(|untyped| {
-            let mut table = self.new_table();
-            for (key, entry, unsaved) in untyped.entries {
-                self.restore_entry(&mut table, key, &entry.values, unsaved)?;
-            }
-            let removed = untyped.removed.into_iter().map(|key| self.shape.key_of(key));
-            table.t.removed = removed.collect::<Result<_>>()?;
-            Ok(table)
-        })
-    }
-
-    /// Adopt one checkpointed entry, as a group an earlier epoch left.
-    fn restore_entry(
-        &self,
-        table: &mut GroupTable,
-        key: Row,
-        states: &[Row],
-        unsaved: bool,
-    ) -> Result<()> {
-        if states.len() != self.aggregates.len() {
-            return Err(SsError::Serde(format!(
-                "state entry has {} aggregates, expected {}",
-                states.len(),
-                self.aggregates.len()
-            )));
-        }
-        let mut accs: Vec<Accumulator> =
-            self.aggregates.iter().map(|a| a.create_accumulator()).collect();
-        for (acc, st) in accs.iter_mut().zip(states) {
-            acc.merge(st)?;
-        }
-        let (start, key) = table.shape.key_of(key)?;
-        let bytes = table.shape.entry_bytes(start, &key, &accs);
-        let t = &mut table.t;
-        let behind = t.save_gen.wrapping_sub(1);
-        if unsaved {
-            t.unsaved.push((start, key.clone()));
-        }
-        let group = Group {
-            accs,
-            changed: t.epoch_gen.wrapping_sub(1),
-            unsaved: if unsaved { t.save_gen } else { behind },
-            born: behind,
-            bytes,
-        };
-        t.len += 1;
-        t.bytes += bytes as usize;
-        table.buckets.entry(start).or_default().insert(key, group);
-        Ok(())
+    /// it; the first call declares it there (see the module docs).
+    pub fn table<'a>(&self, op: &'a mut OpState) -> &'a mut GroupTable {
+        op.table(|| self.new_table())
     }
 
     // ---- partitioned execution (map-side combine, reduce-side merge) ----
@@ -1113,9 +1081,7 @@ mod tests {
         drain(&mut first);
         let mut restored = make();
         for (k, s) in saved(&first.table, true).0 {
-            let mut table = std::mem::take(&mut restored.table);
-            restored.restore_entry(&mut table, k, &s, false).unwrap();
-            restored.table = table;
+            restored.table.restore_entry(k, StateEntry::new(s)).unwrap();
         }
         assert_eq!(restored.table.approx_bytes(), first.table.approx_bytes());
         restored.update_batch(&batch(&rows2)).unwrap();
@@ -1321,8 +1287,9 @@ mod tests {
     fn restore_entry_validates_arity() {
         let agg =
             HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        let states = [row![1i64], row![2i64]];
-        assert!(agg.restore_entry(&mut agg.new_table(), row!["a"], &states, false).is_err());
+        let entry = StateEntry::new(vec![row![1i64], row![2i64]]);
+        let err = agg.new_table().restore_entry(row!["a"], entry);
+        assert!(matches!(err, Err(SsError::Serde(_))), "{err:?}");
     }
 
     // ---- the integer key form ----
@@ -1398,9 +1365,9 @@ mod tests {
             vec![count_star()],
         )
         .unwrap();
-        let states = [row![1i64]];
+        let entry = || StateEntry::new(vec![row![1i64]]);
         for fits in [row![Value::Timestamp(0), Value::Null], row![Value::Timestamp(0), -3i64]] {
-            assert!(agg.restore_entry(&mut agg.new_table(), fits, &states, false).is_ok());
+            assert!(agg.new_table().restore_entry(fits, entry()).is_ok());
         }
         let bad_keys = [
             row![Value::Timestamp(0), "u1"],
@@ -1412,7 +1379,7 @@ mod tests {
             row![Value::Timestamp(0), 3i64, 3i64],
         ];
         for bad in bad_keys {
-            let err = agg.restore_entry(&mut agg.new_table(), bad.clone(), &states, false);
+            let err = agg.new_table().restore_entry(bad.clone(), entry());
             assert!(matches!(err, Err(SsError::Corruption(_))), "{bad}: {err:?}");
             let partial = vec![(bad.clone(), vec![Accumulator::Count { n: 1 }])];
             let err = agg.merge_partials(&mut agg.new_table(), partial);

@@ -19,10 +19,10 @@
 //! * [`StateStore::truncate_after`] to discard checkpoints past a
 //!   rollback point;
 //! * [`StateStore::dump_json`] to read any retained checkpoint as JSON;
-//! * **typed residency** ([`TypedTable`]): an operator may keep its
+//! * **typed residency** ([`TypedTable`]): an operator may declare its
 //!   namespace in the store in its own representation — the aggregate's
-//!   group table — so the state exists once; the rules (lend, adopt,
-//!   demote, spill) are in [`store`]'s docs.
+//!   group table — so the state exists once, in one form for life; the
+//!   rules (declare, restore, spill) are in [`store`]'s docs.
 //!
 //! ## Checkpoint format
 //!
@@ -56,5 +56,5 @@ pub use backend::{CheckpointBackend, FsBackend, MemoryBackend};
 pub use metrics::StateMetrics;
 pub use replicate::{ReplicatedBackend, ReplicationMode, ScrubReport};
 pub use store::{
-    BudgetReport, MemoryBudget, OpState, StateEntry, StateStore, TypedTable, Untyped,
+    BudgetReport, MemoryBudget, OpState, StateEntry, StateStore, TypedTable,
 };

@@ -16,21 +16,18 @@
 //! maps; [`StateStore::dump_json`] renders any retained checkpoint as
 //! JSON for a person to read.
 //!
-//! **Typed residency.** An operator whose state has a better shape than
-//! `Row → StateEntry` keeps it in the store *in that shape*: a
-//! [`TypedTable`] the namespace's [`OpState`] owns in place of its map,
-//! so the state exists once. The operator **borrows** it for the epoch
-//! ([`StateStore::operator_typed`] + [`OpState::table`]); the store
-//! checkpoints, counts, budgets and spills it through the trait, in the
-//! same entry encoding, so nothing on disk — nor `restore`, which knows
-//! no operators and rebuilds every namespace untyped — can tell. The
-//! first borrow after a restore **adopts** the untyped entries (they
-//! move, tracking included); any untyped `&mut` access to a typed
-//! namespace ([`StateStore::operator`], [`OpState::put`]/`remove`)
-//! first **demotes** it back, losing nothing from the next delta — the
-//! slow path repartitioning, migrations and tests take. A **spill** is
-//! the table's full encoding plus a drop; the reload is untyped and
-//! the next borrow re-adopts.
+//! **Typed residency.** A namespace is one kind for life, so its state
+//! exists once: the `Row → StateEntry` map, or the [`TypedTable`] its
+//! operator declared ([`OpState::table`], before any restore).
+//! - **Declare.** Nothing converts one kind into the other: map access
+//!   to a table is an invariant violation and panics, naming it.
+//! - **Restore.** Each checkpointed entry goes into its namespace
+//!   through one call, [`TypedTable::restore_entry`] for a table, past
+//!   the owner's route ([`StateStore::restore_best_routed`]) in the same
+//!   pass; a namespace no entry reaches is not created. Checkpoints
+//!   encode a table in the map's entry format.
+//! - **Spill.** The table is written out and emptied, keeping its kind;
+//!   the reload refills it entry by entry.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -76,21 +73,10 @@ impl StateEntry {
     }
 }
 
-/// A namespace's contents in untyped form, as they move between an
-/// [`OpState`]'s map and a [`TypedTable`] (adoption and demotion).
-#[derive(Debug, Default)]
-pub struct Untyped {
-    /// `(key, entry, unsaved)`: `unsaved` entries changed since the
-    /// last successful checkpoint and belong in the next delta.
-    pub entries: Vec<(Row, StateEntry, bool)>,
-    /// Keys removed since the last successful checkpoint.
-    pub removed: Vec<Row>,
-}
-
 /// One namespace's state in its operator's own representation, owned by
 /// the store (see the module docs). What it reports must be what its
-/// [`TypedTable::demote`]d form would: `num_keys` its entries,
-/// `approx_bytes` the sum of their [`OpState::entry_bytes_of`].
+/// entries would as a map: `num_keys` their number, `approx_bytes` the
+/// sum of their [`OpState::entry_bytes_of`].
 pub trait TypedTable: Any + Send + fmt::Debug {
     fn num_keys(&self) -> usize;
     fn approx_bytes(&self) -> usize;
@@ -105,18 +91,25 @@ pub trait TypedTable: Any + Send + fmt::Debug {
     fn clear_tracking(&mut self);
     /// `(puts, evictions)` since the last call, for the state metrics.
     fn take_counts(&mut self) -> (u64, u64);
-    fn demote(self: Box<Self>) -> Untyped;
+    /// Add one entry as read from a checkpoint or spill blob: clean, in
+    /// no delta. An entry the table cannot hold is an error (and fails
+    /// the restore).
+    fn restore_entry(&mut self, key: Row, entry: StateEntry) -> Result<()>;
+    /// Drop every entry and all tracking (spill, restore).
+    fn clear(&mut self);
 }
 
 /// Keyed state for one operator, with dirty-key tracking for delta
 /// checkpoints and approximate byte accounting for the memory budget.
 #[derive(Debug, Default)]
 pub struct OpState {
+    /// The namespace's name, for the kind checks' panics.
+    name: String,
     map: FxHashMap<Row, StateEntry>,
     dirty: FxHashSet<Row>,
     removed: FxHashSet<Row>,
-    /// The namespace in its operator's typed form; while present,
-    /// `map`, `dirty` and `removed` are empty.
+    /// The namespace's table when it is declared as one; `map`, `dirty`
+    /// and `removed` then stay empty for life.
     table: Option<Box<dyn TypedTable>>,
     /// `(keys, bytes)` of `table` as last added to the metric gauges.
     synced: (usize, usize),
@@ -145,32 +138,18 @@ impl OpState {
         key_bytes + std::mem::size_of::<StateEntry>() + values_bytes
     }
 
-    /// Lend the operator this namespace as its typed table. The first
-    /// borrow (and the first after a restore, spill reload or demotion)
-    /// moves the untyped contents, tracking included, through `adopt`;
-    /// if `adopt` fails they are gone from memory and the epoch must
-    /// fail with it (recovery reloads the checkpoint).
-    pub fn table<T: TypedTable>(
-        &mut self,
-        adopt: impl FnOnce(Untyped) -> Result<T>,
-    ) -> Result<&mut T> {
-        if !self.table.as_deref().is_some_and(|t| (t as &dyn Any).is::<T>()) {
-            self.demote();
-            self.synced = (self.map.len(), self.bytes);
-            self.bytes = 0;
-            let dirty = std::mem::take(&mut self.dirty);
-            let tagged = |(key, entry): (Row, StateEntry)| {
-                let unsaved = dirty.contains(&key);
-                (key, entry, unsaved)
-            };
-            let untyped = Untyped {
-                entries: std::mem::take(&mut self.map).into_iter().map(tagged).collect(),
-                removed: std::mem::take(&mut self.removed).into_iter().collect(),
-            };
-            self.table = Some(Box::new(adopt(untyped)?));
+    /// The namespace's table, created with `make` when the namespace is
+    /// new — the operator's declaration (module docs). A namespace that
+    /// holds map entries, or a table of another type, is not one: that
+    /// is an invariant violation, and nothing is converted.
+    pub fn table<T: TypedTable>(&mut self, make: impl FnOnce() -> T) -> &mut T {
+        if self.table.is_none() {
+            let new = self.map.is_empty() && self.removed.is_empty();
+            assert!(new, "state namespace `{}` holds map entries, not a table", self.name);
+            self.table = Some(Box::new(make()));
         }
-        let table = self.table.as_deref_mut().expect("adopted above");
-        Ok((table as &mut dyn Any).downcast_mut().expect("type checked above"))
+        let table = self.table.as_deref_mut().expect("declared above");
+        (table as &mut dyn Any).downcast_mut().expect("one table type per namespace")
     }
 
     /// Feed the state metrics from the typed table at an epoch
@@ -190,30 +169,21 @@ impl OpState {
         self.synced = now;
     }
 
-    /// Back to the untyped form (module docs): entries into `map`,
-    /// unsaved and removed keys into the delta tracking.
-    fn demote(&mut self) {
-        let Some(table) = self.table.take() else { return };
-        let untyped = table.demote();
-        self.removed.extend(untyped.removed);
-        for (key, entry, unsaved) in untyped.entries {
-            if unsaved {
-                self.dirty.insert(key.clone());
-            }
-            self.bytes += Self::entry_bytes(&key, &entry);
-            self.map.insert(key, entry);
-        }
+    /// The map, which a table-kind namespace does not have (module docs).
+    fn map_kind(&self) -> &FxHashMap<Row, StateEntry> {
+        assert!(self.table.is_none(), "state namespace `{}` is a table, not a map", self.name);
+        &self.map
     }
 
     pub fn get(&self, key: &Row) -> Option<&StateEntry> {
         if let Some(m) = &self.metrics {
             m.gets.inc();
         }
-        self.map.get(key)
+        self.map_kind().get(key)
     }
 
     pub fn put(&mut self, key: Row, entry: StateEntry) {
-        self.demote();
+        self.map_kind();
         self.removed.remove(&key);
         if !self.dirty.contains(&key) {
             self.dirty.insert(key.clone());
@@ -238,7 +208,7 @@ impl OpState {
     }
 
     pub fn remove(&mut self, key: &Row) -> Option<StateEntry> {
-        self.demote();
+        self.map_kind();
         let old = self.map.remove(key);
         if let Some(old_entry) = &old {
             self.dirty.remove(key);
@@ -289,16 +259,14 @@ impl OpState {
         self.len() == 0
     }
 
-    /// The untyped entries. (`&self` cannot demote: a typed namespace
-    /// is read through [`StateStore::operator`], which does.)
+    /// The map's entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Row, &StateEntry)> {
-        self.map.iter()
+        self.map_kind().iter()
     }
 
     /// Keys with a timeout deadline at or before `now_us`.
     pub fn expired_keys(&self, now_us: i64) -> Vec<Row> {
         let mut keys: Vec<Row> = self
-            .map
             .iter()
             .filter(|(_, e)| e.timeout_at.is_some_and(|t| t <= now_us))
             .map(|(k, _)| k.clone())
@@ -307,17 +275,37 @@ impl OpState {
         keys
     }
 
-    /// Replace the whole map (snapshot restore).
-    fn load(&mut self, entries: FxHashMap<Row, StateEntry>) {
-        self.table = None;
+    /// Fill with restored entries. A map namespace that is still empty
+    /// takes them whole: no second map is built (and faulted in).
+    fn restore(&mut self, entries: FxHashMap<Row, StateEntry>) -> Result<()> {
+        if self.table.is_some() || !self.map.is_empty() {
+            return entries.into_iter().try_for_each(|(key, entry)| self.restore_entry(key, entry));
+        }
+        self.bytes = entries.iter().map(|(key, entry)| Self::entry_bytes(key, entry)).sum();
         self.map = entries;
-        self.bytes = self
-            .map
-            .iter()
-            .map(|(k, e)| Self::entry_bytes(k, e))
-            .sum();
+        Ok(())
+    }
+
+    /// Add one entry as read from a checkpoint or spill blob (clean).
+    fn restore_entry(&mut self, key: Row, entry: StateEntry) -> Result<()> {
+        if let Some(table) = &mut self.table {
+            return table.restore_entry(key, entry);
+        }
+        self.bytes += Self::entry_bytes(&key, &entry);
+        self.map.insert(key, entry);
+        Ok(())
+    }
+
+    /// Empty the namespace, keeping its kind (spill, restore).
+    fn clear(&mut self) {
+        if let Some(table) = &mut self.table {
+            table.clear();
+        }
+        self.map.clear();
         self.dirty.clear();
         self.removed.clear();
+        self.bytes = 0;
+        self.synced = (0, 0);
     }
 
     fn clear_tracking(&mut self) {
@@ -452,6 +440,12 @@ fn decode_body(body: &[u8]) -> Result<CheckpointFile> {
     Ok(CheckpointFile { epoch, kind: kind.into(), ops })
 }
 
+/// A checkpoint chain folded into one map per namespace.
+type Chain = BTreeMap<String, FxHashMap<Row, StateEntry>>;
+
+/// Where a restored entry goes ([`StateStore::restore_best_routed`]).
+type Route<'a> = &'a mut dyn FnMut(&str, &Row, &mut StateEntry) -> Option<String>;
+
 /// Soft and hard bounds on the store's approximate in-memory bytes.
 ///
 /// Past the soft limit, [`StateStore::enforce_budget`] spills cold,
@@ -568,17 +562,8 @@ impl StateStore {
     /// reloaded; a reload failure is stashed (this accessor is on the
     /// hot path and infallible) and must be surfaced via
     /// [`StateStore::check_health`] before the epoch's output is made
-    /// durable. A typed namespace is demoted to the untyped form first.
+    /// durable.
     pub fn operator(&mut self, id: &str) -> &mut OpState {
-        let op = self.operator_typed(id);
-        op.demote();
-        op
-    }
-
-    /// [`StateStore::operator`] for the operator that keeps this
-    /// namespace as a [`TypedTable`] ([`OpState::table`]): a resident
-    /// table stays as it is.
-    pub fn operator_typed(&mut self, id: &str) -> &mut OpState {
         self.access_clock += 1;
         let tick = self.access_clock;
         if self.spilled.contains_key(id) {
@@ -586,12 +571,16 @@ impl StateStore {
                 self.reload_errors.push(e);
             }
         }
-        let op = self.ops.entry(id.to_string()).or_default();
-        if op.metrics.is_none() {
-            op.metrics = self.metrics.clone();
-        }
+        let op = self.namespace(id);
         op.last_access = tick;
         op
+    }
+
+    /// The namespace `id`, created — a map, until declared — if new.
+    fn namespace(&mut self, id: &str) -> &mut OpState {
+        let metrics = &self.metrics;
+        let new = || OpState { name: id.into(), metrics: metrics.clone(), ..OpState::default() };
+        self.ops.entry(id.to_string()).or_insert_with(new)
     }
 
     /// Read-only operator access.
@@ -610,19 +599,8 @@ impl StateStore {
     /// doesn't contain the operator; a crash in between loses only
     /// in-memory state, which recovery rebuilds from the checkpoint.
     pub fn take_op(&mut self, id: &str) -> OpState {
-        self.access_clock += 1;
-        let tick = self.access_clock;
-        if self.spilled.contains_key(id) {
-            if let Err(e) = self.reload_spilled(id) {
-                self.reload_errors.push(e);
-            }
-        }
-        let mut op = self.ops.remove(id).unwrap_or_default();
-        if op.metrics.is_none() {
-            op.metrics = self.metrics.clone();
-        }
-        op.last_access = tick;
-        op
+        self.operator(id);
+        self.ops.remove(id).expect("created by `operator`")
     }
 
     /// Return an operator taken with [`StateStore::take_op`]. Dirty /
@@ -632,9 +610,6 @@ impl StateStore {
     pub fn put_op(&mut self, id: &str, mut op: OpState) {
         self.access_clock += 1;
         op.last_access = self.access_clock;
-        if op.metrics.is_none() {
-            op.metrics = self.metrics.clone();
-        }
         self.ops.insert(id.to_string(), op);
     }
 
@@ -729,9 +704,7 @@ impl StateStore {
         encode_body(&mut body, 0, true, std::iter::once((id, &*op)));
         self.backend
             .write_atomic(&Self::spill_key(id), &frame::encode(&body))?;
-        op.table = None;
-        op.map = FxHashMap::default();
-        op.bytes = 0;
+        op.clear();
         self.spilled.insert(id.to_string(), freed);
         if let Some(m) = &self.metrics {
             m.spills.inc();
@@ -751,10 +724,10 @@ impl StateStore {
         let spilled = Self::decode_checkpoint(&data, &key)?.ops.pop().ok_or_else(|| {
             SsError::Corruption(format!("spill {key} holds no operator"))
         })?;
-        let op = self.ops.entry(id.to_string()).or_default();
-        op.load(spilled.entries.into_iter().map(|e| (e.key, e.entry)).collect());
-        let keys_loaded = op.map.len() as i64;
-        let bytes_loaded = op.bytes as i64;
+        let op = self.namespace(id);
+        op.restore(spilled.entries.into_iter().map(|e| (e.key, e.entry)).collect())?;
+        op.synced = (op.len(), op.approx_bytes());
+        let (keys_loaded, bytes_loaded) = (op.synced.0 as i64, op.synced.1 as i64);
         self.backend.delete(&key)?;
         self.spilled.remove(id);
         if let Some(m) = &self.metrics {
@@ -945,7 +918,7 @@ impl StateStore {
     /// Read the checkpoint chain ending at `epoch` (which must exist):
     /// the last full snapshot at or before it, then every delta up to
     /// it. Reads the backend only.
-    fn read_chain(&self, epoch: u64) -> Result<BTreeMap<String, FxHashMap<Row, StateEntry>>> {
+    fn read_chain(&self, epoch: u64) -> Result<Chain> {
         let keys = self.backend.list("state/chk-")?;
         let mut chain: Vec<(u64, bool, String)> = keys
             .iter()
@@ -966,7 +939,7 @@ impl StateStore {
             )));
         }
         // Load base, then apply deltas in order.
-        let mut state: BTreeMap<String, FxHashMap<Row, StateEntry>> = BTreeMap::new();
+        let mut state = Chain::new();
         for (i, (_, _, key)) in chain.iter().enumerate().skip(base_idx) {
             self.faults.fire(failpoints::CHECKPOINT_LOAD)?;
             let data = self.backend.read(key)?.ok_or_else(|| {
@@ -990,19 +963,44 @@ impl StateStore {
         Ok(state)
     }
 
-    /// Replace in-memory state with `state`, read since `started`.
-    fn install(&mut self, state: BTreeMap<String, FxHashMap<Row, StateEntry>>, started: Instant) {
-        self.ops.clear();
-        for (id, map) in state {
-            let op = self.ops.entry(id).or_default();
-            op.metrics = self.metrics.clone();
-            op.load(map);
+    /// Replace in-memory state with `state`, read since `started`, each
+    /// entry passed through `route` on its way into its namespace.
+    /// Tables keep their kind and are refilled; other namespaces are
+    /// rebuilt as maps, if any entry reaches them.
+    fn install(&mut self, state: Chain, started: Instant, owner: bool, route: Route) -> Result<()> {
+        if owner {
+            // Spill blobs describe the state being replaced.
+            self.purge_spill_blobs()?;
+        }
+        self.ops.retain(|_, op| op.table.is_some());
+        self.ops.values_mut().for_each(OpState::clear);
+        let mut moved = false;
+        for (id, mut entries) in state {
+            let mut routed = Vec::new();
+            entries.retain(|key, entry| {
+                let to = route(&id, key, entry);
+                to.map(|to| routed.push((to, key.clone(), entry.clone()))).is_none()
+            });
+            moved |= !routed.is_empty();
+            if !entries.is_empty() {
+                self.namespace(&id).restore(entries)?;
+            }
+            for (to, key, entry) in routed {
+                self.namespace(&to).restore_entry(key, entry)?;
+            }
+        }
+        if moved {
+            self.checkpoints_taken = 0; // the next checkpoint is full
+        }
+        for op in self.ops.values_mut() {
+            op.synced = (op.len(), op.approx_bytes());
         }
         if let Some(m) = &self.metrics {
             m.keys.set(self.total_keys() as i64);
             m.bytes.set(self.memory_bytes() as i64);
             m.restore_us.observe(started.elapsed().as_micros() as u64);
         }
+        Ok(())
     }
 
     /// Load checkpoint `epoch` (which must exist) into memory **without
@@ -1012,8 +1010,7 @@ impl StateStore {
     pub fn load(&mut self, epoch: u64) -> Result<()> {
         let started = Instant::now();
         let state = self.read_chain(epoch)?;
-        self.install(state, started);
-        Ok(())
+        self.install(state, started, false, &mut |_, _, _| None)
     }
 
     /// Restore all operator state as of checkpoint `epoch` (which must
@@ -1021,28 +1018,24 @@ impl StateStore {
     pub fn restore(&mut self, epoch: u64) -> Result<()> {
         let started = Instant::now();
         let state = self.read_chain(epoch)?;
-        // In-memory state is being wholesale replaced: spill blobs
-        // describe the old state and must not survive.
-        self.purge_spill_blobs()?;
-        self.install(state, started);
-        Ok(())
+        self.install(state, started, true, &mut |_, _, _| None)
     }
 
-    /// The newest checkpoint at or below `at` that `read` can bring
-    /// into memory. Candidates are tried newest-first; one whose chain
-    /// contains a corrupt blob is skipped (an older full snapshot may
-    /// still be intact — the WAL replays the missing epochs).
-    /// Non-corruption errors (backend I/O) propagate — they indicate an
-    /// environment failure, not bad data to skip over.
-    fn best(
-        &mut self,
-        at: Option<u64>,
-        read: fn(&mut StateStore, u64) -> Result<()>,
-    ) -> Result<Option<u64>> {
+    /// Install the newest checkpoint at or below `at` whose chain reads.
+    /// Candidates are tried newest-first; one whose chain contains a
+    /// corrupt blob is skipped (an older full snapshot may still be
+    /// intact — the WAL replays the missing epochs). Other read errors
+    /// (backend I/O, an environment failure) propagate, and so does an
+    /// entry a table rejects: that fails the restore, not rolls it back.
+    fn best(&mut self, at: Option<u64>, owner: bool, route: Route) -> Result<Option<u64>> {
         let candidates = self.retained_epochs()?;
         for epoch in candidates.into_iter().rev().filter(|&e| at.is_none_or(|a| e <= a)) {
-            match read(self, epoch) {
-                Ok(()) => return Ok(Some(epoch)),
+            let started = Instant::now();
+            match self.read_chain(epoch) {
+                Ok(state) => {
+                    self.install(state, started, owner, route)?;
+                    return Ok(Some(epoch));
+                }
                 Err(SsError::Corruption(_)) => continue,
                 Err(other) => return Err(other),
             }
@@ -1056,7 +1049,7 @@ impl StateStore {
     /// checkpoints), so it never writes. Returns the loaded epoch, or
     /// `None` (memory untouched) if nothing could be loaded.
     pub fn load_best(&mut self, at: Option<u64>) -> Result<Option<u64>> {
-        self.best(at, Self::load)
+        self.best(at, false, &mut |_, _, _| None)
     }
 
     /// Restore to the newest *restorable* checkpoint at or below `at`
@@ -1067,7 +1060,21 @@ impl StateStore {
     /// or `None` if no checkpoint could be restored (recovery starts
     /// from empty state and recomputes via the WAL).
     pub fn restore_best(&mut self, at: Option<u64>) -> Result<Option<u64>> {
-        let restored = self.best(at, Self::restore)?;
+        self.restore_best_routed(at, |_, _, _| None)
+    }
+
+    /// [`restore_best`](Self::restore_best) through `route(namespace,
+    /// key, entry)`, which may rewrite each entry and returns `None` to
+    /// leave it where it was, unchanged, or the namespace it goes to:
+    /// how the owner re-lays state out and migrates it, in one pass.
+    /// After a restore that moved or rewrote any entry the next
+    /// checkpoint is a full snapshot: no chain mixes two layouts.
+    pub fn restore_best_routed(
+        &mut self,
+        at: Option<u64>,
+        mut route: impl FnMut(&str, &Row, &mut StateEntry) -> Option<String>,
+    ) -> Result<Option<u64>> {
+        let restored = self.best(at, true, &mut route)?;
         match restored {
             Some(epoch) => self.truncate_after(epoch)?,
             None => self.clear_memory(),
@@ -1930,6 +1937,139 @@ mod tests {
         );
         assert_eq!(registry.value("ss_state_spilled_bytes", &[]), Some(MetricValue::Gauge(0)));
         assert_eq!(registry.value("ss_state_keys", &[]), Some(MetricValue::Gauge(1)));
+    }
+
+    /// A table kind for these tests: one value row per key; any other
+    /// entry is rejected.
+    #[derive(Debug, Default)]
+    struct OneRow(BTreeMap<Row, Row>);
+
+    impl TypedTable for OneRow {
+        fn num_keys(&self) -> usize {
+            self.0.len()
+        }
+        fn approx_bytes(&self) -> usize {
+            let bytes = |(k, v): (&Row, &Row)| k.approx_bytes() + v.approx_bytes();
+            self.0.iter().map(|kv| OpState::entry_bytes_of(bytes(kv), 0)).sum()
+        }
+        fn is_clean(&self) -> bool {
+            true
+        }
+        fn encode(&self, full: bool, out: &mut Vec<u8>) {
+            put_varint(out, if full { self.0.len() as u64 } else { 0 });
+            for (k, v) in self.0.iter().filter(|_| full) {
+                put_entry(out, k, &StateEntry::new(vec![v.clone()]));
+            }
+            put_varint(out, 0);
+        }
+        fn clear_tracking(&mut self) {}
+        fn take_counts(&mut self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn restore_entry(&mut self, key: Row, mut entry: StateEntry) -> Result<()> {
+            match (entry.values.pop(), entry.values.is_empty()) {
+                (Some(v), true) => {
+                    self.0.insert(key, v);
+                    Ok(())
+                }
+                _ => Err(SsError::Serde("one value row per key".into())),
+            }
+        }
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    #[test]
+    fn a_declared_table_is_refilled_by_restore_and_spill_reload() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone());
+        s.operator("agg").put(row!["a"], entry(1));
+        s.operator("agg").put(row!["b"], entry(2));
+        s.checkpoint(1).unwrap();
+        let want = BTreeMap::from([(row!["a"], row![1i64]), (row!["b"], row![2i64])]);
+
+        let mut t = StateStore::new(backend.clone());
+        t.operator("agg").table(OneRow::default);
+        t.restore(1).unwrap();
+        assert_eq!(t.operator("agg").table(OneRow::default).0, want);
+        assert_eq!((t.total_keys(), t.memory_bytes()), (2, s.memory_bytes()));
+        // A spill keeps the table and empties it; the reload refills it.
+        assert!(t.spill_op("agg").unwrap() > 0);
+        assert_eq!(t.total_keys(), 0);
+        assert_eq!(t.operator("agg").table(OneRow::default).0, want);
+        t.check_health().unwrap();
+        // A restore replaces the contents and keeps the kind.
+        t.operator("agg").table(OneRow::default).0.insert(row!["junk"], row![9i64]);
+        t.restore(1).unwrap();
+        assert_eq!(t.operator("agg").table(OneRow::default).0, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "state namespace `agg` is a table, not a map")]
+    fn map_access_to_a_table_panics_naming_it() {
+        let mut s = store();
+        s.operator("agg").table(OneRow::default);
+        s.operator("agg").put(row!["a"], entry(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "state namespace `agg` holds map entries, not a table")]
+    fn a_table_is_never_declared_over_map_entries() {
+        let mut s = store();
+        s.operator("agg").put(row!["a"], entry(1));
+        s.operator("agg").table(OneRow::default);
+    }
+
+    #[test]
+    fn an_entry_its_table_rejects_fails_the_restore_without_a_fallback() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone()).with_snapshot_interval(1);
+        s.operator("agg").put(row!["a"], entry(1));
+        s.checkpoint(1).unwrap();
+        s.operator("agg").put(row!["b"], StateEntry::new(vec![]));
+        s.checkpoint(2).unwrap();
+        let mut t = StateStore::new(backend.clone());
+        t.operator("agg").table(OneRow::default);
+        assert_eq!(t.restore_best(None).unwrap_err().category(), "serde");
+        // Not skipped as corrupt: epoch 1 was not restored, 2 not pruned.
+        assert_eq!(t.retained_epochs().unwrap(), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_routed_restore_moves_in_one_pass_and_the_next_checkpoint_is_full() {
+        let backend = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(backend.clone());
+        for k in 0..6i64 {
+            s.operator("agg").put(row![k], entry(k));
+        }
+        s.operator("other").put(row!["x"], entry(7));
+        s.checkpoint(1).unwrap();
+        // Odd keys move to `agg/odd`, their values negated on the way.
+        let odd_out = |ns: &str, key: &Row, e: &mut StateEntry| {
+            let k = key.get(0).as_i64().ok().flatten().unwrap_or(0);
+            (ns == "agg" && k % 2 == 1).then(|| {
+                e.values = vec![row![-k]];
+                "agg/odd".to_string()
+            })
+        };
+        let mut t = StateStore::new(backend.clone()).with_snapshot_interval(3);
+        t.checkpoints_taken = 1; // mid-cadence: the next would be a delta
+        assert_eq!(t.restore_best_routed(None, odd_out).unwrap(), Some(1));
+        assert_eq!(t.operator_ids(), vec!["agg", "agg/odd", "other"]);
+        assert_eq!(t.operator("agg").len(), 3);
+        assert_eq!(t.operator("agg/odd").get(&row![3i64]), Some(&entry(-3)));
+        t.checkpoint(2).unwrap();
+        assert!(backend.read(&StateStore::key_for(2, true)).unwrap().is_some());
+        // Nothing routed elsewhere: the cadence goes on.
+        t.checkpoints_taken = 1;
+        t.restore(2).unwrap();
+        t.checkpoint(3).unwrap();
+        assert!(backend.read(&StateStore::key_for(3, false)).unwrap().is_some());
+        // A namespace no entry reaches does not exist.
+        let all_out = |ns: &str, _: &Row, _: &mut StateEntry| (ns == "other").then(|| "x".into());
+        assert_eq!(t.restore_best_routed(None, all_out).unwrap(), Some(3));
+        assert_eq!(t.operator_ids(), vec!["agg", "agg/odd", "x"]);
     }
 
     #[test]

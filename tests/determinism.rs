@@ -648,7 +648,7 @@ fn float_sum_and_avg_run_at_one_partition_and_write_the_unsharded_layout() {
 /// uninterrupted serial run.
 #[test]
 fn sharded_avg_checkpoint_restarts_at_one_partition() {
-    use structured_streaming::ss_core::parallel::repartition_family;
+    use structured_streaming::ss_common::shuffle_partition;
     use structured_streaming::ss_state::{CheckpointBackend, StateStore};
     use structured_streaming::ss_wal::Manifest;
 
@@ -694,11 +694,14 @@ fn sharded_avg_checkpoint_restarts_at_one_partition() {
 
     let (bus, backend, sink) = fresh();
     segment(&bus, &backend, &sink, (1, 1), 0..3);
-    // Rewrite the serial checkpoint as a 4-shard one.
+    // Rewrite the serial checkpoint as a 4-shard one: restore it with
+    // every `agg-0` entry routed to its shard.
     let dyn_backend: Arc<dyn CheckpointBackend> = backend.clone();
     let mut store = StateStore::new(dyn_backend.clone());
-    let epoch = store.restore_best(None).unwrap().expect("a restorable checkpoint");
-    repartition_family(&mut store, "agg-0", "", 4).unwrap();
+    let to_shard = |ns: &str, key: &Row, _: &mut _| {
+        (ns == "agg-0").then(|| format!("agg-0/p{}", shuffle_partition(key, 4)))
+    };
+    let epoch = store.restore_best_routed(None, to_shard).unwrap().expect("a checkpoint");
     for key in dyn_backend.list("state/chk-").unwrap() {
         dyn_backend.delete(&key).unwrap();
     }

@@ -9,9 +9,11 @@
 //! | filter predicate edit | Compatible — resume, keep state |
 //! | projection add (downstream of the aggregate) | Compatible |
 //! | added aggregate column | MigratableState — old columns keep history, new one starts from its empty accumulator |
+//! | added aggregate column, resumed at other partition counts | MigratableState — the same sink and state as without the layout change |
 //! | changed grouping keys | Incompatible — refused before any durable write |
 //! | changed window size | Incompatible — refused before any durable write |
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -197,6 +199,55 @@ fn added_aggregate_column_migrates_state_and_matches_a_clean_run() {
         ]
     );
     clean.stop().unwrap();
+}
+
+/// The count checkpointed at `layouts[0]`, then upgraded to count + sum
+/// and resumed at `layouts[1]` and again at `layouts[2]`, a wave of
+/// input each time. Returns the sink and the restored state by operator
+/// (all shards together).
+fn upgrade_across(layouts: [(usize, usize); 3]) -> (Vec<Row>, BTreeMap<Row, Vec<Row>>) {
+    use structured_streaming::ss_state::StateStore;
+
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 1).unwrap();
+    let backend: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
+    let sink = MemorySink::new("out");
+    let v1 = df_over(&bus).group_by(vec![col("k")]).count();
+    let v2 = df_over(&bus).group_by(vec![col("k")]).agg(vec![count_star(), sum(col("v"))]);
+    for (i, ((p, s), df)) in layouts.into_iter().zip([&v1, &v2, &v2]).enumerate() {
+        let mut q = df
+            .write_stream()
+            .query_name("upgrade")
+            .output_mode(OutputMode::Complete)
+            .sink(sink.clone())
+            .checkpoint(backend.clone())
+            .parallelism(p)
+            .shuffle_partitions(s)
+            .start_sync()
+            .unwrap();
+        let first = i as u64 * 6;
+        bus.append("in", 0, rows_with(6, first, |j| if i == 0 { 0 } else { j as i64 })).unwrap();
+        q.process_available().unwrap();
+        q.stop().unwrap();
+    }
+    let mut store = StateStore::new(backend);
+    store.restore_best(None).unwrap().expect("a checkpoint");
+    let mut state = BTreeMap::new();
+    for id in store.operator_ids() {
+        let op = store.operator_ref(&id).unwrap();
+        state.extend(op.iter().map(|(k, e)| (k.clone(), e.values.clone())));
+    }
+    (sink.snapshot(), state)
+}
+
+#[test]
+fn added_aggregate_migrates_across_partition_counts() {
+    let relaid = upgrade_across([(4, 4), (2, 2), (1, 1)]);
+    assert_eq!(relaid.0.len(), 3, "{relaid:?}");
+    assert_eq!(relaid.1.len(), 3, "{relaid:?}");
+    for same in [(1, 1), (4, 4)] {
+        assert_eq!(upgrade_across([same; 3]), relaid, "against a run staying at {same:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
