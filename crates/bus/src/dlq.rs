@@ -14,12 +14,11 @@
 //! row itself as JSON.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use ss_common::trace::escape_json;
+use serde::{Content, Serialize};
+use ss_common::to_json;
 
 /// Named fail points on the dead-letter path.
 pub mod failpoints {
@@ -46,23 +45,21 @@ pub struct DeadLetterRecord {
     pub row_json: String,
 }
 
-impl DeadLetterRecord {
-    /// Render as one JSON Lines record (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"epoch\":{},\"source\":\"{}\",\"partition\":{},\"offset\":{},\
-             \"fingerprint\":\"{:016x}\",\"error\":\"{}\",\"row\":{}}}",
-            self.epoch,
-            escape_json(&self.source),
-            self.partition,
-            self.offset,
-            self.fingerprint,
-            escape_json(&self.error),
-            self.row_json,
-        );
-        out
+// Hand-written: the fingerprint is written as 16 hex digits and the
+// row, held as JSON text, is embedded as an object.
+impl Serialize for DeadLetterRecord {
+    fn ser(&self) -> Content {
+        let k = |s: &str| Content::Str(s.into());
+        let row = serde_json::from_str(&self.row_json).unwrap_or_else(|_| self.row_json.ser());
+        Content::Map(vec![
+            (k("epoch"), self.epoch.ser()),
+            (k("source"), self.source.ser()),
+            (k("partition"), self.partition.ser()),
+            (k("offset"), self.offset.ser()),
+            (k("fingerprint"), format!("{:016x}", self.fingerprint).ser()),
+            (k("error"), self.error.ser()),
+            (k("row"), row),
+        ])
     }
 }
 
@@ -114,12 +111,7 @@ impl DeadLetterQueue {
 
     /// The whole queue as JSON Lines, one record per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for record in self.snapshot() {
-            out.push_str(&record.to_json());
-            out.push('\n');
-        }
-        out
+        self.snapshot().iter().map(|r| to_json(r) + "\n").collect()
     }
 }
 

@@ -10,16 +10,17 @@
 //! offline analysis (`SS_EVENT_LOG=<path>` in the engine).
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::{Content, Serialize};
+use serde_json::Value;
 
 use crate::time::now_us;
-use crate::trace::escape_json;
+use crate::to_json;
 
 /// Default maximum number of retained events.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_096;
@@ -36,7 +37,7 @@ pub const EVENT_WATCHDOG: &str = "watchdog";
 pub const EVENT_FAILOVER: &str = "failover";
 
 /// One structured event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructuredEvent {
     /// Wall-clock µs since the Unix epoch.
     pub ts_us: i64,
@@ -44,54 +45,23 @@ pub struct StructuredEvent {
     pub kind: String,
     /// The query this event belongs to.
     pub query: String,
-    /// Extra key/value context.
-    pub fields: Vec<(String, String)>,
+    /// Extra context, each value typed as it is to appear in the JSON
+    /// (a count is a number, a fingerprint or a name a string).
+    pub fields: Vec<(String, Value)>,
 }
 
-impl StructuredEvent {
-    /// Render as one JSON Lines record (no trailing newline). Field
-    /// values that are plain integers or floats are emitted as JSON
-    /// numbers; everything else as strings.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"ts_us\":{},\"event\":\"{}\",\"query\":\"{}\"",
-            self.ts_us,
-            escape_json(&self.kind),
-            escape_json(&self.query)
-        );
-        for (k, v) in &self.fields {
-            let _ = write!(out, ",\"{}\":", escape_json(k));
-            if is_json_number(v) {
-                out.push_str(v);
-            } else {
-                let _ = write!(out, "\"{}\"", escape_json(v));
-            }
-        }
-        out.push('}');
-        out
+// Hand-written: the fields follow the fixed keys, in emission order.
+impl Serialize for StructuredEvent {
+    fn ser(&self) -> Content {
+        let k = |s: &str| Content::Str(s.into());
+        let mut map = vec![
+            (k("ts_us"), self.ts_us.ser()),
+            (k("event"), self.kind.ser()),
+            (k("query"), self.query.ser()),
+        ];
+        map.extend(self.fields.iter().map(|(f, v)| (k(f), v.ser())));
+        Content::Map(map)
     }
-}
-
-/// `true` when `v` can be emitted verbatim as a JSON number.
-fn is_json_number(v: &str) -> bool {
-    if v.is_empty() {
-        return false;
-    }
-    let body = v.strip_prefix('-').unwrap_or(v);
-    if body.is_empty() || body.starts_with('.') || body.ends_with('.') {
-        return false;
-    }
-    let mut dots = 0;
-    for c in body.chars() {
-        match c {
-            '0'..='9' => {}
-            '.' => dots += 1,
-            _ => return false,
-        }
-    }
-    dots <= 1
 }
 
 #[derive(Debug)]
@@ -137,20 +107,20 @@ impl EventLog {
     }
 
     /// Record one event, stamped with the current wall clock.
-    pub fn emit(&self, query: &str, kind: &str, fields: &[(&str, &str)]) {
+    pub fn emit(&self, query: &str, kind: &str, fields: &[(&str, Value)]) {
         let ev = StructuredEvent {
             ts_us: now_us(),
             kind: kind.to_string(),
             query: query.to_string(),
             fields: fields
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         };
         let mut inner = self.inner.lock();
         if let Some(f) = inner.file.as_mut() {
             // Best-effort: a full disk must not take the query down.
-            let _ = writeln!(f, "{}", ev.to_json());
+            let _ = writeln!(f, "{}", to_json(&ev));
         }
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
@@ -174,12 +144,7 @@ impl EventLog {
     /// All retained events as JSON Lines (one object per line,
     /// trailing newline included when non-empty).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.inner.lock().events.iter() {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
+        self.inner.lock().events.iter().map(|ev| to_json(ev) + "\n").collect()
     }
 }
 
@@ -190,8 +155,8 @@ mod tests {
     #[test]
     fn emit_and_render_jsonl() {
         let log = EventLog::new();
-        log.emit("q", EVENT_START, &[("engine", "microbatch")]);
-        log.emit("q", EVENT_PROGRESS, &[("epoch", "3"), ("rows", "120")]);
+        log.emit("q", EVENT_START, &[("engine", "microbatch".into())]);
+        log.emit("q", EVENT_PROGRESS, &[("epoch", 3u64.into()), ("rows", 120u64.into())]);
         assert_eq!(log.len(), 2);
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -205,24 +170,28 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_escaped_and_numbers_detected() {
+    fn strings_are_escaped_and_fields_keep_their_type() {
         let ev = StructuredEvent {
             ts_us: 5,
             kind: "terminate".into(),
             query: "q\"1\"".into(),
             fields: vec![
                 ("error".into(), "disk\nfull \\ dev".into()),
-                ("ratio".into(), "0.5".into()),
-                ("neg".into(), "-3".into()),
-                ("not_a_number".into(), "1.2.3".into()),
+                ("ratio".into(), serde_json::to_value(&0.5).unwrap()),
+                ("neg".into(), (-3i64).into()),
+                ("fingerprint".into(), "0000000012345678".into()),
+                ("holder".into(), "007".into()),
             ],
         };
-        let json = ev.to_json();
+        let json = to_json(&ev);
         assert!(json.contains("\"query\":\"q\\\"1\\\"\""));
         assert!(json.contains("\"error\":\"disk\\nfull \\\\ dev\""));
-        assert!(json.contains("\"ratio\":0.5"));
-        assert!(json.contains("\"neg\":-3"));
-        assert!(json.contains("\"not_a_number\":\"1.2.3\""));
+        assert!(json.contains("\"ratio\":0.5,\"neg\":-3,"), "{json}");
+        // Digit-only strings stay strings: no type is guessed from text.
+        let back: Value = serde_json::from_str(&json).unwrap();
+        let text = |k: &str| back.get(k).and_then(Value::as_str);
+        assert_eq!(text("fingerprint"), Some("0000000012345678"));
+        assert_eq!(text("holder"), Some("007"));
     }
 
     #[test]
@@ -243,7 +212,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let log = EventLog::new();
         log.attach_file(&path).unwrap();
-        log.emit("q", EVENT_SPILL, &[("bytes", "1024")]);
+        log.emit("q", EVENT_SPILL, &[("bytes", 1024u64.into())]);
         log.emit("q", EVENT_TERMINATE, &[]);
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);

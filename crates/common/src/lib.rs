@@ -83,3 +83,9 @@ pub use schema::{Field, Schema, SchemaRef};
 pub use shuffle::{shuffle_hash, shuffle_partition};
 pub use trace::{TraceEvent, TraceLog, TraceSpan};
 pub use types::{DataType, Value};
+
+/// `value` as compact JSON: the one writer of every JSON body the
+/// engine serves (introspection, event log, dead letters, SQL service).
+pub fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("string-keyed JSON always serializes")
+}

@@ -32,12 +32,10 @@
 //! `/query/<name>/profile` endpoint.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use crate::trace::escape_json;
+use serde::{Content, Serialize};
 
 /// Top-level phases (disjoint engine-thread intervals).
 pub const PHASE_ADMISSION: &str = "admission";
@@ -56,7 +54,7 @@ pub const PHASE_REDUCE: &str = "reduce";
 pub const PHASE_MERGE: &str = "merge";
 
 /// Time attributed to one phase of one epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PhaseDuration {
     /// Phase name (one of the `PHASE_*` constants).
     pub name: String,
@@ -66,9 +64,10 @@ pub struct PhaseDuration {
 }
 
 /// Per-task skew statistics for one epoch's scheduled tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct TaskSkew {
-    pub tasks: u64,
+    /// Tasks launched.
+    pub count: u64,
     pub min_us: u64,
     pub p50_us: u64,
     pub p99_us: u64,
@@ -87,7 +86,7 @@ impl TaskSkew {
         let n = sorted.len();
         let at = |p: f64| sorted[(((n - 1) as f64) * p).round() as usize];
         Some(TaskSkew {
-            tasks: n as u64,
+            count: n as u64,
             min_us: sorted[0],
             p50_us: at(0.50),
             p99_us: at(0.99),
@@ -97,7 +96,7 @@ impl TaskSkew {
 }
 
 /// Shuffle-exchange attribution for one epoch.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ShuffleProfile {
     /// Rows routed to each reduce partition.
     pub rows_per_partition: Vec<u64>,
@@ -206,72 +205,26 @@ impl EpochProfile {
         }
         self.attributed_us() as f64 / self.total_us as f64
     }
-
-    /// Render as a JSON object (hand-written; no external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"epoch\":{},\"total_us\":{},\"attributed_us\":{},\"coverage\":{:.4},\"phases\":[",
-            self.epoch,
-            self.total_us,
-            self.attributed_us(),
-            finite(self.coverage()),
-        );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"parent\":",
-                escape_json(&p.name)
-            );
-            match &p.parent {
-                Some(par) => {
-                    let _ = write!(out, "\"{}\"", escape_json(par));
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"duration_us\":{}}}", p.duration_us);
-        }
-        out.push_str("],\"tasks\":");
-        match &self.tasks {
-            Some(t) => {
-                let _ = write!(
-                    out,
-                    "{{\"count\":{},\"min_us\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-                    t.tasks, t.min_us, t.p50_us, t.p99_us, t.max_us
-                );
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"shuffle\":");
-        match &self.shuffle {
-            Some(s) => {
-                let _ = write!(out, "{{\"rows_per_partition\":{:?}", s.rows_per_partition);
-                let _ = write!(out, ",\"bytes_per_partition\":{:?}", s.bytes_per_partition);
-                let _ = write!(out, ",\"key_skew\":{:.4}}}", finite(s.key_skew));
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"e2e_latency_us\":");
-        match self.e2e_latency_us {
-            Some((min, max)) => {
-                let _ = write!(out, "{{\"min\":{min},\"max\":{max}}}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
 }
 
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
+// Hand-written: `attributed_us` and `coverage` are computed, and the
+// `(min, max)` end-to-end latency is a `{min, max}` object.
+impl Serialize for EpochProfile {
+    fn ser(&self) -> Content {
+        let k = |s: &str| Content::Str(s.into());
+        let e2e = self.e2e_latency_us.map_or(Content::Null, |(min, max)| {
+            Content::Map(vec![(k("min"), min.ser()), (k("max"), max.ser())])
+        });
+        Content::Map(vec![
+            (k("epoch"), self.epoch.ser()),
+            (k("total_us"), self.total_us.ser()),
+            (k("attributed_us"), self.attributed_us().ser()),
+            (k("coverage"), self.coverage().ser()),
+            (k("phases"), self.phases.ser()),
+            (k("tasks"), self.tasks.ser()),
+            (k("shuffle"), self.shuffle.ser()),
+            (k("e2e_latency_us"), e2e),
+        ])
     }
 }
 
@@ -332,20 +285,6 @@ impl EpochProfiler {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// All retained profiles as a JSON array.
-    pub fn to_json(&self) -> String {
-        let profiles = self.profiles();
-        let mut out = String::from("[");
-        for (i, p) in profiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&p.to_json());
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -378,7 +317,7 @@ mod tests {
     fn task_skew_from_durations() {
         assert_eq!(TaskSkew::from_durations(&[]), None);
         let s = TaskSkew::from_durations(&[40, 10, 20, 30]).unwrap();
-        assert_eq!(s.tasks, 4);
+        assert_eq!(s.count, 4);
         assert_eq!(s.min_us, 10);
         assert_eq!(s.max_us, 40);
         assert!(s.p50_us >= 10 && s.p50_us <= 40);
@@ -418,14 +357,16 @@ mod tests {
         p.tasks = TaskSkew::from_durations(&[100, 200]);
         p.shuffle = Some(ShuffleProfile::new(vec![3, 1], vec![64, 16]));
         p.e2e_latency_us = Some((5, 50));
-        let json = p.to_json();
-        assert!(json.starts_with("{\"epoch\":7,"));
-        assert!(json.contains("\"name\":\"execute\",\"parent\":null"));
-        assert!(json.contains("\"name\":\"map\",\"parent\":\"execute\""));
-        assert!(json.contains("\"rows_per_partition\":[3, 1]"));
-        assert!(json.contains("\"min\":5,\"max\":50"));
         let prof = EpochProfiler::new(4);
         prof.push(p);
-        assert!(prof.to_json().starts_with("[{\"epoch\":7"));
+        let json = crate::to_json(&prof.profiles());
+        let head = r#"[{"epoch":7,"total_us":1000,"attributed_us":800,"coverage":0.8,"#;
+        assert!(json.starts_with(head), "{json}");
+        assert!(json.contains("\"name\":\"execute\",\"parent\":null"));
+        assert!(json.contains("\"name\":\"map\",\"parent\":\"execute\""));
+        assert!(json.contains("\"tasks\":{\"count\":2,\"min_us\":100,"), "{json}");
+        assert!(json.contains("\"rows_per_partition\":[3,1]"), "{json}");
+        assert!(json.contains("\"key_skew\":1.5}"), "{json}");
+        assert!(json.ends_with("\"e2e_latency_us\":{\"min\":5,\"max\":50}}]"), "{json}");
     }
 }

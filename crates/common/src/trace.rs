@@ -12,12 +12,13 @@
 //! the buffer is full new events are dropped and counted rather than
 //! blocking the query.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use serde::{Content, Serialize};
 
 use crate::metrics::Counter;
 
@@ -219,57 +220,72 @@ impl TraceLog {
         self.inner.dropped.store(0, Ordering::Relaxed);
     }
 
-    /// Serialize to the chrome://tracing JSON object format:
-    /// `{"traceEvents":[{"name":...,"ph":"B","ts":...,"pid":1,...}]}`.
-    /// Load the result via `chrome://tracing` or <https://ui.perfetto.dev>.
+    /// This log as a chrome://tracing document, all events under pid 1.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        self.write_chrome_events(1, &mut out);
-        out.push_str("]}");
-        out
+        chrome_trace_json(&self.chrome_events(1))
     }
 
-    /// Append this log's events as comma-separated chrome://tracing
-    /// JSON objects under the given `pid`, without the surrounding
-    /// `traceEvents` wrapper. The introspection server uses this to
-    /// merge several queries into one trace, one pid per query. Returns
-    /// the number of events written.
-    pub fn write_chrome_events(&self, pid: u64, out: &mut String) -> usize {
+    /// This log's events placed under process `pid`. The introspection
+    /// server merges several queries into one trace, one pid per query.
+    pub fn chrome_events(&self, pid: u64) -> Vec<ChromeEvent> {
         let events = self.inner.events.lock();
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-                escape_json(&ev.name),
-                ev.ph,
-                ev.ts_us,
-                pid,
-                ev.tid
-            );
-            if let Some(dur) = ev.dur_us {
-                let _ = write!(out, ",\"dur\":{dur}");
-            }
-            if ev.ph == 'i' {
-                // Instant events need a scope; "t" = thread-scoped.
-                out.push_str(",\"s\":\"t\"");
-            }
-            if !ev.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in ev.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        events.len()
+        events.iter().map(|event| ChromeEvent { pid, event: event.clone() }).collect()
     }
+}
+
+/// A [`TraceEvent`] under a chrome://tracing process id.
+#[derive(Debug)]
+pub struct ChromeEvent {
+    pid: u64,
+    event: TraceEvent,
+}
+
+impl ChromeEvent {
+    /// The metadata event naming process `pid` in the trace viewer.
+    pub fn process_name(pid: u64, name: &str) -> ChromeEvent {
+        let event = TraceEvent {
+            name: "process_name".into(),
+            ph: 'M',
+            ts_us: 0,
+            dur_us: None,
+            tid: 0,
+            args: vec![("name".into(), name.into())],
+        };
+        ChromeEvent { pid, event }
+    }
+}
+
+// Hand-written: metadata (`M`) events have no `ts`, only `X` events a
+// `dur`, instant events a scope `s`, and `args` is an object present
+// only when non-empty.
+impl Serialize for ChromeEvent {
+    fn ser(&self) -> Content {
+        let k = |s: &str| Content::Str(s.into());
+        let ev = &self.event;
+        let mut map = vec![(k("name"), ev.name.ser()), (k("ph"), ev.ph.ser())];
+        if ev.ph != 'M' {
+            map.push((k("ts"), ev.ts_us.ser()));
+        }
+        map.extend([(k("pid"), self.pid.ser()), (k("tid"), ev.tid.ser())]);
+        if let Some(dur) = ev.dur_us {
+            map.push((k("dur"), dur.ser()));
+        }
+        if ev.ph == 'i' {
+            // "t" = thread-scoped.
+            map.push((k("s"), k("t")));
+        }
+        if !ev.args.is_empty() {
+            let args = ev.args.iter().map(|(a, v)| (k(a), k(v))).collect();
+            map.push((k("args"), Content::Map(args)));
+        }
+        Content::Map(map)
+    }
+}
+
+/// The chrome://tracing JSON object format, `{"traceEvents":[...]}`.
+/// Load it via `chrome://tracing` or <https://ui.perfetto.dev>.
+pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
+    crate::to_json(&BTreeMap::from([("traceEvents", events)]))
 }
 
 /// Guard returned by [`TraceLog::span`]; records the matching end
@@ -284,26 +300,6 @@ impl Drop for TraceSpan {
     fn drop(&mut self) {
         self.log.end(&self.name);
     }
-}
-
-/// JSON string escaping shared by the hand-written JSON emitters
-/// (trace, profile, event log) — ss-common has no JSON dependency.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -382,10 +378,13 @@ mod tests {
     fn chrome_events_use_the_given_pid() {
         let log = TraceLog::new();
         log.instant("marker", &[]);
-        let mut out = String::new();
-        let n = log.write_chrome_events(7, &mut out);
-        assert_eq!(n, 1);
-        assert!(out.contains("\"pid\":7"), "got: {out}");
+        let mut events = vec![ChromeEvent::process_name(7, "q")];
+        events.extend(log.chrome_events(7));
+        let json = chrome_trace_json(&events);
+        let meta = r#"{"name":"process_name","ph":"M","pid":7,"tid":0,"args":{"name":"q"}}"#;
+        assert!(json.starts_with(&format!(r#"{{"traceEvents":[{meta},"#)), "got: {json}");
+        assert!(json.contains(r#""ph":"i","ts":"#) && json.contains(r#""pid":7"#), "got: {json}");
+        assert!(json.ends_with(r#""s":"t"}]}"#), "got: {json}");
         assert!(log.to_chrome_json().contains("\"pid\":1"));
     }
 

@@ -355,9 +355,9 @@ impl ContinuousQuery {
             &name,
             EVENT_START,
             &[
-                ("engine", "continuous"),
-                ("epoch", &start_epoch.to_string()),
-                ("partitions", &partitions.to_string()),
+                ("engine", "continuous".into()),
+                ("epoch", start_epoch.into()),
+                ("partitions", u64::from(partitions).into()),
             ],
         );
         let shared = Arc::new(ContinuousShared {
@@ -508,10 +508,7 @@ impl ContinuousQuery {
                         shared.events.emit(
                             &shared.name,
                             EVENT_PROGRESS,
-                            &[
-                                ("epoch", &epoch.to_string()),
-                                ("rows_in", &rows.to_string()),
-                            ],
+                            &[("epoch", epoch.into()), ("rows_in", rows.into())],
                         );
                     }
                     prev_end = end;
@@ -580,12 +577,12 @@ impl ContinuousQuery {
         if let Some(e) = self.shared.error.lock().take() {
             self.shared
                 .events
-                .emit(&self.shared.name, EVENT_TERMINATE, &[("error", &e)]);
+                .emit(&self.shared.name, EVENT_TERMINATE, &[("error", e.as_str().into())]);
             return Err(SsError::Execution(format!("continuous worker failed: {e}")));
         }
         self.shared
             .events
-            .emit(&self.shared.name, EVENT_TERMINATE, &[("error", "none")]);
+            .emit(&self.shared.name, EVENT_TERMINATE, &[("error", "none".into())]);
         let mut lat = std::mem::take(&mut *self.shared.latencies_us.lock());
         lat.sort_unstable();
         Ok(lat)

@@ -41,11 +41,13 @@
 //! [`StandbyQuery::promote`] wins the lease and bumps the fencing
 //! epoch.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ss_common::{Result, SsError};
-use ss_state::ReplicatedBackend;
+use serde::Serialize;
+use ss_common::{to_json, Result, SsError};
+use ss_state::{ReplicatedBackend, ReplicationMode};
 use ss_wal::LeaseManager;
 
 use crate::microbatch::MicroBatchExecution;
@@ -77,54 +79,57 @@ impl HaConfig {
     }
 }
 
+/// The `/query/<name>/ha` body for a query under a lease.
+#[derive(Serialize)]
+struct HaStatus {
+    configured: bool,
+    role: String,
+    holder: String,
+    fencing_epoch: Option<u64>,
+    fencing_rejections: u64,
+    failovers: u64,
+    standby: bool,
+    epoch: u64,
+    replication: Option<ReplicationStatus>,
+}
+
+#[derive(Serialize)]
+struct ReplicationStatus {
+    mode: String,
+    mirrored_ops: u64,
+    replica_errors: u64,
+    replication_lag_us: u64,
+}
+
 impl MicroBatchExecution {
     /// One-line JSON snapshot of the HA machinery for the
-    /// introspection server's `/query/<name>/ha` endpoint.
+    /// introspection server's `/query/<name>/ha` endpoint;
+    /// `{"configured":false}` for a query without a lease.
     pub fn ha_status_json(&self) -> String {
-        use ss_common::trace::escape_json;
         let Some(ha) = self.ha() else {
-            return "{\"configured\":false}".to_string();
+            return to_json(&BTreeMap::from([("configured", false)]));
         };
-        let lease = &ha.lease;
-        let role = self
-            .ha_role()
-            .map_or("unknown", |r| r.as_str())
-            .to_string();
-        let fencing = lease
-            .fencing_epoch()
-            .map_or("null".to_string(), |e| e.to_string());
-        let replication = match &ha.replication {
-            None => "null".to_string(),
-            Some(r) => {
-                let mode = match r.mode() {
-                    ss_state::ReplicationMode::Sync => "sync".to_string(),
-                    ss_state::ReplicationMode::Async { max_lag } => {
-                        format!("async(max_lag={max_lag})")
-                    }
-                };
-                format!(
-                    "{{\"mode\":\"{}\",\"mirrored_ops\":{},\"replica_errors\":{},\
-                     \"replication_lag_us\":{}}}",
-                    mode,
-                    r.mirrored_ops(),
-                    r.replica_errors(),
-                    r.last_lag_us()
-                )
-            }
+        let replication = ha.replication.as_ref().map(|r| ReplicationStatus {
+            mode: match r.mode() {
+                ReplicationMode::Sync => "sync".to_string(),
+                ReplicationMode::Async { max_lag } => format!("async(max_lag={max_lag})"),
+            },
+            mirrored_ops: r.mirrored_ops(),
+            replica_errors: r.replica_errors(),
+            replication_lag_us: r.last_lag_us(),
+        });
+        let status = HaStatus {
+            configured: true,
+            role: self.ha_role().map_or("unknown", |r| r.as_str()).to_string(),
+            holder: ha.lease.holder().to_string(),
+            fencing_epoch: ha.lease.fencing_epoch(),
+            fencing_rejections: ha.lease.fencing_rejections(),
+            failovers: ha.lease.failovers(),
+            standby: self.is_standby(),
+            epoch: self.current_epoch(),
+            replication,
         };
-        format!(
-            "{{\"configured\":true,\"role\":\"{}\",\"holder\":\"{}\",\
-             \"fencing_epoch\":{},\"fencing_rejections\":{},\"failovers\":{},\
-             \"standby\":{},\"epoch\":{},\"replication\":{}}}",
-            escape_json(&role),
-            escape_json(lease.holder()),
-            fencing,
-            lease.fencing_rejections(),
-            lease.failovers(),
-            self.is_standby(),
-            self.current_epoch(),
-            replication
-        )
+        to_json(&status)
     }
 }
 

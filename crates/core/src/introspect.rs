@@ -15,11 +15,13 @@
 //! | `/trace` | every query's trace spans merged into one chrome://tracing JSON document, one pid per query |
 //! | `/events` | all queries' structured lifecycle events as JSON Lines |
 //!
+//! Every JSON body is `serde_json` output via [`ss_common::to_json`].
 //! The server runs one accept thread and handles requests inline —
 //! introspection traffic is a human or a scraper, not a data path.
 //! [`IntrospectServer::stop`] (also fired on drop) flips a flag and
 //! connects to itself to unblock `accept`.
 
+use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,10 +30,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ss_common::metrics::render_merged;
-use ss_common::trace::escape_json;
-use ss_common::{Result, SsError};
+use ss_common::trace::{chrome_trace_json, ChromeEvent};
+use ss_common::{to_json, Result, SsError};
 
-use crate::query::StreamingQueryManager;
+use crate::query::{QuerySnapshot, StreamingQuery, StreamingQueryManager};
 
 /// One parsed HTTP request, handed to [`HttpExtension`]s.
 #[derive(Debug, Clone)]
@@ -209,6 +211,14 @@ fn write_response(
     stream.flush()
 }
 
+/// A `/query/<name><suffix>` endpoint: suffix, content type, body.
+type QueryRoute = (&'static str, &'static str, fn(&StreamingQuery) -> String);
+const QUERY_ROUTES: [QueryRoute; 3] = [
+    ("/profile", "application/json", StreamingQuery::profile_json),
+    ("/dlq", "application/x-ndjson", StreamingQuery::dlq_jsonl),
+    ("/ha", "application/json", StreamingQuery::ha_status_json),
+];
+
 /// Dispatch one GET to its handler. Returns (status, content type,
 /// body).
 fn route(manager: &StreamingQueryManager, path: &str) -> (u16, &'static str, String) {
@@ -223,41 +233,29 @@ fn route(manager: &StreamingQueryManager, path: &str) -> (u16, &'static str, Str
         "/trace" => (200, "application/json", trace_body(manager)),
         "/events" => (200, "application/x-ndjson", events_body(manager)),
         _ => {
-            if let Some(rest) = path.strip_prefix("/query/") {
-                if let Some(name) = rest.strip_suffix("/profile") {
-                    return match manager.with_query(name, |q| q.profile_json()) {
-                        Ok(body) => (200, "application/json", body),
-                        Err(_) => (
-                            404,
-                            "application/json",
-                            format!("{{\"error\":\"no active query `{}`\"}}", escape_json(name)),
-                        ),
-                    };
-                }
-                if let Some(name) = rest.strip_suffix("/dlq") {
-                    return match manager.with_query(name, |q| q.dlq_jsonl()) {
-                        Ok(body) => (200, "application/x-ndjson", body),
-                        Err(_) => (
-                            404,
-                            "application/json",
-                            format!("{{\"error\":\"no active query `{}`\"}}", escape_json(name)),
-                        ),
-                    };
-                }
-                if let Some(name) = rest.strip_suffix("/ha") {
-                    return match manager.with_query(name, |q| q.ha_status_json()) {
-                        Ok(body) => (200, "application/json", body),
-                        Err(_) => (
-                            404,
-                            "application/json",
-                            format!("{{\"error\":\"no active query `{}`\"}}", escape_json(name)),
-                        ),
-                    };
-                }
+            let per_query = path.strip_prefix("/query/").and_then(|rest| {
+                QUERY_ROUTES.iter().find_map(|&(suffix, content_type, body)| {
+                    Some((rest.strip_suffix(suffix)?, content_type, body))
+                })
+            });
+            let Some((name, content_type, body)) = per_query else {
+                return (404, "text/plain; charset=utf-8", "not found\n".to_string());
+            };
+            match manager.with_query(name, |q| body(q)) {
+                Ok(body) => (200, content_type, body),
+                Err(_) => (
+                    404,
+                    "application/json",
+                    error_body(&format!("no active query `{name}`")),
+                ),
             }
-            (404, "text/plain; charset=utf-8", "not found\n".to_string())
         }
     }
+}
+
+/// A JSON error body: `{"error":"<message>"}`.
+pub fn error_body(message: &str) -> String {
+    to_json(&BTreeMap::from([("error", message)]))
 }
 
 /// All queries' registries merged into one exposition, each series
@@ -271,83 +269,20 @@ fn metrics_body(manager: &StreamingQueryManager) -> String {
 
 /// JSON array of live queries with status and last progress.
 fn queries_body(manager: &StreamingQueryManager) -> String {
-    let entries = manager.for_each_query(|q| {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"epoch\":{},\"restarts\":{},\"state_rows\":{}",
-            escape_json(q.name()),
-            q.current_epoch(),
-            q.restarts(),
-            q.state_rows(),
-        ));
-        let wm = q.watermark_us();
-        if wm == i64::MIN {
-            out.push_str(",\"watermark_us\":null");
-        } else {
-            out.push_str(&format!(",\"watermark_us\":{wm}"));
-        }
-        match q.ha_role() {
-            Some(role) => out.push_str(&format!(",\"ha_role\":\"{}\"", escape_json(&role))),
-            None => out.push_str(",\"ha_role\":null"),
-        }
-        match q.exception() {
-            Some(e) => out.push_str(&format!(",\"exception\":\"{}\"", escape_json(&e))),
-            None => out.push_str(",\"exception\":null"),
-        }
-        match q.last_progress() {
-            Some(p) => {
-                out.push_str(&format!(
-                    ",\"last_progress\":{{\"epoch\":{},\"num_input_rows\":{},\
-                     \"num_output_rows\":{},\"batch_duration_us\":{},\
-                     \"input_rows_per_second\":{:.2},\"backlog_rows\":{},\
-                     \"state_bytes\":{},\"tasks_launched\":{},\"summary\":\"{}\"}}",
-                    p.epoch,
-                    p.num_input_rows,
-                    p.num_output_rows,
-                    p.batch_duration_us,
-                    p.input_rows_per_second,
-                    p.backlog_rows,
-                    p.state_bytes,
-                    p.tasks_launched,
-                    escape_json(&p.summary()),
-                ));
-            }
-            None => out.push_str(",\"last_progress\":null"),
-        }
-        out.push('}');
-        out
-    });
-    let mut body = String::from("[");
-    body.push_str(&entries.join(","));
-    body.push(']');
-    body
+    to_json(&manager.for_each_query(QuerySnapshot::of))
 }
 
 /// Every query's trace merged into one chrome://tracing document, one
 /// pid per query (named via `process_name` metadata events).
 fn trace_body(manager: &StreamingQueryManager) -> String {
     let traces = manager.for_each_query(|q| (q.name().to_string(), q.trace()));
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
+    let mut events = Vec::new();
     for (i, (name, trace)) in traces.iter().enumerate() {
-        let pid = (i + 1) as u64;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name)
-        ));
-        let mut events = String::new();
-        if trace.write_chrome_events(pid, &mut events) > 0 {
-            out.push(',');
-            out.push_str(&events);
-        }
+        let pid = i as u64 + 1;
+        events.push(ChromeEvent::process_name(pid, name));
+        events.extend(trace.chrome_events(pid));
     }
-    out.push_str("]}");
-    out
+    chrome_trace_json(&events)
 }
 
 /// All queries' lifecycle events concatenated as JSON Lines.

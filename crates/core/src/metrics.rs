@@ -7,10 +7,11 @@
 
 use std::collections::VecDeque;
 
+use serde::Serialize;
 use ss_common::profile::EpochProfile;
 
 /// Time spent in one operator during one epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct OpDuration {
     /// The operator's stable label, e.g. `"scan:clicks"` or `"agg-0"`.
     pub op: String,
@@ -21,8 +22,9 @@ pub struct OpDuration {
     pub duration_us: u64,
 }
 
-/// Metrics for one executed epoch.
-#[derive(Debug, Clone, PartialEq)]
+/// Metrics for one executed epoch; served whole as `/queries`'
+/// `last_progress`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryProgress {
     pub epoch: u64,
     /// Rows read from all sources this epoch.

@@ -140,10 +140,7 @@ impl MicroBatchExecution {
             self.events.emit(
                 &self.name,
                 EVENT_WATCHDOG,
-                &[
-                    ("epoch", &self.epoch.to_string()),
-                    ("error", &err.to_string()),
-                ],
+                &[("epoch", self.epoch.into()), ("error", err.to_string().into())],
             );
         }
         if !self.should_isolate(&err) {
@@ -303,10 +300,7 @@ impl MicroBatchExecution {
             self.events.emit(
                 &self.name,
                 EVENT_ADMISSION_LIMITED,
-                &[
-                    ("admitted", &admitted.to_string()),
-                    ("backlog", &backlog.to_string()),
-                ],
+                &[("admitted", admitted.into()), ("backlog", backlog.into())],
             );
         }
         Ok(Some(ranges))
@@ -555,9 +549,9 @@ impl MicroBatchExecution {
                 &self.name,
                 EVENT_SPILL,
                 &[
-                    ("epoch", &epoch.to_string()),
-                    ("ops_spilled", &report.ops_spilled.to_string()),
-                    ("spilled_bytes", &report.spilled_bytes.to_string()),
+                    ("epoch", epoch.into()),
+                    ("ops_spilled", (report.ops_spilled as u64).into()),
+                    ("spilled_bytes", report.spilled_bytes.into()),
                 ],
             );
         }
@@ -665,10 +659,10 @@ impl MicroBatchExecution {
             &self.name,
             EVENT_PROGRESS,
             &[
-                ("epoch", &progress.epoch.to_string()),
-                ("rows_in", &progress.num_input_rows.to_string()),
-                ("rows_out", &progress.num_output_rows.to_string()),
-                ("duration_us", &progress.batch_duration_us.to_string()),
+                ("epoch", progress.epoch.into()),
+                ("rows_in", progress.num_input_rows.into()),
+                ("rows_out", progress.num_output_rows.into()),
+                ("duration_us", progress.batch_duration_us.into()),
             ],
         );
         for l in &self.listeners {

@@ -448,7 +448,7 @@ impl MicroBatchExecution {
             engine.events.emit(
                 &engine.name,
                 EVENT_START,
-                &[("engine", "microbatch"), ("role", "standby")],
+                &[("engine", "microbatch".into()), ("role", "standby".into())],
             );
             return Ok(engine);
         }
@@ -465,8 +465,8 @@ impl MicroBatchExecution {
             &engine.name,
             EVENT_START,
             &[
-                ("engine", "microbatch"),
-                ("epoch", &engine.epoch.to_string()),
+                ("engine", "microbatch".into()),
+                ("epoch", engine.epoch.into()),
             ],
         );
         Ok(engine)
@@ -560,7 +560,7 @@ impl MicroBatchExecution {
         self.events.emit(
             &self.name,
             EVENT_TERMINATE,
-            &[("error", error.unwrap_or("none"))],
+            &[("error", error.unwrap_or("none").into())],
         );
         for l in &self.listeners {
             l.on_terminated(&self.name, error);

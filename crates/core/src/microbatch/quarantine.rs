@@ -51,9 +51,9 @@ impl MicroBatchExecution {
             &self.name,
             EVENT_QUARANTINE,
             &[
-                ("action", "deterministic-failure"),
-                ("fingerprint", &fp),
-                ("error", message),
+                ("action", "deterministic-failure".into()),
+                ("fingerprint", fp.as_str().into()),
+                ("error", message.into()),
             ],
         );
         if self.config.error_policy.isolates() && !self.isolation {
@@ -82,7 +82,7 @@ impl MicroBatchExecution {
         self.events.emit(
             &self.name,
             EVENT_QUARANTINE,
-            &[("action", "isolation-on"), ("error", &msg)],
+            &[("action", "isolation-on".into()), ("error", msg.as_str().into())],
         );
     }
 
@@ -234,9 +234,9 @@ impl MicroBatchExecution {
             &self.name,
             EVENT_QUARANTINE,
             &[
-                ("epoch", &ep.offsets.epoch.to_string()),
-                ("records", &n_quarantined.to_string()),
-                ("action", if quarantining { "quarantined" } else { "dropped" }),
+                ("epoch", ep.offsets.epoch.into()),
+                ("records", n_quarantined.into()),
+                ("action", if quarantining { "quarantined" } else { "dropped" }.into()),
             ],
         );
         Ok(())

@@ -240,7 +240,7 @@ impl MicroBatchExecution {
         self.events.emit(
             &self.name,
             EVENT_RESTART,
-            &[("count", &self.restarts.to_string())],
+            &[("count", self.restarts.into())],
         );
         self.reset_and_recover()
     }
@@ -315,9 +315,9 @@ impl MicroBatchExecution {
             &self.name,
             EVENT_FAILOVER,
             &[
-                ("holder", ha.lease.holder()),
-                ("fencing_epoch", &fencing.to_string()),
-                ("epoch", &self.epoch.to_string()),
+                ("holder", ha.lease.holder().into()),
+                ("fencing_epoch", fencing.into()),
+                ("epoch", self.epoch.into()),
             ],
         );
         self.trace.instant(

@@ -21,6 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use serde::Serialize;
 
 use ss_common::{failure_fingerprint, FailureTracker, Result, SsError};
 
@@ -272,7 +273,7 @@ impl StreamingQuery {
     /// The retained epoch profiles as a JSON array — what the
     /// introspection server serves at `/query/<name>/profile`.
     pub fn profile_json(&self) -> String {
-        self.with_engine(|e| e.profiler().to_json())
+        self.with_engine(|e| ss_common::to_json(&e.profiler().profiles()))
     }
 
     /// The structured lifecycle event log rendered as JSON Lines.
@@ -583,14 +584,38 @@ fn supervise(
 }
 
 /// Owned point-in-time status of one managed query, returned by
-/// [`StreamingQueryManager::get_query`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`StreamingQueryManager::get_query`] and listed by the
+/// introspection server's `/queries`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuerySnapshot {
     pub name: String,
     pub epoch: u64,
     pub restarts: u64,
     pub state_rows: u64,
+    /// `None` until data establishes a watermark.
+    pub watermark_us: Option<i64>,
+    pub ha_role: Option<String>,
     pub exception: Option<String>,
+    /// The last progress record's one-line [`QueryProgress::summary`].
+    pub summary: Option<String>,
+    pub last_progress: Option<QueryProgress>,
+}
+
+impl QuerySnapshot {
+    pub(crate) fn of(query: &StreamingQuery) -> QuerySnapshot {
+        let last_progress = query.last_progress();
+        QuerySnapshot {
+            name: query.name().to_string(),
+            epoch: query.current_epoch(),
+            restarts: query.restarts(),
+            state_rows: query.state_rows(),
+            watermark_us: Some(query.watermark_us()).filter(|&wm| wm != i64::MIN),
+            ha_role: query.ha_role(),
+            exception: query.exception(),
+            summary: last_progress.as_ref().map(QueryProgress::summary),
+            last_progress,
+        }
+    }
 }
 
 /// Tracks every active query in an application.
@@ -630,16 +655,9 @@ impl StreamingQueryManager {
     /// hold no lock while formatting it.
     pub fn get_query(&self, name: &str) -> Result<QuerySnapshot> {
         let q = self.queries.lock();
-        let query = q
-            .get(name)
-            .ok_or_else(|| SsError::Plan(format!("no active query `{name}`")))?;
-        Ok(QuerySnapshot {
-            name: query.name().to_string(),
-            epoch: query.current_epoch(),
-            restarts: query.restarts(),
-            state_rows: query.state_rows(),
-            exception: query.exception(),
-        })
+        q.get(name)
+            .map(QuerySnapshot::of)
+            .ok_or_else(|| SsError::Plan(format!("no active query `{name}`")))
     }
 
     /// Run a closure against one query.

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::Serialize;
 
 use ss_bus::{ScanCache, ScanCacheStats, SharedScanSource, Sink, Source};
 use ss_common::metrics::render_merged_labeled;
@@ -100,6 +101,18 @@ struct Group {
     fanout: Arc<FanoutSink>,
     backend: Arc<MemoryBackend>,
     members: Mutex<Vec<Member>>,
+}
+
+/// One member query as `GET /sql/sessions` lists it, with its sharing
+/// group's label (`group`), key and current epoch.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct Session {
+    pub query: String,
+    pub tenant: String,
+    pub group: String,
+    pub sharing_key: String,
+    pub epoch: u64,
+    pub shares_suffix: bool,
 }
 
 /// What [`MultiQueryEngine::stop_query`] did.
@@ -421,24 +434,23 @@ impl MultiQueryEngine {
         names
     }
 
-    /// Session rows for the SQL service: `(query, tenant, group label,
-    /// group key, epoch, shares_suffix)` sorted by query name.
-    pub fn sessions(&self) -> Vec<(String, String, String, String, u64, bool)> {
+    /// Every member query's session, sorted by query name.
+    pub fn sessions(&self) -> Vec<Session> {
         let mut out = Vec::new();
         for g in self.groups.lock().values() {
             let epoch = g.engine.lock().current_epoch();
             for m in g.members.lock().iter() {
-                out.push((
-                    m.name.clone(),
-                    m.tenant.clone(),
-                    g.label.clone(),
-                    g.key.clone(),
+                out.push(Session {
+                    query: m.name.clone(),
+                    tenant: m.tenant.clone(),
+                    group: g.label.clone(),
+                    sharing_key: g.key.clone(),
                     epoch,
-                    m.shares_suffix,
-                ));
+                    shares_suffix: m.shares_suffix,
+                });
             }
         }
-        out.sort();
+        out.sort_by(|a, b| a.query.cmp(&b.query));
         out
     }
 

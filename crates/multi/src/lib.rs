@@ -27,7 +27,8 @@ pub mod fanout;
 pub mod service;
 
 pub use engine::{
-    DetachReport, MultiQueryConfig, MultiQueryEngine, QuerySpec, SharingStats, TickReport,
+    DetachReport, MultiQueryConfig, MultiQueryEngine, QuerySpec, Session, SharingStats,
+    TickReport,
 };
 pub use fanout::FanoutSink;
 pub use service::SqlService;

@@ -20,9 +20,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use serde::Serialize;
 use ss_bus::MemorySink;
-use ss_common::trace::escape_json;
-use ss_common::{Result, SchemaRef};
+use ss_common::{to_json, Result, SchemaRef};
+use ss_core::introspect::error_body;
 use ss_core::{HttpExtension, HttpRequest};
 use ss_plan::OutputMode;
 
@@ -94,50 +95,35 @@ impl SqlService {
             }
         };
         match self.start_sql(name, sql, tenant, mode) {
-            Ok(_) => (
-                200,
-                "application/json",
-                format!(
-                    "{{\"started\":\"{}\",\"tenant\":\"{}\",\"mode\":\"{:?}\"}}",
-                    escape_json(name),
-                    escape_json(tenant),
-                    mode
-                ),
-            ),
+            Ok(_) => {
+                let (started, tenant) = (name.to_string(), tenant.to_string());
+                let mode = format!("{mode:?}");
+                (200, "application/json", to_json(&Started { started, tenant, mode }))
+            }
             Err(e) => error_response(400, &e.to_string()),
         }
     }
+}
 
-    fn sessions_body(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        for (query, tenant, label, key, epoch, suffix) in self.engine.sessions() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"query\":\"{}\",\"tenant\":\"{}\",\"group\":\"{}\",\
-                 \"sharing_key\":\"{}\",\"epoch\":{},\"shares_suffix\":{}}}",
-                escape_json(&query),
-                escape_json(&tenant),
-                escape_json(&label),
-                escape_json(&key),
-                epoch,
-                suffix
-            ));
-        }
-        out.push(']');
-        out
-    }
+/// `POST /sql`'s answer.
+#[derive(Serialize)]
+struct Started {
+    started: String,
+    tenant: String,
+    mode: String,
+}
+
+/// `DELETE /query/<name>`'s answer.
+#[derive(Serialize)]
+struct Stopped {
+    stopped: String,
+    group: String,
+    remaining: usize,
+    state_copied: bool,
 }
 
 fn error_response(status: u16, message: &str) -> (u16, &'static str, String) {
-    (
-        status,
-        "application/json",
-        format!("{{\"error\":\"{}\"}}", escape_json(message)),
-    )
+    (status, "application/json", error_body(message))
 }
 
 impl HttpExtension for SqlService {
@@ -145,7 +131,7 @@ impl HttpExtension for SqlService {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/sql") => Some(self.handle_post_sql(&req.body)),
             ("GET", "/sql/sessions") => {
-                Some((200, "application/json", self.sessions_body()))
+                Some((200, "application/json", to_json(&self.engine.sessions())))
             }
             ("GET", "/metrics") => Some((
                 200,
@@ -155,18 +141,15 @@ impl HttpExtension for SqlService {
             ("DELETE", path) => {
                 let name = path.strip_prefix("/query/")?;
                 Some(match self.engine.stop_query(name) {
-                    Ok(report) => (
-                        200,
-                        "application/json",
-                        format!(
-                            "{{\"stopped\":\"{}\",\"group\":\"{}\",\
-                             \"remaining\":{},\"state_copied\":{}}}",
-                            escape_json(name),
-                            escape_json(&report.group),
-                            report.remaining,
-                            report.checkpoint_copy.is_some()
-                        ),
-                    ),
+                    Ok(report) => {
+                        let stopped = Stopped {
+                            stopped: name.to_string(),
+                            group: report.group,
+                            remaining: report.remaining,
+                            state_copied: report.checkpoint_copy.is_some(),
+                        };
+                        (200, "application/json", to_json(&stopped))
+                    }
                     Err(e) => error_response(404, &e.to_string()),
                 })
             }

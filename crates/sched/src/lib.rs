@@ -688,7 +688,7 @@ mod tests {
         let out = pool.scatter("test", tasks).unwrap();
         assert_eq!(out.stats.task_durations_us.len(), 8);
         let skew = out.stats.skew().expect("skew stats for 8 tasks");
-        assert_eq!(skew.tasks, 8);
+        assert_eq!(skew.count, 8);
         assert!(skew.min_us <= skew.p50_us);
         assert!(skew.p50_us <= skew.p99_us);
         assert!(skew.p99_us <= skew.max_us);

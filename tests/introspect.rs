@@ -123,7 +123,7 @@ fn epoch_profile_attributes_wall_time_with_skew_and_shuffle() {
             p.epoch
         );
         let tasks = p.tasks.expect("parallel epochs have task skew stats");
-        assert!(tasks.tasks > 0);
+        assert!(tasks.count > 0);
         assert!(tasks.min_us <= tasks.p50_us && tasks.p50_us <= tasks.max_us);
         let shuffle = p.shuffle.as_ref().expect("aggregate epochs shuffle");
         assert_eq!(shuffle.rows_per_partition.len(), 4);
@@ -276,6 +276,77 @@ fn introspection_server_serves_all_endpoints() {
     let (status, _) = http_get(addr, "/nope");
     assert_eq!(status, 404);
     server.stop();
+    server.stop();
+    manager.stop_all().unwrap();
+}
+
+/// `/query/<name>/ha`: a lease-fenced leader over a replicated
+/// checkpoint reports its role, lease and replication; a query without
+/// HA reports only that; an unknown name is a 404 whose JSON error
+/// body survives quotes and backslashes in the name.
+#[test]
+fn ha_endpoint_reports_lease_and_replication() {
+    let manager = Arc::new(StreamingQueryManager::new());
+    manager.add(run_profiled_query("plain", 1, 1, 100)).unwrap();
+
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let primary: Arc<dyn structured_streaming::ss_state::CheckpointBackend> =
+        Arc::new(MemoryBackend::new());
+    let lease = Arc::new(LeaseManager::new(
+        primary.clone(),
+        "leader-a",
+        Duration::from_secs(30),
+        Duration::from_secs(5),
+    ));
+    let repl = Arc::new(ReplicatedBackend::new(
+        primary,
+        Arc::new(MemoryBackend::new()),
+        ReplicationMode::Sync,
+    ));
+    let ctx = StreamingContext::new();
+    let mut q = ctx
+        .read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
+        .unwrap()
+        .group_by(vec![col("k")])
+        .count()
+        .write_stream()
+        .query_name("leader")
+        .output_mode(OutputMode::Complete)
+        .engine_config(MicroBatchConfig {
+            ha: Some(HaConfig::new(lease.clone()).with_replication(repl.clone())),
+            ..Default::default()
+        })
+        .checkpoint(Arc::new(FencedBackend::new(repl, lease)))
+        .sink(MemorySink::new("out"))
+        .start_sync()
+        .unwrap();
+    bus.append("in", 0, rows(10, 0)).unwrap();
+    q.process_available().unwrap();
+    manager.add(q).unwrap();
+    let mut server = IntrospectServer::start(manager.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+
+    let (status, body) = http_get(addr, "/query/leader/ha");
+    assert_eq!(status, 200);
+    let ha: serde_json::Value = serde_json::from_str(&body).expect("ha JSON parses");
+    let field = |key: &str| ha.get(key).unwrap_or_else(|| panic!("no `{key}` in {body}"));
+    assert_eq!(field("configured").as_bool(), Some(true));
+    assert_eq!(field("role").as_str(), Some("leader"));
+    assert_eq!(field("holder").as_str(), Some("leader-a"));
+    assert!(field("fencing_epoch").as_u64().is_some_and(|e| e >= 1), "{body}");
+    let mode = field("replication").get("mode").and_then(|m| m.as_str());
+    assert_eq!(mode, Some("sync"));
+
+    let (status, body) = http_get(addr, "/query/plain/ha");
+    assert_eq!(status, 200);
+    assert_eq!(body, r#"{"configured":false}"#);
+
+    let (status, body) = http_get(addr, r#"/query/gh"o\st/ha"#);
+    assert_eq!(status, 404);
+    let err: serde_json::Value = serde_json::from_str(&body).expect("error JSON parses");
+    let message = err.get("error").and_then(|e| e.as_str()).expect("error message");
+    assert!(message.contains(r#"gh"o\st"#), "{message}");
     server.stop();
     manager.stop_all().unwrap();
 }

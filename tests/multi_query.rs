@@ -345,7 +345,7 @@ fn tenant_admission_budget_defers_over_budget_groups() {
     let listed = engine
         .sessions()
         .iter()
-        .any(|(q, t, ..)| q == "throttled" && t == "small-tenant");
+        .any(|s| s.query == "throttled" && s.tenant == "small-tenant");
     assert!(listed);
     // Throttling delays epochs; it never changes what they compute.
     assert_eq!(throttled.snapshot(), oracle.snapshot());
@@ -375,6 +375,20 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
     (status, body.to_string())
 }
 
+/// One key of a JSON object body.
+fn field(body: &str, key: &str) -> serde_json::Value {
+    let v: serde_json::Value = serde_json::from_str(body).expect("JSON body");
+    v.get(key).cloned().unwrap_or_else(|| panic!("no `{key}` in {body}"))
+}
+
+/// `(query, tenant)` of each session in a `/sql/sessions` body.
+fn sessions(body: &str) -> Vec<(String, String)> {
+    let v: serde_json::Value = serde_json::from_str(body).expect("JSON body");
+    let text = |s: &serde_json::Value, k: &str| s.get(k).and_then(|v| v.as_str()).unwrap().into();
+    let list = v.as_array().expect("array of sessions");
+    list.iter().map(|s| (text(s, "query"), text(s, "tenant"))).collect()
+}
+
 /// The SQL service over real HTTP: POST /sql starts sharing queries,
 /// GET /sql/sessions lists them, GET /metrics carries query+tenant
 /// labels without duplicated TYPE headers, DELETE /query/<name> stops
@@ -402,7 +416,7 @@ fn sql_service_http_endpoints() {
         &format!(r#"{{"name":"qa","sql":"{q}","tenant":"acme","mode":"complete"}}"#),
     );
     assert_eq!(st, 200, "{body}");
-    assert!(body.contains("\"started\":\"qa\""));
+    assert_eq!(field(&body, "started").as_str(), Some("qa"));
     let (st, _) = http(
         addr,
         "POST",
@@ -419,7 +433,8 @@ fn sql_service_http_endpoints() {
         &format!(r#"{{"name":"qa","sql":"{q}"}}"#),
     );
     assert_eq!(st, 400);
-    assert!(body.contains("already running"));
+    let error = field(&body, "error");
+    assert!(error.as_str().unwrap().contains("already running"), "{body}");
     let (st, _) = http(addr, "POST", "/sql", "{not json");
     assert_eq!(st, 400);
     let (st, body) = http(
@@ -429,7 +444,8 @@ fn sql_service_http_endpoints() {
         r#"{"name":"qz","sql":"SELECT FROM WHERE"}"#,
     );
     assert_eq!(st, 400);
-    assert!(body.contains("at token"), "positioned error, got: {body}");
+    let error = field(&body, "error");
+    assert!(error.as_str().unwrap().contains("at token"), "positioned error, got: {body}");
     let (st, _) = http(
         addr,
         "POST",
@@ -440,8 +456,10 @@ fn sql_service_http_endpoints() {
 
     let (st, body) = http(addr, "GET", "/sql/sessions", "");
     assert_eq!(st, 200);
-    assert!(body.contains("\"query\":\"qa\"") && body.contains("\"tenant\":\"acme\""));
-    assert!(body.contains("\"query\":\"qb\"") && body.contains("\"tenant\":\"zeta\""));
+    assert_eq!(
+        sessions(&body),
+        vec![("qa".into(), "acme".into()), ("qb".into(), "zeta".into())]
+    );
 
     engine.run_until_idle(50).unwrap();
 
@@ -464,9 +482,9 @@ fn sql_service_http_endpoints() {
     // DELETE stops one member; the survivor keeps its session.
     let (st, body) = http(addr, "DELETE", "/query/qb", "");
     assert_eq!(st, 200, "{body}");
-    assert!(body.contains("\"state_copied\":true"));
-    let (_, sessions) = http(addr, "GET", "/sql/sessions", "");
-    assert!(!sessions.contains("\"query\":\"qb\""));
+    assert_eq!(field(&body, "state_copied").as_bool(), Some(true));
+    let (_, body) = http(addr, "GET", "/sql/sessions", "");
+    assert_eq!(sessions(&body), vec![("qa".into(), "acme".into())]);
     let (st, _) = http(addr, "DELETE", "/query/nope", "");
     assert_eq!(st, 404);
 
@@ -610,11 +628,7 @@ fn concurrent_groups_run_once_per_tick_and_read_each_range_once() {
     assert_eq!(engine.stats().groups, 3);
 
     let epochs = || -> Vec<u64> {
-        engine
-            .sessions()
-            .iter()
-            .map(|&(.., epoch, _)| epoch)
-            .collect()
+        engine.sessions().iter().map(|s| s.epoch).collect()
     };
     let mut fed = 0u64;
     for (tick, n) in waves.into_iter().enumerate() {

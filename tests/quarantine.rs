@@ -328,8 +328,60 @@ fn the_isolation_retried_epoch_reports_itself() {
         .expect("the retried epoch publishes a progress event");
     let duration = published.fields.iter().find(|(k, _)| k == "duration_us");
     assert_eq!(
-        duration.map(|(_, v)| v.clone()),
-        Some(progress.batch_duration_us.to_string())
+        duration.and_then(|(_, v)| v.as_i64()),
+        Some(progress.batch_duration_us)
+    );
+}
+
+/// A failure fingerprint is the same 16-hex-digit string in the event
+/// log as in the dead-letter queue, even when all of its digits are
+/// decimal (about one fingerprint in 1,850): it must not come out as a
+/// JSON number, which with its leading zeros is not even valid JSON.
+#[test]
+fn an_all_decimal_fingerprint_stays_a_string_in_the_event_log() {
+    use ss_bus::{DeadLetterQueue, DeadLetterRecord};
+
+    const FP: u64 = 0x1234_5678;
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let config = MicroBatchConfig {
+        error_policy: ErrorPolicy::Quarantine { max_per_epoch: 4 },
+        ..base_config(FaultRegistry::new())
+    };
+    let mut eng = build_engine(
+        bus,
+        MemorySink::new("out"),
+        Arc::new(MemoryBackend::new()),
+        config,
+    )
+    .unwrap();
+    eng.note_deterministic(FP, "malformed record: v=13");
+    let dlq = DeadLetterQueue::new();
+    dlq.commit_epoch(
+        1,
+        vec![DeadLetterRecord {
+            epoch: 1,
+            source: "in".into(),
+            partition: 1,
+            offset: 6,
+            fingerprint: FP,
+            error: "malformed record: v=13".into(),
+            row_json: r#"{"key":"k3","v":13,"time":13000000}"#.into(),
+        }],
+    );
+    let letter: serde_json::Value = serde_json::from_str(dlq.to_jsonl().trim_end()).unwrap();
+    let served = letter.get("fingerprint").and_then(|v| v.as_str());
+    assert_eq!(served, Some("0000000012345678"));
+    let jsonl = eng.events().to_jsonl();
+    let event = jsonl
+        .lines()
+        .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("event line parses"))
+        .find(|e| e.get("fingerprint").is_some())
+        .unwrap_or_else(|| panic!("no fingerprinted event in:\n{jsonl}"));
+    assert_eq!(
+        event.get("fingerprint").and_then(|v| v.as_str()),
+        served,
+        "{jsonl}"
     );
 }
 
