@@ -20,7 +20,7 @@
 //!   passes a window's end (§4.3.1); [`GroupTable::evict_closed`] then
 //!   drops what the watermark closed. The store checkpoints, counts and
 //!   spills the table through `ss_state::TypedTable` (§6.1), encoded by
-//!   reference from the accumulators in the untyped entry format (one
+//!   reference from the group states in the untyped entry format (one
 //!   state row per aggregate). Nothing is copied between kernel and
 //!   store and nothing scans the table: it lists the groups changed
 //!   this epoch and those not yet in a successful checkpoint, keeps the
@@ -37,6 +37,17 @@
 //! output mode pushes its groups, in key order, straight
 //! into the output schema's column builders.
 //!
+//! Layout: a bucket is a key index (key → ordinal and changed stamp),
+//! each group's key and save tracking, and per aggregate a column of
+//! states by ordinal, of a [`SlotKind`] chosen from the function and
+//! argument type: a count, an `Option<i64>` (`SUM(BIGINT)`, `MIN`/`MAX`
+//! over BIGINT or TIMESTAMP) fed from the typed argument column with no
+//! `Value` per row, or an [`Accumulator`]. What leaves the table reads a
+//! state as the `Accumulator` it stands for, and partials and restores
+//! come in through one. The lists name groups `(window start, ordinal)`:
+//! an integer-keyed table sorts them on `(start, key integer)`. Eviction
+//! moves a closed bucket's keys to the removed set and frees the rest.
+//!
 //! Event-time windows: one `window()` grouping key is supported; each
 //! row expands into `size/slide` windows (one for tumbling windows), the
 //! same assignment Spark's window expression produces. Rows whose
@@ -49,12 +60,13 @@ use std::sync::Arc;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use ss_common::codec::{put_value, put_values, put_varint};
+use ss_common::column::TypedColumn;
 use ss_common::time::windows_for;
 use ss_common::{
     Column, ColumnBuilder, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError,
     Value,
 };
-use ss_expr::agg::Accumulator;
+use ss_expr::agg::{Accumulator, AggregateFunction};
 use ss_expr::eval::evaluate;
 use ss_expr::{AggregateExpr, Expr};
 use ss_plan::plan::strip_alias;
@@ -80,11 +92,11 @@ enum Key {
     Row(Row),
 }
 
-/// A group as the tracking lists name it: window start and key.
-type Listed = (i64, Key);
+/// A group as the tracking lists name it: window start, ordinal.
+type Listed = (i64, u32);
 
-/// A group as a scan of the table yields it.
-type Grouped<'a> = (i64, &'a Key, &'a Group);
+/// A group as a scan yields it: window start, key, bucket, ordinal.
+type Grouped<'a> = (i64, &'a Key, &'a Bucket, usize);
 
 /// What orders groups as their key values do. An [`Key::Int`] key's
 /// values are `[Timestamp(start), v]` (or `[v]`), and `None` sorts
@@ -136,7 +148,7 @@ impl KeyShape {
     /// A key from its values (a checkpoint, a partial). In the integer
     /// form anything but `[Timestamp, NULL or the column's type]` (or
     /// the value alone) is `Corruption`.
-    fn key_of(&self, row: Row) -> Result<Listed> {
+    fn key_of(&self, row: Row) -> Result<(i64, Key)> {
         let Some(ty) = self.int else {
             let start = match self.window.map(|(slot, _)| row.values().get(slot)) {
                 Some(Some(Value::Timestamp(start))) => *start,
@@ -162,36 +174,230 @@ impl KeyShape {
 
     /// Bytes of a group's untyped entry — what `OpState` would count for
     /// it — saturating at what [`Group::bytes`] holds.
-    fn entry_bytes(&self, start: i64, key: &Key, accs: &[Accumulator]) -> u32 {
-        let key = self.with_values(start, key, Row::approx_bytes_of);
-        let values = accs.iter().map(Accumulator::state_bytes).sum();
+    fn entry_bytes(&self, start: i64, bucket: &Bucket, ord: usize) -> u32 {
+        let key = self.with_values(start, &bucket.groups[ord].key, Row::approx_bytes_of);
+        // A typed slot's state is one scalar, whatever it holds.
+        let one = Row::approx_bytes_of(&[Value::Null]);
+        let state = |s: &Slots| if let Slots::Any(_, a) = s { a[ord].state_bytes() } else { one };
+        let values = bucket.slots.iter().map(state).sum();
         u32::try_from(OpState::entry_bytes_of(key, values)).unwrap_or(u32::MAX)
     }
 
-    fn put_group(&self, out: &mut Vec<u8>, start: i64, key: &Key, group: &Group) {
-        self.with_values(start, key, |values| put_values(out, values));
+    fn put_group(&self, out: &mut Vec<u8>, start: i64, bucket: &Bucket, ord: usize) {
+        self.with_values(start, &bucket.groups[ord].key, |values| put_values(out, values));
         put_value(out, &Value::Null); // no timeout
-        put_varint(out, group.accs.len() as u64);
-        group.accs.iter().for_each(|a| a.put_state(out));
+        put_varint(out, bucket.slots.len() as u64);
+        bucket.slots.iter().for_each(|s| s.with(ord, |a| a.put_state(out)));
     }
 }
 
-/// One group: its accumulators, and where it stands in its table's
-/// change tracking. A stamp equal to the table's current generation
-/// means "on that list"; one behind means not.
+/// How one aggregate's group states are held (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotKind {
+    /// `COUNT(*)` and `COUNT(x)`: [`Slots::Count`].
+    Count,
+    /// `SUM(BIGINT)` (wrapping), `MIN`/`MAX` over BIGINT or TIMESTAMP
+    /// (its values' type): [`Slots::Int`], `None` until a non-NULL.
+    Sum,
+    Min(DataType),
+    Max(DataType),
+    /// Anything else (`AVG`, floats, strings): [`Slots::Any`].
+    Any(AggregateFunction),
+}
+
+impl SlotKind {
+    fn of(agg: &AggregateExpr, input: &Schema) -> Result<SlotKind> {
+        let arg = agg.arg.as_ref().map(|e| e.data_type(input)).transpose()?;
+        let int = matches!(arg, Some(DataType::Int64 | DataType::Timestamp));
+        Ok(match (agg.func, arg) {
+            (AggregateFunction::Count, _) => SlotKind::Count,
+            (AggregateFunction::Sum, Some(DataType::Int64)) => SlotKind::Sum,
+            (AggregateFunction::Min, Some(ty)) if int => SlotKind::Min(ty),
+            (AggregateFunction::Max, Some(ty)) if int => SlotKind::Max(ty),
+            (func, _) => SlotKind::Any(func),
+        })
+    }
+
+    /// A new group's state.
+    fn fresh(self) -> Accumulator {
+        match self {
+            SlotKind::Count => Accumulator::Count { n: 0 },
+            SlotKind::Any(func) => AggregateExpr::new(func, None).create_accumulator(),
+            int => int.int_acc(None),
+        }
+    }
+
+    /// The accumulator an `Int` slot holding `v` stands for.
+    fn int_acc(self, v: Option<i64>) -> Accumulator {
+        let value = |ty| match v {
+            None => Value::Null,
+            Some(v) if ty == DataType::Timestamp => Value::Timestamp(v),
+            Some(v) => Value::Int64(v),
+        };
+        match self {
+            SlotKind::Min(ty) => Accumulator::Min { min: value(ty) },
+            SlotKind::Max(ty) => Accumulator::Max { max: value(ty) },
+            _ => Accumulator::Sum { sum: value(DataType::Int64) },
+        }
+    }
+}
+
+/// One aggregate's states over a bucket's groups, by ordinal.
+#[derive(Debug)]
+enum Slots {
+    Count(Vec<i64>),
+    Int(SlotKind, Vec<Option<i64>>),
+    Any(SlotKind, Vec<Accumulator>),
+}
+
+/// An aggregate's argument over one batch, as its slots read it.
+enum Arg<'a> {
+    /// `COUNT(*)`: every row counts.
+    Star,
+    /// An `Int` slot's BIGINT or TIMESTAMP column.
+    Int(&'a TypedColumn<i64>),
+    /// Any other column: a `Value` per row (`COUNT(x)` reads validity).
+    Any(&'a Column),
+}
+
+impl Slots {
+    fn new(kind: SlotKind) -> Slots {
+        match kind {
+            SlotKind::Count => Slots::Count(Vec::new()),
+            SlotKind::Any(_) => Slots::Any(kind, Vec::new()),
+            int => Slots::Int(int, Vec::new()),
+        }
+    }
+
+    fn push_fresh(&mut self) {
+        match self {
+            Slots::Count(n) => n.push(0),
+            Slots::Int(_, v) => v.push(None),
+            Slots::Any(kind, a) => a.push(kind.fresh()),
+        }
+    }
+
+    /// Feed group `ord` the argument's value at `row`.
+    #[inline(always)]
+    fn update(&mut self, ord: usize, arg: &Arg, row: usize) -> Result<()> {
+        match (self, arg) {
+            (Slots::Count(n), Arg::Star) => n[ord] += 1,
+            (Slots::Count(n), Arg::Any(col)) => n[ord] += i64::from(col.is_valid(row)),
+            (Slots::Int(kind, v), Arg::Int(col)) => {
+                if let Some(&x) = col.get(row) {
+                    v[ord] = Some(match (v[ord], *kind) {
+                        (None, _) => x,
+                        (Some(s), SlotKind::Min(_)) => s.min(x),
+                        (Some(s), SlotKind::Max(_)) => s.max(x),
+                        (Some(s), _) => s.wrapping_add(x),
+                    });
+                }
+            }
+            (Slots::Any(_, a), Arg::Any(col)) => a[ord].update_value(&col.value(row))?,
+            _ => unreachable!("an argument is read as its aggregate's slots need"),
+        }
+        Ok(())
+    }
+
+    /// `f` of group `ord`'s state, as the accumulator it stands for.
+    fn with<R>(&self, ord: usize, f: impl FnOnce(&Accumulator) -> R) -> R {
+        match self {
+            Slots::Count(n) => f(&Accumulator::Count { n: n[ord] }),
+            Slots::Int(kind, v) => f(&kind.int_acc(v[ord])),
+            Slots::Any(_, a) => f(&a[ord]),
+        }
+    }
+
+    /// Replace group `ord`'s state with `acc`'s.
+    fn set(&mut self, ord: usize, acc: Accumulator) -> Result<()> {
+        match (self, acc) {
+            (Slots::Count(n), Accumulator::Count { n: m }) => n[ord] = m,
+            (Slots::Int(_, v), Accumulator::Sum { sum } | Accumulator::Min { min: sum }
+                | Accumulator::Max { max: sum }) => v[ord] = sum.as_i64()?,
+            (Slots::Any(_, a), acc) => a[ord] = acc,
+            (_, acc) => return Err(SsError::Internal(format!("{acc:?} does not fit its slot"))),
+        }
+        Ok(())
+    }
+}
+
+/// A group's key, and where it stands in its table's save tracking. A
+/// stamp equal to the table's current generation means "on that list";
+/// one behind means not.
 #[derive(Debug)]
 struct Group {
-    accs: Vec<Accumulator>,
-    /// Epoch generation it went on the changed list in. A stamp compare
-    /// per row is all the hot path pays for tracking.
-    changed: u32,
+    key: Key,
     /// Save generation it went on the unsaved list in.
     unsaved: u32,
-    /// Save generation it was created in: a group evicted in that same
-    /// generation is in no checkpoint and leaves no removed key.
-    born: u32,
     /// Bytes of its untyped entry as last added to the table's total.
     bytes: u32,
+}
+
+/// One window's groups (see the module docs).
+#[derive(Debug)]
+struct Bucket {
+    /// Key → ordinal, and the epoch generation the group went on the
+    /// changed list in: a row pays one stamp compare for tracking.
+    index: FxHashMap<Key, (u32, u32)>,
+    groups: Vec<Group>,
+    /// One per aggregate.
+    slots: Vec<Slots>,
+}
+
+impl Bucket {
+    fn new(kinds: &[SlotKind]) -> Bucket {
+        let slots = kinds.iter().map(|&k| Slots::new(k)).collect();
+        Bucket { index: FxHashMap::default(), groups: Vec::new(), slots }
+    }
+
+    /// Feed `update` the slots and ordinal of `key`'s group (made on
+    /// first sight), listing it changed once an epoch; `key` back if
+    /// unused. Inline, updating with the index entry at hand: per row.
+    #[inline(always)]
+    fn upsert(
+        &mut self,
+        t: &mut Tracking,
+        start: i64,
+        key: Key,
+        update: impl FnOnce(&mut [Slots], usize) -> Result<()>,
+    ) -> Result<Option<Key>> {
+        match self.index.get_mut(&key) {
+            Some((ord, changed)) => {
+                update(&mut self.slots, *ord as usize)?;
+                if *changed != t.epoch_gen {
+                    *changed = t.epoch_gen;
+                    t.changed.push((start, *ord));
+                }
+                Ok(Some(key))
+            }
+            None => {
+                let ord = self.add(t, start, key, t.epoch_gen);
+                update(&mut self.slots, ord)?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// A new group, fresh, stamped `changed` (listed if current).
+    #[inline(never)]
+    fn add(&mut self, t: &mut Tracking, start: i64, key: Key, changed: u32) -> usize {
+        let ord = u32::try_from(self.groups.len()).expect("a bucket holds under 2^32 groups");
+        // A key evicted since the last checkpoint and now back is no
+        // longer removed.
+        let listed = (start, key);
+        if !t.removed.is_empty() {
+            t.removed.remove(&listed);
+        }
+        let unsaved = t.save_gen.wrapping_sub(1);
+        self.groups.push(Group { key: listed.1.clone(), unsaved, bytes: 0 });
+        self.slots.iter_mut().for_each(Slots::push_fresh);
+        self.index.insert(listed.1, (ord, changed));
+        t.len += 1;
+        if changed == t.epoch_gen {
+            t.changed.push((start, ord));
+        }
+        ord as usize
+    }
 }
 
 /// Everything of a [`GroupTable`] but the groups, so the kernel can
@@ -206,10 +412,10 @@ struct Tracking {
     changed: Vec<Listed>,
     /// Bumped by `clear_tracking` (a *successful* checkpoint);
     /// `unsaved` lists the live groups stamped with it, once each, and
-    /// `removed` the checkpointed keys evicted since.
+    /// `removed` the keys evicted since (in a checkpoint or not).
     save_gen: u32,
     unsaved: Vec<Listed>,
-    removed: FxHashSet<Listed>,
+    removed: FxHashSet<(i64, Key)>,
     /// For the state metrics: groups drained, groups evicted.
     puts: u64,
     evictions: u64,
@@ -221,77 +427,107 @@ struct Tracking {
 #[derive(Debug, Default)]
 pub struct GroupTable {
     shape: KeyShape,
-    aggregates: Arc<[AggregateExpr]>,
+    kinds: Arc<[SlotKind]>,
     /// Groups bucketed by window start (one bucket, 0, without a
     /// window): the watermark closes whole buckets.
-    buckets: BTreeMap<i64, FxHashMap<Key, Group>>,
+    buckets: BTreeMap<i64, Bucket>,
     t: Tracking,
 }
 
 impl GroupTable {
     fn groups_in(&self, starts: impl RangeBounds<i64>) -> impl Iterator<Item = Grouped<'_>> {
         let buckets = self.buckets.range(starts);
-        buckets.flat_map(|(&start, groups)| groups.iter().map(move |(key, g)| (start, key, g)))
+        buckets.flat_map(|(&start, b)| {
+            b.groups.iter().enumerate().map(move |(ord, g)| (start, &g.key, b, ord))
+        })
+    }
+
+    /// Each listed group with its bucket, looked up once per run of
+    /// groups in the same bucket.
+    fn listed<'a>(&'a self, list: &'a [Listed]) -> impl Iterator<Item = (&'a Bucket, Listed)> {
+        let mut at: Option<(i64, &Bucket)> = None;
+        list.iter().map(move |&(start, ord)| match at {
+            Some((s, bucket)) if s == start => (bucket, (start, ord)),
+            _ => (at.insert((start, &self.buckets[&start])).1, (start, ord)),
+        })
+    }
+
+    /// Put listed groups in emission order (see [`emit_order`]), each
+    /// key looked up once: on `(start, integer)` in the integer form.
+    fn sort(&self, list: &mut [Listed]) {
+        if self.shape.int.is_none() {
+            let key = |&(start, ord): &Listed| &self.buckets[&start].groups[ord as usize].key;
+            return list.sort_by_cached_key(|l| emit_order(l.0, key(l)));
+        }
+        let int = |(b, (start, ord)): (&Bucket, Listed)| match b.groups[ord as usize].key {
+            Key::Int(v) => (start, v, ord),
+            Key::Row(_) => unreachable!("an integer-keyed table holds integer keys"),
+        };
+        let mut keyed: Vec<(i64, Option<i64>, u32)> = self.listed(list).map(int).collect();
+        keyed.sort_unstable();
+        list.iter_mut().zip(keyed).for_each(|(l, (start, _, ord))| *l = (start, ord));
     }
 
     /// Close the epoch's ingest: visit, in key order, every group that
     /// changed since the last call, count its bytes and move it to the
     /// unsaved list.
-    fn drain(&mut self, mut visit: impl FnMut(i64, &Key, &[Accumulator])) {
+    fn drain(&mut self, mut visit: impl FnMut(i64, &Key, &Bucket, usize)) {
         let mut changed = std::mem::take(&mut self.t.changed);
-        changed.sort_unstable_by(|(a, x), (b, y)| emit_order(*a, x).cmp(&emit_order(*b, y)));
-        self.t.puts += changed.len() as u64;
-        // `drain` keeps the list's buffer: the next epoch's pushes fault
-        // no fresh pages in.
-        for (start, key) in changed.drain(..) {
-            let group = self.buckets.get_mut(&start).and_then(|b| b.get_mut(&key));
-            let group = group.expect("a changed key is a live group");
-            visit(start, &key, &group.accs);
-            let bytes = self.shape.entry_bytes(start, &key, &group.accs);
-            self.t.bytes = self.t.bytes + bytes as usize - group.bytes as usize;
+        self.sort(&mut changed);
+        let (shape, t) = (&self.shape, &mut self.t);
+        t.puts += changed.len() as u64;
+        let mut at: Option<(i64, &mut Bucket)> = None;
+        for &(start, ord) in &changed {
+            if at.as_ref().is_none_or(|(s, _)| *s != start) {
+                at = Some((start, self.buckets.get_mut(&start).expect("a changed group is live")));
+            }
+            let bucket = &mut *at.as_mut().expect("set above").1;
+            let ord = ord as usize;
+            visit(start, &bucket.groups[ord].key, bucket, ord);
+            let bytes = shape.entry_bytes(start, bucket, ord);
+            let group = &mut bucket.groups[ord];
+            t.bytes = t.bytes + bytes as usize - group.bytes as usize;
             group.bytes = bytes;
-            if group.unsaved != self.t.save_gen {
-                group.unsaved = self.t.save_gen;
-                self.t.unsaved.push((start, key));
+            if group.unsaved != t.save_gen {
+                group.unsaved = t.save_gen;
+                t.unsaved.push((start, ord as u32));
             }
         }
-        self.t.changed = changed;
-        self.t.epoch_gen = self.t.epoch_gen.wrapping_add(1);
-        if self.t.epoch_gen == 0 {
+        // Keeping the list's buffer, the next epoch's pushes fault no
+        // fresh pages in.
+        changed.clear();
+        t.changed = changed;
+        t.epoch_gen = t.epoch_gen.wrapping_add(1);
+        if t.epoch_gen == 0 {
             // Wrapped: a stamp from 2^32 epochs ago must not read as
             // current. No group is on the (just drained) list.
-            self.buckets.values_mut().flatten().for_each(|(_, g)| g.changed = u32::MAX);
+            let stale = |b: &mut Bucket| b.index.values_mut().for_each(|(_, c)| *c = u32::MAX);
+            self.buckets.values_mut().for_each(stale);
         }
     }
 
     /// Drop every group whose window closed at `watermark_us`
-    /// (`start + size <= watermark_us`), whole buckets at a time.
+    /// (`start + size <= watermark_us`), a whole bucket at a time: its
+    /// keys move to the removed set, its vectors are freed.
     pub fn evict_closed(&mut self, watermark_us: i64) {
         let Some((_, size)) = self.shape.window else { return };
         let open = |start: i64| start.saturating_add(size) > watermark_us;
         let t = &mut self.t;
-        let mut listed = false;
         while let Some(bucket) = self.buckets.first_entry() {
             let start = *bucket.key();
             if open(start) {
                 break;
             }
-            for (key, group) in bucket.remove() {
-                t.len -= 1;
-                t.bytes -= group.bytes as usize;
-                t.evictions += 1;
-                listed |= group.unsaved == t.save_gen || group.changed == t.epoch_gen;
-                if group.born != t.save_gen {
-                    t.removed.insert((start, key));
-                }
-            }
+            let Bucket { index, groups, .. } = bucket.remove();
+            t.len -= groups.len();
+            t.bytes -= groups.iter().map(|g| g.bytes as usize).sum::<usize>();
+            t.evictions += groups.len() as u64;
+            t.removed.extend(index.into_keys().map(|key| (start, key)));
         }
-        if listed {
-            // Only when a checkpoint was skipped or failed since the
-            // groups changed: the lists hold live groups only.
-            t.unsaved.retain(|(start, _)| open(*start));
-            t.changed.retain(|(start, _)| open(*start));
-        }
+        // The lists hold live groups only: a bucket made again for a
+        // closed window must not inherit stale ordinals.
+        t.unsaved.retain(|(start, _)| open(*start));
+        t.changed.retain(|(start, _)| open(*start));
     }
 }
 
@@ -312,12 +548,12 @@ impl TypedTable for GroupTable {
         let shape = &self.shape;
         if full {
             put_varint(out, self.t.len as u64);
-            self.groups_in(..).for_each(|(start, key, g)| shape.put_group(out, start, key, g));
+            self.groups_in(..).for_each(|(start, _, b, ord)| shape.put_group(out, start, b, ord));
             put_varint(out, 0);
         } else {
             put_varint(out, self.t.unsaved.len() as u64);
-            for (start, key) in &self.t.unsaved {
-                shape.put_group(out, *start, key, &self.buckets[start][key]);
+            for (bucket, (start, ord)) in self.listed(&self.t.unsaved) {
+                shape.put_group(out, start, bucket, ord as usize);
             }
             put_varint(out, self.t.removed.len() as u64);
             for (start, key) in &self.t.removed {
@@ -332,8 +568,8 @@ impl TypedTable for GroupTable {
         self.t.save_gen = self.t.save_gen.wrapping_add(1);
         if self.t.save_gen == 0 {
             // Wrapped (as in `drain`): every group is saved.
-            let stale = |(_, g): (_, &mut Group)| (g.unsaved, g.born) = (u32::MAX, u32::MAX);
-            self.buckets.values_mut().flatten().for_each(stale);
+            let stale = |b: &mut Bucket| b.groups.iter_mut().for_each(|g| g.unsaved = u32::MAX);
+            self.buckets.values_mut().for_each(stale);
         }
     }
 
@@ -342,30 +578,31 @@ impl TypedTable for GroupTable {
     }
 
     fn restore_entry(&mut self, key: Row, entry: StateEntry) -> Result<()> {
-        if entry.values.len() != self.aggregates.len() {
+        if entry.values.len() != self.kinds.len() {
             return Err(SsError::Serde(format!(
                 "state entry has {} aggregates, expected {}",
                 entry.values.len(),
-                self.aggregates.len()
+                self.kinds.len()
             )));
         }
-        let mut accs: Vec<Accumulator> =
-            self.aggregates.iter().map(|a| a.create_accumulator()).collect();
+        let mut accs: Vec<Accumulator> = self.kinds.iter().map(|k| k.fresh()).collect();
         for (acc, st) in accs.iter_mut().zip(&entry.values) {
             acc.merge(st)?;
         }
         let (start, key) = self.shape.key_of(key)?;
-        let bytes = self.shape.entry_bytes(start, &key, &accs);
-        let t = &mut self.t;
-        let behind = t.save_gen.wrapping_sub(1);
-        let changed = t.epoch_gen.wrapping_sub(1);
-        let group = Group { accs, changed, unsaved: behind, born: behind, bytes };
-        t.len += 1;
-        t.bytes += bytes as usize;
-        if let Some(old) = self.buckets.entry(start).or_default().insert(key, group) {
-            t.len -= 1;
-            t.bytes -= old.bytes as usize;
+        let GroupTable { shape, kinds, buckets, t } = self;
+        let bucket = buckets.entry(start).or_insert_with(|| Bucket::new(kinds));
+        let ord = match bucket.index.get(&key) {
+            Some(&(ord, _)) => ord as usize,
+            None => bucket.add(t, start, key, t.epoch_gen.wrapping_sub(1)),
+        };
+        for (slots, acc) in bucket.slots.iter_mut().zip(accs) {
+            slots.set(ord, acc)?;
         }
+        let bytes = shape.entry_bytes(start, bucket, ord);
+        let group = &mut bucket.groups[ord];
+        t.bytes = t.bytes + bytes as usize - group.bytes as usize;
+        group.bytes = bytes;
         Ok(())
     }
 
@@ -382,6 +619,7 @@ pub struct HashAggregator {
     window: Option<WindowSpec>,
     shape: KeyShape,
     aggregates: Arc<[AggregateExpr]>,
+    kinds: Arc<[SlotKind]>,
     output_schema: SchemaRef,
     /// The private table of batch use; empty (and unused) when the
     /// table is the state store's.
@@ -415,21 +653,23 @@ impl HashAggregator {
         let int = one_column.then(last_key);
         let int = int.filter(|ty| matches!(ty, DataType::Int64 | DataType::Timestamp));
         let shape = KeyShape { window: window.as_ref().map(|w| (w.slot, w.size_us)), int };
-        let aggregates: Arc<[AggregateExpr]> = aggregates.into();
+        let kinds: Arc<[SlotKind]> =
+            aggregates.iter().map(|a| SlotKind::of(a, &input_schema)).collect::<Result<_>>()?;
         Ok(HashAggregator {
-            table: GroupTable { shape, aggregates: aggregates.clone(), ..GroupTable::default() },
+            table: GroupTable { shape, kinds: kinds.clone(), ..GroupTable::default() },
             input_schema,
             group_exprs,
             window,
             shape,
-            aggregates,
+            aggregates: aggregates.into(),
+            kinds,
             output_schema,
         })
     }
 
     /// An empty table for this aggregation.
     fn new_table(&self) -> GroupTable {
-        GroupTable { shape: self.shape, aggregates: self.aggregates.clone(), ..Default::default() }
+        GroupTable { shape: self.shape, kinds: self.kinds.clone(), ..Default::default() }
     }
 
     fn compute_output_schema(
@@ -511,6 +751,13 @@ impl HashAggregator {
             .iter()
             .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
             .collect::<Result<_>>()?;
+        let args: Vec<Arg> = (self.kinds.iter().zip(&arg_cols))
+            .map(|(kind, col)| match (kind, col) {
+                (_, None) => Ok(Arg::Star),
+                (SlotKind::Count | SlotKind::Any(_), Some(col)) => Ok(Arg::Any(col)),
+                (_, Some(col)) => col.as_i64().map(Arg::Int),
+            })
+            .collect::<Result<_>>()?;
         // Typed access to the window timestamp column (avoids a Value
         // allocation per row on the hot path).
         let window_info = match &self.window {
@@ -525,8 +772,8 @@ impl HashAggregator {
         let mut starts_buf: Vec<i64> = Vec::new();
         // The bucket of the window last written to: consecutive rows
         // mostly share it, and then a row costs one hash probe.
-        let GroupTable { buckets, t, .. } = table;
-        let mut bucket: Option<(i64, &mut FxHashMap<Key, Group>)> = None;
+        let GroupTable { buckets, t, kinds, .. } = table;
+        let mut bucket: Option<(i64, &mut Bucket)> = None;
         for row in 0..batch.num_rows() {
             starts_buf.clear();
             match &window_info {
@@ -558,17 +805,12 @@ impl HashAggregator {
                     }
                 };
                 if bucket.as_ref().is_none_or(|(s, _)| *s != start) {
-                    bucket = Some((start, buckets.entry(start).or_default()));
+                    let made = buckets.entry(start).or_insert_with(|| Bucket::new(kinds));
+                    bucket = Some((start, made));
                 }
                 let groups = &mut *bucket.as_mut().expect("set above").1;
-                let spare = upsert(groups, t, &self.aggregates, start, key, |accs| {
-                    for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-                        match arg {
-                            Some(col) => acc.update_value(&col.value(row))?,
-                            None => acc.update_value(&COUNT_STAR_ARG)?,
-                        }
-                    }
-                    Ok(())
+                let spare = groups.upsert(t, start, key, |slots, ord| {
+                    slots.iter_mut().zip(&args).try_for_each(|(s, arg)| s.update(ord, arg, row))
                 })?;
                 if ints.is_none() {
                     // The key's own buffer when it was only needed for
@@ -593,7 +835,7 @@ impl HashAggregator {
 
     /// Append one group's output row: its key values (a window as its
     /// start and end), then each aggregate's result.
-    fn emit(&self, out: &mut [ColumnBuilder], start: i64, key: &Key, accs: &[Accumulator])
+    fn emit(&self, out: &mut [ColumnBuilder], start: i64, key: &Key, bucket: &Bucket, ord: usize)
         -> Result<()> {
         let mut cols = out.iter_mut();
         let mut push = |v: Value| cols.next().expect("a builder per output column").push_owned(v);
@@ -609,7 +851,7 @@ impl HashAggregator {
             }
             Ok(())
         })?;
-        accs.iter().try_for_each(|a| push(a.evaluate()))
+        bucket.slots.iter().try_for_each(|s| push(s.with(ord, Accumulator::evaluate)))
     }
 
     fn batch(&self, out: Vec<ColumnBuilder>) -> Result<RecordBatch> {
@@ -619,10 +861,10 @@ impl HashAggregator {
 
     fn batch_of<'a>(&self, groups: impl Iterator<Item = Grouped<'a>>) -> Result<RecordBatch> {
         let mut groups: Vec<Grouped> = groups.collect();
-        groups.sort_unstable_by(|(a, x, _), (b, y, _)| emit_order(*a, x).cmp(&emit_order(*b, y)));
+        groups.sort_unstable_by(|(a, x, ..), (b, y, ..)| emit_order(*a, x).cmp(&emit_order(*b, y)));
         let mut out = self.builders(groups.len());
-        for (start, key, group) in groups {
-            self.emit(&mut out, start, key, &group.accs)?;
+        for (start, key, bucket, ord) in groups {
+            self.emit(&mut out, start, key, bucket, ord)?;
         }
         self.batch(out)
     }
@@ -636,9 +878,9 @@ impl HashAggregator {
         // The drain runs to the end whatever happens: it is what keeps
         // the tracking lists whole.
         let mut emitted = Ok(());
-        table.drain(|start, key, accs| {
+        table.drain(|start, key, bucket, ord| {
             if emit && emitted.is_ok() {
-                emitted = self.emit(&mut out, start, key, accs);
+                emitted = self.emit(&mut out, start, key, bucket, ord);
             }
         });
         emitted?;
@@ -695,6 +937,7 @@ impl HashAggregator {
             window: self.window.clone(),
             shape: self.shape,
             aggregates: self.aggregates.clone(),
+            kinds: self.kinds.clone(),
             output_schema: self.output_schema.clone(),
             table: self.new_table(),
         }
@@ -714,8 +957,11 @@ impl HashAggregator {
     /// touched.
     pub fn into_partials(self) -> Vec<Partial> {
         let shape = self.shape;
-        let bucket = |(start, groups): (i64, FxHashMap<Key, Group>)| {
-            groups.into_iter().map(move |(key, g)| (shape.row_of(start, key), g.accs))
+        let bucket = |(start, Bucket { groups, slots, .. }): (i64, Bucket)| {
+            groups.into_iter().enumerate().map(move |(ord, g)| {
+                let accs = slots.iter().map(|s| s.with(ord, Accumulator::clone)).collect();
+                (shape.row_of(start, g.key), accs)
+            })
         };
         self.table.buckets.into_iter().flat_map(bucket).collect()
     }
@@ -725,18 +971,21 @@ impl HashAggregator {
     /// partials' source rows would leave.
     pub fn merge_partials(&self, table: &mut GroupTable, partials: Vec<Partial>) -> Result<()> {
         for (key, partial) in partials {
-            if partial.len() != self.aggregates.len() {
+            if partial.len() != self.kinds.len() {
                 return Err(SsError::Internal(format!(
                     "partial has {} accumulators, expected {}",
                     partial.len(),
-                    self.aggregates.len()
+                    self.kinds.len()
                 )));
             }
             let (start, key) = table.shape.key_of(key)?;
-            let groups = table.buckets.entry(start).or_default();
-            upsert(groups, &mut table.t, &self.aggregates, start, key, |accs| {
-                for (acc, p) in accs.iter_mut().zip(partial) {
+            let GroupTable { buckets, t, kinds, .. } = table;
+            let bucket = buckets.entry(start).or_insert_with(|| Bucket::new(kinds));
+            bucket.upsert(t, start, key, |slots, ord| {
+                for (slots, p) in slots.iter_mut().zip(partial) {
+                    let mut acc = slots.with(ord, Accumulator::clone);
                     acc.combine(p)?;
+                    slots.set(ord, acc)?;
                 }
                 Ok(())
             })?;
@@ -747,57 +996,6 @@ impl HashAggregator {
 
 /// One group of a map task's local aggregation: key and accumulators.
 pub type Partial = (Row, Vec<Accumulator>);
-
-/// What `count(*)`, which has no argument column, is fed per row: any
-/// non-NULL value counts.
-const COUNT_STAR_ARG: Value = Value::Int64(1);
-
-/// Feed one update into `key`'s group in the bucket of window `start`,
-/// creating the group on first sight, and put it on the changed list
-/// the first time this epoch. Returns `key` when the table kept no use
-/// for it.
-fn upsert(
-    groups: &mut FxHashMap<Key, Group>,
-    t: &mut Tracking,
-    aggregates: &[AggregateExpr],
-    start: i64,
-    key: Key,
-    update: impl FnOnce(&mut [Accumulator]) -> Result<()>,
-) -> Result<Option<Key>> {
-    match groups.get_mut(&key) {
-        Some(group) => {
-            update(&mut group.accs)?;
-            if group.changed == t.epoch_gen {
-                return Ok(Some(key));
-            }
-            group.changed = t.epoch_gen;
-            t.changed.push((start, key));
-            Ok(None)
-        }
-        None => {
-            let mut accs: Vec<Accumulator> =
-                aggregates.iter().map(|a| a.create_accumulator()).collect();
-            update(&mut accs)?;
-            // A key evicted since the last checkpoint and now back is
-            // in that checkpoint (whatever `born` would say) and no
-            // longer removed.
-            let listed = (start, key);
-            let saved = !t.removed.is_empty() && t.removed.remove(&listed);
-            let behind = t.save_gen.wrapping_sub(1);
-            let group = Group {
-                accs,
-                changed: t.epoch_gen,
-                unsaved: behind,
-                born: if saved { behind } else { t.save_gen },
-                bytes: 0,
-            };
-            t.len += 1;
-            groups.insert(listed.1.clone(), group);
-            t.changed.push(listed);
-            Ok(None)
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1029,13 +1227,16 @@ mod tests {
         let early = batch(&[row!["a", Value::Timestamp(secs(5)), 0i64]]);
         let key = row![Value::Timestamp(0)];
         let one = (key.clone(), vec![row![1i64]]);
-        // Created and evicted between two checkpoints: in neither list.
+        // Created and evicted between two checkpoints: removed all the
+        // same (a checkpoint whose ack was lost may hold it), which
+        // restores as a no-op where none does.
         agg.update_batch(&early).unwrap();
         drain(&mut agg);
         assert_eq!(saved(&agg.table, false), (vec![one.clone()], vec![]));
         agg.table.evict_closed(secs(20));
-        assert_eq!(saved(&agg.table, false), (vec![], vec![]));
-        assert!(agg.table.is_clean() && agg.table.approx_bytes() == 0);
+        assert_eq!(saved(&agg.table, false), (vec![], vec![key.clone()]));
+        assert!(!agg.table.is_clean() && agg.table.approx_bytes() == 0);
+        agg.table.clear_tracking();
         // Checkpointed, then evicted: removed. A checkpoint that fails
         // (no `clear_tracking`) encodes the same delta again.
         agg.update_batch(&early).unwrap();
@@ -1385,5 +1586,127 @@ mod tests {
             let err = agg.merge_partials(&mut agg.new_table(), partial);
             assert!(matches!(err, Err(SsError::Corruption(_))), "{bad}: {err:?}");
         }
+    }
+
+    // ---- typed slots ----
+
+    /// A state as everything outside the table sees it: the result, the
+    /// checkpoint bytes and the byte count.
+    type Seen = (Value, Vec<u8>, usize);
+
+    fn seen(acc: &Accumulator) -> Seen {
+        let mut bytes = Vec::new();
+        acc.put_state(&mut bytes);
+        (acc.evaluate(), bytes, acc.state_bytes())
+    }
+
+    /// Every group's states, by key values.
+    fn seen_in(table: &GroupTable) -> BTreeMap<Row, Vec<Seen>> {
+        let states = |b: &Bucket, ord| b.slots.iter().map(|s| s.with(ord, seen)).collect();
+        let row = |start, key: &Key| table.shape.row_of(start, key.clone());
+        table.groups_in(..).map(|(start, key, b, ord)| (row(start, key), states(b, ord))).collect()
+    }
+
+    #[test]
+    fn slots_match_the_accumulators_they_stand_for() {
+        let schema = Schema::of(vec![
+            Field::new("k", DataType::Utf8),
+            Field::new("v", DataType::Int64),
+            Field::new("t", DataType::Timestamp),
+            Field::new("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+        ]);
+        let aggregates = vec![
+            count_star(),
+            count(col("v")),
+            sum(col("v")),
+            min(col("v")),
+            max(col("v")),
+            min(col("t")),
+            max(col("t")),
+            avg(col("v")),
+            sum(col("f")),
+            min(col("s")),
+            count(col("s")),
+        ];
+        let mut agg =
+            HashAggregator::new(schema.clone(), vec![col("k")], aggregates.clone()).unwrap();
+        use {AggregateFunction as F, DataType::*, SlotKind::*};
+        let kinds = [
+            Count,
+            Count,
+            Sum,
+            Min(Int64),
+            Max(Int64),
+            Min(Timestamp),
+            Max(Timestamp),
+            Any(F::Avg),
+            Any(F::Sum),
+            Any(F::Min),
+            Count,
+        ];
+        assert_eq!(*agg.kinds, kinds);
+        let ts = Value::Timestamp;
+        let rows = [
+            // SUM wraps past i64::MAX; the extremes of both types.
+            row!["a", i64::MAX, ts(5), 1.5, "pear"],
+            row!["a", i64::MAX, ts(i64::MIN), -0.25, "apple"],
+            row!["a", Value::Null, Value::Null, Value::Null, Value::Null],
+            row!["a", 1i64, ts(i64::MAX), 2.0, "zoo"],
+            row!["m", i64::MIN, ts(-7), -0.0, "m"],
+            row!["m", -1i64, Value::Null, Value::Null, Value::Null],
+            // Arguments all NULL: COUNT(x) 0, the rest NULL.
+            row!["n", Value::Null, Value::Null, Value::Null, Value::Null],
+            row!["n", Value::Null, Value::Null, Value::Null, Value::Null],
+            row![Value::Null, 3i64, ts(0), 0.5, ""],
+        ];
+        let batch = RecordBatch::from_rows(schema, &rows).unwrap();
+        // The reference: an accumulator per group and aggregate, fed
+        // each row's argument value.
+        let args: Vec<Option<Column>> = (aggregates.iter())
+            .map(|a| a.arg.as_ref().map(|e| evaluate(e, &batch).unwrap()))
+            .collect();
+        let mut want: BTreeMap<Row, Vec<Accumulator>> = BTreeMap::new();
+        for (i, row) in rows.iter().enumerate() {
+            let fresh = || aggregates.iter().map(AggregateExpr::create_accumulator).collect();
+            let accs = want.entry(Row::new(vec![row.get(0).clone()])).or_insert_with(fresh);
+            for (acc, arg) in accs.iter_mut().zip(&args) {
+                acc.update_value(&arg.as_ref().map_or(Value::Int64(1), |c| c.value(i))).unwrap();
+            }
+        }
+        let seen_all = |want: &BTreeMap<Row, Vec<Accumulator>>| -> BTreeMap<Row, Vec<Seen>> {
+            want.iter().map(|(k, accs)| (k.clone(), accs.iter().map(seen).collect())).collect()
+        };
+        // Ingest.
+        agg.update_batch(&batch).unwrap();
+        assert_eq!(seen_in(&agg.table), seen_all(&want));
+        // Partials, merged into an empty table and once more into the
+        // groups that made: each state combined with itself.
+        let mut local = agg.fresh_clone();
+        local.update_batch(&batch).unwrap();
+        let partials = local.into_partials();
+        let mut merged = agg.new_table();
+        agg.merge_partials(&mut merged, partials.clone()).unwrap();
+        assert_eq!(seen_in(&merged), seen_all(&want));
+        agg.merge_partials(&mut merged, partials).unwrap();
+        let mut doubled = want.clone();
+        for accs in doubled.values_mut() {
+            accs.iter_mut().for_each(|a| a.combine(a.clone()).unwrap());
+        }
+        assert_eq!(seen_in(&merged), seen_all(&doubled));
+        // The bytes the drain counts are the accumulators' entries'.
+        drain(&mut agg);
+        let entry = |(key, accs): (&Row, &Vec<Accumulator>)| {
+            let states = accs.iter().map(Accumulator::state_bytes).sum();
+            OpState::entry_bytes_of(key.approx_bytes(), states)
+        };
+        assert_eq!(agg.table.approx_bytes(), want.iter().map(entry).sum::<usize>());
+        // A checkpoint, restored.
+        let mut restored = agg.new_table();
+        for (key, states) in saved(&agg.table, true).0 {
+            restored.restore_entry(key, StateEntry::new(states)).unwrap();
+        }
+        assert_eq!(seen_in(&restored), seen_all(&want));
+        assert_eq!(restored.approx_bytes(), agg.table.approx_bytes());
     }
 }
