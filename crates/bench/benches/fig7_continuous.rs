@@ -7,10 +7,9 @@
 //! microbatch mode's maximum stable throughput, whose end-to-end
 //! latency is trigger-bound (100s of ms).
 //!
-//! This machine has **one core**, so the producer and the worker
-//! timeshare it: the continuous engine's absolute capacity here is
-//! below the microbatch drain rate (which amortizes per-record costs),
-//! unlike the paper's multi-core testbed. The reproduction target is
+//! The continuous workers run the microbatch path's own operators over
+//! each poll, so the drain capacity is of the same order as the
+//! microbatch drain rate, as in the paper. The reproduction target is
 //! the *latency curve shape*: flat low-millisecond latency at low
 //! rates, blow-up near saturation, and a huge gap to microbatch
 //! latency. We therefore sweep rates relative to the *measured

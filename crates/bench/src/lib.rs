@@ -178,8 +178,8 @@ pub fn run_kstreams_like(
 
 /// Row-at-a-time interpretation of the Yahoo pipeline *inside* the
 /// vectorized engine's data structures — the ablation isolating what
-/// vectorized execution buys (E6). Uses the same per-row expression
-/// evaluator the continuous engine uses.
+/// vectorized execution buys (E6). Uses the per-row expression
+/// evaluator the kernels are checked against (`evaluate_row`).
 pub fn run_row_at_a_time(
     workload: &YahooWorkload,
     bus: &MessageBus,

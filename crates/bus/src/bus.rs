@@ -3,10 +3,11 @@
 //! Topics hold ordered, offset-addressed partitions. A partition is a
 //! *column log*: a sequence of chunks of typed column vectors (`Chunk`).
 //! Appends consume their rows into the last chunk's columns; a batch
-//! read ([`crate::BusSource`]) copies, per chunk and projected column,
-//! one typed slice; [`MessageBus::read`] rebuilds [`Record`]s for
-//! per-record consumers. Retention drops whole chunks and keeps a head
-//! offset into the oldest one left.
+//! read ([`crate::BusSource`], the microbatch and continuous engines'
+//! one read) copies, per chunk and projected column, one typed slice;
+//! [`MessageBus::read`] rebuilds [`Record`]s for the row-at-a-time
+//! baselines. Retention drops whole chunks and keeps a head offset into
+//! the oldest one left.
 //!
 //! Records are retained after consumption (consumers track their own
 //! offsets, as with Kafka), which is what makes sources *replayable* —
@@ -540,22 +541,6 @@ impl MessageBus {
         Ok(total)
     }
 
-    /// Read a half-open offset range `[start, end)` from one partition.
-    pub fn read_range(
-        &self,
-        topic: &str,
-        partition: u32,
-        start: u64,
-        end: u64,
-    ) -> Result<Vec<Record>> {
-        if end < start {
-            return Err(SsError::Internal(format!(
-                "read_range end {end} < start {start}"
-            )));
-        }
-        self.read(topic, partition, start, (end - start) as usize)
-    }
-
     /// The next offset to be written, per partition ("latest offsets" in
     /// the epoch protocol, §6.1 step 1).
     pub fn latest_offsets(&self, topic: &str) -> Result<PartitionOffsets> {
@@ -649,8 +634,8 @@ mod tests {
     fn replay_reads_the_same_data_twice() {
         let b = bus();
         b.append_at("events", 0, 0, (0..5).map(|i| row![i])).unwrap();
-        let a = b.read_range("events", 0, 1, 4).unwrap();
-        let c = b.read_range("events", 0, 1, 4).unwrap();
+        let a = b.read("events", 0, 1, 3).unwrap();
+        let c = b.read("events", 0, 1, 3).unwrap();
         assert_eq!(a, c);
         assert_eq!(a.len(), 3);
     }

@@ -5,6 +5,7 @@
 //! implementation here reads by explicit `[start, end)` offset range,
 //! so the engine can re-execute any epoch recorded in the WAL.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,8 +40,9 @@ pub trait Source: Send + Sync {
     fn read_partition(&self, partition: u32, start: u64, end: u64) -> Result<RecordBatch>;
 
     /// If this source reads a [`MessageBus`] topic, expose the binding
-    /// so the continuous-processing engine (which pulls records
-    /// directly, off the batch path) can attach to it.
+    /// so the continuous-processing engine can attach its long-lived
+    /// per-partition workers to it (each polls its partition with
+    /// [`BusSource::read_stamped`], the batch read plus ingest stamps).
     fn bus_binding(&self) -> Option<(Arc<MessageBus>, String)> {
         None
     }
@@ -116,6 +118,10 @@ pub trait Source: Send + Sync {
     }
 }
 
+/// The ingest stamps of a read's records: `(rows read, stamp)` runs in
+/// row order, one per append.
+pub type StampRuns = Vec<(Range<usize>, i64)>;
+
 /// Reads a topic of the in-process [`MessageBus`] (the Kafka
 /// connector).
 pub struct BusSource {
@@ -159,11 +165,28 @@ impl BusSource {
         self
     }
 
+    /// Read up to `max` records of one partition from offset `start`,
+    /// with a column projection pushed down, plus the ingest stamps of
+    /// the appends they came from. The continuous engine's poll: the
+    /// batch read's copies, coercions and schema errors, and each
+    /// record's own stamp for its end-to-end latency.
+    pub fn read_stamped(
+        &self,
+        partition: u32,
+        start: u64,
+        max: usize,
+        projection: Option<&[usize]>,
+    ) -> Result<(RecordBatch, StampRuns)> {
+        // Empty builders: an idle poll allocates nothing.
+        let (indices, out_schema, mut builders) = self.projection_parts(projection, 0)?;
+        let runs = self.append_records(partition, start, max, &indices, &mut builders)?;
+        let columns = builders.into_iter().map(|b| b.finish()).collect();
+        Ok((RecordBatch::try_new(out_schema, columns)?, runs))
+    }
+
     /// Append `[start, end)` of one partition into shared column
-    /// builders: per chunk of the log and per projected column, one
-    /// typed slice copy ([`ss_common::ColumnBuilder::extend_from_column`],
-    /// which also carries `push`'s coercions and type errors for a
-    /// chunk whose types differ from the schema's).
+    /// builders ([`BusSource::append_records`]); a short read is an
+    /// error.
     fn append_partition(
         &self,
         partition: u32,
@@ -177,9 +200,36 @@ impl BusSource {
                 "read_partition end {end} < start {start}"
             )));
         }
-        self.faults.fire(failpoints::BUS_READ)?;
         let n = (end - start) as usize;
-        let seen = self.bus.scan(&self.topic, partition, start, n, &mut |offset, chunk, range| {
+        let runs = self.append_records(partition, start, n, indices, builders)?;
+        let seen = runs.last().map_or(0, |(rows, _)| rows.end);
+        if seen != n {
+            return Err(SsError::Execution(format!(
+                "short read on {}/{partition}: wanted {n} records from {start}, got {seen}",
+                self.topic
+            )));
+        }
+        Ok(())
+    }
+
+    /// Append up to `max` records of one partition from `start` into
+    /// shared column builders: per chunk of the log and per projected
+    /// column, one typed slice copy
+    /// ([`ss_common::ColumnBuilder::extend_from_column`], which also
+    /// carries `push`'s coercions and type errors for a chunk whose
+    /// types differ from the schema's). Returns the records' ingest
+    /// stamps.
+    fn append_records(
+        &self,
+        partition: u32,
+        start: u64,
+        max: usize,
+        indices: &[usize],
+        builders: &mut [ss_common::ColumnBuilder],
+    ) -> Result<StampRuns> {
+        self.faults.fire(failpoints::BUS_READ)?;
+        let mut runs = StampRuns::new();
+        self.bus.scan(&self.topic, partition, start, max, &mut |offset, chunk, range| {
             if chunk.columns.len() != self.schema.len() {
                 return Err(SsError::Schema(format!(
                     "record at {}/{partition}:{offset} has {} values, schema has {}",
@@ -194,15 +244,19 @@ impl BusSource {
                     None => b.push_nulls(range.len()),
                 }
             }
+            // Chunk records → rows appended; an append that spans two
+            // chunks stays one run.
+            let appended = runs.last().map_or(0, |(rows, _)| rows.end);
+            let row = |i: usize| appended + i - range.start;
+            for (run, stamp) in chunk.stamp_runs(range.clone()) {
+                match runs.last_mut() {
+                    Some((last, s)) if *s == stamp => last.end = row(run.end),
+                    _ => runs.push((row(run.start)..row(run.end), stamp)),
+                }
+            }
             Ok(())
         })?;
-        if seen != n {
-            return Err(SsError::Execution(format!(
-                "short read on {}/{partition}: wanted {n} records from {start}, got {seen}",
-                self.topic
-            )));
-        }
-        Ok(())
+        Ok(runs)
     }
 
     fn projection_parts(

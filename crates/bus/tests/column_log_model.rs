@@ -175,14 +175,24 @@ fn check_range(
 ) {
     // (`assert!` on `==`: a failure should not print 100 000 records.)
     let want = model.slice(start, end);
-    assert!(bus.read_range(TOPIC, 0, start, end).unwrap() == want, "read_range {start}..{end}");
     let max = (end - start) as usize;
     assert!(bus.read(TOPIC, 0, start, max).unwrap() == want, "read {start}+{max}");
     let stamps = want.iter().map(|r| r.ingest_time_us);
-    let bounds = stamps.clone().min().zip(stamps.max());
+    let bounds = stamps.clone().min().zip(stamps.clone().max());
     assert_eq!(source.ingest_bounds(&range(start, end)).unwrap(), bounds);
     for projection in [None, Some(&[2usize, 0][..]), Some(&[1][..]), Some(&[3, 1][..])] {
         let got = source.read_all_projected(&range(start, end), projection);
+        // The continuous engine's poll: the same batch, or the same
+        // error, plus every record's own ingest stamp.
+        match (&got, source.read_stamped(0, start, max, projection)) {
+            (Ok(got), Ok((polled, runs))) => {
+                assert!(*got == polled, "poll {start}+{max} {projection:?}");
+                let polled = runs.into_iter().flat_map(|(rows, stamp)| rows.map(move |_| stamp));
+                assert!(polled.eq(stamps.clone()), "poll stamps {start}+{max}");
+            }
+            (Err(got), Err(polled)) => assert_eq!(got.to_string(), polled.to_string()),
+            (got, polled) => panic!("{start}+{max} {projection:?}: {got:?} vs poll {polled:?}"),
+        }
         match (got, model.batch(start, end, projection)) {
             (Ok(got), Ok(want)) => {
                 assert!(got == want, "batch {start}..{end} {projection:?}");

@@ -2,9 +2,9 @@
 //!
 //! Rows carry boxed [`Value`]s and are used where per-record processing
 //! is inherent: state-store entries, grouping keys, stateful-operator
-//! UDF inputs/outputs, and the continuous-processing engine's per-record
-//! pipeline. The batch engine stays columnar; `RecordBatch::to_rows` /
-//! `from_rows` convert at the boundary.
+//! UDF inputs/outputs, and the continuous-processing engine's record
+//! sink. Execution stays columnar in every engine; `RecordBatch::to_rows`
+//! / `from_rows` convert at the boundary.
 
 use std::fmt;
 

@@ -7,21 +7,26 @@
 //! were one of the most common scenarios where users wanted lower
 //! latency" — stream-to-stream transforms between bus topics.
 //!
-//! The implementation mirrors the paper's design:
+//! The implementation mirrors the paper's design: the *same* operators
+//! as microbatch mode ([`RecordPipeline`]: the stateless chain
+//! `incrementalize` compiles the plan to), run by long-lived tasks.
 //!
-//! * one **long-lived worker per source partition** pulls records and
-//!   pushes them through a compiled per-record pipeline (no task
-//!   scheduling on the data path — that is exactly why latency beats
-//!   microbatch mode, Figure 7);
+//! * One **long-lived worker per source partition** polls what its
+//!   partition holds with the batch read ([`BusSource::read_stamped`])
+//!   and runs it through the epoch path's chain runner, one append's
+//!   stamp run at a time (no task scheduling on the data path — that is
+//!   exactly why latency beats microbatch mode, Figure 7);
 //! * a **coordinator** periodically snapshots every worker's offset and
 //!   writes epoch markers to the same WAL the microbatch engine uses,
 //!   so the job's progress is durable and restartable ("the master is
 //!   not on the critical path");
-//! * per-record **end-to-end latency** (sink time − bus ingest time) is
-//!   recorded, which is the metric Figure 7 plots.
+//! * per-record **end-to-end latency** (sink time − the ingest stamp of
+//!   the record's own append) is recorded, which is the metric Figure 7
+//!   plots.
 //!
 //! Like Spark 2.3's continuous mode, delivery between epoch markers is
-//! at-least-once on recovery (epochs bound the reprocessing window).
+//! at-least-once on recovery (epochs bound the reprocessing window): a
+//! worker's offset advances once a poll's rows are delivered.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,17 +35,18 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use ss_bus::MessageBus;
+use ss_bus::{BusSource, MessageBus};
 use ss_common::clock::{system_clock, ClockRef};
 use ss_common::eventlog::{EVENT_PROGRESS, EVENT_START, EVENT_TERMINATE};
 use ss_common::{
-    EventLog, FaultRegistry, MetricsRegistry, Result, Row, Schema, SchemaRef, SsError, TraceLog,
+    EventLog, FaultRegistry, MetricsRegistry, RecordBatch, Result, Row, SchemaRef, SsError,
+    TraceLog, VECTOR_ROWS,
 };
-use ss_expr::eval::evaluate_row;
-use ss_expr::Expr;
 use ss_plan::{plan_fingerprint, LogicalPlan};
 use ss_state::CheckpointBackend;
 use ss_wal::{EpochCommit, EpochOffsets, Manifest, OffsetRange, WriteAheadLog, MANIFEST_VERSION};
+
+use crate::incremental::{incrementalize, Chain, IncNode, StatelessOp};
 
 /// Continuous-mode fail points, fired through
 /// [`ContinuousConfig::faults`]. The coordinator's WAL additionally
@@ -53,130 +59,87 @@ pub mod failpoints {
     pub const SINK_COMMIT: &str = "continuous.sink.commit";
 }
 
-/// One stage of the compiled per-record pipeline.
-#[derive(Debug)]
-enum RecordOp {
-    Filter(Expr),
-    Project { exprs: Vec<Expr>, schema: SchemaRef },
-}
-
-/// The compiled map-like pipeline of a continuous query.
-#[derive(Debug)]
+/// The compiled map-like pipeline of a continuous query: the epoch
+/// path's stateless operators over one streaming scan.
 pub struct RecordPipeline {
-    source_name: String,
+    /// The source's schema, which every poll is read with.
     input_schema: SchemaRef,
-    ops: Vec<RecordOp>,
-    output_schema: SchemaRef,
+    /// The scan's pushed-down projection.
+    projection: Option<Vec<usize>>,
+    /// In execution order.
+    ops: Vec<StatelessOp>,
 }
 
 impl RecordPipeline {
-    /// Compile an analyzed plan, rejecting anything that is not
-    /// map-like (the Spark 2.3 restriction the paper describes).
+    /// Compile an analyzed plan with the epoch path's `incrementalize`,
+    /// rejecting anything that is not map-like (the Spark 2.3
+    /// restriction the paper describes).
     pub fn compile(plan: &LogicalPlan) -> Result<RecordPipeline> {
-        let mut ops_rev: Vec<RecordOp> = Vec::new();
-        let mut node = plan;
-        loop {
-            match node {
-                LogicalPlan::Scan {
-                    name,
-                    schema,
-                    streaming,
-                    projection,
-                } => {
-                    if !streaming {
-                        return Err(SsError::Unsupported(
-                            "continuous processing requires a streaming source".into(),
-                        ));
-                    }
-                    if let Some(idx) = projection {
-                        // A pushed-down projection becomes a leading
-                        // Project stage.
-                        let exprs: Vec<Expr> = idx
-                            .iter()
-                            .map(|&i| ss_expr::col(schema.field(i).name.clone()))
-                            .collect();
-                        let proj_schema = Arc::new(schema.project(idx)?);
-                        ops_rev.push(RecordOp::Project {
-                            exprs,
-                            schema: proj_schema,
-                        });
-                    }
-                    let mut ops: Vec<RecordOp> = ops_rev;
-                    ops.reverse();
-                    let input_schema = schema.clone();
-                    let mut current: SchemaRef = input_schema.clone();
-                    // Recompute the output schema by walking the ops.
-                    for op in &ops {
-                        if let RecordOp::Project { schema, .. } = op {
-                            current = schema.clone();
-                        }
-                    }
-                    return Ok(RecordPipeline {
-                        source_name: name.clone(),
-                        input_schema,
-                        ops,
-                        output_schema: current,
-                    });
-                }
-                LogicalPlan::Filter { input, predicate } => {
-                    ops_rev.push(RecordOp::Filter(predicate.clone()));
-                    node = input;
-                }
-                LogicalPlan::Project { input, exprs } => {
-                    let schema = node.schema()?;
-                    ops_rev.push(RecordOp::Project {
-                        exprs: exprs.clone(),
-                        schema,
-                    });
-                    node = input;
-                }
-                // Watermarks are metadata-only; harmless to skip in a
-                // map-only pipeline.
-                LogicalPlan::Watermark { input, .. } => {
-                    node = input;
-                }
-                other => {
-                    return Err(SsError::Unsupported(format!(
-                        "continuous processing supports only map-like jobs \
-                         (selections/projections); found {}",
-                        other.describe()
-                    )))
-                }
-            }
+        if !plan.is_streaming() {
+            return Err(SsError::Unsupported(
+                "continuous processing requires a streaming source".into(),
+            ));
         }
-    }
-
-    pub fn source_name(&self) -> &str {
-        &self.source_name
-    }
-
-    pub fn output_schema(&self) -> &SchemaRef {
-        &self.output_schema
-    }
-
-    /// Process one record; `None` if filtered out.
-    #[inline]
-    pub fn process(&self, row: &Row) -> Result<Option<Row>> {
-        let mut current = row.clone();
-        let mut schema: &Schema = &self.input_schema;
-        for op in &self.ops {
+        let not_map_like = |found: &str| {
+            SsError::Unsupported(format!(
+                "continuous processing supports only map-like jobs \
+                 (selections/projections); found {found}"
+            ))
+        };
+        let mut node = incrementalize(plan, &mut 0)?;
+        let mut ops = Vec::new();
+        while let IncNode::Stateless { input, op, .. } = node {
             match op {
-                RecordOp::Filter(pred) => {
-                    if evaluate_row(pred, schema, &current)?.as_bool()? != Some(true) {
-                        return Ok(None);
-                    }
-                }
-                RecordOp::Project { exprs, schema: s } => {
-                    let mut out = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        out.push(evaluate_row(e, schema, &current)?);
-                    }
-                    current = Row::new(out);
-                    schema = s;
-                }
+                // Metadata only in a map-like plan: nothing downstream
+                // finalizes on it.
+                StatelessOp::Watermark { .. } => {}
+                StatelessOp::StaticJoin { .. } => return Err(not_map_like("a stream-static join")),
+                op => ops.push(op),
             }
+            node = *input;
         }
-        Ok(Some(current))
+        let found = match node {
+            IncNode::StreamScan {
+                schema: input_schema,
+                projection,
+                ..
+            } => {
+                ops.reverse();
+                return Ok(RecordPipeline {
+                    input_schema,
+                    projection,
+                    ops,
+                });
+            }
+            IncNode::StreamJoin { .. } => "a stream-stream join",
+            IncNode::Aggregate { .. } => "an aggregation",
+            IncNode::MapGroups { .. } => "mapGroupsWithState",
+            IncNode::Distinct { .. } => "a distinct",
+            _ => "a sort or limit",
+        };
+        Err(not_map_like(found))
+    }
+
+    /// The operators over `scan`, a batch of the projected source columns.
+    fn chain(&self, scan: RecordBatch) -> Chain {
+        Chain {
+            scan,
+            ops: self.ops.clone(),
+            first_stat: 0,
+        }
+    }
+
+    /// Process one source record; `None` if filtered out. A one-row
+    /// adapter over the operators the workers run on whole polls.
+    pub fn process(&self, row: &Row) -> Result<Option<Row>> {
+        let mut scan =
+            RecordBatch::from_rows(self.input_schema.clone(), std::slice::from_ref(row))?;
+        if let Some(idx) = &self.projection {
+            scan = scan.project(idx)?;
+        }
+        let chain = self.chain(scan);
+        let out = chain.run(0..1, i64::MIN, &FaultRegistry::new()).whole()?;
+        Ok((!out.is_empty()).then(|| out.row(0)))
     }
 }
 
@@ -259,6 +222,7 @@ impl ContinuousQuery {
         let optimized = ss_plan::optimize(&analyzed)?;
         let pipeline = Arc::new(RecordPipeline::compile(&optimized)?);
         let partitions = bus.num_partitions(topic)?;
+        let source = Arc::new(BusSource::new(bus, topic, pipeline.input_schema.clone())?);
 
         let registry = MetricsRegistry::new();
         let trace = TraceLog::new();
@@ -376,72 +340,61 @@ impl ContinuousQuery {
         let mut workers = Vec::with_capacity(partitions as usize);
         for p in 0..partitions {
             let shared = shared.clone();
-            let bus = bus.clone();
-            let topic = topic.to_string();
+            let source = source.clone();
             let pipeline = pipeline.clone();
             let sink = sink.clone();
             let config = config.clone();
             let rows_counter = rows_counter.clone();
             let latency_hist = latency_hist.clone();
             workers.push(std::thread::spawn(move || {
+                // The scan is each poll's batch.
+                let mut chain = pipeline.chain(RecordBatch::empty(pipeline.input_schema.clone()));
                 let mut offset = shared.offsets[p as usize].load(Ordering::SeqCst);
-                while !shared.stop.load(Ordering::SeqCst) {
-                    let records = match bus.read(&topic, p, offset, config.poll_batch) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            *shared.error.lock() = Some(e.to_string());
-                            return;
+                let mut work = || -> Result<()> {
+                    while !shared.stop.load(Ordering::SeqCst) {
+                        let projection = pipeline.projection.as_deref();
+                        let (batch, stamps) =
+                            source.read_stamped(p, offset, config.poll_batch, projection)?;
+                        if batch.is_empty() {
+                            pause(&config.clock, config.idle_sleep);
+                            continue;
                         }
-                    };
-                    if records.is_empty() {
-                        if config.clock.is_virtual() {
-                            // Virtual idle sleeps let simulated time
-                            // advance past quiet polls.
-                            config.clock.sleep(config.idle_sleep);
-                        } else {
-                            std::thread::park_timeout(config.idle_sleep);
-                        }
-                        continue;
-                    }
-                    // Fired only for non-empty batches so tests injecting
-                    // a one-shot fault crash on data, not on an idle poll.
-                    if let Err(e) = config.faults.fire(failpoints::WORKER_READ) {
-                        *shared.error.lock() = Some(e.to_string());
-                        return;
-                    }
-                    for rec in records {
-                        match pipeline.process(&rec.row) {
-                            Ok(Some(out)) => {
-                                if let Err(e) = config
-                                    .faults
-                                    .fire(failpoints::SINK_COMMIT)
-                                    .and_then(|()| sink(p, out))
-                                {
-                                    *shared.error.lock() = Some(e.to_string());
-                                    return;
-                                }
-                                if config.record_latency {
-                                    let lat = config.clock.wall_us() - rec.ingest_time_us;
-                                    latency_hist.observe(lat.max(0) as u64);
-                                    let mut l = shared.latencies_us.lock();
-                                    // Reservoir-ish cap to bound memory
-                                    // in long benchmark runs.
-                                    if l.len() < 4_000_000 {
-                                        l.push(lat);
+                        // Fired only for non-empty polls so tests injecting
+                        // a one-shot fault crash on data, not on an idle poll.
+                        config.faults.fire(failpoints::WORKER_READ)?;
+                        let polled = batch.num_rows() as u64;
+                        chain.scan = batch;
+                        // One run per append, so every row's latency is
+                        // measured from its own append's stamp.
+                        for (rows, stamp) in stamps {
+                            let mut run = chain.run(rows, i64::MIN, &config.faults);
+                            run.for_each(VECTOR_ROWS, |out| {
+                                for i in 0..out.num_rows() {
+                                    config.faults.fire(failpoints::SINK_COMMIT)?;
+                                    sink(p, out.row(i))?;
+                                    if config.record_latency {
+                                        let lat = config.clock.wall_us() - stamp;
+                                        latency_hist.observe(lat.max(0) as u64);
+                                        let mut l = shared.latencies_us.lock();
+                                        // Reservoir-ish cap to bound memory
+                                        // in long benchmark runs.
+                                        if l.len() < 4_000_000 {
+                                            l.push(lat);
+                                        }
                                     }
                                 }
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                *shared.error.lock() = Some(e.to_string());
-                                return;
-                            }
+                                Ok(())
+                            })?;
                         }
-                        offset = rec.offset + 1;
-                        rows_counter.inc();
-                        shared.processed.fetch_add(1, Ordering::Relaxed);
+                        offset += polled;
+                        rows_counter.add(polled);
+                        shared.processed.fetch_add(polled, Ordering::Relaxed);
                         shared.offsets[p as usize].store(offset, Ordering::Release);
                     }
+                    Ok(())
+                };
+                if let Err(e) = work() {
+                    *shared.error.lock() = Some(e.to_string());
                 }
             }));
         }
@@ -460,11 +413,7 @@ impl ContinuousQuery {
             let mut epoch = start_epoch;
             std::thread::spawn(move || {
                 while !shared.stop.load(Ordering::SeqCst) {
-                    if clock.is_virtual() {
-                        clock.sleep(interval);
-                    } else {
-                        std::thread::park_timeout(interval);
-                    }
+                    pause(&clock, interval);
                     let end: ss_common::PartitionOffsets = shared
                         .offsets
                         .iter()
@@ -596,6 +545,16 @@ impl Drop for ContinuousQuery {
     }
 }
 
+/// Sleep `d` on `clock`: virtually, so simulated time advances past an
+/// idle poll or a marker interval, or parked, so a stop wakes it early.
+fn pause(clock: &ClockRef, d: Duration) {
+    if clock.is_virtual() {
+        clock.sleep(d);
+    } else {
+        std::thread::park_timeout(d);
+    }
+}
+
 /// Percentile helper for latency vectors returned by
 /// [`ContinuousQuery::stop`].
 pub fn percentile(sorted_us: &[i64], p: f64) -> Option<i64> {
@@ -609,7 +568,7 @@ pub fn percentile(sorted_us: &[i64], p: f64) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_common::{row, DataType, Field};
+    use ss_common::{row, DataType, Field, Schema};
     use ss_expr::{col, lit};
     use ss_plan::LogicalPlanBuilder;
     use ss_state::MemoryBackend;
@@ -633,8 +592,6 @@ mod tests {
         let plan = map_plan();
         let optimized = ss_plan::optimize(&ss_plan::analyze(&plan).unwrap()).unwrap();
         let p = RecordPipeline::compile(&optimized).unwrap();
-        assert_eq!(p.source_name(), "in");
-        assert_eq!(p.output_schema().field_names(), vec!["v2"]);
         assert_eq!(
             p.process(&row!["view", 21i64]).unwrap(),
             Some(row![42i64])
@@ -647,7 +604,9 @@ mod tests {
         let plan = LogicalPlanBuilder::scan("in", schema(), true)
             .aggregate(vec![col("kind")], vec![ss_expr::count_star()])
             .build();
-        let err = RecordPipeline::compile(&plan).unwrap_err();
+        let err = RecordPipeline::compile(&plan)
+            .err()
+            .expect("an aggregation is refused");
         assert!(err.to_string().contains("map-like"));
     }
 
@@ -688,6 +647,68 @@ mod tests {
         assert_eq!(latencies.len(), 50);
         // Latencies are small but positive.
         assert!(percentile(&latencies, 0.5).unwrap() >= 0);
+    }
+
+    #[test]
+    fn records_that_do_not_fit_the_source_schema_fail_the_worker() {
+        // Views' `v` (BIGINT) as it is: nothing downstream would notice
+        // a string in its place. The poll is the microbatch read, with
+        // its errors.
+        let plan = LogicalPlanBuilder::scan("in", schema(), true)
+            .filter(col("kind").eq(lit("view")))
+            .project(vec![col("v")])
+            .build();
+        for (bad, want) in [
+            (row!["view", "two"], "cannot append two to BIGINT column"),
+            (row!["view"], "record at in/0:1 has 1 values, schema has 2"),
+        ] {
+            let bus = Arc::new(MessageBus::new());
+            bus.create_topic("in", 1).unwrap();
+            bus.append("in", 0, vec![row!["view", 1i64]]).unwrap();
+            bus.append("in", 0, vec![bad]).unwrap();
+            let sink: RecordSink = Arc::new(|_p, _row| Ok(()));
+            let config = ContinuousConfig::default();
+            let q = ContinuousQuery::start(&plan, bus, "in", sink, None, config).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while q.error().is_none() {
+                assert!(std::time::Instant::now() < deadline, "{want}: no failure");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let err = q.stop().unwrap_err().to_string();
+            assert!(err.contains(want), "got {err}, want {want}");
+        }
+    }
+
+    #[test]
+    fn each_row_latency_is_measured_from_its_own_append() {
+        use ss_common::clock::StepClock;
+
+        // Two appends stamped 4 ms and 1 ms before the frozen clock's
+        // reading, on the bus before the query starts: one poll reads both.
+        const NOW: i64 = 1_000_000_000;
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 1).unwrap();
+        let first = vec![row!["view", 1i64], row!["click", 2i64], row!["view", 3i64]];
+        bus.append_at("in", 0, NOW - 4_000, first).unwrap();
+        let second = vec![row!["view", 4i64], row!["view", 5i64], row!["view", 6i64]];
+        bus.append_at("in", 0, NOW - 1_000, second).unwrap();
+        let delivered = Arc::new(AtomicU64::new(0));
+        let d2 = delivered.clone();
+        let sink: RecordSink = Arc::new(move |_p, _row| {
+            d2.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        let config = ContinuousConfig {
+            clock: StepClock::frozen(NOW).handle(),
+            ..Default::default()
+        };
+        let q = ContinuousQuery::start(&map_plan(), bus, "in", sink, None, config).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while delivered.load(Ordering::SeqCst) < 5 {
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(q.stop().unwrap(), [1_000, 1_000, 1_000, 4_000, 4_000]);
     }
 
     #[test]
@@ -807,6 +828,14 @@ mod tests {
 
     #[test]
     fn worker_crash_then_restart_recovers_every_record() {
+        // A failed read, and a failed evaluation in the chain's kernels.
+        use ss_exec::ops::failpoints::RECORD_EVAL;
+        for point in [failpoints::WORKER_READ, RECORD_EVAL] {
+            crash_at_then_restart(point);
+        }
+    }
+
+    fn crash_at_then_restart(point: &str) {
         use ss_common::fault::{FaultMode, FaultTrigger};
         use ss_common::Value;
         use std::collections::BTreeSet;
@@ -850,21 +879,17 @@ mod tests {
         // Let the coordinator durably mark the processed prefix, then
         // kill the worker on its next non-empty read.
         std::thread::sleep(Duration::from_millis(60));
-        faults.configure(
-            failpoints::WORKER_READ,
-            FaultTrigger::Once { skip: 0 },
-            FaultMode::Error,
-        );
+        faults.configure(point, FaultTrigger::Once { skip: 0 }, FaultMode::Error);
         for i in 10..20i64 {
             bus.append("in", 0, vec![row!["view", i]]).unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while q.error().is_none() {
-            assert!(std::time::Instant::now() < deadline, "crash never surfaced");
+            assert!(std::time::Instant::now() < deadline, "{point}: no crash");
             std::thread::sleep(Duration::from_millis(2));
         }
         let err = q.stop().unwrap_err().to_string();
-        assert!(err.contains("injected failure"), "got: {err}");
+        assert!(err.contains("injected failure"), "{point}: got {err}");
 
         // Restart against the same WAL with faults cleared: the new
         // incarnation resumes from the last epoch marker and delivers

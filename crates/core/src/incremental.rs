@@ -343,11 +343,12 @@ pub(crate) struct OpRun {
 /// materialise an epoch-sized batch.
 pub(crate) struct Chain {
     /// The epoch's scan, read in place by every run over a row range.
+    /// (A continuous worker's chain swaps each poll's batch in.)
     pub(crate) scan: RecordBatch,
     /// The operators, primed, in execution order.
-    ops: Vec<StatelessOp>,
+    pub(crate) ops: Vec<StatelessOp>,
     /// Where the operators' records start in `ctx.ops`.
-    first_stat: usize,
+    pub(crate) first_stat: usize,
 }
 
 impl Chain {

@@ -3,11 +3,12 @@
 //! Two entry points:
 //!
 //! * [`evaluate`] — vectorized: expression × [`RecordBatch`] → [`Column`].
-//!   Used by the batch/microbatch engines. Dispatch happens once per
-//!   batch; inner loops are the typed kernels in [`crate::kernels`].
+//!   Used by every engine: batch, microbatch and continuous (§6.3, whose
+//!   workers run each poll through it). Dispatch happens once per batch;
+//!   inner loops are the typed kernels in [`crate::kernels`].
 //! * [`evaluate_row`] — scalar: expression × [`Row`] → [`Value`]. Used by
-//!   the continuous-processing engine's per-record pipeline (§6.3), where
-//!   batching would defeat the latency goal.
+//!   the optimizer's constant folding, and the reference the kernels are
+//!   checked against.
 //!
 //! Both implement the same SQL semantics (Kleene logic, NULL
 //! propagation); a property test in this module asserts they agree.

@@ -22,12 +22,8 @@ use parking_lot::Mutex;
 
 use ss_bus::{EpochOutput, Sink};
 use ss_common::{RecordBatch, Result, SsError};
-use ss_exec::MemoryCatalog;
-use ss_plan::{LogicalPlan, SuffixOp};
-
-/// The table name a tap's suffix plan scans — bound per epoch to the
-/// shared prefix output.
-const SHARED_SCAN: &str = "__shared_prefix";
+use ss_exec::ops::{filter_batch, project_batch};
+use ss_plan::SuffixOp;
 
 struct Tap {
     query: String,
@@ -88,34 +84,13 @@ impl FanoutSink {
     }
 }
 
-/// Apply a stateless suffix to one epoch's shared output by running it
-/// as a tiny batch plan over the batch.
+/// Apply a stateless suffix (analyzed with the query's plan) to one
+/// epoch's shared output, an operator at a time with the batch kernels.
 pub(crate) fn apply_suffix(batch: &RecordBatch, suffix: &[SuffixOp]) -> Result<RecordBatch> {
-    if suffix.is_empty() {
-        return Ok(batch.clone());
-    }
-    let mut plan = Arc::new(LogicalPlan::Scan {
-        name: SHARED_SCAN.into(),
-        schema: batch.schema().clone(),
-        streaming: false,
-        projection: None,
-    });
-    for op in suffix {
-        plan = Arc::new(match op {
-            SuffixOp::Project(exprs) => LogicalPlan::Project {
-                input: plan,
-                exprs: exprs.clone(),
-            },
-            SuffixOp::Filter(predicate) => LogicalPlan::Filter {
-                input: plan,
-                predicate: predicate.clone(),
-            },
-        });
-    }
-    let analyzed = ss_plan::analyze(&plan)?;
-    let mut catalog = MemoryCatalog::new();
-    catalog.register(SHARED_SCAN, vec![batch.clone()]);
-    ss_exec::execute(&analyzed, &catalog)
+    suffix.iter().try_fold(batch.clone(), |out, op| match op {
+        SuffixOp::Project(exprs) => project_batch(&out, exprs),
+        SuffixOp::Filter(predicate) => filter_batch(&out, predicate),
+    })
 }
 
 impl Sink for FanoutSink {

@@ -11,7 +11,8 @@
 //! catches it.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -35,6 +36,18 @@ fn make_row(seed: u64) -> Row {
         (seed % 100) as i64,
         Value::Timestamp((seed % 50) as i64 * 1_000_000)
     ]
+}
+
+/// [`make_row`] with a NULL `kind` in every eleventh row, `amount` in
+/// every fifth and `user` in every seventh.
+fn make_row_with_nulls(seed: u64) -> Row {
+    let mut row = make_row(seed);
+    for (column, every) in [(1, 11), (2, 5), (0, 7)] {
+        if seed % every == 3 {
+            row.0[column] = Value::Null;
+        }
+    }
+    row
 }
 
 /// Run `build` on a fresh context twice: batch over all rows at once,
@@ -81,15 +94,59 @@ fn run_both(
     let mut streaming: Vec<Row> = sink.snapshot();
     streaming.sort();
 
-    // Batch run over the identical full input.
+    (run_batch(rows, build), streaming)
+}
+
+/// `build` run by the batch executor over all of `rows`, sorted.
+fn run_batch(rows: &[Row], build: impl Fn(&StreamingContext, DataFrame) -> DataFrame) -> Vec<Row> {
     let batch_ctx = StreamingContext::new();
     let table = RecordBatch::from_rows(event_schema(), rows).unwrap();
     let bdf = batch_ctx.read_table("events", vec![table]).unwrap();
-    let batch_df = build(&batch_ctx, bdf);
-    let mut batch: Vec<Row> = batch_df.collect().unwrap().to_rows();
+    let mut batch: Vec<Row> = build(&batch_ctx, bdf).collect().unwrap().to_rows();
     batch.sort();
+    batch
+}
 
-    (batch, streaming)
+/// `build` run by the continuous engine (§6.3) over `rows`, appended a
+/// record at a time across two partitions; its record sink's rows,
+/// sorted.
+fn run_continuous(
+    rows: &[Row],
+    build: impl Fn(&StreamingContext, DataFrame) -> DataFrame,
+) -> Vec<Row> {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("events", 2).unwrap();
+    let ctx = StreamingContext::new();
+    let df = ctx
+        .read_source(Arc::new(
+            BusSource::new(bus.clone(), "events", event_schema()).unwrap(),
+        ))
+        .unwrap();
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let sink_out = out.clone();
+    let query = build(&ctx, df)
+        .write_stream()
+        .trigger(Trigger::Continuous(Duration::from_millis(20)))
+        .record_sink(Arc::new(move |_p, row| {
+            sink_out.lock().unwrap().push(row);
+            Ok(())
+        }))
+        .start_continuous()
+        .unwrap();
+    for (i, r) in rows.iter().enumerate() {
+        bus.append("events", (i % 2) as u32, vec![r.clone()])
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while query.processed() < rows.len() as u64 {
+        let error = query.error();
+        assert!(Instant::now() < deadline, "stalled: {error:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    query.stop().unwrap();
+    let mut out = std::mem::take(&mut *out.lock().unwrap());
+    out.sort();
+    out
 }
 
 fn splits(total: usize, cuts: &[usize]) -> Vec<usize> {
@@ -121,6 +178,48 @@ fn filter_project_prefix_consistent() {
     );
     assert_eq!(batch, streaming);
     assert!(!batch.is_empty());
+}
+
+/// Continuous mode runs map-like queries (§6.3) with the epoch path's
+/// operators: its record sink sees exactly the batch result, NULLs
+/// included.
+#[test]
+fn continuous_map_like_prefix_consistent() {
+    type Build = Box<dyn Fn(&StreamingContext, DataFrame) -> DataFrame>;
+    let rows: Vec<Row> = (0..300).map(make_row_with_nulls).collect();
+    let queries: [(&str, Build); 4] = [
+        (
+            "filter + project",
+            Box::new(|_, df| {
+                df.filter(col("kind").eq(lit("view")))
+                    .select(vec![col("user"), col("amount").mul(lit(2i64)).alias("a2")])
+            }),
+        ),
+        (
+            "filter",
+            Box::new(|_, df| df.filter(col("amount").gt(lit(40i64)))),
+        ),
+        (
+            "project",
+            Box::new(|_, df| df.select(vec![col("time"), col("user")])),
+        ),
+        (
+            "SQL",
+            Box::new(|ctx, _| {
+                sql(
+                    ctx,
+                    "SELECT user, amount + 1 AS a1 FROM events WHERE kind = 'view'",
+                )
+                .unwrap()
+            }),
+        ),
+    ];
+    for (name, build) in &queries {
+        let batch = run_batch(&rows, build);
+        let has_null = |r: &Row| r.values().contains(&Value::Null);
+        assert!(batch.iter().any(has_null), "{name}: no NULLs");
+        assert_eq!(batch, run_continuous(&rows, build), "{name}");
+    }
 }
 
 #[test]
