@@ -37,7 +37,7 @@ pub mod source;
 
 pub use bus::{MessageBus, OverflowPolicy, Record, TopicConfig};
 pub use dlq::{DeadLetterQueue, DeadLetterRecord};
-pub use metrics::{InstrumentedSink, SinkMetrics, SourceMetrics};
+pub use metrics::{SinkMetrics, SourceMetrics};
 pub use scan_cache::{ScanCache, ScanCacheStats, SharedScanSource};
 pub use sink::{BusSink, CallbackSink, EpochOutput, FenceGuard, FencedSink, FileSink, MemorySink, Sink};
 pub use source::{BusSource, FileSource, GeneratorSource, Source};

@@ -1,13 +1,9 @@
 //! Connector instrumentation (§7.4): per-source backlog/read metrics
-//! and per-sink commit metrics, plus an [`InstrumentedSink`] wrapper
-//! that times any [`Sink`] implementation transparently.
+//! and per-sink commit metrics. The engine feeds them from inside its
+//! `source-read` and `sink-commit` phases; the sink's commit latency
+//! is that phase's own time.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use ss_common::{Counter, Gauge, Histogram, MetricsRegistry, Result};
-
-use crate::sink::{EpochOutput, Sink};
+use ss_common::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Instrument handles for one named source, under the `ss_source_*`
 /// families labelled `{source="<name>"}`.
@@ -70,83 +66,10 @@ impl SinkMetrics {
     }
 }
 
-/// A [`Sink`] decorator that records commit counts/latency to a
-/// [`SinkMetrics`] while delegating everything to the wrapped sink.
-pub struct InstrumentedSink {
-    inner: Arc<dyn Sink>,
-    metrics: SinkMetrics,
-}
-
-impl InstrumentedSink {
-    pub fn new(inner: Arc<dyn Sink>, registry: &MetricsRegistry) -> Arc<InstrumentedSink> {
-        let metrics = SinkMetrics::new(registry, inner.name());
-        Arc::new(InstrumentedSink { inner, metrics })
-    }
-
-    pub fn metrics(&self) -> &SinkMetrics {
-        &self.metrics
-    }
-}
-
-impl Sink for InstrumentedSink {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn commit_epoch(&self, epoch: u64, output: &EpochOutput) -> Result<()> {
-        let started = Instant::now();
-        self.inner.commit_epoch(epoch, output)?;
-        self.metrics
-            .observe_commit(output.num_rows() as u64, started.elapsed().as_micros() as u64);
-        Ok(())
-    }
-
-    fn truncate_after(&self, epoch: u64) -> Result<()> {
-        self.inner.truncate_after(epoch)
-    }
-
-    fn rows_written(&self) -> u64 {
-        self.inner.rows_written()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
-    use ss_common::{row, DataType, Field, MetricValue, RecordBatch, Row, Schema};
-
-    fn batch(n: i64) -> RecordBatch {
-        let schema = Schema::of(vec![Field::new("v", DataType::Int64)]);
-        let rows: Vec<Row> = (0..n).map(|v| row![v]).collect();
-        RecordBatch::from_rows(schema, &rows).unwrap()
-    }
-
-    #[test]
-    fn instrumented_sink_records_commits_and_delegates() {
-        let registry = MetricsRegistry::new();
-        let mem = MemorySink::new("out");
-        let sink = InstrumentedSink::new(mem.clone(), &registry);
-        sink.commit_epoch(1, &EpochOutput::Append(batch(3))).unwrap();
-        sink.commit_epoch(2, &EpochOutput::Append(batch(2))).unwrap();
-
-        assert_eq!(
-            registry.value("ss_sink_commits_total", &[("sink", "out")]),
-            Some(MetricValue::Counter(2))
-        );
-        assert_eq!(
-            registry.value("ss_sink_rows_total", &[("sink", "out")]),
-            Some(MetricValue::Counter(5))
-        );
-        match registry.value("ss_sink_commit_us", &[("sink", "out")]) {
-            Some(MetricValue::Histogram { count, .. }) => assert_eq!(count, 2),
-            other => panic!("missing commit histogram: {other:?}"),
-        }
-        // Delegation: the wrapped sink actually received the rows.
-        assert_eq!(mem.snapshot().len(), 5);
-        assert_eq!(sink.rows_written(), mem.rows_written());
-        assert_eq!(sink.name(), "out");
-    }
+    use ss_common::MetricValue;
 
     #[test]
     fn source_metrics_register_labelled_series() {

@@ -1,13 +1,17 @@
 //! A structured, append-only query lifecycle log, rendered as JSON
 //! Lines (one JSON object per line).
 //!
-//! Where the metrics registry answers "how much" and the trace log
+//! Where the metrics registry answers "how much" and the epoch profile
 //! answers "where did the time go", the event log answers "what
-//! happened": query start, per-epoch progress, restarts, state spills,
-//! admission-limited epochs and termination, each stamped with a
-//! wall-clock timestamp. The buffer is bounded (oldest events are
-//! evicted) and can optionally mirror every event to a JSONL file for
-//! offline analysis (`SS_EVENT_LOG=<path>` in the engine).
+//! happened": query start, per-epoch progress, restarts, WAL repairs,
+//! state migrations, spills, checkpoint GC, admission-limited epochs,
+//! quarantine, failover and termination, each stamped with a
+//! wall-clock timestamp. It is the one record of a lifecycle fact: the
+//! [`TraceLog`] it is built over receives each event as an instant
+//! named after its kind, with the fields as string args. The buffer is
+//! bounded (oldest events are evicted) and can optionally mirror every
+//! event to a JSONL file for offline analysis (`SS_EVENT_LOG=<path>`
+//! in the engine).
 
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -21,6 +25,7 @@ use serde_json::Value;
 
 use crate::time::now_us;
 use crate::to_json;
+use crate::trace::TraceLog;
 
 /// Default maximum number of retained events.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_096;
@@ -35,6 +40,9 @@ pub const EVENT_TERMINATE: &str = "terminate";
 pub const EVENT_QUARANTINE: &str = "quarantine";
 pub const EVENT_WATCHDOG: &str = "watchdog";
 pub const EVENT_FAILOVER: &str = "failover";
+pub const EVENT_WAL_REPAIR: &str = "wal-repair";
+pub const EVENT_STATE_MIGRATION: &str = "state-migration";
+pub const EVENT_CHECKPOINT_GC: &str = "checkpoint-gc";
 
 /// One structured event.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,26 +83,25 @@ struct EventLogInner {
 #[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<Mutex<EventLogInner>>,
-}
-
-impl Default for EventLog {
-    fn default() -> EventLog {
-        EventLog::new()
-    }
+    /// Receives every event as an instant named after its kind, its
+    /// args the fields rendered as strings (a string as itself,
+    /// anything else as its JSON text).
+    trace: TraceLog,
 }
 
 impl EventLog {
-    pub fn new() -> EventLog {
-        EventLog::with_capacity(DEFAULT_EVENT_CAPACITY)
+    pub fn new(trace: &TraceLog) -> EventLog {
+        EventLog::with_capacity(DEFAULT_EVENT_CAPACITY, trace)
     }
 
-    pub fn with_capacity(capacity: usize) -> EventLog {
+    pub fn with_capacity(capacity: usize, trace: &TraceLog) -> EventLog {
         EventLog {
             inner: Arc::new(Mutex::new(EventLogInner {
                 events: VecDeque::new(),
                 capacity: capacity.max(1),
                 file: None,
             })),
+            trace: trace.clone(),
         }
     }
 
@@ -117,6 +124,14 @@ impl EventLog {
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         };
+        let args = fields
+            .iter()
+            .map(|(k, v)| {
+                let text = v.as_str().map_or_else(|| v.to_string(), str::to_string);
+                (k.to_string(), text)
+            })
+            .collect();
+        self.trace.instant(kind, args);
         let mut inner = self.inner.lock();
         if let Some(f) = inner.file.as_mut() {
             // Best-effort: a full disk must not take the query down.
@@ -154,7 +169,7 @@ mod tests {
 
     #[test]
     fn emit_and_render_jsonl() {
-        let log = EventLog::new();
+        let log = EventLog::new(&TraceLog::new());
         log.emit("q", EVENT_START, &[("engine", "microbatch".into())]);
         log.emit("q", EVENT_PROGRESS, &[("epoch", 3u64.into()), ("rows", 120u64.into())]);
         assert_eq!(log.len(), 2);
@@ -195,8 +210,24 @@ mod tests {
     }
 
     #[test]
+    fn the_trace_gets_each_event_as_an_instant() {
+        let trace = TraceLog::new();
+        let log = EventLog::new(&trace);
+        log.emit("q", EVENT_START, &[]);
+        let fields = [("count", 2u64.into()), ("error", "disk \"full\"".into())];
+        log.emit("q", EVENT_RESTART, &fields);
+        let instants = trace.events();
+        let kinds: Vec<(char, &str)> = instants.iter().map(|e| (e.ph, e.name.as_str())).collect();
+        assert_eq!(kinds, vec![('i', EVENT_START), ('i', EVENT_RESTART)]);
+        assert!(instants[0].args.is_empty());
+        let args = [("count", "2"), ("error", "disk \"full\"")];
+        let args = args.map(|(k, v)| (k.to_string(), v.to_string()));
+        assert_eq!(instants[1].args, args);
+    }
+
+    #[test]
     fn capacity_evicts_oldest() {
-        let log = EventLog::with_capacity(2);
+        let log = EventLog::with_capacity(2, &TraceLog::new());
         log.emit("q", "a", &[]);
         log.emit("q", "b", &[]);
         log.emit("q", "c", &[]);
@@ -210,7 +241,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
         let _ = std::fs::remove_file(&path);
-        let log = EventLog::new();
+        let log = EventLog::new(&TraceLog::new());
         log.attach_file(&path).unwrap();
         log.emit("q", EVENT_SPILL, &[("bytes", 1024u64.into())]);
         log.emit("q", EVENT_TERMINATE, &[]);

@@ -20,12 +20,13 @@
 //!   so deterministic-simulation tests can run on virtual time.
 //! * [`metrics`] — counters/gauges/histograms with a Prometheus-text
 //!   [`MetricsRegistry`]; the substrate of the observability layer.
-//! * [`trace`] — epoch-scoped trace spans, dumpable as a
-//!   chrome://tracing-compatible JSON event log.
-//! * [`profile`] — the epoch profiler: per-epoch phase-tree wall-time
+//! * [`profile`] — the epoch profile: per-epoch phase-tree wall-time
 //!   attribution with task-skew and shuffle statistics.
 //! * [`eventlog`] — a bounded JSONL structured event log of query
-//!   lifecycle events (start/progress/restart/spill/terminate).
+//!   lifecycle events (start/progress/restart/spill/terminate/…).
+//! * [`trace`] — epoch-scoped trace spans, dumpable as a
+//!   chrome://tracing-compatible JSON event log, derived from the
+//!   profile's phases and the event log.
 //! * [`fault`] — named fail points (one-shot / every-Nth / probabilistic)
 //!   wired into the engine's durability paths for chaos testing.
 //! * [`isolate`] — error isolation: per-query [`ErrorPolicy`], failure
@@ -74,7 +75,7 @@ pub use eventlog::{EventLog, StructuredEvent};
 pub use fault::{FaultMode, FaultRegistry, FaultTrigger};
 pub use isolate::{failure_fingerprint, panic_message, Deadline, ErrorPolicy, FailureTracker};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry};
-pub use profile::{EpochProfile, EpochProfiler, PhaseDuration, ShuffleProfile, TaskSkew};
+pub use profile::{EpochProfile, PhaseDuration, ShuffleProfile, TaskSkew};
 pub use retry::{retry, retry_result, RetryOutcome, RetryPolicy};
 pub use rng::XorShift64;
 pub use offsets::{OffsetRange, PartitionOffsets};

@@ -9,6 +9,7 @@
 //! epoch
 //! ├─ admission        offset snapshots, backlog accounting, budgeting
 //! ├─ source-read      reading the logged offset ranges
+//! ├─ quarantine-probe per-row poison probe (isolation mode only)
 //! ├─ execute          the incremental plan
 //! │  ├─ map           map-stage scatter (parallel path)
 //! │  ├─ shuffle-write bucketing rows by key into partitions
@@ -27,19 +28,19 @@
 //! which runs inside map tasks — are CPU time summed across workers,
 //! so children may legitimately exceed their parent on multi-core runs.
 //!
-//! [`EpochProfiler`] keeps a bounded history of [`EpochProfile`]s per
-//! query, rendered as JSON by the introspection server's
-//! `/query/<name>/profile` endpoint.
+//! A profile is one of the two records an epoch writes (the other is
+//! the event log): the engine times each top-level phase at one site,
+//! which also opens the phase's trace span under the same name, and
+//! the profile rides on the epoch's progress record. The query's
+//! progress history is therefore the profile history too; the
+//! introspection server's `/query/<name>/profile` endpoint renders it.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::{Content, Serialize};
 
 /// Top-level phases (disjoint engine-thread intervals).
 pub const PHASE_ADMISSION: &str = "admission";
 pub const PHASE_SOURCE_READ: &str = "source-read";
+pub const PHASE_QUARANTINE_PROBE: &str = "quarantine-probe";
 pub const PHASE_EXECUTE: &str = "execute";
 pub const PHASE_SINK_COMMIT: &str = "sink-commit";
 pub const PHASE_WAL: &str = "wal";
@@ -228,65 +229,6 @@ impl Serialize for EpochProfile {
     }
 }
 
-/// Default number of epoch profiles retained per query.
-pub const DEFAULT_PROFILE_CAPACITY: usize = 64;
-
-#[derive(Debug)]
-struct ProfilerInner {
-    history: VecDeque<EpochProfile>,
-    capacity: usize,
-}
-
-/// A bounded, shared history of epoch profiles. Clones share the
-/// buffer; the engine pushes one profile per epoch, the introspection
-/// server reads them.
-#[derive(Debug, Clone)]
-pub struct EpochProfiler {
-    inner: Arc<Mutex<ProfilerInner>>,
-}
-
-impl Default for EpochProfiler {
-    fn default() -> EpochProfiler {
-        EpochProfiler::new(DEFAULT_PROFILE_CAPACITY)
-    }
-}
-
-impl EpochProfiler {
-    pub fn new(capacity: usize) -> EpochProfiler {
-        EpochProfiler {
-            inner: Arc::new(Mutex::new(ProfilerInner {
-                history: VecDeque::with_capacity(capacity.min(1024)),
-                capacity: capacity.max(1),
-            })),
-        }
-    }
-
-    pub fn push(&self, profile: EpochProfile) {
-        let mut inner = self.inner.lock();
-        if inner.history.len() == inner.capacity {
-            inner.history.pop_front();
-        }
-        inner.history.push_back(profile);
-    }
-
-    /// Retained profiles, oldest first.
-    pub fn profiles(&self) -> Vec<EpochProfile> {
-        self.inner.lock().history.iter().cloned().collect()
-    }
-
-    pub fn last(&self) -> Option<EpochProfile> {
-        self.inner.lock().history.back().cloned()
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().history.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,18 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn profiler_history_is_bounded() {
-        let prof = EpochProfiler::new(2);
-        for e in 1..=5 {
-            prof.push(EpochProfile::new(e));
-        }
-        let all = prof.profiles();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].epoch, 4);
-        assert_eq!(prof.last().unwrap().epoch, 5);
-    }
-
-    #[test]
     fn json_shape_is_parseable() {
         let mut p = EpochProfile::new(7);
         p.total_us = 1000;
@@ -357,9 +287,7 @@ mod tests {
         p.tasks = TaskSkew::from_durations(&[100, 200]);
         p.shuffle = Some(ShuffleProfile::new(vec![3, 1], vec![64, 16]));
         p.e2e_latency_us = Some((5, 50));
-        let prof = EpochProfiler::new(4);
-        prof.push(p);
-        let json = crate::to_json(&prof.profiles());
+        let json = crate::to_json(&vec![p]);
         let head = r#"[{"epoch":7,"total_us":1000,"attributed_us":800,"coverage":0.8,"#;
         assert!(json.starts_with(head), "{json}");
         assert!(json.contains("\"name\":\"execute\",\"parent\":null"));

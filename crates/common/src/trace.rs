@@ -1,10 +1,14 @@
 //! Epoch-scoped trace spans, dumpable as a `chrome://tracing` /
 //! Perfetto-compatible JSON event log.
 //!
-//! The engine records **B**egin/**E**nd span pairs and **X** (complete)
-//! events around epoch phases — offset write, incremental execution,
-//! per-operator evaluation, sink commit, checkpoint — so an operator
-//! can load one JSON file and see where an epoch's wall-clock went.
+//! The trace is derived from the two records an epoch writes, never
+//! written beside them: the engine's one phase helper opens a
+//! **B**egin/**E**nd span under each profile phase's own name (`wal`,
+//! `source-read`, `execute`, `sink-commit`, `state-commit`) inside the
+//! `epoch` span, the incremental plan adds one **X** (complete) event
+//! per operator, and the [`EventLog`](crate::EventLog) built over the
+//! trace mirrors every lifecycle event as an **i**nstant named after
+//! its kind.
 //!
 //! [`TraceLog`] is a clonable handle around a shared, bounded event
 //! buffer; recording is a short mutex-protected push, cheap relative to
@@ -13,7 +17,7 @@
 //! blocking the query.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +48,6 @@ pub struct TraceEvent {
 
 #[derive(Debug)]
 struct TraceInner {
-    enabled: AtomicBool,
     origin: Instant,
     events: Mutex<Vec<TraceEvent>>,
     capacity: usize,
@@ -82,7 +85,6 @@ impl TraceLog {
     pub fn with_capacity(capacity: usize) -> TraceLog {
         TraceLog {
             inner: Arc::new(TraceInner {
-                enabled: AtomicBool::new(true),
                 origin: Instant::now(),
                 events: Mutex::new(Vec::new()),
                 capacity,
@@ -104,23 +106,12 @@ impl TraceLog {
         *self.inner.drop_counter.lock() = Some(counter);
     }
 
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
     /// Microseconds since this log was created.
     pub fn now_us(&self) -> u64 {
         self.inner.origin.elapsed().as_micros() as u64
     }
 
     fn push(&self, ev: TraceEvent) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut events = self.inner.events.lock();
         if events.len() >= self.inner.capacity {
             drop(events);
@@ -176,15 +167,15 @@ impl TraceLog {
         });
     }
 
-    /// Record an instant event (`ph: "i"`).
-    pub fn instant(&self, name: &str, args: &[(&str, &str)]) {
+    /// Record an instant event (`ph: "i"`); the event log's mirror.
+    pub fn instant(&self, name: &str, args: Vec<(String, String)>) {
         self.push(TraceEvent {
             name: name.to_string(),
             ph: 'i',
             ts_us: self.now_us(),
             dur_us: None,
             tid: current_tid(),
-            args: Self::args_vec(args),
+            args,
         });
     }
 
@@ -311,7 +302,7 @@ mod tests {
         let log = TraceLog::new();
         {
             let _s = log.span("epoch", &[("epoch", "3")]);
-            log.instant("offsets-written", &[]);
+            log.instant("offsets-written", Vec::new());
         }
         let events = log.events();
         assert_eq!(events.len(), 3);
@@ -350,9 +341,9 @@ mod tests {
     #[test]
     fn capacity_bounds_the_buffer() {
         let log = TraceLog::with_capacity(2);
-        log.instant("a", &[]);
-        log.instant("b", &[]);
-        log.instant("c", &[]);
+        log.instant("a", Vec::new());
+        log.instant("b", Vec::new());
+        log.instant("c", Vec::new());
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
         log.clear();
@@ -363,13 +354,13 @@ mod tests {
     #[test]
     fn drop_counter_mirrors_buffer_drops() {
         let log = TraceLog::with_capacity(1);
-        log.instant("kept", &[]);
-        log.instant("lost-before-attach", &[]);
+        log.instant("kept", Vec::new());
+        log.instant("lost-before-attach", Vec::new());
         let c = Counter::new();
         // Attaching after a drop credits the backlog.
         log.attach_drop_counter(c.clone());
         assert_eq!(c.get(), 1);
-        log.instant("lost-after-attach", &[]);
+        log.instant("lost-after-attach", Vec::new());
         assert_eq!(log.dropped(), 2);
         assert_eq!(c.get(), 2);
     }
@@ -377,7 +368,7 @@ mod tests {
     #[test]
     fn chrome_events_use_the_given_pid() {
         let log = TraceLog::new();
-        log.instant("marker", &[]);
+        log.instant("marker", Vec::new());
         let mut events = vec![ChromeEvent::process_name(7, "q")];
         events.extend(log.chrome_events(7));
         let json = chrome_trace_json(&events);
@@ -386,16 +377,5 @@ mod tests {
         assert!(json.contains(r#""ph":"i","ts":"#) && json.contains(r#""pid":7"#), "got: {json}");
         assert!(json.ends_with(r#""s":"t"}]}"#), "got: {json}");
         assert!(log.to_chrome_json().contains("\"pid\":1"));
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let log = TraceLog::new();
-        log.set_enabled(false);
-        log.instant("a", &[]);
-        assert!(log.is_empty());
-        log.set_enabled(true);
-        log.instant("b", &[]);
-        assert_eq!(log.len(), 1);
     }
 }

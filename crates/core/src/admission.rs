@@ -350,7 +350,10 @@ mod tests {
         pairs.iter().copied().collect()
     }
 
-    fn available(sources: &[(&str, &[(u32, u64)], &[(u32, u64)])]) -> BTreeMap<String, OffsetRange> {
+    /// `(source, start offsets, latest offsets)`.
+    type Backlog<'a> = (&'a str, &'a [(u32, u64)], &'a [(u32, u64)]);
+
+    fn available(sources: &[Backlog]) -> BTreeMap<String, OffsetRange> {
         sources
             .iter()
             .map(|(name, start, latest)| {

@@ -192,9 +192,10 @@ struct ContinuousShared {
     error: Mutex<Option<String>>,
     /// Per-query metric registry (§7.4), shared with the caller.
     registry: MetricsRegistry,
-    /// Epoch-marker trace events (chrome://tracing JSON).
+    /// The event log's instants (chrome://tracing JSON).
     trace: TraceLog,
-    /// Structured lifecycle events (start / epoch progress / terminate).
+    /// Structured lifecycle events (start / epoch progress / terminate),
+    /// mirrored into `trace`.
     events: EventLog,
     /// `continuous-<topic>`, the name events are stamped with.
     name: String,
@@ -313,7 +314,7 @@ impl ContinuousQuery {
             .write(b)?;
         }
 
-        let events = EventLog::new();
+        let events = EventLog::new(&trace);
         let name = format!("continuous-{topic}");
         events.emit(
             &name,
@@ -447,13 +448,6 @@ impl ContinuousQuery {
                             quarantined: Default::default(),
                             fencing_epoch: None,
                         });
-                        shared.trace.instant(
-                            "epoch-marker",
-                            &[
-                                ("epoch", &epoch.to_string()),
-                                ("rows", &rows.to_string()),
-                            ],
-                        );
                         shared.events.emit(
                             &shared.name,
                             EVENT_PROGRESS,
@@ -484,7 +478,8 @@ impl ContinuousQuery {
         &self.shared.registry
     }
 
-    /// Epoch-marker trace events as chrome://tracing JSON.
+    /// The lifecycle events as trace instants (chrome://tracing JSON):
+    /// `start`, one `progress` per epoch marker, `terminate`.
     pub fn trace(&self) -> &TraceLog {
         &self.shared.trace
     }

@@ -281,7 +281,7 @@ mod tests {
             schema(),
             1,
             Arc::new(|p, o| {
-                let c = if (p as u64 + o) % 2 == 0 { "CA" } else { "US" };
+                let c = if (p as u64 + o).is_multiple_of(2) { "CA" } else { "US" };
                 row![c, Value::Timestamp((o as i64) * 1_000_000)]
             }),
         ))

@@ -12,7 +12,7 @@
 //! | `/query/<name>/profile` | the named query's retained epoch profiles (phase tree, task skew, shuffle, e2e latency) as JSON |
 //! | `/query/<name>/dlq` | the named query's dead-letter queue (quarantined poison records with fingerprints) as JSON Lines |
 //! | `/query/<name>/ha` | the named query's high-availability status (role, fencing epoch, rejection/failover counters, replication lag) as JSON |
-//! | `/trace` | every query's trace spans merged into one chrome://tracing JSON document, one pid per query |
+//! | `/trace` | every query's trace spans (named after the profile's phases) and event instants merged into one chrome://tracing JSON document, one pid per query |
 //! | `/events` | all queries' structured lifecycle events as JSON Lines |
 //!
 //! Every JSON body is `serde_json` output via [`ss_common::to_json`].

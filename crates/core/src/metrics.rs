@@ -2,8 +2,9 @@
 //!
 //! "Streaming systems need to give operators clear visibility into
 //! system load, backlogs, state size and other metrics." Every epoch
-//! produces one [`QueryProgress`] record; the query handle keeps a
-//! bounded history and exposes the latest snapshot.
+//! produces one [`QueryProgress`] record, carrying its profile; the
+//! engine keeps one bounded history of them and the query handle
+//! exposes the latest snapshot.
 
 use std::collections::VecDeque;
 
@@ -156,29 +157,22 @@ pub trait StreamingQueryListener: Send + Sync {
     fn on_terminated(&self, _name: &str, _error: Option<&str>) {}
 }
 
-/// Bounded history of progress records.
+/// Progress records — and so epoch profiles — retained per query.
+pub const PROGRESS_HISTORY: usize = 128;
+
+/// The last [`PROGRESS_HISTORY`] progress records.
 #[derive(Debug, Default)]
 pub struct ProgressHistory {
     records: VecDeque<QueryProgress>,
-    capacity: usize,
     total_input_rows: u64,
     total_output_rows: u64,
 }
 
 impl ProgressHistory {
-    pub fn new(capacity: usize) -> ProgressHistory {
-        ProgressHistory {
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            capacity: capacity.max(1),
-            total_input_rows: 0,
-            total_output_rows: 0,
-        }
-    }
-
     pub fn push(&mut self, p: QueryProgress) {
         self.total_input_rows += p.num_input_rows;
         self.total_output_rows += p.num_output_rows;
-        if self.records.len() == self.capacity {
+        if self.records.len() == PROGRESS_HISTORY {
             self.records.pop_front();
         }
         self.records.push_back(p);
@@ -244,15 +238,16 @@ mod tests {
 
     #[test]
     fn history_is_bounded_but_totals_are_not() {
-        let mut h = ProgressHistory::new(2);
-        for e in 1..=5 {
+        let mut h = ProgressHistory::default();
+        let last = PROGRESS_HISTORY as u64 + 2;
+        for e in 1..=last {
             h.push(progress(e, 10));
         }
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.last().unwrap().epoch, 5);
-        assert_eq!(h.all().next().unwrap().epoch, 4);
-        assert_eq!(h.total_input_rows(), 50);
-        assert_eq!(h.total_output_rows(), 25);
+        assert_eq!(h.len(), PROGRESS_HISTORY);
+        assert_eq!(h.last().unwrap().epoch, last);
+        assert_eq!(h.all().next().unwrap().epoch, 3);
+        assert_eq!(h.total_input_rows(), 10 * last);
+        assert_eq!(h.total_output_rows(), 5 * last);
     }
 
     #[test]

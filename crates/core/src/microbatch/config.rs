@@ -61,8 +61,6 @@ pub struct MicroBatchConfig {
     pub catchup_multiplier: u64,
     /// Checkpoint operator state every N committed epochs.
     pub checkpoint_interval: u64,
-    /// Progress records to retain (§7.4).
-    pub progress_history: usize,
     /// Fail-point registry shared with the WAL, state store and (when
     /// wired by the caller) sources/backends. Empty by default.
     pub faults: FaultRegistry,
@@ -158,7 +156,6 @@ impl Default for MicroBatchConfig {
             adaptive_batching: true,
             catchup_multiplier: 8,
             checkpoint_interval: 1,
-            progress_history: 128,
             faults: FaultRegistry::new(),
             retry: RetryPolicy::default(),
             clock: system_clock(),

@@ -1,7 +1,7 @@
 //! One epoch through the protocol: the phase functions, the two
 //! drivers that call them in order, and the trigger built on the
 //! commit driver. The table in the [module header](super) maps each
-//! function to its §6.1 step, profiler phase and fail points.
+//! function to its §6.1 step, profile phase and fail points.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,8 +34,10 @@ pub(super) struct Epoch {
     /// False for the silent replay of a committed epoch: its poison
     /// rows come from its commit record instead of a probe.
     pub(super) live: bool,
-    /// Phase wall times (dropped with a replay: the profiler history
-    /// describes epochs that committed here, not recovery).
+    /// Phase wall times, task skew and shuffle attribution: progress
+    /// reads its task and sink-commit figures from here. Dropped with a
+    /// replay: the history describes epochs that committed here, not
+    /// recovery.
     profile: EpochProfile,
     /// `read_sources`: each source's rows, and the `(min, max)` ingest
     /// time across them for the latency observed at sink commit.
@@ -45,12 +47,9 @@ pub(super) struct Epoch {
     /// probed epoch, their dead letters.
     pub(super) quarantined: QuarantinedOffsets,
     pub(super) letters: Vec<DeadLetterRecord>,
-    /// `execute` and `commit_sink`: what progress reports of them.
+    /// `execute`: what progress reports of it.
     out_rows: u64,
     ops: Vec<OpStat>,
-    tasks_launched: u64,
-    max_task_duration_us: u64,
-    sink_commit_us: i64,
 }
 
 impl Epoch {
@@ -65,9 +64,6 @@ impl Epoch {
             letters: Vec::new(),
             out_rows: 0,
             ops: Vec::new(),
-            tasks_launched: 0,
-            max_task_duration_us: 0,
-            sink_commit_us: 0,
         }
     }
 
@@ -136,7 +132,6 @@ impl MicroBatchExecution {
         // failed, nobody will collect their results.
         self.env.faults.cancel_hangs();
         if expired {
-            self.trace.instant("watchdog", &[("error", &err.to_string())]);
             self.events.emit(
                 &self.name,
                 EVENT_WATCHDOG,
@@ -289,14 +284,6 @@ impl MicroBatchExecution {
             .set(rate_limit.map_or(-1, |r| r as i64));
         if rate_limit.is_some() && budget < backlog {
             // The controller is actively holding rows back.
-            self.trace.instant(
-                "overload",
-                &[
-                    ("phase", "admission-limited"),
-                    ("admitted", &admitted.to_string()),
-                    ("backlog", &backlog.to_string()),
-                ],
-            );
             self.events.emit(
                 &self.name,
                 EVENT_ADMISSION_LIMITED,
@@ -322,16 +309,28 @@ impl MicroBatchExecution {
         }
     }
 
+    /// Run one step of a phase: the one place an epoch phase is timed.
+    /// The step runs inside a trace span named after the phase, and its
+    /// wall time is attributed to that phase once it succeeds.
+    pub(super) fn phase<R>(
+        &mut self,
+        ep: &mut Epoch,
+        name: &str,
+        step: impl FnOnce(&mut Self, &mut Epoch) -> Result<R>,
+    ) -> Result<R> {
+        let _span = self.trace.span(name, &[]);
+        let started = Instant::now();
+        let out = step(self, ep)?;
+        ep.profile.record(name, None, us_since(started));
+        Ok(out)
+    }
+
     /// `wal` (§6.1 step 1): the epoch's ranges are durable before
     /// anything runs over them; from here on the epoch is in flight.
     fn log_offsets(&mut self, ep: &mut Epoch) -> Result<()> {
-        {
-            let _span = self.trace.span("write-offsets", &[]);
-            let t_wal = Instant::now();
-            self.env
-                .retried("wal_offsets_append", || self.wal.write_offsets(&ep.offsets))?;
-            ep.profile.record(PHASE_WAL, None, us_since(t_wal));
-        }
+        self.phase(ep, PHASE_WAL, |eng, ep| {
+            eng.env.retried("wal_offsets_append", || eng.wal.write_offsets(&ep.offsets))
+        })?;
         self.epoch = ep.offsets.epoch;
         self.apply_positions(&ep.offsets);
         self.env.faults.fire(failpoints::AFTER_OFFSET_WRITE)
@@ -342,31 +341,29 @@ impl MicroBatchExecution {
     /// (§5.3).
     fn read_sources(&mut self, ep: &mut Epoch) -> Result<()> {
         let projections = self.root.scan_projections();
-        {
-            let _span = self.trace.span("read-sources", &[]);
-            let t_sources = Instant::now();
+        self.phase(ep, PHASE_SOURCE_READ, |eng, ep| {
             for (name, range) in &ep.offsets.sources {
-                let source = self.sources.get(name).ok_or_else(|| {
+                let source = eng.sources.get(name).ok_or_else(|| {
                     SsError::Plan(format!("no source bound for `{name}` during execution"))
                 })?;
                 let projection = projections.get(name).cloned().flatten();
                 let t_read = Instant::now();
-                let batch = self.env.retried("source_read", || {
-                    self.env.faults.fire(failpoints::SOURCE_READ)?;
+                let batch = eng.env.retried("source_read", || {
+                    eng.env.faults.fire(failpoints::SOURCE_READ)?;
                     source.read_all_projected(range, projection.as_deref())
                 })?;
                 if let Some((lo, hi)) = source.ingest_bounds(range)? {
                     ep.ingest = (ep.ingest.0.min(lo), ep.ingest.1.max(hi));
                 }
-                if let Some(m) = self.source_metrics.get(name) {
+                if let Some(m) = eng.source_metrics.get(name) {
                     m.rows_read.add(batch.num_rows() as u64);
                     m.read_us.observe(us_since(t_read));
                 }
                 ep.inputs.insert(name.clone(), batch);
             }
-            ep.profile.record(PHASE_SOURCE_READ, None, us_since(t_sources));
-        }
-        self.heartbeat("source-read")
+            Ok(())
+        })?;
+        self.heartbeat(PHASE_SOURCE_READ)
     }
 
     /// `execute`: run the incremental plan over the epoch's inputs
@@ -378,11 +375,11 @@ impl MicroBatchExecution {
         // the original epoch's output exactly).
         self.tracker.set_current(ep.offsets.watermark_us);
         let pt = self.config.clock.wall_us();
-        let mut ops = OpStatsCollector::new();
-        let exec_started = self.trace.now_us();
-        let t_exec = Instant::now();
-        let (out, run) = {
-            let _span = self.trace.span("execute", &[]);
+        // The execute phase covers the plan run plus its bookkeeping
+        // (health checks, operator metric export).
+        let (out, run) = self.phase(ep, PHASE_EXECUTE, |eng, ep| {
+            let mut ops = OpStatsCollector::new();
+            let exec_started = eng.trace.now_us();
             // Panics inside operators (UDFs, injected faults) fail the
             // epoch restartably instead of killing the query thread;
             // the restart path clears any half-updated in-memory state.
@@ -391,22 +388,22 @@ impl MicroBatchExecution {
                     let mut ctx = EpochContext {
                         epoch: ep.offsets.epoch,
                         inputs: &mut ep.inputs,
-                        statics: self.statics.as_ref(),
-                        store: &mut self.store,
+                        statics: eng.statics.as_ref(),
+                        store: &mut eng.store,
                         watermark_us: ep.offsets.watermark_us,
                         processing_time_us: pt,
-                        output_mode: self.output_mode,
-                        tracker: &mut self.tracker,
+                        output_mode: eng.output_mode,
+                        tracker: &mut eng.tracker,
                         ops: &mut ops,
-                        faults: &self.env.faults,
-                        exchange: &self.exchange,
+                        faults: &eng.env.faults,
+                        exchange: &eng.exchange,
                         run: ExchangeStats::default(),
                     };
-                    let out = self.root.execute_epoch(&mut ctx)?;
+                    let out = eng.root.execute_epoch(&mut ctx)?;
                     Ok((out, ctx.run))
                 },
             ));
-            match outcome {
+            let (out, run) = match outcome {
                 Ok(result) => result?,
                 Err(payload) => {
                     return Err(SsError::Execution(format!(
@@ -414,39 +411,35 @@ impl MicroBatchExecution {
                         panic_message(payload.as_ref())
                     )))
                 }
+            };
+            eng.heartbeat(PHASE_EXECUTE)?;
+            // Surface overload failures before anything becomes durable:
+            // a spill reload that failed mid-execution (the operator saw
+            // empty state) or an epoch that blew the hard memory limit.
+            eng.store.check_health()?;
+            eng.store.check_hard_limit()?;
+            ep.ops = ops.take();
+            for s in &ep.ops {
+                eng.registry
+                    .counter("ss_operator_rows_total", &[("op", &s.op)])
+                    .add(s.rows_out);
+                eng.registry
+                    .histogram("ss_operator_eval_us", &[("op", &s.op)])
+                    .observe(s.duration_us);
+                eng.trace.complete(
+                    &format!("op:{}", s.op),
+                    exec_started + s.started_rel_us,
+                    s.duration_us,
+                    &[("rows_out", &s.rows_out.to_string())],
+                );
             }
-        };
-        self.heartbeat("execute")?;
-        // Surface overload failures before anything becomes durable: a
-        // spill reload that failed mid-execution (the operator saw
-        // empty state) or an epoch that blew the hard memory limit.
-        self.store.check_health()?;
-        self.store.check_hard_limit()?;
-        ep.ops = ops.take();
-        for s in &ep.ops {
-            self.registry
-                .counter("ss_operator_rows_total", &[("op", &s.op)])
-                .add(s.rows_out);
-            self.registry
-                .histogram("ss_operator_eval_us", &[("op", &s.op)])
-                .observe(s.duration_us);
-            self.trace.complete(
-                &format!("op:{}", s.op),
-                exec_started + s.started_rel_us,
-                s.duration_us,
-                &[("rows_out", &s.rows_out.to_string())],
-            );
-        }
-        // The execute phase covers the plan run plus its bookkeeping
-        // (health checks, operator metric export).
-        ep.profile.record(PHASE_EXECUTE, None, us_since(t_exec));
+            Ok((out, run))
+        })?;
         for (name, us) in &run.phases {
             ep.profile.record(name, Some(PHASE_EXECUTE), *us);
         }
         ep.profile.tasks = run.scatter.skew();
         ep.profile.shuffle = run.shuffle;
-        ep.tasks_launched = run.scatter.tasks;
-        ep.max_task_duration_us = run.scatter.max_task_duration_us;
         ep.out_rows = out.num_rows() as u64;
         Ok(out)
     }
@@ -463,26 +456,22 @@ impl MicroBatchExecution {
             },
             OutputMode::Complete => EpochOutput::Complete(out),
         };
-        let t_commit = Instant::now();
-        {
-            let _span = self.trace.span("sink-commit", &[]);
-            // Sinks commit idempotently per epoch, so a retry after a
-            // partial delivery rewrites the same output in place. The
-            // sink lives outside the checkpoint backend, so the
-            // fencing check is explicit here: a zombie leader is
-            // rejected before any output becomes visible.
-            self.env.retried("sink_commit", || {
-                if let Some(ha) = &self.config.ha {
-                    ha.lease.check_fenced("sink-commit")?;
+        // Sinks commit idempotently per epoch, so a retry after a
+        // partial delivery rewrites the same output in place. The sink
+        // lives outside the checkpoint backend, so the fencing check is
+        // explicit here: a zombie leader is rejected before any output
+        // becomes visible.
+        self.phase(ep, PHASE_SINK_COMMIT, |eng, ep| {
+            eng.env.retried("sink_commit", || {
+                if let Some(ha) = &eng.config.ha {
+                    ha.lease.check_fenced(PHASE_SINK_COMMIT)?;
                 }
-                self.env.faults.fire(failpoints::SINK_COMMIT)?;
-                self.sink.commit_epoch(ep.offsets.epoch, &output)
-            })?;
-        }
-        ep.sink_commit_us = us_since(t_commit) as i64;
-        ep.profile.record(PHASE_SINK_COMMIT, None, ep.sink_commit_us as u64);
-        self.sink_metrics
-            .observe_commit(ep.out_rows, ep.sink_commit_us as u64);
+                eng.env.faults.fire(failpoints::SINK_COMMIT)?;
+                eng.sink.commit_epoch(ep.offsets.epoch, &output)
+            })
+        })?;
+        let commit_us = ep.profile.phase_us(PHASE_SINK_COMMIT);
+        self.sink_metrics.observe_commit(ep.out_rows, commit_us);
         // End-to-end latency: the epoch's output just became visible,
         // so every input record's journey ends here. Measured on the
         // real clock — ingest stamps come from the bus's wall clock,
@@ -511,10 +500,9 @@ impl MicroBatchExecution {
             quarantined: ep.quarantined.clone(),
             fencing_epoch: self.held_fencing_epoch(),
         };
-        let t_wal = Instant::now();
-        self.env
-            .retried("wal_commits_append", || self.wal.write_commit(&commit))?;
-        ep.profile.record(PHASE_WAL, None, us_since(t_wal));
+        self.phase(ep, PHASE_WAL, |eng, _| {
+            eng.env.retried("wal_commits_append", || eng.wal.write_commit(&commit))
+        })?;
         self.env.faults.fire(failpoints::AFTER_COMMIT_WRITE)
     }
 
@@ -527,47 +515,37 @@ impl MicroBatchExecution {
         if !epoch.is_multiple_of(self.config.checkpoint_interval) {
             return Ok(());
         }
-        let _span = self.trace.span("checkpoint", &[]);
-        let t_state = Instant::now();
-        self.tracker.save(&mut self.store);
-        self.env
-            .retried("checkpoint_write", || self.store.checkpoint(epoch))?;
-        // Right after a checkpoint every operator is clean, so the
-        // soft memory limit can spill the cold ones.
-        let report = self.store.enforce_budget()?;
-        if report.ops_spilled > 0 {
-            self.trace.instant(
-                "overload",
-                &[
-                    ("phase", "state-spill"),
-                    ("ops_spilled", &report.ops_spilled.to_string()),
-                    ("memory_bytes", &report.memory_bytes.to_string()),
-                    ("spilled_bytes", &report.spilled_bytes.to_string()),
-                ],
-            );
-            self.events.emit(
-                &self.name,
-                EVENT_SPILL,
-                &[
-                    ("epoch", epoch.into()),
-                    ("ops_spilled", (report.ops_spilled as u64).into()),
-                    ("spilled_bytes", report.spilled_bytes.into()),
-                ],
-            );
-        }
-        // The manifest rides along with the checkpoint — it must only
-        // ever describe a state layout that exists on disk, so it is
-        // never written ahead of the first checkpoint of the current
-        // plan.
-        self.write_manifest(false)?;
-        self.maybe_gc(epoch)?;
-        ep.profile.record(PHASE_STATE_COMMIT, None, us_since(t_state));
-        Ok(())
+        self.phase(ep, PHASE_STATE_COMMIT, |eng, _| {
+            eng.tracker.save(&mut eng.store);
+            eng.env.retried("checkpoint_write", || eng.store.checkpoint(epoch))?;
+            // Right after a checkpoint every operator is clean, so the
+            // soft memory limit can spill the cold ones.
+            let report = eng.store.enforce_budget()?;
+            if report.ops_spilled > 0 {
+                eng.events.emit(
+                    &eng.name,
+                    EVENT_SPILL,
+                    &[
+                        ("epoch", epoch.into()),
+                        ("ops_spilled", (report.ops_spilled as u64).into()),
+                        ("memory_bytes", (report.memory_bytes as u64).into()),
+                        ("spilled_bytes", report.spilled_bytes.into()),
+                    ],
+                );
+            }
+            // The manifest rides along with the checkpoint — it must
+            // only ever describe a state layout that exists on disk, so
+            // it is never written ahead of the first checkpoint of the
+            // current plan.
+            eng.write_manifest(false)?;
+            eng.maybe_gc(epoch)
+        })
     }
 
     /// `finalize`: the committed epoch's tail — duration, the rate
     /// controller's sample, shedding accounting, the profile's totals —
-    /// ending in its progress record.
+    /// ending in its progress record, which joins the history whether
+    /// or not it is published.
     pub(super) fn finalize(&mut self, mut ep: Epoch, timing: &Timing) -> QueryProgress {
         let t_finalize = Instant::now();
         let finished = self.config.clock.wall_us();
@@ -600,8 +578,9 @@ impl MicroBatchExecution {
                     .observe(p.duration_us);
             }
         }
-        self.profiler.push(ep.profile.clone());
-        self.build_progress(ep, duration, shed_records, timing)
+        let progress = self.build_progress(ep, duration, shed_records, timing);
+        self.progress.push(progress.clone());
+        progress
     }
 
     /// The progress record of an epoch that just committed here.
@@ -613,6 +592,7 @@ impl MicroBatchExecution {
         timing: &Timing,
     ) -> QueryProgress {
         let rows_in = ep.rows_in();
+        let tasks = ep.profile.tasks.unwrap_or_default();
         let watermark_lag_us = match self.tracker.current() {
             i64::MIN => None,
             wm => self.tracker.max_observed().map(|m| (m - wm).max(0)),
@@ -636,7 +616,7 @@ impl MicroBatchExecution {
                     duration_us: s.duration_us,
                 })
                 .collect(),
-            sink_commit_us: ep.sink_commit_us,
+            sink_commit_us: ep.profile.phase_us(PHASE_SINK_COMMIT) as i64,
             restarts: self.restarts,
             scheduling_delay_us: timing.scheduling_delay_us,
             admitted_rows: rows_in,
@@ -644,17 +624,17 @@ impl MicroBatchExecution {
             state_bytes: self.store.memory_bytes() as u64,
             spilled_bytes: self.store.spilled_bytes(),
             shed_records,
-            tasks_launched: ep.tasks_launched,
-            max_task_duration_us: ep.max_task_duration_us,
+            tasks_launched: tasks.count,
+            max_task_duration_us: tasks.max_us,
             quarantined_records: ep.quarantined_records(),
             profile: Some(ep.profile),
             ha_role: self.ha_role().map(|r| r.as_str().to_string()),
         }
     }
 
-    /// Publish an epoch's progress: history, event log, listeners.
+    /// Publish an epoch's progress, already in the history: the event
+    /// log and the listeners.
     fn publish(&mut self, progress: &QueryProgress) {
-        self.progress.push(progress.clone());
         self.events.emit(
             &self.name,
             EVENT_PROGRESS,

@@ -1,20 +1,29 @@
 //! The microbatch execution engine (§6.1–§6.2).
 //!
 //! Each trigger runs one **epoch** through the paper's protocol. Every
-//! step is one function, named after the profiler phase it is timed
-//! under, and the steps are called in this order (`epoch.rs`):
+//! step is one function, named after the profile phase it is timed
+//! under, and the steps are called in this order (`epoch.rs`). From
+//! `log_offsets` to `commit_state` a step runs through one helper,
+//! `phase`, that both opens the step's trace span and records its
+//! profile phase, under the same name (`admit` and `finalize` are
+//! timed around the `epoch` span):
 //!
-//! | §6.1 | function | profiler phase | fail points fired, in order |
+//! | §6.1 | function | profile phase | fail points fired, in order |
 //! |---|---|---|---|
 //! | 1: log offsets | `admit` | `admission` | the sources' own (`latest_offsets`, `earliest_offsets`) |
 //! | | `log_offsets` | `wal` | `wal.offsets.append`, `microbatch.after_offset_write` |
 //! | 2: execute | `read_sources` | `source-read` | `microbatch.source.read`, then the source's own (`bus.read`) |
-//! | | `strip_poison` | — (trace span `quarantine-probe`) | `wal.commits.read` on replay; the live probe runs without fault injection |
+//! | | `strip_poison` | `quarantine-probe` (isolation mode only) | `wal.commits.read` on replay; the live probe runs without fault injection |
 //! | | `execute` | `execute` (+ `map` … `merge`) | the operators' and the scheduler's (`exec.record.eval`, `sched.*`) |
 //! | 3: sink + commit | `commit_sink` | `sink-commit` | `microbatch.sink.commit`, `microbatch.after_sink_write`, `bus.dlq.write` |
 //! | | `log_commit` | `wal` | `wal.commits.append`, `microbatch.after_commit_write` |
 //! | 4: checkpoint | `commit_state` | `state-commit` | `state.checkpoint.write`, `microbatch.manifest.write` |
 //! | — | `finalize` | `finalize` | none |
+//!
+//! An epoch writes two records and no others: its profile, which rides
+//! on its [`QueryProgress`] into the one bounded history, and the
+//! [`EventLog`]'s lifecycle events. The trace is derived from both (the
+//! event log is built over it, so each event is also an instant).
 //!
 //! Two drivers call them. **Replay** recomputes a logged epoch's effect
 //! on state and nothing else: read → strip → execute → advance the
@@ -58,10 +67,10 @@ use std::sync::Arc;
 
 use ss_bus::{DeadLetterQueue, Sink, SinkMetrics, Source, SourceMetrics};
 use ss_common::clock::ClockRef;
-use ss_common::eventlog::{EVENT_START, EVENT_TERMINATE};
+use ss_common::eventlog::{EVENT_CHECKPOINT_GC, EVENT_START, EVENT_TERMINATE};
 use ss_common::{
-    Counter, Deadline, EpochProfiler, EventLog, Histogram, MetricsRegistry, PartitionOffsets,
-    Result, SchemaRef, SsError, TraceLog,
+    Counter, Deadline, EventLog, Histogram, MetricsRegistry, PartitionOffsets, Result, SchemaRef,
+    SsError, TraceLog,
 };
 use ss_exec::executor::Catalog;
 use ss_plan::{operator_signatures, plan_fingerprint, LogicalPlan, OperatorSignature, OutputMode};
@@ -125,6 +134,8 @@ pub struct MicroBatchExecution {
     /// End offsets of the last defined epoch, per source.
     positions: HashMap<String, PartitionOffsets>,
     config: MicroBatchConfig,
+    /// Every epoch that committed here, each with its profile: what
+    /// `/queries` and `/query/<name>/profile` serve.
     progress: ProgressHistory,
     /// The query's metric registry (§7.4): operator, state, WAL, source
     /// and sink series all register here.
@@ -132,7 +143,8 @@ pub struct MicroBatchExecution {
     /// The durability environment — fail points, retry policy, clock,
     /// interrupt flag — every durable step runs its I/O under.
     env: TaskEnv,
-    /// Epoch-scoped trace spans, dumpable as chrome://tracing JSON.
+    /// Epoch-scoped trace spans, dumpable as chrome://tracing JSON; the
+    /// event log mirrors its events into it as instants.
     trace: TraceLog,
     listeners: Vec<Arc<dyn StreamingQueryListener>>,
     source_metrics: HashMap<String, SourceMetrics>,
@@ -150,12 +162,9 @@ pub struct MicroBatchExecution {
     /// The partition count the plan runs at and, above one, the worker
     /// pool its stages are scheduled on.
     exchange: Exchange,
-    /// Bounded history of per-epoch phase-tree profiles, served by the
-    /// introspection server's `/query/<name>/profile` endpoint.
-    profiler: EpochProfiler,
     /// Structured lifecycle event log (start / progress / restart /
-    /// spill / admission-limited / terminate), optionally mirrored to
-    /// the JSONL file named by `SS_EVENT_LOG`.
+    /// spill / admission-limited / terminate / …), mirrored into the
+    /// trace and optionally to the JSONL file named by `SS_EVENT_LOG`.
     events: EventLog,
     /// `ss_e2e_latency_us`: sink-commit wall time minus record ingest
     /// time, observed once each for the epoch's oldest and newest
@@ -367,14 +376,13 @@ impl MicroBatchExecution {
         let purged_total = registry.counter("ss_checkpoint_purged_total", &[]);
         let epoch_duration_us = registry.histogram("ss_epoch_duration_us", &[]);
         let e2e_latency_us = registry.histogram("ss_e2e_latency_us", &[]);
-        let events = EventLog::new();
+        let events = EventLog::new(&trace);
         if let Some(path) = config::env_var::<PathBuf>("SS_EVENT_LOG") {
             // Best-effort: an unwritable path disables the file mirror
             // rather than failing the query (the in-memory buffer
             // still works).
             let _ = events.attach_file(&path);
         }
-        let progress = ProgressHistory::new(config.progress_history);
         let rate_controller = config.rate_controller.map(PidRateController::new);
         let env = TaskEnv::new(&config, &registry);
         let exchange = Exchange::for_plan(&root, &config, &env, &trace);
@@ -416,7 +424,7 @@ impl MicroBatchExecution {
             epoch: 0,
             positions: HashMap::new(),
             config,
-            progress,
+            progress: ProgressHistory::default(),
             registry,
             env,
             trace,
@@ -429,7 +437,6 @@ impl MicroBatchExecution {
             rate_controller,
             last_epoch_duration_us: 0,
             exchange,
-            profiler: EpochProfiler::default(),
             events,
             e2e_latency_us,
             optimized_plan: optimized,
@@ -506,7 +513,9 @@ impl MicroBatchExecution {
         self.tracker.current()
     }
 
-    /// Progress history (§7.4).
+    /// Progress history (§7.4): every epoch that committed here, each
+    /// with its profile — including an in-flight epoch a take-over
+    /// re-ran, which listeners are not told about.
     pub fn progress(&self) -> &ProgressHistory {
         &self.progress
     }
@@ -529,12 +538,6 @@ impl MicroBatchExecution {
         &self.trace
     }
 
-    /// The epoch profiler: bounded history of per-epoch phase-tree
-    /// wall-time breakdowns with task-skew and shuffle attribution.
-    pub fn profiler(&self) -> &EpochProfiler {
-        &self.profiler
-    }
-
     /// The structured lifecycle event log (JSONL-renderable).
     pub fn events(&self) -> &EventLog {
         &self.events
@@ -553,10 +556,6 @@ impl MicroBatchExecution {
             return;
         }
         self.terminated = true;
-        self.trace.instant(
-            "terminated",
-            &[("error", error.unwrap_or("none"))],
-        );
         self.events.emit(
             &self.name,
             EVENT_TERMINATE,
@@ -686,12 +685,10 @@ impl MicroBatchExecution {
         }
         if purged > 0 {
             self.purged_total.add(purged as u64);
-            self.trace.instant(
-                "checkpoint-gc",
-                &[
-                    ("purged", &purged.to_string()),
-                    ("horizon", &horizon.to_string()),
-                ],
+            self.events.emit(
+                &self.name,
+                EVENT_CHECKPOINT_GC,
+                &[("purged", (purged as u64).into()), ("horizon", horizon.into())],
             );
         }
         Ok(())
@@ -1215,6 +1212,42 @@ mod tests {
             Some(p) => assert_eq!(p.restarts, 1),
             None => panic!("expected progress after restart"),
         }
+    }
+
+    #[test]
+    fn the_epoch_a_restart_re_runs_joins_the_history_but_is_not_published() {
+        struct Epochs(parking_lot::Mutex<Vec<u64>>);
+        impl StreamingQueryListener for Epochs {
+            fn on_progress(&self, p: &QueryProgress) {
+                self.0.lock().push(p.epoch);
+            }
+        }
+        let src = gen_source(1);
+        let sink = MemorySink::new("out");
+        let config = faulty_config(failpoints::AFTER_SINK_WRITE);
+        let faults = config.faults.clone();
+        let mut eng = engine(src.clone(), sink, Arc::new(MemoryBackend::new()), config);
+        let listener = Arc::new(Epochs(parking_lot::Mutex::new(Vec::new())));
+        eng.add_listener(listener.clone());
+        src.advance(4);
+        assert!(eng.run_epoch().is_err());
+        faults.clear();
+        eng.restart().unwrap();
+        src.advance(2);
+        eng.process_available().unwrap();
+        // The re-run epoch 1 committed here: it is in the one history,
+        // with its profile, and counts toward the totals.
+        let history: Vec<(u64, Option<u64>)> = eng
+            .progress()
+            .all()
+            .map(|p| (p.epoch, p.profile.as_ref().map(|pr| pr.epoch)))
+            .collect();
+        assert_eq!(history, vec![(1, Some(1)), (2, Some(2))]);
+        assert_eq!(eng.progress().total_input_rows(), 6);
+        // Listeners and progress events see only the triggered epoch.
+        assert_eq!(*listener.0.lock(), vec![2]);
+        let published = eng.events().events().into_iter().filter(|e| e.kind == "progress");
+        assert_eq!(published.count(), 1);
     }
 
     #[test]

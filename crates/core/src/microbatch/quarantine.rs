@@ -11,6 +11,7 @@ use ss_bus::json::row_to_json;
 use ss_bus::{DeadLetterQueue, DeadLetterRecord};
 use ss_common::eventlog::EVENT_QUARANTINE;
 use ss_common::isolate::panic_message;
+use ss_common::profile::PHASE_QUARANTINE_PROBE;
 use ss_common::{failure_fingerprint, ErrorPolicy, FaultRegistry, RecordBatch, Result, SsError};
 use ss_state::{MemoryBackend, StateStore};
 use ss_wal::{EpochOffsets, OffsetRange};
@@ -46,21 +47,17 @@ impl MicroBatchExecution {
     /// records instead of replaying the failure forever.
     pub fn note_deterministic(&mut self, fingerprint: u64, message: &str) {
         self.deterministic_failures.inc();
-        let fp = format!("{fingerprint:016x}");
+        self.isolation |= self.config.error_policy.isolates();
         self.events.emit(
             &self.name,
             EVENT_QUARANTINE,
             &[
                 ("action", "deterministic-failure".into()),
-                ("fingerprint", fp.as_str().into()),
+                ("fingerprint", format!("{fingerprint:016x}").into()),
                 ("error", message.into()),
+                ("isolation", serde_json::Value::Bool(self.isolation)),
             ],
         );
-        if self.config.error_policy.isolates() && !self.isolation {
-            self.isolation = true;
-            self.trace
-                .instant("isolation", &[("fingerprint", fp.as_str())]);
-        }
     }
 
     /// True for the first record-shaped failure under an isolating
@@ -77,12 +74,10 @@ impl MicroBatchExecution {
             return;
         }
         self.isolation = true;
-        let msg = err.to_string();
-        self.trace.instant("isolation", &[("error", &msg)]);
         self.events.emit(
             &self.name,
             EVENT_QUARANTINE,
-            &[("action", "isolation-on".into()), ("error", msg.as_str().into())],
+            &[("action", "isolation-on".into()), ("error", err.to_string().into())],
         );
     }
 
@@ -105,8 +100,9 @@ impl MicroBatchExecution {
                 }
             }
         } else if self.isolation && self.config.error_policy.isolates() {
-            let _span = self.trace.span("quarantine-probe", &[]);
-            (ep.quarantined, ep.letters) = self.probe_poison_rows(&ep.offsets, &ep.inputs)?;
+            (ep.quarantined, ep.letters) = self.phase(ep, PHASE_QUARANTINE_PROBE, |eng, ep| {
+                eng.probe_poison_rows(&ep.offsets, &ep.inputs)
+            })?;
             if let ErrorPolicy::Quarantine { max_per_epoch } = self.config.error_policy {
                 let n = ep.quarantined_records();
                 if n > max_per_epoch {
@@ -121,7 +117,7 @@ impl MicroBatchExecution {
         if !ep.quarantined.is_empty() {
             strip_quarantined(&mut ep.inputs, &ep.offsets, &ep.quarantined)?;
         }
-        self.heartbeat("quarantine-probe")
+        self.heartbeat(PHASE_QUARANTINE_PROBE)
     }
 
     /// Probe each input row alone through a fresh scratch copy of the

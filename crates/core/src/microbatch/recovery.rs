@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use ss_common::eventlog::{EVENT_FAILOVER, EVENT_RESTART};
+use ss_common::eventlog::{EVENT_FAILOVER, EVENT_RESTART, EVENT_STATE_MIGRATION, EVENT_WAL_REPAIR};
 use ss_common::{PartitionOffsets, Result, SsError};
 use ss_wal::{EpochOffsets, HaRole};
 
@@ -45,11 +45,15 @@ impl MicroBatchExecution {
     fn take_over_once(&mut self) -> Result<()> {
         let repair = self.wal.verify_and_repair()?;
         if !repair.is_clean() {
-            self.trace.instant(
-                "wal-repair",
+            let epochs = |dropped: &[u64]| {
+                serde_json::Value::Array(dropped.iter().map(|&e| e.into()).collect())
+            };
+            self.events.emit(
+                &self.name,
+                EVENT_WAL_REPAIR,
                 &[
-                    ("dropped_offsets", &format!("{:?}", repair.dropped_offsets)),
-                    ("dropped_commits", &format!("{:?}", repair.dropped_commits)),
+                    ("dropped_offsets", epochs(&repair.dropped_offsets)),
+                    ("dropped_commits", epochs(&repair.dropped_commits)),
                 ],
             );
         }
@@ -136,8 +140,12 @@ impl MicroBatchExecution {
             return Ok(());
         };
         if owner && !self.migrations.is_empty() {
-            let operators = self.migrations.len().to_string();
-            self.trace.instant("state-migration", &[("operators", &operators)]);
+            let operators = self.migrations.len() as u64;
+            self.events.emit(
+                &self.name,
+                EVENT_STATE_MIGRATION,
+                &[("operators", operators.into())],
+            );
         }
         self.tracker.load(&self.store)?;
         // The positions come from the offsets the checkpoint's epoch
@@ -235,8 +243,6 @@ impl MicroBatchExecution {
     /// [`QueryProgress`](crate::metrics::QueryProgress).
     pub fn restart(&mut self) -> Result<()> {
         self.restarts += 1;
-        self.trace
-            .instant("restart", &[("count", &self.restarts.to_string())]);
         self.events.emit(
             &self.name,
             EVENT_RESTART,
@@ -319,10 +325,6 @@ impl MicroBatchExecution {
                 ("fencing_epoch", fencing.into()),
                 ("epoch", self.epoch.into()),
             ],
-        );
-        self.trace.instant(
-            "failover",
-            &[("fencing_epoch", &fencing.to_string())],
         );
         Ok(fencing)
     }

@@ -265,15 +265,21 @@ impl StreamingQuery {
         self.with_engine(|e| e.trace().clone())
     }
 
-    /// The epoch profiler's retained phase-tree profiles, oldest first.
+    /// The retained epochs' phase-tree profiles, oldest first: the
+    /// progress history's own.
     pub fn profiles(&self) -> Vec<ss_common::EpochProfile> {
-        self.with_engine(|e| e.profiler().profiles())
+        self.with_engine(|e| {
+            e.progress()
+                .all()
+                .filter_map(|p| p.profile.clone())
+                .collect()
+        })
     }
 
     /// The retained epoch profiles as a JSON array — what the
     /// introspection server serves at `/query/<name>/profile`.
     pub fn profile_json(&self) -> String {
-        self.with_engine(|e| ss_common::to_json(&e.profiler().profiles()))
+        ss_common::to_json(&self.profiles())
     }
 
     /// The structured lifecycle event log rendered as JSON Lines.

@@ -1315,11 +1315,13 @@ mod tests {
         ]
     }
 
+    type Observed = (Vec<Row>, Vec<Row>, Vec<(Row, Vec<Row>)>);
+
     /// Everything the engine reads off an aggregator after ingest:
     /// the result table, the changed keys and the checkpointable
     /// state. Rows compare by `Value::total_cmp`, i.e. bit-exactly on
     /// floats (`-0.0 != 0.0`, `NaN == NaN` only for equal payloads).
-    fn observe(agg: &mut HashAggregator) -> (Vec<Row>, Vec<Row>, Vec<(Row, Vec<Row>)>) {
+    fn observe(agg: &mut HashAggregator) -> Observed {
         let table = agg.finish_all().unwrap().to_rows();
         let changed = drain(agg);
         (table, changed, saved(&agg.table, false).0)

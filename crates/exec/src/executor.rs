@@ -23,7 +23,6 @@ use ss_plan::LogicalPlan;
 
 use crate::aggregate::HashAggregator;
 use crate::join::hash_join;
-use crate::metrics::ExecMetrics;
 use crate::ops;
 
 /// Provides the input tables a plan's scans refer to.
@@ -68,58 +67,6 @@ impl Catalog for MemoryCatalog {
 
 /// Execute a logical plan to completion, producing one result batch.
 pub fn execute(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<RecordBatch> {
-    execute_inner(plan, catalog, None)
-}
-
-/// Like [`execute`], but records per-operator row counts and inclusive
-/// evaluation times into `metrics` (§7.4 monitoring).
-pub fn execute_with_metrics(
-    plan: &LogicalPlan,
-    catalog: &dyn Catalog,
-    metrics: &ExecMetrics,
-) -> Result<RecordBatch> {
-    execute_inner(plan, catalog, Some(metrics))
-}
-
-/// The stable metric label for a plan node.
-fn op_label(plan: &LogicalPlan) -> String {
-    match plan {
-        LogicalPlan::Scan { name, .. } => format!("scan:{name}"),
-        LogicalPlan::Filter { .. } => "filter".into(),
-        LogicalPlan::Project { .. } => "project".into(),
-        LogicalPlan::Aggregate { .. } => "aggregate".into(),
-        LogicalPlan::Join { .. } => "join".into(),
-        LogicalPlan::Sort { .. } => "sort".into(),
-        LogicalPlan::Limit { .. } => "limit".into(),
-        LogicalPlan::Distinct { .. } => "distinct".into(),
-        LogicalPlan::Watermark { .. } => "watermark".into(),
-        LogicalPlan::MapGroupsWithState { op, .. } => format!("map-groups:{}", op.name),
-    }
-}
-
-fn execute_inner(
-    plan: &LogicalPlan,
-    catalog: &dyn Catalog,
-    metrics: Option<&ExecMetrics>,
-) -> Result<RecordBatch> {
-    let started = metrics.map(|_| std::time::Instant::now());
-    let out = execute_node(plan, catalog, metrics)?;
-    if let (Some(m), Some(started)) = (metrics, started) {
-        m.record(
-            &op_label(plan),
-            out.num_rows() as u64,
-            started.elapsed().as_micros() as u64,
-        );
-    }
-    Ok(out)
-}
-
-fn execute_node(
-    plan: &LogicalPlan,
-    catalog: &dyn Catalog,
-    metrics: Option<&ExecMetrics>,
-) -> Result<RecordBatch> {
-    let execute = |plan: &LogicalPlan, catalog: &dyn Catalog| execute_inner(plan, catalog, metrics);
     match plan {
         LogicalPlan::Scan {
             name,
@@ -378,33 +325,6 @@ mod tests {
         let plan = clicks().map_groups_with_state(op).build();
         let out = execute_optimized(&plan, &catalog()).unwrap();
         assert_eq!(out.to_rows(), vec![row!["CA", 3i64], row!["US", 1i64]]);
-    }
-
-    #[test]
-    fn metrics_capture_per_operator_rows_and_time() {
-        use ss_common::{MetricValue, MetricsRegistry};
-
-        let registry = MetricsRegistry::new();
-        let metrics = ExecMetrics::new(&registry);
-        let plan = clicks()
-            .filter(col("country").eq(lit("CA")))
-            .aggregate(vec![col("country")], vec![count_star()])
-            .build();
-        let analyzed = ss_plan::analyze(&plan).unwrap();
-        let out = execute_with_metrics(&analyzed, &catalog(), &metrics).unwrap();
-        assert_eq!(out.num_rows(), 1);
-
-        let rows = |op: &str| registry.value("ss_exec_rows_total", &[("op", op)]);
-        assert_eq!(rows("scan:clicks"), Some(MetricValue::Counter(4)));
-        assert_eq!(rows("filter"), Some(MetricValue::Counter(3)));
-        assert_eq!(rows("aggregate"), Some(MetricValue::Counter(1)));
-        match registry.value("ss_exec_eval_us", &[("op", "aggregate")]) {
-            Some(MetricValue::Histogram { count, .. }) => assert_eq!(count, 1),
-            other => panic!("missing eval histogram: {other:?}"),
-        }
-        // The plain path records nothing.
-        execute(&analyzed, &catalog()).unwrap();
-        assert_eq!(rows("scan:clicks"), Some(MetricValue::Counter(4)));
     }
 
     #[test]

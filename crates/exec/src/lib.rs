@@ -23,10 +23,8 @@
 pub mod aggregate;
 pub mod executor;
 pub mod join;
-pub mod metrics;
 pub mod ops;
 
 pub use aggregate::HashAggregator;
-pub use executor::{execute, execute_with_metrics, Catalog, MemoryCatalog};
+pub use executor::{execute, Catalog, MemoryCatalog};
 pub use join::hash_join;
-pub use metrics::ExecMetrics;

@@ -63,14 +63,11 @@ type Job = Box<dyn FnOnce() + Send>;
 /// surfaced on `QueryProgress` when running parallel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScatterStats {
-    /// Number of tasks launched.
-    pub tasks: u64,
-    /// Wall-clock duration of the slowest task, in microseconds.
-    pub max_task_duration_us: u64,
     /// Longest time any task sat queued before a worker picked it up.
     pub max_queue_wait_us: u64,
-    /// Raw wall-clock duration of every task, in completion order. The
-    /// profiler summarizes these into min/p50/p99/max skew stats.
+    /// Raw wall-clock duration of every task, in completion order: one
+    /// per task launched. The profile summarizes these into the task
+    /// count and min/p50/p99/max skew stats.
     pub task_durations_us: Vec<u64>,
 }
 
@@ -78,8 +75,6 @@ impl ScatterStats {
     /// Fold another scatter's stats into this one (an epoch runs
     /// several stages; progress reports the epoch-wide totals).
     pub fn absorb(&mut self, other: ScatterStats) {
-        self.tasks += other.tasks;
-        self.max_task_duration_us = self.max_task_duration_us.max(other.max_task_duration_us);
         self.max_queue_wait_us = self.max_queue_wait_us.max(other.max_queue_wait_us);
         self.task_durations_us.extend(other.task_durations_us);
     }
@@ -309,7 +304,7 @@ impl WorkerPool {
         stage: &str,
     ) -> Result<ScatterResult<R>> {
         let mut slots: Vec<Option<TaskOutcome<R>>> = (0..n).map(|_| None).collect();
-        let mut stats = ScatterStats { tasks: n as u64, ..ScatterStats::default() };
+        let mut stats = ScatterStats::default();
         let started_us = self.clock.monotonic_us();
         let mut soft_noted = false;
         for done in 0..n {
@@ -367,7 +362,6 @@ impl WorkerPool {
                     }
                 }
             };
-            stats.max_task_duration_us = stats.max_task_duration_us.max(report.duration_us);
             stats.max_queue_wait_us = stats.max_queue_wait_us.max(report.queue_wait_us);
             stats.task_durations_us.push(report.duration_us);
             slots[report.index] = Some(report.outcome);
@@ -463,7 +457,7 @@ mod tests {
                 .collect();
             let out = pool.scatter("test", tasks).unwrap();
             assert_eq!(out.results, (0..16u64).map(|i| i * 10).collect::<Vec<_>>());
-            assert_eq!(out.stats.tasks, 16);
+            assert_eq!(out.stats.task_durations_us.len(), 16);
         }
     }
 
@@ -650,24 +644,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_takes_max_and_sums_tasks() {
+    fn stats_absorb_takes_max_and_appends_durations() {
         let mut a = ScatterStats {
-            tasks: 2,
-            max_task_duration_us: 10,
             max_queue_wait_us: 3,
             task_durations_us: vec![4, 10],
         };
         a.absorb(ScatterStats {
-            tasks: 3,
-            max_task_duration_us: 7,
             max_queue_wait_us: 9,
             task_durations_us: vec![7, 2, 1],
         });
         assert_eq!(
             a,
             ScatterStats {
-                tasks: 5,
-                max_task_duration_us: 10,
                 max_queue_wait_us: 9,
                 task_durations_us: vec![4, 10, 7, 2, 1],
             }
@@ -692,6 +680,6 @@ mod tests {
         assert!(skew.min_us <= skew.p50_us);
         assert!(skew.p50_us <= skew.p99_us);
         assert!(skew.p99_us <= skew.max_us);
-        assert_eq!(skew.max_us, out.stats.max_task_duration_us);
+        assert_eq!(Some(&skew.max_us), out.stats.task_durations_us.iter().max());
     }
 }

@@ -158,8 +158,8 @@ fn every_json_body_keeps_its_key_set() {
     prof.process_available().unwrap();
     manager.add(prof).unwrap();
 
-    // Poison records under quarantine: dead letters and an isolation
-    // instant in the trace.
+    // Poison records under quarantine: dead letters and `quarantine`
+    // events, each also an instant in the trace.
     let mut poison = ctx
         .read_source(source("poison"))
         .unwrap()

@@ -318,7 +318,8 @@ fn the_isolation_retried_epoch_reports_itself() {
             profile.phases
         );
     }
-    let profiled: Vec<u64> = eng.profiler().profiles().iter().map(|p| p.epoch).collect();
+    let profiled: Vec<u64> =
+        eng.progress().all().filter_map(|p| p.profile.as_ref()).map(|p| p.epoch).collect();
     assert_eq!(profiled, vec![1], "the profiler history has a hole");
     assert_eq!(eng.progress().last().map(|p| p.epoch), Some(1));
     let events = eng.events().events();
