@@ -76,7 +76,7 @@ pub use fault::{FaultMode, FaultRegistry, FaultTrigger};
 pub use isolate::{failure_fingerprint, panic_message, Deadline, ErrorPolicy, FailureTracker};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry};
 pub use profile::{EpochProfile, PhaseDuration, ShuffleProfile, TaskSkew};
-pub use retry::{retry, retry_result, RetryOutcome, RetryPolicy};
+pub use retry::{RetryOutcome, RetryPolicy};
 pub use rng::XorShift64;
 pub use offsets::{OffsetRange, PartitionOffsets};
 pub use row::Row;

@@ -10,8 +10,8 @@
 //! the thundering-herd resonance of plain exponential backoff while
 //! keeping the expected growth exponential.
 
-use crate::clock::{Clock, SystemClock};
-use crate::error::{Result, SsError};
+use crate::clock::Clock;
+use crate::error::Result;
 use crate::rng::XorShift64;
 use std::time::Duration;
 
@@ -72,7 +72,7 @@ impl RetryPolicy {
     }
 }
 
-/// What [`retry`] did, alongside the final result.
+/// What [`retry_with`] did, alongside the final result.
 #[derive(Debug)]
 pub struct RetryOutcome<T> {
     /// The final `Ok` or the error from the last attempt.
@@ -91,16 +91,11 @@ pub struct RetryOutcome<T> {
 
 /// Run `op` under `policy`: transient errors are retried with
 /// decorrelated-jitter backoff until they succeed, turn fatal, or the
-/// policy's attempts/budget run out.
-pub fn retry<T>(policy: &RetryPolicy, op: impl FnMut() -> Result<T>) -> RetryOutcome<T> {
-    retry_with(policy, &SystemClock, &|| false, op)
-}
-
-/// [`retry`] with an explicit clock and interrupt signal. Backoff
-/// sleeps run on `clock` (virtual under simulation) and poll
-/// `interrupted` every [`BACKOFF_POLL`]: a stop or fencing signal cuts
-/// a long backoff short within one poll interval instead of sleeping
-/// it out. The retry *budget* is also measured on `clock`.
+/// policy's attempts/budget run out. Backoff sleeps run on `clock`
+/// (virtual under simulation) and poll `interrupted` every
+/// [`BACKOFF_POLL`]: a stop or fencing signal cuts a long backoff short
+/// within one poll interval instead of sleeping it out. The retry
+/// *budget* is also measured on `clock`.
 pub fn retry_with<T>(
     policy: &RetryPolicy,
     clock: &dyn Clock,
@@ -173,20 +168,11 @@ pub fn retry_with<T>(
     }
 }
 
-/// Like [`retry`] but panics propagate and only the result is returned —
-/// convenience for call sites that don't track counters.
-pub fn retry_result<T>(policy: &RetryPolicy, op: impl FnMut() -> Result<T>) -> Result<T> {
-    retry(policy, op).result
-}
-
-#[allow(dead_code)]
-fn _transient_example() -> SsError {
-    SsError::Transient("example".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SystemClock;
+    use crate::error::SsError;
     use std::cell::Cell;
     use std::time::Instant;
 
@@ -205,7 +191,7 @@ mod tests {
 
     #[test]
     fn first_try_success_has_no_retries() {
-        let out = retry(&RetryPolicy::immediate(5), flaky(0));
+        let out = retry_with(&RetryPolicy::immediate(5), &SystemClock, &|| false, flaky(0));
         assert_eq!(out.result.unwrap(), 1);
         assert_eq!(out.retries, 0);
         assert!(!out.exhausted);
@@ -213,7 +199,7 @@ mod tests {
 
     #[test]
     fn transient_errors_are_retried_until_success() {
-        let out = retry(&RetryPolicy::immediate(5), flaky(3));
+        let out = retry_with(&RetryPolicy::immediate(5), &SystemClock, &|| false, flaky(3));
         assert_eq!(out.result.unwrap(), 4);
         assert_eq!(out.retries, 3);
         assert!(!out.exhausted);
@@ -221,7 +207,7 @@ mod tests {
 
     #[test]
     fn attempts_exhaust() {
-        let out = retry(&RetryPolicy::immediate(3), flaky(10));
+        let out = retry_with(&RetryPolicy::immediate(3), &SystemClock, &|| false, flaky(10));
         assert!(out.result.is_err());
         assert_eq!(out.retries, 2, "3 attempts = 2 retries");
         assert!(out.exhausted);
@@ -230,7 +216,7 @@ mod tests {
     #[test]
     fn fatal_errors_are_not_retried() {
         let mut calls = 0;
-        let out = retry(&RetryPolicy::immediate(5), || {
+        let out = retry_with(&RetryPolicy::immediate(5), &SystemClock, &|| false, || {
             calls += 1;
             Err::<(), _>(SsError::Execution("fatal".into()))
         });
@@ -242,7 +228,7 @@ mod tests {
 
     #[test]
     fn none_policy_gives_single_attempt() {
-        let out = retry(&RetryPolicy::none(), flaky(1));
+        let out = retry_with(&RetryPolicy::none(), &SystemClock, &|| false, flaky(1));
         assert!(out.result.is_err());
         assert_eq!(out.retries, 0);
         assert!(out.exhausted);
@@ -258,7 +244,7 @@ mod tests {
             seed: 0,
         };
         let start = Instant::now();
-        let out = retry(&policy, flaky(1000));
+        let out = retry_with(&policy, &SystemClock, &|| false, flaky(1000));
         assert!(out.exhausted);
         assert!(out.retries < 50, "budget should cut retries short");
         assert!(start.elapsed() < Duration::from_secs(2));
@@ -269,13 +255,8 @@ mod tests {
         // With base == max == 0 the loop must not sleep at all; verify
         // a 10-retry exhaustion completes quickly.
         let start = Instant::now();
-        let _ = retry(&RetryPolicy::immediate(10), flaky(1000));
+        let _ = retry_with(&RetryPolicy::immediate(10), &SystemClock, &|| false, flaky(1000));
         assert!(start.elapsed() < Duration::from_millis(500));
-    }
-
-    #[test]
-    fn retry_result_unwraps_outcome() {
-        assert_eq!(retry_result(&RetryPolicy::immediate(5), flaky(2)).unwrap(), 3);
     }
 
     #[test]

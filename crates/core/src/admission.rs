@@ -22,17 +22,17 @@ use std::collections::BTreeMap;
 
 use ss_common::{OffsetRange, PartitionOffsets};
 
-/// Gains and bounds for the [`PidRateController`].
+/// Weight on the instantaneous error (admitted rate − processing
+/// rate), Spark's default.
+const PROPORTIONAL: f64 = 1.0;
+/// Weight on the accumulated error, measured as the rows of backlog
+/// implied by the current scheduling delay, Spark's default. Spark's
+/// derivative gain is 0, so the controller has no derivative term.
+const INTEGRAL: f64 = 0.2;
+
+/// Bounds for the [`PidRateController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateControllerConfig {
-    /// Weight on the instantaneous error (admitted rate − processing
-    /// rate). Spark's default: 1.0.
-    pub proportional: f64,
-    /// Weight on the accumulated error, measured as the rows of backlog
-    /// implied by the current scheduling delay. Spark's default: 0.2.
-    pub integral: f64,
-    /// Weight on the error's rate of change. Spark's default: 0.0.
-    pub derivative: f64,
     /// Floor on the produced rate (rows/second). The self-starvation
     /// guard: one catastrophic epoch cannot drive admission to zero.
     pub min_rate: f64,
@@ -44,17 +44,14 @@ pub struct RateControllerConfig {
 impl Default for RateControllerConfig {
     fn default() -> RateControllerConfig {
         RateControllerConfig {
-            proportional: 1.0,
-            integral: 0.2,
-            derivative: 0.0,
             min_rate: 100.0,
             batch_interval_us: 100_000,
         }
     }
 }
 
-/// PID estimator for the admission rate, after Spark's
-/// `PIDRateEstimator`.
+/// PI estimator for the admission rate, after Spark's
+/// `PIDRateEstimator` with its default gains.
 ///
 /// Feed it each completed epoch's observations via [`update`]; it
 /// returns the rate (rows/second) the *next* epoch should admit at, or
@@ -67,7 +64,6 @@ pub struct PidRateController {
     config: RateControllerConfig,
     latest_time_us: i64,
     latest_rate: f64,
-    latest_error: f64,
     seeded: bool,
 }
 
@@ -77,7 +73,6 @@ impl PidRateController {
             config,
             latest_time_us: -1,
             latest_rate: -1.0,
-            latest_error: -1.0,
             seeded: false,
         }
     }
@@ -118,26 +113,19 @@ impl PidRateController {
             // First observation: adopt the measured rate as-is.
             self.latest_time_us = time_us;
             self.latest_rate = processing_rate;
-            self.latest_error = 0.0;
             self.seeded = true;
             return None;
         }
-        let delay_since_update_s = (time_us - self.latest_time_us) as f64 / 1e6;
         // How far the admitted rate overshot what was sustainable.
         let error = self.latest_rate - processing_rate;
         // The integral term: scheduling delay re-expressed as the rows
         // of backlog it represents, amortized over one interval.
         let historical_error = scheduling_delay_us as f64 * processing_rate
             / self.config.batch_interval_us as f64;
-        let d_error = (error - self.latest_error) / delay_since_update_s;
-        let new_rate = (self.latest_rate
-            - self.config.proportional * error
-            - self.config.integral * historical_error
-            - self.config.derivative * d_error)
+        let new_rate = (self.latest_rate - PROPORTIONAL * error - INTEGRAL * historical_error)
             .max(self.config.min_rate);
         self.latest_time_us = time_us;
         self.latest_rate = new_rate;
-        self.latest_error = error;
         Some(new_rate)
     }
 }
@@ -250,7 +238,6 @@ mod tests {
         RateControllerConfig {
             min_rate,
             batch_interval_us: 100_000,
-            ..RateControllerConfig::default()
         }
     }
 

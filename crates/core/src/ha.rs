@@ -9,21 +9,24 @@
 //!
 //! * **Replicated checkpoints** — [`ss_state::ReplicatedBackend`]
 //!   mirrors every WAL append, checkpoint blob and manifest write onto
-//!   a second directory (sync, or async with bounded lag), so losing
-//!   the primary volume loses no committed epoch.
+//!   a second directory before the write returns, so losing the
+//!   primary volume loses no committed epoch.
 //! * **Lease-fenced leadership** — [`ss_wal::LeaseManager`] maintains
 //!   an atomically-renewed lease file with a monotonically increasing
 //!   *fencing epoch*. Wrapping the checkpoint backend in
 //!   [`ss_wal::FencedBackend`] (and the sink in
 //!   [`ss_bus::FencedSink`]) makes every durable write validate the
 //!   lease first: a paused-then-resumed "zombie" leader gets
-//!   [`SsError::Fenced`] instead of corrupting the log.
-//! * **Warm standby** — [`StandbyQuery`] wraps a read-only engine
-//!   (built with [`MicroBatchExecution::new_standby`]) that replays
-//!   committed epochs as they appear and promotes itself when the
-//!   lease lapses, producing output byte-identical to a never-failed
-//!   run (the sink's per-epoch idempotence absorbs the dead leader's
-//!   partial writes). The standby is read-only *by construction*, not
+//!   [`SsError::Fenced`](ss_common::SsError::Fenced) instead of
+//!   corrupting the log.
+//! * **Warm standby** — an engine built with
+//!   [`MicroBatchExecution::new_standby`] is read-only: each
+//!   [`standby_tick`](MicroBatchExecution::standby_tick) replays the
+//!   committed epochs that appeared and reports whether the lease
+//!   lapsed; [`promote`](MicroBatchExecution::promote) then takes
+//!   over, producing output byte-identical to a never-failed run (the
+//!   sink's per-epoch idempotence absorbs the dead leader's partial
+//!   writes). The standby is read-only *by construction*, not
 //!   by configuration: a tick is the take-over's catch-up step without
 //!   ownership — state comes in through
 //!   [`StateStore::load_best`](ss_state::StateStore::load_best), which
@@ -38,16 +41,25 @@
 //! `FencedBackend(ReplicatedBackend(primary, replica), lease)`; the
 //! standby watches the same storage with its *own* [`LeaseManager`]
 //! (a different holder name), whose writes stay rejected until
-//! [`StandbyQuery::promote`] wins the lease and bumps the fencing
-//! epoch.
+//! [`promote`](MicroBatchExecution::promote) wins the lease and bumps
+//! the fencing epoch.
+//!
+//! ```text
+//! loop {
+//!     match standby.standby_tick()? {
+//!         StandbyStatus::Following { .. } => sleep(poll),
+//!         StandbyStatus::LeaderLapsed { .. } => break,
+//!     }
+//! }
+//! standby.promote()?;   // bounded-epoch takeover; now a leader
+//! ```
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde::Serialize;
-use ss_common::{to_json, Result, SsError};
-use ss_state::{ReplicatedBackend, ReplicationMode};
+use ss_common::to_json;
+use ss_state::ReplicatedBackend;
 use ss_wal::LeaseManager;
 
 use crate::microbatch::MicroBatchExecution;
@@ -95,7 +107,8 @@ struct HaStatus {
 
 #[derive(Serialize)]
 struct ReplicationStatus {
-    mode: String,
+    /// Always `"sync"`: every mirror completes before its write returns.
+    mode: &'static str,
     mirrored_ops: u64,
     replica_errors: u64,
     replication_lag_us: u64,
@@ -110,10 +123,7 @@ impl MicroBatchExecution {
             return to_json(&BTreeMap::from([("configured", false)]));
         };
         let replication = ha.replication.as_ref().map(|r| ReplicationStatus {
-            mode: match r.mode() {
-                ReplicationMode::Sync => "sync".to_string(),
-                ReplicationMode::Async { max_lag } => format!("async(max_lag={max_lag})"),
-            },
+            mode: "sync",
             mirrored_ops: r.mirrored_ops(),
             replica_errors: r.replica_errors(),
             replication_lag_us: r.last_lag_us(),
@@ -150,116 +160,15 @@ pub enum StandbyStatus {
     },
 }
 
-/// A warm standby for one query: an engine built with
-/// [`MicroBatchExecution::new_standby`] plus the tick/promote loop.
-///
-/// ```text
-/// let mut standby = StandbyQuery::new(engine)?;
-/// loop {
-///     match standby.tick()? {
-///         StandbyStatus::Following { .. } => sleep(poll),
-///         StandbyStatus::LeaderLapsed { .. } => break,
-///     }
-/// }
-/// let leader = standby.promote()?;   // bounded-epoch takeover
-/// ```
-pub struct StandbyQuery {
-    engine: MicroBatchExecution,
-}
-
-impl StandbyQuery {
-    /// Wrap a standby engine. Fails unless the engine was built with
-    /// [`MicroBatchExecution::new_standby`] (and therefore has an HA
-    /// config to watch).
-    pub fn new(engine: MicroBatchExecution) -> Result<StandbyQuery> {
-        if !engine.is_standby() {
-            return Err(SsError::Plan(
-                "StandbyQuery requires an engine built with new_standby".into(),
-            ));
-        }
-        Ok(StandbyQuery { engine })
-    }
-
-    /// The wrapped engine (read-only introspection: progress, metrics,
-    /// HA status).
-    pub fn engine(&self) -> &MicroBatchExecution {
-        &self.engine
-    }
-
-    /// One standby iteration: catch up on newly committed epochs
-    /// (read-only), then check the lease. Catch-up errors are
-    /// tolerated when the lease has lapsed — a dying leader can leave
-    /// a torn tail that only promotion's WAL repair can read past —
-    /// but propagate while the leader is alive.
-    pub fn tick(&mut self) -> Result<StandbyStatus> {
-        let caught = self.engine.standby_catch_up();
-        let lapsed = self
-            .engine
-            .ha()
-            .expect("standby engines always carry an HA config")
-            .lease
-            .is_lapsed()?;
-        let caught_up_to = self.engine.current_epoch();
-        match (caught, lapsed) {
-            (_, true) => Ok(StandbyStatus::LeaderLapsed { caught_up_to }),
-            (Ok(_), false) => Ok(StandbyStatus::Following { caught_up_to }),
-            (Err(e), false) => Err(e),
-        }
-    }
-
-    /// Take over: acquire the lease (bumping the fencing epoch over
-    /// the old leader), repair the WAL tail, finish catch-up and
-    /// re-run the in-flight epochs with output enabled. Returns the
-    /// promoted engine, now a normal leader ready for `run_epoch`.
-    pub fn promote(mut self) -> Result<MicroBatchExecution> {
-        self.engine.promote()?;
-        Ok(self.engine)
-    }
-
-    /// Drive the tick/promote loop: poll every `poll` until the lease
-    /// lapses, then promote. Gives up after `max_ticks` polls.
-    /// Transient catch-up errors (shared storage observed mid-write)
-    /// are retried on the next tick; [`SsError::Fenced`] is fatal.
-    pub fn run_until_promoted(
-        mut self,
-        poll: Duration,
-        max_ticks: u64,
-    ) -> Result<MicroBatchExecution> {
-        for tick in 0..max_ticks {
-            match self.tick() {
-                Ok(StandbyStatus::LeaderLapsed { .. }) => return self.promote(),
-                Ok(StandbyStatus::Following { .. }) => {}
-                Err(SsError::Fenced(m)) => return Err(SsError::Fenced(m)),
-                Err(_) => {}
-            }
-            if tick + 1 < max_ticks {
-                // Poll on the lease's clock: lapse is observed in the
-                // same timebase, and a virtual clock makes the whole
-                // takeover drill run in simulated time.
-                self.engine
-                    .ha()
-                    .expect("standby engines always carry an HA config")
-                    .lease
-                    .clock()
-                    .sleep(poll);
-            }
-        }
-        Err(SsError::Execution(format!(
-            "standby `{}` saw no lease lapse within {} ticks",
-            self.engine.name(),
-            max_ticks
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::time::Duration;
 
     use ss_bus::{GeneratorSource, MemorySink, Sink, Source};
     use ss_common::clock::{ClockRef, SimClock};
-    use ss_common::{row, DataType, Field, Schema, SchemaRef, Value};
+    use ss_common::{row, DataType, Field, Schema, SchemaRef, SsError, Value};
     use ss_exec::MemoryCatalog;
     use ss_expr::{col, count_star};
     use ss_plan::{LogicalPlan, LogicalPlanBuilder, OutputMode};
@@ -344,27 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn standby_query_requires_a_standby_engine() {
-        let shared: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
-        let (_, clock) = fake_clock();
-        let lease = lease_on(&shared, "a", clock);
-        let config = MicroBatchConfig {
-            ha: Some(HaConfig::new(lease.clone())),
-            ..Default::default()
-        };
-        let leader = engine_with(
-            "q",
-            gen_source(),
-            MemorySink::new("out"),
-            Arc::new(FencedBackend::new(shared.clone(), lease)),
-            config,
-            false,
-        );
-        let err = StandbyQuery::new(leader).err().unwrap();
-        assert!(err.to_string().contains("new_standby"), "got: {err}");
-    }
-
-    #[test]
     fn standby_follows_then_promotes_when_the_lease_lapses() {
         let shared: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
         let (t, clock) = fake_clock();
@@ -401,19 +289,22 @@ mod tests {
         };
         let standby_src = gen_source();
         standby_src.advance(4);
-        let standby = engine_with(
+        let mut standby = engine_with(
             "q",
-            standby_src,
+            standby_src.clone(),
             sink.clone(),
             Arc::new(FencedBackend::new(shared.clone(), standby_lease)),
             sc,
             true,
         );
         assert_eq!(standby.ha_role(), Some(ss_wal::HaRole::Standby));
-        let mut standby = StandbyQuery::new(standby).unwrap();
+
+        // A leader is not a standby: it refuses to tick.
+        let err = leader.standby_tick().unwrap_err();
+        assert!(err.to_string().contains("new_standby"), "got: {err}");
 
         // While the leader renews, the standby follows read-only.
-        match standby.tick().unwrap() {
+        match standby.standby_tick().unwrap() {
             StandbyStatus::Following { caught_up_to } => assert_eq!(caught_up_to, 1),
             other => panic!("expected Following, got {other:?}"),
         }
@@ -421,16 +312,21 @@ mod tests {
 
         // The leader goes silent past ttl + grace of monotonic time.
         t.advance(Duration::from_micros(151_000));
-        match standby.tick().unwrap() {
+        match standby.standby_tick().unwrap() {
             StandbyStatus::LeaderLapsed { caught_up_to } => assert_eq!(caught_up_to, 1),
             other => panic!("expected LeaderLapsed, got {other:?}"),
         }
 
         // Promotion bumps the fencing epoch; catch-up left nothing to
         // replay, so the sink is untouched (byte-identical output).
-        let mut promoted = standby.promote().unwrap();
+        standby.promote().unwrap();
+        let mut promoted = standby;
         assert_eq!(promoted.ha_role(), Some(ss_wal::HaRole::Leader));
         assert_eq!(sink.snapshot(), before);
+
+        // Promoted, it is a leader and no longer ticks as a standby.
+        let err = promoted.standby_tick().unwrap_err();
+        assert!(err.to_string().contains("new_standby"), "got: {err}");
 
         // The old leader is a zombie now: its next durable write is
         // fenced, and the supervisor would terminate it.
@@ -442,39 +338,8 @@ mod tests {
         // The promoted engine carries on where the leader stopped.
         let promoted_fe = promoted.ha().unwrap().lease.fencing_epoch().unwrap();
         assert!(promoted_fe > leader_lease.fencing_epoch().unwrap_or(0));
+        standby_src.advance(2);
         promoted.process_available().unwrap();
-        assert!(promoted.current_epoch() >= 1);
-    }
-
-    #[test]
-    fn run_until_promoted_gives_up_after_max_ticks() {
-        let shared: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
-        let (_, clock) = fake_clock();
-
-        let leader_lease = lease_on(&shared, "leader", clock.clone());
-        leader_lease.try_acquire().unwrap();
-
-        let standby_lease = lease_on(&shared, "standby", clock);
-        let sc = MicroBatchConfig {
-            ha: Some(HaConfig::new(standby_lease.clone())),
-            ..Default::default()
-        };
-        let standby = engine_with(
-            "q",
-            gen_source(),
-            MemorySink::new("out"),
-            Arc::new(FencedBackend::new(shared.clone(), standby_lease)),
-            sc,
-            true,
-        );
-        let standby = StandbyQuery::new(standby).unwrap();
-        // The virtual clock only advances by the 1ms poll sleeps — far
-        // short of the 150ms lapse window — so the lease stays live.
-        let err = match standby.run_until_promoted(Duration::from_millis(1), 3) {
-            Err(e) => e,
-            Ok(_) => panic!("promotion should not happen under a live lease"),
-        };
-        assert!(err.to_string().contains("no lease lapse"), "got: {err}");
+        assert_eq!(promoted.current_epoch(), 2, "the promoted engine commits");
     }
 }
-

@@ -69,7 +69,7 @@ pub mod watermark;
 pub use admission::{PidRateController, RateControllerConfig};
 pub use context::StreamingContext;
 pub use dataframe::{DataFrame, DataStreamWriter, Trigger};
-pub use ha::{HaConfig, StandbyQuery, StandbyStatus};
+pub use ha::{HaConfig, StandbyStatus};
 pub use introspect::{HttpExtension, HttpRequest, IntrospectServer};
 pub use metrics::{OpDuration, QueryProgress, StreamingQueryListener};
 pub use microbatch::MicroBatchExecution;
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::context::StreamingContext;
     pub use ss_state::MemoryBudget;
     pub use crate::dataframe::{DataFrame, DataStreamWriter, Trigger};
-    pub use crate::ha::{HaConfig, StandbyQuery, StandbyStatus};
+    pub use crate::ha::{HaConfig, StandbyStatus};
     pub use crate::introspect::IntrospectServer;
     pub use crate::microbatch::MicroBatchConfig;
     pub use crate::metrics::{QueryProgress, StreamingQueryListener};

@@ -122,10 +122,6 @@ pub struct MicroBatchConfig {
     /// restartably with [`SsError::Timeout`] instead of hanging the
     /// query forever. Defaults to `SS_EPOCH_DEADLINE_MS` when set.
     pub epoch_deadline: Option<Duration>,
-    /// Soft per-task deadline for parallel execution: overrunning
-    /// tasks are counted (`ss_task_deadline_exceeded_total`) and
-    /// traced as stragglers, but keep running.
-    pub task_soft_deadline: Option<Duration>,
     /// Hard per-task deadline for parallel execution: the pool
     /// abandons the stuck worker, replenishes itself and fails the
     /// stage with a transient [`SsError::Timeout`].
@@ -169,7 +165,6 @@ impl Default for MicroBatchConfig {
             epoch_deadline: env_var("SS_EPOCH_DEADLINE_MS")
                 .filter(|&ms| ms > 0)
                 .map(Duration::from_millis),
-            task_soft_deadline: None,
             task_hard_deadline: None,
             dlq: None,
             ha: None,

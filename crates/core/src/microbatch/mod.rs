@@ -829,7 +829,6 @@ mod tests {
             rate_controller: Some(RateControllerConfig {
                 min_rate: 1.0,
                 batch_interval_us: 100_000,
-                ..RateControllerConfig::default()
             }),
             clock,
             ..Default::default()

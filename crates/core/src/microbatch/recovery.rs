@@ -12,7 +12,7 @@ use ss_wal::{EpochOffsets, HaRole};
 
 use super::epoch::Epoch;
 use super::MicroBatchExecution;
-use crate::ha::HaConfig;
+use crate::ha::{HaConfig, StandbyStatus};
 use crate::parallel::relayout;
 use crate::watermark::WatermarkTracker;
 
@@ -295,6 +295,32 @@ impl MicroBatchExecution {
         match self.wal.recovery_point()?.last_committed {
             Some(last_committed) => self.catch_up(last_committed, false),
             None => Ok(0),
+        }
+    }
+
+    /// One standby iteration: [`standby_catch_up`](Self::standby_catch_up)
+    /// on newly committed epochs, then check the lease. Catch-up errors
+    /// are tolerated when the lease has lapsed — a dying leader can
+    /// leave a torn tail that only promotion's WAL repair can read past
+    /// — but propagate while the leader is alive. Fails on an engine
+    /// that is not a standby (not built with
+    /// [`new_standby`](Self::new_standby), or already promoted).
+    pub fn standby_tick(&mut self) -> Result<StandbyStatus> {
+        let lease = match &self.config.ha {
+            Some(ha) if self.standby => ha.lease.clone(),
+            _ => {
+                return Err(SsError::Plan(
+                    "standby_tick needs an engine built with new_standby".into(),
+                ))
+            }
+        };
+        let caught = self.standby_catch_up();
+        let lapsed = lease.is_lapsed()?;
+        let caught_up_to = self.epoch;
+        match (caught, lapsed) {
+            (_, true) => Ok(StandbyStatus::LeaderLapsed { caught_up_to }),
+            (Ok(_), false) => Ok(StandbyStatus::Following { caught_up_to }),
+            (Err(e), false) => Err(e),
         }
     }
 

@@ -128,7 +128,7 @@ impl Exchange {
             Some(registry.clone()),
             Some(trace.clone()),
         )
-        .with_deadlines(config.task_soft_deadline, config.task_hard_deadline)
+        .with_deadline(config.task_hard_deadline)
         .with_clock(config.clock.clone());
         let env = env.clone();
         Exchange {

@@ -713,10 +713,6 @@ pub fn prune_columns(
     }
 }
 
-// Keep the unused-variable lint honest for rules that never fail.
-#[allow(dead_code)]
-fn _assert_rules_are_object_safe(_: &dyn OptimizerRule) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

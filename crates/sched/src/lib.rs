@@ -18,6 +18,10 @@
 //!   crashing task never leaves the pool holding half an epoch. When
 //!   several tasks fail, the lowest-index failure wins — again for
 //!   determinism under chaos schedules.
+//! * One deadline: a stage still running at the hard deadline
+//!   ([`WorkerPool::with_deadline`]) fails with a transient
+//!   [`SsError::Timeout`], and the pool swaps in a fresh worker
+//!   generation instead of waiting on the stuck one.
 //! * Per-task metrics (`ss_task_duration_us` histogram per stage,
 //!   `ss_task_queue_wait_us` gauge) and a trace span per task make the
 //!   parallel schedule observable with the same tooling as the rest of
@@ -51,7 +55,7 @@ pub mod failpoints {
     pub const TASK_HANG: &str = "sched.task.hang";
 }
 
-/// How often `gather` wakes to check its deadlines while waiting for
+/// How often `gather` wakes to check its deadline while waiting for
 /// task reports.
 const GATHER_POLL: Duration = Duration::from_millis(2);
 
@@ -119,26 +123,23 @@ struct PoolCore {
 /// Workers are spawned once (per query) and fed through a shared queue;
 /// dropping the pool closes the queue and joins every worker.
 ///
-/// Deadlines (both off by default, see [`with_deadlines`]):
-/// * **soft** — a stage running past it is noted once as a straggler
-///   (`ss_task_deadline_exceeded_total{kind="soft"}` + a trace mark)
-///   but keeps running;
-/// * **hard** — the stage fails with a transient [`SsError::Timeout`].
-///   The stuck worker cannot be killed, so it is *abandoned*: the whole
-///   worker generation is detached and a fresh one spawned, leaving the
-///   pool immediately usable. Idle abandoned workers exit on their own
-///   (their queue is gone); the stuck one leaks until whatever wedged
-///   it returns.
+/// A stage running past the hard deadline (off by default, see
+/// [`with_deadline`]) fails with a transient [`SsError::Timeout`],
+/// counted as `ss_task_deadline_exceeded_total{kind="hard"}` with a
+/// trace mark. The stuck worker cannot be killed, so it is *abandoned*:
+/// the whole worker generation is detached and a fresh one spawned,
+/// leaving the pool immediately usable. Idle abandoned workers exit on
+/// their own (their queue is gone); the stuck one leaks until whatever
+/// wedged it returns.
 ///
-/// [`with_deadlines`]: WorkerPool::with_deadlines
+/// [`with_deadline`]: WorkerPool::with_deadline
 pub struct WorkerPool {
     size: usize,
     core: Mutex<PoolCore>,
     metrics: Option<MetricsRegistry>,
     trace: Option<TraceLog>,
-    soft_deadline: Option<Duration>,
     hard_deadline: Option<Duration>,
-    /// The clock stage deadlines are measured on. Virtual under
+    /// The clock the stage deadline is measured on. Virtual under
     /// simulation, so a hung stage's hard deadline fires in virtual
     /// time instead of stalling the suite.
     clock: ClockRef,
@@ -160,7 +161,7 @@ impl WorkerPool {
             );
             m.describe(
                 "ss_task_deadline_exceeded_total",
-                "Stages that overran a task deadline, by kind (soft|hard)",
+                "Stages abandoned at the hard task deadline (kind=hard)",
             );
         }
         WorkerPool {
@@ -168,25 +169,18 @@ impl WorkerPool {
             core: Mutex::new(PoolCore { queue: Some(tx), workers }),
             metrics,
             trace,
-            soft_deadline: None,
             hard_deadline: None,
             clock: system_clock(),
         }
     }
 
-    /// Set the per-stage straggler (`soft`) and abandonment (`hard`)
-    /// deadlines; `None` disables either.
-    pub fn with_deadlines(
-        mut self,
-        soft: Option<Duration>,
-        hard: Option<Duration>,
-    ) -> WorkerPool {
-        self.soft_deadline = soft;
+    /// Set the per-stage abandonment deadline; `None` disables it.
+    pub fn with_deadline(mut self, hard: Option<Duration>) -> WorkerPool {
         self.hard_deadline = hard;
         self
     }
 
-    /// Measure stage deadlines on `clock` instead of the system clock.
+    /// Measure the stage deadline on `clock` instead of the system clock.
     pub fn with_clock(mut self, clock: ClockRef) -> WorkerPool {
         self.clock = clock;
         self
@@ -306,7 +300,6 @@ impl WorkerPool {
         let mut slots: Vec<Option<TaskOutcome<R>>> = (0..n).map(|_| None).collect();
         let mut stats = ScatterStats::default();
         let started_us = self.clock.monotonic_us();
-        let mut soft_noted = false;
         for done in 0..n {
             let report = loop {
                 // Under a virtual clock the channel timeout cannot see
@@ -343,20 +336,13 @@ impl WorkerPool {
                         let elapsed = Duration::from_micros(
                             self.clock.monotonic_us().saturating_sub(started_us),
                         );
-                        if !soft_noted
-                            && self.soft_deadline.is_some_and(|soft| elapsed >= soft)
-                        {
-                            soft_noted = true;
-                            self.note_deadline(stage, "soft");
-                        }
-                        if self.hard_deadline.is_some_and(|hard| elapsed >= hard) {
-                            self.note_deadline(stage, "hard");
+                        if let Some(hard) = self.hard_deadline.filter(|&hard| elapsed >= hard) {
+                            self.note_deadline(stage);
                             self.replenish();
                             return Err(SsError::Timeout(format!(
                                 "stage {stage}: {} of {n} task(s) still running after \
-                                 hard deadline of {:?}; stuck worker abandoned",
+                                 hard deadline of {hard:?}; stuck worker abandoned",
                                 n - done,
-                                self.hard_deadline.expect("checked above"),
                             )));
                         }
                     }
@@ -390,18 +376,19 @@ impl WorkerPool {
         }
     }
 
-    /// Record a deadline crossing: metric counter plus a zero-duration
-    /// trace mark so the schedule shows *when* the straggler was noted.
-    fn note_deadline(&self, stage: &str, kind: &str) {
+    /// Record a hard-deadline crossing: metric counter plus a
+    /// zero-duration trace mark so the schedule shows *when* the stage
+    /// was abandoned.
+    fn note_deadline(&self, stage: &str) {
         if let Some(m) = &self.metrics {
             m.counter(
                 "ss_task_deadline_exceeded_total",
-                &[("stage", stage), ("kind", kind)],
+                &[("stage", stage), ("kind", "hard")],
             )
             .inc();
         }
         if let Some(t) = &self.trace {
-            drop(t.span(&format!("deadline-{kind}:{stage}"), &[("kind", kind)]));
+            drop(t.span(&format!("deadline-hard:{stage}"), &[("kind", "hard")]));
         }
     }
 }
@@ -546,32 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn soft_deadline_notes_straggler_without_failing() {
-        let registry = MetricsRegistry::new();
-        let pool = WorkerPool::new(2, Some(registry.clone()), None)
-            .with_deadlines(Some(Duration::from_millis(10)), None);
-        let tasks: Vec<_> = (0..2u64)
-            .map(|i| {
-                boxed(move || {
-                    std::thread::sleep(Duration::from_millis(30 * i));
-                    Ok(i)
-                })
-            })
-            .collect();
-        let out = pool.scatter("slow", tasks).unwrap();
-        assert_eq!(out.results, vec![0, 1]);
-        let soft = registry.counter(
-            "ss_task_deadline_exceeded_total",
-            &[("stage", "slow"), ("kind", "soft")],
-        );
-        assert_eq!(soft.get(), 1, "straggler noted exactly once");
-    }
-
-    #[test]
     fn hard_deadline_abandons_stuck_worker_and_replenishes() {
         let registry = MetricsRegistry::new();
         let pool = WorkerPool::new(2, Some(registry.clone()), None)
-            .with_deadlines(None, Some(Duration::from_millis(50)));
+            .with_deadline(Some(Duration::from_millis(50)));
         let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stuck = Arc::clone(&release);
         let started = Instant::now();
@@ -617,7 +582,7 @@ mod tests {
         let sim = ss_common::clock::SimClock::new(0);
         let registry = MetricsRegistry::new();
         let pool = WorkerPool::new(2, Some(registry.clone()), None)
-            .with_deadlines(Some(Duration::from_secs(10)), Some(Duration::from_secs(60)))
+            .with_deadline(Some(Duration::from_secs(60)))
             .with_clock(sim.handle());
         let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stuck = Arc::clone(&release);
@@ -635,11 +600,11 @@ mod tests {
             wall.elapsed() < Duration::from_secs(30),
             "a 60s virtual deadline must not take 60s of wall time"
         );
-        let soft = registry.counter(
+        let hard = registry.counter(
             "ss_task_deadline_exceeded_total",
-            &[("stage", "virtual-wedge"), ("kind", "soft")],
+            &[("stage", "virtual-wedge"), ("kind", "hard")],
         );
-        assert_eq!(soft.get(), 1, "the 10s soft deadline fired on the way");
+        assert_eq!(hard.get(), 1);
         release.store(true, Ordering::SeqCst);
     }
 

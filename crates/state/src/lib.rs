@@ -54,7 +54,7 @@ pub mod store;
 
 pub use backend::{CheckpointBackend, FsBackend, MemoryBackend};
 pub use metrics::StateMetrics;
-pub use replicate::{ReplicatedBackend, ReplicationMode, ScrubReport};
+pub use replicate::{ReplicatedBackend, ScrubReport};
 pub use store::{
     BudgetReport, MemoryBudget, OpState, StateEntry, StateStore, TypedTable,
 };

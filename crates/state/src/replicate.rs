@@ -3,12 +3,10 @@
 //!
 //! [`ReplicatedBackend`] wraps two [`CheckpointBackend`]s — a *primary*
 //! (the source of truth; all reads come from it) and a *replica* — and
-//! mirrors every `write_atomic` and `delete` to the replica either
-//! inline ([`ReplicationMode::Sync`]) or through a bounded queue drained
-//! by a background thread ([`ReplicationMode::Async`]). The queue bound
-//! is the **lag budget**: once the replica falls more than `max_lag`
-//! operations behind, writers block until it catches up, so the standby
-//! is never more than a bounded number of operations stale.
+//! mirrors every `write_atomic` and `delete` to the replica inline: the
+//! call returns only after both copies are durable, and a replica
+//! failure fails the call (the caller's retry policy re-runs it;
+//! `write_atomic` is an idempotent overwrite).
 //!
 //! Replication is crash-tolerant, not crash-proof: a fault between the
 //! primary write and the mirror (the [`failpoints::REPLICA_WRITE`] fail
@@ -19,14 +17,12 @@
 //! primary overwrites the replica, a corrupt primary is restored from a
 //! valid replica, and replica-only leftovers are deleted.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ss_common::fault::FaultRegistry;
-use ss_common::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use ss_common::metrics::{Counter, Histogram, MetricsRegistry};
 use ss_common::{frame, Result};
 
 use crate::backend::CheckpointBackend;
@@ -40,85 +36,22 @@ pub mod failpoints {
     pub const REPLICA_WRITE: &str = "ha.replica.write";
 }
 
-/// How mirrored writes reach the replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Mirror inline: the write returns only after both copies are
-    /// durable. A replica failure fails the write (the caller's retry
-    /// policy re-runs it; `write_atomic` is an idempotent overwrite).
-    Sync,
-    /// Mirror through a bounded queue drained by a background thread.
-    /// Writers block once the replica is `max_lag` operations behind;
-    /// replica failures are counted (and repaired by `scrub`), not
-    /// propagated — the caller was already acknowledged.
-    Async {
-        /// Maximum mirrored operations in flight before writers block.
-        max_lag: usize,
-    },
-}
-
-/// One queued mirror operation (async mode).
-enum MirrorOp {
-    Write {
-        key: String,
-        data: Vec<u8>,
-        enqueued: Instant,
-    },
-    Delete {
-        key: String,
-    },
-}
-
-/// Replication counters, shared with the async worker and exported via
-/// [`ReplicatedBackend::attach_metrics`]. Atomics are the source of
-/// truth so tests can assert without a registry attached.
-#[derive(Default)]
-struct ReplStats {
-    mirrored_writes: AtomicU64,
-    mirrored_deletes: AtomicU64,
-    replica_errors: AtomicU64,
-    last_lag_us: AtomicU64,
-}
-
 /// Registry handles installed by `attach_metrics`.
 struct ReplMetrics {
     writes: Counter,
     errors: Counter,
     lag_us: Histogram,
-    queue_depth: Gauge,
-}
-
-/// Queue state shared between writers and the async mirror thread.
-/// `in_flight` keeps an op counted toward the lag bound while the
-/// worker applies it, so backpressure and `flush` see the true lag.
-#[derive(Default)]
-struct QueueState {
-    ops: VecDeque<MirrorOp>,
-    in_flight: bool,
-}
-
-impl QueueState {
-    fn lag(&self) -> usize {
-        self.ops.len() + usize::from(self.in_flight)
-    }
-}
-
-struct AsyncWorker {
-    queue: Arc<(Mutex<QueueState>, Condvar)>,
-    stop: Arc<AtomicBool>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    max_lag: usize,
 }
 
 /// A [`CheckpointBackend`] that mirrors writes to a secondary backend.
 pub struct ReplicatedBackend {
     primary: Arc<dyn CheckpointBackend>,
     replica: Arc<dyn CheckpointBackend>,
-    mode: ReplicationMode,
     faults: FaultRegistry,
-    stats: Arc<ReplStats>,
-    metrics: Arc<Mutex<Option<ReplMetrics>>>,
-    worker: Option<AsyncWorker>,
+    mirrored_ops: AtomicU64,
+    replica_errors: AtomicU64,
+    last_lag_us: AtomicU64,
+    metrics: Mutex<Option<ReplMetrics>>,
 }
 
 /// What [`ReplicatedBackend::scrub`] did to converge the replica.
@@ -143,82 +76,26 @@ impl ScrubReport {
 }
 
 impl ReplicatedBackend {
-    /// Mirror `primary` onto `replica` in the given mode.
+    /// Mirror `primary` onto `replica`.
     pub fn new(
         primary: Arc<dyn CheckpointBackend>,
         replica: Arc<dyn CheckpointBackend>,
-        mode: ReplicationMode,
     ) -> ReplicatedBackend {
-        let stats = Arc::new(ReplStats::default());
-        let metrics: Arc<Mutex<Option<ReplMetrics>>> = Arc::new(Mutex::new(None));
-        let worker = match mode {
-            ReplicationMode::Sync => None,
-            ReplicationMode::Async { max_lag } => {
-                let queue: Arc<(Mutex<QueueState>, Condvar)> =
-                    Arc::new((Mutex::new(QueueState::default()), Condvar::new()));
-                let stop = Arc::new(AtomicBool::new(false));
-                let handle = {
-                    let queue = queue.clone();
-                    let stop = stop.clone();
-                    let replica = replica.clone();
-                    let stats = stats.clone();
-                    let metrics = metrics.clone();
-                    std::thread::spawn(move || loop {
-                        let op = {
-                            let (lock, cvar) = &*queue;
-                            let mut q = lock.lock().expect("replication queue poisoned");
-                            while q.ops.is_empty() {
-                                if stop.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                q = cvar.wait(q).expect("replication queue poisoned");
-                            }
-                            let op = q.ops.pop_front().expect("non-empty");
-                            // Keep the op counted toward the lag bound
-                            // until it is applied.
-                            q.in_flight = true;
-                            op
-                        };
-                        Self::apply_mirror(&replica, &stats, &metrics, op);
-                        let (lock, cvar) = &*queue;
-                        let mut q = lock.lock().expect("replication queue poisoned");
-                        q.in_flight = false;
-                        if let Some(m) = metrics.lock().expect("metrics poisoned").as_ref() {
-                            m.queue_depth.set(q.ops.len() as i64);
-                        }
-                        cvar.notify_all();
-                    })
-                };
-                Some(AsyncWorker {
-                    queue,
-                    stop,
-                    handle: Mutex::new(Some(handle)),
-                    max_lag: max_lag.max(1),
-                })
-            }
-        };
         ReplicatedBackend {
             primary,
             replica,
-            mode,
             faults: FaultRegistry::new(),
-            stats,
-            metrics,
-            worker,
+            mirrored_ops: AtomicU64::new(0),
+            replica_errors: AtomicU64::new(0),
+            last_lag_us: AtomicU64::new(0),
+            metrics: Mutex::new(None),
         }
     }
 
     /// Attach a fail-point registry; [`failpoints::REPLICA_WRITE`] fires
-    /// through it before every mirrored operation (sync mode only —
-    /// async mirror faults are injected by faulting the replica backend
-    /// itself, since the worker thread must not panic).
+    /// through it before every mirrored operation.
     pub fn set_faults(&mut self, faults: FaultRegistry) {
         self.faults = faults;
-    }
-
-    /// The configured replication mode.
-    pub fn mode(&self) -> ReplicationMode {
-        self.mode
     }
 
     /// The replica backend (standbys read from it directly).
@@ -230,7 +107,7 @@ impl ReplicatedBackend {
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         registry.describe(
             "ss_replication_lag_us",
-            "Delay between a primary write and its replica apply",
+            "Time the replica took to apply a mirrored write",
         );
         registry.describe(
             "ss_replication_writes_total",
@@ -240,129 +117,56 @@ impl ReplicatedBackend {
             "ss_replication_errors_total",
             "Mirror operations that failed (replica diverged until scrubbed)",
         );
-        registry.describe(
-            "ss_replication_queue_depth",
-            "Mirror operations waiting in the async replication queue",
-        );
         *self.metrics.lock().expect("metrics poisoned") = Some(ReplMetrics {
             writes: registry.counter("ss_replication_writes_total", &[]),
             errors: registry.counter("ss_replication_errors_total", &[]),
             lag_us: registry.histogram("ss_replication_lag_us", &[]),
-            queue_depth: registry.gauge("ss_replication_queue_depth", &[]),
         });
     }
 
     /// Mirrored operations applied to the replica so far.
     pub fn mirrored_ops(&self) -> u64 {
-        self.stats.mirrored_writes.load(Ordering::Relaxed)
-            + self.stats.mirrored_deletes.load(Ordering::Relaxed)
+        self.mirrored_ops.load(Ordering::Relaxed)
     }
 
     /// Mirror operations that failed (replica diverged until scrubbed).
     pub fn replica_errors(&self) -> u64 {
-        self.stats.replica_errors.load(Ordering::Relaxed)
+        self.replica_errors.load(Ordering::Relaxed)
     }
 
-    /// Most recent observed replication lag, µs.
+    /// How long the most recent mirrored write took on the replica, µs.
     pub fn last_lag_us(&self) -> u64 {
-        self.stats.last_lag_us.load(Ordering::Relaxed)
+        self.last_lag_us.load(Ordering::Relaxed)
     }
 
-    fn apply_mirror(
-        replica: &Arc<dyn CheckpointBackend>,
-        stats: &ReplStats,
-        metrics: &Mutex<Option<ReplMetrics>>,
-        op: MirrorOp,
-    ) {
-        let result = match &op {
-            MirrorOp::Write { key, data, .. } => replica.write_atomic(key, data),
-            MirrorOp::Delete { key } => replica.delete(key),
-        };
-        let handles = metrics.lock().expect("metrics poisoned");
-        match result {
-            Ok(()) => match &op {
-                MirrorOp::Write { enqueued, .. } => {
-                    let lag = enqueued.elapsed().as_micros() as u64;
-                    stats.mirrored_writes.fetch_add(1, Ordering::Relaxed);
-                    stats.last_lag_us.store(lag, Ordering::Relaxed);
-                    if let Some(m) = handles.as_ref() {
-                        m.writes.inc();
-                        m.lag_us.observe(lag);
-                    }
+    /// Apply one operation to the replica, after the fail point. A
+    /// failure counts as divergence and is the caller's own error.
+    fn mirror(&self, op: impl FnOnce(&dyn CheckpointBackend) -> Result<()>) -> Result<()> {
+        let result = self.faults.fire(failpoints::REPLICA_WRITE).and_then(|()| {
+            op(self.replica.as_ref()).map_err(|_| {
+                ss_common::exec_err!("replica write failed (replica diverged; scrub to repair)")
+            })
+        });
+        match &result {
+            Ok(()) => {
+                self.mirrored_ops.fetch_add(1, Ordering::Relaxed);
+                if let Some(m) = self.metrics.lock().expect("metrics poisoned").as_ref() {
+                    m.writes.inc();
                 }
-                MirrorOp::Delete { .. } => {
-                    stats.mirrored_deletes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = handles.as_ref() {
-                        m.writes.inc();
-                    }
-                }
-            },
+            }
             Err(_) => {
-                stats.replica_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = handles.as_ref() {
+                self.replica_errors.fetch_add(1, Ordering::Relaxed);
+                if let Some(m) = self.metrics.lock().expect("metrics poisoned").as_ref() {
                     m.errors.inc();
                 }
             }
         }
-    }
-
-    /// Mirror one operation per the configured mode. Sync errors
-    /// propagate; async enqueues (blocking on the lag bound) and always
-    /// succeeds from the caller's view.
-    fn mirror(&self, op: MirrorOp) -> Result<()> {
-        match &self.worker {
-            None => {
-                // Sync: fail point, then inline apply; an error both
-                // counts as divergence and propagates to the caller.
-                if let Err(e) = self.faults.fire(failpoints::REPLICA_WRITE) {
-                    self.stats.replica_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.lock().expect("metrics poisoned").as_ref() {
-                        m.errors.inc();
-                    }
-                    return Err(e);
-                }
-                let before = self.stats.replica_errors.load(Ordering::Relaxed);
-                Self::apply_mirror(&self.replica, &self.stats, &self.metrics, op);
-                if self.stats.replica_errors.load(Ordering::Relaxed) > before {
-                    return Err(ss_common::exec_err!(
-                        "replica write failed (replica diverged; scrub to repair)"
-                    ));
-                }
-                Ok(())
-            }
-            Some(w) => {
-                let (lock, cvar) = &*w.queue;
-                let mut q = lock.lock().expect("replication queue poisoned");
-                while q.lag() >= w.max_lag {
-                    q = cvar.wait(q).expect("replication queue poisoned");
-                }
-                q.ops.push_back(op);
-                if let Some(m) = self.metrics.lock().expect("metrics poisoned").as_ref() {
-                    m.queue_depth.set(q.ops.len() as i64);
-                }
-                cvar.notify_all();
-                Ok(())
-            }
-        }
-    }
-
-    /// Block until every queued mirror operation has been applied
-    /// (no-op in sync mode). Call before reading the replica.
-    pub fn flush(&self) {
-        if let Some(w) = &self.worker {
-            let (lock, cvar) = &*w.queue;
-            let mut q = lock.lock().expect("replication queue poisoned");
-            while q.lag() > 0 {
-                q = cvar.wait(q).expect("replication queue poisoned");
-            }
-        }
+        result
     }
 
     /// Converge the replica with the primary (and repair a CRC-corrupt
-    /// primary object from an intact replica copy). Flushes the async
-    /// queue first so the comparison sees a settled replica.
+    /// primary object from an intact replica copy).
     pub fn scrub(&self) -> Result<ScrubReport> {
-        self.flush();
         let mut report = ScrubReport::default();
         let primary_keys = self.primary.list("")?;
         let replica_keys = self.replica.list("")?;
@@ -413,27 +217,17 @@ impl ReplicatedBackend {
     }
 }
 
-impl Drop for ReplicatedBackend {
-    fn drop(&mut self) {
-        if let Some(w) = &self.worker {
-            w.stop.store(true, Ordering::SeqCst);
-            let (_, cvar) = &*w.queue;
-            cvar.notify_all();
-            if let Some(h) = w.handle.lock().expect("worker handle poisoned").take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 impl CheckpointBackend for ReplicatedBackend {
     fn write_atomic(&self, key: &str, data: &[u8]) -> Result<()> {
         self.primary.write_atomic(key, data)?;
-        self.mirror(MirrorOp::Write {
-            key: key.to_string(),
-            data: data.to_vec(),
-            enqueued: Instant::now(),
-        })
+        let started = Instant::now();
+        self.mirror(|r| r.write_atomic(key, data))?;
+        let lag = started.elapsed().as_micros() as u64;
+        self.last_lag_us.store(lag, Ordering::Relaxed);
+        if let Some(m) = self.metrics.lock().expect("metrics poisoned").as_ref() {
+            m.lag_us.observe(lag);
+        }
+        Ok(())
     }
 
     fn read(&self, key: &str) -> Result<Option<Vec<u8>>> {
@@ -446,9 +240,7 @@ impl CheckpointBackend for ReplicatedBackend {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.primary.delete(key)?;
-        self.mirror(MirrorOp::Delete {
-            key: key.to_string(),
-        })
+        self.mirror(|r| r.delete(key))
     }
 }
 
@@ -458,16 +250,16 @@ mod tests {
     use crate::backend::MemoryBackend;
     use ss_common::fault::{FaultMode, FaultTrigger};
 
-    fn pair(mode: ReplicationMode) -> (Arc<MemoryBackend>, Arc<MemoryBackend>, ReplicatedBackend) {
+    fn pair() -> (Arc<MemoryBackend>, Arc<MemoryBackend>, ReplicatedBackend) {
         let primary = Arc::new(MemoryBackend::new());
         let replica = Arc::new(MemoryBackend::new());
-        let repl = ReplicatedBackend::new(primary.clone(), replica.clone(), mode);
+        let repl = ReplicatedBackend::new(primary.clone(), replica.clone());
         (primary, replica, repl)
     }
 
     #[test]
     fn sync_mirrors_writes_and_deletes() {
-        let (primary, replica, repl) = pair(ReplicationMode::Sync);
+        let (primary, replica, repl) = pair();
         repl.write_atomic("wal/a.json", b"one").unwrap();
         repl.write_atomic("state/b.json", b"two").unwrap();
         assert_eq!(primary.read("wal/a.json").unwrap().unwrap(), b"one");
@@ -480,21 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn async_mirrors_after_flush() {
-        let (_primary, replica, repl) = pair(ReplicationMode::Async { max_lag: 8 });
-        for i in 0..20 {
-            repl.write_atomic(&format!("wal/e{i:03}.json"), &[i]).unwrap();
-        }
-        repl.flush();
-        assert_eq!(replica.len(), 20);
-        assert_eq!(repl.mirrored_ops(), 20);
-        // Lag is observed per mirrored write.
-        let _ = repl.last_lag_us();
-    }
-
-    #[test]
     fn sync_replica_fault_counts_and_propagates() {
-        let (primary, replica, mut repl) = pair(ReplicationMode::Sync);
+        let (primary, replica, mut repl) = pair();
         let faults = FaultRegistry::new();
         faults.configure(
             failpoints::REPLICA_WRITE,
@@ -517,7 +296,7 @@ mod tests {
 
     #[test]
     fn scrub_repairs_missing_stale_and_extra_objects() {
-        let (_primary, replica, repl) = pair(ReplicationMode::Sync);
+        let (_primary, replica, repl) = pair();
         repl.write_atomic("wal/a.json", &frame::encode(b"aa")).unwrap();
         repl.write_atomic("wal/b.json", &frame::encode(b"bb")).unwrap();
         // Diverge the replica behind the mirror's back: drop one object,
@@ -547,7 +326,7 @@ mod tests {
 
     #[test]
     fn scrub_restores_corrupt_primary_from_intact_replica() {
-        let (primary, _replica, repl) = pair(ReplicationMode::Sync);
+        let (primary, _replica, repl) = pair();
         let good = frame::encode(b"precious");
         repl.write_atomic("state/chk.json", &good).unwrap();
         // Corrupt the primary copy only: flip a payload byte so the CRC
@@ -562,22 +341,81 @@ mod tests {
         assert!(repl.scrub().unwrap().is_clean());
     }
 
-    #[test]
-    fn async_backpressure_bounds_lag() {
-        // With max_lag=1 every write waits for the previous mirror, so
-        // the replica can never be more than one op behind.
-        let (_primary, replica, repl) = pair(ReplicationMode::Async { max_lag: 1 });
-        for i in 0..10 {
-            repl.write_atomic(&format!("k{i}.json"), &[i]).unwrap();
+    /// A replica that refuses the `(operation, key)` pairs it is told
+    /// to, once each.
+    struct RefusingReplica {
+        inner: MemoryBackend,
+        refuse: Mutex<Vec<(&'static str, &'static str)>>,
+    }
+
+    impl RefusingReplica {
+        fn refused(&self, op: &str, key: &str) -> bool {
+            let mut refuse = self.refuse.lock().unwrap();
+            let hit = refuse.iter().position(|&(o, k)| o == op && k == key);
+            hit.map(|i| refuse.remove(i)).is_some()
         }
-        repl.flush();
-        assert_eq!(replica.len(), 10);
+    }
+
+    impl CheckpointBackend for RefusingReplica {
+        fn write_atomic(&self, key: &str, data: &[u8]) -> Result<()> {
+            if self.refused("write", key) {
+                return Err(ss_common::exec_err!("replica disk full"));
+            }
+            self.inner.write_atomic(key, data)
+        }
+        fn read(&self, key: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.read(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            if self.refused("delete", key) {
+                return Err(ss_common::exec_err!("replica disk full"));
+            }
+            self.inner.delete(key)
+        }
+    }
+
+    #[test]
+    fn a_replica_failure_fails_its_own_call() {
+        let primary = Arc::new(MemoryBackend::new());
+        let replica = Arc::new(RefusingReplica {
+            inner: MemoryBackend::new(),
+            refuse: Mutex::new(vec![("write", "wal/b.json"), ("delete", "wal/a.json")]),
+        });
+        let repl = ReplicatedBackend::new(primary.clone(), replica.clone());
+        let registry = MetricsRegistry::new();
+        repl.attach_metrics(&registry);
+        let errors = registry.counter("ss_replication_errors_total", &[]);
+
+        // The write of `a` mirrors; the write of `b` does not.
+        repl.write_atomic("wal/a.json", b"one").unwrap();
+        let err = repl.write_atomic("wal/b.json", b"two").unwrap_err();
+        assert!(err.to_string().contains("replica diverged"), "{err}");
+        assert_eq!((repl.replica_errors(), errors.get()), (1, 1));
+        assert_eq!(primary.read("wal/b.json").unwrap().unwrap(), b"two");
+        assert_eq!(replica.read("wal/b.json").unwrap(), None);
+
+        // The delete of `a` reaches the primary but not the replica.
+        let err = repl.delete("wal/a.json").unwrap_err();
+        assert!(err.to_string().contains("replica diverged"), "{err}");
+        assert_eq!((repl.replica_errors(), errors.get()), (2, 2));
+        assert_eq!(primary.read("wal/a.json").unwrap(), None);
+        assert_eq!(replica.read("wal/a.json").unwrap().unwrap(), b"one");
+
+        let report = repl.scrub().unwrap();
+        assert_eq!(report.copied_to_replica, 1);
+        assert_eq!(report.deleted_from_replica, 1);
+        assert_eq!(replica.read("wal/b.json").unwrap().unwrap(), b"two");
+        assert_eq!(replica.read("wal/a.json").unwrap(), None);
+        assert!(repl.scrub().unwrap().is_clean());
     }
 
     #[test]
     fn metrics_report_mirrored_writes() {
         let registry = MetricsRegistry::new();
-        let (_primary, _replica, repl) = pair(ReplicationMode::Sync);
+        let (_primary, _replica, repl) = pair();
         repl.attach_metrics(&registry);
         repl.write_atomic("a.json", b"x").unwrap();
         repl.write_atomic("b.json", b"y").unwrap();

@@ -115,7 +115,7 @@ pub mod prelude {
     pub use ss_core::prelude::*;
     pub use ss_plan::stateful::StateTimeout;
     pub use ss_plan::SortKey;
-    pub use ss_state::{FsBackend, MemoryBackend, ReplicatedBackend, ReplicationMode};
+    pub use ss_state::{FsBackend, MemoryBackend, ReplicatedBackend};
     pub use ss_wal::{FencedBackend, HaRole, LeaseManager};
 }
 

@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use crate::prelude::*;
 use ss_common::{SimClock, XorShift64};
-use ss_core::ha::{HaConfig, StandbyQuery, StandbyStatus};
+use ss_core::ha::{HaConfig, StandbyStatus};
 use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
 use ss_exec::MemoryCatalog;
 use ss_state::CheckpointBackend;
@@ -192,11 +192,7 @@ fn build_participant(
         Duration::from_millis(50),
         sim.handle(),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(
-        primary,
-        replica,
-        ReplicationMode::Sync,
-    ));
+    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
     let fenced_backend = Arc::new(FencedBackend::new(repl.clone(), lease.clone()));
     let faults = FaultRegistry::new();
     let config = MicroBatchConfig {
@@ -307,8 +303,8 @@ fn run(seed: u64, parallelism: Option<usize>) -> SimReport {
         true,
     );
     let mut standby_faults = s0.faults;
-    let mut standby_q = StandbyQuery::new(s0.engine).unwrap();
-    let _ = standby_q.tick(); // observe the lease before any failure
+    let mut standby = s0.engine;
+    let _ = standby.standby_tick(); // observe the lease before any failure
 
     // Arm a seeded fault: lethal errors force failovers, transient
     // errors exercise seeded backoff, hangs exercise the watchdog.
@@ -366,31 +362,29 @@ fn run(seed: u64, parallelism: Option<usize>) -> SimReport {
                 assert!(failovers < 16, "seed {seed}: drill did not converge");
                 // The standby observes the dead leader's final lease
                 // write, then the leader goes silent past ttl + grace.
-                let _ = standby_q.tick();
+                let _ = standby.standby_tick();
                 sim.advance(Duration::from_micros(160_000));
                 trace.rec("advanced 160000us past lease ttl+grace");
                 let mut lapsed = false;
                 for _ in 0..2 {
-                    if let StandbyStatus::LeaderLapsed { .. } = standby_q.tick().unwrap() {
+                    if let StandbyStatus::LeaderLapsed { .. } = standby.standby_tick().unwrap() {
                         lapsed = true;
                         break;
                     }
                 }
                 assert!(lapsed, "seed {seed}: lease lapse not observed in 2 ticks");
                 trace.rec("standby observed the lease lapse");
-                let promoted = standby_q.promote().unwrap();
-                let promoted_lease = promoted.ha().unwrap().lease.clone();
+                standby.promote().unwrap();
+                let promoted_lease = standby.ha().unwrap().lease.clone();
                 trace.rec(&format!(
                     "standby-{holder} promoted at epoch {}",
-                    promoted.current_epoch()
+                    standby.current_epoch()
                 ));
-                zombies.push((
-                    std::mem::replace(&mut leader_engine, promoted),
-                    leader_lease,
-                    leader_faults.clone(),
-                ));
-                leader_lease = promoted_lease;
-                leader_faults = standby_faults.clone();
+                // The promoted standby leads; the dead leader waits in
+                // `standby` until the next standby replaces it.
+                std::mem::swap(&mut leader_engine, &mut standby);
+                let zombie_lease = std::mem::replace(&mut leader_lease, promoted_lease);
+                let zombie_faults = std::mem::replace(&mut leader_faults, standby_faults.clone());
                 holder += 1;
                 let next = build_participant(
                     bus.clone(),
@@ -404,8 +398,9 @@ fn run(seed: u64, parallelism: Option<usize>) -> SimReport {
                     true,
                 );
                 standby_faults = next.faults;
-                standby_q = StandbyQuery::new(next.engine).unwrap();
-                let _ = standby_q.tick();
+                let zombie = std::mem::replace(&mut standby, next.engine);
+                zombies.push((zombie, zombie_lease, zombie_faults));
+                let _ = standby.standby_tick();
             }
         }
         // Keep the chaos coming until the drill has proven a few
@@ -413,7 +408,7 @@ fn run(seed: u64, parallelism: Option<usize>) -> SimReport {
         if failovers < 3 {
             arm(&leader_faults, &mut rng, &mut trace);
         }
-        let _ = standby_q.tick(); // warm standby keeps following
+        let _ = standby.standby_tick(); // warm standby keeps following
     }
     let _ = leader_lease;
 

@@ -526,7 +526,6 @@ fn bursty_load_under_rate_limiting_converges_after_crashes() {
             rate_controller: Some(RateControllerConfig {
                 min_rate: 1.0,
                 batch_interval_us: 100_000,
-                ..RateControllerConfig::default()
             }),
             clock: clock.clone(),
             ..base_config(faults)

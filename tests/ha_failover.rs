@@ -26,10 +26,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ss_common::{ClockRef, SimClock, XorShift64};
-use ss_core::ha::{HaConfig, StandbyQuery, StandbyStatus};
+use ss_core::ha::{HaConfig, StandbyStatus};
 use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
 use ss_exec::MemoryCatalog;
-use ss_state::{CheckpointBackend, ReplicatedBackend, ReplicationMode};
+use ss_state::{CheckpointBackend, ReplicatedBackend};
 use ss_wal::{FencedBackend, LeaseManager};
 use structured_streaming::prelude::*;
 
@@ -108,11 +108,7 @@ fn build_participant(
         Duration::from_millis(50),
         clock,
     ));
-    let repl = Arc::new(ReplicatedBackend::new(
-        primary,
-        replica,
-        ReplicationMode::Sync,
-    ));
+    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
     let fenced_backend = Arc::new(FencedBackend::new(repl.clone(), lease.clone()));
     let faults = FaultRegistry::new();
     let config = MicroBatchConfig {
@@ -249,12 +245,12 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
         true,
     )
     .unwrap();
-    let mut standby_q = StandbyQuery::new(standby.engine).unwrap();
+    let mut standby = standby.engine;
 
     // Healthy epochs; the warm standby follows read-only.
     feed(&bus, 2 * WAVE, 0);
     leader.engine.process_available().unwrap();
-    match standby_q.tick().unwrap() {
+    match standby.standby_tick().unwrap() {
         StandbyStatus::Following { caught_up_to } => {
             assert_eq!(caught_up_to, leader.engine.current_epoch());
         }
@@ -281,11 +277,12 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
     // bounded: one tick to observe the lapse, one promote call that
     // replays only the in-flight tail.
     t.advance(Duration::from_micros(160_000));
-    match standby_q.tick().unwrap() {
+    match standby.standby_tick().unwrap() {
         StandbyStatus::LeaderLapsed { .. } => {}
         other => panic!("expected LeaderLapsed, got {other:?}"),
     }
-    let mut promoted = standby_q.promote().unwrap();
+    standby.promote().unwrap();
+    let mut promoted = standby;
     assert_eq!(promoted.ha_role(), Some(ss_wal::HaRole::Leader));
 
     // The new leader finishes the input.
@@ -372,8 +369,8 @@ fn drill(seed: u64, expected: &[Row]) -> u32 {
     )
     .unwrap();
     let mut standby_faults = s0.faults;
-    let mut standby_q = StandbyQuery::new(s0.engine).unwrap();
-    let _ = standby_q.tick(); // observe the lease before any failure
+    let mut standby = s0.engine;
+    let _ = standby.standby_tick(); // observe the lease before any failure
 
     // Arm the first fault.
     let arm = |faults: &FaultRegistry, rng: &mut XorShift64| {
@@ -411,7 +408,7 @@ fn drill(seed: u64, expected: &[Row]) -> u32 {
                 let mut lapsed = false;
                 for _ in 0..2 {
                     if matches!(
-                        standby_q.tick().unwrap(),
+                        standby.standby_tick().unwrap(),
                         StandbyStatus::LeaderLapsed { .. }
                     ) {
                         lapsed = true;
@@ -419,15 +416,13 @@ fn drill(seed: u64, expected: &[Row]) -> u32 {
                     }
                 }
                 assert!(lapsed, "seed {seed}: lease lapse not observed in 2 ticks");
-                let promoted = standby_q.promote().unwrap();
-                let promoted_lease = promoted.ha().unwrap().lease.clone();
-                zombies.push((
-                    std::mem::replace(&mut leader_engine, promoted),
-                    leader_lease,
-                ));
-                leader_lease = promoted_lease;
+                standby.promote().unwrap();
+                let promoted_lease = standby.ha().unwrap().lease.clone();
+                // The promoted standby leads; the dead leader waits in
+                // `standby` until a fresh warm one replaces it.
+                std::mem::swap(&mut leader_engine, &mut standby);
+                let zombie_lease = std::mem::replace(&mut leader_lease, promoted_lease);
                 leader_faults = standby_faults.clone();
-                // Replace the consumed standby with a fresh warm one.
                 holder += 1;
                 let next = build_participant(
                     bus.clone(),
@@ -440,15 +435,16 @@ fn drill(seed: u64, expected: &[Row]) -> u32 {
                 )
                 .unwrap();
                 standby_faults = next.faults;
-                standby_q = StandbyQuery::new(next.engine).unwrap();
-                let _ = standby_q.tick();
+                let zombie = std::mem::replace(&mut standby, next.engine);
+                zombies.push((zombie, zombie_lease));
+                let _ = standby.standby_tick();
                 // Keep the chaos coming for the first few rounds.
                 if failovers <= 3 {
                     arm(&leader_faults, &mut rng);
                 }
             }
         }
-        let _ = standby_q.tick(); // warm standby keeps following
+        let _ = standby.standby_tick(); // warm standby keeps following
     }
     let _ = leader_lease;
 
@@ -554,7 +550,7 @@ fn replica_alone_restarts_the_query_at_the_committed_epoch() {
 fn scrubber_repairs_a_diverged_replica() {
     let primary: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
     let replica: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
-    let repl = ReplicatedBackend::new(primary.clone(), replica.clone(), ReplicationMode::Sync);
+    let repl = ReplicatedBackend::new(primary.clone(), replica.clone());
     repl.write_atomic("wal/offsets/epoch-1.json", b"{\"a\":1}").unwrap();
     repl.write_atomic("state/chk-1.json", b"{\"b\":2}").unwrap();
 

@@ -299,11 +299,7 @@ fn ha_endpoint_reports_lease_and_replication() {
         Duration::from_secs(30),
         Duration::from_secs(5),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(
-        primary,
-        Arc::new(MemoryBackend::new()),
-        ReplicationMode::Sync,
-    ));
+    let repl = Arc::new(ReplicatedBackend::new(primary, Arc::new(MemoryBackend::new())));
     let ctx = StreamingContext::new();
     let mut q = ctx
         .read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))

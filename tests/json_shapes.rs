@@ -183,11 +183,7 @@ fn every_json_body_keeps_its_key_set() {
         Duration::from_secs(30),
         Duration::from_secs(5),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(
-        primary,
-        replica,
-        ReplicationMode::Sync,
-    ));
+    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
     let mut ha = ctx
         .read_source(source("ha"))
         .unwrap()

@@ -157,7 +157,6 @@ fn overloaded_query_stays_bounded_then_drains_to_parity() {
         rate_controller: Some(RateControllerConfig {
             min_rate: 1.0,
             batch_interval_us: 2_000,
-            ..RateControllerConfig::default()
         }),
         state_budget: MemoryBudget {
             soft_limit_bytes: Some(512),

@@ -175,7 +175,6 @@ fn run_soak(clock: ClockRef, run: SoakRun) {
         rate_controller: Some(RateControllerConfig {
             min_rate: 16.0,
             batch_interval_us: 2_000,
-            ..RateControllerConfig::default()
         }),
         state_budget: MemoryBudget {
             soft_limit_bytes: Some(SOFT_LIMIT),
