@@ -34,7 +34,7 @@
 //!   [`Deadline`] watchdog token.
 //! * [`retry`] — [`RetryPolicy`] with exponential backoff and decorrelated
 //!   jitter for transient failures.
-//! * [`frame`] — CRC32 integrity frames around WAL records and
+//! * [`frame`] — CRC32C integrity frames around WAL records and
 //!   checkpoint blobs.
 //! * [`codec`] — the binary [`Value`]/[`Row`] encoding state checkpoints
 //!   are written in, with a bounds-checked reader.

@@ -1565,14 +1565,9 @@ mod tests {
             let IncNode::Aggregate { agg, .. } = &h.node else { panic!("root is the aggregate") };
             let mut body = Vec::new();
             ss_state::TypedTable::encode(agg.table(h.store.operator("agg-0")), true, &mut body);
-            let mut rd = ss_common::codec::Reader(&body);
-            let mut state: Vec<(Row, Vec<Row>)> = (0..rd.varint().unwrap())
-                .map(|_| {
-                    let key = rd.row().unwrap();
-                    assert_eq!(rd.value().unwrap(), Value::Null, "no timeout");
-                    (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
-                })
-                .collect();
+            let (entries, _) = ss_state::section::read_section(&body).unwrap();
+            let mut state: Vec<(Row, Vec<Row>)> =
+                entries.into_iter().map(|(key, e)| (key, e.values)).collect();
             state.sort();
             (state, rows_out)
         };

@@ -5,7 +5,8 @@
 //! re-create evicted keys, spill + reload, restores into a fresh store
 //! and a restart re-laid out to four partitions and back to one —
 //! against a plain `BTreeMap`. After every step the emitted rows, the
-//! table's entries as a full checkpoint writes them, `total_keys`,
+//! table's entries as a full checkpoint writes them (read back through
+//! the section reader), `total_keys`,
 //! `memory_bytes` and every checkpoint the step made restorable equal
 //! the model's. The key column next to the
 //! window is an input: a string, or a BIGINT with NULLs and negative
@@ -20,7 +21,6 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ss_common::codec::Reader;
 use ss_common::time::secs;
 use ss_common::{
     DataType, FaultRegistry, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
@@ -31,6 +31,7 @@ use ss_core::watermark::WatermarkTracker;
 use ss_exec::MemoryCatalog;
 use ss_expr::{col, count, count_star, max, min, sum, window};
 use ss_plan::{LogicalPlanBuilder, OutputMode};
+use ss_state::section::read_section;
 use ss_state::{
     CheckpointBackend, MemoryBackend, MemoryBudget, StateEntry, StateStore, TypedTable,
 };
@@ -279,16 +280,10 @@ impl Harness {
         let IncNode::Aggregate { agg, .. } = &self.node else { panic!("root is the aggregate") };
         let mut body = Vec::new();
         agg.table(self.store.operator(OP)).encode(true, &mut body);
-        let mut rd = Reader(&body);
-        let model = (0..rd.varint().unwrap())
-            .map(|_| {
-                let key = rd.row().unwrap();
-                assert_eq!(rd.value().unwrap(), Value::Null, "no timeout");
-                (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
-            })
-            .collect();
-        assert_eq!(rd.varint().unwrap(), 0, "a full encode removes nothing");
-        model
+        let (entries, removed) = read_section(&body).unwrap();
+        assert!(removed.is_empty(), "a full encode removes nothing");
+        assert!(entries.iter().all(|(_, e)| e.timeout_at.is_none()), "no timeout");
+        entries.into_iter().map(|(key, e)| (key, e.values)).collect()
     }
 
     /// What restoring `epoch` into a fresh store yields, all shards of

@@ -19,12 +19,12 @@
 //!   mode [`HashAggregator::finalized`] once the event-time watermark
 //!   passes a window's end (§4.3.1); [`GroupTable::evict_closed`] then
 //!   drops what the watermark closed. The store checkpoints, counts and
-//!   spills the table through `ss_state::TypedTable` (§6.1), encoded by
-//!   reference from the group states in the untyped entry format (one
-//!   state row per aggregate). Nothing is copied between kernel and
-//!   store and nothing scans the table: it lists the groups changed
-//!   this epoch and those not yet in a successful checkpoint, keeps the
-//!   keys removed since, and buckets its groups by window.
+//!   spills the table through `ss_state::TypedTable` (§6.1), which
+//!   writes its key and slot columns as `ss_state::section` group runs,
+//!   a run per window. Nothing is copied between kernel and store and
+//!   nothing scans the table: it lists the groups changed this epoch
+//!   and those not yet in a successful checkpoint, keeps the keys
+//!   removed since, and buckets its groups by window.
 //!
 //! Keys: the table buckets groups by window start, and within a bucket
 //! a key takes one of two forms, chosen from the input schema when the
@@ -33,9 +33,9 @@
 //! integer ([`Key::Int`], NULL as `None`) — `(window, user)` and
 //! `(window, campaign)` are — so a row costs one integer hash. Every
 //! other shape keeps the key's values as a [`Row`]. `Value`s are only
-//! rebuilt where they leave the table: partials and checkpoints. Every
-//! output mode pushes its groups, in key order, straight
-//! into the output schema's column builders.
+//! rebuilt where they leave the table as partials. Every output mode
+//! emits its groups, in key order, a column at a time from the key and
+//! slot columns; only row keys and `Any` states pass through `Value`.
 //!
 //! Layout: a bucket is a key index (key → ordinal and changed stamp),
 //! each group's key and save tracking, and per aggregate a column of
@@ -45,8 +45,9 @@
 //! `Value` per row, or an [`Accumulator`]. What leaves the table reads a
 //! state as the `Accumulator` it stands for, and partials and restores
 //! come in through one. The lists name groups `(window start, ordinal)`:
-//! an integer-keyed table sorts them on `(start, key integer)`. Eviction
-//! moves a closed bucket's keys to the removed set and frees the rest.
+//! an integer-keyed table sorts them on one packed `u128` each. Eviction
+//! moves a closed bucket's key index to the removed keys and frees the
+//! rest.
 //!
 //! Event-time windows: one `window()` grouping key is supported; each
 //! row expands into `size/slide` windows (one for tumbling windows), the
@@ -57,9 +58,9 @@ use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
-use ss_common::codec::{put_value, put_values, put_varint};
+use ss_common::codec::{put_row, put_varint};
 use ss_common::column::TypedColumn;
 use ss_common::time::windows_for;
 use ss_common::{
@@ -70,6 +71,7 @@ use ss_expr::agg::{Accumulator, AggregateFunction};
 use ss_expr::eval::evaluate;
 use ss_expr::{AggregateExpr, Expr};
 use ss_plan::plan::strip_alias;
+use ss_state::section::{key_row, put_header, put_ints, put_run_head, KeyForm, SlotForm};
 use ss_state::{OpState, StateEntry, TypedTable};
 
 /// The window grouping key, if any.
@@ -92,22 +94,18 @@ enum Key {
     Row(Row),
 }
 
-/// A group as the tracking lists name it: window start, ordinal.
-type Listed = (i64, u32);
-
-/// A group as a scan yields it: window start, key, bucket, ordinal.
-type Grouped<'a> = (i64, &'a Key, &'a Bucket, usize);
-
-/// What orders groups as their key values do. An [`Key::Int`] key's
-/// values are `[Timestamp(start), v]` (or `[v]`), and `None` sorts
-/// first like NULL, so `(start, v)` order is `Value` order; a
-/// [`Key::Row`] holds its start among its values.
-fn emit_order(start: i64, key: &Key) -> (i64, &Key) {
-    match key {
-        Key::Int(_) => (start, key),
-        Key::Row(_) => (0, key),
+impl Key {
+    /// An integer-form key's value.
+    fn int(&self) -> Option<i64> {
+        match self {
+            Key::Int(v) => *v,
+            Key::Row(_) => unreachable!("an integer-keyed table holds integer keys"),
+        }
     }
 }
+
+/// A group as the tracking lists name it: window start, ordinal.
+type Listed = (i64, u32);
 
 /// How a table's keys are held, fixed when it is made: the window key's
 /// `(slot, size µs)`, and the integer column's type when keys take the
@@ -119,30 +117,20 @@ struct KeyShape {
 }
 
 impl KeyShape {
-    /// Run `f` over the key's values, as the untyped entry format holds
-    /// them.
-    fn with_values<R>(&self, start: i64, key: &Key, f: impl FnOnce(&[Value]) -> R) -> R {
+    /// The key's values, as checkpoint entries and partials hold them.
+    fn row_of(&self, start: i64, key: Key) -> Row {
+        let timestamp = self.int == Some(DataType::Timestamp);
         match key {
-            Key::Row(row) => f(row.values()),
-            Key::Int(v) => {
-                let v = match (v, self.int) {
-                    (None, _) => Value::Null,
-                    (Some(v), Some(DataType::Timestamp)) => Value::Timestamp(*v),
-                    (Some(v), _) => Value::Int64(*v),
-                };
-                match self.window {
-                    Some(_) => f(&[Value::Timestamp(start), v]),
-                    None => f(&[v]),
-                }
-            }
+            Key::Row(row) => row,
+            Key::Int(v) => key_row(timestamp, self.window.is_some(), start, v),
         }
     }
 
-    fn row_of(&self, start: i64, key: Key) -> Row {
-        match key {
-            Key::Row(row) => row,
-            key => self.with_values(start, &key, |values| Row::new(values.to_vec())),
-        }
+    /// How a checkpoint section holds these keys.
+    fn form(&self) -> KeyForm {
+        let window = self.window.is_some();
+        let int = |ty| KeyForm::Int { timestamp: ty == DataType::Timestamp, window };
+        self.int.map_or(KeyForm::Row, int)
     }
 
     /// A key from its values (a checkpoint, a partial). In the integer
@@ -174,20 +162,18 @@ impl KeyShape {
 
     /// Bytes of a group's untyped entry — what `OpState` would count for
     /// it — saturating at what [`Group::bytes`] holds.
-    fn entry_bytes(&self, start: i64, bucket: &Bucket, ord: usize) -> u32 {
-        let key = self.with_values(start, &bucket.groups[ord].key, Row::approx_bytes_of);
-        // A typed slot's state is one scalar, whatever it holds.
-        let one = Row::approx_bytes_of(&[Value::Null]);
+    fn entry_bytes(&self, bucket: &Bucket, ord: usize) -> u32 {
+        // An integer key's values, and a typed slot's state, are scalars
+        // of one size whatever they hold.
+        let scalars = [Value::Null, Value::Null];
+        let key = match &bucket.groups[ord].key {
+            Key::Row(row) => row.approx_bytes(),
+            Key::Int(_) => Row::approx_bytes_of(&scalars[..1 + usize::from(self.window.is_some())]),
+        };
+        let one = Row::approx_bytes_of(&scalars[..1]);
         let state = |s: &Slots| if let Slots::Any(_, a) = s { a[ord].state_bytes() } else { one };
         let values = bucket.slots.iter().map(state).sum();
         u32::try_from(OpState::entry_bytes_of(key, values)).unwrap_or(u32::MAX)
-    }
-
-    fn put_group(&self, out: &mut Vec<u8>, start: i64, bucket: &Bucket, ord: usize) {
-        self.with_values(start, &bucket.groups[ord].key, |values| put_values(out, values));
-        put_value(out, &Value::Null); // no timeout
-        put_varint(out, bucket.slots.len() as u64);
-        bucket.slots.iter().for_each(|s| s.with(ord, |a| a.put_state(out)));
     }
 }
 
@@ -224,6 +210,16 @@ impl SlotKind {
             SlotKind::Count => Accumulator::Count { n: 0 },
             SlotKind::Any(func) => AggregateExpr::new(func, None).create_accumulator(),
             int => int.int_acc(None),
+        }
+    }
+
+    /// How a checkpoint section holds this slot's states.
+    fn form(self) -> SlotForm {
+        match self {
+            SlotKind::Count => SlotForm::Count,
+            SlotKind::Min(t) | SlotKind::Max(t) if t == DataType::Timestamp => SlotForm::Timestamp,
+            SlotKind::Any(_) => SlotForm::State,
+            _ => SlotForm::Int,
         }
     }
 
@@ -297,6 +293,15 @@ impl Slots {
             _ => unreachable!("an argument is read as its aggregate's slots need"),
         }
         Ok(())
+    }
+
+    /// Group `ord`'s state in a `Count` or `Int` slot.
+    fn int(&self, ord: usize) -> Option<i64> {
+        match self {
+            Slots::Count(n) => Some(n[ord]),
+            Slots::Int(_, v) => v[ord],
+            Slots::Any(..) => unreachable!("an `Any` slot holds accumulators"),
+        }
     }
 
     /// `f` of group `ord`'s state, as the accumulator it stands for.
@@ -384,14 +389,16 @@ impl Bucket {
         let ord = u32::try_from(self.groups.len()).expect("a bucket holds under 2^32 groups");
         // A key evicted since the last checkpoint and now back is no
         // longer removed.
-        let listed = (start, key);
-        if !t.removed.is_empty() {
-            t.removed.remove(&listed);
+        if let Some(keys) = t.removed.get_mut(&start) {
+            keys.remove(&key);
+            if keys.is_empty() {
+                t.removed.remove(&start);
+            }
         }
         let unsaved = t.save_gen.wrapping_sub(1);
-        self.groups.push(Group { key: listed.1.clone(), unsaved, bytes: 0 });
+        self.groups.push(Group { key: key.clone(), unsaved, bytes: 0 });
         self.slots.iter_mut().for_each(Slots::push_fresh);
-        self.index.insert(listed.1, (ord, changed));
+        self.index.insert(key, (ord, changed));
         t.len += 1;
         if changed == t.epoch_gen {
             t.changed.push((start, ord));
@@ -412,10 +419,11 @@ struct Tracking {
     changed: Vec<Listed>,
     /// Bumped by `clear_tracking` (a *successful* checkpoint);
     /// `unsaved` lists the live groups stamped with it, once each, and
-    /// `removed` the keys evicted since (in a checkpoint or not).
+    /// `removed` the keys evicted since (in a checkpoint or not), by
+    /// window: an evicted bucket's key index, moved whole.
     save_gen: u32,
     unsaved: Vec<Listed>,
-    removed: FxHashSet<(i64, Key)>,
+    removed: BTreeMap<i64, FxHashMap<Key, (u32, u32)>>,
     /// For the state metrics: groups drained, groups evicted.
     puts: u64,
     evictions: u64,
@@ -435,16 +443,18 @@ pub struct GroupTable {
 }
 
 impl GroupTable {
-    fn groups_in(&self, starts: impl RangeBounds<i64>) -> impl Iterator<Item = Grouped<'_>> {
-        let buckets = self.buckets.range(starts);
-        buckets.flat_map(|(&start, b)| {
-            b.groups.iter().enumerate().map(move |(ord, g)| (start, &g.key, b, ord))
-        })
+    /// Every group of the windows that start in `starts`.
+    fn groups_in(&self, starts: impl RangeBounds<i64>) -> Vec<Listed> {
+        let groups = |(&s, b): (&i64, &Bucket)| (0..b.groups.len() as u32).map(move |o| (s, o));
+        self.buckets.range(starts).flat_map(groups).collect()
     }
 
     /// Each listed group with its bucket, looked up once per run of
     /// groups in the same bucket.
-    fn listed<'a>(&'a self, list: &'a [Listed]) -> impl Iterator<Item = (&'a Bucket, Listed)> {
+    fn listed<'a>(
+        &'a self,
+        list: &'a [Listed],
+    ) -> impl Iterator<Item = (&'a Bucket, Listed)> + Clone {
         let mut at: Option<(i64, &Bucket)> = None;
         list.iter().map(move |&(start, ord)| match at {
             Some((s, bucket)) if s == start => (bucket, (start, ord)),
@@ -452,28 +462,47 @@ impl GroupTable {
         })
     }
 
-    /// Put listed groups in emission order (see [`emit_order`]), each
-    /// key looked up once: on `(start, integer)` in the integer form.
+    /// Put listed groups in the order of their key values, each key
+    /// looked up once. A row key holds its window start among them. In
+    /// the integer form (`[Timestamp(start), v]` or `[v]`) a group sorts
+    /// as one `u128`: its window's rank among the list's starts (31
+    /// bits), its key with NULL first (65) and its ordinal (32).
     fn sort(&self, list: &mut [Listed]) {
         if self.shape.int.is_none() {
             let key = |&(start, ord): &Listed| &self.buckets[&start].groups[ord as usize].key;
-            return list.sort_by_cached_key(|l| emit_order(l.0, key(l)));
+            return list.sort_by_cached_key(key);
         }
-        let int = |(b, (start, ord)): (&Bucket, Listed)| match b.groups[ord as usize].key {
-            Key::Int(v) => (start, v, ord),
-            Key::Row(_) => unreachable!("an integer-keyed table holds integer keys"),
-        };
-        let mut keyed: Vec<(i64, Option<i64>, u32)> = self.listed(list).map(int).collect();
+        let runs = || list.chunk_by(|a, b| a.0 == b.0);
+        let mut starts: Vec<i64> = runs().map(|run| run[0].0).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        let mut keyed: Vec<u128> = Vec::with_capacity(list.len());
+        for run in runs() {
+            let rank = starts.binary_search(&run[0].0).expect("listed above") as u128;
+            let groups = &self.buckets[&run[0].0].groups;
+            let key = |o: u32| match groups[o as usize].key.int() {
+                None => 0,
+                Some(v) => u128::from((v ^ i64::MIN) as u64) + 1,
+            };
+            keyed.extend(run.iter().map(|&(_, o)| rank << 97 | key(o) << 32 | u128::from(o)));
+        }
         keyed.sort_unstable();
-        list.iter_mut().zip(keyed).for_each(|(l, (start, _, ord))| *l = (start, ord));
+        list.iter_mut().zip(keyed).for_each(|(l, k)| *l = (starts[(k >> 97) as usize], k as u32));
     }
 
-    /// Close the epoch's ingest: visit, in key order, every group that
-    /// changed since the last call, count its bytes and move it to the
-    /// unsaved list.
-    fn drain(&mut self, mut visit: impl FnMut(i64, &Key, &Bucket, usize)) {
+    /// Close the epoch's ingest: put the groups changed since the last
+    /// call in key order, hand them to `emit`, then count their bytes
+    /// and move them to the unsaved list.
+    fn drain<R>(&mut self, emit: impl FnOnce(&GroupTable, &[Listed]) -> R) -> R {
         let mut changed = std::mem::take(&mut self.t.changed);
         self.sort(&mut changed);
+        let emitted = emit(self, &changed);
+        // With integer keys and no `Any` slot every group's entry has
+        // the same size: the first one's.
+        let uniform = self.shape.int.is_some()
+            && self.kinds.iter().all(|k| !matches!(k, SlotKind::Any(_)));
+        let first = changed.first().filter(|_| uniform);
+        let fixed = first.map(|&(s, o)| self.shape.entry_bytes(&self.buckets[&s], o as usize));
         let (shape, t) = (&self.shape, &mut self.t);
         t.puts += changed.len() as u64;
         let mut at: Option<(i64, &mut Bucket)> = None;
@@ -483,8 +512,7 @@ impl GroupTable {
             }
             let bucket = &mut *at.as_mut().expect("set above").1;
             let ord = ord as usize;
-            visit(start, &bucket.groups[ord].key, bucket, ord);
-            let bytes = shape.entry_bytes(start, bucket, ord);
+            let bytes = fixed.unwrap_or_else(|| shape.entry_bytes(bucket, ord));
             let group = &mut bucket.groups[ord];
             t.bytes = t.bytes + bytes as usize - group.bytes as usize;
             group.bytes = bytes;
@@ -504,11 +532,41 @@ impl GroupTable {
             let stale = |b: &mut Bucket| b.index.values_mut().for_each(|(_, c)| *c = u32::MAX);
             self.buckets.values_mut().for_each(stale);
         }
+        emitted
+    }
+
+    /// Append a run of the groups `ords` of the window at `start`: the
+    /// key column, then a column per slot.
+    fn put_run(
+        &self,
+        out: &mut Vec<u8>,
+        start: i64,
+        bucket: &Bucket,
+        ords: impl ExactSizeIterator<Item = usize> + Clone,
+    ) {
+        put_run_head(out, start, ords.len());
+        self.put_keys(out, ords.clone().map(|ord| &bucket.groups[ord].key));
+        for slots in &bucket.slots {
+            match slots {
+                Slots::Any(_, a) => ords.clone().for_each(|ord| a[ord].put_state(out)),
+                typed => put_ints(out, ords.clone().map(|ord| typed.int(ord))),
+            }
+        }
+    }
+
+    fn put_keys<'a>(&self, out: &mut Vec<u8>, keys: impl ExactSizeIterator<Item = &'a Key>) {
+        match self.shape.int {
+            Some(_) => put_ints(out, keys.map(Key::int)),
+            None => keys.for_each(|key| match key {
+                Key::Row(row) => put_row(out, row),
+                Key::Int(_) => unreachable!("a row-keyed table holds row keys"),
+            }),
+        }
     }
 
     /// Drop every group whose window closed at `watermark_us`
     /// (`start + size <= watermark_us`), a whole bucket at a time: its
-    /// keys move to the removed set, its vectors are freed.
+    /// key index moves to the removed keys, its vectors are freed.
     pub fn evict_closed(&mut self, watermark_us: i64) {
         let Some((_, size)) = self.shape.window else { return };
         let open = |start: i64| start.saturating_add(size) > watermark_us;
@@ -518,11 +576,13 @@ impl GroupTable {
             if open(start) {
                 break;
             }
-            let Bucket { index, groups, .. } = bucket.remove();
+            let Bucket { mut index, groups, .. } = bucket.remove();
             t.len -= groups.len();
             t.bytes -= groups.iter().map(|g| g.bytes as usize).sum::<usize>();
             t.evictions += groups.len() as u64;
-            t.removed.extend(index.into_keys().map(|key| (start, key)));
+            let keys = t.removed.entry(start).or_default();
+            index.extend(std::mem::take(keys));
+            *keys = index;
         }
         // The lists hold live groups only: a bucket made again for a
         // closed window must not inherit stale ordinals.
@@ -544,21 +604,31 @@ impl TypedTable for GroupTable {
         self.t.changed.is_empty() && self.t.unsaved.is_empty() && self.t.removed.is_empty()
     }
 
+    /// A group-run section (`ss_state::section`): a run per bucket when
+    /// `full`, else per run of one window's groups on the unsaved list
+    /// and then the removed keys in runs by window.
     fn encode(&self, full: bool, out: &mut Vec<u8>) {
-        let shape = &self.shape;
+        let slots: Vec<SlotForm> = self.kinds.iter().map(|k| k.form()).collect();
+        put_header(out, self.shape.form(), &slots);
         if full {
-            put_varint(out, self.t.len as u64);
-            self.groups_in(..).for_each(|(start, _, b, ord)| shape.put_group(out, start, b, ord));
-            put_varint(out, 0);
+            put_varint(out, self.buckets.len() as u64);
+            for (&start, bucket) in &self.buckets {
+                self.put_run(out, start, bucket, 0..bucket.groups.len());
+            }
         } else {
-            put_varint(out, self.t.unsaved.len() as u64);
-            for (bucket, (start, ord)) in self.listed(&self.t.unsaved) {
-                shape.put_group(out, start, bucket, ord as usize);
+            let runs = || self.t.unsaved.chunk_by(|a, b| a.0 == b.0);
+            put_varint(out, runs().count() as u64);
+            for run in runs() {
+                let ords = run.iter().map(|&(_, ord)| ord as usize);
+                self.put_run(out, run[0].0, &self.buckets[&run[0].0], ords);
             }
-            put_varint(out, self.t.removed.len() as u64);
-            for (start, key) in &self.t.removed {
-                shape.with_values(*start, key, |values| put_values(out, values));
-            }
+        }
+        // A full snapshot replaces what came before: it removes nothing.
+        let removed = if full { None } else { Some(&self.t.removed) };
+        put_varint(out, removed.map_or(0, BTreeMap::len) as u64);
+        for (&start, keys) in removed.into_iter().flatten() {
+            put_run_head(out, start, keys.len());
+            self.put_keys(out, keys.keys());
         }
     }
 
@@ -599,7 +669,7 @@ impl TypedTable for GroupTable {
         for (slots, acc) in bucket.slots.iter_mut().zip(accs) {
             slots.set(ord, acc)?;
         }
-        let bytes = shape.entry_bytes(start, bucket, ord);
+        let bytes = shape.entry_bytes(bucket, ord);
         let group = &mut bucket.groups[ord];
         t.bytes = t.bytes + bytes as usize - group.bytes as usize;
         group.bytes = bytes;
@@ -827,70 +897,70 @@ impl HashAggregator {
         Ok(())
     }
 
-    /// Column builders for the output schema, `rows` reserved.
-    fn builders(&self, rows: usize) -> Vec<ColumnBuilder> {
-        let builder = |f: &Field| ColumnBuilder::with_capacity(f.data_type, rows);
-        self.output_schema.fields().iter().map(builder).collect()
-    }
-
-    /// Append one group's output row: its key values (a window as its
-    /// start and end), then each aggregate's result.
-    fn emit(&self, out: &mut [ColumnBuilder], start: i64, key: &Key, bucket: &Bucket, ord: usize)
-        -> Result<()> {
-        let mut cols = out.iter_mut();
-        let mut push = |v: Value| cols.next().expect("a builder per output column").push_owned(v);
-        self.shape.with_values(start, key, |values| -> Result<()> {
-            for (i, v) in values.iter().enumerate() {
-                match self.shape.window {
-                    Some((slot, size)) if slot == i => {
-                        push(Value::Timestamp(start))?;
-                        push(Value::Timestamp(start + size))?;
+    /// The output rows of the groups `list`, in its order, built a
+    /// column at a time from the key and slot columns: a `Value` is made
+    /// only for a row key or an `Any` slot. A window is its start and end.
+    fn emit(&self, table: &GroupTable, list: &[Listed]) -> Result<RecordBatch> {
+        let rows = list.len();
+        let groups = table.listed(list).map(|(b, (start, ord))| (start, b, ord as usize));
+        let fields = self.output_schema.fields();
+        let (keys, results) = fields.split_at(self.num_key_columns());
+        let mut columns = Vec::with_capacity(fields.len());
+        if let Some(ty) = self.shape.int {
+            if let Some((_, size)) = self.shape.window {
+                columns.push(int_column(DataType::Timestamp, groups.clone().map(|g| Some(g.0))));
+                let ends = groups.clone().map(|g| Some(g.0 + size));
+                columns.push(int_column(DataType::Timestamp, ends));
+            }
+            columns.push(int_column(ty, groups.clone().map(|(_, b, o)| b.groups[o].key.int())));
+        } else {
+            let builder = |f: &Field| ColumnBuilder::with_capacity(f.data_type, rows);
+            let mut out: Vec<ColumnBuilder> = keys.iter().map(builder).collect();
+            for (start, b, ord) in groups.clone() {
+                let Key::Row(row) = &b.groups[ord].key else { unreachable!("row keys") };
+                let mut cols = out.iter_mut();
+                for (i, v) in row.values().iter().enumerate() {
+                    cols.next().expect("a builder per key column").push(v)?;
+                    if let Some((_, size)) = self.shape.window.filter(|w| w.0 == i) {
+                        let end = Value::Timestamp(start + size);
+                        cols.next().expect("a window's end column").push_owned(end)?;
                     }
-                    _ => push(v.clone())?,
                 }
             }
-            Ok(())
-        })?;
-        bucket.slots.iter().try_for_each(|s| push(s.with(ord, Accumulator::evaluate)))
-    }
-
-    fn batch(&self, out: Vec<ColumnBuilder>) -> Result<RecordBatch> {
-        let columns = out.into_iter().map(ColumnBuilder::finish).collect();
+            columns.extend(out.into_iter().map(ColumnBuilder::finish));
+        }
+        for (i, (kind, field)) in self.kinds.iter().zip(results).enumerate() {
+            let states = groups.clone().map(|(_, b, ord)| (&b.slots[i], ord));
+            columns.push(match kind {
+                SlotKind::Any(_) => {
+                    let values = states.map(|(s, o)| s.with(o, Accumulator::evaluate));
+                    Column::from_values(field.data_type, &values.collect::<Vec<_>>())?
+                }
+                _ => int_column(field.data_type, states.map(|(slots, ord)| slots.int(ord))),
+            });
+        }
         RecordBatch::try_new(self.output_schema.clone(), columns)
     }
 
-    fn batch_of<'a>(&self, groups: impl Iterator<Item = Grouped<'a>>) -> Result<RecordBatch> {
-        let mut groups: Vec<Grouped> = groups.collect();
-        groups.sort_unstable_by(|(a, x, ..), (b, y, ..)| emit_order(*a, x).cmp(&emit_order(*b, y)));
-        let mut out = self.builders(groups.len());
-        for (start, key, bucket, ord) in groups {
-            self.emit(&mut out, start, key, bucket, ord)?;
-        }
-        self.batch(out)
+    /// The output rows of the groups `list`, sorted by key.
+    fn batch_of(&self, table: &GroupTable, mut list: Vec<Listed>) -> Result<RecordBatch> {
+        table.sort(&mut list);
+        self.emit(table, &list)
     }
 
     /// Close the epoch's ingest (see the module docs): every group that
     /// changed since the last call is counted and listed for the next
     /// checkpoint. Returns them, sorted by key, when `emit` (Update
-    /// mode); else an empty batch.
+    /// mode); else an empty batch. The drain runs to the end whatever
+    /// the emitter returns: it is what keeps the tracking lists whole.
     pub fn drain_changed(&self, table: &mut GroupTable, emit: bool) -> Result<RecordBatch> {
-        let mut out = self.builders(if emit { table.t.changed.len() } else { 0 });
-        // The drain runs to the end whatever happens: it is what keeps
-        // the tracking lists whole.
-        let mut emitted = Ok(());
-        table.drain(|start, key, bucket, ord| {
-            if emit && emitted.is_ok() {
-                emitted = self.emit(&mut out, start, key, bucket, ord);
-            }
-        });
-        emitted?;
-        self.batch(out)
+        table.drain(|table, changed| self.emit(table, if emit { changed } else { &[] }))
     }
 
     /// The whole result table, sorted by key for determinism (Complete
     /// mode).
     pub fn finish(&self, table: &GroupTable) -> Result<RecordBatch> {
-        self.batch_of(table.groups_in(..))
+        self.batch_of(table, table.groups_in(..))
     }
 
     /// [`HashAggregator::finish`] of the private table (batch
@@ -908,7 +978,7 @@ impl HashAggregator {
         let w = self.window.as_ref().ok_or_else(|| {
             SsError::Plan("append finalization requires a window() grouping key".into())
         })?;
-        self.batch_of(table.groups_in(..=watermark_us.saturating_sub(w.size_us)))
+        self.batch_of(table, table.groups_in(..=watermark_us.saturating_sub(w.size_us)))
     }
 
     // ---- state-store integration (§6.1) ----
@@ -994,6 +1064,17 @@ impl HashAggregator {
     }
 }
 
+/// A BIGINT or TIMESTAMP output column of `cells`, built as
+/// `ColumnBuilder` would build it from their `Value`s.
+fn int_column(ty: DataType, cells: impl Iterator<Item = Option<i64>>) -> Column {
+    let mut column = TypedColumn::from_values(Vec::with_capacity(cells.size_hint().0));
+    cells.for_each(|v| column.push(v, || 0));
+    match ty {
+        DataType::Timestamp => Column::Timestamp(column),
+        _ => Column::Int64(column),
+    }
+}
+
 /// One group of a map task's local aggregation: key and accumulators.
 pub type Partial = (Row, Vec<Accumulator>);
 
@@ -1025,20 +1106,14 @@ mod tests {
         rows
     }
 
-    /// The table's checkpoint entries, decoded and sorted.
+    /// The table's checkpoint entries, expanded and sorted.
     fn saved(table: &GroupTable, full: bool) -> (Vec<(Row, Vec<Row>)>, Vec<Row>) {
         let mut out = Vec::new();
         table.encode(full, &mut out);
-        let mut rd = ss_common::codec::Reader(&out);
-        let mut entries: Vec<(Row, Vec<Row>)> = (0..rd.varint().unwrap())
-            .map(|_| {
-                let key = rd.row().unwrap();
-                assert_eq!(rd.value().unwrap(), Value::Null);
-                (key, (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect())
-            })
-            .collect();
-        let mut removed: Vec<Row> = (0..rd.varint().unwrap()).map(|_| rd.row().unwrap()).collect();
-        assert!(rd.0.is_empty());
+        let (entries, mut removed) = ss_state::section::read_section(&out).unwrap();
+        assert!(entries.iter().all(|(_, e)| e.timeout_at.is_none()));
+        let mut entries: Vec<(Row, Vec<Row>)> =
+            entries.into_iter().map(|(key, e)| (key, e.values)).collect();
         entries.sort();
         removed.sort();
         (entries, removed)
@@ -1606,7 +1681,11 @@ mod tests {
     fn seen_in(table: &GroupTable) -> BTreeMap<Row, Vec<Seen>> {
         let states = |b: &Bucket, ord| b.slots.iter().map(|s| s.with(ord, seen)).collect();
         let row = |start, key: &Key| table.shape.row_of(start, key.clone());
-        table.groups_in(..).map(|(start, key, b, ord)| (row(start, key), states(b, ord))).collect()
+        let group = |(start, ord): Listed| {
+            let b = &table.buckets[&start];
+            (row(start, &b.groups[ord as usize].key), states(b, ord as usize))
+        };
+        table.groups_in(..).into_iter().map(group).collect()
     }
 
     #[test]

@@ -27,18 +27,31 @@
 //! ## Checkpoint format
 //!
 //! A blob is `state/chk-<epoch>-{full,delta}.bin`: an `ss_common::frame`
-//! CRC frame around a body encoded by reference from the operator maps
-//! and typed tables (rows and values as in [`ss_common::codec`]; varints are LEB128):
+//! CRC32C frame around a body encoded by reference from the operator
+//! maps and typed tables (rows and values as in [`ss_common::codec`];
+//! varints are LEB128, zigzag where signed):
 //!
 //! ```text
-//! body  = "SSCK", version u8, kind u8 (0 delta | 1 full), epoch u64 LE,
-//!         varint #ops, op*
-//! op    = name (varint length, UTF-8), varint #entries, entry*,
-//!         varint #removed, row*          -- removed keys: deltas only
-//! entry = key row, timeout value (NULL | Int64), varint #values, row*
+//! body    = "SSCK", version u8 (2), kind u8 (0 delta | 1 full),
+//!           epoch u64 LE, varint #ops, op*
+//! op      = name (varint length, UTF-8), form u8, section
+//! section = form 0: varint #entries, entry*, varint #removed, row*
+//!         | form 1: header, varint #runs, run*, varint #runs, keys*
+//! entry   = key row, timeout value (NULL | Int64), varint #values, row*
+//! header  = key u8 (0 row | 1 BIGINT | 2 TIMESTAMP | +2 after a window),
+//!           varint #slots, slot u8* (0 count | 1 BIGINT | 2 TIMESTAMP |
+//!           3 state row)
+//! run     = keys, one column per slot
+//! keys    = window start zigzag varint, varint n, key column
+//! column  = count, BIGINT, TIMESTAMP, integer key: a NULL bitmap
+//!           ((n+7)/8 bytes), a zigzag varint per non-NULL | state row,
+//!           row key: row*n
 //! ```
 //!
-//! A spill blob (`state/spill/<op>.bin`) is a full body holding one
+//! Removed keys are deltas' only. Map namespaces write form 0, a
+//! declared group table form 1 ([`section`] reads it back as the form-0
+//! entries it stands for); a v1 body (no form bytes) still reads. A
+//! spill blob (`state/spill/<op>.bin`) is a full body holding one
 //! operator. Every count is checked against the bytes that remain, so a
 //! malformed body is `Corruption` (which `restore_best` skips); a
 //! version newer than this build is `Unsupported`, which propagates —
@@ -50,6 +63,7 @@
 pub mod backend;
 pub mod metrics;
 pub mod replicate;
+pub mod section;
 pub mod store;
 
 pub use backend::{CheckpointBackend, FsBackend, MemoryBackend};

@@ -13,7 +13,7 @@
 //!
 //! Checkpoints are one compact binary encoding (the format is laid out
 //! in the crate docs), written by reference straight from the operator
-//! maps; [`StateStore::dump_json`] renders any retained checkpoint as
+//! maps and tables; [`StateStore::dump_json`] renders any retained checkpoint as
 //! JSON for a person to read.
 //!
 //! **Typed residency.** A namespace is one kind for life, so its state
@@ -24,8 +24,8 @@
 //! - **Restore.** Each checkpointed entry goes into its namespace
 //!   through one call, [`TypedTable::restore_entry`] for a table, past
 //!   the owner's route ([`StateStore::restore_best_routed`]) in the same
-//!   pass; a namespace no entry reaches is not created. Checkpoints
-//!   encode a table in the map's entry format.
+//!   pass; a namespace no entry reaches is not created. A table writes
+//!   its own [`section`] form, which reads back as the map's entries.
 //! - **Spill.** The table is written out and emptied, keeping its kind;
 //!   the reload refills it entry by entry.
 
@@ -38,12 +38,13 @@ use std::time::Instant;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
-use ss_common::codec::{put_row, put_str, put_value, put_varint, Reader};
+use ss_common::codec::{put_row, put_str, put_varint, Reader};
 use ss_common::fault::FaultRegistry;
-use ss_common::{frame, MetricsRegistry, Result, Row, SsError, Value};
+use ss_common::{frame, MetricsRegistry, Result, Row, SsError};
 
 use crate::backend::CheckpointBackend;
 use crate::metrics::StateMetrics;
+use crate::section::{self, put_entry};
 
 /// Fail-point names fired by the state store.
 pub mod failpoints {
@@ -82,10 +83,10 @@ pub trait TypedTable: Any + Send + fmt::Debug {
     fn approx_bytes(&self) -> usize;
     /// Nothing changed or removed since the last `clear_tracking`.
     fn is_clean(&self) -> bool;
-    /// Append `varint #entries, entry*, varint #removed, row*` (the
-    /// crate docs' `op` after its name): every entry when `full`, else
-    /// the unsaved ones and the removed keys. Repeatable — a failed
-    /// checkpoint write is retried.
+    /// Append the crate docs' `op` after its name — a form byte and its
+    /// [`section`]: every entry when `full`, else the unsaved ones and
+    /// the removed keys. Repeatable — a failed checkpoint write is
+    /// retried.
     fn encode(&self, full: bool, out: &mut Vec<u8>);
     /// The last `encode` is durable: forget unsaved and removed.
     fn clear_tracking(&mut self);
@@ -344,17 +345,9 @@ struct CheckpointFile {
 
 /// First bytes of a binary checkpoint body; legacy bodies start with `{`.
 const BODY_MAGIC: &[u8; 4] = b"SSCK";
-/// Body format this build writes, and the newest it reads.
-const BODY_VERSION: u8 = 1;
-
-fn put_entry(out: &mut Vec<u8>, key: &Row, entry: &StateEntry) {
-    put_row(out, key);
-    put_value(out, &entry.timeout_at.map_or(Value::Null, Value::Int64));
-    put_varint(out, entry.values.len() as u64);
-    for row in &entry.values {
-        put_row(out, row);
-    }
-}
+/// Body format this build writes, and the newest it reads: v2 gave each
+/// `op` a form byte (see [`section`]).
+const BODY_VERSION: u8 = 2;
 
 /// Append a checkpoint body, encoded by reference from the operator
 /// maps and typed tables: every entry of each operator when `full`,
@@ -374,7 +367,10 @@ fn encode_body<'a>(
         put_str(out, id);
         if let Some(table) = &st.table {
             table.encode(full, out);
-        } else if full {
+            continue;
+        }
+        out.push(section::ENTRIES);
+        if full {
             put_varint(out, st.map.len() as u64);
             st.map.iter().for_each(|(k, e)| put_entry(out, k, e));
             put_varint(out, 0);
@@ -399,9 +395,9 @@ fn decode_body(body: &[u8]) -> Result<CheckpointFile> {
     if rd.bytes(4)? != BODY_MAGIC {
         return Err(bad("not a checkpoint body"));
     }
-    match rd.u8()? {
+    let formed = match rd.u8()? {
         0 => return Err(bad("state format v0 does not exist")),
-        1..=BODY_VERSION => {}
+        v @ 1..=BODY_VERSION => v >= 2,
         // Not corruption: `restore_best` must stop here, not skip the
         // blob and prune the chain a newer build wrote.
         v => {
@@ -409,7 +405,7 @@ fn decode_body(body: &[u8]) -> Result<CheckpointFile> {
                 "state format v{v} is newer than this build reads (v{BODY_VERSION})"
             )))
         }
-    }
+    };
     let kind = match rd.u8()? {
         0 => "delta",
         1 => "full",
@@ -419,20 +415,9 @@ fn decode_body(body: &[u8]) -> Result<CheckpointFile> {
     let mut ops = Vec::new();
     for _ in 0..rd.count(3)? {
         let op = rd.str()?.to_string();
-        let n_entries = rd.count(3)?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let key = rd.row()?;
-            let timeout_at = match rd.value()? {
-                Value::Null => None,
-                Value::Int64(t) => Some(t),
-                _ => return Err(bad("timeout is neither NULL nor an Int64")),
-            };
-            let values = (0..rd.count(1)?).map(|_| rd.row()).collect::<Result<_>>()?;
-            entries.push(SerializedEntry { key, entry: StateEntry { values, timeout_at } });
-        }
-        let removed = (0..rd.count(1)?).map(|_| rd.row()).collect::<Result<_>>()?;
-        ops.push(OpCheckpoint { op, entries, removed });
+        let (entries, removed) = section::read_op(&mut rd, formed)?;
+        let entries = entries.into_iter().map(|(key, entry)| SerializedEntry { key, entry });
+        ops.push(OpCheckpoint { op, entries: entries.collect(), removed });
     }
     if !rd.0.is_empty() {
         return Err(bad("trailing bytes after the last operator"));
@@ -676,10 +661,8 @@ impl StateStore {
             SsError::Unsupported(m) => SsError::Unsupported(format!("checkpoint {key}: {m}")),
             other => other,
         };
-        let payload;
-        let bytes: &[u8] = if frame::is_framed(data) {
-            payload = frame::decode(data).map_err(named)?;
-            &payload
+        let bytes = if frame::is_framed(data) {
+            frame::decode(data).map_err(named)?
         } else {
             data
         };
@@ -1159,7 +1142,7 @@ impl StateStore {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
-    use ss_common::row;
+    use ss_common::{row, Value};
 
     fn store() -> StateStore {
         StateStore::new(Arc::new(MemoryBackend::new())).with_snapshot_interval(3)
@@ -1604,6 +1587,72 @@ mod tests {
         assert!(s.dump_json(8).is_err());
     }
 
+    /// A table of BIGINT-keyed counts that writes group runs, removing
+    /// the keys in `.1`.
+    #[derive(Debug, Default)]
+    struct Counts(BTreeMap<Option<i64>, i64>, Vec<i64>);
+
+    impl TypedTable for Counts {
+        fn num_keys(&self) -> usize {
+            self.0.len()
+        }
+        fn approx_bytes(&self) -> usize {
+            0
+        }
+        fn is_clean(&self) -> bool {
+            true
+        }
+        fn encode(&self, _full: bool, out: &mut Vec<u8>) {
+            use section::{put_header, put_ints, put_run_head, KeyForm, SlotForm};
+            put_header(out, KeyForm::Int { timestamp: false, window: false }, &[SlotForm::Count]);
+            put_varint(out, 1);
+            put_run_head(out, 0, self.0.len());
+            put_ints(out, self.0.keys().copied());
+            put_ints(out, self.0.values().map(|&n| Some(n)));
+            put_varint(out, 1);
+            put_run_head(out, 0, self.1.len());
+            put_ints(out, self.1.iter().map(|&k| Some(k)));
+        }
+        fn clear_tracking(&mut self) {}
+        fn take_counts(&mut self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn restore_entry(&mut self, _key: Row, _entry: StateEntry) -> Result<()> {
+            unreachable!("only written")
+        }
+        fn clear(&mut self) {}
+    }
+
+    #[test]
+    fn v1_and_v2_checkpoints_of_one_state_dump_alike() {
+        let v2 = Arc::new(MemoryBackend::new());
+        let mut s = StateStore::new(v2.clone());
+        s.operator("m").put(row!["a"], entry(1));
+        let counts = BTreeMap::from([(None, 3), (Some(-2), 1), (Some(5), 7)]);
+        s.operator("t").table(|| Counts(counts, vec![9]));
+        s.checkpoint(1).unwrap();
+        // The same state as body v1 writes it: no form bytes, entries.
+        let mut body = BODY_MAGIC.to_vec();
+        body.extend_from_slice(&[1, 1]);
+        body.extend_from_slice(&1u64.to_le_bytes());
+        put_varint(&mut body, 2);
+        put_str(&mut body, "m");
+        put_varint(&mut body, 1);
+        put_entry(&mut body, &row!["a"], &entry(1));
+        put_varint(&mut body, 0);
+        put_str(&mut body, "t");
+        put_varint(&mut body, 3);
+        for (key, n) in [(Value::Null, 3), (Value::Int64(-2), 1), (Value::Int64(5), 7)] {
+            put_entry(&mut body, &Row::new(vec![key]), &entry(n));
+        }
+        put_varint(&mut body, 1);
+        put_row(&mut body, &row![9i64]);
+        let v1 = Arc::new(MemoryBackend::new());
+        v1.write_atomic(&StateStore::key_for(1, true), &frame::encode(&body)).unwrap();
+        let dump = |b: Arc<MemoryBackend>| StateStore::new(b).dump_json(1).unwrap();
+        assert_eq!(dump(v1), dump(v2));
+    }
+
     #[test]
     fn a_newer_format_version_is_unsupported_and_nothing_is_deleted() {
         let backend = Arc::new(MemoryBackend::new());
@@ -1614,7 +1663,7 @@ mod tests {
         }
         // Epoch 3 as a future build would write it: intact CRC, version+1.
         let key = StateStore::key_for(3, true);
-        let mut body = frame::decode(&backend.read(&key).unwrap().unwrap()).unwrap();
+        let mut body = frame::decode(&backend.read(&key).unwrap().unwrap()).unwrap().to_vec();
         body[BODY_MAGIC.len()] = BODY_VERSION + 1;
         backend.write_atomic(&key, &frame::encode(&body)).unwrap();
 
@@ -1956,6 +2005,7 @@ mod tests {
             true
         }
         fn encode(&self, full: bool, out: &mut Vec<u8>) {
+            out.push(section::ENTRIES);
             put_varint(out, if full { self.0.len() as u64 } else { 0 });
             for (k, v) in self.0.iter().filter(|_| full) {
                 put_entry(out, k, &StateEntry::new(vec![v.clone()]));

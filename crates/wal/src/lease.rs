@@ -257,12 +257,8 @@ impl LeaseManager {
     }
 
     fn decode(data: &[u8]) -> Option<LeaseRecord> {
-        let payload = if frame::is_framed(data) {
-            frame::decode(data).ok()?
-        } else {
-            data.to_vec()
-        };
-        serde_json::from_slice(&payload).ok()
+        let payload = if frame::is_framed(data) { frame::decode(data).ok()? } else { data };
+        serde_json::from_slice(payload).ok()
     }
 
     fn write_record(&self, record: &LeaseRecord) -> Result<()> {

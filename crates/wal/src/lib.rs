@@ -220,12 +220,10 @@ impl WriteAheadLog {
         what: &str,
         epoch: u64,
     ) -> Result<T> {
-        let payload;
-        let bytes: &[u8] = if frame::is_framed(data) {
-            payload = frame::decode(data).map_err(|e| {
+        let bytes = if frame::is_framed(data) {
+            frame::decode(data).map_err(|e| {
                 SsError::Corruption(format!("{what} record for epoch {epoch}: {e}"))
-            })?;
-            &payload
+            })?
         } else {
             data
         };

@@ -113,11 +113,9 @@ impl Manifest {
         let Some(data) = backend.read(MANIFEST_KEY)? else {
             return Ok(None);
         };
-        let payload;
-        let bytes: &[u8] = if frame::is_framed(&data) {
-            payload = frame::decode(&data)
-                .map_err(|e| SsError::Corruption(format!("checkpoint manifest: {e}")))?;
-            &payload
+        let bytes = if frame::is_framed(&data) {
+            frame::decode(&data)
+                .map_err(|e| SsError::Corruption(format!("checkpoint manifest: {e}")))?
         } else {
             &data
         };
@@ -183,7 +181,7 @@ mod tests {
         manifest().write(&b).unwrap();
         let raw = b.read(MANIFEST_KEY).unwrap().unwrap();
         assert!(frame::is_framed(&raw));
-        let text = String::from_utf8(frame::decode(&raw).unwrap()).unwrap();
+        let text = String::from_utf8(frame::decode(&raw).unwrap().to_vec()).unwrap();
         assert!(text.contains("\"engine\": \"microbatch\""));
         assert!(text.contains("\"last_epoch\": 7"));
     }

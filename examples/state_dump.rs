@@ -1,6 +1,8 @@
 //! Print a state checkpoint as JSON. Checkpoints are binary on disk
 //! (`state/chk-<epoch>-{full,delta}.bin`); this is the human-readable
-//! view, and it reads the legacy `.json` blobs of older builds too.
+//! view. A group table's columnar runs print as the entries they stand
+//! for, and older builds' blobs (binary body v1, legacy `.json`) read
+//! too.
 //!
 //! ```text
 //! cargo run --release --example state_dump -- <checkpoint-dir> [epoch]

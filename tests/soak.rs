@@ -35,6 +35,7 @@ use structured_streaming::ss_core::microbatch::{
 };
 use structured_streaming::ss_core::RateControllerConfig;
 use structured_streaming::ss_exec::MemoryCatalog;
+use structured_streaming::ss_state::StateStore;
 
 struct SlowSink {
     inner: Arc<MemorySink>,
@@ -96,6 +97,7 @@ fn start(
     sink: Arc<dyn Sink>,
     delay: &str,
     config: MicroBatchConfig,
+    backend: Arc<MemoryBackend>,
 ) -> MicroBatchExecution {
     let ctx = StreamingContext::new();
     ctx.read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
@@ -122,7 +124,7 @@ fn start(
         Arc::new(MemoryCatalog::new()),
         sink,
         OutputMode::Update,
-        Arc::new(MemoryBackend::new()),
+        backend,
         config,
     )
     .unwrap()
@@ -183,7 +185,7 @@ fn run_soak(clock: ClockRef, run: SoakRun) {
         clock: clock.clone(),
         ..Default::default()
     };
-    let mut eng = start(&bus, sink, "30 seconds", config);
+    let mut eng = start(&bus, sink, "30 seconds", config, Arc::new(MemoryBackend::new()));
 
     let deadline = match &run {
         SoakRun::Wall(d) => Some(Instant::now() + *d),
@@ -278,9 +280,10 @@ fn soak_overload_stays_bounded_virtual_time() {
 /// benchmark's "state shrank" invariant made exact): one epoch per
 /// 10 s window over the same seven keys, and after every epoch —
 /// hence after every eviction — `state_rows` *and* `state_bytes` are
-/// back at the steady-state baseline, for 200 windows. The checkpoint
-/// blobs plateau with them (one delta size, one full size), so neither
-/// the removed-key list nor the unsaved list is growing either.
+/// back at the steady-state baseline, for 200 windows. The checkpoints
+/// plateau with them (one delta shape, one full shape: the entries and
+/// removed keys of each namespace), so neither the removed-key list nor
+/// the unsaved list is growing either.
 #[test]
 fn state_returns_to_baseline_after_every_window_virtual_time() {
     const WINDOWS: u64 = 200;
@@ -292,23 +295,30 @@ fn state_returns_to_baseline_after_every_window_virtual_time() {
         clock: SimClock::new(0x50AC).handle(),
         ..Default::default()
     };
-    let mut eng = start(&bus, MemorySink::new("out"), "10 seconds", config);
-    let checkpoint_bytes = |eng: &MicroBatchExecution| {
-        match eng.metrics().value("ss_state_checkpoint_bytes", &[]) {
-            Some(MetricValue::Histogram { sum, .. }) => sum,
-            other => panic!("missing checkpoint-bytes histogram: {other:?}"),
-        }
+    let backend = Arc::new(MemoryBackend::new());
+    let mut eng =
+        start(&bus, MemorySink::new("out"), "10 seconds", config, backend.clone());
+    // A checkpoint's shape: its kind, its entries and its removed keys
+    // (over all namespaces, however many shards hold the groups).
+    let shape = |epoch: u64| {
+        let dump = StateStore::new(backend.clone()).dump_json(epoch).unwrap();
+        let dump: serde_json::Value = serde_json::from_str(&dump).unwrap();
+        let ops = dump.get("ops").and_then(|ops| ops.as_array()).unwrap();
+        let len = |list| {
+            let len = |op: &serde_json::Value| op.get(list).and_then(|l| l.as_array()).unwrap().len();
+            ops.iter().map(len).sum::<usize>()
+        };
+        (dump.get("kind").unwrap().to_string(), len("entries"), len("removed"))
     };
     let mut samples = Vec::new();
-    let mut blob_sizes = std::collections::BTreeSet::new();
+    let mut shapes = std::collections::BTreeSet::new();
     for w in 0..WINDOWS {
         // 28 rows 250 ms apart: exactly window `w`.
         feed(&bus, PER_WINDOW, w * 40);
-        let before = checkpoint_bytes(&eng);
         let EpochRun::Ran(p) = eng.run_epoch().unwrap() else { panic!("window {w} ran no epoch") };
         samples.push((p.state_rows, p.state_bytes));
         if samples.len() > WARM_UP {
-            blob_sizes.insert(checkpoint_bytes(&eng) - before);
+            shapes.insert(shape(p.epoch));
         }
     }
     let baseline = samples[WARM_UP];
@@ -316,7 +326,7 @@ fn state_returns_to_baseline_after_every_window_virtual_time() {
     for (w, sample) in samples.iter().enumerate().skip(WARM_UP) {
         assert_eq!(*sample, baseline, "state did not return to its baseline after window {w}");
     }
-    assert!(blob_sizes.len() <= 2, "checkpoint blobs keep changing size: {blob_sizes:?}");
+    assert!(shapes.len() <= 2, "checkpoints keep changing shape: {shapes:?}");
     let live_windows = baseline.0 / 7;
     match eng.metrics().value("ss_state_evictions_total", &[]) {
         Some(MetricValue::Counter(n)) => assert_eq!(n, 7 * (WINDOWS - live_windows)),

@@ -541,6 +541,136 @@ fn golden_v1_fixture_restores_with_current_code() {
 }
 
 // ---------------------------------------------------------------------
+// Golden binary v1 fixture
+// ---------------------------------------------------------------------
+
+/// `tests/fixtures/checkpoint_bin_v1/`: what the last build to write
+/// state body v1 in `ss-frame-v1` frames left after [`bin_query`] ran
+/// one epoch per batch of [`bin_epochs`] and stopped gracefully. Its
+/// epoch-3 delta removes the keys the watermark closed.
+fn bin_fixture_dir() -> std::path::PathBuf {
+    fixture_dir().with_file_name("checkpoint_bin_v1")
+}
+
+/// `(user, bytes, event time s)` rows of `user BIGINT, bytes BIGINT,
+/// t TIMESTAMP`.
+fn bin_rows(events: &[(Option<i64>, i64, i64)]) -> Vec<Row> {
+    let row = |&(user, bytes, t): &(Option<i64>, i64, i64)| {
+        row![user.map_or(Value::Null, Value::Int64), bytes, Value::Timestamp(t * 1_000_000)]
+    };
+    events.iter().map(row).collect()
+}
+
+fn bin_epochs() -> [Vec<Row>; 4] {
+    [
+        bin_rows(&[
+            (Some(1), 100, 1),
+            (Some(2), 250, 2),
+            (Some(-3), 70, 3),
+            (None, 40, 4),
+            (Some(1), 300, 6),
+            (Some(7), 11, 8),
+        ]),
+        bin_rows(&[
+            (Some(1), 5, 11),
+            (Some(-3), 600, 12),
+            (Some(5), 90, 14),
+            (None, 8, 15),
+            (Some(-3), 1, 19),
+        ]),
+        bin_rows(&[(Some(2), 77, 21), (Some(-9), 123, 23), (Some(1), 9, 28)]),
+        bin_rows(&[(Some(5), 55, 31), (None, 66, 34), (Some(-9), 1000, 38)]),
+    ]
+}
+
+/// A windowed BIGINT-keyed aggregate with a count, a BIGINT sum, a
+/// TIMESTAMP max and an average (a state row) under a watermark.
+fn bin_query(bus: &Arc<MessageBus>, sink: Arc<MemorySink>, dir: &std::path::Path) -> StreamingQuery {
+    let schema = Schema::of(vec![
+        Field::new("user", DataType::Int64),
+        Field::new("bytes", DataType::Int64),
+        Field::new("t", DataType::Timestamp),
+    ]);
+    let ctx = StreamingContext::new();
+    ctx.read_source(Arc::new(BusSource::new(bus.clone(), "in", schema).unwrap()))
+        .unwrap()
+        .with_watermark("t", "5 seconds")
+        .unwrap()
+        .group_by(vec![window(col("t"), "10 seconds").unwrap(), col("user")])
+        .agg(vec![count_star(), sum(col("bytes")), max(col("t")), avg(col("bytes"))])
+        .write_stream()
+        .query_name("bin")
+        .output_mode(OutputMode::Update)
+        .sink(sink)
+        .checkpoint_dir(dir)
+        .unwrap()
+        .start_sync()
+        .unwrap()
+}
+
+#[test]
+fn golden_binary_v1_fixture_restores_with_current_code() {
+    use structured_streaming::ss_state::StateStore;
+    let work = std::env::temp_dir().join(format!("ss-golden-bin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    copy_dir(&bin_fixture_dir(), &work);
+    let store = || StateStore::new(Arc::new(FsBackend::new(&work).unwrap()));
+    let blob = |epoch: u64, kind: &str| {
+        std::fs::read(work.join(format!("state/chk-{epoch:020}-{kind}.bin"))).unwrap()
+    };
+    assert!(blob(3, "delta").starts_with(b"ss-frame-v1 crc32="));
+    let dump: serde_json::Value = serde_json::from_str(&store().dump_json(3).unwrap()).unwrap();
+    let ops = dump.get("ops").and_then(|ops| ops.as_array()).unwrap();
+    let removed = |op: &serde_json::Value| op.get("removed").and_then(|r| r.as_array()).unwrap().len();
+    assert_eq!(ops.iter().map(removed).sum::<usize>(), 5);
+
+    let bus = fixture_bus();
+    for rows in bin_epochs() {
+        bus.append("in", 0, rows).unwrap();
+    }
+    let sink = MemorySink::new("out");
+    let mut q = bin_query(&bus, sink.clone(), &work);
+    assert_eq!(q.current_epoch(), 4, "fixture's committed epochs restored");
+    // A late row for a restored group, and a new window.
+    bus.append("in", 0, bin_rows(&[(Some(-9), 4, 36), (Some(1), 7, 41), (Some(5), 3, 44)]))
+        .unwrap();
+    q.process_available().unwrap();
+    q.stop_graceful().unwrap();
+    assert!(blob(5, "full").starts_with(b"ss-frame-v2 crc32c="));
+
+    // Values the fixture's build recorded for the same run.
+    let ts = |s: i64| Value::Timestamp(s * 1_000_000);
+    assert_eq!(
+        sink.snapshot(),
+        vec![
+            row![ts(30), ts(40), -9i64, 2i64, 1004i64, ts(38), 502.0],
+            row![ts(40), ts(50), 1i64, 1i64, 7i64, ts(41), 7.0],
+            row![ts(40), ts(50), 5i64, 1i64, 3i64, ts(44), 3.0],
+        ]
+    );
+    let group = |count: i64, bytes: i64, max: i64| {
+        vec![row![count], row![bytes], row![ts(max)], row![bytes as f64, count]]
+    };
+    let mut want = BTreeMap::from([
+        (row![ts(30), -9i64], group(2, 1004, 38)),
+        (row![ts(30), 5i64], group(1, 55, 31)),
+        (row![ts(30), Value::Null], group(1, 66, 34)),
+        (row![ts(40), 1i64], group(1, 7, 41)),
+        (row![ts(40), 5i64], group(1, 3, 44)),
+    ]);
+    want.insert(row!["__current"], vec![row![ts(39)]]);
+    want.insert(row!["t"], vec![row![ts(44)]]);
+    let mut restored = store();
+    assert_eq!(restored.restore_best(None).unwrap(), Some(5));
+    let mut got = BTreeMap::new();
+    for id in restored.operator_ids() {
+        got.extend(restored.operator(&id).iter().map(|(k, e)| (k.clone(), e.values.clone())));
+    }
+    assert_eq!(got, want);
+    std::fs::remove_dir_all(&work).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Legacy v0 layout
 // ---------------------------------------------------------------------
 
