@@ -128,12 +128,6 @@ impl YahooWorkload {
         ])
     }
 
-    /// A batch of events `[start, end)` for one partition.
-    pub fn event_batch(&self, partition: u32, start: u64, end: u64) -> RecordBatch {
-        let rows: Vec<Row> = (start..end).map(|o| self.event(partition, o)).collect();
-        RecordBatch::from_rows(self.event_schema(), &rows).expect("generated events")
-    }
-
     /// A generator closure for [`ss_bus::GeneratorSource`].
     pub fn generator(&self) -> Arc<dyn Fn(u32, u64) -> Row + Send + Sync> {
         let w = self.clone();

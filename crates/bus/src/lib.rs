@@ -39,5 +39,5 @@ pub use bus::{MessageBus, OverflowPolicy, Record, TopicConfig};
 pub use dlq::{DeadLetterQueue, DeadLetterRecord};
 pub use metrics::{SinkMetrics, SourceMetrics};
 pub use scan_cache::{ScanCache, ScanCacheStats, SharedScanSource};
-pub use sink::{BusSink, CallbackSink, EpochOutput, FenceGuard, FencedSink, FileSink, MemorySink, Sink};
+pub use sink::{BusSink, CallbackSink, EpochOutput, FileSink, MemorySink, Sink};
 pub use source::{BusSource, FileSource, GeneratorSource, Source};

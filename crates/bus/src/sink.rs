@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ss_common::{RecordBatch, Result, Row, SchemaRef, SsError};
+use ss_common::{RecordBatch, Result, Row, SsError};
 
 use crate::bus::MessageBus;
 use crate::json::row_to_json;
@@ -67,7 +67,6 @@ pub trait Sink: Send + Sync {
 
 #[derive(Default)]
 struct MemorySinkState {
-    schema: Option<SchemaRef>,
     /// Append mode: rows per epoch (keyed by epoch => idempotent).
     appended: BTreeMap<u64, Vec<Row>>,
     /// Update mode: upsert map, key → (epoch, row).
@@ -106,15 +105,6 @@ impl MemorySink {
         st.appended.values().flatten().cloned().collect()
     }
 
-    /// The snapshot as a batch (None before the first commit).
-    pub fn to_batch(&self) -> Result<Option<RecordBatch>> {
-        let schema = { self.state.lock().schema.clone() };
-        match schema {
-            None => Ok(None),
-            Some(s) => Ok(Some(RecordBatch::from_rows(s, &self.snapshot())?)),
-        }
-    }
-
     /// Epochs committed so far (append mode).
     pub fn committed_epochs(&self) -> Vec<u64> {
         self.state.lock().appended.keys().copied().collect()
@@ -128,7 +118,6 @@ impl Sink for MemorySink {
 
     fn commit_epoch(&self, epoch: u64, output: &EpochOutput) -> Result<()> {
         let mut st = self.state.lock();
-        st.schema.get_or_insert_with(|| output.batch().schema().clone());
         match output {
             EpochOutput::Append(batch) => {
                 // Keyed by epoch: a re-run replaces, never duplicates.
@@ -393,57 +382,10 @@ impl Sink for CallbackSink {
     }
 }
 
-/// The fence predicate a [`FencedSink`] consults before every mutation.
-/// Returns the current fencing epoch, or an error (typically
-/// `SsError::Fenced`) when the writer's leadership lease is gone. A
-/// closure keeps this crate free of a dependency on the lease
-/// implementation — the engine passes `LeaseManager::check_fenced`.
-pub type FenceGuard = Arc<dyn Fn(&str) -> Result<u64> + Send + Sync>;
-
-/// A [`Sink`] decorator that consults a [`FenceGuard`] before every
-/// mutation, so a paused "zombie" leader that wakes after losing its
-/// leadership lease cannot push output into the sink. Reads and
-/// monitoring pass through untouched.
-pub struct FencedSink {
-    inner: Arc<dyn Sink>,
-    guard: FenceGuard,
-}
-
-impl FencedSink {
-    pub fn new(inner: Arc<dyn Sink>, guard: FenceGuard) -> Arc<FencedSink> {
-        Arc::new(FencedSink { inner, guard })
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> Arc<dyn Sink> {
-        self.inner.clone()
-    }
-}
-
-impl Sink for FencedSink {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn commit_epoch(&self, epoch: u64, output: &EpochOutput) -> Result<()> {
-        (self.guard)("sink-commit")?;
-        self.inner.commit_epoch(epoch, output)
-    }
-
-    fn truncate_after(&self, epoch: u64) -> Result<()> {
-        (self.guard)("sink-truncate")?;
-        self.inner.truncate_after(epoch)
-    }
-
-    fn rows_written(&self) -> u64 {
-        self.inner.rows_written()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_common::{row, DataType, Field, Schema};
+    use ss_common::{row, DataType, Field, Schema, SchemaRef};
 
     fn schema() -> SchemaRef {
         Schema::of(vec![
@@ -486,8 +428,6 @@ mod tests {
         sink.commit_epoch(2, &EpochOutput::Complete(batch(&[row!["a", 2i64], row!["b", 1i64]])))
             .unwrap();
         assert_eq!(sink.snapshot(), vec![row!["a", 2i64], row!["b", 1i64]]);
-        let b = sink.to_batch().unwrap().unwrap();
-        assert_eq!(b.num_rows(), 2);
         assert_eq!(sink.rows_written(), 3);
     }
 
@@ -613,33 +553,5 @@ mod tests {
         assert_eq!(bus.retained_records("out").unwrap(), 2);
         assert_eq!(sink.rows_written(), 2);
         assert!(BusSink::new(bus, "missing").is_err());
-    }
-
-    #[test]
-    fn fenced_sink_blocks_mutations_once_the_guard_trips() {
-        let inner = MemorySink::new("out");
-        let fenced_flag = Arc::new(AtomicU64::new(0));
-        let flag = fenced_flag.clone();
-        let guard: FenceGuard = Arc::new(move |ctx: &str| {
-            if flag.load(Ordering::SeqCst) == 0 {
-                Ok(7)
-            } else {
-                Err(ss_common::SsError::Fenced(format!(
-                    "durable write `{ctx}` rejected"
-                )))
-            }
-        });
-        let sink = FencedSink::new(inner.clone(), guard);
-        let out = EpochOutput::Append(batch(&[row!["a", 1i64]]));
-        sink.commit_epoch(1, &out).unwrap();
-        assert_eq!(sink.rows_written(), 1);
-        // Leadership lost: every mutation bounces, the sink is frozen.
-        fenced_flag.store(1, Ordering::SeqCst);
-        let err = sink.commit_epoch(2, &out).unwrap_err();
-        assert_eq!(err.category(), "fenced");
-        assert!(err.to_string().contains("sink-commit"), "{err}");
-        assert!(sink.truncate_after(0).is_err());
-        assert_eq!(inner.snapshot().len(), 1);
-        assert_eq!(sink.name(), "out");
     }
 }

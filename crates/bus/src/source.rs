@@ -402,11 +402,6 @@ impl GeneratorSource {
             a.fetch_add(n, Ordering::SeqCst);
         }
     }
-
-    /// Make `n` more offsets available on one partition.
-    pub fn advance_partition(&self, partition: u32, n: u64) {
-        self.available[partition as usize].fetch_add(n, Ordering::SeqCst);
-    }
 }
 
 impl Source for GeneratorSource {
@@ -679,10 +674,9 @@ mod tests {
         );
         assert_eq!(src.latest_offsets().unwrap()[&0], 0);
         src.advance(5);
-        src.advance_partition(1, 2);
         let latest = src.latest_offsets().unwrap();
         assert_eq!(latest[&0], 5);
-        assert_eq!(latest[&1], 7);
+        assert_eq!(latest[&1], 5);
         let a = src.read_partition(0, 1, 4).unwrap();
         let b = src.read_partition(0, 1, 4).unwrap();
         assert_eq!(a, b);

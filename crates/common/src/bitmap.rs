@@ -31,17 +31,6 @@ impl Bitmap {
         bm
     }
 
-    /// Build from a bool slice.
-    pub fn from_bools(bits: &[bool]) -> Bitmap {
-        let mut bm = Bitmap::filled(bits.len(), false);
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                bm.set(i, true);
-            }
-        }
-        bm
-    }
-
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -87,11 +76,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// True if every bit is set.
-    pub fn all_set(&self) -> bool {
-        self.count_set() == self.len
-    }
-
     /// Bitwise AND of two equal-length bitmaps.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
@@ -109,11 +93,6 @@ impl Bitmap {
     /// Iterator over bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Materialize into a `Vec<bool>`.
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
     }
 
     /// Clear any bits beyond `len` in the last word (keeps `count_set`
@@ -147,7 +126,6 @@ mod tests {
         let bm = Bitmap::filled(70, true);
         assert_eq!(bm.len(), 70);
         assert_eq!(bm.count_set(), 70);
-        assert!(bm.all_set());
     }
 
     #[test]
@@ -167,29 +145,21 @@ mod tests {
 
     #[test]
     fn and_combines() {
-        let a = Bitmap::from_bools(&[true, true, false, false]);
-        let b = Bitmap::from_bools(&[true, false, true, false]);
-        assert_eq!(a.and(&b).to_bools(), vec![true, false, false, false]);
+        let a: Bitmap = [true, true, false, false].into_iter().collect();
+        let b: Bitmap = [true, false, true, false].into_iter().collect();
+        let and: Vec<bool> = a.and(&b).iter().collect();
+        assert_eq!(and, vec![true, false, false, false]);
     }
 
     #[test]
     fn count_set_counts() {
         let bm: Bitmap = (0..130).map(|i| i % 2 == 0).collect();
         assert_eq!(bm.count_set(), 65);
-        assert!(!bm.all_set());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         Bitmap::filled(3, true).get(3);
-    }
-
-    #[test]
-    fn from_iter_matches_from_bools() {
-        let bools = [true, false, true];
-        let a: Bitmap = bools.iter().copied().collect();
-        let b = Bitmap::from_bools(&bools);
-        assert_eq!(a, b);
     }
 }

@@ -259,7 +259,6 @@ struct Waiter {
 #[derive(Debug)]
 struct SimState {
     now_us: u64,
-    wall_origin_us: i64,
     rng: XorShift64,
     /// Registered threads currently runnable (entered, not parked on
     /// the clock). While > 0 the clock must not advance: a runnable
@@ -349,7 +348,6 @@ impl SimClock {
                 uid: NEXT_CLOCK_UID.fetch_add(1, Ordering::Relaxed),
                 state: Mutex::new(SimState {
                     now_us: 0,
-                    wall_origin_us: SIM_WALL_ORIGIN_US,
                     rng: XorShift64::new(seed),
                     running: 0,
                     pending: 0,
@@ -360,14 +358,6 @@ impl SimClock {
                 cvar: Condvar::new(),
             }),
         }
-    }
-
-    /// Same clock, different wall origin (for tests that pin absolute
-    /// wall timestamps, e.g. a frozen clock reading exactly `us`).
-    pub fn at_wall_us(seed: u64, us: i64) -> SimClock {
-        let clock = SimClock::new(seed);
-        clock.inner.state.lock().unwrap().wall_origin_us = us;
-        clock
     }
 
     /// Share this clock as a [`ClockRef`].
@@ -486,8 +476,7 @@ impl Clock for SimClock {
     }
 
     fn wall_us(&self) -> i64 {
-        let state = self.inner.state.lock().unwrap();
-        state.wall_origin_us.saturating_add(state.now_us as i64)
+        SIM_WALL_ORIGIN_US.saturating_add(self.monotonic_us() as i64)
     }
 
     fn sleep(&self, d: Duration) {
@@ -680,14 +669,6 @@ mod tests {
             &|| polls.fetch_add(1, Ordering::SeqCst) >= 1
         ));
         assert_eq!(sim.now_us(), 110_000);
-    }
-
-    #[test]
-    fn sim_wall_origin_is_adjustable() {
-        let sim = SimClock::at_wall_us(0, 42);
-        assert_eq!(sim.wall_us(), 42);
-        sim.advance(Duration::from_micros(8));
-        assert_eq!(sim.wall_us(), 50);
     }
 
     #[test]

@@ -308,11 +308,6 @@ impl Column {
         with_typed!(self, c => c.is_valid(i))
     }
 
-    /// True if no slot is NULL.
-    pub fn no_nulls(&self) -> bool {
-        with_typed!(self, c => c.validity().is_none_or(|n| n.all_set()))
-    }
-
     /// Scalar value at `i`.
     #[inline]
     pub fn value(&self, i: usize) -> Value {
@@ -695,7 +690,6 @@ mod tests {
         let c = Column::nulls(DataType::Utf8, 4);
         assert_eq!(c.len(), 4);
         assert!(c.to_values().iter().all(|v| v.is_null()));
-        assert!(!c.no_nulls());
     }
 
     #[test]

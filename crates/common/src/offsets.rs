@@ -35,15 +35,6 @@ impl OffsetRange {
     pub fn is_empty(&self) -> bool {
         self.num_records() == 0
     }
-
-    /// The range `[self.end, later.end)` — the records that arrived
-    /// between two offset snapshots.
-    pub fn gap_to(&self, later_end: &PartitionOffsets) -> OffsetRange {
-        OffsetRange {
-            start: self.end.clone(),
-            end: later_end.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,16 +59,5 @@ mod tests {
             end: BTreeMap::from([(0, 4)]),
         };
         assert_eq!(r.num_records(), 4);
-    }
-
-    #[test]
-    fn gap_to_chains_epochs() {
-        let e1 = OffsetRange {
-            start: BTreeMap::from([(0, 0)]),
-            end: BTreeMap::from([(0, 10)]),
-        };
-        let e2 = e1.gap_to(&BTreeMap::from([(0, 25)]));
-        assert_eq!(e2.start, BTreeMap::from([(0, 10)]));
-        assert_eq!(e2.num_records(), 15);
     }
 }

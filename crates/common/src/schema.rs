@@ -38,14 +38,6 @@ impl Field {
         }
     }
 
-    /// Rename, keeping type and nullability.
-    pub fn with_name(&self, name: impl Into<String>) -> Field {
-        Field {
-            name: name.into(),
-            ..self.clone()
-        }
-    }
-
     /// Same field but nullable.
     pub fn as_nullable(&self) -> Field {
         Field {
@@ -245,6 +237,5 @@ mod tests {
         let f = Field::not_null("x", DataType::Int64);
         assert!(!f.nullable);
         assert!(f.as_nullable().nullable);
-        assert_eq!(f.with_name("y").name, "y");
     }
 }

@@ -23,9 +23,6 @@ pub const MICROS_PER_HOUR: i64 = 60 * MICROS_PER_MIN;
 pub const MICROS_PER_DAY: i64 = 24 * MICROS_PER_HOUR;
 
 /// Shorthand constructors for durations in microseconds.
-pub fn millis(n: i64) -> i64 {
-    n * MICROS_PER_MILLI
-}
 pub fn secs(n: i64) -> i64 {
     n * MICROS_PER_SEC
 }
@@ -141,7 +138,7 @@ mod tests {
         assert_eq!(parse_duration("30s").unwrap(), secs(30));
         assert_eq!(parse_duration("5 min").unwrap(), minutes(5));
         assert_eq!(parse_duration("1 hour").unwrap(), hours(1));
-        assert_eq!(parse_duration("250 ms").unwrap(), millis(250));
+        assert_eq!(parse_duration("250 ms").unwrap(), 250 * MICROS_PER_MILLI);
         assert_eq!(parse_duration("2 days").unwrap(), 2 * MICROS_PER_DAY);
         assert_eq!(parse_duration(" 7 us ").unwrap(), 7);
     }

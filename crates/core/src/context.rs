@@ -141,10 +141,7 @@ impl StreamingContext {
     }
 
     /// Resolve the registered sources a plan's streaming scans need.
-    pub(crate) fn sources_for(
-        &self,
-        scan_names: &[String],
-    ) -> Result<HashMap<String, Arc<dyn Source>>> {
+    pub fn sources_for(&self, scan_names: &[String]) -> Result<HashMap<String, Arc<dyn Source>>> {
         let sources = self.inner.sources.lock();
         let mut out = HashMap::new();
         for name in scan_names {
@@ -157,25 +154,12 @@ impl StreamingContext {
     }
 
     /// Static tables as a catalog (for stream–static joins).
-    pub(crate) fn static_catalog(&self) -> ss_exec::MemoryCatalog {
+    pub fn static_catalog(&self) -> ss_exec::MemoryCatalog {
         let mut catalog = ss_exec::MemoryCatalog::new();
         for (name, batches) in self.inner.statics.lock().iter() {
             catalog.register(name.clone(), batches.clone());
         }
         catalog
-    }
-
-    /// All registered static tables (for engine-level harnesses — e.g.
-    /// a multi-query driver — that construct a
-    /// [`crate::MicroBatchExecution`] directly and need the context's
-    /// static side as an executor catalog).
-    pub fn statics_snapshot(&self) -> Vec<(String, Vec<RecordBatch>)> {
-        self.inner
-            .statics
-            .lock()
-            .iter()
-            .map(|(n, b)| (n.clone(), b.clone()))
-            .collect()
     }
 
     /// All registered streaming sources (for engine-level harnesses
@@ -211,14 +195,5 @@ impl StreamingContext {
     /// name sources/tables registered here.
     pub fn dataframe_from_plan(&self, plan: Arc<ss_plan::LogicalPlan>) -> DataFrame {
         DataFrame::new(self.inner.clone(), LogicalPlanBuilder::from_plan(plan))
-    }
-
-    /// Run an arbitrary plan as a batch job over everything currently
-    /// available (§7.3).
-    pub fn execute_batch(&self, plan: &Arc<ss_plan::LogicalPlan>) -> Result<RecordBatch> {
-        let catalog = self.inner.batch_catalog()?;
-        let analyzed = ss_plan::analyze(plan)?;
-        let optimized = ss_plan::optimize(&analyzed)?;
-        ss_exec::execute(&optimized, &catalog)
     }
 }

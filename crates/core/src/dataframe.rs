@@ -24,7 +24,7 @@ use ss_state::{CheckpointBackend, FsBackend, MemoryBackend};
 use crate::context::ContextInner;
 use crate::continuous::{ContinuousConfig, ContinuousQuery, RecordSink};
 use crate::microbatch::{MicroBatchConfig, MicroBatchExecution};
-use crate::query::{StreamingQuery, TriggerPolicy};
+use crate::query::{RestartPolicy, StreamingQuery};
 
 /// When the engine computes a new result (§4 feature (1)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +37,22 @@ pub enum Trigger {
     /// Continuous processing (§6.3); the duration is the epoch-marker
     /// interval. Requires a bus-backed source and a record sink.
     Continuous(Duration),
+}
+
+impl Trigger {
+    /// The micro-batch schedule: the interval between epochs, or `None`
+    /// for [`Trigger::Once`]. A continuous trigger is rejected here, the
+    /// one place that does so: it runs through
+    /// [`DataStreamWriter::start_continuous`], not the epoch engine.
+    pub(crate) fn micro_batch_interval(self) -> Result<Option<Duration>> {
+        match self {
+            Trigger::ProcessingTime(d) => Ok(Some(d)),
+            Trigger::Once => Ok(None),
+            Trigger::Continuous(_) => Err(SsError::Plan(
+                "continuous trigger: use start_continuous() with a record sink".into(),
+            )),
+        }
+    }
 }
 
 /// A lazily-built relational query bound to a [`crate::StreamingContext`].
@@ -196,10 +212,7 @@ impl DataFrame {
     /// "run its streaming business logic as a batch application"
     /// (§2.2(3), §7.3).
     pub fn collect(&self) -> Result<RecordBatch> {
-        let catalog = self.ctx.batch_catalog()?;
-        let analyzed = ss_plan::analyze(&self.plan())?;
-        let optimized = ss_plan::optimize(&analyzed)?;
-        ss_exec::execute(&optimized, &catalog)
+        ss_exec::execute_optimized(&self.plan(), &self.ctx.batch_catalog()?)
     }
 
     /// Begin configuring a streaming write (§4.1's `writeStream`).
@@ -299,86 +312,19 @@ impl DataStreamWriter {
         Ok(self)
     }
 
-    /// Cap records per epoch (with adaptive catch-up, §7.3).
-    pub fn max_records_per_trigger(mut self, n: u64) -> Self {
-        self.config.max_records_per_trigger = Some(n);
-        self
-    }
-
-    /// Enable PID admission control: each epoch's measured processing
-    /// rate and scheduling delay bound the next epoch's admitted rows
-    /// (overload backpressure, floored at the config's `min_rate`).
-    pub fn rate_control(mut self, config: crate::admission::RateControllerConfig) -> Self {
-        self.config.rate_controller = Some(config);
-        self
-    }
-
-    /// Bound in-memory operator state: spill cold operators to the
-    /// checkpoint backend over the soft limit, fail the epoch
-    /// gracefully (`SsError::ResourceExhausted`) over the hard one.
-    pub fn state_budget(mut self, budget: crate::microbatch::MemoryBudget) -> Self {
-        self.config.state_budget = budget;
-        self
-    }
-
-    /// Checkpoint retention: after each checkpoint, purge state
-    /// generations and compact the WAL so at least the last `n` epochs
-    /// stay individually rollback-able (the horizon snaps down to a
-    /// full-snapshot boundary; everything older is garbage-collected
-    /// and counted in `ss_checkpoint_purged_total`). Default: keep
-    /// everything.
-    pub fn min_epochs_to_retain(mut self, n: u64) -> Self {
-        self.config.min_epochs_to_retain = Some(n);
-        self
-    }
-
-    /// Override the full engine config (advanced).
+    /// The engine settings: batching, admission, state budget,
+    /// retention, faults, retries, error policy and parallelism are all
+    /// fields of one [`MicroBatchConfig`] (default:
+    /// `MicroBatchConfig::default()`).
     pub fn engine_config(mut self, config: MicroBatchConfig) -> Self {
         self.config = config;
         self
     }
 
-    /// Attach a fail-point registry (fault injection for tests and
-    /// chaos drills; see `ss_common::fault`).
-    pub fn faults(mut self, faults: ss_common::FaultRegistry) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Retry policy for transient failures on the engine's durability
-    /// paths (source read, sink commit, WAL append, checkpoint write).
-    pub fn retry(mut self, retry: ss_common::RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// What to do when a single record deterministically fails the
-    /// epoch (default [`ss_common::ErrorPolicy::Fail`]): `Quarantine` diverts
-    /// offenders to the dead-letter queue, `Drop` discards them.
-    pub fn error_policy(mut self, policy: ss_common::ErrorPolicy) -> Self {
-        self.config.error_policy = policy;
-        self
-    }
-
-    /// Worker threads for partitioned epoch execution (default 1 =
-    /// one partition, everything inline; `SS_PARALLELISM` overrides the
-    /// default). Above 1, epochs split into per-partition tasks with a
-    /// hash shuffle between stages; output is byte-identical at every
-    /// setting.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.config.parallelism = n.max(1);
-        self
-    }
-
-    /// Partitions (= state shards) when `parallelism > 1` (default:
-    /// follow `parallelism`). Checkpoints record the count;
-    /// restarting with a different one repartitions restored state.
-    pub fn shuffle_partitions(mut self, n: usize) -> Self {
-        self.config.shuffle_partitions = n.max(1);
-        self
-    }
-
+    /// The micro-batch engine this writer describes. The trigger is
+    /// checked first, so a continuous one builds nothing.
     fn build_engine(&self) -> Result<MicroBatchExecution> {
+        self.trigger.micro_batch_interval()?;
         let sink = self
             .sink
             .clone()
@@ -419,47 +365,20 @@ impl DataStreamWriter {
     /// Start in synchronous mode: the caller drives epochs. What the
     /// tests, benchmarks and run-once deployments use.
     pub fn start_sync(self) -> Result<StreamingQuery> {
-        if matches!(self.trigger, Trigger::Continuous(_)) {
-            return Err(SsError::Plan(
-                "continuous trigger: use start_continuous() with a record sink".into(),
-            ));
-        }
         Ok(StreamingQuery::new_sync(self.build_engine()?))
     }
 
-    /// Start with a background trigger thread.
+    /// Start with a background trigger thread; the first failure
+    /// terminates the query.
     pub fn start(self) -> Result<StreamingQuery> {
-        let policy = match self.trigger {
-            Trigger::ProcessingTime(d) => TriggerPolicy::ProcessingTime(d),
-            Trigger::Once => TriggerPolicy::Once,
-            Trigger::Continuous(_) => {
-                return Err(SsError::Plan(
-                    "continuous trigger: use start_continuous() with a record sink".into(),
-                ))
-            }
-        };
-        let engine = self.build_engine()?;
-        Ok(StreamingQuery::start_background(engine, policy))
+        self.start_supervised(RestartPolicy::none())
     }
 
     /// Start with a background trigger thread under a supervisor that
     /// restarts the query (re-running WAL recovery) on non-user
     /// failures, per `restart_policy`.
-    pub fn start_supervised(
-        self,
-        restart_policy: crate::query::RestartPolicy,
-    ) -> Result<StreamingQuery> {
-        let policy = match self.trigger {
-            Trigger::ProcessingTime(d) => TriggerPolicy::ProcessingTime(d),
-            Trigger::Once => TriggerPolicy::Once,
-            Trigger::Continuous(_) => {
-                return Err(SsError::Plan(
-                    "continuous trigger: use start_continuous() with a record sink".into(),
-                ))
-            }
-        };
-        let engine = self.build_engine()?;
-        Ok(StreamingQuery::start_supervised(engine, policy, restart_policy))
+    pub fn start_supervised(self, restart_policy: RestartPolicy) -> Result<StreamingQuery> {
+        StreamingQuery::start_supervised(self.build_engine()?, self.trigger, restart_policy)
     }
 
     /// Start in continuous processing mode (§6.3). The plan must be

@@ -14,11 +14,12 @@
 //! * **Lease-fenced leadership** — [`ss_wal::LeaseManager`] maintains
 //!   an atomically-renewed lease file with a monotonically increasing
 //!   *fencing epoch*. Wrapping the checkpoint backend in
-//!   [`ss_wal::FencedBackend`] (and the sink in
-//!   [`ss_bus::FencedSink`]) makes every durable write validate the
-//!   lease first: a paused-then-resumed "zombie" leader gets
+//!   [`ss_wal::FencedBackend`] makes every WAL, state and manifest
+//!   write validate the lease first, and the engine checks it before
+//!   every sink, DLQ and rollback mutation: a paused-then-resumed
+//!   "zombie" leader gets
 //!   [`SsError::Fenced`](ss_common::SsError::Fenced) instead of
-//!   corrupting the log.
+//!   corrupting the log or the output.
 //! * **Warm standby** — an engine built with
 //!   [`MicroBatchExecution::new_standby`] is read-only: each
 //!   [`standby_tick`](MicroBatchExecution::standby_tick) replays the

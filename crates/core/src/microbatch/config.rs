@@ -14,16 +14,6 @@ use crate::ha::HaConfig;
 
 pub use ss_state::MemoryBudget;
 
-/// A processing-time clock, injectable for deterministic tests.
-///
-/// Historically this was a bare `Arc<dyn Fn() -> i64>` private to the
-/// engine; it is now the workspace-wide [`ss_common::clock::Clock`]
-/// trait, so one injected clock drives processing-time stamps, retry
-/// backoff, watchdog deadlines and fault stalls coherently (see
-/// [`ss_common::clock::SimClock`] for fully virtual time and
-/// [`ss_common::clock::StepClock`] for stepping/frozen test clocks).
-pub type Clock = ClockRef;
-
 /// Engine-level fail points, fired between the steps of the epoch
 /// protocol. The layers below expose their own (see
 /// `ss_wal::failpoints`, `ss_state::store::failpoints`,
@@ -71,7 +61,7 @@ pub struct MicroBatchConfig {
     /// watchdog, per-task deadlines and injected fault stalls, so a
     /// virtual clock ([`ss_common::clock::SimClock`]) makes the whole
     /// engine's sense of time simulated.
-    pub clock: Clock,
+    pub clock: ClockRef,
     /// Cooperative interrupt for retry backoff: while a durability
     /// retry (source read, sink commit, WAL append, checkpoint write)
     /// is sleeping out its backoff, raising this flag aborts the sleep

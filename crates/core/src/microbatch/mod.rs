@@ -84,7 +84,7 @@ use crate::parallel::{Exchange, TaskEnv};
 use crate::upgrade::{self, StateMigration};
 use crate::watermark::WatermarkTracker;
 
-pub use config::{failpoints, Clock, MemoryBudget, MicroBatchConfig};
+pub use config::{failpoints, MemoryBudget, MicroBatchConfig};
 
 /// The result of one trigger firing.
 #[derive(Debug, Clone, PartialEq)]
@@ -822,7 +822,7 @@ mod tests {
     fn rate_controller_limits_admission_and_reports() {
         // A stepping clock: every reading advances 100ms, so each epoch
         // appears to take several hundred ms of processing time.
-        let clock: Clock = ss_common::clock::StepClock::new(0, 100_000).handle();
+        let clock: ClockRef = ss_common::clock::StepClock::new(0, 100_000).handle();
         let src = gen_source(1);
         let sink = MemorySink::new("out");
         let config = MicroBatchConfig {

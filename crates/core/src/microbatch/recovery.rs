@@ -180,8 +180,9 @@ impl MicroBatchExecution {
     /// sink output to `epoch`, then take over from there. Subsequent
     /// triggers recompute everything after `epoch` from the (retained)
     /// source data.
-    /// Both validations below run **before** any truncation, so a
-    /// refused rollback leaves the checkpoint untouched.
+    /// Both validations below, and the HA fence, run **before** any
+    /// truncation, so a refused rollback leaves the checkpoint, the
+    /// sink and the dead-letter queue untouched.
     pub fn rollback_to(&mut self, epoch: u64) -> Result<()> {
         // Retention horizon: if GC compacted the WAL prefix, epochs
         // below the earliest retained full snapshot cannot be rebuilt.
@@ -228,6 +229,11 @@ impl MicroBatchExecution {
                     )));
                 }
             }
+        }
+        // The sink and the DLQ live outside the checkpoint backend, so
+        // a zombie leader is fenced explicitly, as at every commit.
+        if let Some(ha) = &self.config.ha {
+            ha.lease.check_fenced("rollback")?;
         }
         self.wal.truncate_after(epoch)?;
         self.store.truncate_after(epoch)?;

@@ -25,18 +25,9 @@ use serde::Serialize;
 
 use ss_common::{failure_fingerprint, FailureTracker, Result, SsError};
 
+use crate::dataframe::Trigger;
 use crate::metrics::{QueryProgress, StreamingQueryListener};
 use crate::microbatch::{EpochRun, MicroBatchExecution};
-
-/// When the engine attempts a new incremental computation (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerPolicy {
-    /// Fire every interval (microbatch default).
-    ProcessingTime(Duration),
-    /// Drain what is available once, then stop — the "run-once trigger
-    /// for cost savings" of §7.3.
-    Once,
-}
 
 /// How the supervisor reacts when a background query's trigger loop
 /// fails (§6.1: "the system automatically restarts failed tasks").
@@ -76,8 +67,8 @@ impl Default for RestartPolicy {
 }
 
 impl RestartPolicy {
-    /// Never restart: the first failure terminates the query (the
-    /// pre-supervisor behaviour of [`StreamingQuery::start_background`]).
+    /// Never restart: the first failure terminates the query (what
+    /// [`crate::DataStreamWriter::start`] runs under).
     pub fn none() -> RestartPolicy {
         RestartPolicy {
             max_restarts: 0,
@@ -113,13 +104,6 @@ impl StreamingQuery {
         }
     }
 
-    /// Spawn a background thread firing `trigger`. The first failure
-    /// terminates the query; use [`StreamingQuery::start_supervised`]
-    /// for automatic restarts.
-    pub fn start_background(engine: MicroBatchExecution, trigger: TriggerPolicy) -> StreamingQuery {
-        StreamingQuery::start_supervised(engine, trigger, RestartPolicy::none())
-    }
-
     /// Spawn a supervised background thread firing `trigger`. When the
     /// trigger loop fails with anything other than a user error, the
     /// supervisor backs off, re-runs WAL recovery in place
@@ -127,12 +111,14 @@ impl StreamingQuery {
     /// `policy.max_restarts` times. A failed recovery attempt consumes
     /// a restart too. Once exhausted, the query terminates and the last
     /// error is preserved in [`StreamingQuery::exception`] (suffixed
-    /// with the restart count when any were attempted).
+    /// with the restart count when any were attempted). A continuous
+    /// trigger is rejected: it has no micro-batch schedule.
     pub fn start_supervised(
         engine: MicroBatchExecution,
-        trigger: TriggerPolicy,
+        trigger: Trigger,
         policy: RestartPolicy,
-    ) -> StreamingQuery {
+    ) -> Result<StreamingQuery> {
+        let interval = trigger.micro_batch_interval()?;
         let name = engine.name().to_string();
         // The stop flag *is* the engine's retry-backoff interrupt
         // flag: one store both ends the trigger loop and aborts any
@@ -147,10 +133,10 @@ impl StreamingQuery {
             let stop = stop.clone();
             let error = error.clone();
             std::thread::spawn(move || {
-                supervise(&engine, &stop, &error, trigger, policy);
+                supervise(&engine, &stop, &error, interval, policy);
             })
         };
-        StreamingQuery {
+        Ok(StreamingQuery {
             name,
             inner: QueryInner::Background {
                 engine,
@@ -158,7 +144,7 @@ impl StreamingQuery {
                 handle: Some(handle),
                 error,
             },
-        }
+        })
     }
 
     pub fn name(&self) -> &str {
@@ -248,16 +234,6 @@ impl StreamingQuery {
     /// underlying series.
     pub fn metrics(&self) -> ss_common::MetricsRegistry {
         self.with_engine(|e| e.metrics().clone())
-    }
-
-    /// The registry rendered in the Prometheus text exposition format.
-    pub fn render_metrics(&self) -> String {
-        self.with_engine(|e| e.metrics().render())
-    }
-
-    /// The epoch trace log as chrome://tracing-compatible JSON.
-    pub fn trace_json(&self) -> String {
-        self.with_engine(|e| e.trace().to_chrome_json())
     }
 
     /// A handle to the query's trace log; clones share the buffer.
@@ -466,7 +442,7 @@ fn supervise(
     engine: &Arc<Mutex<MicroBatchExecution>>,
     stop: &Arc<AtomicBool>,
     error: &Arc<Mutex<Option<String>>>,
-    trigger: TriggerPolicy,
+    interval: Option<Duration>,
     policy: RestartPolicy,
 ) {
     let mut restarts_done: u32 = 0;
@@ -490,9 +466,9 @@ fn supervise(
     };
     'incarnation: loop {
         // Drive the trigger until it errors (Some) or finishes (None).
-        let failure: Option<SsError> = match trigger {
-            TriggerPolicy::Once => engine.lock().process_available().err(),
-            TriggerPolicy::ProcessingTime(interval) => {
+        let failure: Option<SsError> = match interval {
+            None => engine.lock().process_available().err(),
+            Some(interval) => {
                 let mut failure = None;
                 while !stop.load(Ordering::SeqCst) {
                     let started = clock.monotonic_us();
@@ -689,16 +665,6 @@ impl StreamingQueryManager {
         names.into_iter().map(|n| f(&q[n])).collect()
     }
 
-    /// Restart counts of all active queries, sorted by name — a quick
-    /// health overview of a supervised application.
-    pub fn restart_counts(&self) -> Vec<(String, u64)> {
-        let q = self.queries.lock();
-        let mut counts: Vec<(String, u64)> =
-            q.iter().map(|(n, v)| (n.clone(), v.restarts())).collect();
-        counts.sort();
-        counts
-    }
-
     /// Stop and deregister one query.
     pub fn stop_query(&self, name: &str) -> Result<()> {
         let query = self
@@ -823,9 +789,10 @@ mod tests {
         src.advance(4);
         let query = StreamingQuery::start_supervised(
             eng,
-            TriggerPolicy::ProcessingTime(Duration::from_millis(1)),
+            Trigger::ProcessingTime(Duration::from_millis(1)),
             fast_policy(3),
-        );
+        )
+        .unwrap();
         assert!(
             wait_for(|| sink.snapshot() == vec![row!["CA", 2i64], row!["US", 2i64]]),
             "query never produced output after the injected crash; exception={:?}",
@@ -862,9 +829,10 @@ mod tests {
         src.advance(4);
         let query = StreamingQuery::start_supervised(
             eng,
-            TriggerPolicy::ProcessingTime(Duration::from_millis(1)),
+            Trigger::ProcessingTime(Duration::from_millis(1)),
             fast_policy(2),
-        );
+        )
+        .unwrap();
         assert!(wait_for(|| query.exception().is_some()));
         let msg = query.exception().unwrap();
         assert!(msg.contains("injected failure"), "got: {msg}");
@@ -902,9 +870,10 @@ mod tests {
         };
         let query = StreamingQuery::start_supervised(
             eng,
-            TriggerPolicy::ProcessingTime(Duration::from_millis(1)),
+            Trigger::ProcessingTime(Duration::from_millis(1)),
             policy,
-        );
+        )
+        .unwrap();
         // The first crash consumes the entire budget (max_restarts = 1).
         assert!(
             wait_for(|| query.restarts() == 1),
@@ -953,10 +922,12 @@ mod tests {
         );
         let eng = engine(src.clone(), sink, Arc::new(MemoryBackend::new()), config);
         src.advance(2);
-        let query = StreamingQuery::start_background(
+        let query = StreamingQuery::start_supervised(
             eng,
-            TriggerPolicy::ProcessingTime(Duration::from_millis(1)),
-        );
+            Trigger::ProcessingTime(Duration::from_millis(1)),
+            RestartPolicy::none(),
+        )
+        .unwrap();
         assert!(wait_for(|| query.exception().is_some()));
         let msg = query.exception().unwrap();
         assert!(!msg.contains("restarts"), "got: {msg}");
@@ -965,19 +936,21 @@ mod tests {
     }
 
     #[test]
-    fn manager_reports_restart_counts() {
-        let src = gen_source();
-        let sink = MemorySink::new("out");
+    fn a_continuous_trigger_has_no_micro_batch_schedule() {
         let eng = engine(
-            src,
-            sink,
+            gen_source(),
+            MemorySink::new("out"),
             Arc::new(MemoryBackend::new()),
             MicroBatchConfig::default(),
         );
-        let manager = StreamingQueryManager::new();
-        manager.add(StreamingQuery::new_sync(eng)).unwrap();
-        assert_eq!(manager.restart_counts(), vec![("q".to_string(), 0)]);
-        manager.stop_all().unwrap();
+        let err = StreamingQuery::start_supervised(
+            eng,
+            Trigger::Continuous(Duration::from_millis(1)),
+            RestartPolicy::none(),
+        )
+        .err()
+        .expect("a continuous trigger is rejected");
+        assert!(err.to_string().contains("start_continuous"), "got: {err}");
     }
 
     #[test]

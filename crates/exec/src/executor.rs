@@ -45,15 +45,6 @@ impl MemoryCatalog {
     pub fn register(&mut self, name: impl Into<String>, batches: Vec<RecordBatch>) {
         self.tables.insert(name.into(), batches);
     }
-
-    pub fn with_table(
-        mut self,
-        name: impl Into<String>,
-        batches: Vec<RecordBatch>,
-    ) -> MemoryCatalog {
-        self.register(name, batches);
-        self
-    }
 }
 
 impl Catalog for MemoryCatalog {
@@ -170,8 +161,8 @@ fn execute_stateful_batch(input: &RecordBatch, op: &StatefulOpDef) -> Result<Rec
     RecordBatch::from_rows(op.output_schema.clone(), &out_rows)
 }
 
-/// Analyze, optimize and execute a plan in one call — the convenience
-/// entry point examples and tests use.
+/// Analyze, optimize and execute a plan in one call: a batch query
+/// (`DataFrame::collect`).
 pub fn execute_optimized(
     plan: &Arc<LogicalPlan>,
     catalog: &dyn Catalog,
@@ -209,7 +200,9 @@ mod tests {
             ],
         )
         .unwrap();
-        MemoryCatalog::new().with_table("clicks", vec![clicks])
+        let mut catalog = MemoryCatalog::new();
+        catalog.register("clicks", vec![clicks]);
+        catalog
     }
 
     fn clicks() -> LogicalPlanBuilder {
@@ -256,7 +249,8 @@ mod tests {
             &[row!["CA", "west"], row!["US", "all"]],
         )
         .unwrap();
-        let catalog = catalog().with_table("regions", vec![regions]);
+        let mut catalog = catalog();
+        catalog.register("regions", vec![regions]);
         let regions_scan = LogicalPlanBuilder::scan(
             "regions",
             Schema::of(vec![

@@ -26,5 +26,5 @@ pub mod join;
 pub mod ops;
 
 pub use aggregate::HashAggregator;
-pub use executor::{execute, Catalog, MemoryCatalog};
+pub use executor::{execute, execute_optimized, Catalog, MemoryCatalog};
 pub use join::hash_join;

@@ -40,10 +40,6 @@ impl BinaryOp {
         matches!(self, BinaryOp::And | BinaryOp::Or)
     }
 
-    pub fn is_arithmetic(self) -> bool {
-        !self.is_comparison() && !self.is_logical()
-    }
-
     /// Mirror a comparison across its operands: `a < b` ⇔ `b > a`.
     pub fn flip(self) -> BinaryOp {
         match self {

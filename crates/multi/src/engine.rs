@@ -57,7 +57,7 @@ pub struct MultiQueryConfig {
     pub workers: usize,
     /// Unread: a tick runs every admissible group once, so there is no
     /// per-round credit to size. Kept only because the repo benchmark
-    /// builds this config as a struct literal (ROADMAP 1(vi)).
+    /// builds this config as a struct literal (ROADMAP item 1).
     pub quantum: u64,
     /// Template for each sharing group's engine (parallelism,
     /// checkpoint cadence, clock, ...).
@@ -241,23 +241,15 @@ impl MultiQueryEngine {
         // First query with this prefix: build the group's engine over
         // cache-wrapped sources.
         let label = format!("shared-{}", &split.key[..split.key.len().min(12)]);
-        let scan_names = split.prefix.streaming_scans();
-        let mut sources: HashMap<String, Arc<dyn Source>> = HashMap::new();
-        let registered: HashMap<String, Arc<dyn Source>> =
-            self.ctx.sources_snapshot().into_iter().collect();
-        for name in &scan_names {
-            let inner = registered.get(name).ok_or_else(|| {
-                SsError::Plan(format!("no source registered for scan `{name}`"))
-            })?;
-            sources.insert(
-                name.clone(),
-                SharedScanSource::new(inner.clone(), self.cache.clone()) as Arc<dyn Source>,
-            );
-        }
-        let mut statics = ss_exec::MemoryCatalog::new();
-        for (name, batches) in self.ctx.statics_snapshot() {
-            statics.register(name, batches);
-        }
+        let sources: HashMap<String, Arc<dyn Source>> = self
+            .ctx
+            .sources_for(&split.prefix.streaming_scans())?
+            .into_iter()
+            .map(|(name, inner)| {
+                let shared = SharedScanSource::new(inner, self.cache.clone()) as Arc<dyn Source>;
+                (name, shared)
+            })
+            .collect();
         let fanout = FanoutSink::new(format!("{label}-fanout"));
         fanout.attach(&spec.name, split.suffix.clone(), spec.sink);
         let backend = Arc::new(MemoryBackend::new());
@@ -265,7 +257,7 @@ impl MultiQueryEngine {
             label.clone(),
             &split.prefix,
             sources,
-            Arc::new(statics),
+            Arc::new(self.ctx.static_catalog()),
             fanout.clone(),
             spec.output_mode,
             backend.clone(),

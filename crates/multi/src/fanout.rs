@@ -38,8 +38,6 @@ pub struct FanoutSink {
     taps: Mutex<Vec<Tap>>,
     /// Rows delivered across all taps (post-suffix).
     fanned_rows: AtomicU64,
-    /// Epochs committed through the fan-out.
-    epochs: AtomicU64,
 }
 
 impl FanoutSink {
@@ -48,7 +46,6 @@ impl FanoutSink {
             name: name.into(),
             taps: Mutex::new(Vec::new()),
             fanned_rows: AtomicU64::new(0),
-            epochs: AtomicU64::new(0),
         })
     }
 
@@ -76,11 +73,6 @@ impl FanoutSink {
     /// Names of currently attached queries, in attach order.
     pub fn attached(&self) -> Vec<String> {
         self.taps.lock().iter().map(|t| t.query.clone()).collect()
-    }
-
-    /// Epochs committed through this fan-out.
-    pub fn epochs_committed(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
     }
 }
 
@@ -131,7 +123,6 @@ impl Sink for FanoutSink {
                 .fetch_add(tapped.num_rows() as u64, Ordering::Relaxed);
             tap.sink.commit_epoch(epoch, &tapped)?;
         }
-        self.epochs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -177,7 +168,6 @@ mod tests {
         fan.commit_epoch(1, &out).unwrap();
         assert_eq!(all.snapshot().len(), 2);
         assert_eq!(ca.snapshot(), vec![row!["CA", 3i64]]);
-        assert_eq!(fan.epochs_committed(), 1);
         assert_eq!(fan.rows_written(), 3);
     }
 

@@ -29,8 +29,6 @@
 //! Hashes are FNV-1a 64 over the canonical encoding, rendered as a
 //! fixed-width hex string so they survive a JSON round trip exactly.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use ss_common::{DataType, Result, Row, Schema};
@@ -534,11 +532,6 @@ fn collect_signatures(
         }
     }
     Ok(())
-}
-
-/// Signatures indexed by operator id (manifest lookups).
-pub fn signatures_by_id(sigs: &[OperatorSignature]) -> BTreeMap<String, &OperatorSignature> {
-    sigs.iter().map(|s| (s.op_id.clone(), s)).collect()
 }
 
 #[cfg(test)]

@@ -514,13 +514,7 @@ impl StateStore {
         self
     }
 
-    /// Set the memory budget (builder form).
-    pub fn with_budget(mut self, budget: MemoryBudget) -> StateStore {
-        self.budget = budget;
-        self
-    }
-
-    /// Set the memory budget on an existing store.
+    /// Set the memory budget.
     pub fn set_budget(&mut self, budget: MemoryBudget) {
         self.budget = budget;
     }
@@ -1783,7 +1777,8 @@ mod tests {
     #[test]
     fn soft_limit_spills_cold_clean_ops_and_reloads_on_access() {
         let backend = Arc::new(MemoryBackend::new());
-        let mut s = StateStore::new(backend.clone()).with_budget(MemoryBudget {
+        let mut s = StateStore::new(backend.clone());
+        s.set_budget(MemoryBudget {
             soft_limit_bytes: Some(1), // everything clean must spill
             hard_limit_bytes: None,
         });
@@ -1838,12 +1833,11 @@ mod tests {
     fn full_snapshot_reloads_spilled_ops_first() {
         let backend = Arc::new(MemoryBackend::new());
         // Interval 1: every checkpoint is a full snapshot.
-        let mut s = StateStore::new(backend.clone())
-            .with_snapshot_interval(1)
-            .with_budget(MemoryBudget {
-                soft_limit_bytes: Some(1),
-                hard_limit_bytes: None,
-            });
+        let mut s = StateStore::new(backend.clone()).with_snapshot_interval(1);
+        s.set_budget(MemoryBudget {
+            soft_limit_bytes: Some(1),
+            hard_limit_bytes: None,
+        });
         s.operator("agg").put(row!["a"], entry(1));
         s.checkpoint(1).unwrap();
         s.enforce_budget().unwrap();
@@ -1858,7 +1852,8 @@ mod tests {
     #[test]
     fn restore_purges_stale_spill_blobs() {
         let backend = Arc::new(MemoryBackend::new());
-        let mut s = StateStore::new(backend.clone()).with_budget(MemoryBudget {
+        let mut s = StateStore::new(backend.clone());
+        s.set_budget(MemoryBudget {
             soft_limit_bytes: Some(1),
             hard_limit_bytes: None,
         });
@@ -1876,7 +1871,8 @@ mod tests {
     #[test]
     fn load_and_load_best_leave_the_backend_untouched() {
         let backend = Arc::new(MemoryBackend::new());
-        let mut owner = StateStore::new(backend.clone()).with_budget(MemoryBudget {
+        let mut owner = StateStore::new(backend.clone());
+        owner.set_budget(MemoryBudget {
             soft_limit_bytes: Some(1),
             hard_limit_bytes: None,
         });
@@ -1921,7 +1917,8 @@ mod tests {
 
     #[test]
     fn hard_limit_fails_gracefully() {
-        let mut s = store().with_budget(MemoryBudget {
+        let mut s = store();
+        s.set_budget(MemoryBudget {
             soft_limit_bytes: None,
             hard_limit_bytes: Some(16),
         });
@@ -1936,7 +1933,8 @@ mod tests {
     #[test]
     fn lost_spill_blob_surfaces_via_check_health() {
         let backend = Arc::new(MemoryBackend::new());
-        let mut s = StateStore::new(backend.clone()).with_budget(MemoryBudget {
+        let mut s = StateStore::new(backend.clone());
+        s.set_budget(MemoryBudget {
             soft_limit_bytes: Some(1),
             hard_limit_bytes: None,
         });
@@ -1960,7 +1958,8 @@ mod tests {
         use ss_common::{MetricValue, MetricsRegistry};
 
         let registry = MetricsRegistry::new();
-        let mut s = store().with_budget(MemoryBudget {
+        let mut s = store();
+        s.set_budget(MemoryBudget {
             soft_limit_bytes: Some(1),
             hard_limit_bytes: None,
         });

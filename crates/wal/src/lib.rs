@@ -294,11 +294,6 @@ impl WriteAheadLog {
         Ok(v)
     }
 
-    /// The newest epoch in the offset log.
-    pub fn latest_offsets_epoch(&self) -> Result<Option<u64>> {
-        Ok(self.offset_epochs()?.last().copied())
-    }
-
     // ---- commit log ----
 
     /// Record that an epoch's output is durably in the sink.
@@ -331,10 +326,6 @@ impl WriteAheadLog {
             }
         }
         Ok(out)
-    }
-
-    pub fn is_committed(&self, epoch: u64) -> Result<bool> {
-        Ok(self.backend.read(&Self::commit_key(epoch))?.is_some())
     }
 
     /// All committed epochs, ascending.
@@ -551,7 +542,7 @@ mod tests {
         w.write_offsets(&o).unwrap();
         assert_eq!(w.read_offsets(1).unwrap(), Some(o));
         assert_eq!(w.read_offsets(2).unwrap(), None);
-        assert_eq!(w.latest_offsets_epoch().unwrap(), Some(1));
+        assert_eq!(w.offset_epochs().unwrap(), vec![1]);
     }
 
     #[test]
@@ -569,7 +560,7 @@ mod tests {
         let w = wal();
         w.write_offsets(&offsets(1, 10)).unwrap();
         w.write_offsets(&offsets(2, 20)).unwrap();
-        assert!(!w.is_committed(1).unwrap());
+        assert!(w.read_commit(1).unwrap().is_none());
         w.write_commit(&EpochCommit {
             epoch: 1,
             rows_written: 10,
@@ -578,7 +569,7 @@ mod tests {
             fencing_epoch: None,
         })
         .unwrap();
-        assert!(w.is_committed(1).unwrap());
+        assert!(w.read_commit(1).unwrap().is_some());
         assert_eq!(w.latest_commit().unwrap(), Some(1));
         assert_eq!(w.read_commit(1).unwrap().unwrap().rows_written, 10);
     }
@@ -752,9 +743,9 @@ mod tests {
         let err = w.write_commit(&commit(1)).unwrap_err();
         assert!(err.to_string().contains("injected failure"), "{err}");
         // Nothing was committed; retry after the one-shot fault succeeds.
-        assert!(!w.is_committed(1).unwrap());
+        assert!(w.read_commit(1).unwrap().is_none());
         w.write_commit(&commit(1)).unwrap();
-        assert!(w.is_committed(1).unwrap());
+        assert!(w.read_commit(1).unwrap().is_some());
 
         faults.configure(
             failpoints::OFFSETS_READ,

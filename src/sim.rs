@@ -3,7 +3,7 @@
 //!
 //! One `u64` seed fully determines a chaos schedule over a complete
 //! HA deployment — a lease-fenced leader, a warm standby, replicated
-//! checkpoint backends and a fenced sink — running under a
+//! checkpoint backends and a sink the engine fences — running under a
 //! [`SimClock`]. The seed drives three streams:
 //!
 //! * **fault arming** — which failpoint, which mode (fatal error,
@@ -176,7 +176,7 @@ struct Participant {
 #[allow(clippy::too_many_arguments)]
 fn build_participant(
     bus: Arc<MessageBus>,
-    sink_inner: Arc<MemorySink>,
+    sink: Arc<MemorySink>,
     primary: Arc<dyn CheckpointBackend>,
     replica: Arc<dyn CheckpointBackend>,
     holder: &str,
@@ -215,11 +215,6 @@ fn build_participant(
         ha: Some(HaConfig::new(lease.clone()).with_replication(repl)),
         ..Default::default()
     };
-    let guard_lease = lease.clone();
-    let fenced_sink = ss_bus::FencedSink::new(
-        sink_inner,
-        Arc::new(move |ctx: &str| guard_lease.check_fenced(ctx)),
-    );
     let (plan, sources) = plan_and_sources(bus, Some(faults.clone()));
     let build = if standby {
         MicroBatchExecution::new_standby
@@ -231,7 +226,7 @@ fn build_participant(
         &plan,
         sources,
         Arc::new(MemoryCatalog::new()),
-        fenced_sink,
+        sink,
         OutputMode::Update,
         fenced_backend,
         config,

@@ -325,8 +325,11 @@ fn graceful_stop_and_upgrade_survive_injected_faults() {
                 .output_mode(OutputMode::Complete)
                 .sink(sink.clone())
                 .checkpoint(backend.clone())
-                .faults(faults.clone())
-                .retry(RetryPolicy::immediate(3))
+                .engine_config(MicroBatchConfig {
+                    faults: faults.clone(),
+                    retry: RetryPolicy::immediate(3),
+                    ..Default::default()
+                })
                 .start_sync()
         };
 
@@ -511,7 +514,7 @@ fn parallel_execution_survives_worker_faults_and_matches_serial() {
 /// no-limit reference run.
 #[test]
 fn bursty_load_under_rate_limiting_converges_after_crashes() {
-    use ss_core::microbatch::Clock;
+    use ss_common::ClockRef;
     use ss_core::RateControllerConfig;
 
     const BURST: u64 = 20;
@@ -521,7 +524,7 @@ fn bursty_load_under_rate_limiting_converges_after_crashes() {
     for seed in [1u64, 7, 21, 33] {
         // One monotone stepping clock per run, shared across
         // incarnations so restarts never see time move backwards.
-        let clock: Clock = ss_common::StepClock::new(0, 50_000).handle();
+        let clock: ClockRef = ss_common::StepClock::new(0, 50_000).handle();
         let throttled = |faults: FaultRegistry| MicroBatchConfig {
             rate_controller: Some(RateControllerConfig {
                 min_rate: 1.0,

@@ -124,8 +124,11 @@ fn run_join(parallelism: usize, partitions: usize) -> (Vec<Row>, u64) {
         .write_stream()
         .output_mode(OutputMode::Append)
         .sink(sink.clone())
-        .parallelism(parallelism)
-        .shuffle_partitions(partitions)
+        .engine_config(MicroBatchConfig {
+            parallelism,
+            shuffle_partitions: partitions,
+            ..Default::default()
+        })
         .start_sync()
         .unwrap();
     // Interleaved waves: some ads click (i % 3 == 0), some never do and
@@ -236,8 +239,11 @@ fn run_shape_fed(
         .output_mode(mode)
         .sink(sink.clone())
         .checkpoint(backend.clone())
-        .parallelism(parallelism)
-        .shuffle_partitions(partitions)
+        .engine_config(MicroBatchConfig {
+            parallelism,
+            shuffle_partitions: partitions,
+            ..Default::default()
+        })
         .start_sync()
         .unwrap();
     feed(&bus, &mut query);
@@ -426,7 +432,10 @@ fn one_partition_runs_inline_with_per_operator_stats() {
         .write_stream()
         .output_mode(OutputMode::Update)
         .sink(MemorySink::new("out"))
-        .parallelism(1)
+        .engine_config(MicroBatchConfig {
+            parallelism: 1,
+            ..Default::default()
+        })
         .start_sync()
         .unwrap();
     feed_agg(&bus, 30, 0);
@@ -450,7 +459,7 @@ fn one_partition_runs_inline_with_per_operator_stats() {
         profile.phases
     );
     assert!(profile.tasks.is_none() && profile.shuffle.is_none());
-    assert!(!query.render_metrics().contains("ss_task_duration_us"));
+    assert!(!query.metrics().render().contains("ss_task_duration_us"));
     query.stop().unwrap();
 }
 
@@ -480,8 +489,11 @@ fn restart_across_partition_counts_repartitions_state() {
                 .output_mode(OutputMode::Append)
                 .sink(sink.clone())
                 .checkpoint(backend.clone())
-                .parallelism(p)
-                .shuffle_partitions(s)
+                .engine_config(MicroBatchConfig {
+                    parallelism: p,
+                    shuffle_partitions: s,
+                    ..Default::default()
+                })
                 .start_sync()
                 .unwrap();
             let waves = if seg == counts.len() - 1 {
@@ -553,8 +565,11 @@ fn hot_key_is_byte_identical_and_balanced_on_partials() {
             .write_stream()
             .output_mode(OutputMode::Update)
             .sink(sink.clone())
-            .parallelism(parallelism)
-            .shuffle_partitions(partitions)
+            .engine_config(MicroBatchConfig {
+                parallelism,
+                shuffle_partitions: partitions,
+                ..Default::default()
+            })
             .start_sync()
             .unwrap();
         for wave in 0..4u64 {
@@ -670,8 +685,11 @@ fn sharded_avg_checkpoint_restarts_at_one_partition() {
             .output_mode(OutputMode::Append)
             .sink(sink.clone())
             .checkpoint(backend.clone())
-            .parallelism(p)
-            .shuffle_partitions(s)
+            .engine_config(MicroBatchConfig {
+                parallelism: p,
+                shuffle_partitions: s,
+                ..Default::default()
+            })
             .start_sync()
             .unwrap();
         for wave in waves {

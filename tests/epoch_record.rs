@@ -43,7 +43,10 @@ fn run(parallelism: usize) -> (Vec<Json>, Vec<Json>, BTreeMap<u64, EpochProfile>
         .query_name("record")
         .output_mode(OutputMode::Complete)
         .sink(MemorySink::new("out"))
-        .parallelism(parallelism)
+        .engine_config(MicroBatchConfig {
+            parallelism,
+            ..Default::default()
+        })
         .start_sync()
         .unwrap();
     for epoch in 0..3i64 {
@@ -55,7 +58,7 @@ fn run(parallelism: usize) -> (Vec<Json>, Vec<Json>, BTreeMap<u64, EpochProfile>
         }
         q.process_available().unwrap();
     }
-    let trace: Json = serde_json::from_str(&q.trace_json()).unwrap();
+    let trace: Json = serde_json::from_str(&q.trace().to_chrome_json()).unwrap();
     let trace = trace
         .get("traceEvents")
         .unwrap()

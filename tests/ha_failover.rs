@@ -7,8 +7,8 @@
 //!   write and the WAL commit (an injected error leaves the epoch
 //!   half-done), a warm standby takes the lease, and the resumed
 //!   zombie must see [`SsError::Fenced`] on *every* durable write —
-//!   WAL, checkpoint backend and sink — while the final sink output
-//!   stays byte-identical exactly-once.
+//!   WAL, checkpoint backend and sink (a rollback's truncation) —
+//!   while the final sink output stays byte-identical exactly-once.
 //! * **Seeded failover drill** — under several chaos seeds, the leader
 //!   is repeatedly killed at a random point of the epoch protocol; the
 //!   warm standby must promote within a bounded number of ticks and
@@ -77,24 +77,23 @@ fn fake_clock() -> (SimClock, ClockRef) {
 }
 
 /// One HA participant: the engine plus the handles the tests poke —
-/// its lease, its fault registry, and its fenced backend/sink for
-/// direct zombie-write probes.
+/// its lease, its fault registry, and its fenced backend for direct
+/// zombie-write probes.
 struct Participant {
     engine: MicroBatchExecution,
     lease: Arc<LeaseManager>,
     faults: FaultRegistry,
     fenced_backend: Arc<FencedBackend>,
-    fenced_sink: Arc<ss_bus::FencedSink>,
 }
 
 /// Build a leader or warm standby over the same shared storage:
 /// `FencedBackend(ReplicatedBackend(primary, replica), lease)` as the
 /// engine backend, the lease itself on the raw primary, and the shared
-/// sink wrapped in a [`ss_bus::FencedSink`] checking the same lease.
+/// sink, which the engine fences against the same lease.
 #[allow(clippy::too_many_arguments)]
 fn build_participant(
     bus: Arc<MessageBus>,
-    sink_inner: Arc<MemorySink>,
+    sink: Arc<MemorySink>,
     primary: Arc<dyn CheckpointBackend>,
     replica: Arc<dyn CheckpointBackend>,
     holder: &str,
@@ -120,11 +119,6 @@ fn build_participant(
         ha: Some(HaConfig::new(lease.clone()).with_replication(repl)),
         ..Default::default()
     };
-    let guard_lease = lease.clone();
-    let fenced_sink = ss_bus::FencedSink::new(
-        sink_inner,
-        Arc::new(move |ctx: &str| guard_lease.check_fenced(ctx)),
-    );
 
     let ctx = StreamingContext::new();
     ctx.read_source(Arc::new(
@@ -153,7 +147,7 @@ fn build_participant(
         &plan,
         sources,
         Arc::new(MemoryCatalog::new()),
-        fenced_sink.clone(),
+        sink,
         OutputMode::Update,
         fenced_backend.clone(),
         config,
@@ -163,7 +157,6 @@ fn build_participant(
         lease,
         faults,
         fenced_backend,
-        fenced_sink,
     })
 }
 
@@ -306,12 +299,9 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
         .write_atomic("zombie-probe.json", b"{}")
         .unwrap_err();
     assert!(matches!(berr, SsError::Fenced(_)), "got: {berr}");
-    // 3. the sink.
-    let batch = RecordBatch::empty(schema());
-    let serr = leader
-        .fenced_sink
-        .commit_epoch(999, &ss_bus::EpochOutput::Append(batch))
-        .unwrap_err();
+    // 3. the sink, through the engine's one sink mutation outside an
+    //    epoch: a rollback's truncation.
+    let serr = leader.engine.rollback_to(1).unwrap_err();
     assert!(matches!(serr, SsError::Fenced(_)), "got: {serr}");
     assert_eq!(leader.engine.ha_role(), Some(ss_wal::HaRole::Fenced));
 
@@ -329,6 +319,102 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
     let mut after = sink.snapshot();
     after.sort();
     assert_eq!(after, expected, "a zombie write reached the sink");
+}
+
+/// Every durable key of a backend with its bytes, in key order.
+fn contents(backend: &MemoryBackend) -> Vec<(String, Option<Vec<u8>>)> {
+    let mut keys = backend.list("").unwrap();
+    keys.sort();
+    keys.into_iter()
+        .map(|k| {
+            let v = backend.read(&k).unwrap();
+            (k, v)
+        })
+        .collect()
+}
+
+/// Rollback truncates the sink and the dead-letter queue, which live
+/// outside the checkpoint backend, so the engine fences it itself.
+/// Over a plain (unfenced) backend, a leader whose lease was usurped
+/// must refuse `rollback_to` before it truncates the WAL, the state,
+/// the sink or the DLQ.
+#[test]
+fn usurped_leader_refuses_rollback_before_truncating_anything() {
+    let (t, clock) = fake_clock();
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let backend = Arc::new(MemoryBackend::new());
+    let leases: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
+    let ttl = Duration::from_millis(100);
+    let renew = Duration::from_millis(50);
+    let lease = Arc::new(LeaseManager::with_clock(
+        leases.clone(),
+        "leader",
+        ttl,
+        renew,
+        clock.clone(),
+    ));
+    let dlq = ss_bus::DeadLetterQueue::new();
+    let sink = MemorySink::new("out");
+    let ctx = StreamingContext::new();
+    let mut query = ctx
+        .read_source(Arc::new(
+            BusSource::new(bus.clone(), "in", schema()).unwrap(),
+        ))
+        .unwrap()
+        .select(vec![col("key"), col("v")])
+        .write_stream()
+        .output_mode(OutputMode::Append)
+        .sink(sink.clone())
+        .checkpoint(backend.clone())
+        .engine_config(MicroBatchConfig {
+            max_records_per_trigger: Some(WAVE),
+            adaptive_batching: false,
+            clock: clock.clone(),
+            dlq: Some(dlq.clone()),
+            ha: Some(HaConfig::new(lease.clone())),
+            ..Default::default()
+        })
+        .start_sync()
+        .unwrap();
+    feed(&bus, 3 * WAVE, 0);
+    assert!(query.process_available().unwrap() >= 2);
+    // A letter of the last epoch, which a rollback to epoch 1 drops.
+    let last = query.current_epoch();
+    dlq.commit_epoch(
+        last,
+        vec![ss_bus::DeadLetterRecord {
+            epoch: last,
+            source: "in".into(),
+            partition: 0,
+            offset: 0,
+            fingerprint: 1,
+            error: "poison".into(),
+            row_json: "{}".into(),
+        }],
+    );
+
+    // Another holder watches the lease lapse, then takes it.
+    let usurper = LeaseManager::with_clock(leases, "usurper", ttl, renew, clock);
+    assert!(!usurper.is_lapsed().unwrap());
+    t.advance(Duration::from_micros(160_000));
+    usurper.try_acquire().unwrap();
+
+    let (rows, letters, durable) = (sink.snapshot(), dlq.snapshot(), contents(&backend));
+    let err = query.rollback_to(1).unwrap_err();
+    assert!(matches!(err, SsError::Fenced(_)), "got: {err}");
+    assert_eq!(sink.snapshot(), rows, "the sink was truncated");
+    assert_eq!(
+        dlq.snapshot(),
+        letters,
+        "the dead-letter queue was truncated"
+    );
+    assert_eq!(
+        contents(&backend),
+        durable,
+        "the WAL or the state was truncated"
+    );
+    assert!(lease.fencing_rejections() >= 1);
 }
 
 /// One seeded drill: kill the leader at random protocol points, let

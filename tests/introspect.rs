@@ -69,7 +69,10 @@ fn run_profiled_query(
         .write_stream()
         .query_name(name)
         .output_mode(OutputMode::Complete)
-        .parallelism(parallelism)
+        .engine_config(MicroBatchConfig {
+            parallelism,
+            ..Default::default()
+        })
         .sink(sink)
         .start_sync()
         .unwrap();
@@ -152,7 +155,7 @@ fn epoch_profile_attributes_wall_time_with_skew_and_shuffle() {
     let attached = last.profile.as_ref().expect("progress carries the profile");
     assert_eq!(attached.epoch, profiles.last().unwrap().epoch);
     // And the registry carries the per-phase histogram.
-    let text = q.render_metrics();
+    let text = q.metrics().render();
     // Input rows over shuffled partials is the combine ratio.
     let counter = |name: &str| q.metrics().counter(name, &[("op", "agg-0")]).get();
     assert_eq!(counter("ss_exchange_input_rows_total"), 12_000);

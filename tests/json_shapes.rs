@@ -148,7 +148,10 @@ fn every_json_body_keeps_its_key_set() {
         .write_stream()
         .query_name("prof")
         .output_mode(OutputMode::Complete)
-        .parallelism(4)
+        .engine_config(MicroBatchConfig {
+            parallelism: 4,
+            ..Default::default()
+        })
         .sink(MemorySink::new("prof"))
         .start_sync()
         .unwrap();
@@ -166,7 +169,10 @@ fn every_json_body_keeps_its_key_set() {
         .filter(validate())
         .write_stream()
         .query_name("poison")
-        .error_policy(ErrorPolicy::Quarantine { max_per_epoch: 10 })
+        .engine_config(MicroBatchConfig {
+            error_policy: ErrorPolicy::Quarantine { max_per_epoch: 10 },
+            ..Default::default()
+        })
         .sink(MemorySink::new("poison"))
         .start_sync()
         .unwrap();

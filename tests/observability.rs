@@ -126,7 +126,7 @@ fn query_exposes_metrics_traces_and_listener_events() {
     }
 
     // The Prometheus text exposition is well-formed.
-    let text = q.render_metrics();
+    let text = q.metrics().render();
     assert!(text.contains("# TYPE ss_operator_rows_total counter"));
     assert!(text.contains("# TYPE ss_epoch_duration_us histogram"));
     assert!(text.contains("_bucket{"));
@@ -137,7 +137,7 @@ fn query_exposes_metrics_traces_and_listener_events() {
     }
 
     // The trace log is valid chrome://tracing JSON with epoch spans.
-    let json = q.trace_json();
+    let json = q.trace().to_chrome_json();
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace JSON parses");
     let events = parsed
         .get("traceEvents")
@@ -192,7 +192,10 @@ fn metrics_snapshot_and_render_are_consistent_under_concurrent_writers() {
         .write_stream()
         .query_name("conc")
         .output_mode(OutputMode::Complete)
-        .parallelism(4)
+        .engine_config(MicroBatchConfig {
+            parallelism: 4,
+            ..Default::default()
+        })
         .sink(sink)
         .start_sync()
         .unwrap();

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 use ss_common::fault::{FaultMode, FaultRegistry, FaultTrigger};
 use ss_common::{Column, ErrorPolicy, RetryPolicy, XorShift64};
 use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
-use ss_core::query::TriggerPolicy;
 use ss_exec::MemoryCatalog;
 use ss_expr::expr::{Expr, ScalarUdf};
 use structured_streaming::prelude::*;
@@ -559,14 +558,15 @@ fn supervisor_recovers_a_query_after_a_hung_task() {
     feed(&bus, WAVE, 0, true);
     let query = StreamingQuery::start_supervised(
         eng,
-        TriggerPolicy::ProcessingTime(Duration::from_millis(1)),
+        Trigger::ProcessingTime(Duration::from_millis(1)),
         RestartPolicy {
             max_restarts: 3,
             backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             healthy_epochs_to_reset: None,
         },
-    );
+    )
+    .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
         if query.restarts() >= 1 && !sink.snapshot().is_empty() {

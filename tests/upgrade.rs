@@ -221,8 +221,11 @@ fn upgrade_across(layouts: [(usize, usize); 3]) -> (Vec<Row>, BTreeMap<Row, Vec<
             .output_mode(OutputMode::Complete)
             .sink(sink.clone())
             .checkpoint(backend.clone())
-            .parallelism(p)
-            .shuffle_partitions(s)
+            .engine_config(MicroBatchConfig {
+                parallelism: p,
+                shuffle_partitions: s,
+                ..Default::default()
+            })
             .start_sync()
             .unwrap();
         let first = i as u64 * 6;
@@ -402,7 +405,10 @@ fn retention_gc_purges_and_rollback_beyond_horizon_is_a_clean_error() {
         .output_mode(OutputMode::Complete)
         .sink(sink.clone())
         .checkpoint(backend.clone())
-        .min_epochs_to_retain(5)
+        .engine_config(MicroBatchConfig {
+            min_epochs_to_retain: Some(5),
+            ..Default::default()
+        })
         .start_sync()
         .unwrap();
 
@@ -413,7 +419,7 @@ fn retention_gc_purges_and_rollback_beyond_horizon_is_a_clean_error() {
         q.process_available().unwrap();
     }
     assert_eq!(q.current_epoch(), 25);
-    let metrics = q.render_metrics();
+    let metrics = q.metrics().render();
     let purged_line = metrics
         .lines()
         .find(|l| l.starts_with("ss_checkpoint_purged_total"))
