@@ -268,6 +268,11 @@ impl ContinuousQuery {
                 }
             }
         }
+        let start: ss_common::PartitionOffsets = start_offsets
+            .iter()
+            .enumerate()
+            .map(|(p, &o)| (p as u32, o))
+            .collect();
 
         // Upgrade safety: the checkpoint manifest records which engine
         // owns the directory. A microbatch checkpoint's state layout is
@@ -278,31 +283,13 @@ impl ContinuousQuery {
         // `Manifest::load`; a checkpoint without a manifest is the
         // legacy v0 layout and resumes unchecked.)
         if let Some(b) = &backend {
-            match Manifest::load(b)? {
-                Some(m) if m.engine != "continuous" => {
-                    return Err(SsError::IncompatibleUpgrade(format!(
-                        "checkpoint was written by the `{}` engine; its layout is \
-                         not readable by the continuous engine",
-                        m.engine
-                    )));
-                }
-                _ => {}
-            }
-            let mut sources = std::collections::BTreeMap::new();
-            sources.insert(
-                topic.to_string(),
-                start_offsets
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &o)| (p as u32, o))
-                    .collect::<ss_common::PartitionOffsets>(),
-            );
+            Manifest::load_owned(b, "continuous")?;
             Manifest {
                 version: MANIFEST_VERSION,
                 query_name: format!("continuous-{topic}"),
                 engine: "continuous".into(),
                 last_epoch: start_epoch,
-                sources,
+                sources: [(topic.to_string(), start.clone())].into(),
                 watermark_us: i64::MIN,
                 sealed: false,
                 plan_fingerprint: plan_fingerprint(&optimized),
@@ -406,55 +393,55 @@ impl ContinuousQuery {
             let topic = topic.to_string();
             let clock = config.clock.clone();
             let interval = Duration::from_micros(config.epoch_interval_us.max(1_000) as u64);
-            let mut prev_end: ss_common::PartitionOffsets = start_offsets
-                .iter()
-                .enumerate()
-                .map(|(p, &o)| (p as u32, o))
-                .collect();
+            let mut prev_end = start;
             let mut epoch = start_epoch;
             std::thread::spawn(move || {
-                while !shared.stop.load(Ordering::SeqCst) {
-                    pause(&clock, interval);
-                    let end: ss_common::PartitionOffsets = shared
-                        .offsets
-                        .iter()
-                        .enumerate()
-                        .map(|(p, o)| (p as u32, o.load(Ordering::Acquire)))
-                        .collect();
-                    if end == prev_end {
-                        continue; // no progress: no epoch marker
-                    }
-                    epoch += 1;
-                    let mut sources = std::collections::BTreeMap::new();
-                    sources.insert(
-                        topic.clone(),
-                        OffsetRange {
+                let mut mark = || -> Result<()> {
+                    // Drop the offset record a crash between an epoch's
+                    // two writes left: that epoch is redefined from here.
+                    wal.truncate_after(epoch)?;
+                    while !shared.stop.load(Ordering::SeqCst) {
+                        pause(&clock, interval);
+                        let end: ss_common::PartitionOffsets = shared
+                            .offsets
+                            .iter()
+                            .enumerate()
+                            .map(|(p, o)| (p as u32, o.load(Ordering::Acquire)))
+                            .collect();
+                        if end == prev_end {
+                            continue; // no progress: no epoch marker
+                        }
+                        epoch += 1;
+                        let range = OffsetRange {
                             start: prev_end.clone(),
                             end: end.clone(),
-                        },
-                    );
-                    let offsets = EpochOffsets {
-                        epoch,
-                        sources,
-                        watermark_us: i64::MIN,
-                        defined_at_us: clock.wall_us(),
-                    };
-                    let rows = offsets.sources[&topic].num_records();
-                    if wal.write_offsets(&offsets).is_ok() {
-                        let _ = wal.write_commit(&EpochCommit {
+                        };
+                        let rows = range.num_records();
+                        let offsets = EpochOffsets {
+                            epoch,
+                            sources: [(topic.clone(), range)].into(),
+                            watermark_us: i64::MIN,
+                            defined_at_us: clock.wall_us(),
+                        };
+                        wal.write_offsets(&offsets)?;
+                        wal.write_commit(&EpochCommit {
                             epoch,
                             rows_written: rows,
                             committed_at_us: clock.wall_us(),
                             quarantined: Default::default(),
                             fencing_epoch: None,
-                        });
+                        })?;
                         shared.events.emit(
                             &shared.name,
                             EVENT_PROGRESS,
                             &[("epoch", epoch.into()), ("rows_in", rows.into())],
                         );
+                        prev_end = end;
                     }
-                    prev_end = end;
+                    Ok(())
+                };
+                if let Err(e) = mark() {
+                    *shared.error.lock() = Some(format!("coordinator: {e}"));
                 }
             })
         });
@@ -489,7 +476,7 @@ impl ContinuousQuery {
         &self.shared.events
     }
 
-    /// First worker error, if any.
+    /// The error a worker or the coordinator failed with, if any.
     pub fn error(&self) -> Option<String> {
         self.shared.error.lock().clone()
     }
@@ -522,7 +509,7 @@ impl ContinuousQuery {
             self.shared
                 .events
                 .emit(&self.shared.name, EVENT_TERMINATE, &[("error", e.as_str().into())]);
-            return Err(SsError::Execution(format!("continuous worker failed: {e}")));
+            return Err(SsError::Execution(format!("continuous query failed: {e}")));
         }
         self.shared
             .events
@@ -907,6 +894,83 @@ mod tests {
         q2.stop().unwrap();
         let expected: BTreeSet<i64> = (0..20).map(|i| i * 2).collect();
         assert_eq!(*seen.lock(), expected);
+    }
+
+    /// Run a query over `backend` whose first commit write fails, with
+    /// ten rows on the bus; returns the error it stopped with.
+    fn fail_the_first_commit(bus: &Arc<MessageBus>, backend: &Arc<dyn CheckpointBackend>) -> String {
+        use ss_common::fault::{FaultMode, FaultTrigger};
+        let config = ContinuousConfig {
+            epoch_interval_us: 1_000,
+            idle_sleep: Duration::from_micros(50),
+            ..Default::default()
+        };
+        let point = ss_wal::failpoints::COMMITS_APPEND;
+        config.faults.configure(point, FaultTrigger::Once { skip: 0 }, FaultMode::Error);
+        let sink: RecordSink = Arc::new(|_p, _row| Ok(()));
+        let q = ContinuousQuery::start(&map_plan(), bus.clone(), "in", sink, Some(backend.clone()), config)
+            .unwrap();
+        for i in 0..10i64 {
+            bus.append("in", 0, vec![row!["view", i]]).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while q.error().is_none() {
+            assert!(std::time::Instant::now() < deadline, "the failed commit went unreported");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        q.stop().unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_failed_commit_write_fails_the_query() {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 1).unwrap();
+        let backend: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
+        let err = fail_the_first_commit(&bus, &backend);
+        assert!(err.contains("coordinator: execution error: injected failure at wal.commits.append"), "{err}");
+        // The coordinator ended at the failed epoch: its offsets are
+        // logged, its commit is not, and no later epoch was cut.
+        let wal = WriteAheadLog::new(backend);
+        assert_eq!(wal.offset_epochs().unwrap(), [1]);
+        assert_eq!(wal.latest_commit().unwrap(), None);
+    }
+
+    #[test]
+    fn a_restart_after_a_crash_between_the_epoch_writes_keeps_committing() {
+        let bus = Arc::new(MessageBus::new());
+        bus.create_topic("in", 1).unwrap();
+        let backend: Arc<dyn CheckpointBackend> = Arc::new(MemoryBackend::new());
+        fail_the_first_commit(&bus, &backend);
+        // More input, so the restarted epoch 1 differs from the stale
+        // offset record the crash left.
+        for i in 10..20i64 {
+            bus.append("in", 0, vec![row!["view", i]]).unwrap();
+        }
+        let sink: RecordSink = Arc::new(|_p, _row| Ok(()));
+        let config = ContinuousConfig {
+            epoch_interval_us: 1_000,
+            idle_sleep: Duration::from_micros(50),
+            ..Default::default()
+        };
+        let q = ContinuousQuery::start(&map_plan(), bus, "in", sink, Some(backend.clone()), config)
+            .unwrap();
+        let wal = WriteAheadLog::new(backend);
+        let committed_end = || {
+            let epoch = wal.latest_commit().unwrap()?;
+            Some(wal.read_offsets(epoch).unwrap()?.sources["in"].end.clone())
+        };
+        let all: ss_common::PartitionOffsets = [(0, 20)].into();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while committed_end() != Some(all.clone()) {
+            assert!(q.error().is_none(), "{:?}", q.error());
+            assert!(std::time::Instant::now() < deadline, "no epoch committed the input");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        q.stop().unwrap();
+        // Every logged epoch is committed, from 1 on, with no hole.
+        let committed = wal.committed_epochs().unwrap();
+        assert_eq!(wal.offset_epochs().unwrap(), committed);
+        assert!(committed.iter().copied().eq(1..=committed.len() as u64));
     }
 
     #[test]

@@ -383,13 +383,18 @@ impl DataStreamWriter {
 
     /// Start in continuous processing mode (§6.3). The plan must be
     /// map-like and read a single bus-backed source; output goes to
-    /// the record sink, record by record.
+    /// the record sink, record by record. The engine config's fault
+    /// registry and clock carry over; HA is refused, since continuous
+    /// mode holds no lease.
     pub fn start_continuous(self) -> Result<ContinuousQuery> {
         let Trigger::Continuous(interval) = self.trigger else {
             return Err(SsError::Plan(
                 "start_continuous requires Trigger::Continuous".into(),
             ));
         };
+        if self.config.ha.is_some() {
+            return Err(SsError::Unsupported("continuous mode holds no lease".into()));
+        }
         let record_sink = self.record_sink.clone().ok_or_else(|| {
             SsError::Plan("continuous mode requires a record sink (record_sink(...))".into())
         })?;
@@ -412,6 +417,8 @@ impl DataStreamWriter {
         })?;
         let config = ContinuousConfig {
             epoch_interval_us: interval.as_micros() as i64,
+            faults: self.config.faults.clone(),
+            clock: self.config.clock.clone(),
             ..Default::default()
         };
         ContinuousQuery::start(&plan, bus, &topic, record_sink, self.backend.clone(), config)

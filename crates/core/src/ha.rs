@@ -5,19 +5,23 @@
 //! (replicated) checkpoint, pre-loaded with state, that takes over
 //! within a bounded number of epochs when the leader dies.
 //!
-//! Three pieces compose it:
+//! Three pieces compose it, all from one setting,
+//! [`MicroBatchConfig::ha`](crate::microbatch::MicroBatchConfig::ha):
+//! the engine builds its checkpoint backend out of the one it is given
+//! before anything reads or writes it.
 //!
-//! * **Replicated checkpoints** — [`ss_state::ReplicatedBackend`]
-//!   mirrors every WAL append, checkpoint blob and manifest write onto
-//!   a second directory before the write returns, so losing the
-//!   primary volume loses no committed epoch.
+//! * **Replicated checkpoints** — with [`HaConfig::replica`] set, an
+//!   [`ss_state::ReplicatedBackend`] mirrors every WAL append,
+//!   checkpoint blob and manifest write onto the replica before the
+//!   write returns, so losing the primary volume loses no committed
+//!   epoch.
 //! * **Lease-fenced leadership** — [`ss_wal::LeaseManager`] maintains
 //!   an atomically-renewed lease file with a monotonically increasing
-//!   *fencing epoch*. Wrapping the checkpoint backend in
-//!   [`ss_wal::FencedBackend`] makes every WAL, state and manifest
-//!   write validate the lease first, and the engine checks it before
-//!   every sink, DLQ and rollback mutation: a paused-then-resumed
-//!   "zombie" leader gets
+//!   *fencing epoch*. The engine fences its backend with it
+//!   ([`ss_wal::FencedBackend`]), so every WAL, state and manifest
+//!   write validates the lease first, and it checks the lease before
+//!   every take-over and every sink, DLQ and rollback mutation: a
+//!   paused-then-resumed "zombie" leader gets
 //!   [`SsError::Fenced`](ss_common::SsError::Fenced) instead of
 //!   corrupting the log or the output.
 //! * **Warm standby** — an engine built with
@@ -38,12 +42,10 @@
 //!   Promotion is the same take-over every restart runs, entered from
 //!   wherever catch-up got to.
 //!
-//! The leader composes its backend as
-//! `FencedBackend(ReplicatedBackend(primary, replica), lease)`; the
-//! standby watches the same storage with its *own* [`LeaseManager`]
-//! (a different holder name), whose writes stay rejected until
-//! [`promote`](MicroBatchExecution::promote) wins the lease and bumps
-//! the fencing epoch.
+//! The standby watches the same storage with its *own*
+//! [`LeaseManager`] (a different holder name), whose writes stay
+//! rejected until [`promote`](MicroBatchExecution::promote) wins the
+//! lease and bumps the fencing epoch.
 //!
 //! ```text
 //! loop {
@@ -60,7 +62,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use ss_common::to_json;
-use ss_state::ReplicatedBackend;
+use ss_state::CheckpointBackend;
 use ss_wal::LeaseManager;
 
 use crate::microbatch::MicroBatchExecution;
@@ -73,22 +75,17 @@ pub struct HaConfig {
     /// a standby only watches it for lapse. Durable writes are
     /// validated against its fencing epoch.
     pub lease: Arc<LeaseManager>,
-    /// The replicated backend underneath the (fenced) engine backend,
-    /// when checkpoint mirroring is on. Carried here so replication
-    /// lag and error counters surface in metrics and `/query/<q>/ha`.
-    pub replication: Option<Arc<ReplicatedBackend>>,
+    /// A second backend every checkpoint write is mirrored onto before
+    /// it returns (`None` = no mirror). A standby or a cold restart can
+    /// run from it alone; its counters surface in metrics and
+    /// `/query/<q>/ha`.
+    pub replica: Option<Arc<dyn CheckpointBackend>>,
 }
 
 impl HaConfig {
     /// Lease-only HA (fencing without checkpoint mirroring).
     pub fn new(lease: Arc<LeaseManager>) -> HaConfig {
-        HaConfig { lease, replication: None }
-    }
-
-    /// Record the replicated backend for observability.
-    pub fn with_replication(mut self, replication: Arc<ReplicatedBackend>) -> HaConfig {
-        self.replication = Some(replication);
-        self
+        HaConfig { lease, replica: None }
     }
 }
 
@@ -123,7 +120,7 @@ impl MicroBatchExecution {
         let Some(ha) = self.ha() else {
             return to_json(&BTreeMap::from([("configured", false)]));
         };
-        let replication = ha.replication.as_ref().map(|r| ReplicationStatus {
+        let replication = self.mirror().map(|r| ReplicationStatus {
             mode: "sync",
             mirrored_ops: r.mirrored_ops(),
             replica_errors: r.replica_errors(),
@@ -173,8 +170,7 @@ mod tests {
     use ss_exec::MemoryCatalog;
     use ss_expr::{col, count_star};
     use ss_plan::{LogicalPlan, LogicalPlanBuilder, OutputMode};
-    use ss_state::{CheckpointBackend, MemoryBackend};
-    use ss_wal::FencedBackend;
+    use ss_state::MemoryBackend;
 
     use crate::microbatch::MicroBatchConfig;
 
@@ -272,7 +268,7 @@ mod tests {
             "q",
             src.clone(),
             sink.clone(),
-            Arc::new(FencedBackend::new(shared.clone(), leader_lease.clone())),
+            shared.clone(),
             lc,
             false,
         );
@@ -285,7 +281,7 @@ mod tests {
         let standby_lease = lease_on(&shared, "standby", clock.clone());
         let sc = MicroBatchConfig {
             checkpoint_interval: 1,
-            ha: Some(HaConfig::new(standby_lease.clone())),
+            ha: Some(HaConfig::new(standby_lease)),
             ..Default::default()
         };
         let standby_src = gen_source();
@@ -294,7 +290,7 @@ mod tests {
             "q",
             standby_src.clone(),
             sink.clone(),
-            Arc::new(FencedBackend::new(shared.clone(), standby_lease)),
+            shared.clone(),
             sc,
             true,
         );

@@ -124,14 +124,12 @@ pub struct MicroBatchConfig {
     /// letters instead of duplicating them).
     pub dlq: Option<Arc<DeadLetterQueue>>,
     /// High availability (`None` = disabled): a leadership lease with
-    /// fencing epochs, plus (optionally) a handle to the replicated
-    /// checkpoint backend for replication-lag introspection. When set,
-    /// the engine acquires the lease at startup, renews it at phase
-    /// boundaries alongside the watchdog, stamps every WAL commit and
-    /// manifest with the held fencing epoch, and fences sink/DLQ
-    /// commits explicitly. Compose the checkpoint `backend` out of
-    /// `ss_wal::FencedBackend` over `ss_state::ReplicatedBackend` to
-    /// fence and mirror the WAL/state/manifest writes too.
+    /// fencing epochs and, optionally, a replica to mirror the
+    /// checkpoint onto. When set, the engine mirrors and fences the
+    /// backend it is given before anything touches it, acquires the
+    /// lease at startup, renews it at phase boundaries alongside the
+    /// watchdog, stamps every WAL commit and manifest with the held
+    /// fencing epoch, and fences sink/DLQ commits explicitly.
     pub ha: Option<HaConfig>,
 }
 

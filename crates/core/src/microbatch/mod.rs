@@ -74,8 +74,8 @@ use ss_common::{
 };
 use ss_exec::executor::Catalog;
 use ss_plan::{operator_signatures, plan_fingerprint, LogicalPlan, OperatorSignature, OutputMode};
-use ss_state::{CheckpointBackend, StateStore};
-use ss_wal::{Manifest, WriteAheadLog, MANIFEST_VERSION};
+use ss_state::{CheckpointBackend, ReplicatedBackend, StateStore};
+use ss_wal::{FencedBackend, Manifest, WriteAheadLog, MANIFEST_VERSION};
 
 use crate::admission::PidRateController;
 use crate::incremental::{incrementalize, IncNode};
@@ -108,10 +108,13 @@ pub struct MicroBatchExecution {
     update_key_cols: Vec<usize>,
     wal: WriteAheadLog,
     store: StateStore,
-    /// The checkpoint backend, kept for the manifest (which lives at
-    /// the backend root, outside the `wal/` and `state/` prefixes) and
-    /// for rebuilding the engine on `restart_from_checkpoint`.
+    /// The backend every durable write goes through (`ha_backend`),
+    /// kept for the manifest, which lives outside `wal/` and `state/`.
     backend: Arc<dyn CheckpointBackend>,
+    /// The backend as given, which `rebuild_from_checkpoint` passes on.
+    given_backend: Arc<dyn CheckpointBackend>,
+    /// The mirror `ha_backend` built, for its counters.
+    mirror: Option<Arc<ReplicatedBackend>>,
     /// Canonical signatures of this plan's stateful operators, recorded
     /// in every manifest write.
     signatures: Vec<OperatorSignature>,
@@ -290,14 +293,9 @@ impl MicroBatchExecution {
         // v0 layout and resumes unchecked, exactly as older builds did.
         let signatures = operator_signatures(&optimized)?;
         let plan_fp = plan_fingerprint(&optimized);
-        let migrations = match Manifest::load(&backend)? {
-            Some(m) if m.engine != "microbatch" => {
-                return Err(SsError::IncompatibleUpgrade(format!(
-                    "checkpoint was written by the `{}` engine; its state layout is \
-                     not readable by the microbatch engine",
-                    m.engine
-                )));
-            }
+        let given_backend = backend;
+        let (backend, mirror) = ha_backend(&given_backend, &config);
+        let migrations = match Manifest::load_owned(&backend, "microbatch")? {
             Some(m) => upgrade::check_compatibility(&m.operators, &signatures)?,
             None => Vec::new(),
         };
@@ -397,9 +395,9 @@ impl MicroBatchExecution {
         if let Some(ha) = &config.ha {
             ha.lease.set_faults(config.faults.clone());
             ha.lease.attach_metrics(&registry);
-            if let Some(r) = &ha.replication {
-                r.attach_metrics(&registry);
-            }
+        }
+        if let Some(m) = &mirror {
+            m.attach_metrics(&registry);
         }
         let quarantined_total = registry.counter("ss_quarantined_records_total", &[]);
         let deterministic_failures = registry.counter("ss_deterministic_failures_total", &[]);
@@ -415,6 +413,8 @@ impl MicroBatchExecution {
             wal,
             store,
             backend,
+            given_backend,
+            mirror,
             signatures,
             plan_fingerprint: plan_fp,
             manifest_written: None,
@@ -496,6 +496,11 @@ impl MicroBatchExecution {
     /// ([`MicroBatchConfig::clock`]).
     pub fn clock(&self) -> ClockRef {
         self.config.clock.clone()
+    }
+
+    /// The checkpoint mirror built from [`HaConfig::replica`](crate::ha::HaConfig::replica).
+    pub(crate) fn mirror(&self) -> Option<&ReplicatedBackend> {
+        self.mirror.as_deref()
     }
 
     /// The schema of rows delivered to the sink.
@@ -660,7 +665,7 @@ impl MicroBatchExecution {
             self.statics.clone(),
             self.sink.clone(),
             self.output_mode,
-            self.backend.clone(),
+            self.given_backend.clone(),
             self.config.clone(),
         )
     }
@@ -693,6 +698,25 @@ impl MicroBatchExecution {
         }
         Ok(())
     }
+}
+
+/// Under [`MicroBatchConfig::ha`], `backend` mirrored onto the replica
+/// (if any), then fenced by the lease: no WAL, state or manifest
+/// mutation skips the lease check. Also returns the mirror.
+fn ha_backend(
+    backend: &Arc<dyn CheckpointBackend>,
+    config: &MicroBatchConfig,
+) -> (Arc<dyn CheckpointBackend>, Option<Arc<ReplicatedBackend>>) {
+    let Some(ha) = &config.ha else {
+        return (backend.clone(), None);
+    };
+    let mirror = ha.replica.as_ref().map(|replica| {
+        let mut mirror = ReplicatedBackend::new(backend.clone(), replica.clone());
+        mirror.set_faults(config.faults.clone());
+        Arc::new(mirror)
+    });
+    let inner = mirror.clone().map_or_else(|| backend.clone(), |m| m as _);
+    (Arc::new(FencedBackend::new(inner, ha.lease.clone())), mirror)
 }
 
 #[cfg(test)]

@@ -18,15 +18,20 @@ use crate::watermark::WatermarkTracker;
 
 impl MicroBatchExecution {
     /// Take ownership of the checkpoint and bring state and sink to a
-    /// consistent point. The caller holds the lease (if any) and may
-    /// stand anywhere at or below the commit line: at epoch 0 after a
-    /// reset, or wherever read-only catch-up got to.
+    /// consistent point. The caller holds the lease (if any; checked
+    /// first) and may stand anywhere at or below the commit line: at
+    /// epoch 0 after a reset, or wherever read-only catch-up got to.
     ///
     /// When a re-run in-flight epoch fails on a record under an
     /// isolating policy, isolation goes on and a reset engine takes
     /// over again — the probe strips the offenders this time. The
     /// sticky flag bounds this to a single retry.
     pub(super) fn take_over(&mut self) -> Result<()> {
+        // Only the lease holder takes over, even where nothing would be
+        // written: a usurped leader's restart fails here.
+        if let Some(ha) = &self.config.ha {
+            ha.lease.check_fenced("take-over")?;
+        }
         match self.take_over_once() {
             Err(err) if self.should_isolate(&err) => {
                 self.enter_isolation(&err);

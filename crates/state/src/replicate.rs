@@ -98,11 +98,6 @@ impl ReplicatedBackend {
         self.faults = faults;
     }
 
-    /// The replica backend (standbys read from it directly).
-    pub fn replica(&self) -> Arc<dyn CheckpointBackend> {
-        self.replica.clone()
-    }
-
     /// Register `ss_replication_*` metrics on `registry`.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         registry.describe(

@@ -16,8 +16,9 @@
 //!   which renews the lease at most once past its half-life and returns
 //!   [`SsError::Fenced`] the moment a renewal discovers a usurper
 //!   (higher fencing epoch or different holder). [`FencedBackend`]
-//!   applies this check to every WAL, state and manifest write with no
-//!   engine changes; sink and DLQ commits call it explicitly.
+//!   applies this check to every WAL, state and manifest write; an
+//!   engine configured with a lease wraps its own backend in it, and
+//!   checks the lease explicitly before sink and DLQ commits.
 //! * observers never trust the wall-clock `renewed_at_us` inside the
 //!   record (clocks skew). A standby declares the lease lapsed only
 //!   after watching the record stay *byte-identical* for `ttl + grace`
@@ -202,11 +203,6 @@ impl LeaseManager {
 
     fn now_us(&self) -> u64 {
         self.clock.monotonic_us()
-    }
-
-    /// The clock this manager measures TTLs on.
-    pub fn clock(&self) -> ClockRef {
-        self.clock.clone()
     }
 
     /// This participant's identity string.
@@ -487,13 +483,6 @@ impl LeaseManager {
             self.holder
         ))
     }
-
-    /// Force-fence this manager (tests, operator kill switch).
-    pub fn fence(&self) {
-        let mut s = self.state.lock();
-        s.fenced = true;
-        s.held_epoch = None;
-    }
 }
 
 /// A [`CheckpointBackend`] decorator that rejects every mutation once
@@ -507,16 +496,6 @@ pub struct FencedBackend {
 impl FencedBackend {
     pub fn new(inner: Arc<dyn CheckpointBackend>, lease: Arc<LeaseManager>) -> FencedBackend {
         FencedBackend { inner, lease }
-    }
-
-    /// The wrapped backend (reads during standby catch-up go direct).
-    pub fn inner(&self) -> Arc<dyn CheckpointBackend> {
-        self.inner.clone()
-    }
-
-    /// The lease guarding this backend.
-    pub fn lease(&self) -> Arc<LeaseManager> {
-        self.lease.clone()
     }
 }
 

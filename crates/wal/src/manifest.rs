@@ -131,6 +131,23 @@ impl Manifest {
         Ok(Some(manifest))
     }
 
+    /// [`load`](Self::load), refusing a manifest another engine wrote:
+    /// the microbatch and continuous layouts are not interchangeable.
+    pub fn load_owned(
+        backend: &Arc<dyn CheckpointBackend>,
+        engine: &str,
+    ) -> Result<Option<Manifest>> {
+        let manifest = Self::load(backend)?;
+        if let Some(m) = manifest.as_ref().filter(|m| m.engine != engine) {
+            return Err(SsError::IncompatibleUpgrade(format!(
+                "checkpoint was written by the `{}` engine; its layout is not \
+                 readable by the {engine} engine",
+                m.engine
+            )));
+        }
+        Ok(manifest)
+    }
+
     /// Atomically (re)write the manifest, CRC-framed.
     pub fn write(&self, backend: &Arc<dyn CheckpointBackend>) -> Result<()> {
         let data = serde_json::to_vec_pretty(self)

@@ -115,8 +115,8 @@ pub mod prelude {
     pub use ss_core::prelude::*;
     pub use ss_plan::stateful::StateTimeout;
     pub use ss_plan::SortKey;
-    pub use ss_state::{FsBackend, MemoryBackend, ReplicatedBackend};
-    pub use ss_wal::{FencedBackend, HaRole, LeaseManager};
+    pub use ss_state::{FsBackend, MemoryBackend};
+    pub use ss_wal::{HaRole, LeaseManager};
 }
 
 #[cfg(test)]

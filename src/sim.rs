@@ -192,8 +192,6 @@ fn build_participant(
         Duration::from_millis(50),
         sim.handle(),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
-    let fenced_backend = Arc::new(FencedBackend::new(repl.clone(), lease.clone()));
     let faults = FaultRegistry::new();
     let config = MicroBatchConfig {
         max_records_per_trigger: Some(7),
@@ -212,7 +210,10 @@ fn build_participant(
         clock: sim.handle(),
         parallelism: parallelism
             .unwrap_or_else(|| MicroBatchConfig::default().parallelism),
-        ha: Some(HaConfig::new(lease.clone()).with_replication(repl)),
+        ha: Some(HaConfig {
+            lease: lease.clone(),
+            replica: Some(replica),
+        }),
         ..Default::default()
     };
     let (plan, sources) = plan_and_sources(bus, Some(faults.clone()));
@@ -228,7 +229,7 @@ fn build_participant(
         Arc::new(MemoryCatalog::new()),
         sink,
         OutputMode::Update,
-        fenced_backend,
+        primary,
         config,
     )
     .unwrap();

@@ -257,6 +257,51 @@ fn corrupting_a_committed_wal_record_is_rejected_with_a_distinct_error() {
     assert_eq!(err.category(), "corruption", "got: {err}");
 }
 
+/// `wal.commits.read` fires when a take-over replays a committed epoch
+/// (the replay reads the epoch's commit record for its quarantined
+/// offsets). A failed read fails the restart before anything durable
+/// changes, and the next clean restart converges to the fault-free run.
+#[test]
+fn a_failed_commit_read_fails_the_restart_and_a_clean_one_converges() {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let backend = Arc::new(MemoryBackend::new());
+    let sink = MemorySink::new("out");
+    let faults = FaultRegistry::new();
+    let mut eng = build_engine(bus.clone(), sink.clone(), backend.clone(), faults.clone()).unwrap();
+    // Five epochs of seven rows: the last one is committed but not
+    // checkpointed (every second epoch is), so a take-over replays it.
+    feed(&bus, 3 * WAVE, 0);
+    assert_eq!(eng.process_available().unwrap(), 5);
+    let (epoch, state_rows) = (eng.current_epoch(), eng.state_rows());
+    let contents = || -> Vec<(String, Option<Vec<u8>>)> {
+        let keys = backend.list("").unwrap();
+        keys.into_iter().map(|k| (k.clone(), backend.read(&k).unwrap())).collect()
+    };
+    let (durable, rows) = (contents(), sink.snapshot());
+
+    let point = ss_wal::failpoints::COMMITS_READ;
+    faults.configure(point, FaultTrigger::EveryNth { n: 1 }, FaultMode::Error);
+    let err = eng.restart().unwrap_err();
+    assert!(err.to_string().contains(point), "got: {err}");
+    assert_eq!(contents(), durable, "a failed restart changed the checkpoint");
+    assert_eq!(sink.snapshot(), rows);
+
+    faults.clear();
+    eng.restart().unwrap();
+    assert_eq!((eng.current_epoch(), eng.state_rows()), (epoch, state_rows));
+    assert_eq!(contents(), durable);
+    let mut fed = 3 * WAVE;
+    while fed < TOTAL_ROWS {
+        feed(&bus, WAVE, fed);
+        fed += WAVE;
+        eng.process_available().unwrap();
+    }
+    let mut out = sink.snapshot();
+    out.sort();
+    assert_eq!(out, reference());
+}
+
 /// Chaos over the *lifecycle* APIs: a query is repeatedly drained with
 /// `stop_graceful` and re-deployed with `restart_from_checkpoint` under
 /// a semantically equivalent (but differently fingerprinted) plan,

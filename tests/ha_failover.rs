@@ -22,6 +22,7 @@
 //! smoke job runs both).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +31,7 @@ use ss_core::ha::{HaConfig, StandbyStatus};
 use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
 use ss_exec::MemoryCatalog;
 use ss_state::{CheckpointBackend, ReplicatedBackend};
-use ss_wal::{FencedBackend, LeaseManager};
+use ss_wal::LeaseManager;
 use structured_streaming::prelude::*;
 
 const TOTAL_ROWS: u64 = 60;
@@ -77,19 +78,18 @@ fn fake_clock() -> (SimClock, ClockRef) {
 }
 
 /// One HA participant: the engine plus the handles the tests poke —
-/// its lease, its fault registry, and its fenced backend for direct
-/// zombie-write probes.
+/// its lease and its fault registry.
 struct Participant {
     engine: MicroBatchExecution,
     lease: Arc<LeaseManager>,
     faults: FaultRegistry,
-    fenced_backend: Arc<FencedBackend>,
 }
 
-/// Build a leader or warm standby over the same shared storage:
-/// `FencedBackend(ReplicatedBackend(primary, replica), lease)` as the
-/// engine backend, the lease itself on the raw primary, and the shared
-/// sink, which the engine fences against the same lease.
+/// Build a leader or warm standby over the same shared storage: the
+/// plain primary as the engine backend, which the engine mirrors onto
+/// the replica and fences with the lease, the lease itself on the raw
+/// primary, and the shared sink, which the engine fences against the
+/// same lease.
 #[allow(clippy::too_many_arguments)]
 fn build_participant(
     bus: Arc<MessageBus>,
@@ -107,8 +107,6 @@ fn build_participant(
         Duration::from_millis(50),
         clock,
     ));
-    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
-    let fenced_backend = Arc::new(FencedBackend::new(repl.clone(), lease.clone()));
     let faults = FaultRegistry::new();
     let config = MicroBatchConfig {
         max_records_per_trigger: Some(7),
@@ -116,7 +114,10 @@ fn build_participant(
         checkpoint_interval: 2,
         faults: faults.clone(),
         retry: RetryPolicy::immediate(3),
-        ha: Some(HaConfig::new(lease.clone()).with_replication(repl)),
+        ha: Some(HaConfig {
+            lease: lease.clone(),
+            replica: Some(replica),
+        }),
         ..Default::default()
     };
 
@@ -149,14 +150,13 @@ fn build_participant(
         Arc::new(MemoryCatalog::new()),
         sink,
         OutputMode::Update,
-        fenced_backend.clone(),
+        primary,
         config,
     )?;
     Ok(Participant {
         engine,
         lease,
         faults,
-        fenced_backend,
     })
 }
 
@@ -293,12 +293,12 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
     // 1. the epoch protocol itself (WAL offsets write / lease renewal);
     let zerr = leader.engine.process_available().unwrap_err();
     assert!(matches!(zerr, SsError::Fenced(_)), "got: {zerr}");
-    // 2. the checkpoint backend;
-    let berr = leader
-        .fenced_backend
-        .write_atomic("zombie-probe.json", b"{}")
-        .unwrap_err();
+    // 2. the checkpoint, through the engine's own take-over: a
+    //    restart;
+    let durable = contents(&*primary);
+    let berr = leader.engine.restart().unwrap_err();
     assert!(matches!(berr, SsError::Fenced(_)), "got: {berr}");
+    assert_eq!(contents(&*primary), durable, "a zombie restart wrote");
     // 3. the sink, through the engine's one sink mutation outside an
     //    epoch: a rollback's truncation.
     let serr = leader.engine.rollback_to(1).unwrap_err();
@@ -322,7 +322,7 @@ fn zombie_leader_is_fenced_on_every_durable_write_and_output_stays_exactly_once(
 }
 
 /// Every durable key of a backend with its bytes, in key order.
-fn contents(backend: &MemoryBackend) -> Vec<(String, Option<Vec<u8>>)> {
+fn contents(backend: &dyn CheckpointBackend) -> Vec<(String, Option<Vec<u8>>)> {
     let mut keys = backend.list("").unwrap();
     keys.sort();
     keys.into_iter()
@@ -333,13 +333,14 @@ fn contents(backend: &MemoryBackend) -> Vec<(String, Option<Vec<u8>>)> {
         .collect()
 }
 
-/// Rollback truncates the sink and the dead-letter queue, which live
-/// outside the checkpoint backend, so the engine fences it itself.
-/// Over a plain (unfenced) backend, a leader whose lease was usurped
-/// must refuse `rollback_to` before it truncates the WAL, the state,
-/// the sink or the DLQ.
-#[test]
-fn usurped_leader_refuses_rollback_before_truncating_anything() {
+/// Hand `op` a leader under `HaConfig` over a plain shared backend
+/// (the engine adds the fence) whose lease another holder has taken.
+/// The new holder has an epoch in flight on that backend: its offset
+/// record and a state checkpoint past the leader's commit line, which
+/// a take-over would truncate. Whatever `op` does must be refused
+/// before it changes the sink, the dead-letter queue or any backend
+/// key or value.
+fn usurped_leader_refuses(op: impl FnOnce(MicroBatchExecution)) {
     let (t, clock) = fake_clock();
     let bus = Arc::new(MessageBus::new());
     bus.create_topic("in", 2).unwrap();
@@ -357,30 +358,35 @@ fn usurped_leader_refuses_rollback_before_truncating_anything() {
     let dlq = ss_bus::DeadLetterQueue::new();
     let sink = MemorySink::new("out");
     let ctx = StreamingContext::new();
-    let mut query = ctx
+    let plan = ctx
         .read_source(Arc::new(
             BusSource::new(bus.clone(), "in", schema()).unwrap(),
         ))
         .unwrap()
         .select(vec![col("key"), col("v")])
-        .write_stream()
-        .output_mode(OutputMode::Append)
-        .sink(sink.clone())
-        .checkpoint(backend.clone())
-        .engine_config(MicroBatchConfig {
+        .plan();
+    let mut engine = MicroBatchExecution::new(
+        "q",
+        &plan,
+        ctx.sources_snapshot().into_iter().collect(),
+        Arc::new(MemoryCatalog::new()),
+        sink.clone(),
+        OutputMode::Append,
+        backend.clone(),
+        MicroBatchConfig {
             max_records_per_trigger: Some(WAVE),
             adaptive_batching: false,
             clock: clock.clone(),
             dlq: Some(dlq.clone()),
             ha: Some(HaConfig::new(lease.clone())),
             ..Default::default()
-        })
-        .start_sync()
-        .unwrap();
+        },
+    )
+    .unwrap();
     feed(&bus, 3 * WAVE, 0);
-    assert!(query.process_available().unwrap() >= 2);
+    assert!(engine.process_available().unwrap() >= 2);
     // A letter of the last epoch, which a rollback to epoch 1 drops.
-    let last = query.current_epoch();
+    let last = engine.current_epoch();
     dlq.commit_epoch(
         last,
         vec![ss_bus::DeadLetterRecord {
@@ -399,10 +405,26 @@ fn usurped_leader_refuses_rollback_before_truncating_anything() {
     assert!(!usurper.is_lapsed().unwrap());
     t.advance(Duration::from_micros(160_000));
     usurper.try_acquire().unwrap();
+    // It has its first epoch in flight: one row, where the leader
+    // would cut a whole wave.
+    feed(&bus, WAVE, 3 * WAVE);
+    let start = engine.positions()["in"].clone();
+    let mut end = start.clone();
+    *end.get_mut(&0).unwrap() += 1;
+    let in_flight = ss_wal::EpochOffsets {
+        epoch: last + 1,
+        sources: [("in".to_string(), ss_wal::OffsetRange { start, end })].into(),
+        watermark_us: i64::MIN,
+        defined_at_us: 0,
+    };
+    ss_wal::WriteAheadLog::new(backend.clone())
+        .write_offsets(&in_flight)
+        .unwrap();
+    let chk = format!("state/chk-{:020}-delta.bin", last + 1);
+    backend.write_atomic(&chk, b"the new holder's state").unwrap();
 
-    let (rows, letters, durable) = (sink.snapshot(), dlq.snapshot(), contents(&backend));
-    let err = query.rollback_to(1).unwrap_err();
-    assert!(matches!(err, SsError::Fenced(_)), "got: {err}");
+    let (rows, letters, durable) = (sink.snapshot(), dlq.snapshot(), contents(&*backend));
+    op(engine);
     assert_eq!(sink.snapshot(), rows, "the sink was truncated");
     assert_eq!(
         dlq.snapshot(),
@@ -410,11 +432,54 @@ fn usurped_leader_refuses_rollback_before_truncating_anything() {
         "the dead-letter queue was truncated"
     );
     assert_eq!(
-        contents(&backend),
+        contents(&*backend),
         durable,
-        "the WAL or the state was truncated"
+        "the WAL or the state was changed"
     );
     assert!(lease.fencing_rejections() >= 1);
+}
+
+/// Rollback truncates the sink and the dead-letter queue, which live
+/// outside the checkpoint backend, so the engine fences it itself,
+/// before it truncates anything.
+#[test]
+fn usurped_leader_refuses_rollback_before_truncating_anything() {
+    usurped_leader_refuses(|mut engine| {
+        let err = engine.rollback_to(1).unwrap_err();
+        assert!(matches!(err, SsError::Fenced(_)), "got: {err}");
+    });
+}
+
+/// A restart takes the checkpoint over, which would drop the new
+/// holder's checkpoint past the commit line and re-run its epoch.
+#[test]
+fn usurped_leader_refuses_restart_before_truncating_anything() {
+    usurped_leader_refuses(|mut engine| {
+        let err = engine.restart().unwrap_err();
+        assert!(matches!(err, SsError::Fenced(_)), "got: {err}");
+    });
+}
+
+/// The supervisor restarts on any failure but `Fenced`. The leader's
+/// first failure is not one (its epoch collides with the new holder's
+/// offset record), so it is restarted into the take-over, which must
+/// be refused, and then terminates.
+#[test]
+fn usurped_supervised_leader_is_fenced_on_its_restart() {
+    usurped_leader_refuses(|engine| {
+        let policy = RestartPolicy {
+            backoff: Duration::ZERO,
+            ..Default::default()
+        };
+        let query = StreamingQuery::start_supervised(engine, Trigger::Once, policy).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while query.exception().is_none() {
+            assert!(std::time::Instant::now() < deadline, "the supervisor never gave up");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let err = query.stop().unwrap_err().to_string();
+        assert!(err.contains("fenced: ") && err.contains("(after 1 restarts)"), "got: {err}");
+    });
 }
 
 /// One seeded drill: kill the leader at random protocol points, let
@@ -630,6 +695,96 @@ fn replica_alone_restarts_the_query_at_the_committed_epoch() {
     feed(&bus, WAVE, 3 * WAVE);
     eng2.process_available().unwrap();
     assert!(eng2.current_epoch() > committed_epoch);
+}
+
+/// A backend that counts the mutations reaching it.
+#[derive(Default)]
+struct Counting {
+    inner: MemoryBackend,
+    mutations: AtomicU64,
+}
+
+impl Counting {
+    fn mutations(&self) -> u64 {
+        self.mutations.load(Ordering::Relaxed)
+    }
+}
+
+impl CheckpointBackend for Counting {
+    fn write_atomic(&self, key: &str, data: &[u8]) -> ss_common::Result<()> {
+        self.mutations.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_atomic(key, data)
+    }
+    fn read(&self, key: &str) -> ss_common::Result<Option<Vec<u8>>> {
+        self.inner.read(key)
+    }
+    fn list(&self, prefix: &str) -> ss_common::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, key: &str) -> ss_common::Result<()> {
+        self.mutations.fetch_add(1, Ordering::Relaxed);
+        self.inner.delete(key)
+    }
+}
+
+/// An upgraded query under HA builds its fence and mirror over the
+/// plain backend the first one was given, not over the first one's
+/// layers: each primary write reaches the replica once.
+#[test]
+fn upgrade_under_ha_mirrors_each_write_once() {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    let primary = Arc::new(Counting::default());
+    let replica = Arc::new(Counting::default());
+    let lease = Arc::new(LeaseManager::new(
+        Arc::new(MemoryBackend::new()),
+        "leader",
+        Duration::from_secs(30),
+        Duration::from_secs(5),
+    ));
+    let ctx = StreamingContext::new();
+    let counts = ctx
+        .read_source(Arc::new(
+            BusSource::new(bus.clone(), "in", schema()).unwrap(),
+        ))
+        .unwrap()
+        .group_by(vec![col("key")])
+        .count();
+    let query = counts
+        .clone()
+        .write_stream()
+        .output_mode(OutputMode::Complete)
+        .sink(MemorySink::new("out"))
+        .checkpoint(primary.clone())
+        .engine_config(MicroBatchConfig {
+            max_records_per_trigger: Some(WAVE),
+            adaptive_batching: false,
+            ha: Some(HaConfig {
+                lease,
+                replica: Some(replica.clone()),
+            }),
+            ..Default::default()
+        })
+        .start_sync()
+        .unwrap();
+    feed(&bus, 2 * WAVE, 0);
+    let mut query = query;
+    query.process_available().unwrap();
+
+    let mut upgraded = query.restart_from_checkpoint(&counts).unwrap();
+    let mirrored = |q: &StreamingQuery| {
+        let status: serde_json::Value = serde_json::from_str(&q.ha_status_json()).unwrap();
+        let ops = status.get("replication").and_then(|r| r.get("mirrored_ops"));
+        ops.and_then(|n| n.as_u64()).expect("mirrored_ops")
+    };
+    let (p0, r0, m0) = (primary.mutations(), replica.mutations(), mirrored(&upgraded));
+    feed(&bus, 2 * WAVE, 2 * WAVE);
+    assert!(upgraded.process_available().unwrap() >= 2);
+    let written = primary.mutations() - p0;
+    assert!(written > 0);
+    assert_eq!(mirrored(&upgraded) - m0, written, "mirrored ops");
+    assert_eq!(replica.mutations() - r0, written, "replica writes");
+    assert_eq!(contents(&primary.inner), contents(&replica.inner));
 }
 
 #[test]

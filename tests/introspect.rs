@@ -302,7 +302,6 @@ fn ha_endpoint_reports_lease_and_replication() {
         Duration::from_secs(30),
         Duration::from_secs(5),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(primary, Arc::new(MemoryBackend::new())));
     let ctx = StreamingContext::new();
     let mut q = ctx
         .read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
@@ -313,10 +312,13 @@ fn ha_endpoint_reports_lease_and_replication() {
         .query_name("leader")
         .output_mode(OutputMode::Complete)
         .engine_config(MicroBatchConfig {
-            ha: Some(HaConfig::new(lease.clone()).with_replication(repl.clone())),
+            ha: Some(HaConfig {
+                lease,
+                replica: Some(Arc::new(MemoryBackend::new())),
+            }),
             ..Default::default()
         })
-        .checkpoint(Arc::new(FencedBackend::new(repl, lease)))
+        .checkpoint(primary)
         .sink(MemorySink::new("out"))
         .start_sync()
         .unwrap();

@@ -189,7 +189,6 @@ fn every_json_body_keeps_its_key_set() {
         Duration::from_secs(30),
         Duration::from_secs(5),
     ));
-    let repl = Arc::new(ReplicatedBackend::new(primary, replica));
     let mut ha = ctx
         .read_source(source("ha"))
         .unwrap()
@@ -199,10 +198,13 @@ fn every_json_body_keeps_its_key_set() {
         .query_name("ha")
         .output_mode(OutputMode::Complete)
         .engine_config(MicroBatchConfig {
-            ha: Some(HaConfig::new(lease.clone()).with_replication(repl.clone())),
+            ha: Some(HaConfig {
+                lease,
+                replica: Some(replica),
+            }),
             ..Default::default()
         })
-        .checkpoint(Arc::new(FencedBackend::new(repl, lease)))
+        .checkpoint(primary)
         .sink(MemorySink::new("ha"))
         .start_sync()
         .unwrap();

@@ -256,6 +256,56 @@ fn continuous_mode_via_write_stream() {
     }
 }
 
+/// A continuous query started through the writer runs under the
+/// writer's engine config: a fault registered there fires in a worker.
+/// HA is refused, since continuous mode holds no lease.
+#[test]
+fn continuous_mode_takes_the_writers_engine_config() {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 1).unwrap();
+    let ctx = StreamingContext::new();
+    let df = ctx
+        .read_source(Arc::new(BusSource::new(bus.clone(), "in", schema()).unwrap()))
+        .unwrap()
+        .select(vec![col("k"), col("v")]);
+    let config = MicroBatchConfig::default();
+    config.faults.configure(
+        structured_streaming::ss_core::continuous::failpoints::WORKER_READ,
+        FaultTrigger::Once { skip: 0 },
+        FaultMode::Error,
+    );
+    let writer = |config: MicroBatchConfig| {
+        df.write_stream()
+            .trigger(Trigger::Continuous(Duration::from_millis(20)))
+            .record_sink(Arc::new(|_p, _row| Ok(())))
+            .engine_config(config)
+    };
+    let q = writer(config).start_continuous().unwrap();
+    bus.append("in", 0, rows(5, 0)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while q.error().is_none() {
+        assert!(std::time::Instant::now() < deadline, "the fault never fired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let err = q.stop().unwrap_err().to_string();
+    assert!(err.contains("injected failure at continuous.worker.read"), "{err}");
+
+    let lease = Arc::new(LeaseManager::new(
+        Arc::new(MemoryBackend::new()),
+        "leader",
+        Duration::from_secs(30),
+        Duration::from_secs(5),
+    ));
+    let ha = MicroBatchConfig {
+        ha: Some(HaConfig::new(lease)),
+        ..Default::default()
+    };
+    match writer(ha).start_continuous() {
+        Err(err) => assert_eq!(err.category(), "unsupported", "{err}"),
+        Ok(_) => panic!("continuous mode must refuse HA"),
+    }
+}
+
 #[test]
 fn run_once_trigger_background() {
     let bus = Arc::new(MessageBus::new());

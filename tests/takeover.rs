@@ -28,7 +28,7 @@ use ss_core::microbatch::{failpoints, EpochRun, MicroBatchConfig, MicroBatchExec
 use ss_exec::MemoryCatalog;
 use ss_expr::expr::{Expr, ScalarUdf};
 use ss_state::{CheckpointBackend, MemoryBudget};
-use ss_wal::{FencedBackend, LeaseManager};
+use ss_wal::LeaseManager;
 use structured_streaming::prelude::*;
 
 const WAVE: u64 = 10;
@@ -428,7 +428,7 @@ impl CheckpointBackend for ReadOnly {
 /// byte for byte as it found it, so the leader's next epoch reloads
 /// its spilled operator and passes its health check.
 fn standby_leaves_a_live_leaders_checkpoint_alone(
-    standby_backend: impl FnOnce(&World, Arc<LeaseManager>) -> Arc<dyn CheckpointBackend>,
+    standby_backend: impl FnOnce(&World) -> Arc<dyn CheckpointBackend>,
 ) {
     let world = World::new();
     let leader_config = MicroBatchConfig {
@@ -447,7 +447,7 @@ fn standby_leaves_a_live_leaders_checkpoint_alone(
 
     let standby_config = world.config(Variant::Plain, "node-b", FaultRegistry::new());
     let standby_lease = standby_config.ha.as_ref().unwrap().lease.clone();
-    let backend = standby_backend(&world, standby_lease.clone());
+    let backend = standby_backend(&world);
     let mut standby = world.engine(backend, standby_config, true).unwrap();
     let applied = standby.standby_catch_up().unwrap();
     assert_eq!(standby.current_epoch(), leader.current_epoch());
@@ -469,19 +469,16 @@ fn standby_leaves_a_live_leaders_checkpoint_alone(
 
 #[test]
 fn standby_never_writes_to_the_shared_checkpoint() {
-    standby_leaves_a_live_leaders_checkpoint_alone(|world, _lease| {
+    standby_leaves_a_live_leaders_checkpoint_alone(|world| {
         Arc::new(ReadOnly(world.backend.clone()))
     });
 }
 
 #[test]
 fn standby_never_writes_through_a_fenced_backend() {
-    // Behind a fence a write would not reach storage — it would die
-    // with `SsError::Fenced`, which the standby loop treats as fatal.
-    standby_leaves_a_live_leaders_checkpoint_alone(|world, lease| {
-        Arc::new(FencedBackend::new(
-            Arc::new(ReadOnly(world.backend.clone())),
-            lease,
-        ))
-    });
+    // Over the plain shared backend the engine's own fence is the only
+    // guard: a write would not reach storage, it would die with
+    // `SsError::Fenced` (counted by the standby's lease), which the
+    // standby loop treats as fatal.
+    standby_leaves_a_live_leaders_checkpoint_alone(|world| world.backend.clone());
 }
